@@ -1,13 +1,17 @@
 //! Microbenchmarks of the PR-4 hot paths: the lock-free paged functional
 //! memory (with and without the per-core µTLB cursor) and instruction
-//! predecode (per-word `decode` vs the `DecodedProgram` table lookup).
+//! predecode (per-word `decode` vs the `DecodedProgram` table lookup);
+//! of superblock dispatch; and of one out-of-order core's `step` on three
+//! loops that load its stages differently (`ooo_hot`).
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use criterion::{criterion_group, criterion_main, Criterion, Throughput};
+use sk_core::cpu::{ooo::OooCpu, CoreHost, Cpu, CpuCtx, SysOutcome};
+use sk_core::msg::OutKind;
 use sk_isa::{
     decode, encode, DecodedInstr, DecodedProgram, ProgramBuilder, Reg, Syscall, WORD_BYTES,
 };
 use sk_mem::FuncMemory;
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::hint::black_box;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -195,5 +199,164 @@ fn bench_superblock_hot(c: &mut Criterion) {
     });
 }
 
-criterion_group!(hot_paths, bench_mem_hot, bench_decode_hot, bench_superblock_hot);
+/// The least a lone out-of-order core needs from its surroundings:
+/// functional memory, the predecode table, and every miss answered a
+/// fixed latency later (the queue stays in time order).
+struct LoneCoreHost {
+    mem: FuncMemory,
+    text: DecodedProgram,
+    now: u64,
+    latency: u64,
+    replies: VecDeque<(u64, OutKind)>,
+}
+
+impl CoreHost for LoneCoreHost {
+    fn load(&mut self, addr: u64, _ts: u64) -> u64 {
+        self.mem.read(addr)
+    }
+    fn store(&mut self, addr: u64, val: u64, _ts: u64) {
+        self.mem.write(addr, val);
+    }
+    fn fetch_word(&mut self, addr: u64) -> u64 {
+        self.mem.read(addr)
+    }
+    fn decoded(&mut self, pc: u64) -> Option<DecodedInstr> {
+        self.text.lookup(pc).copied()
+    }
+    fn emit(&mut self, kind: OutKind) {
+        self.replies.push_back((self.now + self.latency, kind));
+    }
+    fn sys_start(&mut self, _code: u16, _args: [u64; 4], _now: u64) -> SysOutcome {
+        SysOutcome::Exit
+    }
+    fn sys_poll(&mut self, _now: u64) -> SysOutcome {
+        SysOutcome::Exit
+    }
+}
+
+/// Deliver due replies, then simulate one cycle.
+fn lone_core_cycle(cpu: &mut OooCpu, host: &mut LoneCoreHost, stats: &mut sk_core::CoreStats) {
+    host.now += 1;
+    while host.replies.front().is_some_and(|&(ts, _)| ts <= host.now) {
+        let (ts, kind) = host.replies.pop_front().unwrap();
+        match kind {
+            OutKind::DMem { req, block } => {
+                use sk_mem::{l1::ReqKind, LineState};
+                match req {
+                    ReqKind::GetS => cpu.mem_reply(block, LineState::Exclusive, ts),
+                    ReqKind::GetM | ReqKind::Upgrade => {
+                        cpu.mem_reply(block, LineState::Modified, ts)
+                    }
+                    ReqKind::PutS | ReqKind::PutM => {}
+                }
+            }
+            OutKind::IMem { block } => cpu.imem_reply(block, ts),
+            _ => {}
+        }
+    }
+    cpu.step(&mut CpuCtx { now: host.now, host, stats });
+}
+
+/// Host nanoseconds per simulated core-cycle of `OooCpu::step`: each
+/// sample is `CYCLES` cycles of a loop that never exits, so the reported
+/// rate in Kelem/s is thousands of core-cycles per second (ns per cycle =
+/// 1e6 ÷ that). The three loops put the time in different stages:
+/// wakeup/select/complete at full width; a ROB parked behind L1D misses
+/// (MSHRs, waiters, almost no issue); flush recovery and refetch.
+fn bench_ooo_hot(c: &mut Criterion) {
+    const CYCLES: u64 = 50_000;
+    const NODES: u64 = 1024; // one 64-byte block each: four times the L1D
+    let forever = i64::MAX / 2;
+
+    let ilp = {
+        let mut b = ProgramBuilder::new();
+        for i in 0..8 {
+            b.li(Reg::saved(i), 1);
+        }
+        b.li(Reg::tmp(0), forever);
+        let top = b.here("top");
+        for i in 0..8 {
+            b.addi(Reg::saved(i), Reg::saved(i), 1);
+        }
+        b.addi(Reg::tmp(0), Reg::tmp(0), -1);
+        b.bne(Reg::tmp(0), Reg::ZERO, top);
+        b.sys(Syscall::Exit);
+        (b.build().unwrap(), None)
+    };
+    let chase = {
+        let mut b = ProgramBuilder::new();
+        let chain = b.zeros("chain", (NODES * 8) as usize);
+        b.li(Reg::tmp(1), chain as i64);
+        let top = b.here("top");
+        b.ld(Reg::tmp(1), Reg::tmp(1), 0);
+        b.addi(Reg::tmp(2), Reg::tmp(2), 1);
+        b.j(top);
+        (b.build().unwrap(), Some(chain))
+    };
+    let mispredict = {
+        // Branch on one bit of a linear congruential sequence: a coin flip
+        // the bimodal predictor cannot learn.
+        let mut b = ProgramBuilder::new();
+        b.li(Reg::tmp(0), 12345);
+        b.li(Reg::tmp(3), 1_103_515_245);
+        let top = b.here("top");
+        let skip = b.new_label("skip");
+        b.mul(Reg::tmp(0), Reg::tmp(0), Reg::tmp(3));
+        b.addi(Reg::tmp(0), Reg::tmp(0), 12345);
+        b.srli(Reg::tmp(1), Reg::tmp(0), 16);
+        b.andi(Reg::tmp(1), Reg::tmp(1), 1);
+        b.beq(Reg::tmp(1), Reg::ZERO, skip);
+        b.addi(Reg::saved(0), Reg::saved(0), 1);
+        b.bind(skip);
+        b.addi(Reg::saved(1), Reg::saved(1), 1);
+        b.j(top);
+        (b.build().unwrap(), None)
+    };
+
+    let mut group = c.benchmark_group("ooo_hot");
+    group.throughput(Throughput::Elements(CYCLES));
+    for (name, (p, chain)) in
+        [("ilp_loop", ilp), ("pointer_chase_l1d_miss", chase), ("mispredict_loop", mispredict)]
+    {
+        let cfg = sk_core::TargetConfig::paper_8core();
+        let mut host = LoneCoreHost {
+            mem: FuncMemory::new(),
+            text: DecodedProgram::from_program(&p),
+            now: 0,
+            latency: cfg.mem.critical_latency(),
+            replies: VecDeque::new(),
+        };
+        host.mem.load(p.image());
+        if let Some(chain) = chain {
+            // A stride coprime to the node count visits every block.
+            for i in 0..NODES {
+                host.mem.write(chain + i * 64, chain + (i + 387) % NODES * 64);
+            }
+        }
+        let mut cpu = OooCpu::new(&cfg);
+        cpu.start_thread(p.entry, 0, 0);
+        let mut stats = sk_core::CoreStats::default();
+        group.bench_function(format!("{name}/{CYCLES}_cycles"), |b| {
+            b.iter(|| {
+                for _ in 0..CYCLES {
+                    lone_core_cycle(&mut cpu, &mut host, &mut stats);
+                }
+                black_box(stats.committed)
+            })
+        });
+        assert!(!cpu.finished(), "{name} ran off its loop");
+        println!(
+            "ooo_hot/{name}: ipc {:.2}, mispredict rate {:.3}, l1d miss rate {:.3}",
+            stats.committed as f64 / host.now as f64,
+            stats.mispredict_rate(),
+            {
+                cpu.flush_cache_stats(&mut stats);
+                stats.l1d.misses as f64 / (stats.l1d.hits + stats.l1d.misses).max(1) as f64
+            }
+        );
+    }
+    group.finish();
+}
+
+criterion_group!(hot_paths, bench_mem_hot, bench_decode_hot, bench_superblock_hot, bench_ooo_hot);
 criterion_main!(hot_paths);

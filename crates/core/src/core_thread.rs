@@ -859,14 +859,22 @@ impl CoreSim {
             board.finish(self.id);
             return StepOutcome::Finished;
         }
+        // The window is observed once per quantum. The manager raises it
+        // concurrently, and a second look further down (for the idle skip,
+        // the inert jump) could see a grant the first did not: whether a
+        // dead cycle is then stepped or jumped over is invisible to timing
+        // but not to `stall_cycles` / `idle_cycles`, which would make a
+        // threaded CC fingerprint depend on host scheduling. The
+        // cooperative backend never sees the window move inside a quantum,
+        // so this is also what keeps the two backends identical.
+        let limit = board.max_local(self.id).min(board.checkpoint_limit());
         if !self.cpu.running() {
             // No thread yet: idle-skip toward the first pending message
             // or park until the manager sends one.
             match self.next_msg_ts() {
                 Some(ts) => {
                     if ts > self.local + 1 {
-                        let target =
-                            (ts - 1).min(board.max_local(self.id)).min(board.checkpoint_limit());
+                        let target = (ts - 1).min(limit);
                         if target > self.local {
                             self.jump_local(target);
                             board.jump_local(self.id, target);
@@ -911,7 +919,7 @@ impl CoreSim {
                 }
             }
         }
-        if !board.may_advance(self.id, self.local) {
+        if self.local >= limit {
             return StepOutcome::AtWindow;
         }
         // Run-ahead batch: simulate up to `batch_cap` cycles inside
@@ -922,8 +930,7 @@ impl CoreSim {
         // atomics are amortized. A batch ends early on anything the
         // manager or the park paths must see promptly: emitted
         // events, thread exit/idle, a sync wait, or a stop.
-        let limit = board.max_local(self.id).min(board.checkpoint_limit());
-        let budget = limit.saturating_sub(self.local).min(self.batch_cap).max(1);
+        let budget = (limit - self.local).min(self.batch_cap);
         let c0 = self.stats.committed;
         let i0 = self.stats.issued;
         let f0 = self.stats.fetched;
@@ -1041,8 +1048,7 @@ impl CoreSim {
                     // so the outcome is identical either way, but the
                     // clock must not escape the slack discipline (the
                     // laggard's window is its own local + slack).
-                    let target =
-                        (ts - 1).min(board.max_local(self.id)).min(board.checkpoint_limit());
+                    let target = (ts - 1).min(limit);
                     if target > self.local {
                         self.sync_jump(target);
                         board.jump_local_unclamped(self.id, target);

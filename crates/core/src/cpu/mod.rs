@@ -177,8 +177,8 @@ pub trait Cpu: Send {
     }
 
     /// Hand the model a superblock table for its fused fast path. Models
-    /// without one (the out-of-order core simulates real fetch/issue and
-    /// gains nothing from fusion) ignore it.
+    /// without one ignore it: the out-of-order core fetches, predicts and
+    /// dispatches every instruction individually.
     fn attach_superblocks(&mut self, table: std::sync::Arc<sk_isa::SuperblockTable>) {
         let _ = table;
     }
@@ -326,6 +326,39 @@ pub(crate) mod tests_support {
         }
     }
 
+    impl TestHost {
+        /// A host with `program` loaded and nothing in flight.
+        pub fn new(program: &Program, cfg: &TargetConfig) -> Self {
+            let host = TestHost {
+                mem: FuncMemory::new(),
+                printed: vec![],
+                queued: BinaryHeap::new(),
+                seq: 0,
+                mem_latency: cfg.mem.critical_latency(),
+                now: 0,
+            };
+            host.mem.load(program.image());
+            host
+        }
+
+        /// Deliver the replies due by `now`, then simulate cycle `now`.
+        pub fn cycle(&mut self, cpu: &mut dyn Cpu, stats: &mut CoreStats, now: u64) {
+            self.now = now;
+            while let Some(&Reverse((ts, _, rb))) = self.queued.peek() {
+                if ts > now {
+                    break;
+                }
+                self.queued.pop();
+                match rb.unpack() {
+                    Reply::DMem { block, granted } => cpu.mem_reply(block, granted, ts),
+                    Reply::IMem { block } => cpu.imem_reply(block, ts),
+                }
+            }
+            cpu.step(&mut CpuCtx { now, host: self, stats });
+            stats.cycles = now;
+        }
+    }
+
     /// Run `program` on a freshly constructed CPU until the thread exits
     /// (panics after `max_cycles`). Returns the host and core stats.
     pub fn run_to_exit(
@@ -335,32 +368,11 @@ pub(crate) mod tests_support {
     ) -> (TestHost, CoreStats) {
         let cfg = TargetConfig::small(1);
         let mut cpu = ctor(&cfg);
-        let mut host = TestHost {
-            mem: FuncMemory::new(),
-            printed: vec![],
-            queued: BinaryHeap::new(),
-            seq: 0,
-            mem_latency: cfg.mem.critical_latency(),
-            now: 0,
-        };
-        host.mem.load(program.image());
+        let mut host = TestHost::new(program, &cfg);
         cpu.start_thread(program.entry, 0, 0);
         let mut stats = CoreStats::default();
         for now in 1..=max_cycles {
-            host.now = now;
-            while let Some(&Reverse((ts, _, rb))) = host.queued.peek() {
-                if ts > now {
-                    break;
-                }
-                host.queued.pop();
-                match rb.unpack() {
-                    Reply::DMem { block, granted } => cpu.mem_reply(block, granted, ts),
-                    Reply::IMem { block } => cpu.imem_reply(block, ts),
-                }
-            }
-            let mut ctx = CpuCtx { now, host: &mut host, stats: &mut stats };
-            cpu.step(&mut ctx);
-            stats.cycles = now;
+            host.cycle(cpu.as_mut(), &mut stats, now);
             if cpu.finished() {
                 cpu.flush_cache_stats(&mut stats);
                 return (host, stats);

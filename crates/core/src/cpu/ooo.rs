@@ -10,6 +10,14 @@
 //!
 //! Pipeline stages, processed oldest-machinery-first each cycle:
 //! complete → commit → store-buffer drain → issue → dispatch → fetch.
+//!
+//! The model is event-driven on the host side: no stage walks the ROB.
+//! Entries live in a ring addressed by dispatch sequence number, a
+//! completing producer wakes its consumers through a dependence matrix,
+//! issue selects oldest-first from a ready set, and completion visits only
+//! the entries in flight in a functional unit (DESIGN.md, "OoO core").
+//! What is simulated — issue order, forwarding choice, flush recovery,
+//! every counter — is what a per-cycle scan of the ROB would produce.
 
 use super::{Cpu, CpuCtx, SysOutcome};
 use crate::config::{CoreConfig, TargetConfig};
@@ -23,17 +31,30 @@ use sk_mem::{block_of, BlockAddr, L1Cache, L1Outcome, LineState, MshrFile};
 use sk_snap::{Persist, Reader, SnapError, Writer};
 use std::collections::VecDeque;
 
+/// Unique, monotone, never reused: names one dispatched instruction for
+/// good, squashed or not.
 type RobId = u64;
+
+/// Dispatch sequence number: the ROB holds exactly the sequence numbers
+/// `head_seq..tail_seq`, entry `s` in slot `s & slot_mask`. A flush rolls
+/// `tail_seq` back, so a squashed number is handed out again — safe for
+/// references between live entries (a consumer only names older entries,
+/// and a flush removes a suffix), not for references that outlive a flush.
+type Seq = u64;
+
+/// "No in-flight producer" in a source or rename-map slot. Like any
+/// sequence number outside `head_seq..tail_seq` it reads the register file.
+const NO_SRC: Seq = u64::MAX;
 
 /// MSHR waiter tokens.
 ///
-/// ROB ids are monotone and never reused, so a squashed load's waiter is
-/// recognized simply by its entry no longer existing (or no longer being
-/// in `WaitMem`).
+/// A reply can arrive after its load was squashed and its sequence number
+/// reused, so the waiter carries the load's `RobId` too: `seq` finds the
+/// slot in O(1), `id` proves the slot still holds that load.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Waiter {
     /// A load in the ROB.
-    Load { id: RobId },
+    Load { id: RobId, seq: Seq },
     /// The post-commit store buffer.
     StoreBuf,
 }
@@ -50,36 +71,58 @@ enum EState {
     Completed,
 }
 
+/// One ROB slot, packed into two cache lines (it was three and a half).
+/// An instruction has at most one destination, so one result word serves
+/// both register files (FP values by bit pattern) — and, before there is a
+/// register result, what a memory instruction carries instead.
 #[derive(Clone, Debug)]
+#[repr(align(64))]
 struct RobEntry {
-    id: RobId,
-    pc: u64,
-    instr: DecodedInstr,
     state: EState,
-    src_int: [Option<RobId>; 2],
-    src_fp: [Option<RobId>; 2],
-    int_result: Option<u64>,
-    fp_result: Option<f64>,
+    /// Producers of `[int_srcs[0], int_srcs[1], fp_srcs[0], fp_srcs[1]]`.
+    src: [Seq; 4],
+    /// Producers this entry still waits for (derived, set by `subscribe`).
+    pending: u8,
     pred_taken: bool,
-    pred_target: u64,
-    mem_addr: Option<u64>,
-    store_val: Option<u64>,
-    /// Load value was forwarded from an in-flight store.
-    forwarded: Option<u64>,
+    /// `mem_addr` (and a store's data) have been computed.
+    addr_known: bool,
+    /// The load's value was forwarded from an older store, into `result`.
+    forwarded: bool,
     mispredicted: bool,
     /// Fetch ran off the text segment; commit terminates the thread.
     bad_fetch: bool,
+    /// The register result once Completed. A store has none and keeps its
+    /// data here; a forwarded load holds its value here from issue on.
+    result: u64,
+    mem_addr: u64,
+    pc: u64,
+    pred_target: u64,
+    id: RobId,
+    instr: DecodedInstr,
 }
 
 impl RobEntry {
-    fn is_load(&self) -> bool {
-        self.instr.is_load()
+    fn empty() -> Self {
+        RobEntry {
+            state: EState::Completed,
+            src: [NO_SRC; 4],
+            pending: 0,
+            pred_taken: false,
+            addr_known: false,
+            forwarded: false,
+            mispredicted: false,
+            bad_fetch: false,
+            result: 0,
+            mem_addr: 0,
+            pc: 0,
+            pred_target: 0,
+            id: 0,
+            instr: DecodedInstr::new(Instr::Nop),
+        }
     }
-    fn is_store(&self) -> bool {
-        self.instr.is_store()
-    }
-    fn is_syscall(&self) -> bool {
-        self.instr.is_syscall()
+    /// Syscalls execute at commit and bad fetches never execute.
+    fn issuable(&self) -> bool {
+        !self.instr.is_syscall() && !self.bad_fetch
     }
 }
 
@@ -139,6 +182,38 @@ fn class_idx(c: FuClass) -> usize {
     }
 }
 
+// ---- sets of ROB slots, one bit per slot, whole 64-bit words ----
+
+#[inline]
+fn set_bit(words: &mut [u64], slot: usize) {
+    words[slot >> 6] |= 1 << (slot & 63);
+}
+
+#[inline]
+fn clear_bit(words: &mut [u64], slot: usize) {
+    words[slot >> 6] &= !(1 << (slot & 63));
+}
+
+/// The smallest age `>= from_age` whose slot `(head_slot + age) % capacity`
+/// is in the set: iterating with it visits a set oldest entry first.
+#[inline]
+fn next_set(words: &[u64], head_slot: usize, from_age: usize) -> Option<usize> {
+    let cap = words.len() * 64;
+    let mut age = from_age;
+    while age < cap {
+        let slot = (head_slot + age) & (cap - 1);
+        let rest = words[slot >> 6] >> (slot & 63);
+        if rest != 0 {
+            // Past the wrap the word's high bits are ages already visited;
+            // they land at or beyond `cap`.
+            let found = age + rest.trailing_zeros() as usize;
+            return (found < cap).then_some(found);
+        }
+        age += 64 - (slot & 63);
+    }
+    None
+}
+
 /// The out-of-order core.
 pub struct OooCpu {
     cfg: CoreConfig,
@@ -150,13 +225,34 @@ pub struct OooCpu {
     running: bool,
     finished: bool,
 
-    int_map: [Option<RobId>; 32],
-    fp_map: [Option<RobId>; 32],
-    rob: VecDeque<RobEntry>,
+    int_map: [Seq; 32],
+    fp_map: [Seq; 32],
+    /// The ROB ring: a power of two (at least 64) slots, of which at most
+    /// `cfg.rob_entries` are live.
+    rob: Vec<RobEntry>,
+    slot_mask: usize,
+    head_seq: Seq,
+    tail_seq: Seq,
     next_id: RobId,
-    lsq_used: usize,
     fetch_q: VecDeque<Fetched>,
     bpred: super::bpred::Bimodal,
+
+    // Derived scheduling state: a function of the ROB contents, never
+    // snapshotted, rebuilt by `rebuild_schedule`.
+    /// Dispatched, issuable, all producers completed: issue's candidates.
+    ready: Vec<u64>,
+    /// In `EState::Executing`: completion's candidates.
+    executing: Vec<u64>,
+    /// In-flight stores: what a load's ordering check looks at.
+    stores: Vec<u64>,
+    /// Row `p` (`words` words): the slots subscribed to producer `p`.
+    dependents: Vec<u64>,
+    /// The slots a flush is squashing.
+    squashed_scratch: Vec<u64>,
+    /// Lower bound on every `Executing { done }` in the ROB.
+    next_done: u64,
+    lsq_used: usize,
+    syscalls_in_rob: usize,
 
     l1i: L1Cache,
     l1d: L1Cache,
@@ -167,8 +263,12 @@ pub struct OooCpu {
     /// Return-address stack: call sites push their link, `ret` pops a
     /// predicted target so returns don't stall fetch (extension beyond
     /// the paper's NetBurst-like core; corrupted entries are corrected by
-    /// the ordinary mispredict flush).
-    ras: Vec<u64>,
+    /// the ordinary mispredict flush). A ring: a push onto a full stack
+    /// overwrites the oldest link.
+    ras: [u64; RAS_DEPTH],
+    /// Slot the next push writes.
+    ras_top: usize,
+    ras_len: usize,
     fu_busy_until: [u64; N_CLASSES],
 
     store_buffer: VecDeque<SbEntry>,
@@ -181,6 +281,8 @@ pub struct OooCpu {
 impl OooCpu {
     /// Build an idle core.
     pub fn new(cfg: &TargetConfig) -> Self {
+        let capacity = cfg.core.rob_entries.next_power_of_two().max(64);
+        let words = capacity / 64;
         OooCpu {
             cfg: cfg.core,
             l1_hit_lat: cfg.mem.l1_hit_lat,
@@ -189,20 +291,32 @@ impl OooCpu {
             fregs: [0.0; 32],
             running: false,
             finished: false,
-            int_map: [None; 32],
-            fp_map: [None; 32],
-            rob: VecDeque::with_capacity(cfg.core.rob_entries),
+            int_map: [NO_SRC; 32],
+            fp_map: [NO_SRC; 32],
+            rob: vec![RobEntry::empty(); capacity],
+            slot_mask: capacity - 1,
+            head_seq: 0,
+            tail_seq: 0,
             next_id: 0,
-            lsq_used: 0,
             fetch_q: VecDeque::with_capacity(cfg.core.fetch_queue),
             bpred: super::bpred::Bimodal::new(cfg.core.bpred_entries),
+            ready: vec![0; words],
+            executing: vec![0; words],
+            stores: vec![0; words],
+            dependents: vec![0; capacity * words],
+            squashed_scratch: vec![0; words],
+            next_done: u64::MAX,
+            lsq_used: 0,
+            syscalls_in_rob: 0,
             l1i: L1Cache::new(cfg.mem.l1i),
             l1d: L1Cache::new(cfg.mem.l1d),
             mshr: MshrFile::new(cfg.mem.mshrs),
             ifetch: None,
             fetch_stall_until: 0,
             wait_jalr: false,
-            ras: Vec::with_capacity(RAS_DEPTH),
+            ras: [0; RAS_DEPTH],
+            ras_top: 0,
+            ras_len: 0,
             fu_busy_until: [0; N_CLASSES],
             store_buffer: VecDeque::with_capacity(cfg.core.store_buffer),
             sys_state: SysState::Idle,
@@ -212,71 +326,114 @@ impl OooCpu {
         }
     }
 
-    // Ids are unique and monotone but NOT contiguous (flushes leave gaps,
-    // since squashed ids are never reused), so lookups binary-search the
-    // id-sorted ROB.
     #[inline]
-    fn entry(&self, id: RobId) -> Option<&RobEntry> {
-        let idx = self.rob.binary_search_by_key(&id, |e| e.id).ok()?;
-        self.rob.get(idx)
+    fn rob_len(&self) -> usize {
+        (self.tail_seq - self.head_seq) as usize
     }
 
     #[inline]
-    fn entry_mut(&mut self, id: RobId) -> Option<&mut RobEntry> {
-        let idx = self.rob.binary_search_by_key(&id, |e| e.id).ok()?;
-        self.rob.get_mut(idx)
+    fn slot_of(&self, seq: Seq) -> usize {
+        seq as usize & self.slot_mask
     }
 
-    fn src_ready(&self, src: Option<RobId>) -> bool {
-        match src {
-            None => true,
-            Some(id) => match self.entry(id) {
-                None => true, // producer committed to the register file
-                Some(e) => e.state == EState::Completed,
-            },
+    /// The slot of `seq` if that entry is in the ROB. Anything else — no
+    /// producer, or one that committed to the register file — is `None`.
+    #[inline]
+    fn live_slot(&self, seq: Seq) -> Option<usize> {
+        (seq.wrapping_sub(self.head_seq) < self.tail_seq - self.head_seq).then(|| self.slot_of(seq))
+    }
+
+    #[inline]
+    fn src_bits(&self, src: Seq, committed: u64) -> u64 {
+        match self.live_slot(src) {
+            Some(slot) => self.rob[slot].result,
+            None => committed,
         }
     }
 
-    fn int_value(&self, src: Option<RobId>, arch: Reg) -> u64 {
-        match src {
-            None => self.regs[arch.index()],
-            Some(id) => match self.entry(id) {
-                None => self.regs[arch.index()],
-                Some(e) => {
-                    e.int_result.unwrap_or_else(|| panic!("int producer without value: {:?}", e))
-                }
-            },
-        }
-    }
-
-    fn fp_value(&self, src: Option<RobId>, arch: sk_isa::FReg) -> f64 {
-        match src {
-            None => self.fregs[arch.index()],
-            Some(id) => match self.entry(id) {
-                None => self.fregs[arch.index()],
-                Some(e) => {
-                    e.fp_result.unwrap_or_else(|| panic!("fp producer without value: {:?}", e))
-                }
-            },
-        }
-    }
-
+    /// Operand values of a ready entry (every in-flight producer completed).
     fn operands_for(&self, e: &RobEntry) -> Operands {
-        for id in e.src_int.iter().chain(&e.src_fp).flatten() {
-            if let Some(p) = self.entry(*id) {
-                if p.state != EState::Completed {
-                    panic!("consumer {e:?} reads unready producer {p:?}");
+        let [s1, s2] = e.instr.int_srcs;
+        let [f1, f2] = e.instr.fp_srcs;
+        let fp = |src, f: sk_isa::FReg| {
+            f64::from_bits(self.src_bits(src, self.fregs[f.index()].to_bits()))
+        };
+        Operands {
+            rs1: s1.map_or(0, |r| self.src_bits(e.src[0], self.regs[r.index()])),
+            rs2: s2.map_or(0, |r| self.src_bits(e.src[1], self.regs[r.index()])),
+            fs1: f1.map_or(0.0, |f| fp(e.src[2], f)),
+            fs2: f2.map_or(0.0, |f| fp(e.src[3], f)),
+            pc: e.pc,
+        }
+    }
+
+    /// Subscribe the Dispatched entry in `slot` to each distinct producer
+    /// that has not completed, and count the wakeups it now waits for;
+    /// with none to wait for it is ready at once.
+    fn subscribe(&mut self, slot: usize) {
+        let words = self.ready.len();
+        let mut pending = 0;
+        for src in self.rob[slot].src {
+            let Some(p) = self.live_slot(src) else { continue };
+            if self.rob[p].state == EState::Completed {
+                continue;
+            }
+            let word = &mut self.dependents[p * words + (slot >> 6)];
+            if *word & (1 << (slot & 63)) == 0 {
+                *word |= 1 << (slot & 63);
+                pending += 1;
+            }
+        }
+        self.rob[slot].pending = pending;
+        if pending == 0 {
+            set_bit(&mut self.ready, slot);
+        }
+    }
+
+    /// The entry in `slot` has its result: mark it and wake its consumers.
+    fn complete_entry(&mut self, slot: usize) {
+        self.rob[slot].state = EState::Completed;
+        let words = self.ready.len();
+        for w in 0..words {
+            let mut bits = std::mem::take(&mut self.dependents[slot * words + w]);
+            while bits != 0 {
+                let c = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                self.rob[c].pending -= 1;
+                if self.rob[c].pending == 0 {
+                    set_bit(&mut self.ready, c);
                 }
             }
         }
-        let [s1, s2] = e.instr.int_srcs;
-        let [f1, f2] = e.instr.fp_srcs;
-        Operands {
-            rs1: s1.map_or(0, |r| self.int_value(e.src_int[0], r)),
-            rs2: s2.map_or(0, |r| self.int_value(e.src_int[1], r)),
-            fs1: f1.map_or(0.0, |f| self.fp_value(e.src_fp[0], f)),
-            fs2: f2.map_or(0.0, |f| self.fp_value(e.src_fp[1], f)),
-            pc: e.pc,
+    }
+
+    fn begin_executing(&mut self, slot: usize, done: u64) {
+        self.rob[slot].state = EState::Executing { done };
+        set_bit(&mut self.executing, slot);
+        self.next_done = self.next_done.min(done);
+    }
+
+    /// Recompute every derived index from the ROB entries (after restore).
+    fn rebuild_schedule(&mut self) {
+        for set in [&mut self.ready, &mut self.executing, &mut self.stores, &mut self.dependents] {
+            set.fill(0);
+        }
+        self.next_done = u64::MAX;
+        self.lsq_used = 0;
+        self.syscalls_in_rob = 0;
+        for seq in self.head_seq..self.tail_seq {
+            let slot = self.slot_of(seq);
+            let e = &self.rob[slot];
+            self.lsq_used += e.instr.is_mem() as usize;
+            self.syscalls_in_rob += e.instr.is_syscall() as usize;
+            if e.instr.is_store() {
+                set_bit(&mut self.stores, slot);
+            }
+            match e.state {
+                EState::Dispatched if e.issuable() => self.subscribe(slot),
+                EState::Executing { done } => self.begin_executing(slot, done),
+                _ => {}
+            }
         }
     }
 
@@ -295,28 +452,63 @@ impl OooCpu {
         }
     }
 
-    /// Squash everything younger than `keep_id` and redirect fetch.
-    fn flush_after(&mut self, keep_id: RobId, new_pc: u64, now: u64) {
-        while let Some(back) = self.rob.back() {
-            if back.id <= keep_id {
-                break;
-            }
-            let e = self.rob.pop_back().unwrap();
-            if e.instr.is_mem() {
-                self.lsq_used -= 1;
-            }
+    fn ras_push(&mut self, link: u64) {
+        self.ras[self.ras_top] = link;
+        self.ras_top = (self.ras_top + 1) % RAS_DEPTH;
+        self.ras_len = (self.ras_len + 1).min(RAS_DEPTH);
+    }
+
+    fn ras_pop(&mut self) -> Option<u64> {
+        if self.ras_len == 0 {
+            return None;
         }
-        // Rebuild the rename maps from the surviving entries.
-        self.int_map = [None; 32];
-        self.fp_map = [None; 32];
-        for e in &self.rob {
-            if let Some(rd) = e.instr.int_dst {
+        self.ras_len -= 1;
+        self.ras_top = (self.ras_top + RAS_DEPTH - 1) % RAS_DEPTH;
+        Some(self.ras[self.ras_top])
+    }
+
+    /// The stack's links, oldest first.
+    fn ras_links(&self) -> impl Iterator<Item = u64> + '_ {
+        let oldest = self.ras_top + RAS_DEPTH - self.ras_len;
+        (0..self.ras_len).map(move |i| self.ras[(oldest + i) % RAS_DEPTH])
+    }
+
+    /// Squash everything younger than `keep` and redirect fetch. Linear in
+    /// the ROB: runs once per mispredicted branch, not per cycle.
+    fn flush_after(&mut self, keep: Seq, new_pc: u64, now: u64) {
+        self.squashed_scratch.fill(0);
+        for seq in keep + 1..self.tail_seq {
+            let slot = self.slot_of(seq);
+            set_bit(&mut self.squashed_scratch, slot);
+            let instr = &self.rob[slot].instr;
+            self.lsq_used -= instr.is_mem() as usize;
+            self.syscalls_in_rob -= instr.is_syscall() as usize;
+        }
+        self.tail_seq = keep + 1;
+        for (w, &squashed) in self.squashed_scratch.iter().enumerate() {
+            self.ready[w] &= !squashed;
+            self.executing[w] &= !squashed;
+            self.stores[w] &= !squashed;
+        }
+        // Rebuild the rename maps from the surviving entries, and drop the
+        // squashed consumers' subscriptions: their slots are about to be
+        // dispatched into again.
+        self.int_map = [NO_SRC; 32];
+        self.fp_map = [NO_SRC; 32];
+        let words = self.squashed_scratch.len();
+        for seq in self.head_seq..self.tail_seq {
+            let slot = self.slot_of(seq);
+            for (w, &squashed) in self.squashed_scratch.iter().enumerate() {
+                self.dependents[slot * words + w] &= !squashed;
+            }
+            let instr = &self.rob[slot].instr;
+            if let Some(rd) = instr.int_dst {
                 if rd.index() != 0 {
-                    self.int_map[rd.index()] = Some(e.id);
+                    self.int_map[rd.index()] = seq;
                 }
             }
-            if let Some(fd) = e.instr.fp_dst {
-                self.fp_map[fd.index()] = Some(e.id);
+            if let Some(fd) = instr.fp_dst {
+                self.fp_map[fd.index()] = seq;
             }
         }
         self.fetch_q.clear();
@@ -330,45 +522,41 @@ impl OooCpu {
 
     fn stage_complete(&mut self, ctx: &mut CpuCtx<'_>) {
         let now = ctx.now;
-        let mut i = 0;
-        while i < self.rob.len() {
-            let ready = matches!(self.rob[i].state, EState::Executing { done } if done <= now);
-            if !ready {
-                i += 1;
+        if now < self.next_done {
+            return;
+        }
+        // Oldest first, as a mispredict squashes the younger completions
+        // of the same cycle before they happen.
+        let head_slot = self.slot_of(self.head_seq);
+        let mut next_done = u64::MAX;
+        let mut age = 0;
+        while let Some(found) = next_set(&self.executing, head_slot, age) {
+            age = found + 1;
+            let slot = (head_slot + found) & self.slot_mask;
+            let EState::Executing { done } = self.rob[slot].state else {
+                unreachable!("executing set names {:?}", self.rob[slot])
+            };
+            if done > now {
+                next_done = next_done.min(done);
                 continue;
             }
-            let id = self.rob[i].id;
-            let ops = self.operands_for(&self.rob[i]);
-            let e = &self.rob[i];
+            clear_bit(&mut self.executing, slot);
+            let e = &self.rob[slot];
 
-            if e.is_load() {
-                let addr = e.mem_addr.expect("issued load has an address");
-                let val = match e.forwarded {
-                    Some(v) => v,
-                    None => ctx.host.load(addr, now),
-                };
-                let e = &mut self.rob[i];
-                if matches!(e.instr.instr, Instr::Fld { .. }) {
-                    e.fp_result = Some(f64::from_bits(val));
-                } else {
-                    e.int_result = Some(val);
+            if e.instr.is_mem() {
+                // A store recorded its address and data at issue; a load
+                // reads memory now unless an older store forwarded to it.
+                if e.instr.is_load() && !e.forwarded {
+                    self.rob[slot].result = ctx.host.load(e.mem_addr, now);
                 }
-                e.state = EState::Completed;
-                i += 1;
+                self.complete_entry(slot);
                 continue;
             }
 
-            let fx = exec::execute(&self.rob[i].instr.instr, ops);
-            let e = &mut self.rob[i];
-            e.int_result = fx.int_result;
-            e.fp_result = fx.fp_result;
-            if e.is_store() {
-                let m = fx.mem.expect("store produces a memory op");
-                e.mem_addr = Some(m.addr);
-                e.store_val = Some(m.store_val);
-            }
-            e.state = EState::Completed;
-
+            let fx = exec::execute(&e.instr.instr, self.operands_for(e));
+            let e = &mut self.rob[slot];
+            e.result = fx.int_result.or(fx.fp_result.map(f64::to_bits)).unwrap_or(0);
+            let mut redirect = None;
             if let Some(br) = fx.branch {
                 let actual_target = if br.taken { br.target } else { e.pc + WORD_BYTES };
                 let predicted = if e.pred_taken { e.pred_target } else { e.pc + WORD_BYTES };
@@ -377,19 +565,25 @@ impl OooCpu {
                     if e.instr.is_cond_branch() {
                         ctx.stats.mispredicts += 1;
                     }
-                    self.flush_after(id, actual_target, now);
-                    return; // everything younger is gone
+                    redirect = Some(actual_target);
                 }
             }
-            i += 1;
+            self.complete_entry(slot);
+            if let Some(target) = redirect {
+                // Everything younger is gone; everything older was visited.
+                self.flush_after(self.head_seq + found as u64, target, now);
+                break;
+            }
         }
+        self.next_done = next_done;
     }
 
     fn stage_commit(&mut self, ctx: &mut CpuCtx<'_>) -> u64 {
         let now = ctx.now;
         let mut committed = 0;
-        while committed < self.cfg.commit_width as u64 {
-            let Some(head) = self.rob.front() else { break };
+        while committed < self.cfg.commit_width as u64 && self.head_seq < self.tail_seq {
+            let slot = self.slot_of(self.head_seq);
+            let head = &self.rob[slot];
 
             if head.bad_fetch {
                 // Architecturally reached a non-instruction: thread is done.
@@ -397,7 +591,7 @@ impl OooCpu {
                 break;
             }
 
-            if head.is_syscall() {
+            if head.instr.is_syscall() {
                 // Serializing: wait for the store buffer to drain so the
                 // syscall observes (and is observed after) all prior stores.
                 if !self.store_buffer.is_empty() {
@@ -425,7 +619,8 @@ impl OooCpu {
                             self.regs[Reg::arg(0).index()] = v;
                         }
                         self.sys_state = SysState::Idle;
-                        self.rob.pop_front();
+                        self.head_seq += 1;
+                        self.syscalls_in_rob -= 1;
                         committed += 1;
                         ctx.stats.committed += 1;
                     }
@@ -445,43 +640,43 @@ impl OooCpu {
                 break;
             }
 
-            if head.is_store() {
+            if head.instr.is_store() {
                 if self.store_buffer.len() >= self.cfg.store_buffer {
                     break;
                 }
-                let addr = head.mem_addr.unwrap();
-                let val = head.store_val.unwrap();
-                self.store_buffer.push_back(SbEntry { addr, val, state: SbState::Need });
+                self.store_buffer.push_back(SbEntry {
+                    addr: head.mem_addr,
+                    val: head.result,
+                    state: SbState::Need,
+                });
+                clear_bit(&mut self.stores, slot);
                 ctx.stats.stores += 1;
             }
-            if head.is_load() {
+            if head.instr.is_load() {
                 ctx.stats.loads += 1;
             }
             if head.instr.is_cond_branch() {
                 ctx.stats.branches += 1;
                 let taken = head.mispredicted != head.pred_taken;
-                let pc = head.pc;
-                self.bpred.update(pc, taken);
+                self.bpred.update(head.pc, taken);
             }
 
-            let head = self.rob.pop_front().unwrap();
-            if head.instr.is_mem() {
-                self.lsq_used -= 1;
-            }
+            self.lsq_used -= head.instr.is_mem() as usize;
             if let Some(rd) = head.instr.int_dst {
                 if rd.index() != 0 {
-                    self.regs[rd.index()] = head.int_result.expect("completed int result");
-                    if self.int_map[rd.index()] == Some(head.id) {
-                        self.int_map[rd.index()] = None;
+                    self.regs[rd.index()] = head.result;
+                    if self.int_map[rd.index()] == self.head_seq {
+                        self.int_map[rd.index()] = NO_SRC;
                     }
                 }
             }
             if let Some(fd) = head.instr.fp_dst {
-                self.fregs[fd.index()] = head.fp_result.expect("completed fp result");
-                if self.fp_map[fd.index()] == Some(head.id) {
-                    self.fp_map[fd.index()] = None;
+                self.fregs[fd.index()] = f64::from_bits(head.result);
+                if self.fp_map[fd.index()] == self.head_seq {
+                    self.fp_map[fd.index()] = NO_SRC;
                 }
             }
+            self.head_seq += 1;
             committed += 1;
             ctx.stats.committed += 1;
         }
@@ -533,142 +728,120 @@ impl OooCpu {
         }
     }
 
+    /// Select oldest-first among the ready entries, within the issue width
+    /// and the functional-unit limits. A ready memory instruction that
+    /// cannot go (ordering, MSHRs) stays ready and is asked again.
     fn stage_issue(&mut self, ctx: &mut CpuCtx<'_>) {
         let now = ctx.now;
         let mut used = [0usize; N_CLASSES];
         let mut budget = self.cfg.issue_width;
-        let mut idx = 0;
-        while budget > 0 && idx < self.rob.len() {
-            if self.rob[idx].state != EState::Dispatched
-                || self.rob[idx].is_syscall()
-                || self.rob[idx].bad_fetch
-            {
-                idx += 1;
-                continue;
-            }
-            let class = self.rob[idx].instr.fu;
+        let head_slot = self.slot_of(self.head_seq);
+        let mut age = 0;
+        while budget > 0 {
+            let Some(found) = next_set(&self.ready, head_slot, age) else { break };
+            age = found + 1;
+            let slot = (head_slot + found) & self.slot_mask;
+            let class = self.rob[slot].instr.fu;
             let ci = class_idx(class);
             if used[ci] >= self.cfg.fu_count(class)
                 || (!self.cfg.fu_pipelined(class) && self.fu_busy_until[ci] > now)
             {
-                idx += 1;
                 continue;
             }
-            let e = &self.rob[idx];
-            if !(self.src_ready(e.src_int[0])
-                && self.src_ready(e.src_int[1])
-                && self.src_ready(e.src_fp[0])
-                && self.src_ready(e.src_fp[1]))
-            {
-                idx += 1;
-                continue;
-            }
-
-            if self.rob[idx].instr.is_mem() {
-                if !self.try_issue_mem(idx, now, ctx) {
-                    idx += 1;
+            if self.rob[slot].instr.is_mem() {
+                if !self.try_issue_mem(slot, found, now, ctx) {
                     continue;
                 }
             } else {
                 let lat = self.cfg.fu_latency(class);
-                self.rob[idx].state = EState::Executing { done: now + lat };
+                self.begin_executing(slot, now + lat);
                 if !self.cfg.fu_pipelined(class) {
                     self.fu_busy_until[ci] = now + lat;
                 }
             }
+            clear_bit(&mut self.ready, slot);
             used[ci] += 1;
             budget -= 1;
             ctx.stats.issued += 1;
-            idx += 1;
         }
     }
 
-    /// Try to issue the memory instruction at ROB index `idx`.
-    /// Returns false if it must wait (dependences, MSHRs, ordering).
-    fn try_issue_mem(&mut self, idx: usize, now: u64, ctx: &mut CpuCtx<'_>) -> bool {
-        let ops = self.operands_for(&self.rob[idx]);
-        let fx = exec::execute(&self.rob[idx].instr.instr, ops);
-        let m = fx.mem.expect("memory instruction");
-        let is_store = self.rob[idx].is_store();
-
-        if is_store {
+    /// Try to issue the ready memory instruction in `slot`, `age` entries
+    /// behind the ROB head. Returns false if it must wait (MSHRs, ordering).
+    fn try_issue_mem(&mut self, slot: usize, age: usize, now: u64, ctx: &mut CpuCtx<'_>) -> bool {
+        if !self.rob[slot].addr_known {
+            // Operands are final once ready: a retry reuses the address.
+            let e = &self.rob[slot];
+            let m = exec::execute(&e.instr.instr, self.operands_for(e)).mem;
+            let m = m.expect("memory instruction");
+            let e = &mut self.rob[slot];
+            e.mem_addr = m.addr;
+            e.result = m.store_val;
+            e.addr_known = true;
+        }
+        if self.rob[slot].instr.is_store() {
             // Stores "execute" by recording address + value; the access
             // happens post-commit through the store buffer.
-            let e = &mut self.rob[idx];
-            e.mem_addr = Some(m.addr);
-            e.store_val = Some(m.store_val);
-            e.state = EState::Executing { done: now + 1 };
+            self.begin_executing(slot, now + 1);
             return true;
         }
+        let addr = self.rob[slot].mem_addr;
 
         // Loads: conservative memory ordering — all older stores must have
-        // known addresses.
+        // known addresses, unless a still younger one already forwards.
+        // The youngest older store that is either decides.
+        let head_slot = self.slot_of(self.head_seq);
         let mut forward: Option<u64> = None;
-        for j in (0..idx).rev() {
-            let older = &self.rob[j];
-            if !older.is_store() {
-                continue;
+        let mut blocked = false;
+        let mut from = 0;
+        while let Some(older) = next_set(&self.stores, head_slot, from).filter(|&a| a < age) {
+            from = older + 1;
+            let st = &self.rob[(head_slot + older) & self.slot_mask];
+            if !st.addr_known {
+                (forward, blocked) = (None, true);
+            } else if st.mem_addr == addr {
+                (forward, blocked) = (Some(st.result), false);
             }
-            match older.mem_addr {
-                None => return false, // unknown older store address
-                Some(a) if a == m.addr => {
-                    forward = Some(older.store_val.expect("store address implies value"));
-                    break;
-                }
-                Some(_) => {}
-            }
+        }
+        if blocked {
+            return false;
         }
         if forward.is_none() {
             // The post-commit store buffer also forwards (youngest first).
-            for sb in self.store_buffer.iter().rev() {
-                if sb.addr == m.addr {
-                    forward = Some(sb.val);
-                    break;
-                }
-            }
+            forward = self.store_buffer.iter().rev().find(|sb| sb.addr == addr).map(|sb| sb.val);
         }
 
         if let Some(v) = forward {
-            let e = &mut self.rob[idx];
-            e.mem_addr = Some(m.addr);
-            e.forwarded = Some(v);
-            e.state = EState::Executing { done: now + 1 };
+            let e = &mut self.rob[slot];
+            e.result = v;
+            e.forwarded = true;
+            self.begin_executing(slot, now + 1);
             return true;
         }
 
-        let block = block_of(m.addr);
+        let block = block_of(addr);
         match self.l1d.read(block) {
-            L1Outcome::Hit => {
-                let lat = self.l1_hit_lat;
-                let e = &mut self.rob[idx];
-                e.mem_addr = Some(m.addr);
-                e.state = EState::Executing { done: now + lat };
-                true
-            }
+            L1Outcome::Hit => self.begin_executing(slot, now + self.l1_hit_lat),
             _ => {
-                let id = self.rob[idx].id;
-                match self.mshr.allocate(block, Waiter::Load { id }) {
+                let waiter =
+                    Waiter::Load { id: self.rob[slot].id, seq: self.head_seq + age as u64 };
+                match self.mshr.allocate(block, waiter) {
                     MshrAlloc::Primary => {
                         ctx.host.emit(OutKind::DMem { req: ReqKind::GetS, block });
                     }
                     MshrAlloc::Secondary => {}
                     MshrAlloc::Full => return false,
                 }
-                let e = &mut self.rob[idx];
-                e.mem_addr = Some(m.addr);
-                e.state = EState::WaitMem;
-                true
+                self.rob[slot].state = EState::WaitMem;
             }
         }
+        true
     }
 
-    fn stage_dispatch(&mut self, ctx: &mut CpuCtx<'_>) {
+    fn stage_dispatch(&mut self) {
         let mut budget = self.cfg.issue_width;
-        while budget > 0 && self.rob.len() < self.cfg.rob_entries {
-            // Serialize on syscalls: nothing dispatches past one.
-            if self.rob.iter().any(|e| e.is_syscall()) {
-                break;
-            }
+        // Serialize on syscalls: nothing dispatches past one.
+        while budget > 0 && self.rob_len() < self.cfg.rob_entries && self.syscalls_in_rob == 0 {
             let Some(f) = self.fetch_q.front().copied() else { break };
             if f.instr.is_mem() && self.lsq_used >= self.cfg.lsq_entries {
                 break;
@@ -677,49 +850,60 @@ impl OooCpu {
 
             let [s1, s2] = f.instr.int_srcs;
             let [f1, f2] = f.instr.fp_srcs;
-            let src_int = [
-                s1.and_then(|r| self.int_map[r.index()]),
-                s2.and_then(|r| self.int_map[r.index()]),
+            let src = [
+                s1.map_or(NO_SRC, |r| self.int_map[r.index()]),
+                s2.map_or(NO_SRC, |r| self.int_map[r.index()]),
+                f1.map_or(NO_SRC, |r| self.fp_map[r.index()]),
+                f2.map_or(NO_SRC, |r| self.fp_map[r.index()]),
             ];
-            let src_fp =
-                [f1.and_then(|r| self.fp_map[r.index()]), f2.and_then(|r| self.fp_map[r.index()])];
+            let seq = self.tail_seq;
+            let slot = self.slot_of(seq);
+            self.tail_seq += 1;
             let id = self.next_id;
             self.next_id += 1;
-            if f.instr.is_mem() {
-                self.lsq_used += 1;
+            self.lsq_used += f.instr.is_mem() as usize;
+            self.syscalls_in_rob += f.instr.is_syscall() as usize;
+            if f.instr.is_store() {
+                set_bit(&mut self.stores, slot);
             }
             if let Some(rd) = f.instr.int_dst {
                 if rd.index() != 0 {
-                    self.int_map[rd.index()] = Some(id);
+                    self.int_map[rd.index()] = seq;
                 }
             }
             if let Some(fd) = f.instr.fp_dst {
-                self.fp_map[fd.index()] = Some(id);
+                self.fp_map[fd.index()] = seq;
             }
             let state = if matches!(f.instr.instr, Instr::Nop) && !f.bad_fetch {
                 EState::Completed
             } else {
                 EState::Dispatched
             };
-            self.rob.push_back(RobEntry {
-                id,
-                pc: f.pc,
-                instr: f.instr,
-                state,
-                src_int,
-                src_fp,
-                int_result: None,
-                fp_result: None,
-                pred_taken: f.pred_taken,
-                pred_target: f.pred_target,
-                mem_addr: None,
-                store_val: None,
-                forwarded: None,
-                mispredicted: false,
-                bad_fetch: f.bad_fetch,
-            });
+            // Every field, one by one: the slot still holds its previous
+            // tenant. (A struct literal would build a 128-byte aligned
+            // temporary and copy it in, once per dispatched instruction.)
+            let e = &mut self.rob[slot];
+            e.state = state;
+            e.src = src;
+            e.pending = 0;
+            e.pred_taken = f.pred_taken;
+            e.addr_known = false;
+            e.forwarded = false;
+            e.mispredicted = false;
+            e.bad_fetch = f.bad_fetch;
+            e.result = 0;
+            e.mem_addr = 0;
+            e.pc = f.pc;
+            e.pred_target = f.pred_target;
+            e.id = id;
+            e.instr = f.instr;
+            // A squashed entry may have left subscribers behind in this row.
+            let words = self.ready.len();
+            self.dependents[slot * words..(slot + 1) * words].fill(0);
+            if state == EState::Dispatched && self.rob[slot].issuable() {
+                self.subscribe(slot);
+            }
             budget -= 1;
-            let _ = ctx;
         }
     }
 
@@ -765,10 +949,7 @@ impl OooCpu {
                 Instr::Jal { rd, off } => {
                     if rd == Reg::RA {
                         // A call: remember the return address.
-                        if self.ras.len() == RAS_DEPTH {
-                            self.ras.remove(0);
-                        }
-                        self.ras.push(self.pc + WORD_BYTES);
+                        self.ras_push(self.pc + WORD_BYTES);
                     }
                     pred_taken = true;
                     pred_target = exec::rel_target(self.pc, off);
@@ -778,7 +959,7 @@ impl OooCpu {
                     // A return: predict through the RAS; fall back to a
                     // fetch stall when the stack is empty. A wrong pop is
                     // repaired by the normal mispredict flush at execute.
-                    match self.ras.pop() {
+                    match self.ras_pop() {
                         Some(t) => {
                             pred_taken = true;
                             pred_target = t;
@@ -794,10 +975,7 @@ impl OooCpu {
                     if rd == Reg::RA {
                         // Indirect call: push the link even though the
                         // target itself stalls fetch.
-                        if self.ras.len() == RAS_DEPTH {
-                            self.ras.remove(0);
-                        }
-                        self.ras.push(self.pc + WORD_BYTES);
+                        self.ras_push(self.pc + WORD_BYTES);
                     }
                     // Target unknown until execute: stall fetch.
                     self.wait_jalr = true;
@@ -864,7 +1042,7 @@ impl Cpu for OooCpu {
         }
         self.stage_store_buffer(ctx);
         self.stage_issue(ctx);
-        self.stage_dispatch(ctx);
+        self.stage_dispatch();
         self.stage_fetch(ctx);
     }
 
@@ -891,14 +1069,14 @@ impl Cpu for OooCpu {
         self.fill_tracked(block, granted);
         for w in self.mshr.complete(block) {
             match w {
-                Waiter::Load { id } => {
-                    // Squashed loads simply no longer exist (ids are never
-                    // reused), so surviving-but-flushed-epoch loads still
-                    // get their wakeup.
-                    if let Some(entry) = self.entry_mut(id) {
-                        if entry.state == EState::WaitMem {
-                            entry.state = EState::Executing { done: ts };
-                        }
+                Waiter::Load { id, seq } => {
+                    // A squashed load is gone, or its slot holds another
+                    // id; a load that survived a flush of younger entries
+                    // still gets its wakeup.
+                    let Some(slot) = self.live_slot(seq) else { continue };
+                    let e = &self.rob[slot];
+                    if e.id == id && e.state == EState::WaitMem {
+                        self.begin_executing(slot, ts);
                     }
                 }
                 Waiter::StoreBuf => {
@@ -945,7 +1123,7 @@ impl Cpu for OooCpu {
     }
 
     fn quiesced(&self) -> bool {
-        self.rob.is_empty()
+        self.head_seq == self.tail_seq
             && self.store_buffer.is_empty()
             && self.fetch_q.is_empty()
             && self.mshr.is_empty()
@@ -961,15 +1139,15 @@ impl Cpu for OooCpu {
         }
         w.put_bool(self.running);
         w.put_bool(self.finished);
-        for m in self.int_map.iter().chain(&self.fp_map) {
-            m.save(w);
+        for &m in self.int_map.iter().chain(&self.fp_map) {
+            w.put_u64(m);
         }
-        w.put_usize(self.rob.len());
-        for e in &self.rob {
-            e.save(w);
+        w.put_u64(self.head_seq);
+        w.put_usize(self.rob_len());
+        for seq in self.head_seq..self.tail_seq {
+            self.rob[self.slot_of(seq)].save(w);
         }
         w.put_u64(self.next_id);
-        w.put_usize(self.lsq_used);
         w.put_usize(self.fetch_q.len());
         for f in &self.fetch_q {
             f.save(w);
@@ -981,7 +1159,10 @@ impl Cpu for OooCpu {
         self.ifetch.save(w);
         w.put_u64(self.fetch_stall_until);
         w.put_bool(self.wait_jalr);
-        self.ras.save(w);
+        w.put_usize(self.ras_len);
+        for link in self.ras_links() {
+            w.put_u64(link);
+        }
         for &b in &self.fu_busy_until {
             w.put_u64(b);
         }
@@ -1000,6 +1181,7 @@ impl Cpu for OooCpu {
     }
 
     fn restore_state(&mut self, r: &mut Reader<'_>) -> Result<(), SnapError> {
+        let corrupt = |what: &str| Err(SnapError::Corrupt(what.into()));
         self.pc = r.get_u64()?;
         for reg in self.regs.iter_mut() {
             *reg = r.get_u64()?;
@@ -1010,25 +1192,63 @@ impl Cpu for OooCpu {
         self.running = r.get_bool()?;
         self.finished = r.get_bool()?;
         for m in self.int_map.iter_mut().chain(self.fp_map.iter_mut()) {
-            *m = Option::load(r)?;
+            *m = r.get_u64()?;
         }
+        // The ROB is indexed directly by sequence number from here on, so
+        // every sequence reference in the image is range-checked now and
+        // every derived index is recomputed, not read.
+        self.head_seq = r.get_u64()?;
         let n = r.get_count(16)?;
-        self.rob.clear();
-        for _ in 0..n {
-            self.rob.push_back(RobEntry::load(r)?);
+        if n > self.cfg.rob_entries {
+            return corrupt("more ROB entries than the configured ROB holds");
         }
-        // Lookups binary-search the id-sorted ROB; reject anything that
-        // breaks the invariant instead of silently misbehaving later.
-        if self.rob.iter().zip(self.rob.iter().skip(1)).any(|(a, b)| a.id >= b.id) {
-            return Err(SnapError::Corrupt("ROB ids not strictly increasing".into()));
+        let Some(tail_seq) = self.head_seq.checked_add(n as u64).filter(|&t| t < NO_SRC) else {
+            return corrupt("ROB sequence numbers overflow");
+        };
+        self.tail_seq = tail_seq;
+        let mut prev_id = None;
+        for seq in self.head_seq..self.tail_seq {
+            let e = RobEntry::load(r)?;
+            if prev_id.is_some_and(|p| p >= e.id) {
+                return corrupt("ROB ids not strictly increasing");
+            }
+            prev_id = Some(e.id);
+            if e.src.iter().any(|&s| s != NO_SRC && s >= seq) {
+                return corrupt("ROB entry names a producer that is not older");
+            }
+            let has_addr = e.state != EState::Dispatched && e.instr.is_mem();
+            if (has_addr && !e.addr_known) || (e.forwarded && !(e.instr.is_load() && e.addr_known))
+            {
+                return corrupt("ROB memory entry past issue without an address");
+            }
+            if e.state == EState::WaitMem && !e.instr.is_load() {
+                return corrupt("ROB entry waits for memory but is not a load");
+            }
+            let slot = self.slot_of(seq);
+            self.rob[slot] = e;
         }
         self.next_id = r.get_u64()?;
-        if let Some(back) = self.rob.back() {
-            if back.id >= self.next_id {
-                return Err(SnapError::Corrupt("next ROB id not past the youngest entry".into()));
+        if prev_id.is_some_and(|p| p >= self.next_id) {
+            return corrupt("next ROB id not past the youngest entry");
+        }
+        for (reg, &m) in self.int_map.iter().chain(&self.fp_map).enumerate() {
+            let Some(slot) = self.live_slot(m) else {
+                if m == NO_SRC {
+                    continue;
+                }
+                return corrupt("rename map names a sequence number outside the ROB");
+            };
+            let instr = &self.rob[slot].instr;
+            let dst = if reg < 32 {
+                instr.int_dst.map(|rd| rd.index())
+            } else {
+                instr.fp_dst.map(|fd| fd.index() + 32)
+            };
+            if dst != Some(reg) {
+                return corrupt("rename map names an entry that does not write the register");
             }
         }
-        self.lsq_used = r.get_usize()?;
+        self.rebuild_schedule();
         let n = r.get_count(16)?;
         self.fetch_q.clear();
         for _ in 0..n {
@@ -1041,7 +1261,14 @@ impl Cpu for OooCpu {
         self.ifetch = Option::load(r)?;
         self.fetch_stall_until = r.get_u64()?;
         self.wait_jalr = r.get_bool()?;
-        self.ras = Vec::load(r)?;
+        self.ras_len = r.get_count(8)?;
+        if self.ras_len > RAS_DEPTH {
+            return corrupt("return-address stack deeper than its ring");
+        }
+        for link in self.ras.iter_mut().take(self.ras_len) {
+            *link = r.get_u64()?;
+        }
+        self.ras_top = self.ras_len % RAS_DEPTH;
         for b in self.fu_busy_until.iter_mut() {
             *b = r.get_u64()?;
         }
@@ -1062,11 +1289,12 @@ impl Cpu for OooCpu {
     }
 
     fn debug_state(&self) -> String {
+        let head = self.live_slot(self.head_seq).map(|slot| &self.rob[slot]);
         format!(
             "pc={:#x} rob[{}] head={:?} sb={:?} mshr=[{}] ifetch={:?} wait_jalr={} sys={:?} fq={}",
             self.pc,
-            self.rob.len(),
-            self.rob.front().map(|e| (e.id, e.instr.instr, e.state)),
+            self.rob_len(),
+            head.map(|e| (e.id, e.instr.instr, e.state)),
             self.store_buffer
                 .iter()
                 .map(|e| (sk_mem::block_of(e.addr), e.state))
@@ -1094,16 +1322,17 @@ fn load_instr(r: &mut Reader<'_>) -> Result<Instr, SnapError> {
 impl Persist for Waiter {
     fn save(&self, w: &mut Writer) {
         match *self {
-            Waiter::Load { id } => {
+            Waiter::Load { id, seq } => {
                 w.put_u8(0);
                 w.put_u64(id);
+                w.put_u64(seq);
             }
             Waiter::StoreBuf => w.put_u8(1),
         }
     }
     fn load(r: &mut Reader<'_>) -> Result<Self, SnapError> {
         match r.get_u8()? {
-            0 => Ok(Waiter::Load { id: r.get_u64()? }),
+            0 => Ok(Waiter::Load { id: r.get_u64()?, seq: r.get_u64()? }),
             1 => Ok(Waiter::StoreBuf),
             t => Err(SnapError::Corrupt(format!("mshr waiter tag {t}"))),
         }
@@ -1133,22 +1362,22 @@ impl Persist for EState {
     }
 }
 
+// `pending` is derived and not written.
 impl Persist for RobEntry {
     fn save(&self, w: &mut Writer) {
         w.put_u64(self.id);
         w.put_u64(self.pc);
         save_instr(&self.instr.instr, w);
         self.state.save(w);
-        for s in self.src_int.iter().chain(&self.src_fp) {
-            s.save(w);
+        for &s in &self.src {
+            w.put_u64(s);
         }
-        self.int_result.save(w);
-        self.fp_result.save(w);
+        w.put_u64(self.result);
         w.put_bool(self.pred_taken);
         w.put_u64(self.pred_target);
-        self.mem_addr.save(w);
-        self.store_val.save(w);
-        self.forwarded.save(w);
+        w.put_u64(self.mem_addr);
+        w.put_bool(self.addr_known);
+        w.put_bool(self.forwarded);
         w.put_bool(self.mispredicted);
         w.put_bool(self.bad_fetch);
     }
@@ -1158,15 +1387,14 @@ impl Persist for RobEntry {
             pc: r.get_u64()?,
             instr: DecodedInstr::new(load_instr(r)?),
             state: EState::load(r)?,
-            src_int: [Option::load(r)?, Option::load(r)?],
-            src_fp: [Option::load(r)?, Option::load(r)?],
-            int_result: Option::load(r)?,
-            fp_result: Option::load(r)?,
+            src: [r.get_u64()?, r.get_u64()?, r.get_u64()?, r.get_u64()?],
+            pending: 0,
+            result: r.get_u64()?,
             pred_taken: r.get_bool()?,
             pred_target: r.get_u64()?,
-            mem_addr: Option::load(r)?,
-            store_val: Option::load(r)?,
-            forwarded: Option::load(r)?,
+            mem_addr: r.get_u64()?,
+            addr_known: r.get_bool()?,
+            forwarded: r.get_bool()?,
             mispredicted: r.get_bool()?,
             bad_fetch: r.get_bool()?,
         })
@@ -1542,6 +1770,245 @@ mod tests {
         let (host, _) = run_to_exit(ooo, &p, 50_000);
         let expected: i64 = (0..16).map(|i| 100 + i).sum();
         assert_eq!(host.printed, vec![expected]);
+    }
+
+    #[test]
+    fn next_set_walks_a_set_oldest_first_across_the_wrap() {
+        let ages = |words: &[u64], head: usize| {
+            let mut seen = vec![];
+            let mut from = 0;
+            while let Some(age) = next_set(words, head, from) {
+                seen.push(age);
+                from = age + 1;
+            }
+            seen
+        };
+        // One word, head at slot 60: slots 61 and 63, then (wrapped) 0 and 5.
+        let one = [(1 << 61) | (1 << 63) | 1 | (1 << 5)];
+        assert_eq!(ages(&one, 60), vec![1, 3, 4, 9]);
+        assert_eq!(ages(&one, 0), vec![0, 5, 61, 63]);
+        assert_eq!(ages(&[0], 17), Vec::<usize>::new());
+        assert_eq!(ages(&[u64::MAX], 33), (0..64).collect::<Vec<_>>());
+        // Two words, head at slot 100: 127 (age 27), 3 (age 31), 99 (age 127).
+        let two = [1 << 3, (1 << 63) | (1 << (99 - 64))];
+        assert_eq!(ages(&two, 100), vec![27, 31, 127]);
+    }
+
+    #[test]
+    fn return_address_ring_drops_the_oldest_link_when_full() {
+        let mut cpu = OooCpu::new(&TargetConfig::small(1));
+        assert_eq!(cpu.ras_pop(), None);
+        for link in 1..=RAS_DEPTH as u64 + 3 {
+            cpu.ras_push(link * 8);
+        }
+        let kept: Vec<u64> = (4..=RAS_DEPTH as u64 + 3).map(|l| l * 8).collect();
+        assert_eq!(cpu.ras_links().collect::<Vec<_>>(), kept);
+        for &link in kept.iter().rev() {
+            assert_eq!(cpu.ras_pop(), Some(link));
+        }
+        assert_eq!(cpu.ras_pop(), None);
+    }
+
+    /// A loop that misses the L1D on a new block every iteration and
+    /// stores back to it: loads in the MSHRs, stores in the store buffer
+    /// and a full ROB at the same time. Prints the sum of what it stored.
+    fn miss_and_store_loop(iters: i64) -> sk_isa::Program {
+        let mut b = ProgramBuilder::new();
+        let src = b.zeros("src", iters as usize * 8);
+        let dst = b.zeros("dst", iters as usize * 8);
+        b.li(Reg::tmp(2), src as i64);
+        b.li(Reg::tmp(4), dst as i64);
+        b.li(Reg::tmp(0), iters);
+        b.li(Reg::arg(0), 0);
+        let top = b.here("top");
+        b.ld(Reg::tmp(1), Reg::tmp(2), 0);
+        b.add(Reg::tmp(1), Reg::tmp(1), Reg::tmp(0));
+        b.st(Reg::tmp(1), Reg::tmp(4), 0);
+        b.ld(Reg::tmp(3), Reg::tmp(4), 0); // forwarded from the store
+        b.add(Reg::arg(0), Reg::arg(0), Reg::tmp(3));
+        b.addi(Reg::tmp(2), Reg::tmp(2), 64);
+        b.addi(Reg::tmp(4), Reg::tmp(4), 64);
+        b.addi(Reg::tmp(0), Reg::tmp(0), -1);
+        b.bne(Reg::tmp(0), Reg::ZERO, top);
+        b.sys(Syscall::PrintInt);
+        b.sys(Syscall::Exit);
+        b.build().unwrap()
+    }
+
+    fn ooo_cfg(rob_entries: usize) -> TargetConfig {
+        let mut cfg = TargetConfig::small(1);
+        cfg.core = crate::config::CoreConfig { rob_entries, ..CoreConfig::paper_ooo() };
+        cfg
+    }
+
+    /// Step a fresh core on `p` until the ROB, the store buffer and the
+    /// MSHRs are all occupied; returns the core, its host and the cycle.
+    fn run_until_busy(
+        p: &sk_isa::Program,
+        cfg: &TargetConfig,
+    ) -> (OooCpu, crate::cpu::tests_support::TestHost, CoreStats, u64) {
+        let mut cpu = OooCpu::new(cfg);
+        let mut host = crate::cpu::tests_support::TestHost::new(p, cfg);
+        let mut stats = CoreStats::default();
+        cpu.start_thread(p.entry, 0, 0);
+        for now in 1..5_000 {
+            host.cycle(&mut cpu, &mut stats, now);
+            if cpu.rob_len() > 8 && !cpu.store_buffer.is_empty() && cpu.mshr.outstanding() > 1 {
+                return (cpu, host, stats, now);
+            }
+        }
+        panic!("the pipeline never got busy");
+    }
+
+    fn saved(cpu: &OooCpu) -> Vec<u8> {
+        let mut w = Writer::new();
+        cpu.save_state(&mut w);
+        w.into_bytes()
+    }
+
+    #[test]
+    fn window_sizes_off_the_64_slot_word_compute_the_same_values() {
+        for rob in [1, 3, 64, 100] {
+            let (host, stats) = run_to_exit(
+                |_| Box::new(OooCpu::new(&ooo_cfg(rob))) as Box<dyn Cpu>,
+                &miss_and_store_loop(40),
+                100_000,
+            );
+            assert_eq!(host.printed, vec![(1..=40).sum::<i64>()], "rob_entries = {rob}");
+            assert_eq!(stats.committed, 4 + 40 * 9 + 2, "rob_entries = {rob}");
+        }
+    }
+
+    #[test]
+    fn mid_flight_state_roundtrips_and_the_restored_core_finishes_the_run() {
+        let p = miss_and_store_loop(40);
+        for rob in [64, 100] {
+            let cfg = ooo_cfg(rob);
+            let (cpu, mut host, mut stats, at) = run_until_busy(&p, &cfg);
+            let bytes = saved(&cpu);
+            let mut restored = OooCpu::new(&cfg);
+            restored.restore_state(&mut Reader::new(&bytes)).expect("restore");
+            assert_eq!(saved(&restored), bytes, "re-save drifted (rob_entries = {rob})");
+            // Derived state is rebuilt, not read: it must equal the live one.
+            assert_eq!(restored.ready, cpu.ready);
+            assert_eq!(restored.executing, cpu.executing);
+            assert_eq!(restored.stores, cpu.stores);
+            assert_eq!((restored.lsq_used, restored.syscalls_in_rob), (cpu.lsq_used, 0));
+            for seq in cpu.head_seq..cpu.tail_seq {
+                let slot = cpu.slot_of(seq);
+                let words = cpu.ready.len();
+                assert_eq!(restored.rob[slot].pending, cpu.rob[slot].pending, "seq {seq}");
+                assert_eq!(
+                    restored.dependents[slot * words..(slot + 1) * words],
+                    cpu.dependents[slot * words..(slot + 1) * words],
+                    "seq {seq}"
+                );
+            }
+            // The restored core takes over from the original's host.
+            for now in at + 1..100_000 {
+                host.cycle(&mut restored, &mut stats, now);
+                if restored.finished() {
+                    break;
+                }
+            }
+            let (ref_host, ref_stats) =
+                run_to_exit(|_| Box::new(OooCpu::new(&cfg)) as Box<dyn Cpu>, &p, 100_000);
+            assert_eq!(host.printed, ref_host.printed);
+            assert_eq!(stats.cycles, ref_stats.cycles, "resumed run took a different time");
+            assert_eq!(stats.issued, ref_stats.issued);
+        }
+    }
+
+    /// A host that answers nothing: enough to step a restored core.
+    struct NullHost;
+    impl crate::cpu::CoreHost for NullHost {
+        fn load(&mut self, _: u64, _: u64) -> u64 {
+            0
+        }
+        fn store(&mut self, _: u64, _: u64, _: u64) {}
+        fn fetch_word(&mut self, _: u64) -> u64 {
+            0
+        }
+        fn emit(&mut self, _: OutKind) {}
+        fn sys_start(&mut self, _: u16, _: [u64; 4], _: u64) -> SysOutcome {
+            SysOutcome::Done(None)
+        }
+        fn sys_poll(&mut self, _: u64) -> SysOutcome {
+            SysOutcome::Done(None)
+        }
+    }
+
+    #[test]
+    fn damaged_state_is_rejected_or_runs_but_never_indexes_out_of_bounds() {
+        // No checksum here: every damaged image reaches `restore_state`.
+        // Whatever it accepts must also step (every slot and sequence
+        // reference in range) and take its memory replies.
+        let cfg = ooo_cfg(64);
+        let (cpu, ..) = run_until_busy(&miss_and_store_loop(40), &cfg);
+        let bytes = saved(&cpu);
+        // Registers, rename maps and the whole ROB, byte by byte; the
+        // caches, MSHRs and queues behind them at a stride.
+        let rob_end = 8 + 2 * 32 * 8 + 2 + 2 * 32 * 8 + 16 + cpu.rob_len() * 102;
+        let positions = (0..rob_end).chain((rob_end..bytes.len()).step_by(7));
+        let (mut accepted, mut rejected) = (0, 0);
+        for pos in positions {
+            for flip in [0x01, 0x10, 0x80, 0xFF] {
+                let mut bad = bytes.clone();
+                bad[pos] ^= flip;
+                let mut c = OooCpu::new(&cfg);
+                if c.restore_state(&mut Reader::new(&bad)).is_err() {
+                    rejected += 1;
+                    continue;
+                }
+                accepted += 1;
+                let mut stats = CoreStats::default();
+                for now in 1..=48 {
+                    if now == 24 {
+                        let blocks: Vec<BlockAddr> = c.mshr.iter().map(|(b, _)| *b).collect();
+                        for block in blocks {
+                            c.mem_reply(block, LineState::Exclusive, now);
+                        }
+                    }
+                    c.step(&mut CpuCtx { now, host: &mut NullHost, stats: &mut stats });
+                }
+            }
+            for cut in [pos, pos + 1] {
+                let mut c = OooCpu::new(&cfg);
+                assert!(c.restore_state(&mut Reader::new(&bytes[..cut])).is_err(), "cut {cut}");
+            }
+        }
+        assert!(accepted > 100 && rejected > 100, "{accepted} accepted, {rejected} rejected");
+    }
+
+    #[test]
+    fn restore_rejects_references_outside_the_rob() {
+        let cfg = ooo_cfg(64);
+        let (cpu, ..) = run_until_busy(&miss_and_store_loop(40), &cfg);
+        let rejects = |damage: &dyn Fn(&mut OooCpu), why: &str| {
+            let mut bad = OooCpu::new(&cfg);
+            bad.restore_state(&mut Reader::new(&saved(&cpu))).unwrap();
+            damage(&mut bad);
+            let err = OooCpu::new(&cfg).restore_state(&mut Reader::new(&saved(&bad)));
+            assert!(matches!(err, Err(SnapError::Corrupt(_))), "{why}: {err:?}");
+        };
+        let youngest = cpu.slot_of(cpu.tail_seq - 1);
+        rejects(&|c| c.rob[youngest].src[0] = c.tail_seq, "source not older than its consumer");
+        rejects(&|c| c.int_map[5] = c.tail_seq + 7, "rename map past the tail");
+        rejects(&|c| c.int_map[0] = c.head_seq, "rename map names a non-writer of the register");
+        rejects(&|c| c.rob[youngest].id = 0, "ids not increasing");
+        rejects(&|c| c.next_id = 0, "next id behind the ROB");
+        // `head_seq` sits behind pc, both register files, two flags and
+        // both rename maps: move it to where the entries overflow u64.
+        let mut bytes = saved(&cpu);
+        let head_at = 8 + 2 * 32 * 8 + 2 + 2 * 32 * 8;
+        assert_eq!(bytes[head_at..head_at + 8], cpu.head_seq.to_le_bytes());
+        bytes[head_at..head_at + 8].copy_from_slice(&(u64::MAX - 3).to_le_bytes());
+        let wrapped = OooCpu::new(&cfg).restore_state(&mut Reader::new(&bytes));
+        assert!(matches!(wrapped, Err(SnapError::Corrupt(_))), "{wrapped:?}");
+        // More entries than the configured ROB: a 64-entry image into an
+        // 8-entry core.
+        let small = OooCpu::new(&ooo_cfg(8)).restore_state(&mut Reader::new(&saved(&cpu)));
+        assert!(matches!(small, Err(SnapError::Corrupt(_))), "{small:?}");
     }
 
     #[test]

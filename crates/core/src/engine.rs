@@ -488,6 +488,13 @@ impl Engine {
         self.board.global()
     }
 
+    /// One pipeline diagnostic line per core ([`crate::cpu::Cpu::debug_state`]):
+    /// what is in flight at a safe-point, for stall debugging and for tests
+    /// that must know a checkpoint caught the pipeline busy.
+    pub fn core_debug_states(&self) -> Vec<String> {
+        self.cores.iter().map(|c| c.debug_state()).collect()
+    }
+
     /// Has the simulation ended (workload exit, stop condition, deadlock)?
     pub fn is_finished(&self) -> bool {
         self.finished
@@ -575,6 +582,14 @@ impl Engine {
                 self.engine.slack_profile_truncated += 1;
             }
         }
+        // Quiescence is observed *before* the drain. A core pushes its
+        // events and only then parks, so a core seen parked here (Acquire
+        // on its state) has every event it emitted in its ring by the time
+        // the drain below reads it. Observed after the drain, a core that
+        // pushed and parked in between left the quiescent path to process
+        // another core's same-cycle event ahead of its undrained one —
+        // out of (ts, core, seq) order, a breach of CC bit-determinism.
+        let quiescent = self.board.active_count() == 0;
         let mut ingested = 0usize;
         let drain_t0 = obs.as_ref().map(|o| o.trace.now_us());
         for (c, q) in self.out_consumers.iter_mut().enumerate() {
@@ -600,7 +615,6 @@ impl Engine {
         // sync calls / parked / finished), advance the processing
         // horizon to the earliest queued event so barrier arrivals can
         // complete and release the waiters.
-        let quiescent = self.board.active_count() == 0;
         let mut g_eff =
             if quiescent { self.uncore.min_pending_ts().map_or(g, |t| g.max(t)) } else { g };
         if let Some(c) = until {

@@ -2,6 +2,7 @@
 
 use proptest::prelude::*;
 use sk_core::clock::{ClockBoard, CoreState, GlobalCache};
+use sk_core::engine::{Engine, RunOutcome};
 use sk_core::spsc;
 use sk_core::violation::ConflictTracker;
 use sk_core::Scheme;
@@ -569,6 +570,61 @@ proptest! {
             Err(SnapError::UnexpectedEof { .. })
         );
         prop_assert!(eof, "take past the end must report EOF");
+    }
+}
+
+/// A sealed engine snapshot taken mid-run with out-of-order cores: ROB
+/// entries in every state, sequence-number references between them, MSHR
+/// waiters naming ROB slots. The out-of-order core indexes its ROB
+/// directly by those numbers, so this is the image whose damage matters.
+fn ooo_image() -> &'static [u8] {
+    static IMAGE: std::sync::OnceLock<Vec<u8>> = std::sync::OnceLock::new();
+    IMAGE.get_or_init(|| {
+        let w = sk_kernels::fft::fft(2, 5);
+        let mut cfg = sk_core::TargetConfig::small(2);
+        cfg.core.model = sk_core::CoreModel::OutOfOrder;
+        let mut e = Engine::new(&w.program, Scheme::CycleByCycle, &cfg);
+        assert_eq!(e.run_until(Some(1500)), RunOutcome::CheckpointReady);
+        assert!(e.core_debug_states().iter().any(|l| !l.contains("rob[0]")), "ROB empty");
+        e.snapshot().expect("snapshot")
+    })
+}
+
+proptest! {
+    /// Damage to a sealed out-of-order image — any byte, any truncation —
+    /// is a typed error from `Engine::resume`.
+    #[test]
+    fn ooo_image_flip_or_truncation_is_a_typed_error(
+        pos in any::<usize>(),
+        flip in 1u8..=255,
+        cut in any::<usize>()
+    ) {
+        let image = ooo_image();
+        let mut bad = image.to_vec();
+        bad[pos % image.len()] ^= flip;
+        prop_assert!(Engine::resume(&bad, None).is_err(), "flip at {} accepted", pos % image.len());
+        let cut = cut % image.len();
+        prop_assert!(Engine::resume(&image[..cut], None).is_err(), "truncation to {cut} accepted");
+    }
+
+    /// The same damage behind a *valid* checksum (payload re-sealed), so it
+    /// reaches every `restore_state`: the decode may accept or reject, but
+    /// it returns — no panic, no out-of-bounds slot. The leading 512 bytes
+    /// are left alone: they hold the scheme and the `TargetConfig`, whose
+    /// fields size allocations (cache geometry, ROB, ring capacities) and
+    /// are validated for structure, not magnitude; the checksum is what
+    /// stands between a damaged file and those.
+    #[test]
+    fn ooo_image_resealed_damage_never_panics(pos in any::<usize>(), flip in 1u8..=255) {
+        let mut payload = sk_snap::open(ooo_image()).unwrap().to_vec();
+        let skip = 512;
+        let pos = skip + pos % (payload.len() - skip);
+        payload[pos] ^= flip;
+        if let Ok(mut e) = Engine::resume(&sk_snap::seal(&payload), None) {
+            // Accepted damage (a register value, a counter) must still
+            // serialize: the derived indices were rebuilt, not trusted.
+            prop_assert!(e.snapshot().is_ok(), "accepted image at {pos} cannot re-snapshot");
+        }
     }
 }
 

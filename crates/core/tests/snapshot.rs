@@ -443,6 +443,63 @@ fn fork_from_snapshot_onto_other_schemes() {
     }
 }
 
+fn ooo_cfg(n: usize) -> TargetConfig {
+    let mut cfg = small_cfg(n);
+    cfg.core.model = CoreModel::OutOfOrder;
+    cfg
+}
+
+/// The out-of-order core at a safe-point is mid-flight: instructions in
+/// the ROB in every state, committed stores still in the store buffer,
+/// misses outstanding in the MSHRs. Its scheduling indices (ready set,
+/// wakeup matrix, completion schedule, LSQ view) are derived and rebuilt
+/// on restore, so a checkpoint anywhere must re-snapshot byte for byte,
+/// and under CC `run(0→T)` must equal `run(0→k)` + resume`(k→T)`.
+#[test]
+fn ooo_checkpoints_mid_pipeline_roundtrip_and_resume_bit_identically() {
+    let w = sk_kernels::fft::fft(4, 6);
+    let cfg = ooo_cfg(4);
+    let full = run_parallel(&w.program, Scheme::CycleByCycle, &cfg);
+    let end = full_cycles(&full);
+    let (mut rob, mut sb, mut mshr) = (false, false, false);
+    for k in 1..=8 {
+        let at = end * k / 9;
+        let mut e = Engine::new(&w.program, Scheme::CycleByCycle, &cfg);
+        assert_eq!(e.run_until(Some(at)), RunOutcome::CheckpointReady, "safe-point at {at}");
+        for line in e.core_debug_states() {
+            rob |= !line.contains("rob[0]");
+            sb |= !line.contains("sb=[]");
+            mshr |= !line.contains("mshr=[]");
+        }
+        let bytes = e.snapshot().expect("snapshot");
+        drop(e);
+        let mut r = Engine::resume(&bytes, None).expect("resume");
+        assert_eq!(bytes, r.snapshot().expect("re-snapshot"), "OoO round-trip drifted at {at}");
+        assert_eq!(r.run_until(None), RunOutcome::Finished);
+        let resumed = r.into_report();
+        assert_eq!(full.fingerprint(), resumed.fingerprint(), "OoO resume from {at} diverged");
+    }
+    assert!(rob && sb && mshr, "no checkpoint caught the pipeline busy: {rob} {sb} {mshr}");
+}
+
+#[test]
+fn ooo_snapshot_forks_onto_slack_and_adaptive_schemes() {
+    let w = sk_kernels::fft::fft(4, 6);
+    let cfg = ooo_cfg(4);
+    let full = run_parallel(&w.program, Scheme::CycleByCycle, &cfg);
+    let mut e = Engine::new(&w.program, Scheme::CycleByCycle, &cfg);
+    assert_eq!(e.run_until(Some(full_cycles(&full) / 2)), RunOutcome::CheckpointReady);
+    let bytes = e.snapshot().expect("snapshot");
+    for scheme in [Scheme::BoundedSlack(10), Scheme::Adaptive { budget: 16 }] {
+        let mut f = Engine::resume(&bytes, Some(scheme)).expect("fork");
+        assert_eq!(f.run_until(None), RunOutcome::Finished);
+        let r = f.into_report();
+        assert_eq!(r.printed(), full.printed(), "OoO fork onto {scheme} corrupted the workload");
+        let bound = scheme.slack_bound().expect("bounded scheme");
+        assert!(r.violations.max_inversion_cycles <= bound, "fork onto {scheme} broke its bound");
+    }
+}
+
 #[test]
 fn corrupted_and_truncated_snapshots_fail_cleanly() {
     let p = counter_workload(2, 3);

@@ -108,7 +108,9 @@ impl<T: Persist> Persist for MshrFile<T> {
         if n > capacity {
             return Err(SnapError::Corrupt(format!("{n} mshr entries exceed capacity")));
         }
-        let mut entries = HashMap::with_capacity(capacity);
+        // Sized by the entries present, not by `capacity`: that field is
+        // unvalidated input and must not drive an allocation.
+        let mut entries = HashMap::with_capacity(n);
         for _ in 0..n {
             let block = r.get_u64()?;
             let waiters = Vec::<T>::load(r)?;

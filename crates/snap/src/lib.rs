@@ -46,7 +46,11 @@ pub const MAGIC: [u8; 8] = *b"SKSNAP\x00\x01";
 /// widen to 256-core bitmaps, the interconnect serializes one occupancy
 /// channel per bank, manager telemetry gains `busy_ns`, and the hub
 /// carries per-shard telemetry blocks.
-pub const FORMAT_VERSION: u32 = 6;
+/// v7: the out-of-order core persists its ROB by dispatch sequence number
+/// (head sequence number, sources and rename maps as sequence numbers, one
+/// result word, MSHR load waiters as `(id, seq)`); `lsq_used` and every
+/// scheduling index are derived and no longer written.
+pub const FORMAT_VERSION: u32 = 7;
 
 const HEADER_LEN: usize = 8 + 4 + 8;
 const CHECKSUM_LEN: usize = 8;
