@@ -1,0 +1,167 @@
+//! The deterministic backend's schedule stream, pinned.
+//!
+//! `DetEngine::run` draws one interleaver pick per scheduling decision, and
+//! everything downstream — the pick log a regression seed replays, the
+//! decision hash two runs are compared by, the simulated outcome of every
+//! racy scheme — is a function of that exact sequence: the size of the
+//! runnable set at each pick, who was in it, and where the forced-manager
+//! rounds and virtual timeouts fell. The scheduler and the manager body are
+//! host-speed-critical and get rewritten for speed; the stream must not
+//! move when they do. The reference is a golden file captured at PR 13's
+//! commit (the always-dispatch scheduler): per run the pick count, the
+//! decision hash, the execution time, a digest of the whole report, the
+//! largest observed slack and the adaptive controller's epoch count and
+//! final window.
+//!
+//! An *intended* schedule change regenerates the file with
+//! `SK_REGEN_GOLDEN=1 cargo test --test det_schedule_identity` and says so
+//! in its PR; a speed-only change must leave it alone.
+
+use sk_core::DetEngine;
+use slacksim_suite::prelude::*;
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+const SEEDS: [u64; 3] = [0, 1, 7];
+
+fn schemes() -> Vec<Scheme> {
+    ["CC", "S10", "S10*", "S100", "SU", "Q100", "A16"]
+        .iter()
+        .map(|s| s.parse().expect("scheme name"))
+        .collect()
+}
+
+fn fnv1a64(s: &str) -> u64 {
+    s.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3))
+}
+
+fn printed(r: &SimReport) -> Vec<i64> {
+    r.printed().into_iter().map(|(_, v)| v).collect()
+}
+
+/// Run `det` to the end and spell out everything the schedule determines.
+fn golden_line(label: &str, w: &Workload, mut det: DetEngine) -> String {
+    det.run();
+    let (picks, hash) = (det.picks(), det.decision_hash());
+    let r = det.into_report();
+    assert_eq!(printed(&r), w.expected, "{label}: wrong output");
+    format!(
+        "{label} picks={picks} hash={hash:016x} cycles={} fp={:016x} slack={} adapt={}/{}\n",
+        r.exec_cycles,
+        fnv1a64(&r.fingerprint()),
+        r.engine.max_observed_slack,
+        r.engine.adapt_epochs,
+        r.engine.adapt_final_window,
+    )
+}
+
+/// Compare `actual` with the committed golden file line by line, or
+/// rewrite the file when `SK_REGEN_GOLDEN` is set.
+fn check_golden(file: &str, actual: &str) {
+    let path = format!("{}/tests/golden/{file}", env!("CARGO_MANIFEST_DIR"));
+    if std::env::var_os("SK_REGEN_GOLDEN").is_some() {
+        std::fs::write(&path, actual).expect("write golden file");
+        return;
+    }
+    let golden = std::fs::read_to_string(&path).expect("golden file is committed");
+    for (want, got) in golden.lines().zip(actual.lines()) {
+        assert_eq!(
+            got, want,
+            "{file}: the deterministic schedule stream moved (label = kernel/cores/scheme/seed). \
+             Regenerate with SK_REGEN_GOLDEN=1 only for an intended schedule change"
+        );
+    }
+    assert_eq!(actual.lines().count(), golden.lines().count(), "{file}: line count");
+}
+
+/// One golden line per job, computed on every host CPU, kept in job order.
+fn run_all(jobs: &[(String, &Workload, Scheme, TargetConfig, u64)]) -> String {
+    let next = AtomicUsize::new(0);
+    let workers = std::thread::available_parallelism().map_or(2, |n| n.get()).min(8);
+    let mut lines: Vec<(usize, String)> = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                s.spawn(|| {
+                    let mut mine = Vec::new();
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        let Some((label, w, scheme, cfg, seed)) = jobs.get(i) else { break };
+                        let det = DetEngine::new(&w.program, *scheme, cfg, *seed);
+                        mine.push((i, golden_line(label, w, det)));
+                    }
+                    mine
+                })
+            })
+            .collect();
+        handles.into_iter().flat_map(|h| h.join().expect("worker panicked")).collect()
+    });
+    lines.sort_by_key(|&(i, _)| i);
+    lines.into_iter().map(|(_, l)| l).collect()
+}
+
+#[test]
+fn schedule_stream_matches_the_pinned_scheduler() {
+    // 8 cores, one manager: the paper kernels, the irregular kernels and
+    // the two micro kernels under every ordering discipline (eager S/SU,
+    // timestamp-ordered CC/S*, at-barrier Q, closed-loop A).
+    let n = 8;
+    let mut suite = sk_kernels::extended_suite(n, Scale::Test);
+    suite.extend(sk_kernels::irregular_suite(n, Scale::Test));
+    suite.push(kernels::micro::lock_sweep(n, 6));
+    suite.push(kernels::micro::private_compute(n, 60));
+    // 64 cores over 4 shards: shard tasks, signal-gated picks, the window
+    // grant and the frontier clamp, and the sharded runnable-set rule.
+    let many_n = 64;
+    let many = [kernels::micro::lock_sweep(many_n, 2), kernels::micro::private_compute(many_n, 20)];
+    let mut many_cfg = TargetConfig::many_core(many_n);
+    many_cfg.mem_shards = 4;
+
+    let mut jobs = Vec::new();
+    for (ws, cfg) in [(&suite[..], TargetConfig::small(n)), (&many[..], many_cfg)] {
+        for w in ws {
+            for scheme in schemes() {
+                for seed in SEEDS {
+                    let label =
+                        format!("{}/{}c/{}/{seed}", w.name, cfg.n_cores, scheme.short_name());
+                    jobs.push((label, w, scheme, cfg, seed));
+                }
+            }
+        }
+    }
+    let mut actual = run_all(&jobs);
+
+    // A recorded pick log replayed under another seed: the log, not the
+    // PRNG, drives every pick, and lands on the same hash.
+    let w = &suite[1];
+    let cfg = TargetConfig::small(n);
+    let mut rec = DetEngine::new(&w.program, Scheme::Unbounded, &cfg, 5);
+    rec.record_schedule();
+    rec.run();
+    let log = rec.recorded_schedule().expect("recording was on").to_vec();
+    let rec_hash = rec.decision_hash();
+    let mut rep = DetEngine::new(&w.program, Scheme::Unbounded, &cfg, 999);
+    rep.replay(log);
+    let line = golden_line(&format!("{}/replay-of-5", w.name), w, rep);
+    assert!(line.contains(&format!("hash={rec_hash:016x}")), "replay diverged: {line}");
+    actual += &line;
+
+    // A pick hook that overrides two picks in three (always the first
+    // runnable task, then the last) and defers the third to the PRNG.
+    let mut hooked = DetEngine::new(&w.program, Scheme::BoundedSlack(10), &cfg, 3);
+    hooked.set_pick_hook(Box::new(|idx, n| match idx % 3 {
+        0 => Some(0),
+        1 => Some(n - 1),
+        _ => None,
+    }));
+    actual += &golden_line(&format!("{}/hooked", w.name), w, hooked);
+
+    // Barriers under a quantum longer than the kernel's phases: cores park
+    // in SyncWait inside the quantum, nothing moves for a full round of
+    // picks, and the run only advances through the forced-manager round
+    // and the virtual timeout.
+    let w = &suite[2];
+    for seed in SEEDS {
+        let det = DetEngine::new(&w.program, Scheme::Quantum(5000), &cfg, seed);
+        actual += &golden_line(&format!("{}/{}c/Q5000/{seed}", w.name, n), w, det);
+    }
+    check_golden("det_schedule.txt", &actual);
+}
