@@ -295,8 +295,13 @@ fn fuzz_schedules(w: &Workload, o: &Opts, k: u64) -> bool {
     let mut dumped = 0u64;
     let mut max_viol = 0u64;
     let mut max_inv = 0u64;
+    let (mut picks, mut futile) = (0u64, 0u64);
     for seed in 0..k {
-        let r = sk_core::run_det(&w.program, o.scheme, &cfg, seed);
+        let mut det = sk_core::DetEngine::new(&w.program, o.scheme, &cfg, seed);
+        det.run();
+        picks += det.picks();
+        futile += det.futile_picks();
+        let r = det.into_report();
         let printed: Vec<i64> = r.printed().into_iter().map(|(_, v)| v).collect();
         let output_ok = printed == w.expected;
         let v = r.violations.total();
@@ -336,15 +341,19 @@ fn fuzz_schedules(w: &Workload, o: &Opts, k: u64) -> bool {
             );
         }
     }
+    // `futile`: picks of a core at a closed window or a manager with no
+    // news, booked by the scheduler without dispatching the task.
     println!(
         "{:<16} scheme={:<5} schedules={:<4} violating={:<4} max_violations={:<6} \
-         max_inversion={:<6} verdict={}",
+         max_inversion={:<6} picks={} futile={:.1}% verdict={}",
         w.name,
         o.scheme.short_name(),
         k,
         dumped,
         max_viol,
         max_inv,
+        picks,
+        100.0 * futile as f64 / picks.max(1) as f64,
         if all_ok { "OK" } else { "FAIL" },
     );
     all_ok

@@ -27,14 +27,17 @@
 //! scheduler resumes every waiting core via
 //! [`ClockBoard::unpark_all_waiting`], with identical re-park semantics.
 
-use crate::clock::CoreState;
+use crate::clock::{ClockBoard, CoreState};
 use crate::config::TargetConfig;
 use crate::core_thread::StepOutcome;
 use crate::engine::{Engine, MgrState, MgrVerdict, RunOutcome};
 use crate::scheme::Scheme;
+use crate::shard::ShardSignal;
 use crate::stats::SimReport;
 use sk_det::{Interleaver, PickHook};
 use sk_isa::Program;
+use sk_obs::Metrics;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Which machinery executes a simulation.
@@ -73,6 +76,75 @@ const STALL_FACTOR: usize = 4;
 /// backend's 100 ms quiescence timer).
 const LIVELOCK_ROUNDS: u64 = 100_000;
 
+/// The scheduler's runnable set, kept up to date from the transitions the
+/// loop itself observes instead of being rebuilt from the board before
+/// every pick. Membership is exactly what a rebuild would find:
+///
+/// * core `i`, unless its step returned `Stopped`/`Finished` or its board
+///   state is a parked one — and, with sharded managers, unless it sits at
+///   its window edge (it cannot progress until the coordinator raises the
+///   window, and at 64+ cores those wasted picks dominate a CC schedule;
+///   unsharded sets keep window-edge cores, as they always have, so
+///   recorded schedule logs replay);
+/// * the manager, always;
+/// * shard `s` while its signal is pending.
+///
+/// The interleaver's index maps onto cores ascending, then the manager,
+/// then shards ascending, so same seed ⇒ same task at every pick.
+struct RunSet {
+    /// Runnable cores, ascending.
+    cores: Vec<usize>,
+    /// Core `i` is permanently out of the schedule.
+    done: Vec<bool>,
+    /// Signalled shards, ascending.
+    shards: Vec<usize>,
+    sharded: bool,
+}
+
+impl RunSet {
+    fn new(n: usize, sharded: bool) -> RunSet {
+        RunSet { cores: Vec::with_capacity(n), done: vec![false; n], shards: Vec::new(), sharded }
+    }
+
+    fn len(&self) -> usize {
+        self.cores.len() + 1 + self.shards.len()
+    }
+
+    fn wants(&self, board: &ClockBoard, i: usize) -> bool {
+        !self.done[i]
+            && matches!(board.state(i), CoreState::Running | CoreState::Blocked)
+            && (!self.sharded || board.may_advance(i, board.local(i)))
+    }
+
+    /// Core `i` stepped, was woken, or had its window raised.
+    fn refresh_core(&mut self, board: &ClockBoard, i: usize) {
+        match (self.cores.binary_search(&i), self.wants(board, i)) {
+            (Ok(pos), false) => {
+                self.cores.remove(pos);
+            }
+            (Err(pos), true) => self.cores.insert(pos, i),
+            _ => {}
+        }
+    }
+
+    /// Anything may have moved (a window grant under sharding, a forced
+    /// round, the virtual timeout).
+    fn refresh_all(&mut self, board: &ClockBoard) {
+        self.cores.clear();
+        for i in 0..self.done.len() {
+            if self.wants(board, i) {
+                self.cores.push(i);
+            }
+        }
+    }
+
+    /// A dispatch ran: it may have raised (or consumed) shard signals.
+    fn refresh_shards(&mut self, signals: &[Arc<ShardSignal>]) {
+        self.shards.clear();
+        self.shards.extend((0..signals.len()).filter(|&s| signals[s].pending()));
+    }
+}
+
 /// The deterministic schedule-exploration backend.
 ///
 /// Wraps an [`Engine`] and drives it to completion on the calling thread.
@@ -86,6 +158,8 @@ pub struct DetEngine {
     /// Adaptive-controller decisions already folded into the interleaver
     /// (see [`DetEngine::fold_adapt_decisions`]).
     adapt_seen: u64,
+    /// Picks whose dispatch was elided (see [`DetEngine::futile_picks`]).
+    futile_picks: u64,
 }
 
 impl DetEngine {
@@ -107,7 +181,7 @@ impl DetEngine {
         // only decisions taken under *this* interleaver belong in its
         // schedule stream.
         let adapt_seen = engine.adapt_decisions().map_or(0, |(n, _)| n);
-        DetEngine { engine, il: Interleaver::from_seed(seed), adapt_seen }
+        DetEngine { engine, il: Interleaver::from_seed(seed), adapt_seen, futile_picks: 0 }
     }
 
     /// Draw every new closed-loop controller decision through the
@@ -133,6 +207,17 @@ impl DetEngine {
     /// Scheduling decisions made so far.
     pub fn picks(&self) -> u64 {
         self.il.picks()
+    }
+
+    /// Picks that cost a draw and nothing else: the task picked was a core
+    /// at a closed window or a manager with no news, whose dispatch
+    /// provably changes no state, so the scheduler booked the fruitless
+    /// pick without making the call. Such a pick is *not* an iteration:
+    /// [`EngineStats::global_updates`](crate::EngineStats::global_updates)
+    /// and the `manager.iterations` telemetry counter count manager
+    /// bodies that ran.
+    pub fn futile_picks(&self) -> u64 {
+        self.futile_picks
     }
 
     /// Running hash of all scheduling decisions: two runs with equal
@@ -167,10 +252,57 @@ impl DetEngine {
         &mut self.engine
     }
 
+    /// One manager iteration on behalf of the scheduler (a manager pick or
+    /// a forced round), with the threaded backend's accounting: the body
+    /// counts as one `manager.iterations` and its time as `busy_ns` — on
+    /// one host thread, busy_ns / wall is the *exact* fraction of the
+    /// schedule the role consumed, the noise-free serialization
+    /// measurement the scaleout bench reports.
+    fn manager_body(&mut self, st: &mut MgrState, obs: Option<&Metrics>) -> MgrVerdict {
+        let t = obs.map(|_| Instant::now());
+        let verdict = self.engine.manager_iter(None, st);
+        if let (Some(o), Some(t)) = (obs, t) {
+            o.manager.iterations.inc();
+            o.manager.busy_ns.add(t.elapsed().as_nanos() as u64);
+        }
+        self.fold_adapt_decisions();
+        verdict
+    }
+
+    /// One iteration of shard `si`, timed like the threaded shard loop.
+    fn shard_body(&mut self, si: usize, obs: Option<&Metrics>) -> bool {
+        let t = obs.map(|_| Instant::now());
+        let progressed = self.engine.shards[si].iterate();
+        if let (Some(o), Some(t)) = (obs, t) {
+            o.shards[si].busy_ns.add(t.elapsed().as_nanos() as u64);
+        }
+        progressed
+    }
+
     /// Run the simulation to its natural end (workload exit, stop
     /// condition, max cycles, or workload deadlock). Checkpoint
     /// safe-points are a threads-backend feature; the deterministic
     /// backend always runs whole segments.
+    ///
+    /// The loop is change-driven. Every scheduling decision still costs
+    /// one interleaver draw from a runnable set of exactly the size a
+    /// rebuild from the board would give, so pick counts, decision hashes
+    /// and recorded logs do not depend on any of this; what the loop
+    /// avoids is work that cannot change state:
+    ///
+    /// * the runnable set is edited when a task's step, a manager body's
+    ///   wake-ups or grants, or a forced round moved something
+    ///   ([`RunSet`]), never rebuilt per pick;
+    /// * a picked core whose window is closed is not stepped
+    ///   ([`CoreSim::window_closed`](crate::core_thread::CoreSim::window_closed):
+    ///   the step would return `AtWindow` having touched nothing);
+    /// * a picked manager whose last body settled
+    ///   ([`MgrVerdict::Continue`]) and that has had no news since — no
+    ///   core raised a change flag on the board, no shard ran — is not
+    ///   iterated (the body would re-read the same inputs and do nothing).
+    ///
+    /// An elided dispatch is booked as what it would have returned: a
+    /// fruitless pick, one step closer to the forced round.
     pub fn run(&mut self) -> RunOutcome {
         if self.engine.finished {
             return RunOutcome::Finished;
@@ -179,22 +311,21 @@ impl DetEngine {
         self.engine.board.reset_stop();
 
         let n = self.engine.cfg.n_cores;
-        let n_shards = self.engine.shards.len();
         let board = self.engine.board.clone();
+        let signals = self.engine.shard_signals.clone();
         let t0 = Instant::now();
-        // Dispatch timing mirrors the threaded backend's busy_ns
-        // accounting: on one host thread, busy_ns / wall is the *exact*
-        // fraction of the schedule each role consumed — the noise-free
-        // serialization measurement the scaleout bench reports.
         let obs = self.engine.metrics().cloned();
+        let obs = obs.as_deref();
         let mut st = MgrState::new(n, self.engine.ordered_sharded());
-        // Core i is permanently out of the schedule: its step returned
-        // Stopped or Finished.
-        let mut done = vec![false; n];
+        let mut set = RunSet::new(n, !signals.is_empty());
+        set.refresh_all(&board);
+        set.refresh_shards(&signals);
         // Core i parked as MemWait; its inert streak must be cleared when
         // it next steps (the threaded backend resets it after wait_parked).
         let mut mem_blocked = vec![false; n];
-        let mut runnable: Vec<usize> = Vec::with_capacity(n + 1);
+        // The manager's last body settled and no shard has run since; with
+        // no change flag up on the board either, its next body is a no-op.
+        let mut mgr_settled = false;
         // Fruitless picks since the last progress; `stall_after` fruitless
         // picks trigger one forced-manager round.
         let mut stall = 0usize;
@@ -208,99 +339,93 @@ impl DetEngine {
         let mut barren_rounds = 0u64;
 
         'sim: loop {
-            // The runnable set: every live core whose board state is not a
-            // parked one, plus the manager (always runnable — its iteration
-            // is cheap and drains whatever the cores published), plus one
-            // task per memory shard (task id `n + 1 + s`; equally cheap).
-            // A core at its window stays `Running` on the board and simply
-            // keeps answering `AtWindow` until the manager raises the
-            // window — a wasted pick, not an error.
-            runnable.clear();
-            for (i, &core_done) in done.iter().enumerate() {
-                if core_done
-                    || matches!(
-                        board.state(i),
-                        CoreState::Parked
-                            | CoreState::SyncWait
-                            | CoreState::MemWait
-                            | CoreState::Finished
-                    )
-                {
-                    continue;
-                }
-                // Sharded runs: a core at its window edge cannot progress
-                // until the coordinator raises the window, so skip the
-                // wasted pick — at 64+ cores these dominate the schedule
-                // under CC. Unsharded runnable sets are left exactly as
-                // before so previously recorded schedule logs replay.
-                if n_shards > 0 && !board.may_advance(i, board.local(i)) {
-                    continue;
-                }
-                runnable.push(i);
-            }
-            runnable.push(n); // the manager task
-            for s in 0..n_shards {
-                // Signal-gated (see the dispatch arm): an unsignalled
-                // shard has nothing to do, so it isn't runnable.
-                if self.engine.shard_signals[s].pending() {
-                    runnable.push(n + 1 + s); // the shard tasks
-                }
-            }
-
-            let pick = runnable[self.il.pick(runnable.len())];
-            let progressed = if pick == n {
-                let t = obs.as_ref().map(|_| Instant::now());
-                let verdict = self.engine.manager_iter(None, &mut st);
-                if let (Some(o), Some(t)) = (&obs, t) {
-                    o.manager.iterations.inc();
-                    o.manager.busy_ns.add(t.elapsed().as_nanos() as u64);
-                }
-                self.fold_adapt_decisions();
-                match verdict {
-                    MgrVerdict::Finish | MgrVerdict::CheckpointReady => break 'sim,
-                    MgrVerdict::Continue { ingested, .. } => ingested > 0,
-                }
-            } else if pick > n {
-                let si = pick - n - 1;
-                // Signal-gated: cores and the coordinator raise the
-                // shard's pending flag on every state change it could
-                // act on (event flush, window grant, frontier clamp),
-                // so an unsignalled pick has nothing to do — skip the
-                // O(n_cores) ring scan. Re-raise after a productive
-                // iterate so residual work (held-back heap events,
-                // parked overflow) gets another look.
-                if self.engine.shard_signals[si].take() {
-                    let t = obs.as_ref().map(|_| Instant::now());
-                    let progressed = self.engine.shards[si].iterate();
-                    if let (Some(o), Some(t)) = (&obs, t) {
-                        o.shards[si].busy_ns.add(t.elapsed().as_nanos() as u64);
-                    }
-                    if progressed {
-                        self.engine.shard_signals[si].signal();
-                    }
-                    progressed
-                } else {
-                    false
-                }
-            } else {
+            let k = self.il.pick(set.len());
+            let progressed = if let Some(&pick) = set.cores.get(k) {
                 if mem_blocked[pick] {
                     // Resumed after MemWait (reply delivered or virtual
                     // timeout): same streak reset as the threaded loop.
                     self.engine.cores[pick].clear_inert_streak();
                     mem_blocked[pick] = false;
                 }
-                match self.engine.cores[pick].run_step(&board) {
-                    StepOutcome::Progressed => true,
-                    StepOutcome::Stopped | StepOutcome::Finished => {
-                        done[pick] = true;
-                        true
-                    }
-                    StepOutcome::MemBlocked => {
-                        mem_blocked[pick] = true;
-                        false
-                    }
-                    StepOutcome::Idle | StepOutcome::SyncBlocked | StepOutcome::AtWindow => false,
+                if self.engine.cores[pick].window_closed(&board) {
+                    // Unsharded sets keep a core at its window edge; it
+                    // answers `AtWindow` until the manager raises the
+                    // window, so the answer is booked without the call.
+                    self.futile_picks += 1;
+                    false
+                } else {
+                    let progressed = match self.engine.cores[pick].run_step(&board) {
+                        StepOutcome::Progressed => true,
+                        StepOutcome::Stopped | StepOutcome::Finished => {
+                            set.done[pick] = true;
+                            true
+                        }
+                        StepOutcome::MemBlocked => {
+                            mem_blocked[pick] = true;
+                            false
+                        }
+                        StepOutcome::Idle | StepOutcome::SyncBlocked | StepOutcome::AtWindow => {
+                            false
+                        }
+                    };
+                    // A step moves only its own core's board state; the
+                    // events it flushed may have signalled shards.
+                    set.refresh_core(&board, pick);
+                    set.refresh_shards(&signals);
+                    progressed
                 }
+            } else if k == set.cores.len() {
+                if mgr_settled && !board.any_dirty() {
+                    self.futile_picks += 1;
+                    if let Some(o) = obs {
+                        o.manager.picks_elided.inc();
+                    }
+                    false
+                } else {
+                    match self.manager_body(&mut st, obs) {
+                        MgrVerdict::Finish | MgrVerdict::CheckpointReady => break 'sim,
+                        MgrVerdict::Continue { ingested, granted, settled, .. } => {
+                            // The body moved the cores it woke and, when it
+                            // raised the windows, under sharding every core
+                            // that sat at its edge.
+                            if granted && set.sharded {
+                                set.refresh_all(&board);
+                            } else {
+                                for &c in self.engine.uncore.woken() {
+                                    set.refresh_core(&board, c);
+                                }
+                            }
+                            set.refresh_shards(&signals);
+                            mgr_settled = settled;
+                            ingested > 0
+                        }
+                    }
+                }
+            } else {
+                // Signal-gated: cores and the coordinator raise the
+                // shard's pending flag on every state change it could
+                // act on (event flush, window grant, frontier clamp), so
+                // an unsignalled shard has nothing to do and is not in
+                // the set. Re-raise after a productive iterate so
+                // residual work (held-back heap events, parked overflow)
+                // gets another look.
+                let si = set.shards[k - set.cores.len() - 1];
+                let progressed = signals[si].take() && self.shard_body(si, obs);
+                if progressed {
+                    signals[si].signal();
+                }
+                // Its frontier, the replies it delivered and the cores it
+                // woke are all news to the manager.
+                mgr_settled = false;
+                if self.engine.shards[si].granted() {
+                    set.refresh_all(&board);
+                } else {
+                    for &c in self.engine.shards[si].woken() {
+                        set.refresh_core(&board, c);
+                    }
+                }
+                set.refresh_shards(&signals);
+                progressed
             };
 
             if progressed {
@@ -318,23 +443,18 @@ impl DetEngine {
             // round of every shard (it may apply a grant or deliver the
             // reply a MemWait core is parked on)…
             stall = 0;
-            let t = obs.as_ref().map(|_| Instant::now());
-            let verdict = self.engine.manager_iter(None, &mut st);
-            if let (Some(o), Some(t)) = (&obs, t) {
-                o.manager.busy_ns.add(t.elapsed().as_nanos() as u64);
-            }
-            self.fold_adapt_decisions();
+            let verdict = self.manager_body(&mut st, obs);
             let mut shard_progress = false;
-            for (si, sh) in self.engine.shards.iter_mut().enumerate() {
-                let t = obs.as_ref().map(|_| Instant::now());
-                shard_progress |= sh.iterate();
-                if let (Some(o), Some(t)) = (&obs, t) {
-                    o.shards[si].busy_ns.add(t.elapsed().as_nanos() as u64);
-                }
+            for si in 0..signals.len() {
+                shard_progress |= self.shard_body(si, obs);
             }
+            // Rare enough to resynchronise wholesale.
+            mgr_settled = false;
+            set.refresh_all(&board);
+            set.refresh_shards(&signals);
             match verdict {
                 MgrVerdict::Finish | MgrVerdict::CheckpointReady => break 'sim,
-                MgrVerdict::Continue { ingested, deadlockable } => {
+                MgrVerdict::Continue { ingested, deadlockable, .. } => {
                     if ingested > 0 || shard_progress {
                         deadlock_rounds = 0;
                         barren_rounds = 0;
@@ -359,6 +479,7 @@ impl DetEngine {
                     // schemes and self-scheduled core work need this to
                     // make progress).
                     board.unpark_all_waiting();
+                    set.refresh_all(&board);
                     assert!(
                         barren_rounds < LIVELOCK_ROUNDS,
                         "deterministic scheduler livelocked (seed {}, {} picks): \

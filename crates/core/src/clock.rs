@@ -66,7 +66,10 @@ struct CoreClock {
     local: CachePadded<AtomicU64>,
     max_local: CachePadded<AtomicU64>,
     state: AtomicU8,
-    park: Mutex<()>,
+    /// `true` while this core's thread is inside a `cond` wait. Wakers
+    /// notify only then: with no waiter (always, on the deterministic
+    /// backend) a notify is a futex syscall that wakes nobody.
+    park: Mutex<bool>,
     cond: Condvar,
     /// Set when [`ClockBoard::wait_parked`]'s liveness timeout resumed the
     /// core; the next `park_as` consumes it and skips the manager signal
@@ -83,37 +86,113 @@ fn new_core_clock(local: u64, max_local: u64) -> CoreClock {
         local: CachePadded::new(AtomicU64::new(local)),
         max_local: CachePadded::new(AtomicU64::new(max_local)),
         state: AtomicU8::new(CoreState::Running as u8),
-        park: Mutex::new(()),
+        park: Mutex::new(false),
         cond: Condvar::new(),
         timeout_resume: AtomicBool::new(false),
         resume_us: AtomicU64::new(0),
     }
 }
 
-/// Manager-private memo for [`ClockBoard::recompute_global_cached`]: each
-/// core's last-seen `(state, local)` snapshot plus the result derived from
-/// it. Lives on the manager's stack, never shared, so updating it costs no
-/// coherence traffic.
+/// Manager-private view of the board for
+/// [`ClockBoard::recompute_global_cached`]: each core's last-seen
+/// `(state, local)` pair plus everything the manager derives from the
+/// pairs — the global minimum, how many clocks sit on it, the driving-core
+/// count and the furthest clock. A refresh re-reads only the cores whose
+/// change flag is up (see [`ClockBoard::mark_dirty`]); the rest of the
+/// view is private memory, never shared, so keeping it costs no coherence
+/// traffic.
 #[derive(Debug)]
 pub struct GlobalCache {
     seen: Vec<(u8, u64)>,
+    /// Cores whose flag the last refresh consumed, ascending: the rings
+    /// the manager has to drain this iteration.
+    flagged: Vec<usize>,
     result: (u64, bool),
+    /// Minimum local over timed cores (`u64::MAX` when there are none)
+    /// and how many timed cores sit exactly on it: global time can only
+    /// move once the last of them leaves.
+    min: u64,
+    at_min: usize,
+    /// Cores Running or Blocked.
+    active: usize,
+    /// Cores Running, Blocked or MemWait (in the minimum, and the set
+    /// observed slack ranges over), and the furthest of their clocks.
+    timed: usize,
+    max_local: u64,
     valid: bool,
 }
 
+/// Does a core in this state hold global time back (and count toward the
+/// observed slack)?
+#[inline]
+fn timed(state: u8) -> bool {
+    matches!(CoreState::from_u8(state), CoreState::Running | CoreState::Blocked | CoreState::MemWait)
+}
+
+/// Is a core in this state driving global time forward?
+#[inline]
+fn active(state: u8) -> bool {
+    matches!(CoreState::from_u8(state), CoreState::Running | CoreState::Blocked)
+}
+
 impl GlobalCache {
-    /// An empty cache for `n` cores (first use recomputes everything).
+    /// An empty cache for `n` cores (first use reads every core).
     pub fn new(n: usize) -> Self {
-        GlobalCache { seen: vec![(0, 0); n], result: (0, false), valid: false }
+        GlobalCache {
+            seen: vec![(0, 0); n],
+            flagged: Vec::with_capacity(n),
+            result: (0, false),
+            min: u64::MAX,
+            at_min: 0,
+            active: 0,
+            timed: 0,
+            max_local: 0,
+            valid: false,
+        }
     }
+
+    /// Cores that flagged a change since the previous refresh, ascending.
+    pub fn flagged(&self) -> &[usize] {
+        &self.flagged
+    }
+
+    /// Cores Running or Blocked as of the last refresh
+    /// ([`ClockBoard::active_count`] without re-reading the board).
+    pub fn active_count(&self) -> usize {
+        self.active
+    }
+
+    /// Largest `local − g` over unfinished cores as of the last refresh
+    /// ([`ClockBoard::observed_slack`] without re-reading the board).
+    pub fn observed_slack(&self, g: u64) -> u64 {
+        if self.timed == 0 {
+            0
+        } else {
+            self.max_local.saturating_sub(g)
+        }
+    }
+}
+
+/// The manager's wakeup channel, under one mutex.
+#[derive(Default)]
+struct MgrPark {
+    /// A signal arrived since the last [`ClockBoard::manager_wait`].
+    pending: bool,
+    /// The manager thread is inside the condvar wait (notify only then).
+    waiting: bool,
 }
 
 /// Shared clock state for all cores plus the manager.
 pub struct ClockBoard {
     cores: Vec<CoreClock>,
     global: CachePadded<AtomicU64>,
+    /// Change flags, one bit per core (word `c >> 6`, bit `c & 63`): set
+    /// after core `c`'s state or local time moved or an event landed in
+    /// its OutQ, swap-consumed by the manager, which then re-reads and
+    /// drains only flagged cores ([`ClockBoard::recompute_global_cached`]).
+    dirty: Box<[AtomicU64]>,
     stop: AtomicBool,
-    mgr_park: Mutex<bool>,
+    mgr_park: Mutex<MgrPark>,
     mgr_cond: Condvar,
     /// Checkpoint limit: while a checkpoint is converging, no core-side
     /// clock movement (sync-release jump, idle skip) may pass this cycle,
@@ -133,11 +212,16 @@ impl ClockBoard {
     /// A board for `n` cores, all clocks at zero and windows at
     /// `initial_window`.
     pub fn new(n: usize, initial_window: u64) -> Self {
+        Self::with_clocks((0..n).map(|_| new_core_clock(0, initial_window)).collect(), 0)
+    }
+
+    fn with_clocks(cores: Vec<CoreClock>, global: u64) -> Self {
         ClockBoard {
-            cores: (0..n).map(|_| new_core_clock(0, initial_window)).collect(),
-            global: CachePadded::new(AtomicU64::new(0)),
+            dirty: (0..cores.len().div_ceil(64)).map(|_| AtomicU64::new(0)).collect(),
+            cores,
+            global: CachePadded::new(AtomicU64::new(global)),
             stop: AtomicBool::new(false),
-            mgr_park: Mutex::new(false),
+            mgr_park: Mutex::new(MgrPark::default()),
             mgr_cond: Condvar::new(),
             limit: AtomicU64::new(u64::MAX),
             blocks: AtomicU64::new(0),
@@ -153,17 +237,7 @@ impl ClockBoard {
     /// states dynamically (a restored core with no work re-parks on its
     /// first iteration).
     pub fn restored(locals: &[u64], global: u64) -> Self {
-        ClockBoard {
-            cores: locals.iter().map(|&l| new_core_clock(l, l)).collect(),
-            global: CachePadded::new(AtomicU64::new(global)),
-            stop: AtomicBool::new(false),
-            mgr_park: Mutex::new(false),
-            mgr_cond: Condvar::new(),
-            limit: AtomicU64::new(u64::MAX),
-            blocks: AtomicU64::new(0),
-            wakeups: AtomicU64::new(0),
-            obs: OnceLock::new(),
-        }
+        Self::with_clocks(locals.iter().map(|&l| new_core_clock(l, l)).collect(), global)
     }
 
     /// Number of cores on the board.
@@ -234,8 +308,25 @@ impl ClockBoard {
     pub fn reset_stop(&self) {
         self.stop.store(false, Ordering::Release);
         // Consume any stale manager signal from the teardown.
-        let mut pending = self.mgr_park.lock();
-        *pending = false;
+        self.mgr_park.lock().pending = false;
+    }
+
+    /// Flag core `core` as changed for the manager. MUST follow the store
+    /// (state, local time, OutQ tail) it reports: the release pairs with
+    /// the manager's flag-consuming acquire, so a consumed bit proves the
+    /// change is visible. Unconditional on purpose — skipping the
+    /// read-modify-write when the bit already looks set would let the
+    /// store sit in this thread's store buffer while the manager consumes
+    /// the bit and reads the old value, losing the update for good.
+    #[inline]
+    pub fn mark_dirty(&self, core: usize) {
+        self.dirty[core >> 6].fetch_or(1 << (core & 63), Ordering::Release);
+    }
+
+    /// Has any core flagged a change the manager has not consumed yet?
+    #[inline]
+    pub fn any_dirty(&self) -> bool {
+        self.dirty.iter().any(|w| w.load(Ordering::Relaxed) != 0)
     }
 
     // ---- core-thread side ----
@@ -256,6 +347,7 @@ impl ClockBoard {
             self.max_local(core)
         );
         self.cores[core].local.store(new_local, Ordering::Release);
+        self.mark_dirty(core);
     }
 
     /// Publish a batched local-time advance: `new_local` may be any
@@ -276,6 +368,7 @@ impl ClockBoard {
             self.max_local(core)
         );
         self.cores[core].local.store(new_local, Ordering::Release);
+        self.mark_dirty(core);
     }
 
     /// This core's window bound.
@@ -297,11 +390,15 @@ impl ClockBoard {
     pub fn wait_for_window(&self, core: usize, local: u64) -> bool {
         let cc = &self.cores[core];
         cc.state.store(CoreState::Blocked as u8, Ordering::Release);
+        self.mark_dirty(core);
         self.blocks.fetch_add(1, Ordering::Relaxed);
         self.signal_manager();
         let obs_t0 = self.obs_wait_begin(core);
         let running = {
             let mut guard = cc.park.lock();
+            // Blocked → Running is not flagged: the manager treats the two
+            // alike (both drive global time), so a view that still says
+            // Blocked derives the same minimum, counts and slack.
             loop {
                 if self.stop.load(Ordering::Acquire) {
                     cc.state.store(CoreState::Running as u8, Ordering::Release);
@@ -313,7 +410,9 @@ impl ClockBoard {
                 }
                 // The timeout is a liveness backstop only; wakeups normally
                 // arrive from the manager's notify.
+                *guard = true;
                 cc.cond.wait_for(&mut guard, Duration::from_millis(10));
+                *guard = false;
             }
         };
         if let Some(t0) = obs_t0 {
@@ -330,6 +429,7 @@ impl ClockBoard {
         let bounded = target.min(cc.max_local.load(Ordering::Acquire)).min(self.checkpoint_limit());
         if bounded > cur {
             cc.local.store(bounded, Ordering::Release);
+            self.mark_dirty(core);
         }
     }
 
@@ -361,24 +461,31 @@ impl ClockBoard {
         let cc = &self.cores[core];
         let resumed_by_timeout = cc.timeout_resume.swap(false, Ordering::AcqRel);
         cc.state.store(state as u8, Ordering::Release);
+        self.mark_dirty(core);
         if !resumed_by_timeout {
             self.signal_manager();
         }
     }
 
     /// Wake a parked or sync-waiting core (a message is on its way).
-    /// No-op in other states.
-    pub fn unpark(&self, core: usize) {
+    /// No-op in other states; returns whether the core was resumed.
+    pub fn unpark(&self, core: usize) -> bool {
         let cc = &self.cores[core];
-        if matches!(self.state(core), CoreState::Parked | CoreState::SyncWait | CoreState::MemWait)
-        {
+        let parked = matches!(
+            self.state(core),
+            CoreState::Parked | CoreState::SyncWait | CoreState::MemWait
+        );
+        if parked {
             // An unparked core is back in business: its next park is a
             // fresh one and must signal the manager again (see `park_as`).
             cc.timeout_resume.store(false, Ordering::Release);
             cc.state.store(CoreState::Running as u8, Ordering::Release);
-            let _guard = cc.park.lock();
-            cc.cond.notify_one();
+            self.mark_dirty(core);
+            if *cc.park.lock() {
+                cc.cond.notify_one();
+            }
         }
+        parked
     }
 
     /// Flip every `Parked`/`SyncWait`/`MemWait` core back to `Running`,
@@ -398,6 +505,7 @@ impl ClockBoard {
             {
                 cc.timeout_resume.store(true, Ordering::Release);
                 cc.state.store(CoreState::Running as u8, Ordering::Release);
+                self.mark_dirty(i);
                 resumed += 1;
             }
         }
@@ -434,13 +542,17 @@ impl ClockBoard {
                 ) {
                     break true;
                 }
-                if cc.cond.wait_for(&mut guard, Duration::from_millis(10)).timed_out() {
+                *guard = true;
+                let timed_out = cc.cond.wait_for(&mut guard, Duration::from_millis(10)).timed_out();
+                *guard = false;
+                if timed_out {
                     // Liveness backstop: let the caller re-check its queues.
                     // Mark the resume so a straight re-park stays silent (see
                     // `park_as`); any real progress on the way back signals the
                     // manager through the event path anyway.
                     cc.timeout_resume.store(true, Ordering::Release);
                     cc.state.store(CoreState::Running as u8, Ordering::Release);
+                    self.mark_dirty(core);
                     break true;
                 }
             }
@@ -464,6 +576,7 @@ impl ClockBoard {
         let target = target.min(self.checkpoint_limit());
         if target > cur {
             cc.local.store(target, Ordering::Release);
+            self.mark_dirty(core);
         }
     }
 
@@ -484,6 +597,7 @@ impl ClockBoard {
     /// Mark this core's workload as finished and wake the manager.
     pub fn finish(&self, core: usize) {
         self.cores[core].state.store(CoreState::Finished as u8, Ordering::Release);
+        self.mark_dirty(core);
         if let Some(o) = self.obs.get() {
             // Close the core's final "run" span.
             let resumed = self.cores[core].resume_us.load(Ordering::Relaxed);
@@ -495,9 +609,11 @@ impl ClockBoard {
     /// Wake the manager thread (new OutQ entry, block, finish).
     #[inline]
     pub fn signal_manager(&self) {
-        let mut pending = self.mgr_park.lock();
-        *pending = true;
-        self.mgr_cond.notify_one();
+        let mut park = self.mgr_park.lock();
+        park.pending = true;
+        if park.waiting {
+            self.mgr_cond.notify_one();
+        }
     }
 
     // ---- manager side ----
@@ -507,13 +623,13 @@ impl ClockBoard {
     /// plain timeout) — the manager's pacing loop uses this to distinguish
     /// "a core wants me" from "I woke on my own backstop".
     pub fn manager_wait(&self, timeout: Duration) -> bool {
-        let mut pending = self.mgr_park.lock();
-        if !*pending {
-            self.mgr_cond.wait_for(&mut pending, timeout);
+        let mut park = self.mgr_park.lock();
+        if !park.pending {
+            park.waiting = true;
+            self.mgr_cond.wait_for(&mut park, timeout);
+            park.waiting = false;
         }
-        let signalled = *pending;
-        *pending = false;
-        signalled
+        std::mem::take(&mut park.pending)
     }
 
     /// A core's run state.
@@ -533,9 +649,11 @@ impl ClockBoard {
         if self.state(core) == CoreState::Blocked {
             // Lock/notify pairs with the blocked core's re-check under the
             // same mutex, so the wakeup cannot be lost.
-            let _guard = cc.park.lock();
+            let waiting = cc.park.lock();
             self.wakeups.fetch_add(1, Ordering::Relaxed);
-            cc.cond.notify_one();
+            if *waiting {
+                cc.cond.notify_one();
+            }
         }
     }
 
@@ -584,30 +702,73 @@ impl ClockBoard {
         (g, false)
     }
 
-    /// Like [`ClockBoard::recompute_global`], but with a manager-private
-    /// [`GlobalCache`] of each core's last-seen `(state, local)` pair: an
-    /// iteration in which nothing moved returns the cached result without
-    /// redoing the reduction or touching `global` at all, and the store is
-    /// skipped whenever the minimum is unchanged.
+    /// Like [`ClockBoard::recompute_global`], but change-driven: consume
+    /// the change flags, re-read only the flagged cores into the
+    /// manager-private [`GlobalCache`], and redo the reduction only when
+    /// one of them left the minimum, changed class (timed, suspended,
+    /// done) or went backwards. An iteration in which nothing moved costs
+    /// one load per flag word; one in which `k` cores ticked costs `k`
+    /// re-reads; the full pass over the (private) view runs once per
+    /// global-time step. `global` is stored only when it changes.
+    ///
+    /// A core's pair is read *after* its flag was consumed, so the view
+    /// holds values at least as new as the change the flag reported; an
+    /// unflagged core's pair is whatever was last read, which for a clock
+    /// errs low (a smaller minimum is always safe).
     pub fn recompute_global_cached(&self, cache: &mut GlobalCache) -> (u64, bool) {
         debug_assert_eq!(cache.seen.len(), self.cores.len());
-        let mut changed = !cache.valid;
-        for (i, cc) in self.cores.iter().enumerate() {
-            // State before local: a core publishes its local time first and
-            // its state transitions after, so a stale pair here errs toward
-            // "changed" and never toward a missed update.
-            let s = cc.state.load(Ordering::Acquire);
-            let l = cc.local.load(Ordering::Acquire);
-            if cache.seen[i] != (s, l) {
-                cache.seen[i] = (s, l);
-                changed = true;
+        cache.flagged.clear();
+        // A fresh cache has seen nothing: treat every core as flagged.
+        let mut reduce = !cache.valid;
+        for (wi, word) in self.dirty.iter().enumerate() {
+            let mut m = if word.load(Ordering::Relaxed) != 0 {
+                word.swap(0, Ordering::Acquire)
+            } else {
+                0
+            };
+            if !cache.valid {
+                let cores_here = (self.cores.len() - (wi << 6)).min(64);
+                m = if cores_here == 64 { u64::MAX } else { (1 << cores_here) - 1 };
+            }
+            while m != 0 {
+                let i = (wi << 6) | m.trailing_zeros() as usize;
+                m &= m - 1;
+                cache.flagged.push(i);
+                // State before local: a core publishes its local time first
+                // and its state transitions after, so a torn pair errs
+                // toward an older state with a newer clock, never toward a
+                // missed update (the later store raises the flag again).
+                let cc = &self.cores[i];
+                let s = cc.state.load(Ordering::Acquire);
+                let l = cc.local.load(Ordering::Acquire);
+                let (s0, l0) = std::mem::replace(&mut cache.seen[i], (s, l));
+                if reduce || (s, l) == (s0, l0) {
+                    continue;
+                }
+                if timed(s0) && timed(s) && l >= l0 {
+                    // The common step: a timed core ticked (or changed
+                    // between timed states). It cannot be a new minimum;
+                    // it may have been one of the clocks on the old one.
+                    cache.active = cache.active + active(s) as usize - active(s0) as usize;
+                    cache.max_local = cache.max_local.max(l);
+                    if l0 == cache.min && l > l0 {
+                        cache.at_min -= 1;
+                        reduce = cache.at_min == 0;
+                    }
+                } else {
+                    reduce = true;
+                }
             }
         }
-        if !changed {
+        if !reduce {
             return cache.result;
         }
-        let mut min = u64::MAX;
         let mut all_finished = true;
+        cache.min = u64::MAX;
+        cache.at_min = 0;
+        cache.active = 0;
+        cache.timed = 0;
+        cache.max_local = 0;
         for &(s, l) in &cache.seen {
             match CoreState::from_u8(s) {
                 CoreState::Finished | CoreState::Parked => continue,
@@ -618,15 +779,23 @@ impl ClockBoard {
                 _ => {}
             }
             all_finished = false;
-            min = min.min(l);
+            cache.timed += 1;
+            cache.active += active(s) as usize;
+            cache.max_local = cache.max_local.max(l);
+            if l < cache.min {
+                cache.min = l;
+                cache.at_min = 1;
+            } else if l == cache.min {
+                cache.at_min += 1;
+            }
         }
         let prev = self.global.load(Ordering::Relaxed);
         let result = if all_finished {
             (prev, true)
-        } else if min == u64::MAX {
+        } else if cache.min == u64::MAX {
             (prev, false)
         } else {
-            let g = min.max(prev);
+            let g = cache.min.max(prev);
             if g != prev {
                 self.global.store(g, Ordering::Release);
             }
@@ -662,8 +831,9 @@ impl ClockBoard {
     pub fn stop_all(&self) {
         self.stop.store(true, Ordering::Release);
         for cc in &self.cores {
-            let _guard = cc.park.lock();
-            cc.cond.notify_one();
+            if *cc.park.lock() {
+                cc.cond.notify_one();
+            }
         }
         self.signal_manager();
     }
@@ -815,6 +985,76 @@ mod tests {
         // Quiescent repeat of the all-finished answer stays cached.
         let (_, done) = b.recompute_global_cached(&mut cache);
         assert!(done);
+    }
+
+    #[test]
+    fn refresh_reads_flagged_cores_only() {
+        let b = ClockBoard::new(4, 100);
+        let mut cache = GlobalCache::new(4);
+        // A fresh cache reads every core whatever the flags say.
+        b.recompute_global_cached(&mut cache);
+        assert_eq!(cache.flagged(), [0, 1, 2, 3]);
+        assert!(!b.any_dirty());
+        b.recompute_global_cached(&mut cache);
+        assert!(cache.flagged().is_empty(), "nothing moved, nothing to re-read");
+
+        // One core ticks: one flag, and the minimum (three clocks still on
+        // it) stands without a reduction.
+        b.advance_local(2, 1);
+        assert!(b.any_dirty());
+        assert_eq!(b.recompute_global_cached(&mut cache), (0, false));
+        assert_eq!(cache.flagged(), [2]);
+        assert_eq!(cache.observed_slack(0), 1);
+        assert_eq!(cache.active_count(), 4);
+
+        // A park, a no-op unpark and a real one.
+        b.sync_park(1);
+        assert!(!b.unpark(0), "core 0 is not parked");
+        b.recompute_global_cached(&mut cache);
+        assert_eq!(cache.flagged(), [1]);
+        assert_eq!(cache.active_count(), 3);
+        assert!(b.unpark(1));
+        b.recompute_global_cached(&mut cache);
+        assert_eq!(cache.flagged(), [1]);
+        assert_eq!(cache.active_count(), 4);
+
+        // The last clocks leave the minimum: global time moves.
+        for c in [0, 1, 3] {
+            b.advance_local(c, 1);
+        }
+        assert_eq!(b.recompute_global_cached(&mut cache), (1, false));
+        assert_eq!(cache.flagged(), [0, 1, 3]);
+        assert_eq!(cache.observed_slack(1), 0);
+    }
+
+    #[test]
+    fn views_agree_with_the_board_across_state_changes() {
+        let b = ClockBoard::new(3, 100);
+        let mut cache = GlobalCache::new(3);
+        let check = |cache: &mut GlobalCache| {
+            let cached = b.recompute_global_cached(cache);
+            assert_eq!(cached, b.recompute_global());
+            assert_eq!(cache.observed_slack(cached.0), b.observed_slack());
+            assert_eq!(cache.active_count(), b.active_count());
+        };
+        check(&mut cache);
+        for c in 1..=5 {
+            b.advance_local(0, c);
+        }
+        check(&mut cache);
+        b.mem_park(0); // still timed, no longer active
+        check(&mut cache);
+        b.sync_park(1); // suspended: out of the minimum
+        b.park(2);
+        check(&mut cache);
+        assert_eq!(b.unpark_all_waiting(), 3);
+        check(&mut cache);
+        b.jump_local_unclamped(1, 9);
+        b.finish(2);
+        check(&mut cache);
+        b.finish(0);
+        b.finish(1);
+        check(&mut cache);
     }
 
     #[test]

@@ -825,6 +825,21 @@ impl CoreSim {
         self.publish_obs();
     }
 
+    /// Would [`CoreSim::run_step`] answer [`StepOutcome::AtWindow`] right
+    /// now? Exactly the conditions under which it gets there, and on that
+    /// path it touches nothing — no ring, no queue, no board state — so a
+    /// scheduler that asks this first may skip the call. Everything read
+    /// here other than the window and the stop flag is changed only by
+    /// this core's own steps.
+    pub fn window_closed(&self, board: &ClockBoard) -> bool {
+        self.local >= board.max_local(self.id).min(board.checkpoint_limit())
+            && !self.stop_seen
+            && !board.stopping()
+            && !self.overflow_pending()
+            && self.running()
+            && !self.sync_waiting()
+    }
+
     /// Reset the inert-cycle streak after a resume from `MemWait`. The
     /// threaded backend does this implicitly after `wait_parked`; the
     /// deterministic backend must do it before stepping a core it resumed
@@ -846,7 +861,13 @@ impl CoreSim {
         if board.stopping() || self.stop_seen {
             return StepOutcome::Stopped;
         }
-        if self.nonblocking && !self.flush_rings() {
+        // Events re-offered to the coordinator's ring below are news to it.
+        let reoffer = !self.coord_overflow.is_empty();
+        let flushed = !self.nonblocking || self.flush_rings();
+        if reoffer {
+            board.mark_dirty(self.id);
+        }
+        if !flushed {
             // A ring is still full: stepping further could only grow the
             // overflow. Yield the quantum so the consumer tasks can drain.
             self.drain_inq();
@@ -968,6 +989,11 @@ impl CoreSim {
         }
         if published > board.local(self.id) {
             board.advance_local_batched(self.id, published);
+        } else if events > 0 {
+            // The clock publication above is what normally tells the
+            // manager to look at this core's OutQ; events that landed with
+            // the clock held back (overflow behind them) need their own flag.
+            board.mark_dirty(self.id);
         }
         // A batch that stopped on budget while a fused run is suspended
         // split that run at the slack-window edge: the block never

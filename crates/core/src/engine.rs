@@ -211,8 +211,12 @@ pub(crate) enum MgrVerdict {
     /// Keep iterating. `ingested` is the number of OutQ events drained
     /// (pacing signal); `deadlockable` means nothing is runnable, nothing
     /// is mem-waiting and nothing is in flight — continuous repetition of
-    /// this state is a workload deadlock.
-    Continue { ingested: usize, deadlockable: bool },
+    /// this state is a workload deadlock. `granted` says the iteration
+    /// raised the cores' windows. `settled` says the iteration left
+    /// nothing of its own to follow up: run again before any core, shard
+    /// or signal has moved, it would read the same inputs and do nothing
+    /// (the deterministic scheduler then elides that dispatch).
+    Continue { ingested: usize, deadlockable: bool, granted: bool, settled: bool },
     /// The segment is over (workload exit, stop condition, max cycles).
     Finish,
     /// Every clock is parked exactly on the checkpoint cycle.
@@ -551,7 +555,8 @@ impl Engine {
     /// manager task.
     pub(crate) fn manager_iter(&mut self, until: Option<u64>, st: &mut MgrState) -> MgrVerdict {
         let n = self.cfg.n_cores;
-        let obs = self.obs.clone();
+        let obs = self.obs.as_deref();
+        let MgrState { clock_cache, drain_scratch, .. } = st;
         let ready_before = match until {
             Some(c) => self.checkpoint_ready(c),
             None => false,
@@ -559,13 +564,19 @@ impl Engine {
         // Order matters for determinism of ordered schemes: publish
         // global time first, then drain (every event with ts ≤ global
         // is already in its ring by the release/acquire pairing on
-        // local time), then process up to the horizon.
-        let (g, all_done) = self.board.recompute_global_cached(&mut st.clock_cache);
+        // local time), then process up to the horizon. The refresh
+        // consumes the board's change flags; everything below that used
+        // to walk all `n` cores — observed slack, the driving-core count,
+        // the ring drain — reads the refreshed view or walks the flagged
+        // cores only. A core raises its flag after every state, clock or
+        // OutQ store, so an unflagged core has an unchanged pair and an
+        // empty ring.
+        let (g, all_done) = self.board.recompute_global_cached(clock_cache);
         self.engine.global_updates += 1;
-        let slack_now = self.board.observed_slack();
+        let slack_now = clock_cache.observed_slack(g);
         self.engine.max_observed_slack = self.engine.max_observed_slack.max(slack_now);
         if self.slack_profile.last().map(|&(pg, _)| pg) != Some(g) {
-            if let Some(o) = &obs {
+            if let Some(o) = obs {
                 o.manager.slack.record(slack_now);
                 if o.cfg.violation_sample_interval > 0 && g >= self.next_violation_sample {
                     let v = self.tracker.as_ref().map_or(0, |t| {
@@ -589,24 +600,25 @@ impl Engine {
         // pushed and parked in between left the quiescent path to process
         // another core's same-cycle event ahead of its undrained one —
         // out of (ts, core, seq) order, a breach of CC bit-determinism.
-        let quiescent = self.board.active_count() == 0;
+        let quiescent = clock_cache.active_count() == 0;
         let mut ingested = 0usize;
-        let drain_t0 = obs.as_ref().map(|o| o.trace.now_us());
-        for (c, q) in self.out_consumers.iter_mut().enumerate() {
+        let drain_t0 = obs.map(|o| o.trace.now_us());
+        for &c in clock_cache.flagged() {
+            let q = &mut self.out_consumers[c];
             loop {
-                st.drain_scratch.clear();
-                if q.drain_into(&mut st.drain_scratch, usize::MAX) == 0 {
+                drain_scratch.clear();
+                if q.drain_into(drain_scratch, usize::MAX) == 0 {
                     break;
                 }
-                ingested += st.drain_scratch.len();
-                if let Some(o) = &obs {
-                    o.manager.drain_batch.record(st.drain_scratch.len() as u64);
+                ingested += drain_scratch.len();
+                if let Some(o) = obs {
+                    o.manager.drain_batch.record(drain_scratch.len() as u64);
                 }
-                self.uncore.ingest_batch(c, &st.drain_scratch);
+                self.uncore.ingest_batch(c, drain_scratch);
             }
         }
         if ingested > 0 {
-            if let (Some(o), Some(t0)) = (&obs, drain_t0) {
+            if let (Some(o), Some(t0)) = (obs, drain_t0) {
                 o.manager.events_ingested.add(ingested as u64);
                 o.trace.span(o.trace.manager_lane(), "drain", t0);
             }
@@ -670,7 +682,7 @@ impl Engine {
                     // Spin time is blocked-on-other-threads time, not
                     // serialized coordinator work: book it separately so
                     // occupancy readers can subtract it from `busy_ns`.
-                    let t_spin = obs.as_ref().map(|_| std::time::Instant::now());
+                    let t_spin = obs.map(|_| std::time::Instant::now());
                     for _ in 0..64 {
                         for (s, f) in self.shard_frontiers.iter().enumerate() {
                             if f.load(Ordering::Acquire) < g {
@@ -683,7 +695,7 @@ impl Engine {
                             break;
                         }
                     }
-                    if let (Some(o), Some(t)) = (&obs, t_spin) {
+                    if let (Some(o), Some(t)) = (obs, t_spin) {
                         o.manager.frontier_wait_ns.add(t.elapsed().as_nanos() as u64);
                     }
                 }
@@ -691,6 +703,7 @@ impl Engine {
             } else {
                 g
             };
+        let mut adapt_stepped = false;
         let mut w = if let Some(ctrl) = self.adapt.as_mut() {
             // Closed loop (see `crate::adapt`): feed this iteration's
             // slack sample, then once per control epoch decide from the
@@ -706,13 +719,14 @@ impl Engine {
                 });
                 let parks = self.board.blocks.load(Ordering::Relaxed);
                 let decision = ctrl.step(g, viols, parks);
+                adapt_stepped = true;
                 self.engine.adapt_epochs += 1;
                 match decision {
                     AdaptDecision::Raise => self.engine.adapt_raises += 1,
                     AdaptDecision::Lower => self.engine.adapt_lowers += 1,
                     AdaptDecision::Hold => {}
                 }
-                if let Some(o) = &obs {
+                if let Some(o) = obs {
                     match decision {
                         AdaptDecision::Raise => o.manager.adapt_raise.inc(),
                         AdaptDecision::Lower => o.manager.adapt_lower.inc(),
@@ -736,7 +750,8 @@ impl Engine {
         // over-raised window lets cores escape the slack discipline, which
         // the conformance suite must detect. Zero in every real run.
         w = w.saturating_add(self.window_bug_extra);
-        if w > self.last_window {
+        let granted = w > self.last_window;
+        if granted {
             if self.shards.is_empty() || !st.spin_on_frontier {
                 // Single manager — or the cooperative backend, where the
                 // grant indirection would cost one scheduler hop per
@@ -798,7 +813,16 @@ impl Engine {
             }
             return MgrVerdict::Finish;
         }
-        MgrVerdict::Continue { ingested, deadlockable }
+        // What this iteration left for an immediate repeat to do: the
+        // controller's epoch step zeroed its slack maximum (the repeat
+        // would feed it this iteration's sample again), undelivered InQ
+        // overflow is retried every iteration, and a quiescent system
+        // processes one pending timestamp per iteration. Cores it woke
+        // raised their change flags, which the caller sees on the board.
+        let settled = !adapt_stepped
+            && self.uncore.overflow_empty()
+            && !(quiescent && self.uncore.min_pending_ts().is_some());
+        MgrVerdict::Continue { ingested, deadlockable, granted, settled }
     }
 
     /// Run one segment: spawn the core (and shard) threads, drive the
@@ -888,7 +912,7 @@ impl Engine {
                         outcome = RunOutcome::CheckpointReady;
                         break;
                     }
-                    MgrVerdict::Continue { ingested, deadlockable } => {
+                    MgrVerdict::Continue { ingested, deadlockable, .. } => {
                         // Pacing: a signal or drained events means the
                         // pipeline is flowing — stay responsive. Otherwise
                         // back off exponentially; the first signal_manager
@@ -1329,6 +1353,37 @@ impl Engine {
             report.bus.inversions += b.inversions;
         }
         report
+    }
+}
+
+/// One manager iteration body at a time, outside any run loop: the handle
+/// the `hot_paths` bench (`det_sched_hot`) times [`Engine::manager_iter`]
+/// through, moving clocks on the board by hand between bodies. Not a way
+/// to run a simulation.
+#[doc(hidden)]
+pub struct ManagerProbe {
+    engine: Engine,
+    st: MgrState,
+}
+
+impl ManagerProbe {
+    /// Wrap a freshly built engine, cooperative-backend manager state.
+    pub fn new(engine: Engine) -> ManagerProbe {
+        let st = MgrState::new(engine.cfg.n_cores, engine.ordered_sharded());
+        ManagerProbe { engine, st }
+    }
+
+    /// The engine's clock board.
+    pub fn board(&self) -> &ClockBoard {
+        &self.engine.board
+    }
+
+    /// Run one body; returns the events it ingested.
+    pub fn body(&mut self) -> usize {
+        match self.engine.manager_iter(None, &mut self.st) {
+            MgrVerdict::Continue { ingested, .. } => ingested,
+            MgrVerdict::Finish | MgrVerdict::CheckpointReady => 0,
+        }
     }
 }
 

@@ -36,23 +36,32 @@ use sk_mem::l1::ReqKind;
 use sk_mem::Directory;
 use std::cmp::Reverse;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 /// Wakeup channel for one shard manager.
 #[derive(Default)]
 pub struct ShardSignal {
-    pending: Mutex<bool>,
+    /// A signal arrived since the last `wait`/`take`. Lives outside the
+    /// mutex so the deterministic scheduler can poll it for free.
+    pending: AtomicBool,
+    /// `true` while the shard thread is inside the condvar wait; signallers
+    /// notify only then (with no waiter — always, on the deterministic
+    /// backend — a notify is a futex syscall that wakes nobody).
+    waiting: Mutex<bool>,
     cond: Condvar,
 }
 
 impl ShardSignal {
     /// Notify the shard that events are available.
     pub fn signal(&self) {
-        let mut p = self.pending.lock();
-        *p = true;
-        self.cond.notify_one();
+        self.pending.store(true, Ordering::Release);
+        // The waiter re-checks `pending` under this lock before it sleeps,
+        // so either it sees the store above or we see it waiting.
+        if *self.waiting.lock() {
+            self.cond.notify_one();
+        }
     }
 
     /// Consume the pending flag without blocking: true if a signal
@@ -60,22 +69,25 @@ impl ShardSignal {
     /// gates shard picks on this — an unsignalled shard has nothing to
     /// do, so the scheduler skips its O(n_cores) ring scan.
     pub fn take(&self) -> bool {
-        let mut p = self.pending.lock();
-        std::mem::replace(&mut *p, false)
+        self.pending.swap(false, Ordering::Acquire)
     }
 
     /// Peek the pending flag without consuming it.
     pub fn pending(&self) -> bool {
-        *self.pending.lock()
+        self.pending.load(Ordering::Acquire)
     }
 
     /// Park until signalled or `timeout`.
     pub fn wait(&self, timeout: Duration) {
-        let mut p = self.pending.lock();
-        if !*p {
-            self.cond.wait_for(&mut p, timeout);
+        let mut waiting = self.waiting.lock();
+        if !self.pending.load(Ordering::Acquire) {
+            *waiting = true;
+            self.cond.wait_for(&mut waiting, timeout);
+            *waiting = false;
         }
-        *p = false;
+        // A swap, not a store: it reads the newest signal, so the work that
+        // signal announced is visible to the iteration that follows.
+        self.pending.swap(false, Ordering::Acquire);
     }
 }
 
@@ -117,10 +129,15 @@ pub struct MemShard {
     overflow: Vec<VecDeque<InMsg>>,
     /// Total messages across `overflow` (skips the O(n_cores) scan).
     overflow_len: usize,
-    /// Cores that received a reply since the last wakeup flush.
+    /// Cores that received a reply since the last wakeup flush: a flag
+    /// per core (one entry per core however many replies it got) and the
+    /// flagged cores as a list, so the flush walks receivers only.
     wake_pending: Vec<bool>,
-    /// Any bit set in `wake_pending` (skips the O(n_cores) scan).
-    wake_any: bool,
+    wake_list: Vec<usize>,
+    /// Cores the last iteration's flush actually resumed (they were
+    /// parked on the board): what the deterministic scheduler must put
+    /// back in its runnable set.
+    woken: Vec<usize>,
     /// Reusable ring-drain buffer.
     scratch: Vec<OutEvent>,
     board: Arc<ClockBoard>,
@@ -143,6 +160,8 @@ pub struct MemShard {
     grant: Arc<AtomicU64>,
     /// Last grant applied to the domain.
     last_window: u64,
+    /// Did the last iteration apply a grant (raise its domain's windows)?
+    granted: bool,
     /// Events processed by this shard.
     pub events_processed: u64,
     /// Optional telemetry hub (drain-batch histogram).
@@ -174,13 +193,15 @@ impl MemShard {
             overflow: (0..cfg.n_cores).map(|_| VecDeque::new()).collect(),
             overflow_len: 0,
             wake_pending: vec![false; cfg.n_cores],
-            wake_any: false,
+            wake_list: Vec::new(),
+            woken: Vec::new(),
             scratch: Vec::new(),
             board,
             frontier: Arc::new(AtomicU64::new(0)),
             domain: (0..cfg.n_cores).filter(|c| c % n_shards == index).collect(),
             grant,
             last_window: 0,
+            granted: false,
             events_processed: 0,
             obs: None,
         }
@@ -203,21 +224,28 @@ impl MemShard {
             self.overflow_len += 1;
         }
         // Deferred to `flush_wakeups`: one unpark per core per iteration.
-        self.wake_pending[core] = true;
-        self.wake_any = true;
+        if !std::mem::replace(&mut self.wake_pending[core], true) {
+            self.wake_list.push(core);
+        }
     }
 
     fn flush_wakeups(&mut self) {
-        if !self.wake_any {
-            return;
-        }
-        self.wake_any = false;
-        for core in 0..self.wake_pending.len() {
-            if self.wake_pending[core] {
-                self.wake_pending[core] = false;
-                self.board.unpark(core);
+        for core in self.wake_list.drain(..) {
+            self.wake_pending[core] = false;
+            if self.board.unpark(core) {
+                self.woken.push(core);
             }
         }
+    }
+
+    /// Cores the last [`MemShard::iterate`] resumed from a parked state.
+    pub fn woken(&self) -> &[usize] {
+        &self.woken
+    }
+
+    /// Did the last [`MemShard::iterate`] raise its clock domain's windows?
+    pub fn granted(&self) -> bool {
+        self.granted
     }
 
     fn flush_overflow(&mut self) {
@@ -293,13 +321,15 @@ impl MemShard {
     /// the deterministic backend's stall detector keys off this.
     pub fn iterate(&mut self) -> bool {
         let mut progressed = false;
+        self.woken.clear();
         // Window pacing for this shard's clock domain: the coordinator
         // publishes one monotone grant, every shard fans it out to its own
         // cores. Late application is harmless (cores just block longer);
         // `raise_max_local` itself ignores lowering, so replays of a stale
         // grant are no-ops.
         let grant = self.grant.load(Ordering::Acquire);
-        if grant > self.last_window {
+        self.granted = grant > self.last_window;
+        if self.granted {
             self.last_window = grant;
             for &c in &self.domain {
                 self.board.raise_max_local(c, grant);

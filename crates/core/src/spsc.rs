@@ -37,11 +37,12 @@ pub struct Producer<T> {
     /// Cached head, refreshed only when the ring looks full.
     cached_head: usize,
     /// When set, successful pushes update `high_water` with the post-push
-    /// occupancy. The occupancy is computed against `cached_head`, which
-    /// may lag the consumer, so the mark is an upper bound on the true
-    /// occupancy (over-reporting at most what the consumer drained since
-    /// the last cache refresh, bounded by capacity). Good enough for ring
-    /// sizing and free of extra cross-core traffic on the hot path.
+    /// occupancy. The occupancy is first computed against `cached_head`,
+    /// which may lag the consumer by up to a whole ring (it is refreshed
+    /// only when the ring looks full), so a value that would set a new
+    /// maximum is recomputed against a freshly loaded `head` before it
+    /// counts: the mark is the true occupancy at that push, and the extra
+    /// load happens only while the ring is at or near its deepest yet.
     track_hw: bool,
     high_water: usize,
 }
@@ -87,15 +88,25 @@ impl<T> Producer<T> {
         unsafe { (*ring.buf[tail].get()).write(value) };
         ring.tail.store(next, Ordering::Release);
         if self.track_hw {
-            let cap = ring.capacity;
-            let used = if next >= self.cached_head {
-                next - self.cached_head
-            } else {
-                next + cap - self.cached_head
-            };
-            self.high_water = self.high_water.max(used);
+            self.note_occupancy(next);
         }
         Ok(())
+    }
+
+    /// Ratchet the high-water mark after a push left the tail at `tail`.
+    fn note_occupancy(&mut self, tail: usize) {
+        let ring = &*self.ring;
+        let used = |head: usize| {
+            if tail >= head {
+                tail - head
+            } else {
+                tail + ring.capacity - head
+            }
+        };
+        if used(self.cached_head) > self.high_water {
+            self.cached_head = ring.head.load(Ordering::Acquire);
+            self.high_water = self.high_water.max(used(self.cached_head));
+        }
     }
 
     /// Enqueue as many leading items of `items` as currently fit, writing
@@ -136,8 +147,7 @@ impl<T> Producer<T> {
         }
         ring.tail.store(idx, Ordering::Release);
         if self.track_hw {
-            let occupancy = cap - 1 - free + n;
-            self.high_water = self.high_water.max(occupancy);
+            self.note_occupancy(idx);
         }
         n
     }
@@ -148,8 +158,7 @@ impl<T> Producer<T> {
     }
 
     /// Highest post-push occupancy seen since [`enable_high_water`]
-    /// (0 if tracking was never enabled). An upper bound — see the field
-    /// comment on the cached-head approximation.
+    /// (0 if tracking was never enabled).
     ///
     /// [`enable_high_water`]: Producer::enable_high_water
     pub fn high_water(&self) -> usize {
@@ -463,6 +472,35 @@ mod tests {
         assert_eq!(p.high_water(), 6);
         p.try_push(7).unwrap();
         assert_eq!(p.high_water(), 7, "high-water only ratchets upward");
+    }
+
+    #[test]
+    fn high_water_is_the_occupancy_not_the_capacity() {
+        // A run longer than the ring: the cached head lags by up to a whole
+        // ring, which used to read as "the ring filled up".
+        let (mut p, mut c) = channel(4096);
+        p.enable_high_water();
+        for i in 0..10_000u32 {
+            p.try_push(i).unwrap();
+            assert_eq!(c.pop(), Some(i));
+        }
+        assert_eq!(p.high_water(), 1);
+        for i in 0..7 {
+            p.try_push(i).unwrap();
+        }
+        assert_eq!(p.high_water(), 7);
+
+        let (mut p, mut c) = channel(4096);
+        p.enable_high_water();
+        let mut out = Vec::new();
+        for i in 0..10_000u32 {
+            assert_eq!(p.push_batch(&[i]), 1);
+            out.clear();
+            assert_eq!(c.drain_into(&mut out, usize::MAX), 1);
+        }
+        assert_eq!(p.high_water(), 1);
+        assert_eq!(p.push_batch(&[0; 7]), 7);
+        assert_eq!(p.high_water(), 7);
     }
 
     #[test]

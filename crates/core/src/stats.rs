@@ -121,7 +121,12 @@ pub struct EngineStats {
     pub blocks: u64,
     /// Times the manager woke a blocked core.
     pub wakeups: u64,
-    /// Global-time recomputations by the manager.
+    /// Manager iteration bodies that ran (each recomputes global time).
+    /// A deterministic-scheduler pick whose body was elided because
+    /// nothing had moved ([`DetEngine::futile_picks`]) is not an
+    /// iteration and is not counted here.
+    ///
+    /// [`DetEngine::futile_picks`]: crate::DetEngine::futile_picks
     pub global_updates: u64,
     /// OutQ events consumed by the manager.
     pub events_processed: u64,

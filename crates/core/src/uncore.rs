@@ -63,8 +63,17 @@ pub struct Uncore {
     ordered: std::collections::BinaryHeap<Reverse<OrderedEv>>,
     inqs: Vec<Producer<InMsg>>,
     overflow: Vec<VecDeque<InMsg>>,
-    /// Cores that received an InQ message since the last wakeup flush.
+    /// Total messages across `overflow` (skips the O(n_cores) scan).
+    overflow_len: usize,
+    /// Cores that received an InQ message since the last wakeup flush: a
+    /// flag per core and the flagged cores as a list, so the flush walks
+    /// receivers only.
     wake_pending: Vec<bool>,
+    wake_list: Vec<usize>,
+    /// Cores the last [`Uncore::flush_wakeups`] actually resumed (they
+    /// were parked on the board): what the deterministic scheduler must
+    /// put back in its runnable set.
+    woken: Vec<usize>,
     board: Option<Arc<ClockBoard>>,
     started: Vec<bool>,
     exited: Vec<bool>,
@@ -112,7 +121,10 @@ impl Uncore {
             ordered: std::collections::BinaryHeap::new(),
             inqs,
             overflow: (0..n).map(|_| VecDeque::new()).collect(),
+            overflow_len: 0,
             wake_pending: vec![false; n],
+            wake_list: Vec::new(),
+            woken: Vec::new(),
             board,
             started,
             exited: vec![false; n],
@@ -163,14 +175,18 @@ impl Uncore {
         if self.overflow[core].is_empty() {
             if let Err(back) = self.inqs[core].try_push(msg) {
                 self.overflow[core].push_back(back);
+                self.overflow_len += 1;
             }
         } else {
             self.overflow[core].push_back(msg);
+            self.overflow_len += 1;
         }
         // Wakeups are deferred to `flush_wakeups` so a burst of messages
         // to one core costs a single unpark (state load + possible
         // lock/notify) instead of one per message.
-        self.wake_pending[core] = true;
+        if !std::mem::replace(&mut self.wake_pending[core], true) {
+            self.wake_list.push(core);
+        }
     }
 
     /// Unpark every core that received an InQ message since the last
@@ -178,26 +194,33 @@ impl Uncore {
     /// processing and before it can sleep — a parked core's own
     /// post-park re-check covers the window in between.
     pub fn flush_wakeups(&mut self) {
-        if let Some(b) = &self.board {
-            for (core, w) in self.wake_pending.iter_mut().enumerate() {
-                if *w {
-                    *w = false;
-                    b.unpark(core);
-                }
+        self.woken.clear();
+        for core in self.wake_list.drain(..) {
+            self.wake_pending[core] = false;
+            // Sequential engine: no board, no threads to wake.
+            if self.board.as_ref().is_some_and(|b| b.unpark(core)) {
+                self.woken.push(core);
             }
-        } else {
-            // Sequential engine: no threads to wake.
-            self.wake_pending.iter_mut().for_each(|w| *w = false);
         }
+    }
+
+    /// Cores the last [`Uncore::flush_wakeups`] resumed from a parked
+    /// state.
+    pub fn woken(&self) -> &[usize] {
+        &self.woken
     }
 
     /// Retry overflowed InQ pushes (called every manager iteration).
     pub fn flush_overflow(&mut self) {
+        if self.overflow_len == 0 {
+            return;
+        }
         for core in 0..self.overflow.len() {
             while let Some(msg) = self.overflow[core].front().copied() {
                 match self.inqs[core].try_push(msg) {
                     Ok(()) => {
                         self.overflow[core].pop_front();
+                        self.overflow_len -= 1;
                     }
                     Err(_) => break,
                 }
@@ -457,7 +480,7 @@ impl Uncore {
     /// overflowed replies live in neither the rings nor the cores' heaps,
     /// so they would be lost by a snapshot.
     pub fn overflow_empty(&self) -> bool {
-        self.overflow.iter().all(|q| q.is_empty())
+        self.overflow_len == 0
     }
 
     // ---- snapshot support ----

@@ -101,6 +101,28 @@ fn metrics_hub_is_cycle_neutral() {
     );
 }
 
+/// On the deterministic backend `manager.iterations` counts the bodies
+/// that ran — picked or forced — and nothing else: it equals the engine's
+/// own body count, and together with the elided manager picks it stays
+/// below the pick count. A barrier kernel under a long quantum reaches the
+/// forced-manager round, which used to add busy time without counting
+/// the iteration.
+#[test]
+fn det_manager_iterations_count_bodies_that_ran() {
+    let program = counter_workload(4, 12);
+    let mut det = sk_core::DetEngine::new(&program, Scheme::Quantum(5000), &cfg(4), 3);
+    let obs = det.engine_mut().attach_new_metrics(ObsConfig::default());
+    det.run();
+    let (picks, futile) = (det.picks(), det.futile_picks());
+    let r = det.into_report();
+    assert_eq!(r.printed().len(), 1);
+    let bodies = obs.manager.iterations.get();
+    let elided = obs.manager.picks_elided.get();
+    assert_eq!(bodies, r.engine.global_updates, "an iteration is a body that ran");
+    assert!(elided > 0, "no manager pick was elided");
+    assert!(elided <= futile && futile < picks);
+}
+
 /// Under a bounded-slack scheme the interesting histograms fill up: slack
 /// observed at event-process time, park durations, manager drains.
 #[test]

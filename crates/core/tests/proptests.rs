@@ -151,6 +151,9 @@ fn check_batched_clock_ops(ops: Vec<(u8, usize, u64)>) -> Result<(), TestCaseErr
         let cached = board.recompute_global_cached(&mut cache);
         let plain = board.recompute_global();
         prop_assert_eq!(cached, plain, "memoized reduction diverged");
+        // So do everything else the manager derives from its view.
+        prop_assert_eq!(cache.observed_slack(cached.0), board.observed_slack());
+        prop_assert_eq!(cache.active_count(), board.active_count());
         // And a second cached call with nothing moved must hit the
         // cache and still agree.
         prop_assert_eq!(board.recompute_global_cached(&mut cache), plain);

@@ -214,8 +214,14 @@ pub struct ManagerObs {
     pub lock_wait: Histogram,
     /// Memory-shard drain batch sizes.
     pub shard_batch: Histogram,
-    /// Manager loop iterations.
+    /// Manager iteration bodies that ran. A deterministic-scheduler pick
+    /// whose body was elided is not an iteration (see `picks_elided`).
     pub iterations: Counter,
+    /// Deterministic backend: manager picks booked without running the
+    /// body, because the last body had settled and nothing had moved
+    /// since. Scheduler bookkeeping rather than simulation state, so —
+    /// like trace spans — it is not carried through a snapshot.
+    pub picks_elided: Counter,
     /// Total events ingested from core rings.
     pub events_ingested: Counter,
     /// High-water occupancy per inbound (uncore -> core) ring.
@@ -279,6 +285,7 @@ impl Persist for ManagerObs {
             lock_wait: Histogram::load(r)?,
             shard_batch: Histogram::load(r)?,
             iterations: Counter::load(r)?,
+            picks_elided: Counter::new(),
             events_ingested: Counter::load(r)?,
             inq_high_water: Vec::<Counter>::load(r)?,
             adapt_raise: Counter::load(r)?,
