@@ -126,7 +126,10 @@ pub struct GlobalCache {
 /// observed slack)?
 #[inline]
 fn timed(state: u8) -> bool {
-    matches!(CoreState::from_u8(state), CoreState::Running | CoreState::Blocked | CoreState::MemWait)
+    matches!(
+        CoreState::from_u8(state),
+        CoreState::Running | CoreState::Blocked | CoreState::MemWait
+    )
 }
 
 /// Is a core in this state driving global time forward?
@@ -190,7 +193,8 @@ pub struct ClockBoard {
     /// after core `c`'s state or local time moved or an event landed in
     /// its OutQ, swap-consumed by the manager, which then re-reads and
     /// drains only flagged cores ([`ClockBoard::recompute_global_cached`]).
-    dirty: Box<[AtomicU64]>,
+    /// Every core thread writes these words: they get lines of their own.
+    dirty: Box<[CachePadded<AtomicU64>]>,
     stop: AtomicBool,
     mgr_park: Mutex<MgrPark>,
     mgr_cond: Condvar,
@@ -217,7 +221,9 @@ impl ClockBoard {
 
     fn with_clocks(cores: Vec<CoreClock>, global: u64) -> Self {
         ClockBoard {
-            dirty: (0..cores.len().div_ceil(64)).map(|_| AtomicU64::new(0)).collect(),
+            dirty: (0..cores.len().div_ceil(64))
+                .map(|_| CachePadded::new(AtomicU64::new(0)))
+                .collect(),
             cores,
             global: CachePadded::new(AtomicU64::new(global)),
             stop: AtomicBool::new(false),
@@ -319,13 +325,16 @@ impl ClockBoard {
     /// store sit in this thread's store buffer while the manager consumes
     /// the bit and reads the old value, losing the update for good.
     #[inline]
-    pub fn mark_dirty(&self, core: usize) {
+    pub(crate) fn mark_dirty(&self, core: usize) {
         self.dirty[core >> 6].fetch_or(1 << (core & 63), Ordering::Release);
     }
 
     /// Has any core flagged a change the manager has not consumed yet?
+    /// A relaxed peek for the deterministic scheduler, whose tasks all run
+    /// on the asking thread; it publishes nothing (the manager's consuming
+    /// swap is the acquire).
     #[inline]
-    pub fn any_dirty(&self) -> bool {
+    pub(crate) fn any_dirty(&self) -> bool {
         self.dirty.iter().any(|w| w.load(Ordering::Relaxed) != 0)
     }
 
@@ -721,11 +730,11 @@ impl ClockBoard {
         // A fresh cache has seen nothing: treat every core as flagged.
         let mut reduce = !cache.valid;
         for (wi, word) in self.dirty.iter().enumerate() {
-            let mut m = if word.load(Ordering::Relaxed) != 0 {
-                word.swap(0, Ordering::Acquire)
-            } else {
-                0
-            };
+            // The peek keeps a quiet word's line shared. A flag it misses
+            // is consumed by the next refresh, which the core's signal (or
+            // the scheduler's own `any_dirty`) brings about.
+            let mut m =
+                if word.load(Ordering::Relaxed) != 0 { word.swap(0, Ordering::Acquire) } else { 0 };
             if !cache.valid {
                 let cores_here = (self.cores.len() - (wi << 6)).min(64);
                 m = if cores_here == 64 { u64::MAX } else { (1 << cores_here) - 1 };

@@ -565,12 +565,11 @@ impl Engine {
         // global time first, then drain (every event with ts ≤ global
         // is already in its ring by the release/acquire pairing on
         // local time), then process up to the horizon. The refresh
-        // consumes the board's change flags; everything below that used
-        // to walk all `n` cores — observed slack, the driving-core count,
-        // the ring drain — reads the refreshed view or walks the flagged
-        // cores only. A core raises its flag after every state, clock or
-        // OutQ store, so an unflagged core has an unchanged pair and an
-        // empty ring.
+        // consumes the board's change flags; observed slack and the
+        // driving-core count below read the refreshed view, and the drain
+        // walks the flagged cores only. A core raises its flag after every
+        // state, clock or OutQ store, so an unflagged core has an
+        // unchanged pair and an empty ring.
         let (g, all_done) = self.board.recompute_global_cached(clock_cache);
         self.engine.global_updates += 1;
         let slack_now = clock_cache.observed_slack(g);
