@@ -138,7 +138,7 @@ impl RunSet {
         }
     }
 
-    /// A dispatch ran: it may have raised (or consumed) shard signals.
+    /// Re-poll the shard signals (one relaxed-cost load each).
     fn refresh_shards(&mut self, signals: &[Arc<ShardSignal>]) {
         self.shards.clear();
         self.shards.extend((0..signals.len()).filter(|&s| signals[s].pending()));
@@ -368,10 +368,8 @@ impl DetEngine {
                             false
                         }
                     };
-                    // A step moves only its own core's board state; the
-                    // events it flushed may have signalled shards.
+                    // A step moves only its own core's board state.
                     set.refresh_core(&board, pick);
-                    set.refresh_shards(&signals);
                     progressed
                 }
             } else if k == set.cores.len() {
@@ -395,7 +393,6 @@ impl DetEngine {
                                     set.refresh_core(&board, c);
                                 }
                             }
-                            set.refresh_shards(&signals);
                             mgr_settled = settled;
                             ingested > 0
                         }
@@ -424,9 +421,11 @@ impl DetEngine {
                         set.refresh_core(&board, c);
                     }
                 }
-                set.refresh_shards(&signals);
                 progressed
             };
+            // Whatever ran may have raised shard signals (a core's event
+            // flush, the manager's frontier clamp) or consumed one.
+            set.refresh_shards(&signals);
 
             if progressed {
                 stall = 0;

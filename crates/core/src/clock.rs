@@ -50,6 +50,19 @@ pub enum CoreState {
 }
 
 impl CoreState {
+    /// Does a core in this state hold global time back (and count toward
+    /// the observed slack)?
+    #[inline]
+    fn timed(self) -> bool {
+        matches!(self, CoreState::Running | CoreState::Blocked | CoreState::MemWait)
+    }
+
+    /// Is a core in this state driving global time forward?
+    #[inline]
+    fn active(self) -> bool {
+        matches!(self, CoreState::Running | CoreState::Blocked)
+    }
+
     fn from_u8(v: u8) -> CoreState {
         match v {
             0 => CoreState::Running,
@@ -79,6 +92,26 @@ struct CoreClock {
     /// wait, closing the current "run" span at the next wait entry. Owned
     /// by the core thread; atomic only because the board is shared.
     resume_us: AtomicU64,
+}
+
+impl CoreClock {
+    /// Sleep on `cond` for up to `timeout`, registered as a waiter so that
+    /// wakers know to notify. Returns whether the wait timed out.
+    fn wait(&self, guard: &mut parking_lot::MutexGuard<'_, bool>, timeout: Duration) -> bool {
+        **guard = true;
+        let timed_out = self.cond.wait_for(guard, timeout).timed_out();
+        **guard = false;
+        timed_out
+    }
+
+    /// Wake the core's thread if it is inside [`CoreClock::wait`]. The
+    /// waiter re-checks its condition under `park` before it sleeps, so a
+    /// change stored before this call is seen either way.
+    fn notify_if_waiting(&self) {
+        if *self.park.lock() {
+            self.cond.notify_one();
+        }
+    }
 }
 
 fn new_core_clock(local: u64, max_local: u64) -> CoreClock {
@@ -115,27 +148,10 @@ pub struct GlobalCache {
     at_min: usize,
     /// Cores Running or Blocked.
     active: usize,
-    /// Cores Running, Blocked or MemWait (in the minimum, and the set
-    /// observed slack ranges over), and the furthest of their clocks.
-    timed: usize,
+    /// The furthest clock among timed cores (Running, Blocked or MemWait:
+    /// the set in the minimum, which observed slack ranges over).
     max_local: u64,
     valid: bool,
-}
-
-/// Does a core in this state hold global time back (and count toward the
-/// observed slack)?
-#[inline]
-fn timed(state: u8) -> bool {
-    matches!(
-        CoreState::from_u8(state),
-        CoreState::Running | CoreState::Blocked | CoreState::MemWait
-    )
-}
-
-/// Is a core in this state driving global time forward?
-#[inline]
-fn active(state: u8) -> bool {
-    matches!(CoreState::from_u8(state), CoreState::Running | CoreState::Blocked)
 }
 
 impl GlobalCache {
@@ -148,7 +164,6 @@ impl GlobalCache {
             min: u64::MAX,
             at_min: 0,
             active: 0,
-            timed: 0,
             max_local: 0,
             valid: false,
         }
@@ -168,7 +183,7 @@ impl GlobalCache {
     /// Largest `local − g` over unfinished cores as of the last refresh
     /// ([`ClockBoard::observed_slack`] without re-reading the board).
     pub fn observed_slack(&self, g: u64) -> u64 {
-        if self.timed == 0 {
+        if self.min == u64::MAX {
             0
         } else {
             self.max_local.saturating_sub(g)
@@ -419,9 +434,7 @@ impl ClockBoard {
                 }
                 // The timeout is a liveness backstop only; wakeups normally
                 // arrive from the manager's notify.
-                *guard = true;
-                cc.cond.wait_for(&mut guard, Duration::from_millis(10));
-                *guard = false;
+                cc.wait(&mut guard, Duration::from_millis(10));
             }
         };
         if let Some(t0) = obs_t0 {
@@ -490,9 +503,7 @@ impl ClockBoard {
             cc.timeout_resume.store(false, Ordering::Release);
             cc.state.store(CoreState::Running as u8, Ordering::Release);
             self.mark_dirty(core);
-            if *cc.park.lock() {
-                cc.cond.notify_one();
-            }
+            cc.notify_if_waiting();
         }
         parked
     }
@@ -551,10 +562,7 @@ impl ClockBoard {
                 ) {
                     break true;
                 }
-                *guard = true;
-                let timed_out = cc.cond.wait_for(&mut guard, Duration::from_millis(10)).timed_out();
-                *guard = false;
-                if timed_out {
+                if cc.wait(&mut guard, Duration::from_millis(10)) {
                     // Liveness backstop: let the caller re-check its queues.
                     // Mark the resume so a straight re-park stays silent (see
                     // `park_as`); any real progress on the way back signals the
@@ -591,9 +599,7 @@ impl ClockBoard {
 
     /// Number of cores currently Running or Blocked (driving global time).
     pub fn active_count(&self) -> usize {
-        (0..self.cores.len())
-            .filter(|&i| matches!(self.state(i), CoreState::Running | CoreState::Blocked))
-            .count()
+        (0..self.cores.len()).filter(|&i| self.state(i).active()).count()
     }
 
     /// Is any core suspended waiting for a memory reply? (Such a core's
@@ -658,11 +664,8 @@ impl ClockBoard {
         if self.state(core) == CoreState::Blocked {
             // Lock/notify pairs with the blocked core's re-check under the
             // same mutex, so the wakeup cannot be lost.
-            let waiting = cc.park.lock();
             self.wakeups.fetch_add(1, Ordering::Relaxed);
-            if *waiting {
-                cc.cond.notify_one();
-            }
+            cc.notify_if_waiting();
         }
     }
 
@@ -754,11 +757,12 @@ impl ClockBoard {
                 if reduce || (s, l) == (s0, l0) {
                     continue;
                 }
-                if timed(s0) && timed(s) && l >= l0 {
+                let (s0, s) = (CoreState::from_u8(s0), CoreState::from_u8(s));
+                if s0.timed() && s.timed() && l >= l0 {
                     // The common step: a timed core ticked (or changed
                     // between timed states). It cannot be a new minimum;
                     // it may have been one of the clocks on the old one.
-                    cache.active = cache.active + active(s) as usize - active(s0) as usize;
+                    cache.active = cache.active + s.active() as usize - s0.active() as usize;
                     cache.max_local = cache.max_local.max(l);
                     if l0 == cache.min && l > l0 {
                         cache.at_min -= 1;
@@ -776,20 +780,16 @@ impl ClockBoard {
         cache.min = u64::MAX;
         cache.at_min = 0;
         cache.active = 0;
-        cache.timed = 0;
         cache.max_local = 0;
         for &(s, l) in &cache.seen {
-            match CoreState::from_u8(s) {
-                CoreState::Finished | CoreState::Parked => continue,
-                CoreState::SyncWait => {
-                    all_finished = false;
-                    continue;
-                }
-                _ => {}
+            let s = CoreState::from_u8(s);
+            // Finished and parked cores are done for termination; a
+            // sync-waiting one is suspended, not done.
+            all_finished &= matches!(s, CoreState::Finished | CoreState::Parked);
+            if !s.timed() {
+                continue;
             }
-            all_finished = false;
-            cache.timed += 1;
-            cache.active += active(s) as usize;
+            cache.active += s.active() as usize;
             cache.max_local = cache.max_local.max(l);
             if l < cache.min {
                 cache.min = l;
@@ -825,12 +825,7 @@ impl ClockBoard {
     pub fn observed_slack(&self) -> u64 {
         let g = self.global();
         (0..self.cores.len())
-            .filter(|&i| {
-                matches!(
-                    self.state(i),
-                    CoreState::Running | CoreState::Blocked | CoreState::MemWait
-                )
-            })
+            .filter(|&i| self.state(i).timed())
             .map(|i| self.local(i).saturating_sub(g))
             .max()
             .unwrap_or(0)
@@ -840,9 +835,7 @@ impl ClockBoard {
     pub fn stop_all(&self) {
         self.stop.store(true, Ordering::Release);
         for cc in &self.cores {
-            if *cc.park.lock() {
-                cc.cond.notify_one();
-            }
+            cc.notify_if_waiting();
         }
         self.signal_manager();
     }

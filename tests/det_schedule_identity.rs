@@ -17,6 +17,9 @@
 //! `SK_REGEN_GOLDEN=1 cargo test --test det_schedule_identity` and says so
 //! in its PR; a speed-only change must leave it alone.
 
+mod common;
+
+use common::{check_golden, fnv1a64, printed};
 use sk_core::DetEngine;
 use slacksim_suite::prelude::*;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -28,14 +31,6 @@ fn schemes() -> Vec<Scheme> {
         .iter()
         .map(|s| s.parse().expect("scheme name"))
         .collect()
-}
-
-fn fnv1a64(s: &str) -> u64 {
-    s.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3))
-}
-
-fn printed(r: &SimReport) -> Vec<i64> {
-    r.printed().into_iter().map(|(_, v)| v).collect()
 }
 
 /// Run `det` to the end and spell out everything the schedule determines.
@@ -52,25 +47,6 @@ fn golden_line(label: &str, w: &Workload, mut det: DetEngine) -> String {
         r.engine.adapt_epochs,
         r.engine.adapt_final_window,
     )
-}
-
-/// Compare `actual` with the committed golden file line by line, or
-/// rewrite the file when `SK_REGEN_GOLDEN` is set.
-fn check_golden(file: &str, actual: &str) {
-    let path = format!("{}/tests/golden/{file}", env!("CARGO_MANIFEST_DIR"));
-    if std::env::var_os("SK_REGEN_GOLDEN").is_some() {
-        std::fs::write(&path, actual).expect("write golden file");
-        return;
-    }
-    let golden = std::fs::read_to_string(&path).expect("golden file is committed");
-    for (want, got) in golden.lines().zip(actual.lines()) {
-        assert_eq!(
-            got, want,
-            "{file}: the deterministic schedule stream moved (label = kernel/cores/scheme/seed). \
-             Regenerate with SK_REGEN_GOLDEN=1 only for an intended schedule change"
-        );
-    }
-    assert_eq!(actual.lines().count(), golden.lines().count(), "{file}: line count");
 }
 
 /// One golden line per job, computed on every host CPU, kept in job order.
@@ -163,5 +139,10 @@ fn schedule_stream_matches_the_pinned_scheduler() {
         let det = DetEngine::new(&w.program, Scheme::Quantum(5000), &cfg, seed);
         actual += &golden_line(&format!("{}/{}c/Q5000/{seed}", w.name, n), w, det);
     }
-    check_golden("det_schedule.txt", &actual);
+    check_golden(
+        "det_schedule.txt",
+        &actual,
+        "the deterministic schedule stream moved (label = kernel/cores/scheme/seed). Regenerate \
+         with SK_REGEN_GOLDEN=1 only for an intended schedule change",
+    );
 }

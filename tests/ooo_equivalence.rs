@@ -14,8 +14,21 @@
 //! `SK_REGEN_GOLDEN=1 cargo test --test ooo_equivalence` and says so in
 //! its PR; a speed-only change must leave them alone.
 
+mod common;
+
+use common::{fnv1a64, printed};
 use slacksim_suite::prelude::*;
 use std::fmt::Write as _;
+
+fn check_golden(file: &str, actual: &str) {
+    common::check_golden(
+        file,
+        actual,
+        "the OoO model's simulated statistics moved. Fields after the digest are per core \
+         [cycles committed fetched issued branches mispredicts loads stores stall idle \
+         sys_retries]; regenerate with SK_REGEN_GOLDEN=1 only for an intended model change",
+    );
+}
 
 const DET_SEED: u64 = 7;
 
@@ -23,14 +36,6 @@ fn ooo_cfg(n: usize) -> TargetConfig {
     let mut cfg = TargetConfig::small(n);
     cfg.core.model = CoreModel::OutOfOrder;
     cfg
-}
-
-fn fnv1a64(s: &str) -> u64 {
-    s.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3))
-}
-
-fn printed(r: &SimReport) -> Vec<i64> {
-    r.printed().into_iter().map(|(_, v)| v).collect()
 }
 
 /// One golden line: the whole-report digest, the execution time, and the
@@ -57,27 +62,6 @@ fn golden_line(label: &str, r: &SimReport) -> String {
     }
     s.push('\n');
     s
-}
-
-/// Compare `actual` with the committed golden file line by line, or
-/// rewrite the file when `SK_REGEN_GOLDEN` is set.
-fn check_golden(file: &str, actual: &str) {
-    let path = format!("{}/tests/golden/{file}", env!("CARGO_MANIFEST_DIR"));
-    if std::env::var_os("SK_REGEN_GOLDEN").is_some() {
-        std::fs::write(&path, actual).expect("write golden file");
-        return;
-    }
-    let golden = std::fs::read_to_string(&path).expect("golden file is committed");
-    for (want, got) in golden.lines().zip(actual.lines()) {
-        assert_eq!(
-            got, want,
-            "{file}: the OoO model's simulated statistics moved. Fields after the digest are \
-             per core [cycles committed fetched issued branches mispredicts loads stores \
-             stall idle sys_retries]; regenerate with SK_REGEN_GOLDEN=1 only for an intended \
-             model change"
-        );
-    }
-    assert_eq!(actual.lines().count(), golden.lines().count(), "{file}: line count");
 }
 
 #[test]
