@@ -22,7 +22,7 @@
 //!     }
 //!   ],
 //!   "manager": {
-//!     "counters": { "iterations": 9, "events_ingested": 456,
+//!     "counters": { "iterations": 9, "picks_elided": 4, "events_ingested": 456,
 //!                   "adapt_raise": 4, "adapt_lower": 1, "adapt_hold": 2 },
 //!     "inq_high_water": [3, 1, 0, 2],
 //!     "hist": { "drain_batch": H, "backoff_us": H, "slack": H,
@@ -132,10 +132,12 @@ pub fn metrics_json(m: &Metrics) -> String {
 
     let mg = &m.manager;
     out.push_str(&format!(
-        "\"manager\":{{\"counters\":{{\"iterations\":{},\"events_ingested\":{},\
+        "\"manager\":{{\"counters\":{{\"iterations\":{},\"picks_elided\":{},\
+         \"events_ingested\":{},\
          \"adapt_raise\":{},\"adapt_lower\":{},\"adapt_hold\":{},\"busy_ns\":{},\
          \"frontier_wait_ns\":{}}},",
         mg.iterations.get(),
+        mg.picks_elided.get(),
         mg.events_ingested.get(),
         mg.adapt_raise.get(),
         mg.adapt_lower.get(),
