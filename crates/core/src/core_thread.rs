@@ -494,7 +494,9 @@ impl CoreSim {
         while let Err(back) = self.shard_outqs[si].try_push(item) {
             // The ring is generously sized; a full ring means the
             // shard is far behind — yield to it. If the simulation is
-            // being torn down, drop the event.
+            // being torn down, drop the event. (Every push that landed was
+            // flagged right after, so the shard's next drain covers a ring
+            // that is full now; the signal is all it needs.)
             if let Some(sig) = self.shard_signals.get(si) {
                 sig.signal();
             }
@@ -642,6 +644,12 @@ impl CoreSim {
     /// gap is allowed for cores that were idle-skipped while no workload
     /// thread was running). Returns the number of OutQ events emitted.
     pub fn step_cycle(&mut self, now: u64) -> u32 {
+        self.step_cycle_on(now, None)
+    }
+
+    /// [`CoreSim::step_cycle`] under a clock board: a blocking push that
+    /// finds the coordinator's ring full tells the manager through `board`.
+    fn step_cycle_on(&mut self, now: u64, board: Option<&ClockBoard>) -> u32 {
         debug_assert!(now > self.local);
         self.drain_inq();
         self.apply_due_msgs(now);
@@ -737,7 +745,13 @@ impl CoreSim {
                 sent += self.outq.push_batch(&self.out_scratch[sent..]);
                 if sent < self.out_scratch.len() {
                     // Ring full: the manager is far behind — yield to it (and
-                    // bail if the simulation is being torn down).
+                    // bail if the simulation is being torn down). It drains
+                    // flagged rings only and this batch's flag goes up at its
+                    // end, so raise one now or nobody empties the ring.
+                    if let Some(b) = board {
+                        b.mark_dirty(self.id);
+                        b.signal_manager();
+                    }
                     self.drain_inq();
                     if self.stop_seen {
                         break;
@@ -957,7 +971,7 @@ impl CoreSim {
         let f0 = self.stats.fetched;
         let mut batch = 0u64;
         let events = loop {
-            let events = self.step_cycle(self.local + 1);
+            let events = self.step_cycle_on(self.local + 1, Some(board));
             batch += 1;
             if events > 0
                 || batch >= budget
@@ -989,10 +1003,12 @@ impl CoreSim {
         }
         if published > board.local(self.id) {
             board.advance_local_batched(self.id, published);
-        } else if events > 0 {
+        } else {
             // The clock publication above is what normally tells the
-            // manager to look at this core's OutQ; events that landed with
-            // the clock held back (overflow behind them) need their own flag.
+            // manager to look at this core: its OutQ, and the shared ROI
+            // instruction count its stop condition reads. A batch whose
+            // clock is held back (overflow behind it) raises the flag
+            // itself, so no batch ends without one.
             board.mark_dirty(self.id);
         }
         // A batch that stopped on budget while a fused run is suspended

@@ -1401,13 +1401,16 @@ impl Engine {
 /// One manager iteration body at a time, outside any run loop: the handle
 /// the `hot_paths` bench (`det_sched_hot`) times [`Engine::manager_iter`]
 /// through, moving clocks on the board by hand between bodies. Not a way
-/// to run a simulation.
-#[doc(hidden)]
+/// to run a simulation, and not part of the crate's API: it exists only
+/// under the `bench-probe` feature, which `sk-bench` turns on for its
+/// benches.
+#[cfg(feature = "bench-probe")]
 pub struct ManagerProbe {
     engine: Engine,
     st: MgrState,
 }
 
+#[cfg(feature = "bench-probe")]
 impl ManagerProbe {
     /// Wrap a freshly built engine, cooperative-backend manager state.
     pub fn new(engine: Engine) -> ManagerProbe {

@@ -444,6 +444,35 @@ fn batched_transport_is_deterministic_under_tiny_rings() {
 }
 
 #[test]
+fn tiny_rings_never_strand_a_core_that_outruns_them() {
+    // An out-of-order core can emit more events in one cycle than a tiny
+    // OutQ holds. The manager and the shards drain only rings whose core
+    // raised a change flag, and a core normally raises it at the end of a
+    // batch — so a producer stuck on a full ring mid-cycle has to raise it
+    // itself, or the consumer never looks and both sides wait forever.
+    let w = sk_kernels::fft::fft(4, 6);
+    for shards in [0usize, 2] {
+        for cap in [2usize, 4] {
+            for scheme in [Scheme::Unbounded, Scheme::BoundedSlack(64)] {
+                let mut cfg = small_cfg(4, CoreModel::OutOfOrder);
+                cfg.queue_capacity = cap;
+                cfg.mem_shards = shards;
+                let program = w.program.clone();
+                let (tx, rx) = std::sync::mpsc::channel();
+                std::thread::spawn(move || {
+                    let _ = tx.send(run_parallel(&program, scheme, &cfg).printed());
+                });
+                let printed = rx
+                    .recv_timeout(std::time::Duration::from_secs(60))
+                    .unwrap_or_else(|_| panic!("{scheme} cap={cap} shards={shards} hung"));
+                let values: Vec<i64> = printed.iter().map(|&(_, v)| v).collect();
+                assert_eq!(values, w.expected, "{scheme} cap={cap} shards={shards}");
+            }
+        }
+    }
+}
+
+#[test]
 fn single_threaded_program_on_many_cores_parks_the_rest() {
     // A program that never spawns: cores 1..n have no thread and must not
     // slow down or corrupt the run.

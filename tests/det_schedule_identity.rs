@@ -25,6 +25,8 @@ use slacksim_suite::prelude::*;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 const SEEDS: [u64; 3] = [0, 1, 7];
+/// Instruction budget of the ROI-limited runs: about a third of the kernel.
+const ROI_LIMIT: u64 = 3_000;
 
 fn schemes() -> Vec<Scheme> {
     ["CC", "S10", "S10*", "S100", "SU", "Q100", "A16"]
@@ -34,19 +36,26 @@ fn schemes() -> Vec<Scheme> {
 }
 
 /// Run `det` to the end and spell out everything the schedule determines.
-fn golden_line(label: &str, w: &Workload, mut det: DetEngine) -> String {
+fn golden_line(label: &str, w: &Workload, det: DetEngine) -> String {
+    let (line, r) = schedule_line(label, det);
+    assert_eq!(printed(&r), w.expected, "{label}: wrong output");
+    line
+}
+
+/// [`golden_line`] for a run that may stop before the workload's output.
+fn schedule_line(label: &str, mut det: DetEngine) -> (String, SimReport) {
     det.run();
     let (picks, hash) = (det.picks(), det.decision_hash());
     let r = det.into_report();
-    assert_eq!(printed(&r), w.expected, "{label}: wrong output");
-    format!(
+    let line = format!(
         "{label} picks={picks} hash={hash:016x} cycles={} fp={:016x} slack={} adapt={}/{}\n",
         r.exec_cycles,
         fnv1a64(&r.fingerprint()),
         r.engine.max_observed_slack,
         r.engine.adapt_epochs,
         r.engine.adapt_final_window,
-    )
+    );
+    (line, r)
 }
 
 /// One golden line per job, computed on every host CPU, kept in job order.
@@ -138,6 +147,23 @@ fn schedule_stream_matches_the_pinned_scheduler() {
     for seed in SEEDS {
         let det = DetEngine::new(&w.program, Scheme::Quantum(5000), &cfg, seed);
         actual += &golden_line(&format!("{}/{}c/Q5000/{seed}", w.name, n), w, det);
+    }
+
+    // An instruction-count stop: the manager ends the run once the cores'
+    // shared ROI counter crosses the limit, the one input of its verdict
+    // that is neither a clock, a core state nor a ring. The run is cut
+    // short of the workload's output, so only the schedule is compared.
+    let w = &suite[1];
+    let mut roi_cfg = cfg;
+    roi_cfg.stop = StopCondition::RoiInstructions(ROI_LIMIT);
+    for scheme in ["CC", "S10", "SU"] {
+        for seed in SEEDS {
+            let det = DetEngine::new(&w.program, scheme.parse().expect("scheme"), &roi_cfg, seed);
+            let (line, r) = schedule_line(&format!("{}/{n}c/{scheme}/roi/{seed}", w.name), det);
+            let roi: u64 = r.cores.iter().map(|c| c.roi_committed).sum();
+            assert!(roi >= ROI_LIMIT && r.printed().is_empty(), "{line}: not cut short ({roi})");
+            actual += &line;
+        }
     }
     check_golden(
         "det_schedule.txt",
