@@ -613,6 +613,36 @@ mod tests {
     }
 
     #[test]
+    fn many_threads_install_one_overflow_page_exactly_once() {
+        // Every round, all threads leave a barrier together and write
+        // their own word of one never-touched overflow page. A second node
+        // for the page shows twice: the resident count runs ahead of the
+        // rounds, and the write that landed in the shadowed node is lost.
+        const THREADS: u64 = 8;
+        const ROUNDS: u64 = 1500;
+        let m = FuncMemory::new();
+        let page = |round: u64| (RADIX_PAGES + round) << PAGE_SHIFT;
+        let barrier = std::sync::Barrier::new(THREADS as usize);
+        thread::scope(|s| {
+            for t in 0..THREADS {
+                let (m, barrier) = (m.clone(), &barrier);
+                s.spawn(move || {
+                    for round in 0..ROUNDS {
+                        barrier.wait();
+                        m.write(page(round) + 8 * t, t + 1);
+                    }
+                });
+            }
+        });
+        assert_eq!(m.resident_pages() as u64, ROUNDS, "a page was installed twice");
+        for round in 0..ROUNDS {
+            for t in 0..THREADS {
+                assert_eq!(m.read(page(round) + 8 * t), t + 1, "lost write, round {round}");
+            }
+        }
+    }
+
+    #[test]
     fn cursor_reads_and_writes() {
         let m = FuncMemory::new();
         let mut c = m.cursor();
