@@ -136,13 +136,14 @@ impl Inner {
                 Some(unsafe { &*page })
             }
         } else {
-            self.overflow_lookup(pno)
+            self.overflow_find(self.overflow.load(Ordering::Acquire), pno)
         }
     }
 
+    /// The page `pno` among the overflow nodes reachable from `node`, a
+    /// value the list head held (nodes are never removed).
     #[inline(never)]
-    fn overflow_lookup(&self, pno: u64) -> Option<&PageWords> {
-        let mut node = self.overflow.load(Ordering::Acquire);
+    fn overflow_find(&self, mut node: *mut OverflowNode, pno: u64) -> Option<&PageWords> {
         while !node.is_null() {
             let n = unsafe { &*node };
             if n.page_no == pno {
@@ -197,12 +198,14 @@ impl Inner {
     #[inline(never)]
     fn overflow_materialize(&self, pno: u64) -> &PageWords {
         loop {
-            // Rescan from the head on every attempt: a CAS loss means a
-            // new node (possibly ours) was published in the meantime.
-            if let Some(p) = self.overflow_lookup(pno) {
+            // One load of the head per attempt: the scan covers exactly the
+            // list the CAS then extends, so a node another thread published
+            // for this page after the scan began fails the CAS instead of
+            // being shadowed by a second node for the same page.
+            let head = self.overflow.load(Ordering::Acquire);
+            if let Some(p) = self.overflow_find(head, pno) {
                 return p;
             }
-            let head = self.overflow.load(Ordering::Acquire);
             let fresh = Box::into_raw(Box::new(OverflowNode {
                 page_no: pno,
                 words: new_page(),
@@ -619,7 +622,7 @@ mod tests {
         // for the page shows twice: the resident count runs ahead of the
         // rounds, and the write that landed in the shadowed node is lost.
         const THREADS: u64 = 8;
-        const ROUNDS: u64 = 1500;
+        const ROUNDS: u64 = 3000;
         let m = FuncMemory::new();
         let page = |round: u64| (RADIX_PAGES + round) << PAGE_SHIFT;
         let barrier = std::sync::Barrier::new(THREADS as usize);
