@@ -12,17 +12,43 @@ use sk_mem::{Cache, CacheConfig, Directory, MemConfig};
 use std::hint::black_box;
 
 fn bench_spsc(c: &mut Criterion) {
+    // 64 items per iteration in every row. With 32-slot blocks that is two
+    // block crossings on each side, every one of them a hand-back or a
+    // reuse (the queue is in steady state after the first iteration).
     c.bench_function("spsc/push_pop", |b| {
-        let (mut p, mut q) = spsc::channel::<u64>(1024);
+        let (mut p, mut q) = spsc::channel::<u64>();
         b.iter(|| {
             for i in 0..64u64 {
-                p.try_push(i).unwrap();
+                p.push(i);
             }
             let mut acc = 0;
             while let Some(v) = q.pop() {
                 acc += v;
             }
             black_box(acc)
+        })
+    });
+    // Depth one, the common case of an OutQ: a block boundary every 32nd
+    // pair, nothing else.
+    c.bench_function("spsc/push_pop_depth1", |b| {
+        let (mut p, mut q) = spsc::channel::<u64>();
+        b.iter(|| {
+            let mut acc = 0;
+            for i in 0..64u64 {
+                p.push(i);
+                acc += q.pop().unwrap_or(0);
+            }
+            black_box(acc)
+        })
+    });
+    c.bench_function("spsc/push_batch_drain_into", |b| {
+        let (mut p, mut q) = spsc::channel::<u64>();
+        let items: Vec<u64> = (0..64).collect();
+        let mut out = Vec::with_capacity(64);
+        b.iter(|| {
+            p.push_batch(black_box(&items));
+            out.clear();
+            black_box(q.drain_into(&mut out, usize::MAX))
         })
     });
 }

@@ -169,14 +169,8 @@ impl DetEngine {
     }
 
     /// Adopt an existing engine (e.g. one restored from a snapshot).
-    /// Sharded memory managers run as additional cooperative tasks;
-    /// the cores' ring transport switches to nonblocking (overflow-queue)
-    /// mode because the consumers share this one host thread — a full
-    /// ring must yield to the scheduler, not spin.
-    pub fn from_engine(mut engine: Engine, seed: u64) -> DetEngine {
-        for core in engine.cores.iter_mut() {
-            core.set_nonblocking_rings(true);
-        }
+    /// Sharded memory managers run as additional cooperative tasks.
+    pub fn from_engine(engine: Engine, seed: u64) -> DetEngine {
         // A resumed adaptive engine arrives with decisions already made;
         // only decisions taken under *this* interleaver belong in its
         // schedule stream.
@@ -404,8 +398,7 @@ impl DetEngine {
                 // act on (event flush, window grant, frontier clamp), so
                 // an unsignalled shard has nothing to do and is not in
                 // the set. Re-raise after a productive iterate so
-                // residual work (held-back heap events, parked overflow)
-                // gets another look.
+                // residual work (held-back heap events) gets another look.
                 let si = set.shards[k - set.cores.len() - 1];
                 let progressed = signals[si].take() && self.shard_body(si, obs);
                 if progressed {
@@ -493,9 +486,6 @@ impl DetEngine {
 
         // Teardown, mirroring the threaded run_until: stop everything,
         // let each core publish its final state, account late events.
-        // Sharded transports drain in rounds: overflowed core events
-        // re-offer into the rings, shards consume and deliver, until the
-        // queues are dry (bounded — nothing produces new work after stop).
         self.engine.uncore.broadcast_stop();
         board.stop_all();
         for core in self.engine.cores.iter_mut() {
@@ -504,19 +494,10 @@ impl DetEngine {
             }
             core.publish_obs();
         }
-        for _ in 0..1024 {
-            let mut pending = false;
-            for core in self.engine.cores.iter_mut() {
-                pending |= !core.flush_rings();
-            }
-            for sh in self.engine.shards.iter_mut() {
-                sh.finish();
-            }
-            self.engine.final_drain();
-            if !pending {
-                break;
-            }
+        for sh in self.engine.shards.iter_mut() {
+            sh.finish();
         }
+        self.engine.final_drain();
         self.engine.wall += t0.elapsed();
         if self.engine.metrics().is_some() {
             self.engine.uncore.publish_obs();

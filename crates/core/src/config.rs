@@ -118,8 +118,6 @@ pub enum ConfigError {
     ZeroCoreResource,
     /// Zero MSHRs or a zero-entry store buffer.
     ZeroMemResource,
-    /// SPSC ring capacity below the minimum of 2 entries.
-    QueueCapacityTooSmall { queue_capacity: usize },
 }
 
 impl std::fmt::Display for ConfigError {
@@ -133,9 +131,6 @@ impl std::fmt::Display for ConfigError {
             }
             ConfigError::ZeroCoreResource => write!(f, "core widths/ROB must be nonzero"),
             ConfigError::ZeroMemResource => write!(f, "MSHRs and store buffer must be nonzero"),
-            ConfigError::QueueCapacityTooSmall { queue_capacity } => {
-                write!(f, "queue_capacity {queue_capacity} must be at least 2")
-            }
         }
     }
 }
@@ -178,10 +173,6 @@ pub struct TargetConfig {
     /// manager can be split "into several threads" if it bottlenecks;
     /// shards partition the directory by L2 bank.
     pub mem_shards: usize,
-    /// Capacity of every SPSC ring (InQs, OutQs and shard rings), in
-    /// entries. Sizes the batch the transport can move per ring operation;
-    /// a full ring makes the producer yield until the consumer drains.
-    pub queue_capacity: usize,
     /// Dispatch fused superblock runs on the fast path (in-order cores
     /// and the architectural interpreter). Purely a host-speed knob: the
     /// simulated timing, stats and report fingerprint are bit-identical
@@ -203,7 +194,6 @@ impl TargetConfig {
             fast_forward_compensation: false,
             record_trace: false,
             mem_shards: 0,
-            queue_capacity: 4096,
             superblocks: true,
         }
     }
@@ -220,7 +210,6 @@ impl TargetConfig {
             fast_forward_compensation: false,
             record_trace: false,
             mem_shards: 0,
-            queue_capacity: 4096,
             superblocks: true,
         }
     }
@@ -254,9 +243,6 @@ impl TargetConfig {
         }
         if self.mem.mshrs == 0 || self.core.store_buffer == 0 {
             return Err(ConfigError::ZeroMemResource);
-        }
-        if self.queue_capacity < 2 {
-            return Err(ConfigError::QueueCapacityTooSmall { queue_capacity: self.queue_capacity });
         }
         Ok(())
     }
@@ -350,7 +336,6 @@ impl Persist for TargetConfig {
         w.put_bool(self.fast_forward_compensation);
         w.put_bool(self.record_trace);
         w.put_usize(self.mem_shards);
-        w.put_usize(self.queue_capacity);
         w.put_bool(self.superblocks);
     }
     fn load(r: &mut Reader<'_>) -> Result<Self, SnapError> {
@@ -364,7 +349,6 @@ impl Persist for TargetConfig {
             fast_forward_compensation: r.get_bool()?,
             record_trace: r.get_bool()?,
             mem_shards: r.get_usize()?,
-            queue_capacity: r.get_usize()?,
             superblocks: r.get_bool()?,
         };
         cfg.validate().map_err(|e| SnapError::Corrupt(e.to_string()))?;
@@ -384,19 +368,6 @@ mod tests {
         assert_eq!(t.core.issue_width, 4);
         assert_eq!(t.mem.l1d.size_bytes, 16 * 1024);
         assert_eq!(t.critical_latency(), 10);
-    }
-
-    #[test]
-    fn queue_capacity_is_validated() {
-        let mut t = TargetConfig::small(2);
-        assert_eq!(t.queue_capacity, 4096);
-        assert!(t.validate().is_ok());
-        t.queue_capacity = 2;
-        assert!(t.validate().is_ok());
-        t.queue_capacity = 1;
-        assert_eq!(t.validate(), Err(ConfigError::QueueCapacityTooSmall { queue_capacity: 1 }));
-        t.queue_capacity = 0;
-        assert!(t.validate().is_err());
     }
 
     #[test]

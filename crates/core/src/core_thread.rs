@@ -26,7 +26,7 @@ use sk_isa::{DecodedInstr, DecodedProgram, Syscall};
 use sk_mem::{FuncMemory, PageCursor};
 use sk_snap::{Persist, Reader, SnapError, Writer};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -272,15 +272,6 @@ pub struct CoreSim {
     /// Set when an event routed to a shard index ≥ 64 (beyond the bitmask):
     /// the signal loop then signals every shard instead.
     shards_touched_all: bool,
-    /// Cooperative (deterministic-backend) transport mode: a full ring must
-    /// never be spin-waited, because the consumer is a task on the *same*
-    /// host thread. Events that do not fit go to the overflow queues below
-    /// and are re-offered at the next scheduling quantum.
-    nonblocking: bool,
-    /// Coordinator-bound events that found the OutQ full (nonblocking mode).
-    coord_overflow: VecDeque<OutEvent>,
-    /// Shard-bound events that found their ring full (nonblocking mode).
-    shard_overflow: Vec<VecDeque<OutEvent>>,
     n_banks: usize,
     heap: BinaryHeap<Reverse<HeapMsg>>,
     /// Reusable InQ drain buffer.
@@ -333,9 +324,6 @@ impl CoreSim {
             shard_signals: Vec::new(),
             shards_touched: 0,
             shards_touched_all: false,
-            nonblocking: false,
-            coord_overflow: VecDeque::new(),
-            shard_overflow: Vec::new(),
             n_banks: cfg.mem.n_banks,
             heap: BinaryHeap::new(),
             inq_scratch: Vec::new(),
@@ -416,7 +404,6 @@ impl CoreSim {
         assert_eq!(reply_rings.len(), event_rings.len());
         assert_eq!(dirty.len(), event_rings.len());
         self.inqs.extend(reply_rings);
-        self.shard_overflow = vec![VecDeque::new(); event_rings.len()];
         self.shard_outqs = event_rings;
         self.shard_signals = signals;
         self.shard_dirty = dirty;
@@ -431,88 +418,15 @@ impl CoreSim {
             .fetch_or(1 << (self.id & 63), std::sync::atomic::Ordering::Release);
     }
 
-    /// Switch the transport to cooperative (nonblocking) mode: a full ring
-    /// parks the event in an overflow queue instead of spin-waiting for the
-    /// consumer. Only the deterministic backend sets this — under threads
-    /// the consumers run concurrently and the spin paths are correct.
-    pub fn set_nonblocking_rings(&mut self, on: bool) {
-        self.nonblocking = on;
-    }
-
-    /// Re-offer overflowed events to their rings, preserving per-ring FIFO
-    /// order. Returns true when every overflow queue is empty.
-    pub fn flush_rings(&mut self) -> bool {
-        let mut all = true;
-        for si in 0..self.shard_overflow.len() {
-            while let Some(&ev) = self.shard_overflow[si].front() {
-                if self.shard_outqs[si].try_push(ev).is_ok() {
-                    self.shard_overflow[si].pop_front();
-                    self.mark_shard_dirty(si);
-                } else {
-                    if let Some(sig) = self.shard_signals.get(si) {
-                        sig.signal();
-                    }
-                    all = false;
-                    break;
-                }
-            }
-        }
-        while let Some(&ev) = self.coord_overflow.front() {
-            if self.outq.push_batch(std::slice::from_ref(&ev)) == 1 {
-                self.coord_overflow.pop_front();
-            } else {
-                all = false;
-                break;
-            }
-        }
-        all
-    }
-
-    /// Deliver one event to shard `si`, honoring the transport mode:
-    /// blocking rings spin (yielding to the shard) until the push lands,
-    /// cooperative rings park overruns in per-ring FIFO overflow.
+    /// Deliver one event to shard `si` and flag this core's queue there.
     fn send_to_shard(&mut self, si: usize, ev: OutEvent) {
         if si < 64 {
             self.shards_touched |= 1 << si;
         } else {
             self.shards_touched_all = true;
         }
-        if self.nonblocking {
-            // Cooperative mode: the shard task cannot run while we spin,
-            // so a full ring parks the event in per-ring FIFO overflow.
-            if !self.shard_overflow[si].is_empty() || self.shard_outqs[si].try_push(ev).is_err() {
-                // No dirty bit yet: `flush_rings` sets it when the event
-                // actually lands (a bit without a ring entry could be
-                // consumed early, stranding the event past the frontier).
-                self.shard_overflow[si].push_back(ev);
-            } else {
-                self.mark_shard_dirty(si);
-            }
-            return;
-        }
-        let mut item = ev;
-        while let Err(back) = self.shard_outqs[si].try_push(item) {
-            // The ring is generously sized; a full ring means the
-            // shard is far behind — yield to it. If the simulation is
-            // being torn down, drop the event. (Every push that landed was
-            // flagged right after, so the shard's next drain covers a ring
-            // that is full now; the signal is all it needs.)
-            if let Some(sig) = self.shard_signals.get(si) {
-                sig.signal();
-            }
-            self.drain_inq();
-            if self.stop_seen {
-                return;
-            }
-            item = back;
-            std::thread::yield_now();
-        }
+        self.shard_outqs[si].push(ev);
         self.mark_shard_dirty(si);
-    }
-
-    /// Are any events parked in the nonblocking overflow queues?
-    pub fn overflow_pending(&self) -> bool {
-        !self.coord_overflow.is_empty() || self.shard_overflow.iter().any(|q| !q.is_empty())
     }
 
     /// Current local time (completed cycles).
@@ -644,12 +558,6 @@ impl CoreSim {
     /// gap is allowed for cores that were idle-skipped while no workload
     /// thread was running). Returns the number of OutQ events emitted.
     pub fn step_cycle(&mut self, now: u64) -> u32 {
-        self.step_cycle_on(now, None)
-    }
-
-    /// [`CoreSim::step_cycle`] under a clock board: a blocking push that
-    /// finds the coordinator's ring full tells the manager through `board`.
-    fn step_cycle_on(&mut self, now: u64, board: Option<&ClockBoard>) -> u32 {
         debug_assert!(now > self.local);
         self.drain_inq();
         self.apply_due_msgs(now);
@@ -732,34 +640,7 @@ impl CoreSim {
             self.send_to_shard(si, ev);
         }
         self.host.pending_out.clear();
-        if self.nonblocking {
-            let sent = if self.coord_overflow.is_empty() {
-                self.outq.push_batch(&self.out_scratch)
-            } else {
-                0
-            };
-            self.coord_overflow.extend(self.out_scratch[sent..].iter().copied());
-        } else {
-            let mut sent = 0;
-            while sent < self.out_scratch.len() {
-                sent += self.outq.push_batch(&self.out_scratch[sent..]);
-                if sent < self.out_scratch.len() {
-                    // Ring full: the manager is far behind — yield to it (and
-                    // bail if the simulation is being torn down). It drains
-                    // flagged rings only and this batch's flag goes up at its
-                    // end, so raise one now or nobody empties the ring.
-                    if let Some(b) = board {
-                        b.mark_dirty(self.id);
-                        b.signal_manager();
-                    }
-                    self.drain_inq();
-                    if self.stop_seen {
-                        break;
-                    }
-                    std::thread::yield_now();
-                }
-            }
-        }
+        self.outq.push_batch(&self.out_scratch);
         self.out_scratch.clear();
 
         if let Some(trace) = &mut self.trace {
@@ -849,7 +730,6 @@ impl CoreSim {
         self.local >= board.max_local(self.id).min(board.checkpoint_limit())
             && !self.stop_seen
             && !board.stopping()
-            && !self.overflow_pending()
             && self.running()
             && !self.sync_waiting()
     }
@@ -874,21 +754,6 @@ impl CoreSim {
     pub fn run_step(&mut self, board: &ClockBoard) -> StepOutcome {
         if board.stopping() || self.stop_seen {
             return StepOutcome::Stopped;
-        }
-        // Events re-offered to the coordinator's ring below are news to it.
-        let reoffer = !self.coord_overflow.is_empty();
-        let flushed = !self.nonblocking || self.flush_rings();
-        if reoffer {
-            board.mark_dirty(self.id);
-        }
-        if !flushed {
-            // A ring is still full: stepping further could only grow the
-            // overflow. Yield the quantum so the consumer tasks can drain.
-            self.drain_inq();
-            if self.stop_seen {
-                return StepOutcome::Stopped;
-            }
-            return StepOutcome::Progressed;
         }
         if self.cpu.finished() {
             board.finish(self.id);
@@ -971,7 +836,7 @@ impl CoreSim {
         let f0 = self.stats.fetched;
         let mut batch = 0u64;
         let events = loop {
-            let events = self.step_cycle_on(self.local + 1, Some(board));
+            let events = self.step_cycle(self.local + 1);
             batch += 1;
             if events > 0
                 || batch >= budget
@@ -983,34 +848,10 @@ impl CoreSim {
                 break events;
             }
         };
-        // Events that did not fit their ring (nonblocking mode) are not yet
-        // visible to their consumer; the published clock must not pass them,
-        // or an ordered consumer could advance its horizon over a pending
-        // timestamp. `flush_rings` at quantum start guarantees overflow can
-        // only hold events from this batch, so the clamp stays monotone.
-        let mut published = self.local;
-        if self.nonblocking {
-            let stuck = self
-                .coord_overflow
-                .front()
-                .map(|e| e.ts)
-                .into_iter()
-                .chain(self.shard_overflow.iter().filter_map(|q| q.front().map(|e| e.ts)))
-                .min();
-            if let Some(ts) = stuck {
-                published = published.min(ts.saturating_sub(1));
-            }
-        }
-        if published > board.local(self.id) {
-            board.advance_local_batched(self.id, published);
-        } else {
-            // The clock publication above is what normally tells the
-            // manager to look at this core: its OutQ, and the shared ROI
-            // instruction count its stop condition reads. A batch whose
-            // clock is held back (overflow behind it) raises the flag
-            // itself, so no batch ends without one.
-            board.mark_dirty(self.id);
-        }
+        // The clock publication is what tells the manager to look at this
+        // core: its OutQ, and the shared ROI instruction count its stop
+        // condition reads.
+        board.advance_local_batched(self.id, self.local);
         // A batch that stopped on budget while a fused run is suspended
         // split that run at the slack-window edge: the block never
         // publishes past the window, it resumes in the next batch.

@@ -42,29 +42,6 @@ const IDLE_WAIT_MAX: Duration = Duration::from_millis(5);
 /// which the manager declares the workload deadlocked.
 const DEADLOCK_AFTER: Duration = Duration::from_millis(100);
 
-/// Ring storage (every InQ, OutQ and shard ring at full capacity) from
-/// which a finished engine returns its freed heap to the OS: 64 cores
-/// with one manager hold 21 MB, the paper's 8 cores 2.6 MB.
-const TRIM_ABOVE_RING_BYTES: usize = 16 << 20;
-
-/// Return the allocator's free pages to the kernel. glibc only (elsewhere
-/// the allocator's own policy stands); ~0.25 ms after a 64-core engine.
-fn release_freed_heap() {
-    #[cfg(all(target_os = "linux", target_env = "gnu"))]
-    {
-        extern "C" {
-            fn malloc_trim(pad: usize) -> i32;
-        }
-        // SAFETY: `malloc_trim` takes no pointer and gives back only pages
-        // of chunks the allocator already holds free; it takes the arena
-        // locks itself, so it may run beside other threads' allocations and
-        // cannot invalidate a live one.
-        unsafe {
-            malloc_trim(0);
-        }
-    }
-}
-
 pub(crate) fn build_cpu(cfg: &TargetConfig) -> Box<dyn Cpu> {
     match cfg.core.model {
         CoreModel::OutOfOrder => Box::new(OooCpu::new(cfg)),
@@ -104,8 +81,8 @@ pub(crate) fn plumb(program: &Program, cfg: &TargetConfig) -> Plumbing {
     let mut out_consumers = Vec::with_capacity(cfg.n_cores);
     let mut in_producers = Vec::with_capacity(cfg.n_cores);
     for id in 0..cfg.n_cores {
-        let (in_p, in_c) = spsc::channel(cfg.queue_capacity);
-        let (out_p, out_c) = spsc::channel(cfg.queue_capacity);
+        let (in_p, in_c) = spsc::channel();
+        let (out_p, out_c) = spsc::channel();
         let mut cpu = build_cpu(cfg);
         if let Some(t) = &sbt {
             cpu.attach_superblocks(t.clone());
@@ -373,8 +350,8 @@ impl Engine {
                 let mut my_reply_rings = Vec::new();
                 let mut my_event_rings = Vec::new();
                 for s in 0..n_shards {
-                    let (ev_p, ev_c) = spsc::channel(cfg.queue_capacity);
-                    let (rep_p, rep_c) = spsc::channel(cfg.queue_capacity);
+                    let (ev_p, ev_c) = spsc::channel();
+                    let (rep_p, rep_c) = spsc::channel();
                     ev_consumers[s].push(ev_c);
                     reply_producers[s].push(rep_p);
                     my_event_rings.push(ev_p);
@@ -797,7 +774,6 @@ impl Engine {
             }
             self.last_window = w;
         }
-        self.uncore.flush_overflow();
         self.uncore.flush_wakeups();
 
         if all_done {
@@ -837,13 +813,11 @@ impl Engine {
         }
         // What this iteration left for an immediate repeat to do: the
         // controller's epoch step zeroed its slack maximum (the repeat
-        // would feed it this iteration's sample again), undelivered InQ
-        // overflow is retried every iteration, and a quiescent system
-        // processes one pending timestamp per iteration. Cores it woke
-        // raised their change flags, which the caller sees on the board.
-        let settled = !adapt_stepped
-            && self.uncore.overflow_empty()
-            && !(quiescent && self.uncore.min_pending_ts().is_some());
+        // would feed it this iteration's sample again), and a quiescent
+        // system processes one pending timestamp per iteration. Cores it
+        // woke raised their change flags, which the caller sees on the
+        // board.
+        let settled = !(adapt_stepped || quiescent && self.uncore.min_pending_ts().is_some());
         MgrVerdict::Continue { ingested, deadlockable, granted, settled }
     }
 
@@ -1019,38 +993,16 @@ impl Engine {
                 "trace-recording runs cannot be snapshotted".into(),
             ));
         }
-        // Move every in-flight message into serializable structures:
-        // cores re-offer overflowed events to their rings, shards drain
-        // and process them (sound at a safe-point — every queued event's
-        // timestamp is ≤ the checkpoint cycle, and `finish` preserves
-        // `(ts, core, seq)` order), overflowed replies retry into the
-        // rings, and cores drain the rings into their timestamp heaps,
-        // until every level is empty.
-        for _ in 0..1024 {
-            for core in self.cores.iter_mut() {
-                core.flush_rings();
-            }
-            for sh in self.shards.iter_mut() {
-                sh.finish();
-            }
-            self.uncore.flush_overflow();
-            for core in self.cores.iter_mut() {
-                core.drain_pending();
-            }
-            if self.uncore.overflow_empty()
-                && self.shards.iter().all(|s| s.deliveries_flushed())
-                && self.cores.iter().all(|c| !c.overflow_pending())
-            {
-                break;
-            }
+        // Move every in-flight message into a serializable structure:
+        // shards drain and process their queues (sound at a safe-point —
+        // every queued event's timestamp is ≤ the checkpoint cycle, and
+        // `finish` preserves `(ts, core, seq)` order), then cores drain
+        // their InQs, replies included, into their timestamp heaps.
+        for sh in self.shards.iter_mut() {
+            sh.finish();
         }
-        if !self.uncore.overflow_empty()
-            || !self.shards.iter().all(|s| s.deliveries_flushed())
-            || self.cores.iter().any(|c| c.overflow_pending())
-        {
-            return Err(SnapError::Unsupported(
-                "in-flight messages failed to drain at the safe-point".into(),
-            ));
+        for core in self.cores.iter_mut() {
+            core.drain_pending();
         }
         let mut w = Writer::with_capacity(1 << 16);
         self.cfg.save(&mut w);
@@ -1196,8 +1148,8 @@ impl Engine {
         let mut out_consumers = Vec::with_capacity(cfg.n_cores);
         let mut in_producers = Vec::with_capacity(cfg.n_cores);
         for (id, &local) in locals.iter().enumerate() {
-            let (in_p, in_c) = spsc::channel(cfg.queue_capacity);
-            let (out_p, out_c) = spsc::channel(cfg.queue_capacity);
+            let (in_p, in_c) = spsc::channel();
+            let (out_p, out_c) = spsc::channel();
             let mut cpu = build_cpu(&cfg);
             if let Some(t) = &sbt {
                 cpu.attach_superblocks(t.clone());
@@ -1218,8 +1170,8 @@ impl Engine {
                 let mut my_reply_rings = Vec::new();
                 let mut my_event_rings = Vec::new();
                 for s in 0..n_shards {
-                    let (ev_p, ev_c) = spsc::channel(cfg.queue_capacity);
-                    let (rep_p, rep_c) = spsc::channel(cfg.queue_capacity);
+                    let (ev_p, ev_c) = spsc::channel();
+                    let (rep_p, rep_c) = spsc::channel();
                     ev_consumers[s].push(ev_c);
                     reply_producers[s].push(rep_p);
                     my_event_rings.push(ev_p);
@@ -1335,27 +1287,7 @@ impl Engine {
     }
 
     /// Finalize the cores and assemble the run's [`SimReport`].
-    pub fn into_report(self) -> SimReport {
-        // Every ring is allocated at full `queue_capacity` and barely
-        // touched. glibc keeps a large engine's freed ring storage on its
-        // heap and carves the next engine's rings out of it at shifted
-        // offsets, dirtying fresh pages each time, so a process that runs
-        // many-core engines back to back creeps toward the full ring
-        // footprint (about 1 MB of resident memory per 64-core engine
-        // built). Such an engine hands its heap back when it is done.
-        let rings = self.cfg.n_cores * (1 + self.shards.len());
-        let ring_bytes = rings
-            * (self.cfg.queue_capacity + 1)
-            * (std::mem::size_of::<OutEvent>() + std::mem::size_of::<InMsg>());
-        let report = self.assemble();
-        if ring_bytes >= TRIM_ABOVE_RING_BYTES {
-            release_freed_heap();
-        }
-        report
-    }
-
-    /// [`Engine::into_report`] proper; the engine is dropped on return.
-    fn assemble(mut self) -> SimReport {
+    pub fn into_report(mut self) -> SimReport {
         self.engine.blocks += self.board.blocks.load(Ordering::Relaxed);
         self.engine.wakeups += self.board.wakeups.load(Ordering::Relaxed);
         self.engine.events_processed = self.uncore.events_processed

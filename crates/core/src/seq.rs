@@ -46,7 +46,6 @@ pub fn run_sequential_debug(program: &Program, cfg: &TargetConfig) -> String {
             }
         }
         uncore.process_ready(cycle);
-        uncore.flush_overflow();
         if uncore.all_workloads_done() && cores.iter().all(|c| c.finished() || !c.running()) {
             return format!("completed at cycle {cycle}");
         }
@@ -106,7 +105,6 @@ pub fn run_sequential(program: &Program, cfg: &TargetConfig) -> SimReport {
             }
         }
         uncore.process_ready(cycle);
-        uncore.flush_overflow();
 
         if uncore.all_workloads_done() && cores.iter().all(|c| c.finished() || !c.running()) {
             break;

@@ -35,7 +35,6 @@ use parking_lot::{Condvar, Mutex};
 use sk_mem::l1::ReqKind;
 use sk_mem::Directory;
 use std::cmp::Reverse;
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -126,9 +125,6 @@ pub struct MemShard {
     dirty: Arc<Vec<AtomicU64>>,
     /// Reply rings, one per core (this shard is the producer).
     to_cores: Vec<Producer<InMsg>>,
-    overflow: Vec<VecDeque<InMsg>>,
-    /// Total messages across `overflow` (skips the O(n_cores) scan).
-    overflow_len: usize,
     /// Cores that received a reply since the last wakeup flush: a flag
     /// per core (one entry per core however many replies it got) and the
     /// flagged cores as a list, so the flush walks receivers only.
@@ -190,8 +186,6 @@ impl MemShard {
             from_cores,
             dirty,
             to_cores,
-            overflow: (0..cfg.n_cores).map(|_| VecDeque::new()).collect(),
-            overflow_len: 0,
             wake_pending: vec![false; cfg.n_cores],
             wake_list: Vec::new(),
             woken: Vec::new(),
@@ -214,15 +208,7 @@ impl MemShard {
     }
 
     fn push_to_core(&mut self, core: usize, msg: InMsg) {
-        if self.overflow[core].is_empty() {
-            if let Err(back) = self.to_cores[core].try_push(msg) {
-                self.overflow[core].push_back(back);
-                self.overflow_len += 1;
-            }
-        } else {
-            self.overflow[core].push_back(msg);
-            self.overflow_len += 1;
-        }
+        self.to_cores[core].push(msg);
         // Deferred to `flush_wakeups`: one unpark per core per iteration.
         if !std::mem::replace(&mut self.wake_pending[core], true) {
             self.wake_list.push(core);
@@ -246,23 +232,6 @@ impl MemShard {
     /// Did the last [`MemShard::iterate`] raise its clock domain's windows?
     pub fn granted(&self) -> bool {
         self.granted
-    }
-
-    fn flush_overflow(&mut self) {
-        if self.overflow_len == 0 {
-            return;
-        }
-        for core in 0..self.overflow.len() {
-            while let Some(msg) = self.overflow[core].front().copied() {
-                match self.to_cores[core].try_push(msg) {
-                    Ok(()) => {
-                        self.overflow[core].pop_front();
-                        self.overflow_len -= 1;
-                    }
-                    Err(_) => break,
-                }
-            }
-        }
     }
 
     fn process_event(&mut self, ge: GlobalEvent) {
@@ -317,7 +286,7 @@ impl MemShard {
     /// One iteration: apply the coordinator's window grant to this shard's
     /// clock domain, drain rings, process per the scheme discipline.
     /// Returns `true` if any observable work happened (events drained or
-    /// processed, deliveries flushed, windows raised, frontier advanced) —
+    /// processed, windows raised, frontier advanced) —
     /// the deterministic backend's stall detector keys off this.
     pub fn iterate(&mut self) -> bool {
         let mut progressed = false;
@@ -397,14 +366,11 @@ impl MemShard {
                 self.process_event(ge);
             }
         }
-        let had_overflow = self.overflow_len > 0;
-        self.flush_overflow();
         self.flush_wakeups();
         // Publish the processed frontier: every event with ts <= g had
         // arrived before g was computed (cores push before advancing their
         // local clocks) and has now been processed and delivered.
-        let all_delivered = self.overflow_len == 0;
-        if all_delivered && self.frontier.fetch_max(g, Ordering::Release) < g {
+        if self.frontier.fetch_max(g, Ordering::Release) < g {
             progressed = true;
             // The coordinator's ordered-scheme window may be clamped on
             // this very frontier; wake it so the grant path stays
@@ -418,10 +384,7 @@ impl MemShard {
             sh.heap_occupancy.record(self.ordered.len() as u64);
             sh.frontier_lag.record(g.saturating_sub(self.frontier.load(Ordering::Relaxed)));
         }
-        progressed
-            || drained > 0
-            || self.events_processed > events0
-            || (had_overflow && all_delivered)
+        progressed || drained > 0 || self.events_processed > events0
     }
 
     /// Drain everything unconditionally (shutdown).
@@ -442,7 +405,6 @@ impl MemShard {
         while let Some(Reverse(OrderedEv(ge))) = self.ordered.pop() {
             self.process_event(ge);
         }
-        self.flush_overflow();
         self.flush_wakeups();
     }
 
@@ -454,11 +416,6 @@ impl MemShard {
     /// This shard's interconnect statistics.
     pub fn bus_stats(&self) -> sk_mem::bus::BusStats {
         self.dir.bus_stats()
-    }
-
-    /// Are all produced replies delivered (no per-core overflow pending)?
-    pub fn deliveries_flushed(&self) -> bool {
-        self.overflow.iter().all(|o| o.is_empty())
     }
 
     /// The thread body for a shard manager.
@@ -480,11 +437,9 @@ impl MemShard {
     // ---- snapshot support ----
 
     /// Serialize shard-local dynamic state. Call only at a safe-point with
-    /// the shard quiescent: [`MemShard::finish`] run (ordered heap empty)
-    /// and all deliveries flushed.
+    /// the shard quiescent: [`MemShard::finish`] run (ordered heap empty).
     pub fn save_state(&self, w: &mut sk_snap::Writer) {
         debug_assert!(self.ordered.is_empty(), "shard heap must be drained at a safe-point");
-        debug_assert!(self.deliveries_flushed(), "shard deliveries must be flushed");
         use sk_snap::Persist;
         w.put_u64(self.frontier.load(Ordering::Acquire));
         w.put_u64(self.last_window);

@@ -1,155 +1,191 @@
-//! Bounded single-producer / single-consumer ring with consumer-side peek.
+//! Unbounded single-producer / single-consumer queue with consumer-side peek.
 //!
 //! The paper's communication structure is strictly SPSC: each core thread's
 //! OutQ has the core as producer and the manager as consumer; each InQ has
 //! the manager as producer and the core as consumer (§2.2). A dedicated
-//! lock-free ring keeps the per-cycle InQ poll ("the core thread enquires
+//! lock-free queue keeps the per-cycle InQ poll ("the core thread enquires
 //! its InQ in every cycle") down to one atomic load, and `peek` lets the
 //! consumer inspect a timestamped entry without committing to pop it — the
 //! core leaves future-stamped replies queued until its local time reaches
 //! them.
 //!
-//! Memory ordering follows the classic Lamport queue: the producer
-//! publishes with a `Release` store of `tail`; the consumer acquires it, so
-//! the slot write happens-before the read (Rust Atomics and Locks, ch. 5).
+//! A push never fails. Storage is a chain of fixed-size blocks: the
+//! producer links the next block when it fills one, the consumer hands each
+//! block it has emptied back through a one-word exchange, and the producer
+//! takes from there before it allocates. A queue so owns the blocks its
+//! deepest occupancy needed and, once there, allocates nothing.
+//!
+//! Memory ordering follows the classic Lamport queue, with `tail` and
+//! `head` counting the items ever pushed and popped: the producer publishes
+//! slot writes and block links with one `Release` store of `tail` per push
+//! or batch; the consumer acquires it, so they happen-before its reads
+//! (Rust Atomics and Locks, ch. 5). A block changes hands the same way: the
+//! consumer's `Release` on the exchange follows its last read of the block
+//! and pairs with the producer's `Acquire` before its first write.
 
 use std::cell::UnsafeCell;
 use std::mem::MaybeUninit;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::ptr;
+use std::sync::atomic::{AtomicPtr, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-struct Ring<T> {
-    buf: Box<[UnsafeCell<MaybeUninit<T>>]>,
-    capacity: usize,
-    head: AtomicUsize, // next index to pop (owned by consumer)
-    tail: AtomicUsize, // next index to push (owned by producer)
+/// Slots per block. Most queues stay two to seven entries deep and live in
+/// one block; the InQs of a 64-core run reach a few hundred and span
+/// several, so the hand-back is exercised by every such run.
+const BLOCK: usize = 32;
+
+struct Block<T> {
+    slots: [UnsafeCell<MaybeUninit<T>>; BLOCK],
+    /// The block after this one: in the queue, or below it on the spare
+    /// stack.
+    next: AtomicPtr<Block<T>>,
 }
 
-// Safety: only one producer touches `tail`/writes slots, only one consumer
-// touches `head`/reads slots; the Release/Acquire pair on `tail` (push) and
-// `head` (pop) orders the slot accesses.
-unsafe impl<T: Send> Send for Ring<T> {}
-unsafe impl<T: Send> Sync for Ring<T> {}
+impl<T> Block<T> {
+    fn alloc() -> *mut Block<T> {
+        Box::into_raw(Box::new(Block {
+            slots: std::array::from_fn(|_| UnsafeCell::new(MaybeUninit::uninit())),
+            next: AtomicPtr::new(ptr::null_mut()),
+        }))
+    }
+}
+
+/// One endpoint's words, on a cache line the other endpoint never writes.
+#[repr(align(64))]
+struct End<T> {
+    /// Items ever pushed (`tail`) or popped (`head`).
+    count: AtomicUsize,
+    /// The block that holds slot `count % BLOCK`.
+    block: AtomicPtr<Block<T>>,
+}
+
+struct Queue<T> {
+    tail: End<T>, // written by the producer only
+    head: End<T>, // written by the consumer only
+    /// The exchange: emptied blocks on their way back to the producer,
+    /// stacked through `next`. The consumer pushes, the producer pops; with
+    /// one popper the stack has no ABA case.
+    spare: AtomicPtr<Block<T>>,
+}
+
+// SAFETY: the producer alone writes `tail`, the slots from it on and the
+// links of the blocks it holds; the consumer alone writes `head` and reads
+// slots below `tail`. The Release/Acquire pairs on `tail.count` (publish)
+// and `spare` (hand-back) order the two threads' accesses to any one slot,
+// and blocks are freed only by `Drop`, after both endpoints are gone.
+// `T: Send` because items cross from the producer's thread to the
+// consumer's.
+unsafe impl<T: Send> Send for Queue<T> {}
+unsafe impl<T: Send> Sync for Queue<T> {}
 
 /// Producer endpoint. Not `Clone`: exactly one producer may exist.
 pub struct Producer<T> {
-    ring: Arc<Ring<T>>,
-    /// Cached head, refreshed only when the ring looks full.
+    q: Arc<Queue<T>>,
+    /// `head` as last loaded; only the high-water mark reads it.
     cached_head: usize,
-    /// When set, successful pushes update `high_water` with the post-push
-    /// occupancy. The occupancy is first computed against `cached_head`,
-    /// which may lag the consumer by up to a whole ring (it is refreshed
-    /// only when the ring looks full), so a value that would set a new
-    /// maximum is recomputed against a freshly loaded `head` before it
-    /// counts: the mark is the true occupancy at that push, and the extra
-    /// load happens only while the ring is at or near its deepest yet.
+    /// When set, pushes update `high_water` with the post-push occupancy.
+    /// The occupancy is first computed against `cached_head`, which lags
+    /// the consumer, so a value that would set a new maximum is recomputed
+    /// against a freshly loaded `head` before it counts: the mark is the
+    /// true occupancy at that push, and the extra load happens only while
+    /// the queue is at or near its deepest yet.
     track_hw: bool,
     high_water: usize,
 }
 
 /// Consumer endpoint. Not `Clone`: exactly one consumer may exist.
 pub struct Consumer<T> {
-    ring: Arc<Ring<T>>,
-    /// Cached tail, refreshed only when the ring looks empty.
+    q: Arc<Queue<T>>,
+    /// Cached tail, refreshed only when the queue looks empty.
     cached_tail: usize,
 }
 
-/// Create a bounded SPSC channel holding at most `capacity` items.
-pub fn channel<T>(capacity: usize) -> (Producer<T>, Consumer<T>) {
-    assert!(capacity > 0);
-    let buf: Vec<UnsafeCell<MaybeUninit<T>>> =
-        (0..capacity + 1).map(|_| UnsafeCell::new(MaybeUninit::uninit())).collect();
-    let ring = Arc::new(Ring {
-        buf: buf.into_boxed_slice(),
-        capacity: capacity + 1, // one slot sacrificed to distinguish full/empty
-        head: AtomicUsize::new(0),
-        tail: AtomicUsize::new(0),
-    });
+/// Create an SPSC channel. It starts with one block and grows on demand.
+pub fn channel<T>() -> (Producer<T>, Consumer<T>) {
+    let first = Block::alloc();
+    let end = || End { count: AtomicUsize::new(0), block: AtomicPtr::new(first) };
+    let q = Arc::new(Queue { tail: end(), head: end(), spare: AtomicPtr::new(ptr::null_mut()) });
     (
-        Producer { ring: ring.clone(), cached_head: 0, track_hw: false, high_water: 0 },
-        Consumer { ring, cached_tail: 0 },
+        Producer { q: q.clone(), cached_head: 0, track_hw: false, high_water: 0 },
+        Consumer { q, cached_tail: 0 },
     )
 }
 
 impl<T> Producer<T> {
-    /// Try to enqueue; returns the value back if the ring is full.
-    pub fn try_push(&mut self, value: T) -> Result<(), T> {
-        let ring = &*self.ring;
-        let tail = ring.tail.load(Ordering::Relaxed);
-        let next = if tail + 1 == ring.capacity { 0 } else { tail + 1 };
-        if next == self.cached_head {
-            self.cached_head = ring.head.load(Ordering::Acquire);
-            if next == self.cached_head {
-                return Err(value);
-            }
-        }
-        // Safety: slot `tail` is not visible to the consumer until the
-        // Release store below, and no other producer exists.
-        unsafe { (*ring.buf[tail].get()).write(value) };
-        ring.tail.store(next, Ordering::Release);
-        if self.track_hw {
-            self.note_occupancy(next);
-        }
-        Ok(())
-    }
-
-    /// Ratchet the high-water mark after a push left the tail at `tail`.
-    fn note_occupancy(&mut self, tail: usize) {
-        let ring = &*self.ring;
-        let used = |head: usize| {
-            if tail >= head {
-                tail - head
-            } else {
-                tail + ring.capacity - head
-            }
-        };
-        if used(self.cached_head) > self.high_water {
-            self.cached_head = ring.head.load(Ordering::Acquire);
-            self.high_water = self.high_water.max(used(self.cached_head));
+    /// Write `value` into the slot `tail` names, linking the next block if
+    /// that filled this one. The consumer sees neither until the caller
+    /// publishes a tail beyond it.
+    #[inline]
+    fn write(&mut self, tail: usize, value: T) {
+        let q = &*self.q;
+        let block = q.tail.block.load(Ordering::Relaxed);
+        // SAFETY: `block` is the producer's current block, allocated until
+        // `Drop`; the slot is at or past the published tail, so the
+        // consumer does not touch it, and no other producer exists.
+        unsafe { (*(*block).slots[tail % BLOCK].get()).write(value) };
+        if (tail + 1).is_multiple_of(BLOCK) {
+            let next = self.take_block();
+            // SAFETY: as above; the consumer follows the link only after it
+            // has acquired a tail past this block's last slot.
+            unsafe { (*block).next.store(next, Ordering::Relaxed) };
+            q.tail.block.store(next, Ordering::Relaxed);
         }
     }
 
-    /// Enqueue as many leading items of `items` as currently fit, writing
-    /// every slot first and then publishing them all with a **single**
-    /// `Release` store of `tail`. Returns the number enqueued (a prefix of
-    /// `items`); 0 means the ring was full.
+    /// The block to fill next: the top of the spare stack, or a new one.
+    #[cold]
+    fn take_block(&self) -> *mut Block<T> {
+        let spare = &self.q.spare;
+        let mut top = spare.load(Ordering::Acquire);
+        while !top.is_null() {
+            // SAFETY: a stacked block stays allocated, and its link
+            // unchanged, until it is popped, and only this thread pops.
+            let below = unsafe { (*top).next.load(Ordering::Relaxed) };
+            match spare.compare_exchange_weak(top, below, Ordering::Acquire, Ordering::Acquire) {
+                Ok(_) => {
+                    // SAFETY: popped, so this thread owns the block; the
+                    // Acquire above follows the consumer's last read of it.
+                    unsafe { (*top).next.store(ptr::null_mut(), Ordering::Relaxed) };
+                    return top;
+                }
+                Err(now) => top = now,
+            }
+        }
+        Block::alloc()
+    }
+
+    /// Publish every slot written below `tail` with one `Release` store.
+    #[inline]
+    fn publish(&mut self, tail: usize) {
+        self.q.tail.count.store(tail, Ordering::Release);
+        if self.track_hw && tail - self.cached_head > self.high_water {
+            self.cached_head = self.q.head.count.load(Ordering::Acquire);
+            self.high_water = self.high_water.max(tail - self.cached_head);
+        }
+    }
+
+    /// Enqueue one item.
+    pub fn push(&mut self, value: T) {
+        let tail = self.q.tail.count.load(Ordering::Relaxed);
+        self.write(tail, value);
+        self.publish(tail + 1);
+    }
+
+    /// Enqueue all of `items`, writing every slot first and then publishing
+    /// them with a **single** `Release` store of `tail`.
     ///
     /// The consumer observes either none or all of the batch — per-item
     /// `tail` traffic (and the matching cache-line ping-pong) collapses to
     /// one store per batch.
-    pub fn push_batch(&mut self, items: &[T]) -> usize
+    pub fn push_batch(&mut self, items: &[T])
     where
         T: Copy,
     {
-        let ring = &*self.ring;
-        let cap = ring.capacity;
-        let tail = ring.tail.load(Ordering::Relaxed);
-        let free_from = |head: usize| {
-            let used = if tail >= head { tail - head } else { tail + cap - head };
-            cap - 1 - used
-        };
-        let mut free = free_from(self.cached_head);
-        if free < items.len() {
-            self.cached_head = ring.head.load(Ordering::Acquire);
-            free = free_from(self.cached_head);
+        let tail = self.q.tail.count.load(Ordering::Relaxed);
+        for (i, &v) in items.iter().enumerate() {
+            self.write(tail + i, v);
         }
-        let n = items.len().min(free);
-        if n == 0 {
-            return 0;
-        }
-        let mut idx = tail;
-        for &v in &items[..n] {
-            // Safety: the `n` slots starting at `tail` are free (checked
-            // above) and invisible to the consumer until the Release store
-            // below; no other producer exists.
-            unsafe { (*ring.buf[idx].get()).write(v) };
-            idx = if idx + 1 == cap { 0 } else { idx + 1 };
-        }
-        ring.tail.store(idx, Ordering::Release);
-        if self.track_hw {
-            self.note_occupancy(idx);
-        }
-        n
+        self.publish(tail + items.len());
     }
 
     /// Start recording the occupancy high-water mark on this producer.
@@ -164,24 +200,15 @@ impl<T> Producer<T> {
     pub fn high_water(&self) -> usize {
         self.high_water
     }
-
-    /// Number of free slots (approximate from the producer's view).
-    pub fn free_slots(&self) -> usize {
-        let ring = &*self.ring;
-        let head = ring.head.load(Ordering::Acquire);
-        let tail = ring.tail.load(Ordering::Relaxed);
-        let used = if tail >= head { tail - head } else { tail + ring.capacity - head };
-        ring.capacity - 1 - used
-    }
 }
 
 impl<T> Consumer<T> {
     #[inline]
     fn nonempty(&mut self) -> bool {
-        let ring = &*self.ring;
-        let head = ring.head.load(Ordering::Relaxed);
+        let q = &*self.q;
+        let head = q.head.count.load(Ordering::Relaxed);
         if head == self.cached_tail {
-            self.cached_tail = ring.tail.load(Ordering::Acquire);
+            self.cached_tail = q.tail.count.load(Ordering::Acquire);
             if head == self.cached_tail {
                 return false;
             }
@@ -194,12 +221,54 @@ impl<T> Consumer<T> {
         if !self.nonempty() {
             return None;
         }
-        let ring = &*self.ring;
-        let head = ring.head.load(Ordering::Relaxed);
-        // Safety: the slot was published by the producer's Release store,
-        // observed by the Acquire load in `nonempty`, and will not be
-        // overwritten until we advance `head`.
-        Some(unsafe { (*ring.buf[head].get()).assume_init_ref() })
+        let q = &*self.q;
+        let head = q.head.count.load(Ordering::Relaxed);
+        let block = q.head.block.load(Ordering::Relaxed);
+        // SAFETY: the slot was published by the producer's Release store,
+        // observed by the Acquire load in `nonempty`, and its block stays
+        // with the consumer until `head` moves past it.
+        Some(unsafe { (*(*block).slots[head % BLOCK].get()).assume_init_ref() })
+    }
+
+    /// Move the item `head` names out, handing its block back if that
+    /// emptied it. The caller publishes a head beyond it.
+    #[inline]
+    fn read(&mut self, head: usize) -> T {
+        let q = &*self.q;
+        let block = q.head.block.load(Ordering::Relaxed);
+        // SAFETY: as in `peek`; ownership moves out and the caller advances
+        // `head`, so the slot is never read again.
+        let value = unsafe { (*(*block).slots[head % BLOCK].get()).assume_init_read() };
+        if (head + 1).is_multiple_of(BLOCK) {
+            self.hand_back(block);
+        }
+        value
+    }
+
+    /// Leave `block`, whose last slot was just read, for the one after it
+    /// and pass it to the producer.
+    #[cold]
+    fn hand_back(&self, block: *mut Block<T>) {
+        let q = &*self.q;
+        // SAFETY: the producer linked the next block before it published
+        // this one's last slot; the consumer is done with `block`, and the
+        // Release below follows its last read of it.
+        unsafe {
+            q.head.block.store((*block).next.load(Ordering::Relaxed), Ordering::Relaxed);
+            let mut top = q.spare.load(Ordering::Relaxed);
+            loop {
+                (*block).next.store(top, Ordering::Relaxed);
+                match q.spare.compare_exchange_weak(
+                    top,
+                    block,
+                    Ordering::Release,
+                    Ordering::Relaxed,
+                ) {
+                    Ok(_) => return,
+                    Err(now) => top = now,
+                }
+            }
+        }
     }
 
     /// Remove and return the oldest element.
@@ -207,48 +276,29 @@ impl<T> Consumer<T> {
         if !self.nonempty() {
             return None;
         }
-        let ring = &*self.ring;
-        let head = ring.head.load(Ordering::Relaxed);
-        // Safety: as in `peek`; ownership moves out and `head` advances so
-        // the slot is never read again.
-        let value = unsafe { (*ring.buf[head].get()).assume_init_read() };
-        let next = if head + 1 == ring.capacity { 0 } else { head + 1 };
-        ring.head.store(next, Ordering::Release);
+        let head = self.q.head.count.load(Ordering::Relaxed);
+        let value = self.read(head);
+        self.q.head.count.store(head + 1, Ordering::Release);
         Some(value)
     }
 
     /// Move up to `max` of the oldest elements into `out` (appending, in
     /// FIFO order), advancing `head` once with a **single** `Release`
-    /// store. Returns the number moved; 0 means the ring was empty.
-    ///
-    /// The mirror of [`Producer::push_batch`]: the producer observes the
-    /// freed slots all at once, so per-item `head` traffic collapses to
-    /// one store per drain.
+    /// store. Returns the number moved; 0 means the queue was empty.
     pub fn drain_into(&mut self, out: &mut Vec<T>, max: usize) -> usize {
-        let ring = &*self.ring;
-        let cap = ring.capacity;
-        let head = ring.head.load(Ordering::Relaxed);
-        let mut tail = self.cached_tail;
-        let mut avail = if tail >= head { tail - head } else { tail + cap - head };
-        if avail < max {
-            tail = ring.tail.load(Ordering::Acquire);
-            self.cached_tail = tail;
-            avail = if tail >= head { tail - head } else { tail + cap - head };
+        let head = self.q.head.count.load(Ordering::Relaxed);
+        if self.cached_tail - head < max {
+            self.cached_tail = self.q.tail.count.load(Ordering::Acquire);
         }
-        let n = avail.min(max);
+        let n = (self.cached_tail - head).min(max);
         if n == 0 {
             return 0;
         }
         out.reserve(n);
-        let mut idx = head;
-        for _ in 0..n {
-            // Safety: slots up to the Acquire-observed `tail` were
-            // published by the producer's Release store; ownership moves
-            // out and `head` advances past each slot exactly once.
-            out.push(unsafe { (*ring.buf[idx].get()).assume_init_read() });
-            idx = if idx + 1 == cap { 0 } else { idx + 1 };
+        for i in 0..n {
+            out.push(self.read(head + i));
         }
-        ring.head.store(idx, Ordering::Release);
+        self.q.head.count.store(head + n, Ordering::Release);
         n
     }
 
@@ -261,28 +311,37 @@ impl<T> Consumer<T> {
     /// the cached tail). The producer may append concurrently, so the
     /// count is a lower bound the moment it returns; in the deterministic
     /// backend (no concurrency) it is exact, and its scheduler uses it to
-    /// tell a drained ring from one with undelivered work.
+    /// tell a drained queue from one with undelivered work.
     pub fn len(&mut self) -> usize {
-        let ring = &*self.ring;
-        let head = ring.head.load(Ordering::Relaxed);
-        self.cached_tail = ring.tail.load(Ordering::Acquire);
-        let tail = self.cached_tail;
-        if tail >= head {
-            tail - head
-        } else {
-            tail + ring.capacity - head
-        }
+        self.cached_tail = self.q.tail.count.load(Ordering::Acquire);
+        self.cached_tail - self.q.head.count.load(Ordering::Relaxed)
     }
 }
 
-impl<T> Drop for Ring<T> {
+impl<T> Drop for Queue<T> {
     fn drop(&mut self) {
-        // Drop any items still in the queue.
-        let mut head = *self.head.get_mut();
-        let tail = *self.tail.get_mut();
-        while head != tail {
-            unsafe { (*self.buf[head].get()).assume_init_drop() };
-            head = if head + 1 == self.capacity { 0 } else { head + 1 };
+        let first = *self.head.block.get_mut();
+        // Drop the items still queued…
+        let mut block = first;
+        for i in *self.head.count.get_mut()..*self.tail.count.get_mut() {
+            // SAFETY: both endpoints are gone; the slots from `head` to
+            // `tail` hold items, along the chain that starts at `first`.
+            unsafe {
+                (*(*block).slots[i % BLOCK].get()).assume_init_drop();
+                if (i + 1).is_multiple_of(BLOCK) {
+                    block = *(*block).next.get_mut();
+                }
+            }
+        }
+        // …then free every block: the chain from the consumer's block to
+        // the producer's, and the spares.
+        for mut block in [first, *self.spare.get_mut()] {
+            while !block.is_null() {
+                // SAFETY: every block came from `Block::alloc` and sits in
+                // exactly one of the two chains.
+                let dead = unsafe { Box::from_raw(block) };
+                block = dead.next.load(Ordering::Relaxed);
+            }
         }
     }
 }
@@ -290,26 +349,59 @@ impl<T> Drop for Ring<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::Cell;
     use std::thread;
 
-    #[test]
-    fn fifo_order() {
-        let (mut p, mut c) = channel(4);
-        for i in 0..4 {
-            p.try_push(i).unwrap();
+    thread_local! {
+        /// Blocks freed on this thread (the thread that drops a queue's
+        /// second endpoint frees all of its blocks).
+        static FREED: Cell<usize> = const { Cell::new(0) };
+    }
+
+    impl<T> Drop for Block<T> {
+        fn drop(&mut self) {
+            FREED.with(|n| n.set(n.get() + 1));
         }
-        assert!(p.try_push(99).is_err(), "ring full at capacity");
-        for i in 0..4 {
+    }
+
+    impl<T> Producer<T> {
+        /// Blocks this queue owns. A block is freed only with the queue,
+        /// so this is also every block it ever allocated. Only at rest:
+        /// it walks the consumer's chain.
+        pub(crate) fn blocks(&self) -> usize {
+            let len = |mut block: *mut Block<T>| {
+                let mut n = 0;
+                while !block.is_null() {
+                    n += 1;
+                    block = unsafe { (*block).next.load(Ordering::Acquire) };
+                }
+                n
+            };
+            len(self.q.head.block.load(Ordering::Acquire))
+                + len(self.q.spare.load(Ordering::Acquire))
+        }
+    }
+
+    #[test]
+    fn fifo_order_across_blocks() {
+        let (mut p, mut c) = channel();
+        let n = 3 * BLOCK + 5;
+        for i in 0..n {
+            p.push(i);
+        }
+        assert_eq!(c.len(), n);
+        for i in 0..n {
             assert_eq!(c.peek(), Some(&i));
             assert_eq!(c.pop(), Some(i));
         }
         assert_eq!(c.pop(), None);
+        assert!(c.is_empty());
     }
 
     #[test]
     fn peek_does_not_consume() {
-        let (mut p, mut c) = channel(2);
-        p.try_push(7).unwrap();
+        let (mut p, mut c) = channel();
+        p.push(7);
         assert_eq!(c.peek(), Some(&7));
         assert_eq!(c.peek(), Some(&7));
         assert_eq!(c.pop(), Some(7));
@@ -317,45 +409,40 @@ mod tests {
     }
 
     #[test]
-    fn wraps_around() {
-        let (mut p, mut c) = channel(3);
-        for round in 0..10 {
+    fn steady_state_reuses_blocks() {
+        // Never more than three items queued: however many blocks' worth
+        // pass through, the queue keeps alternating between the same two.
+        let (mut p, mut c) = channel();
+        for round in 0..40 * BLOCK {
             for i in 0..3 {
-                p.try_push(round * 10 + i).unwrap();
+                p.push(round * 10 + i);
             }
             for i in 0..3 {
                 assert_eq!(c.pop(), Some(round * 10 + i));
             }
         }
+        assert_eq!(p.blocks(), 2);
     }
 
     #[test]
-    fn free_slots_reporting() {
-        let (mut p, mut c) = channel(4);
-        assert_eq!(p.free_slots(), 4);
-        p.try_push(1).unwrap();
-        assert_eq!(p.free_slots(), 3);
-        c.pop();
-        assert_eq!(p.free_slots(), 4);
-    }
-
-    #[test]
-    fn push_batch_publishes_prefix() {
-        let (mut p, mut c) = channel(4);
-        assert_eq!(p.push_batch(&[1, 2, 3]), 3);
-        // Only one slot left: the batch is truncated to the free prefix.
-        assert_eq!(p.push_batch(&[4, 5, 6]), 1);
-        assert_eq!(p.push_batch(&[9]), 0, "full ring pushes nothing");
-        for i in 1..=4 {
-            assert_eq!(c.pop(), Some(i));
-        }
-        assert_eq!(c.pop(), None);
+    fn push_batch_publishes_the_whole_slice_at_once() {
+        let (mut p, mut c) = channel();
+        let items: Vec<usize> = (0..2 * BLOCK + 3).collect();
+        p.push_batch(&items[..3]);
+        assert_eq!(c.len(), 3);
+        p.push_batch(&items[3..]);
+        assert_eq!(c.len(), items.len());
+        p.push_batch(&[]);
+        assert_eq!(c.len(), items.len());
+        let mut out = Vec::new();
+        assert_eq!(c.drain_into(&mut out, usize::MAX), items.len());
+        assert_eq!(out, items);
     }
 
     #[test]
     fn drain_into_respects_max_and_appends() {
-        let (mut p, mut c) = channel(8);
-        assert_eq!(p.push_batch(&[10, 11, 12, 13, 14]), 5);
+        let (mut p, mut c) = channel();
+        p.push_batch(&[10, 11, 12, 13, 14]);
         let mut out = vec![99];
         assert_eq!(c.drain_into(&mut out, 2), 2);
         assert_eq!(out, vec![99, 10, 11]);
@@ -365,28 +452,15 @@ mod tests {
     }
 
     #[test]
-    fn batch_ops_wrap_around() {
-        let (mut p, mut c) = channel(3);
-        let mut out = Vec::new();
-        for round in 0..10 {
-            let vals = [round * 10, round * 10 + 1, round * 10 + 2];
-            assert_eq!(p.push_batch(&vals), 3);
-            out.clear();
-            assert_eq!(c.drain_into(&mut out, usize::MAX), 3);
-            assert_eq!(out, vals);
-        }
-    }
-
-    #[test]
     fn batch_and_single_ops_interleave() {
-        let (mut p, mut c) = channel(5);
-        p.try_push(0).unwrap();
-        assert_eq!(p.push_batch(&[1, 2]), 2);
+        let (mut p, mut c) = channel();
+        p.push(0);
+        p.push_batch(&[1, 2]);
         assert_eq!(c.pop(), Some(0));
         let mut out = Vec::new();
         assert_eq!(c.drain_into(&mut out, 1), 1);
         assert_eq!(out, vec![1]);
-        p.try_push(3).unwrap();
+        p.push(3);
         assert_eq!(c.peek(), Some(&2));
         out.clear();
         assert_eq!(c.drain_into(&mut out, usize::MAX), 2);
@@ -394,57 +468,111 @@ mod tests {
     }
 
     #[test]
-    fn cross_thread_batch_stream() {
-        let (mut p, mut c) = channel(16);
-        let n = 100_000u64;
-        let producer = thread::spawn(move || {
-            let mut next = 0u64;
-            while next < n {
-                let hi = (next + 7).min(n);
-                let chunk: Vec<u64> = (next..hi).collect();
-                let mut sent = 0;
-                while sent < chunk.len() {
-                    let k = p.push_batch(&chunk[sent..]);
-                    if k == 0 {
-                        thread::yield_now();
-                    }
-                    sent += k;
-                }
-                next = hi;
-            }
-        });
-        let mut expected = 0u64;
+    fn peek_survives_the_hand_back_of_the_block_before_it() {
+        // Popping the last slot of the first block hands that block back;
+        // the producer takes it at once and fills it. The item peeked at
+        // the head of the second block must not move or change under that.
+        let (mut p, mut c) = channel();
+        for i in 0..BLOCK + 1 {
+            p.push(i);
+        }
+        for i in 0..BLOCK {
+            assert_eq!(c.pop(), Some(i));
+        }
+        let seen = c.peek().map(|v| v as *const usize);
+        for i in 0..2 * BLOCK {
+            p.push(1000 + i);
+        }
+        assert_eq!(p.blocks(), 3, "the handed-back block was not reused");
+        assert_eq!(c.peek().map(|v| v as *const usize), seen);
+        assert_eq!(c.pop(), Some(BLOCK));
+        assert_eq!(c.pop(), Some(1000));
+    }
+
+    #[test]
+    fn high_water_tracks_only_when_enabled() {
+        let (mut p, _c) = channel();
+        p.push(1);
+        p.push_batch(&[2, 3]);
+        assert_eq!(p.high_water(), 0, "disabled producer records nothing");
+        p.enable_high_water();
+        p.push(4);
+        assert_eq!(p.high_water(), 4);
+        p.push_batch(&[5, 6]);
+        assert_eq!(p.high_water(), 6);
+        p.push(7);
+        assert_eq!(p.high_water(), 7, "high-water only ratchets upward");
+    }
+
+    #[test]
+    fn high_water_is_the_occupancy_not_the_traffic() {
+        // Many blocks' worth of traffic at depth one, then a burst that
+        // starts mid-block and ends two blocks on: the cached head lags by
+        // everything popped since it was last loaded, which must not count.
+        let (mut p, mut c) = channel();
+        p.enable_high_water();
+        for i in 0..10 * BLOCK + BLOCK / 2 {
+            p.push(i);
+            assert_eq!(c.pop(), Some(i));
+        }
+        assert_eq!(p.high_water(), 1);
+        for i in 0..2 * BLOCK {
+            p.push(i);
+        }
+        assert_eq!(p.high_water(), 2 * BLOCK);
+
+        let (mut p, mut c) = channel();
+        p.enable_high_water();
         let mut out = Vec::new();
-        while expected < n {
+        for i in 0..10 * BLOCK + BLOCK / 2 {
+            p.push_batch(&[i]);
             out.clear();
-            if c.drain_into(&mut out, usize::MAX) == 0 {
-                thread::yield_now();
-                continue;
-            }
-            for &v in &out {
-                assert_eq!(v, expected);
-                expected += 1;
+            assert_eq!(c.drain_into(&mut out, usize::MAX), 1);
+        }
+        assert_eq!(p.high_water(), 1);
+        p.push_batch(&[0; 2 * BLOCK]);
+        assert_eq!(p.high_water(), 2 * BLOCK);
+    }
+
+    #[test]
+    fn drop_frees_every_item_once_and_every_block() {
+        use std::sync::atomic::AtomicUsize;
+        static DROPS: AtomicUsize = AtomicUsize::new(0);
+        #[derive(Debug)]
+        struct D;
+        impl Drop for D {
+            fn drop(&mut self) {
+                DROPS.fetch_add(1, Ordering::Relaxed);
             }
         }
-        producer.join().unwrap();
+        // Items over three blocks, some already popped, one block already
+        // handed back and lying on the spare stack.
+        let (mut p, mut c) = channel();
+        let pushed = 3 * BLOCK + 7;
+        for _ in 0..pushed {
+            p.push(D);
+        }
+        let popped = BLOCK + 3;
+        for _ in 0..popped {
+            drop(c.pop().expect("queued"));
+        }
+        assert_eq!(DROPS.load(Ordering::Relaxed), popped);
+        let owned = p.blocks();
+        assert_eq!(owned, 4);
+        let freed = FREED.with(Cell::get);
+        drop(c);
+        drop(p);
+        assert_eq!(DROPS.load(Ordering::Relaxed), pushed, "every item dropped exactly once");
+        assert_eq!(FREED.with(Cell::get) - freed, owned, "every block freed");
     }
 
     #[test]
     fn cross_thread_stream() {
-        let (mut p, mut c) = channel(16);
+        let (mut p, mut c) = channel();
         let n = 100_000u64;
         let producer = thread::spawn(move || {
             for i in 0..n {
-                let mut v = i;
-                loop {
-                    match p.try_push(v) {
-                        Ok(()) => break,
-                        Err(back) => {
-                            v = back;
-                            thread::yield_now();
-                        }
-                    }
-                }
+                p.push(i);
             }
         });
         let mut expected = 0;
@@ -459,67 +587,83 @@ mod tests {
         producer.join().unwrap();
     }
 
+    /// A million items in random bursts of up to ten blocks, mixing `push`
+    /// and `push_batch`, against a consumer that mixes `pop`, `peek` and
+    /// `drain_into` and now and then sleeps so the queue runs deep. FIFO
+    /// order end to end; the blocks the queue ends up owning stay within
+    /// what its deepest occupancy needed, i.e. the hand-back works. (The
+    /// mark is taken when a burst is published, the blocks when it is
+    /// written, and the consumer pops in between: hence one burst of slack.)
     #[test]
-    fn high_water_tracks_only_when_enabled() {
-        let (mut p, _c) = channel(8);
-        p.try_push(1).unwrap();
-        assert_eq!(p.push_batch(&[2, 3]), 2);
-        assert_eq!(p.high_water(), 0, "disabled producer records nothing");
+    fn cross_thread_burst_stress() {
+        const N: u64 = 1 << 20;
+        const MAX_BURST: usize = 10 * BLOCK;
+        let mut rng = 0x9e37_79b9_7f4a_7c15u64;
+        let mut bursts = move || {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng
+        };
+        let (mut p, mut c) = channel::<u64>();
         p.enable_high_water();
-        p.try_push(4).unwrap();
-        assert_eq!(p.high_water(), 4);
-        assert_eq!(p.push_batch(&[5, 6]), 2);
-        assert_eq!(p.high_water(), 6);
-        p.try_push(7).unwrap();
-        assert_eq!(p.high_water(), 7, "high-water only ratchets upward");
-    }
-
-    #[test]
-    fn high_water_is_the_occupancy_not_the_capacity() {
-        // A run longer than the ring: the cached head lags by up to a whole
-        // ring, which used to read as "the ring filled up".
-        let (mut p, mut c) = channel(4096);
-        p.enable_high_water();
-        for i in 0..10_000u32 {
-            p.try_push(i).unwrap();
-            assert_eq!(c.pop(), Some(i));
-        }
-        assert_eq!(p.high_water(), 1);
-        for i in 0..7 {
-            p.try_push(i).unwrap();
-        }
-        assert_eq!(p.high_water(), 7);
-
-        let (mut p, mut c) = channel(4096);
-        p.enable_high_water();
-        let mut out = Vec::new();
-        for i in 0..10_000u32 {
-            assert_eq!(p.push_batch(&[i]), 1);
-            out.clear();
-            assert_eq!(c.drain_into(&mut out, usize::MAX), 1);
-        }
-        assert_eq!(p.high_water(), 1);
-        assert_eq!(p.push_batch(&[0; 7]), 7);
-        assert_eq!(p.high_water(), 7);
-    }
-
-    #[test]
-    fn drops_unconsumed_items() {
-        use std::sync::atomic::AtomicUsize;
-        static DROPS: AtomicUsize = AtomicUsize::new(0);
-        #[derive(Debug)]
-        struct D;
-        impl Drop for D {
-            fn drop(&mut self) {
-                DROPS.fetch_add(1, Ordering::Relaxed);
+        // The test's own flow control (the queue has none): the producer
+        // pauses when it is far ahead, so the depth rises and falls many
+        // times instead of once.
+        let consumed = Arc::new(AtomicUsize::new(0));
+        let seen = consumed.clone();
+        let producer = thread::spawn(move || {
+            let mut sent = 0u64;
+            let mut chunk = Vec::new();
+            while sent < N {
+                while sent - seen.load(Ordering::Relaxed) as u64 > 64 * BLOCK as u64 {
+                    thread::yield_now();
+                }
+                let r = bursts();
+                let len = (1 + r % MAX_BURST as u64).min(N - sent);
+                if r & (1 << 40) == 0 {
+                    chunk.clear();
+                    chunk.extend(sent..sent + len);
+                    p.push_batch(&chunk);
+                } else {
+                    (sent..sent + len).for_each(|v| p.push(v));
+                }
+                sent += len;
             }
+            p
+        });
+        let mut expected = 0u64;
+        let mut out = Vec::new();
+        let mut polls = 0u64;
+        while expected < N {
+            polls += 1;
+            if polls.is_multiple_of(4096) {
+                thread::sleep(std::time::Duration::from_micros(200));
+            }
+            if polls.is_multiple_of(3) {
+                if let Some(&v) = c.peek() {
+                    assert_eq!(v, expected);
+                    assert_eq!(c.pop(), Some(v));
+                    expected += 1;
+                    consumed.store(expected as usize, Ordering::Relaxed);
+                }
+                continue;
+            }
+            out.clear();
+            if c.drain_into(&mut out, 1 + (polls % 97) as usize) == 0 {
+                thread::yield_now();
+            }
+            for &v in &out {
+                assert_eq!(v, expected);
+                expected += 1;
+            }
+            consumed.store(expected as usize, Ordering::Relaxed);
         }
-        let (mut p, c) = channel(8);
-        for _ in 0..5 {
-            p.try_push(D).unwrap();
-        }
-        drop(c);
-        drop(p);
-        assert_eq!(DROPS.load(Ordering::Relaxed), 5);
+        let p = producer.join().unwrap();
+        assert!(c.is_empty());
+        let (blocks, hw) = (p.blocks(), p.high_water());
+        eprintln!("burst stress: high-water {hw}, {blocks} blocks owned");
+        let bound = (hw + MAX_BURST).div_ceil(BLOCK) + 2;
+        assert!(blocks <= bound, "{blocks} blocks for a high-water of {hw}");
     }
 }

@@ -7,8 +7,7 @@
 //! * consolidates every core's OutQ into the global queue (GQ);
 //! * resolves memory events against the directory/L2 and sync events
 //!   against the [`SyncTable`];
-//! * replies through the per-core InQs (with bounded-ring overflow
-//!   spilling);
+//! * replies through the per-core InQs;
 //! * applies the active scheme's event-ordering discipline: eager
 //!   (arrival order), timestamp-ordered with a `ts ≤ global` horizon, or
 //!   at-barrier (quantum multiples);
@@ -25,7 +24,6 @@ use sk_mem::l1::ReqKind;
 use sk_mem::Directory;
 use sk_snap::{Persist, Reader, SnapError, Writer};
 use std::cmp::Reverse;
-use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// Heap wrapper ordering [`GlobalEvent`]s by (ts, core, seq).
@@ -62,9 +60,6 @@ pub struct Uncore {
     pub sync: SyncTable,
     ordered: std::collections::BinaryHeap<Reverse<OrderedEv>>,
     inqs: Vec<Producer<InMsg>>,
-    overflow: Vec<VecDeque<InMsg>>,
-    /// Total messages across `overflow` (skips the O(n_cores) scan).
-    overflow_len: usize,
     /// Cores that received an InQ message since the last wakeup flush: a
     /// flag per core and the flagged cores as a list, so the flush walks
     /// receivers only.
@@ -120,8 +115,6 @@ impl Uncore {
             sync: SyncTable::new(),
             ordered: std::collections::BinaryHeap::new(),
             inqs,
-            overflow: (0..n).map(|_| VecDeque::new()).collect(),
-            overflow_len: 0,
             wake_pending: vec![false; n],
             wake_list: Vec::new(),
             woken: Vec::new(),
@@ -172,15 +165,7 @@ impl Uncore {
     }
 
     fn push_to_core(&mut self, core: usize, msg: InMsg) {
-        if self.overflow[core].is_empty() {
-            if let Err(back) = self.inqs[core].try_push(msg) {
-                self.overflow[core].push_back(back);
-                self.overflow_len += 1;
-            }
-        } else {
-            self.overflow[core].push_back(msg);
-            self.overflow_len += 1;
-        }
+        self.inqs[core].push(msg);
         // Wakeups are deferred to `flush_wakeups` so a burst of messages
         // to one core costs a single unpark (state load + possible
         // lock/notify) instead of one per message.
@@ -208,24 +193,6 @@ impl Uncore {
     /// state.
     pub fn woken(&self) -> &[usize] {
         &self.woken
-    }
-
-    /// Retry overflowed InQ pushes (called every manager iteration).
-    pub fn flush_overflow(&mut self) {
-        if self.overflow_len == 0 {
-            return;
-        }
-        for core in 0..self.overflow.len() {
-            while let Some(msg) = self.overflow[core].front().copied() {
-                match self.inqs[core].try_push(msg) {
-                    Ok(()) => {
-                        self.overflow[core].pop_front();
-                        self.overflow_len -= 1;
-                    }
-                    Err(_) => break,
-                }
-            }
-        }
     }
 
     /// Accept one OutQ event from `core`. Eager schemes process it
@@ -459,7 +426,6 @@ impl Uncore {
         for core in 0..self.inqs.len() {
             self.push_to_core(core, InMsg { ts: 0, kind: InKind::Stop });
         }
-        self.flush_overflow();
         self.flush_wakeups();
     }
 
@@ -476,22 +442,13 @@ impl Uncore {
         self.ordered.peek().map(|Reverse(OrderedEv(ge))| ge.ev.ts)
     }
 
-    /// Are all InQ overflow spill queues empty? A safe-point requires it:
-    /// overflowed replies live in neither the rings nor the cores' heaps,
-    /// so they would be lost by a snapshot.
-    pub fn overflow_empty(&self) -> bool {
-        self.overflow_len == 0
-    }
-
     // ---- snapshot support ----
 
     /// Serialize the manager's dynamic state. Call only at a safe-point:
-    /// threads joined, rings and overflow queues drained into the cores'
-    /// heaps. Static wiring (InQ producers, board, latencies) and the
-    /// directory configuration come from the snapshot's `TargetConfig` on
-    /// restore.
+    /// threads joined, InQs drained into the cores' heaps. Static wiring
+    /// (InQ producers, board, latencies) and the directory configuration
+    /// come from the snapshot's `TargetConfig` on restore.
     pub fn save_state(&self, w: &mut Writer) {
-        debug_assert!(self.overflow_empty(), "snapshot with undelivered overflow");
         self.started.save(w);
         self.exited.save(w);
         // The GQ in deterministic (ts, core, seq) order.

@@ -407,72 +407,6 @@ fn sharded_memory_managers_are_cycle_exact_for_conservative_schemes() {
 }
 
 #[test]
-fn batched_transport_is_deterministic_under_tiny_rings() {
-    // Regression test for the batched SPSC transport: with an absurdly
-    // small ring capacity every queue wraps constantly and push_batch /
-    // drain_into hit their partial-transfer paths, yet CC and S* must
-    // stay bit-identical run to run — same event counts, same violation
-    // counts, same per-core cycles.
-    let n = 4;
-    let p = counter_workload(n, 6);
-    let mut cfg = small_cfg(n, CoreModel::InOrder);
-    cfg.queue_capacity = 4; // stress wraparound + backpressure
-    cfg.track_workload_violations = true;
-    for scheme in [Scheme::CycleByCycle, Scheme::OldestFirstBounded(9)] {
-        let a = run_parallel(&p, scheme, &cfg);
-        let b = run_parallel(&p, scheme, &cfg);
-        assert_eq!(a.printed(), b.printed(), "{scheme} output");
-        assert_eq!(a.exec_cycles, b.exec_cycles, "{scheme} exec time");
-        assert_eq!(
-            a.engine.events_processed, b.engine.events_processed,
-            "{scheme} manager event count"
-        );
-        assert_eq!(a.violations, b.violations, "{scheme} violation counts");
-        for c in 0..n {
-            assert_eq!(a.cores[c].committed, b.cores[c].committed, "{scheme} core {c} committed");
-            assert_eq!(a.cores[c].cycles, b.cores[c].cycles, "{scheme} core {c} cycles");
-        }
-        assert_eq!(a.dir, b.dir, "{scheme} directory counters");
-    }
-    // And the tiny-ring run must agree with the default-capacity run:
-    // transport batching is not allowed to change simulated time.
-    let tiny = run_parallel(&p, Scheme::CycleByCycle, &cfg);
-    cfg.queue_capacity = 4096;
-    let wide = run_parallel(&p, Scheme::CycleByCycle, &cfg);
-    assert_eq!(tiny.exec_cycles, wide.exec_cycles, "capacity changed simulated time");
-    assert_eq!(tiny.printed(), wide.printed());
-}
-
-#[test]
-fn tiny_rings_never_strand_a_core_that_outruns_them() {
-    // An out-of-order core can emit more events in one cycle than a tiny
-    // OutQ holds. The manager and the shards drain only rings whose core
-    // raised a change flag, and a core normally raises it at the end of a
-    // batch — so a producer stuck on a full ring mid-cycle has to raise it
-    // itself, or the consumer never looks and both sides wait forever.
-    let w = sk_kernels::fft::fft(4, 6);
-    for shards in [0usize, 2] {
-        for cap in [2usize, 4] {
-            for scheme in [Scheme::Unbounded, Scheme::BoundedSlack(64)] {
-                let mut cfg = small_cfg(4, CoreModel::OutOfOrder);
-                cfg.queue_capacity = cap;
-                cfg.mem_shards = shards;
-                let program = w.program.clone();
-                let (tx, rx) = std::sync::mpsc::channel();
-                std::thread::spawn(move || {
-                    let _ = tx.send(run_parallel(&program, scheme, &cfg).printed());
-                });
-                let printed = rx
-                    .recv_timeout(std::time::Duration::from_secs(60))
-                    .unwrap_or_else(|_| panic!("{scheme} cap={cap} shards={shards} hung"));
-                let values: Vec<i64> = printed.iter().map(|&(_, v)| v).collect();
-                assert_eq!(values, w.expected, "{scheme} cap={cap} shards={shards}");
-            }
-        }
-    }
-}
-
-#[test]
 fn single_threaded_program_on_many_cores_parks_the_rest() {
     // A program that never spawns: cores 1..n have no thread and must not
     // slow down or corrupt the run.

@@ -7,6 +7,7 @@ use sk_core::spsc;
 use sk_core::violation::ConflictTracker;
 use sk_core::Scheme;
 use sk_snap::{Reader, SnapError, Writer};
+use std::collections::VecDeque;
 
 /// One primitive snapshot field, for round-trip sequences.
 #[derive(Debug, Clone, PartialEq)]
@@ -383,96 +384,74 @@ proptest! {
         }
     }
 
-    /// Single-threaded FIFO conformance of the batched SPSC API: an
-    /// arbitrary interleaving of `try_push`/`push_batch` against
-    /// `pop`/`drain_into` on a small (wraparound-heavy) ring loses,
-    /// duplicates and reorders nothing, and every partial push is exactly
-    /// the free-space prefix.
+    /// Single-threaded conformance of the SPSC queue against an uncapped
+    /// `VecDeque`: an arbitrary interleaving of `push` / `push_batch`
+    /// against `peek` / `pop` / `drain_into`, in bursts of up to several
+    /// blocks, loses, duplicates and reorders nothing; a batch is taken
+    /// whole and is visible at once; `len` is exact.
     #[test]
-    fn spsc_batched_fifo_conformance(
-        capacity in 1usize..9,
-        ops in proptest::collection::vec((0u8..4, 1usize..7), 1..120)
+    fn spsc_matches_an_unbounded_fifo_model(
+        burst in 1usize..200,
+        ops in proptest::collection::vec((0u8..5, 0usize..200), 1..120)
     ) {
-        let (mut p, mut c) = spsc::channel::<u64>(capacity);
+        let (mut p, mut c) = spsc::channel::<u64>();
+        let mut model: VecDeque<u64> = VecDeque::new();
         let mut next = 0u64; // next value to push
-        let mut expect = 0u64; // next value the consumer must see
         let mut out = Vec::new();
         for (op, amount) in ops {
-            let in_flight = (next - expect) as usize;
+            let amount = 1 + amount % burst;
             match op {
                 0 => {
-                    let pushed = p.try_push(next).is_ok();
-                    prop_assert_eq!(pushed, in_flight < capacity,
-                        "try_push must succeed iff the ring has room");
-                    if pushed { next += 1; }
+                    p.push(next);
+                    model.push_back(next);
+                    next += 1;
                 }
                 1 => {
                     let batch: Vec<u64> = (next..next + amount as u64).collect();
-                    let n = p.push_batch(&batch);
-                    prop_assert_eq!(n, amount.min(capacity - in_flight),
-                        "push_batch must take exactly the free prefix");
-                    next += n as u64;
+                    p.push_batch(&batch);
+                    model.extend(&batch);
+                    next += amount as u64;
                 }
-                2 => {
-                    let v = c.pop();
-                    prop_assert_eq!(v, (in_flight > 0).then_some(expect));
-                    if v.is_some() { expect += 1; }
-                }
+                2 => prop_assert_eq!(c.peek().copied(), model.front().copied()),
+                3 => prop_assert_eq!(c.pop(), model.pop_front()),
                 _ => {
                     out.clear();
                     let n = c.drain_into(&mut out, amount);
-                    prop_assert_eq!(n, amount.min(in_flight),
+                    prop_assert_eq!(n, amount.min(model.len()),
                         "drain_into must take min(max, available)");
-                    for &v in &out {
-                        prop_assert_eq!(v, expect, "FIFO order violated");
-                        expect += 1;
-                    }
+                    let want: Vec<u64> = model.drain(..n).collect();
+                    prop_assert_eq!(&out, &want, "FIFO order violated");
                 }
             }
+            prop_assert_eq!(c.len(), model.len());
+            prop_assert_eq!(c.is_empty(), model.is_empty());
         }
         // Drain the remainder: nothing lost.
         out.clear();
         c.drain_into(&mut out, usize::MAX);
-        for &v in &out {
-            prop_assert_eq!(v, expect);
-            expect += 1;
-        }
-        prop_assert_eq!(expect, next, "items lost in the ring");
+        prop_assert_eq!(out, Vec::from(model), "items lost in the queue");
     }
 
     /// Cross-thread stream integrity: a producer thread mixing batch and
-    /// single pushes, a consumer mixing pops and bounded drains — the
-    /// consumer sees exactly 0..n in order, for rings small enough to
-    /// wrap thousands of times.
+    /// single pushes in bursts of up to several blocks, a consumer mixing
+    /// pops and bounded drains — the consumer sees exactly 0..n in order,
+    /// and never a batch in part.
     #[test]
     fn spsc_batched_cross_thread(
-        capacity in 1usize..17,
-        total in 1u64..3000,
-        chunk in 1usize..9,
-        drain_max in 1usize..9
+        total in 1u64..6000,
+        chunk in 1usize..200,
+        drain_max in 1usize..200
     ) {
-        let (mut p, mut c) = spsc::channel::<u64>(capacity);
+        let (mut p, mut c) = spsc::channel::<u64>();
         let producer = std::thread::spawn(move || {
             let mut nextv = 0u64;
             while nextv < total {
                 let hi = (nextv + chunk as u64).min(total);
-                let batch: Vec<u64> = (nextv..hi).collect();
                 // Alternate transport flavours by chunk parity.
                 if (nextv / chunk as u64).is_multiple_of(2) {
-                    let mut sent = 0;
-                    while sent < batch.len() {
-                        let k = p.push_batch(&batch[sent..]);
-                        if k == 0 { std::thread::yield_now(); }
-                        sent += k;
-                    }
+                    p.push_batch(&(nextv..hi).collect::<Vec<u64>>());
                 } else {
-                    for &v in &batch {
-                        let mut item = v;
-                        while let Err(back) = p.try_push(item) {
-                            item = back;
-                            std::thread::yield_now();
-                        }
-                    }
+                    (nextv..hi).for_each(|v| p.push(v));
                 }
                 nextv = hi;
             }
@@ -489,6 +468,12 @@ proptest! {
                     std::thread::yield_now();
                 }
             } else {
+                // Even chunks are batches: all of one or none of it.
+                let in_batch = (expect / chunk as u64).is_multiple_of(2);
+                let batch_end = ((expect / chunk as u64 + 1) * chunk as u64).min(total);
+                let visible = c.len() as u64;
+                prop_assert!(!in_batch || visible == 0 || expect + visible >= batch_end,
+                    "a batch was published in part");
                 out.clear();
                 if c.drain_into(&mut out, drain_max) == 0 {
                     std::thread::yield_now();

@@ -14,7 +14,7 @@ fn mk(scheme: Scheme, n: usize) -> (Uncore, Vec<Consumer<InMsg>>) {
     let mut producers = Vec::new();
     let mut consumers = Vec::new();
     for _ in 0..n {
-        let (p, c) = spsc::channel(256);
+        let (p, c) = spsc::channel();
         producers.push(p);
         consumers.push(c);
     }
@@ -136,26 +136,6 @@ fn roi_begin_resets_uncore_statistics() {
     assert_eq!(u.dir.stats.gets, 0, "ROI begin resets directory stats");
     assert_eq!(u.roi_start, Some(2));
     let _ = drain(&mut rings[0]);
-}
-
-#[test]
-fn overflow_spills_and_flushes() {
-    // A tiny ring: pushes beyond capacity must spill to the overflow
-    // buffer and drain once the consumer catches up.
-    let mut cfg = TargetConfig::small(1);
-    cfg.n_cores = 1;
-    let (p, mut c) = spsc::channel(2);
-    let mut u = Uncore::new(&cfg, Scheme::Unbounded, vec![p], None, sk_mem::FuncMemory::new());
-    for i in 0..8u64 {
-        u.ingest(0, ev(i + 1, i, OutKind::IMem { block: i * 64 }));
-    }
-    // Ring holds 2; the rest spilled. Drain and flush alternately.
-    let mut got = 0;
-    for _ in 0..10 {
-        got += drain(&mut c).len();
-        u.flush_overflow();
-    }
-    assert_eq!(got, 8, "all replies eventually delivered");
 }
 
 #[test]

@@ -50,7 +50,9 @@ pub const MAGIC: [u8; 8] = *b"SKSNAP\x00\x01";
 /// (head sequence number, sources and rename maps as sequence numbers, one
 /// result word, MSHR load waiters as `(id, seq)`); `lsq_used` and every
 /// scheduling index are derived and no longer written.
-pub const FORMAT_VERSION: u32 = 7;
+/// v8: `TargetConfig` no longer carries a queue capacity (the SPSC queues
+/// are unbounded); the word is gone from the stream, not zeroed.
+pub const FORMAT_VERSION: u32 = 8;
 
 const HEADER_LEN: usize = 8 + 4 + 8;
 const CHECKSUM_LEN: usize = 8;
