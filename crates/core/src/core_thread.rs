@@ -486,12 +486,6 @@ impl CoreSim {
         self.heap.peek().map(|Reverse(h)| h.ts)
     }
 
-    /// Retained for engine symmetry: with manager-queued locks there is no
-    /// spin-retry phase any more, so nothing must keep ticking.
-    pub fn sync_retrying(&self) -> bool {
-        false
-    }
-
     /// Fast-forward the suspended clock to `target` (release ts - 1).
     pub fn sync_jump(&mut self, target: u64) {
         if target > self.local {
@@ -911,13 +905,12 @@ impl CoreSim {
         // slack, lets the clock run far past pending reply
         // timestamps, distorting timing). Suspend and fast-forward to
         // the next message — the skipped cycles are inert, so the
-        // simulated outcome is bit-identical. Spin-retry phases must
-        // keep ticking to reach their retry time.
+        // simulated outcome is bit-identical.
         let inert = self.stats.committed == c0
             && self.stats.issued == i0
             && self.stats.fetched == f0
             && events == 0;
-        if inert && !self.sync_retrying() {
+        if inert {
             // Every cycle of an inert batch was inert (any activity
             // would have changed the stats or emitted an event).
             self.inert_streak += batch as u32;
