@@ -1,6 +1,5 @@
 //! Statistics collected per core, per run, and for the whole simulation.
 
-use crate::scheme::Scheme;
 use sk_mem::bus::BusStats;
 use sk_mem::cache::CacheStats;
 use sk_mem::directory::DirStats;
@@ -283,12 +282,6 @@ impl SimReport {
             }
         }
         out
-    }
-
-    /// Attach the scheme name (builder-style convenience).
-    pub fn with_scheme(mut self, s: Scheme) -> Self {
-        self.scheme = s.short_name();
-        self
     }
 
     /// A deterministic digest of everything *simulated* in this report:
