@@ -275,16 +275,6 @@ impl SyncTable {
         self.barriers.iter().map(|b| b.arrived.len()).sum()
     }
 
-    /// Total cores queued on any sync object — withheld lock grants,
-    /// semaphore waits and barrier arrivals. The deterministic backend's
-    /// scheduler reads this to tell "everyone is legitimately waiting on
-    /// a release the manager still owes" from a genuine deadlock.
-    pub fn blocked_waiters(&self) -> usize {
-        self.locks.iter().map(|l| l.waiters.len()).sum::<usize>()
-            + self.semas.iter().map(|s| s.waiters.len()).sum::<usize>()
-            + self.barrier_waiters()
-    }
-
     /// Current holder of lock `id`, if held (diagnostics).
     pub fn lock_holder(&self, id: u32) -> Option<usize> {
         self.locks.get(id as usize).and_then(|l| l.held_by)
