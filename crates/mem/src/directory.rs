@@ -223,11 +223,6 @@ impl Directory {
         }
     }
 
-    /// Number of blocks with directory state (diagnostics).
-    pub fn tracked_blocks(&self) -> usize {
-        self.entries.len()
-    }
-
     fn note_ts(&mut self, block: BlockAddr, ts: u64) {
         if !self.cfg.track_violations {
             return;
