@@ -777,9 +777,6 @@ impl Engine {
         self.uncore.flush_wakeups();
 
         if all_done {
-            if std::env::var_os("SK_TRACE").is_some() {
-                eprintln!("[mgr] stop: all_done at g={g}");
-            }
             return MgrVerdict::Finish;
         }
         if let Some(c) = until {
@@ -800,15 +797,9 @@ impl Engine {
             }
         }
         if g >= self.cfg.max_cycles {
-            if std::env::var_os("SK_TRACE").is_some() {
-                eprintln!("[mgr] stop: max_cycles at g={g}");
-            }
             return MgrVerdict::Finish;
         }
         if self.board.stopping() {
-            if std::env::var_os("SK_TRACE").is_some() {
-                eprintln!("[mgr] stop: stopping at g={g}");
-            }
             return MgrVerdict::Finish;
         }
         // What this iteration left for an immediate repeat to do: the
