@@ -68,5 +68,5 @@ pub use config::{ConfigError, CoreConfig, CoreModel, StopCondition, TargetConfig
 pub use engine::{run_parallel, Engine, RunOutcome};
 pub use interp::{interpret, interpret_with, InterpResult, InterpStop};
 pub use scheme::{Scheme, SchemeParseError};
-pub use seq::{run_sequential, run_sequential_debug as seq_debug};
+pub use seq::run_sequential;
 pub use stats::{CoreStats, EngineStats, SimReport, ViolationReport};

@@ -23,45 +23,6 @@ use sk_isa::Program;
 use std::sync::atomic::Ordering;
 use std::time::Instant;
 
-/// Diagnostic variant: run to the cycle cap, then dump each core's
-/// pipeline state (used to investigate stalls).
-pub fn run_sequential_debug(program: &Program, cfg: &TargetConfig) -> String {
-    let Plumbing { mut cores, mut out_consumers, in_producers, mem, .. } = plumb(program, cfg);
-    let mut uncore = Uncore::new(cfg, Scheme::CycleByCycle, in_producers, None, mem);
-    let mut cycle: u64 = 0;
-    loop {
-        cycle += 1;
-        for core in cores.iter_mut() {
-            if core.finished() || core.stopped() {
-                continue;
-            }
-            if !core.running() && core.next_msg_ts().is_none() {
-                continue;
-            }
-            core.step_cycle(cycle);
-        }
-        for (c, q) in out_consumers.iter_mut().enumerate() {
-            while let Some(ev) = q.pop() {
-                uncore.ingest(c, ev);
-            }
-        }
-        uncore.process_ready(cycle);
-        if uncore.all_workloads_done() && cores.iter().all(|c| c.finished() || !c.running()) {
-            return format!("completed at cycle {cycle}");
-        }
-        if cycle >= cfg.max_cycles {
-            let mut out = format!("STUCK at cycle {cycle}\n");
-            for c in &mut cores {
-                out.push_str(&c.debug_state());
-                out.push('\n');
-            }
-            out.push_str(&format!("pending GQ events: {}\n", uncore.pending_events()));
-            out.push_str(&format!("barrier waiters: {}\n", uncore.sync.barrier_waiters()));
-            return out;
-        }
-    }
-}
-
 /// Run `program` to completion on the sequential cycle-by-cycle engine.
 pub fn run_sequential(program: &Program, cfg: &TargetConfig) -> SimReport {
     let Plumbing { mut cores, mut out_consumers, in_producers, tracker, roi, mem, .. } =
