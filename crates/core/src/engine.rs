@@ -10,8 +10,9 @@ use crate::clock::{ClockBoard, CoreState, GlobalCache};
 use crate::config::{CoreModel, StopCondition, TargetConfig};
 use crate::core_thread::{CoreOutput, CoreSim, RoiState};
 use crate::cpu::{inorder::InOrderCpu, ooo::OooCpu, Cpu};
-use crate::msg::{InMsg, OutEvent};
+use crate::msg::OutEvent;
 use crate::scheme::Scheme;
+use crate::shard::{MemShard, ShardSignal};
 use crate::spsc;
 use crate::stats::{EngineStats, SimReport, ViolationReport};
 use crate::uncore::Uncore;
@@ -49,69 +50,144 @@ pub(crate) fn build_cpu(cfg: &TargetConfig) -> Box<dyn Cpu> {
     }
 }
 
-pub(crate) struct Plumbing {
-    pub cores: Vec<CoreSim>,
-    pub out_consumers: Vec<spsc::Consumer<OutEvent>>,
-    pub in_producers: Vec<spsc::Producer<InMsg>>,
+/// What every core of one simulation shares: built from the program on a
+/// cold start, read back from a snapshot on resume.
+pub(crate) struct Shared {
+    pub mem: FuncMemory,
+    /// The text predecoded once; every core reads the same table.
+    pub text: Arc<DecodedProgram>,
+    /// Superblocks fused once over that table (`None` with
+    /// `cfg.superblocks` off). Derived, never serialized.
+    pub sbt: Option<Arc<SuperblockTable>>,
     pub tracker: Option<Arc<ConflictTracker>>,
     pub roi: Arc<RoiState>,
-    pub mem: FuncMemory,
-    pub text_len: usize,
-    pub sbt: Option<Arc<SuperblockTable>>,
 }
 
-/// Wire up cores, queues, functional memory and the violation tracker.
-pub(crate) fn plumb(program: &Program, cfg: &TargetConfig) -> Plumbing {
-    cfg.validate().expect("invalid target configuration");
-    program.validate().expect("program failed validation");
-    let mem = FuncMemory::new();
-    mem.load(program.image());
-    // Predecode the text once; every core shares the read-only table.
-    let text = Arc::new(DecodedProgram::from_program(program));
-    // Fuse superblocks once over the same table (derived, read-only).
-    let sbt = cfg.superblocks.then(|| Arc::new(SuperblockTable::build(&text)));
-    let tracker = if cfg.track_workload_violations || cfg.fast_forward_compensation {
-        Some(Arc::new(ConflictTracker::new(cfg.fast_forward_compensation)))
-    } else {
-        None
-    };
-    let roi = Arc::new(RoiState::default());
+impl Shared {
+    /// Load `program` into a fresh functional memory.
+    pub(crate) fn from_program(program: &Program, cfg: &TargetConfig) -> Shared {
+        cfg.validate().expect("invalid target configuration");
+        program.validate().expect("program failed validation");
+        let mem = FuncMemory::new();
+        mem.load(program.image());
+        let text = Arc::new(DecodedProgram::from_program(program));
+        let tracker = (cfg.track_workload_violations || cfg.fast_forward_compensation)
+            .then(|| Arc::new(ConflictTracker::new(cfg.fast_forward_compensation)));
+        Shared::around(mem, text, tracker, cfg)
+    }
 
-    let mut cores = Vec::with_capacity(cfg.n_cores);
-    let mut out_consumers = Vec::with_capacity(cfg.n_cores);
-    let mut in_producers = Vec::with_capacity(cfg.n_cores);
-    for id in 0..cfg.n_cores {
+    fn around(
+        mem: FuncMemory,
+        text: Arc<DecodedProgram>,
+        tracker: Option<Arc<ConflictTracker>>,
+        cfg: &TargetConfig,
+    ) -> Shared {
+        let sbt = cfg.superblocks.then(|| Arc::new(SuperblockTable::build(&text)));
+        Shared { mem, text, sbt, tracker, roi: Arc::new(RoiState::default()) }
+    }
+}
+
+/// Cores, manager and shards, connected by their queues.
+pub(crate) struct Wiring {
+    pub cores: Vec<CoreSim>,
+    /// The cores' OutQs, coordinator side.
+    pub out_consumers: Vec<spsc::Consumer<OutEvent>>,
+    pub uncore: Uncore,
+    pub board: Option<Arc<ClockBoard>>,
+    pub shards: Vec<MemShard>,
+    pub shard_signals: Vec<Arc<ShardSignal>>,
+    pub window_grant: Arc<AtomicU64>,
+}
+
+/// Build every core with its InQ and OutQ, then the clock board, the
+/// manager, and — `cfg.mem_shards > 0` — the memory shards with one event
+/// and one reply queue per (core, shard) pair. The one place queues are
+/// made: a cold start, a resume and the sequential engine differ only in
+/// where `shared` came from and in the board (`None` for the sequential
+/// engine, which has no threads to pace and never shards).
+pub(crate) fn wire(
+    cfg: &TargetConfig,
+    scheme: Scheme,
+    shared: &Shared,
+    board: impl FnOnce() -> Option<Arc<ClockBoard>>,
+) -> Wiring {
+    let n = cfg.n_cores;
+    let mut cores = Vec::with_capacity(n);
+    let mut out_consumers = Vec::with_capacity(n);
+    let mut in_producers = Vec::with_capacity(n);
+    for id in 0..n {
         let (in_p, in_c) = spsc::channel();
         let (out_p, out_c) = spsc::channel();
         let mut cpu = build_cpu(cfg);
-        if let Some(t) = &sbt {
+        if let Some(t) = &shared.sbt {
             cpu.attach_superblocks(t.clone());
         }
-        cores.push(CoreSim::new(
+        let mut core = CoreSim::new(
             id,
             cfg,
             cpu,
             in_c,
             out_p,
-            mem.clone(),
-            text.clone(),
-            tracker.clone(),
-            roi.clone(),
-        ));
+            shared.mem.clone(),
+            shared.text.clone(),
+            shared.tracker.clone(),
+            shared.roi.clone(),
+        );
+        core.set_batch_cap(scheme.batch_cap());
+        cores.push(core);
         out_consumers.push(out_c);
         in_producers.push(in_p);
     }
-    cores[0].start_main(program.entry);
-    Plumbing {
-        cores,
-        out_consumers,
-        in_producers,
-        tracker,
-        roi,
-        mem,
-        text_len: program.text_len(),
-        sbt,
+    let board = board();
+    let uncore = Uncore::new(cfg, scheme, in_producers, board.clone(), shared.mem.clone());
+
+    // ---- sharded memory managers (extension; cfg.mem_shards > 0) ----
+    // `validate()` already rejected mem_shards > n_banks.
+    let window_grant = Arc::new(AtomicU64::new(0));
+    let mut shards = Vec::new();
+    let mut shard_signals = Vec::new();
+    if let Some(board) = board.as_ref().filter(|_| cfg.mem_shards > 0) {
+        let n_shards = cfg.mem_shards;
+        shard_signals = (0..n_shards).map(|_| Arc::new(ShardSignal::default())).collect();
+        let dirty_masks: Vec<Arc<Vec<AtomicU64>>> = (0..n_shards)
+            .map(|_| Arc::new((0..n.div_ceil(64)).map(|_| AtomicU64::new(0)).collect()))
+            .collect();
+        // Per shard, one end of every core's pair: events core -> shard,
+        // replies shard -> core.
+        let mut ev_consumers: Vec<Vec<_>> = (0..n_shards).map(|_| Vec::new()).collect();
+        let mut reply_producers: Vec<Vec<_>> = (0..n_shards).map(|_| Vec::new()).collect();
+        for core in cores.iter_mut() {
+            let mut my_reply_queues = Vec::new();
+            let mut my_event_queues = Vec::new();
+            for s in 0..n_shards {
+                let (ev_p, ev_c) = spsc::channel();
+                let (rep_p, rep_c) = spsc::channel();
+                ev_consumers[s].push(ev_c);
+                reply_producers[s].push(rep_p);
+                my_event_queues.push(ev_p);
+                my_reply_queues.push(rep_c);
+            }
+            core.attach_shards(
+                my_reply_queues,
+                my_event_queues,
+                shard_signals.clone(),
+                dirty_masks.clone(),
+            );
+        }
+        for (s, (evc, repp)) in ev_consumers.into_iter().zip(reply_producers).enumerate() {
+            shards.push(MemShard::new(
+                s,
+                cfg,
+                scheme,
+                evc,
+                repp,
+                board.clone(),
+                window_grant.clone(),
+                dirty_masks[s].clone(),
+            ));
+        }
     }
+    Wiring { cores, out_consumers, uncore, board, shards, shard_signals, window_grant }
 }
 
 pub(crate) fn violation_report(tracker: &Option<Arc<ConflictTracker>>) -> ViolationReport {
@@ -262,8 +338,8 @@ pub struct Engine {
     pub(crate) board: Arc<ClockBoard>,
     tracker: Option<Arc<ConflictTracker>>,
     roi: Arc<RoiState>,
-    pub(crate) shards: Vec<crate::shard::MemShard>,
-    pub(crate) shard_signals: Vec<Arc<crate::shard::ShardSignal>>,
+    pub(crate) shards: Vec<MemShard>,
+    pub(crate) shard_signals: Vec<Arc<ShardSignal>>,
     shard_frontiers: Vec<Arc<AtomicU64>>,
     /// The coordinator's window grant (sharded clock domains): instead of
     /// raising `max_local` on every core itself — an O(n_cores) loop that
@@ -309,12 +385,7 @@ impl Engine {
     /// Wire up a simulation of `program` under `scheme` without starting
     /// any host threads.
     pub fn new(program: &Program, scheme: Scheme, cfg: &TargetConfig) -> Engine {
-        let Plumbing { mut cores, out_consumers, in_producers, tracker, roi, mem, text_len, sbt } =
-            plumb(program, cfg);
-        for core in &mut cores {
-            core.set_batch_cap(scheme.batch_cap());
-        }
-        let n = cfg.n_cores;
+        let shared = Shared::from_program(program, cfg);
         let adapt = match scheme {
             Scheme::Adaptive { budget } => Some(SlackController::new(budget)),
             _ => None,
@@ -324,77 +395,53 @@ impl Engine {
             (None, Scheme::AdaptiveQuantum { min, .. }) => min,
             (None, s) => s.window(0),
         };
-        let board = Arc::new(ClockBoard::new(n, initial_window));
-        let uncore = Uncore::new(cfg, scheme, in_producers, Some(board.clone()), mem.clone());
-
-        // ---- sharded memory managers (extension; cfg.mem_shards > 0) ----
-        // `validate()` (in `plumb`) already rejected mem_shards > n_banks.
-        let n_shards = cfg.mem_shards;
-        let window_grant = Arc::new(AtomicU64::new(0));
-        let mut shards: Vec<crate::shard::MemShard> = Vec::new();
-        let mut shard_signals: Vec<Arc<crate::shard::ShardSignal>> = Vec::new();
-        if n_shards > 0 {
-            // rings[s][c]: events core c -> shard s; replies shard s -> core c.
-            let mut ev_consumers: Vec<Vec<spsc::Consumer<OutEvent>>> =
-                (0..n_shards).map(|_| Vec::new()).collect();
-            let mut reply_producers: Vec<Vec<spsc::Producer<InMsg>>> =
-                (0..n_shards).map(|_| Vec::new()).collect();
-            shard_signals =
-                (0..n_shards).map(|_| Arc::new(crate::shard::ShardSignal::default())).collect();
-            let dirty_masks: Vec<Arc<Vec<AtomicU64>>> = (0..n_shards)
-                .map(|_| {
-                    Arc::new((0..cfg.n_cores.div_ceil(64)).map(|_| AtomicU64::new(0)).collect())
-                })
-                .collect();
-            for core in cores.iter_mut() {
-                let mut my_reply_rings = Vec::new();
-                let mut my_event_rings = Vec::new();
-                for s in 0..n_shards {
-                    let (ev_p, ev_c) = spsc::channel();
-                    let (rep_p, rep_c) = spsc::channel();
-                    ev_consumers[s].push(ev_c);
-                    reply_producers[s].push(rep_p);
-                    my_event_rings.push(ev_p);
-                    my_reply_rings.push(rep_c);
-                }
-                core.attach_shards(
-                    my_reply_rings,
-                    my_event_rings,
-                    shard_signals.clone(),
-                    dirty_masks.clone(),
-                );
-            }
-            for (s, (evc, repp)) in ev_consumers.into_iter().zip(reply_producers).enumerate() {
-                shards.push(crate::shard::MemShard::new(
-                    s,
-                    cfg,
-                    scheme,
-                    evc,
-                    repp,
-                    board.clone(),
-                    window_grant.clone(),
-                    dirty_masks[s].clone(),
-                ));
-            }
-        }
-        let shard_frontiers: Vec<_> = shards.iter().map(|s| s.frontier.clone()).collect();
-        let slack_profile: Vec<(u64, u64)> =
-            Vec::with_capacity(SLACK_PROFILE_RESERVE.min(SLACK_PROFILE_CAP));
-        Engine {
-            cfg: *cfg,
+        let mut wiring = wire(cfg, scheme, &shared, || {
+            Some(Arc::new(ClockBoard::new(cfg.n_cores, initial_window)))
+        });
+        wiring.cores[0].start_main(program.entry);
+        let slack_profile = Vec::with_capacity(SLACK_PROFILE_RESERVE.min(SLACK_PROFILE_CAP));
+        let stats = EngineStats::default();
+        Engine::from_parts(
+            *cfg,
             scheme,
-            mem,
+            shared,
+            wiring,
+            program.text_len(),
+            adapt,
+            stats,
+            slack_profile,
+        )
+    }
+
+    /// The engine around freshly wired parts; nothing has run on them.
+    #[allow(clippy::too_many_arguments)]
+    fn from_parts(
+        cfg: TargetConfig,
+        scheme: Scheme,
+        shared: Shared,
+        wiring: Wiring,
+        text_len: usize,
+        adapt: Option<SlackController>,
+        engine: EngineStats,
+        slack_profile: Vec<(u64, u64)>,
+    ) -> Engine {
+        let Wiring { cores, out_consumers, uncore, board, shards, shard_signals, window_grant } =
+            wiring;
+        Engine {
+            cfg,
+            scheme,
+            mem: shared.mem,
             cores,
             out_consumers,
             uncore,
-            board,
-            tracker,
-            roi,
+            board: board.expect("the parallel engine runs on a clock board"),
+            tracker: shared.tracker,
+            roi: shared.roi,
+            shard_frontiers: shards.iter().map(|s| s.frontier.clone()).collect(),
             shards,
             shard_signals,
-            shard_frontiers,
             window_grant,
-            engine: EngineStats::default(),
+            engine,
             slack_profile,
             last_window: 0,
             wall: Duration::ZERO,
@@ -402,7 +449,7 @@ impl Engine {
             obs: None,
             next_violation_sample: 0,
             text_len,
-            sbt,
+            sbt: shared.sbt,
             adapt,
             window_bug_extra: 0,
             cancel: Arc::new(AtomicBool::new(false)),
@@ -1104,8 +1151,6 @@ impl Engine {
         let text = Arc::new(DecodedProgram::from_words(
             (0..text_len).map(|i| mem.read(Program::text_addr(i))),
         ));
-        // The superblock table is derived from the text: rebuild, never load.
-        let sbt = cfg.superblocks.then(|| Arc::new(SuperblockTable::build(&text)));
         let tracker =
             if r.get_bool()? { Some(Arc::new(ConflictTracker::load(&mut r)?)) } else { None };
         let wants_tracker = cfg.track_workload_violations || cfg.fast_forward_compensation;
@@ -1114,67 +1159,16 @@ impl Engine {
                 "conflict-tracker presence disagrees with the configuration".into(),
             ));
         }
-        let roi = Arc::new(RoiState::default());
-        let roi_active = r.get_bool()?;
-        let roi_committed = r.get_u64()?;
-        roi.active.store(roi_active, Ordering::Relaxed);
-        roi.committed.store(roi_committed, Ordering::Relaxed);
+        let shared = Shared::around(mem, text, tracker, &cfg);
+        shared.roi.active.store(r.get_bool()?, Ordering::Relaxed);
+        shared.roi.committed.store(r.get_u64()?, Ordering::Relaxed);
         let engine_stats = EngineStats::load(&mut r)?;
 
-        let board = Arc::new(ClockBoard::restored(&locals, g));
-        // Sharded plumbing mirrors `Engine::new`: fresh rings (empty at a
-        // safe-point by construction), fresh signals, restored state.
-        let n_shards = cfg.mem_shards;
-        let window_grant = Arc::new(AtomicU64::new(0));
-        let mut ev_consumers: Vec<Vec<spsc::Consumer<OutEvent>>> =
-            (0..n_shards).map(|_| Vec::new()).collect();
-        let mut reply_producers: Vec<Vec<spsc::Producer<InMsg>>> =
-            (0..n_shards).map(|_| Vec::new()).collect();
-        let shard_signals: Vec<Arc<crate::shard::ShardSignal>> =
-            (0..n_shards).map(|_| Arc::new(crate::shard::ShardSignal::default())).collect();
-        let dirty_masks: Vec<Arc<Vec<AtomicU64>>> = (0..n_shards)
-            .map(|_| Arc::new((0..cfg.n_cores.div_ceil(64)).map(|_| AtomicU64::new(0)).collect()))
-            .collect();
-        let mut cores = Vec::with_capacity(cfg.n_cores);
-        let mut out_consumers = Vec::with_capacity(cfg.n_cores);
-        let mut in_producers = Vec::with_capacity(cfg.n_cores);
-        for (id, &local) in locals.iter().enumerate() {
-            let (in_p, in_c) = spsc::channel();
-            let (out_p, out_c) = spsc::channel();
-            let mut cpu = build_cpu(&cfg);
-            if let Some(t) = &sbt {
-                cpu.attach_superblocks(t.clone());
-            }
-            let mut core = CoreSim::new(
-                id,
-                &cfg,
-                cpu,
-                in_c,
-                out_p,
-                mem.clone(),
-                text.clone(),
-                tracker.clone(),
-                roi.clone(),
-            );
-            core.set_batch_cap(scheme.batch_cap());
-            if n_shards > 0 {
-                let mut my_reply_rings = Vec::new();
-                let mut my_event_rings = Vec::new();
-                for s in 0..n_shards {
-                    let (ev_p, ev_c) = spsc::channel();
-                    let (rep_p, rep_c) = spsc::channel();
-                    ev_consumers[s].push(ev_c);
-                    reply_producers[s].push(rep_p);
-                    my_event_rings.push(ev_p);
-                    my_reply_rings.push(rep_c);
-                }
-                core.attach_shards(
-                    my_reply_rings,
-                    my_event_rings,
-                    shard_signals.clone(),
-                    dirty_masks.clone(),
-                );
-            }
+        // Fresh queues (empty at a safe-point by construction) and signals
+        // around the restored state.
+        let mut wiring =
+            wire(&cfg, scheme, &shared, || Some(Arc::new(ClockBoard::restored(&locals, g))));
+        for (id, (core, &local)) in wiring.cores.iter_mut().zip(&locals).enumerate() {
             core.restore_state(&mut r)?;
             if core.local() != local {
                 return Err(SnapError::Corrupt(format!(
@@ -1183,35 +1177,19 @@ impl Engine {
                     local
                 )));
             }
-            cores.push(core);
-            out_consumers.push(out_c);
-            in_producers.push(in_p);
         }
-        let mut uncore = Uncore::new(&cfg, scheme, in_producers, Some(board.clone()), mem.clone());
-        uncore.restore_state(&mut r)?;
+        wiring.uncore.restore_state(&mut r)?;
         // v6: sharded memory-manager state.
         let ns = r.get_usize()?;
-        if ns != n_shards {
+        if ns != cfg.mem_shards {
             return Err(SnapError::Corrupt(format!(
-                "{ns} shard states for a {n_shards}-shard configuration"
+                "{ns} shard states for a {}-shard configuration",
+                cfg.mem_shards
             )));
         }
-        let mut shards = Vec::with_capacity(ns);
-        for (s, (evc, repp)) in ev_consumers.into_iter().zip(reply_producers).enumerate() {
-            let mut sh = crate::shard::MemShard::new(
-                s,
-                &cfg,
-                scheme,
-                evc,
-                repp,
-                board.clone(),
-                window_grant.clone(),
-                dirty_masks[s].clone(),
-            );
+        for sh in wiring.shards.iter_mut() {
             sh.restore_state(&mut r)?;
-            shards.push(sh);
         }
-        let shard_frontiers: Vec<_> = shards.iter().map(|s| s.frontier.clone()).collect();
         let saved_adapt = if r.get_bool()? { Some(SlackController::load(&mut r)?) } else { None };
         // Same budget ⇒ the loop continues mid-epoch exactly where it
         // stopped; a fork onto a different budget (or onto Adaptive from
@@ -1240,35 +1218,18 @@ impl Engine {
         r.finish()?;
         // A fork onto an eager scheme must not strand events that were
         // queued under the snapshot's ordered discipline.
-        uncore.adopt_queued_for_scheme();
+        wiring.uncore.adopt_queued_for_scheme();
 
-        let mut engine = Engine {
+        let mut engine = Engine::from_parts(
             cfg,
             scheme,
-            mem,
-            cores,
-            out_consumers,
-            uncore,
-            board,
-            tracker,
-            roi,
-            shards,
-            shard_signals,
-            shard_frontiers,
-            window_grant,
-            engine: engine_stats,
-            slack_profile: Vec::new(),
-            last_window: 0,
-            wall: Duration::ZERO,
-            finished: false,
-            obs: None,
-            next_violation_sample: 0,
+            shared,
+            wiring,
             text_len,
-            sbt,
             adapt,
-            window_bug_extra: 0,
-            cancel: Arc::new(AtomicBool::new(false)),
-        };
+            engine_stats,
+            Vec::new(),
+        );
         // Re-wire the restored hub through every layer (restore_state
         // rebuilt the uncore's sync table without its obs handle).
         if let Some(o) = obs {

@@ -15,19 +15,20 @@
 
 use crate::config::{StopCondition, TargetConfig};
 use crate::core_thread::CoreOutput;
-use crate::engine::{assemble_report, plumb, violation_report, Plumbing};
+use crate::engine::{assemble_report, violation_report, wire, Shared, Wiring};
 use crate::scheme::Scheme;
 use crate::stats::{EngineStats, SimReport};
-use crate::uncore::Uncore;
 use sk_isa::Program;
 use std::sync::atomic::Ordering;
 use std::time::Instant;
 
 /// Run `program` to completion on the sequential cycle-by-cycle engine.
 pub fn run_sequential(program: &Program, cfg: &TargetConfig) -> SimReport {
-    let Plumbing { mut cores, mut out_consumers, in_producers, tracker, roi, mem, .. } =
-        plumb(program, cfg);
-    let mut uncore = Uncore::new(cfg, Scheme::CycleByCycle, in_producers, None, mem);
+    let shared = Shared::from_program(program, cfg);
+    let Wiring { mut cores, mut out_consumers, mut uncore, .. } =
+        wire(cfg, Scheme::CycleByCycle, &shared, || None);
+    cores[0].start_main(program.entry);
+    let Shared { tracker, roi, .. } = shared;
 
     let t0 = Instant::now();
     let mut cycle: u64 = 0;
