@@ -1074,3 +1074,11 @@ impl CoreSim {
         Ok(())
     }
 }
+
+#[cfg(test)]
+impl CoreSim {
+    /// Every queue this core produces into: its OutQ, then its shard links.
+    pub(crate) fn producers(&mut self) -> impl Iterator<Item = &mut Producer<OutEvent>> {
+        std::iter::once(&mut self.outq).chain(self.shard_outqs.iter_mut())
+    }
+}

@@ -469,6 +469,13 @@ pub fn shard_of(block: sk_mem::BlockAddr, n_banks: usize, n_shards: usize) -> us
 mod tests {
     use super::*;
 
+    impl MemShard {
+        /// The cores' reply queues, shard side.
+        pub(crate) fn producers(&mut self) -> impl Iterator<Item = &mut Producer<InMsg>> {
+            self.to_cores.iter_mut()
+        }
+    }
+
     #[test]
     fn shard_routing_is_bank_interleaved() {
         // 8 banks over 2 shards: even banks -> shard 0, odd -> shard 1.

@@ -382,6 +382,69 @@ mod tests {
         }
     }
 
+    /// Walk every queue of `e`. Armed before a run, each starts recording
+    /// its high-water mark; audited after it, none may own more blocks
+    /// than that mark needs plus the two a chain carries at its ends.
+    /// Returns (queues, deepest mark, most blocks owned by one queue).
+    fn queues_of(e: &mut crate::engine::Engine, arm: bool) -> (usize, usize, usize) {
+        fn one<T>(p: &mut Producer<T>, arm: bool, seen: &mut (usize, usize, usize)) {
+            if arm {
+                return p.enable_high_water();
+            }
+            let (hw, blocks) = (p.high_water(), p.blocks());
+            assert!(blocks <= hw.div_ceil(BLOCK) + 2, "{blocks} blocks for a high-water of {hw}");
+            *seen = (seen.0 + 1, seen.1.max(hw), seen.2.max(blocks));
+        }
+        let mut seen = (0, 0, 0);
+        for core in e.cores.iter_mut() {
+            core.producers().for_each(|p| one(p, arm, &mut seen));
+        }
+        e.uncore.producers().for_each(|p| one(p, arm, &mut seen));
+        for shard in e.shards.iter_mut() {
+            shard.producers().for_each(|p| one(p, arm, &mut seen));
+        }
+        seen
+    }
+
+    #[test]
+    fn no_engine_queue_owns_more_blocks_than_its_high_water_needs() {
+        use crate::{CoreModel, DetEngine, Engine, Scheme, TargetConfig};
+        // Threaded, four out-of-order cores, bounded slack.
+        let w = sk_kernels::fft::fft(4, 6);
+        let mut cfg = TargetConfig::small(4);
+        cfg.core.model = CoreModel::OutOfOrder;
+        let mut e = Engine::new(&w.program, Scheme::BoundedSlack(10), &cfg);
+        queues_of(&mut e, true);
+        e.run_until(None);
+        let (queues, deepest, most) = queues_of(&mut e, false);
+        eprintln!(
+            "threaded 4-core S10 FFT: {queues} queues, deepest {deepest}, most blocks {most}"
+        );
+        assert_eq!(queues, 8);
+
+        // Deterministic and lockstep: 64 cores on one lock over four
+        // shards (640 queues, all shallow), then the deepest InQs of the
+        // performance ledger, the 1024-point FFT on eight cores.
+        let many = {
+            let mut cfg = TargetConfig::many_core(64);
+            cfg.mem_shards = 4;
+            (sk_kernels::micro::lock_sweep(64, 6), cfg, 640)
+        };
+        let deep = (sk_kernels::fft::fft(8, 10), TargetConfig::small(8), 16);
+        let mut deepest_seen = 0;
+        for (w, cfg, expect) in [many, deep] {
+            let engine = Engine::new(&w.program, Scheme::CycleByCycle, &cfg);
+            let mut det = DetEngine::from_engine(engine, 1);
+            queues_of(det.engine_mut(), true);
+            det.run();
+            let (queues, deepest, most) = queues_of(det.engine_mut(), false);
+            eprintln!("det CC {}: {queues} queues, deepest {deepest}, most blocks {most}", w.name);
+            assert_eq!(queues, expect);
+            deepest_seen = deepest_seen.max(deepest);
+        }
+        assert!(deepest_seen > 3 * BLOCK, "no queue spans several blocks any more");
+    }
+
     #[test]
     fn fifo_order_across_blocks() {
         let (mut p, mut c) = channel();

@@ -535,3 +535,11 @@ impl Uncore {
         }
     }
 }
+
+#[cfg(test)]
+impl Uncore {
+    /// The cores' InQs, manager side.
+    pub(crate) fn producers(&mut self) -> impl Iterator<Item = &mut Producer<InMsg>> {
+        self.inqs.iter_mut()
+    }
+}
