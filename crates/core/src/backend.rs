@@ -149,7 +149,7 @@ impl RunSet {
 ///
 /// Wraps an [`Engine`] and drives it to completion on the calling thread.
 /// No host threads are spawned; all cross-task interaction goes through
-/// the same SPSC rings and [`ClockBoard`](crate::clock::ClockBoard) states
+/// the same SPSC queues and [`ClockBoard`](crate::clock::ClockBoard) states
 /// as the threaded backend, so the simulated outcome differs only where
 /// the *schedule* is allowed to matter (racy schemes' violation counts).
 pub struct DetEngine {

@@ -137,7 +137,7 @@ fn new_core_clock(local: u64, max_local: u64) -> CoreClock {
 #[derive(Debug)]
 pub struct GlobalCache {
     seen: Vec<(u8, u64)>,
-    /// Cores whose flag the last refresh consumed, ascending: the rings
+    /// Cores whose flag the last refresh consumed, ascending: the queues
     /// the manager has to drain this iteration.
     flagged: Vec<usize>,
     result: (u64, bool),

@@ -254,16 +254,16 @@ pub struct CoreOutput {
 pub struct CoreSim {
     id: usize,
     cpu: Box<dyn Cpu>,
-    /// InQ consumers: index 0 is the coordination manager's ring;
-    /// indices 1.. are the memory shards' reply rings (sharded mode).
+    /// InQ consumers: index 0 is the coordination manager's queue;
+    /// indices 1.. are the memory shards' reply queues (sharded mode).
     inqs: Vec<Consumer<InMsg>>,
     /// OutQ to the coordination manager.
     outq: Producer<OutEvent>,
     /// OutQs to the memory shards (empty in single-manager mode).
     shard_outqs: Vec<Producer<OutEvent>>,
     /// Per-shard dirty-core bitmasks (shared with the shards): set word
-    /// `id >> 6`, bit `id & 63` after landing an event in a shard's ring
-    /// so its drain scans only active rings (see [`MemShard::iterate`]).
+    /// `id >> 6`, bit `id & 63` after landing an event in a shard's queue
+    /// so its drain scans only active queues (see [`MemShard::iterate`]).
     shard_dirty: Vec<Arc<Vec<std::sync::atomic::AtomicU64>>>,
     /// Wakeup signals for the shards (parallel engine only).
     shard_signals: Vec<Arc<crate::shard::ShardSignal>>,
@@ -277,7 +277,7 @@ pub struct CoreSim {
     /// Reusable InQ drain buffer.
     inq_scratch: Vec<InMsg>,
     /// Coordinator-bound events of the current cycle, published as one
-    /// batch (single `Release` store of the ring tail).
+    /// batch (single `Release` store of the queue tail).
     out_scratch: Vec<OutEvent>,
     arrival: u64,
     host: HostState,
@@ -375,7 +375,7 @@ impl CoreSim {
         self.obs = Some(obs);
     }
 
-    /// Publish producer-side ring telemetry and the µTLB counters into
+    /// Publish producer-side queue telemetry and the µTLB counters into
     /// the hub (call when the core is quiescent: end of run, or at a
     /// snapshot safe-point).
     pub fn publish_obs(&mut self) {
@@ -409,8 +409,8 @@ impl CoreSim {
         self.shard_dirty = dirty;
     }
 
-    /// Flag this core's ring as dirty for shard `si` — MUST follow the
-    /// ring push (release pairs with the shard's mask-consuming acquire,
+    /// Flag this core's queue as dirty for shard `si` — MUST follow the
+    /// queue push (release pairs with the shard's mask-consuming acquire,
     /// so a consumed bit proves the pushed event is visible).
     #[inline]
     fn mark_shard_dirty(&self, si: usize) {
@@ -494,7 +494,7 @@ impl CoreSim {
     }
 
     /// Pull everything out of the InQs into the local timestamp heap.
-    /// Each ring is drained in batches: one `Release` store of its head
+    /// Each queue is drained in batches: one `Release` store of its head
     /// frees the whole chunk for the producing manager at once.
     fn drain_inq(&mut self) {
         let mut scratch = std::mem::take(&mut self.inq_scratch);
@@ -716,7 +716,7 @@ impl CoreSim {
 
     /// Would [`CoreSim::run_step`] answer [`StepOutcome::AtWindow`] right
     /// now? Exactly the conditions under which it gets there, and on that
-    /// path it touches nothing — no ring, no queue, no board state — so a
+    /// path it touches nothing — no queue, no board state — so a
     /// scheduler that asks this first may skip the call. Everything read
     /// here other than the window and the stop flag is changed only by
     /// this core's own steps.
@@ -961,15 +961,15 @@ impl CoreSim {
 
     // ---- snapshot support ----
 
-    /// Drain every InQ ring into the local timestamp heap (safe-point
-    /// preparation: ring contents become part of the serialized heap, so
-    /// fresh rings on restore start empty).
+    /// Drain every InQ into the local timestamp heap (safe-point
+    /// preparation: queue contents become part of the serialized heap, so
+    /// fresh queues on restore start empty).
     pub fn drain_pending(&mut self) {
         self.drain_inq();
     }
 
     /// Serialize all dynamic state. Call only at a safe-point with the
-    /// core thread joined and the InQ rings drained ([`CoreSim::drain_pending`]).
+    /// core thread joined and the InQs drained ([`CoreSim::drain_pending`]).
     /// Functional memory and the conflict tracker are engine-owned shared
     /// state and are serialized by the engine, not here.
     pub fn save_state(&self, w: &mut Writer) {

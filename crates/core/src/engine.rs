@@ -322,7 +322,7 @@ pub enum RunOutcome {
 /// [`run_parallel`] is `Engine::new` + `run_until(None)` + `into_report`.
 /// The segmented form exists for checkpointing: `run_until(Some(c))`
 /// converges every clock onto cycle `c` (a *safe-point*: global == local
-/// on every unfinished driving core, SPSC rings drained, no in-flight
+/// on every unfinished driving core, SPSC queues drained, no in-flight
 /// uncore transaction unaccounted for), after which [`Engine::snapshot`]
 /// serializes the complete simulated system and [`Engine::resume`]
 /// reconstructs it — bit-deterministically for conservative schemes —
@@ -400,7 +400,6 @@ impl Engine {
         });
         wiring.cores[0].start_main(program.entry);
         let slack_profile = Vec::with_capacity(SLACK_PROFILE_RESERVE.min(SLACK_PROFILE_CAP));
-        let stats = EngineStats::default();
         Engine::from_parts(
             *cfg,
             scheme,
@@ -408,7 +407,7 @@ impl Engine {
             wiring,
             program.text_len(),
             adapt,
-            stats,
+            EngineStats::default(),
             slack_profile,
         )
     }
@@ -610,13 +609,13 @@ impl Engine {
         };
         // Order matters for determinism of ordered schemes: publish
         // global time first, then drain (every event with ts ≤ global
-        // is already in its ring by the release/acquire pairing on
+        // is already in its queue by the release/acquire pairing on
         // local time), then process up to the horizon. The refresh
         // consumes the board's change flags; observed slack and the
         // driving-core count below read the refreshed view, and the drain
         // walks the flagged cores only. A core raises its flag after every
         // state, clock or OutQ store, so an unflagged core has an
-        // unchanged pair and an empty ring.
+        // unchanged pair and an empty queue.
         let (g, all_done) = self.board.recompute_global_cached(clock_cache);
         self.engine.global_updates += 1;
         let slack_now = clock_cache.observed_slack(g);
@@ -641,7 +640,7 @@ impl Engine {
         }
         // Quiescence is observed *before* the drain. A core pushes its
         // events and only then parks, so a core seen parked here (Acquire
-        // on its state) has every event it emitted in its ring by the time
+        // on its state) has every event it emitted in its queue by the time
         // the drain below reads it. Observed after the drain, a core that
         // pushed and parked in between left the quiescent path to process
         // another core's same-cycle event ahead of its undrained one —
@@ -1088,7 +1087,7 @@ impl Engine {
         match &self.obs {
             None => w.put_bool(false),
             Some(o) => {
-                // Ratchet the ring high-water marks into the hub before it
+                // Ratchet the queue high-water marks into the hub before it
                 // is serialized, so the snapshot carries current values.
                 self.uncore.publish_obs();
                 for core in self.cores.iter_mut() {

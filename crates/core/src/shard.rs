@@ -9,8 +9,8 @@
 //! lower-hierarchy memory work (directory + L2 banks) is partitioned over
 //! `n` **memory-shard** threads by bank (`shard = bank mod n`). Each shard
 //! owns its banks' directory state and an interconnect channel, consumes
-//! per-core SPSC rings of memory events, and produces replies and
-//! invalidations on per-core SPSC rings of its own.
+//! per-core SPSC queues of memory events, and produces replies and
+//! invalidations on per-core SPSC queues of its own.
 //!
 //! Ordering: within a shard, timestamp-ordered schemes process events in
 //! `(ts, core, seq)` order behind the global-time horizon, exactly like
@@ -66,7 +66,7 @@ impl ShardSignal {
     /// Consume the pending flag without blocking: true if a signal
     /// arrived since the last `wait`/`take`. The deterministic backend
     /// gates shard picks on this — an unsignalled shard has nothing to
-    /// do, so the scheduler skips its O(n_cores) ring scan.
+    /// do, so the scheduler skips its O(n_cores) queue scan.
     pub fn take(&self) -> bool {
         self.pending.swap(false, Ordering::Acquire)
     }
@@ -111,11 +111,11 @@ pub struct MemShard {
     scheme: Scheme,
     dir: Directory,
     ordered: std::collections::BinaryHeap<Reverse<OrderedEv>>,
-    /// Event rings, one per core (this shard is the consumer).
+    /// Event queues, one per core (this shard is the consumer).
     pub from_cores: Vec<Consumer<OutEvent>>,
     /// Dirty-core bitmask (word `c >> 6`, bit `c & 63`): core `c` sets
     /// its bit after landing an event in `from_cores[c]`; `iterate`
-    /// swap-consumes the mask and drains only flagged rings, so the
+    /// swap-consumes the mask and drains only flagged queues, so the
     /// per-iteration cost scales with *active* cores, not `n_cores`.
     /// Soundness of skipping the rest rides on the frontier argument:
     /// any event with `ts <= g` — and its dirty bit — happens-before
@@ -123,7 +123,7 @@ pub struct MemShard {
     /// the swap see every bit the frontier publication is about to
     /// vouch for.
     dirty: Arc<Vec<AtomicU64>>,
-    /// Reply rings, one per core (this shard is the producer).
+    /// Reply queues, one per core (this shard is the producer).
     to_cores: Vec<Producer<InMsg>>,
     /// Cores that received a reply since the last wakeup flush: a flag
     /// per core (one entry per core however many replies it got) and the
@@ -134,7 +134,7 @@ pub struct MemShard {
     /// parked on the board): what the deterministic scheduler must put
     /// back in its runnable set.
     woken: Vec<usize>,
-    /// Reusable ring-drain buffer.
+    /// Reusable queue-drain buffer.
     scratch: Vec<OutEvent>,
     board: Arc<ClockBoard>,
     /// Global time through which this shard has processed *and delivered*
@@ -284,7 +284,7 @@ impl MemShard {
     }
 
     /// One iteration: apply the coordinator's window grant to this shard's
-    /// clock domain, drain rings, process per the scheme discipline.
+    /// clock domain, drain queues, process per the scheme discipline.
     /// Returns `true` if any observable work happened (events drained or
     /// processed, windows raised, frontier advanced) —
     /// the deterministic backend's stall detector keys off this.
@@ -313,7 +313,7 @@ impl MemShard {
         let events0 = self.events_processed;
         let mut drained = 0u64;
         let mut scratch = std::mem::take(&mut self.scratch);
-        // Dirty-mask drain: only rings whose core flagged a push since the
+        // Dirty-mask drain: only queues whose core flagged a push since the
         // last consume. The mask is swapped *after* reading `g` above, so
         // every event the frontier publication below vouches for (ts <= g,
         // hence pushed-and-flagged before its core's clock fed `g`) is
@@ -448,7 +448,7 @@ impl MemShard {
     }
 
     /// Restore state written by [`MemShard::save_state`] into a freshly
-    /// plumbed shard (same configuration, fresh rings).
+    /// plumbed shard (same configuration, fresh queues).
     pub fn restore_state(&mut self, r: &mut sk_snap::Reader<'_>) -> Result<(), sk_snap::SnapError> {
         use sk_snap::Persist;
         self.frontier.store(r.get_u64()?, Ordering::Release);

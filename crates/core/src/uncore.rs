@@ -131,7 +131,7 @@ impl Uncore {
         }
     }
 
-    /// Attach a telemetry hub: the reply rings start tracking their
+    /// Attach a telemetry hub: the reply queues start tracking their
     /// high-water marks and the sync table feeds its wait histograms.
     /// Call again after [`Uncore::restore_state`] (restore replaces the
     /// sync table, dropping its hub reference).
@@ -143,7 +143,7 @@ impl Uncore {
         self.obs = Some(obs);
     }
 
-    /// Publish producer-side ring telemetry (InQ high-water marks) into
+    /// Publish producer-side queue telemetry (InQ high-water marks) into
     /// the hub. Call when the manager is quiescent: end of a segment, or
     /// at a snapshot safe-point.
     pub fn publish_obs(&self) {
@@ -204,7 +204,7 @@ impl Uncore {
         }
     }
 
-    /// Accept one ring's worth of OutQ events from `core` (the slice is a
+    /// Accept one queue's worth of OutQ events from `core` (the slice is a
     /// FIFO drain, so arrival order is preserved). Equivalent to calling
     /// [`Uncore::ingest`] per event; ordered schemes bulk-extend the GQ.
     pub fn ingest_batch(&mut self, core: usize, evs: &[OutEvent]) {
