@@ -399,21 +399,13 @@ impl Engine {
             Some(Arc::new(ClockBoard::new(cfg.n_cores, initial_window)))
         });
         wiring.cores[0].start_main(program.entry);
-        let slack_profile = Vec::with_capacity(SLACK_PROFILE_RESERVE.min(SLACK_PROFILE_CAP));
-        Engine::from_parts(
-            *cfg,
-            scheme,
-            shared,
-            wiring,
-            program.text_len(),
-            adapt,
-            EngineStats::default(),
-            slack_profile,
-        )
+        let mut engine =
+            Engine::from_parts(*cfg, scheme, shared, wiring, program.text_len(), adapt);
+        engine.slack_profile = Vec::with_capacity(SLACK_PROFILE_RESERVE.min(SLACK_PROFILE_CAP));
+        engine
     }
 
     /// The engine around freshly wired parts; nothing has run on them.
-    #[allow(clippy::too_many_arguments)]
     fn from_parts(
         cfg: TargetConfig,
         scheme: Scheme,
@@ -421,8 +413,6 @@ impl Engine {
         wiring: Wiring,
         text_len: usize,
         adapt: Option<SlackController>,
-        engine: EngineStats,
-        slack_profile: Vec<(u64, u64)>,
     ) -> Engine {
         let Wiring { cores, out_consumers, uncore, board, shards, shard_signals, window_grant } =
             wiring;
@@ -440,8 +430,8 @@ impl Engine {
             shards,
             shard_signals,
             window_grant,
-            engine,
-            slack_profile,
+            engine: EngineStats::default(),
+            slack_profile: Vec::new(),
             last_window: 0,
             wall: Duration::ZERO,
             finished: false,
@@ -1219,16 +1209,8 @@ impl Engine {
         // queued under the snapshot's ordered discipline.
         wiring.uncore.adopt_queued_for_scheme();
 
-        let mut engine = Engine::from_parts(
-            cfg,
-            scheme,
-            shared,
-            wiring,
-            text_len,
-            adapt,
-            engine_stats,
-            Vec::new(),
-        );
+        let mut engine = Engine::from_parts(cfg, scheme, shared, wiring, text_len, adapt);
+        engine.engine = engine_stats;
         // Re-wire the restored hub through every layer (restore_state
         // rebuilt the uncore's sync table without its obs handle).
         if let Some(o) = obs {
