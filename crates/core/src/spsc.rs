@@ -382,20 +382,40 @@ mod tests {
         }
     }
 
+    /// What an engine's queues add up to.
+    #[derive(Default)]
+    struct Audit {
+        queues: usize,
+        /// Deepest high-water mark of any queue.
+        deepest: usize,
+        /// Most blocks owned by any one queue.
+        most_blocks: usize,
+        /// Heap bytes of all queues: their blocks and their shared words.
+        bytes: usize,
+    }
+
     /// Walk every queue of `e`. Armed before a run, each starts recording
     /// its high-water mark; audited after it, none may own more blocks
     /// than that mark needs plus the two a chain carries at its ends.
-    /// Returns (queues, deepest mark, most blocks owned by one queue).
-    fn queues_of(e: &mut crate::engine::Engine, arm: bool) -> (usize, usize, usize) {
-        fn one<T>(p: &mut Producer<T>, arm: bool, seen: &mut (usize, usize, usize)) {
+    fn queues_of(e: &mut crate::engine::Engine, arm: bool) -> Audit {
+        fn one<T>(p: &mut Producer<T>, arm: bool, seen: &mut Audit) {
             if arm {
                 return p.enable_high_water();
             }
             let (hw, blocks) = (p.high_water(), p.blocks());
             assert!(blocks <= hw.div_ceil(BLOCK) + 2, "{blocks} blocks for a high-water of {hw}");
-            *seen = (seen.0 + 1, seen.1.max(hw), seen.2.max(blocks));
+            // The `Arc` puts its two counts in front of the queue's words.
+            let shared = std::alloc::Layout::new::<[usize; 2]>()
+                .extend(std::alloc::Layout::new::<Queue<T>>())
+                .expect("layout")
+                .0
+                .pad_to_align();
+            seen.queues += 1;
+            seen.deepest = seen.deepest.max(hw);
+            seen.most_blocks = seen.most_blocks.max(blocks);
+            seen.bytes += blocks * std::mem::size_of::<Block<T>>() + shared.size();
         }
-        let mut seen = (0, 0, 0);
+        let mut seen = Audit::default();
         for core in e.cores.iter_mut() {
             core.producers().for_each(|p| one(p, arm, &mut seen));
         }
@@ -409,6 +429,12 @@ mod tests {
     #[test]
     fn no_engine_queue_owns_more_blocks_than_its_high_water_needs() {
         use crate::{CoreModel, DetEngine, Engine, Scheme, TargetConfig};
+        let report = |what: &str, a: &Audit| {
+            eprintln!(
+                "{what}: {} queues, deepest {}, most blocks {}, {} bytes",
+                a.queues, a.deepest, a.most_blocks, a.bytes
+            );
+        };
         // Threaded, four out-of-order cores, bounded slack.
         let w = sk_kernels::fft::fft(4, 6);
         let mut cfg = TargetConfig::small(4);
@@ -416,31 +442,31 @@ mod tests {
         let mut e = Engine::new(&w.program, Scheme::BoundedSlack(10), &cfg);
         queues_of(&mut e, true);
         e.run_until(None);
-        let (queues, deepest, most) = queues_of(&mut e, false);
-        eprintln!(
-            "threaded 4-core S10 FFT: {queues} queues, deepest {deepest}, most blocks {most}"
-        );
-        assert_eq!(queues, 8);
+        let audit = queues_of(&mut e, false);
+        report("threaded 4-core S10 FFT", &audit);
+        assert_eq!(audit.queues, 8);
 
         // Deterministic and lockstep: 64 cores on one lock over four
-        // shards (640 queues, all shallow), then the deepest InQs of the
-        // performance ledger, the 1024-point FFT on eight cores.
+        // shards (640 queues, all shallow; 640 rings of 4096 slots were
+        // 104.9 MB), then the deepest InQs of the performance ledger, the
+        // 1024-point FFT on eight cores (16 such rings were 2.6 MB).
         let many = {
             let mut cfg = TargetConfig::many_core(64);
             cfg.mem_shards = 4;
-            (sk_kernels::micro::lock_sweep(64, 6), cfg, 640)
+            (sk_kernels::micro::lock_sweep(64, 6), cfg, 640, 2 << 20)
         };
-        let deep = (sk_kernels::fft::fft(8, 10), TargetConfig::small(8), 16);
+        let deep = (sk_kernels::fft::fft(8, 10), TargetConfig::small(8), 16, 100 << 10);
         let mut deepest_seen = 0;
-        for (w, cfg, expect) in [many, deep] {
+        for (w, cfg, queues, max_bytes) in [many, deep] {
             let engine = Engine::new(&w.program, Scheme::CycleByCycle, &cfg);
             let mut det = DetEngine::from_engine(engine, 1);
             queues_of(det.engine_mut(), true);
             det.run();
-            let (queues, deepest, most) = queues_of(det.engine_mut(), false);
-            eprintln!("det CC {}: {queues} queues, deepest {deepest}, most blocks {most}", w.name);
-            assert_eq!(queues, expect);
-            deepest_seen = deepest_seen.max(deepest);
+            let audit = queues_of(det.engine_mut(), false);
+            report(&format!("det CC {}", w.name), &audit);
+            assert_eq!(audit.queues, queues);
+            assert!(audit.bytes <= max_bytes, "{} bytes of queues", audit.bytes);
+            deepest_seen = deepest_seen.max(audit.deepest);
         }
         assert!(deepest_seen > 3 * BLOCK, "no queue spans several blocks any more");
     }

@@ -72,6 +72,19 @@ fn eager_scheme_processes_immediately() {
     let msgs = drain(&mut rings[0]);
     assert_eq!(msgs.len(), 1);
     assert!(matches!(msgs[0].kind, InKind::DMemReply { block: 4, granted: LineState::Modified }));
+    // A burst the core does not drain in between (its InQ has no bound):
+    // every reply is delivered, in request order.
+    for i in 0..100u64 {
+        u.ingest(0, ev(i + 1, i + 1, OutKind::IMem { block: i * 64 }));
+    }
+    let blocks: Vec<u64> = drain(&mut rings[0])
+        .iter()
+        .map(|m| match m.kind {
+            InKind::IMemReply { block } => block,
+            other => panic!("unexpected {other:?}"),
+        })
+        .collect();
+    assert_eq!(blocks, (0..100).map(|i| i * 64).collect::<Vec<u64>>());
 }
 
 #[test]
