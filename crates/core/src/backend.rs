@@ -1,12 +1,13 @@
 //! Execution backends: the threaded engine and the deterministic
 //! single-threaded schedule explorer.
 //!
-//! The parallel engine ([`crate::engine`]) runs N core Pthreads plus a
-//! manager Pthread; the host OS scheduler picks the interleaving, so two
-//! runs of a racy scheme differ. [`DetEngine`] runs the *same* cores and
-//! the *same* manager iteration body ([`Engine::manager_iter`] via
-//! [`CoreSim::run_step`]) as cooperative tasks on one thread, with every
-//! "who steps next" decision delegated to a seedable [`Interleaver`]:
+//! The parallel engine ([`crate::engine`]) runs the cores, the manager and
+//! the shards on a pool of worker threads ([`crate::pool`]); host timing
+//! picks the interleaving, so two runs of a racy scheme differ.
+//! [`DetEngine`] runs the *same* cores and the *same* manager iteration
+//! body ([`Engine::manager_iter`] via [`CoreSim::run_step`]) as
+//! cooperative tasks on one thread, with every "who steps next" decision
+//! delegated to a seedable [`Interleaver`]:
 //!
 //! * same seed ⇒ bit-identical simulation, including every violation
 //!   counter — a failing schedule is a replayable artifact;
@@ -17,34 +18,32 @@
 //!   independent by construction, so any seed must reproduce the threaded
 //!   run byte for byte — asserted by `tests/conformance.rs`.
 //!
-//! Blocking points map one-to-one: where a threaded core would park on a
-//! condvar, `run_step` publishes the parked state on the [`ClockBoard`]
-//! and returns; the scheduler simply stops picking that core until the
-//! manager's reply (or a window raise) makes it runnable again. The
-//! threaded backend's 10 ms liveness timeout — a *progress mechanism*
-//! under barrier schemes, not just a watchdog — becomes a deterministic
-//! "virtual timeout": after a fixed number of fruitless picks the
-//! scheduler resumes every waiting core via
-//! [`ClockBoard::unpark_all_waiting`], with identical re-park semantics.
+//! Blocking points are the same on both: `run_step` publishes the parked
+//! state on the [`ClockBoard`] and returns, and the scheduler stops
+//! picking that core until the manager's reply (or a window raise) makes
+//! it runnable again. When a fixed number of picks in a row moved nothing,
+//! the scheduler runs the quiescence rule both backends share
+//! ([`Engine::forced_round`]): a forced manager body and shard round, then
+//! either a workload deadlock or the *virtual timeout* that resumes every
+//! waiting core ([`ClockBoard::unpark_all_waiting`]).
 
 use crate::clock::{ClockBoard, CoreState};
 use crate::config::TargetConfig;
 use crate::core_thread::StepOutcome;
-use crate::engine::{Engine, MgrState, MgrVerdict, RunOutcome};
+use crate::engine::{Engine, MgrState, MgrVerdict, RunOutcome, Stall};
 use crate::scheme::Scheme;
 use crate::shard::ShardSignal;
 use crate::stats::SimReport;
 use sk_det::{Interleaver, PickHook};
 use sk_isa::Program;
-use sk_obs::Metrics;
 use std::sync::Arc;
 use std::time::Instant;
 
 /// Which machinery executes a simulation.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ExecBackend {
-    /// One host Pthread per target core plus a manager thread (the
-    /// paper's execution model; the default).
+    /// The paper's execution model on a pool of min(host CPUs, cores)
+    /// worker threads ([`crate::pool`]; the default).
     Threads,
     /// All cores and the manager as cooperative tasks on one thread,
     /// interleaved by a seeded PRNG ([`DetEngine`]).
@@ -65,16 +64,10 @@ impl ExecBackend {
 }
 
 /// Consecutive fruitless scheduler picks (no core progressed, manager
-/// ingested nothing) before the scheduler forces a manager iteration and,
-/// if that also yields nothing, fires the virtual timeout. Scaled by task
-/// count at runtime; the constant only sets the per-task factor.
+/// ingested nothing) before the scheduler runs the forced round
+/// ([`Engine::forced_round`]). Scaled by task count at runtime; the
+/// constant only sets the per-task factor.
 const STALL_FACTOR: usize = 4;
-
-/// Forced-manager rounds with no progress before the run is declared
-/// livelocked (a bug in the engine, not the workload — workload deadlock
-/// is detected separately via `deadlockable`, exactly like the threaded
-/// backend's 100 ms quiescence timer).
-const LIVELOCK_ROUNDS: u64 = 100_000;
 
 /// The scheduler's runnable set, kept up to date from the transitions the
 /// loop itself observes instead of being rebuilt from the board before
@@ -246,37 +239,21 @@ impl DetEngine {
         &mut self.engine
     }
 
-    /// One manager iteration on behalf of the scheduler (a manager pick or
-    /// a forced round), with the threaded backend's accounting: the body
-    /// counts as one `manager.iterations` and its time as `busy_ns` — on
-    /// one host thread, busy_ns / wall is the *exact* fraction of the
-    /// schedule the role consumed, the noise-free serialization
-    /// measurement the scaleout bench reports.
-    fn manager_body(&mut self, st: &mut MgrState, obs: Option<&Metrics>) -> MgrVerdict {
-        let t = obs.map(|_| Instant::now());
-        let verdict = self.engine.manager_iter(None, st);
-        if let (Some(o), Some(t)) = (obs, t) {
-            o.manager.iterations.inc();
-            o.manager.busy_ns.add(t.elapsed().as_nanos() as u64);
-        }
+    /// One manager body for a manager pick, booked like the pool's (one
+    /// `manager.iterations`, its time as `busy_ns` — on one host thread,
+    /// busy_ns / wall is the *exact* fraction of the schedule the role
+    /// consumed, the noise-free serialization measurement the scaleout
+    /// bench reports), its controller decisions folded into the schedule.
+    fn manager_body(&mut self, st: &mut MgrState) -> MgrVerdict {
+        let verdict = self.engine.manager_body(None, st);
         self.fold_adapt_decisions();
         verdict
     }
 
-    /// One iteration of shard `si`, timed like the threaded shard loop.
-    fn shard_body(&mut self, si: usize, obs: Option<&Metrics>) -> bool {
-        let t = obs.map(|_| Instant::now());
-        let progressed = self.engine.shards[si].iterate();
-        if let (Some(o), Some(t)) = (obs, t) {
-            o.shards[si].busy_ns.add(t.elapsed().as_nanos() as u64);
-        }
-        progressed
-    }
-
     /// Run the simulation to its natural end (workload exit, stop
-    /// condition, max cycles, or workload deadlock). Checkpoint
-    /// safe-points are a threads-backend feature; the deterministic
-    /// backend always runs whole segments.
+    /// condition, max cycles, or workload deadlock). The deterministic
+    /// backend always runs whole segments; checkpoint safe-points and
+    /// cancellation are the threaded engine's.
     ///
     /// The loop is change-driven. Every scheduling decision still costs
     /// one interleaver draw from a runnable set of exactly the size a
@@ -321,23 +298,18 @@ impl DetEngine {
         // no change flag up on the board either, its next body is a no-op.
         let mut mgr_settled = false;
         // Fruitless picks since the last progress; `stall_after` fruitless
-        // picks trigger one forced-manager round.
+        // picks trigger one forced round.
         let mut stall = 0usize;
         let stall_after = STALL_FACTOR * (n + 1);
-        // Consecutive forced-manager rounds that found the system
-        // deadlockable; two in a row = workload deadlock (mirrors the
-        // threaded DEADLOCK_AFTER policy on a virtual clock).
-        let mut deadlock_rounds = 0u32;
-        // Forced-manager rounds with no progress at all since the last
-        // progress; the livelock backstop.
-        let mut barren_rounds = 0u64;
+        // The quiescence rule's count of forced rounds since progress.
+        let mut quiet = Stall::default();
 
         'sim: loop {
             let k = self.il.pick(set.len());
             let progressed = if let Some(&pick) = set.cores.get(k) {
                 if mem_blocked[pick] {
                     // Resumed after MemWait (reply delivered or virtual
-                    // timeout): same streak reset as the threaded loop.
+                    // timeout): same streak reset as the pool's.
                     self.engine.cores[pick].clear_inert_streak();
                     mem_blocked[pick] = false;
                 }
@@ -374,7 +346,7 @@ impl DetEngine {
                     }
                     false
                 } else {
-                    match self.manager_body(&mut st, obs) {
+                    match self.manager_body(&mut st) {
                         MgrVerdict::Finish | MgrVerdict::CheckpointReady => break 'sim,
                         MgrVerdict::Continue { ingested, granted, settled, .. } => {
                             // The body moved the cores it woke and, when it
@@ -400,19 +372,15 @@ impl DetEngine {
                 // the set. Re-raise after a productive iterate so
                 // residual work (held-back heap events) gets another look.
                 let si = set.shards[k - set.cores.len() - 1];
-                let progressed = signals[si].take() && self.shard_body(si, obs);
+                let progressed = signals[si].take() && self.engine.shard_body(si);
                 if progressed {
                     signals[si].signal();
                 }
                 // Its frontier, the replies it delivered and the cores it
                 // woke are all news to the manager.
                 mgr_settled = false;
-                if self.engine.shards[si].granted() {
-                    set.refresh_all(&board);
-                } else {
-                    for &c in self.engine.shards[si].woken() {
-                        set.refresh_core(&board, c);
-                    }
+                for &c in self.engine.shards[si].woken() {
+                    set.refresh_core(&board, c);
                 }
                 progressed
             };
@@ -422,70 +390,28 @@ impl DetEngine {
 
             if progressed {
                 stall = 0;
-                deadlock_rounds = 0;
-                barren_rounds = 0;
+                quiet = Stall::default();
                 continue;
             }
             stall += 1;
             if stall < stall_after {
                 continue;
             }
-            // Nothing has moved for a full round of picks: force a manager
-            // iteration (it may raise a window or release a barrier) and a
-            // round of every shard (it may apply a grant or deliver the
-            // reply a MemWait core is parked on)…
+            // Nothing has moved for a full round of picks.
             stall = 0;
-            let verdict = self.manager_body(&mut st, obs);
-            let mut shard_progress = false;
-            for si in 0..signals.len() {
-                shard_progress |= self.shard_body(si, obs);
-            }
+            let end = self.engine.forced_round(None, &mut st, &mut quiet);
+            self.fold_adapt_decisions();
             // Rare enough to resynchronise wholesale.
             mgr_settled = false;
             set.refresh_all(&board);
             set.refresh_shards(&signals);
-            match verdict {
-                MgrVerdict::Finish | MgrVerdict::CheckpointReady => break 'sim,
-                MgrVerdict::Continue { ingested, deadlockable, .. } => {
-                    if ingested > 0 || shard_progress {
-                        deadlock_rounds = 0;
-                        barren_rounds = 0;
-                        continue;
-                    }
-                    barren_rounds += 1;
-                    if deadlockable {
-                        // Quiescent with nothing in flight. One sighting
-                        // may be transient (a core parked between our
-                        // drain and its publish is impossible here, but
-                        // keep the threaded two-strike shape).
-                        deadlock_rounds += 1;
-                        if deadlock_rounds >= 2 {
-                            break 'sim; // workload deadlock
-                        }
-                        continue;
-                    }
-                    deadlock_rounds = 0;
-                    // …then fire the virtual timeout: resume every waiting
-                    // core so it re-checks its queues and re-ticks, exactly
-                    // what the threaded 10 ms backstop does (barrier-quantum
-                    // schemes and self-scheduled core work need this to
-                    // make progress).
-                    board.unpark_all_waiting();
-                    set.refresh_all(&board);
-                    assert!(
-                        barren_rounds < LIVELOCK_ROUNDS,
-                        "deterministic scheduler livelocked (seed {}, {} picks): \
-                         no task progressed for {} forced-manager rounds",
-                        self.il.seed(),
-                        self.il.picks(),
-                        barren_rounds,
-                    );
-                }
+            if end.is_some() {
+                break 'sim;
             }
         }
 
-        // Teardown, mirroring the threaded run_until: stop everything,
-        // let each core publish its final state, account late events.
+        // Teardown: stop everything, let each core publish its final
+        // state, account late events.
         self.engine.uncore.broadcast_stop();
         board.stop_all();
         for core in self.engine.cores.iter_mut() {

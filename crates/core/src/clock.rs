@@ -1,7 +1,7 @@
-//! The three-clock time discipline (paper §2.1) and thread parking.
+//! The three-clock time discipline (paper §2.1) and worker wake-ups.
 //!
-//! Each core thread owns a **local time** it increments every simulated
-//! cycle; the manager owns the **global time** (the minimum local time over
+//! Each core owns a **local time** it increments every simulated cycle;
+//! the manager owns the **global time** (the minimum local time over
 //! unfinished cores) and each core's **max local time**, set per the active
 //! scheme. The invariant enforced here is the paper's:
 //!
@@ -10,16 +10,19 @@
 //! Communication is through shared atomics — the whole point of SlackSim
 //! versus the message-passing simulators it compares against ("our
 //! simulator uses R/W accesses to shared variables to synchronize threads",
-//! §5). A core blocked at its window parks on a per-core condvar; the
-//! manager parks on its own condvar and is signalled whenever a core
-//! produces an event, blocks, or finishes.
+//! §5). The manager learns of a change from a per-core change flag
+//! ([`ClockBoard::mark_dirty`]). On the threaded backend a core whose
+//! window is closed is marked `Blocked` ([`ClockBoard::block`]) and the
+//! worker owning it may sleep ([`ClockBoard::go_idle`]); a raise or an
+//! unpark that makes one of its cores runnable wakes that worker. Both
+//! handshakes are store, full fence, load on each side, so a change made
+//! after a worker's last look is seen by that look or sees its mark.
 
 use crossbeam::utils::CachePadded;
-use parking_lot::{Condvar, Mutex};
 use sk_obs::Metrics;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
-use std::sync::{Arc, OnceLock};
-use std::time::Duration;
+use std::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
+use std::thread::Thread;
 
 /// Core run states, as observed by the manager.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -27,7 +30,7 @@ use std::time::Duration;
 pub enum CoreState {
     /// Simulating cycles.
     Running = 0,
-    /// Parked at `local == max_local`.
+    /// Stopped at `local == max_local` until a window raise.
     Blocked = 1,
     /// Workload thread exited; excluded from the global minimum.
     Finished = 2,
@@ -41,8 +44,8 @@ pub enum CoreState {
     /// from the global minimum because a sync-blocked core performs no
     /// memory activity.
     SyncWait = 4,
-    /// Pipeline provably inert, waiting for an InQ message: the thread
-    /// sleeps (saving host CPU) but the clock stays visible — the core
+    /// Pipeline provably inert, waiting for an InQ message: the core is
+    /// not stepped (saving host CPU) but the clock stays visible — the core
     /// REMAINS part of the global minimum, freezing global time exactly
     /// as if it were still ticking inert cycles. This keeps cycle-by-cycle
     /// lockstep (and thus determinism) intact.
@@ -79,39 +82,11 @@ struct CoreClock {
     local: CachePadded<AtomicU64>,
     max_local: CachePadded<AtomicU64>,
     state: AtomicU8,
-    /// `true` while this core's thread is inside a `cond` wait. Wakers
-    /// notify only then: with no waiter (always, on the deterministic
-    /// backend) a notify is a futex syscall that wakes nobody.
-    park: Mutex<bool>,
-    cond: Condvar,
-    /// Set when [`ClockBoard::wait_parked`]'s liveness timeout resumed the
-    /// core; the next `park_as` consumes it and skips the manager signal
-    /// (a re-park after a no-op re-check is not news to the manager).
-    timeout_resume: AtomicBool,
+    /// The pool worker stepping this core during a threaded segment.
+    owner: AtomicUsize,
     /// Telemetry only: µs (trace-sink epoch) when this core last left a
-    /// wait, closing the current "run" span at the next wait entry. Owned
-    /// by the core thread; atomic only because the board is shared.
+    /// wait, closing the current "run" span at the next wait entry.
     resume_us: AtomicU64,
-}
-
-impl CoreClock {
-    /// Sleep on `cond` for up to `timeout`, registered as a waiter so that
-    /// wakers know to notify. Returns whether the wait timed out.
-    fn wait(&self, guard: &mut parking_lot::MutexGuard<'_, bool>, timeout: Duration) -> bool {
-        **guard = true;
-        let timed_out = self.cond.wait_for(guard, timeout).timed_out();
-        **guard = false;
-        timed_out
-    }
-
-    /// Wake the core's thread if it is inside [`CoreClock::wait`]. The
-    /// waiter re-checks its condition under `park` before it sleeps, so a
-    /// change stored before this call is seen either way.
-    fn notify_if_waiting(&self) {
-        if *self.park.lock() {
-            self.cond.notify_one();
-        }
-    }
 }
 
 fn new_core_clock(local: u64, max_local: u64) -> CoreClock {
@@ -119,11 +94,17 @@ fn new_core_clock(local: u64, max_local: u64) -> CoreClock {
         local: CachePadded::new(AtomicU64::new(local)),
         max_local: CachePadded::new(AtomicU64::new(max_local)),
         state: AtomicU8::new(CoreState::Running as u8),
-        park: Mutex::new(false),
-        cond: Condvar::new(),
-        timeout_resume: AtomicBool::new(false),
+        owner: AtomicUsize::new(0),
         resume_us: AtomicU64::new(0),
     }
+}
+
+/// A pool worker's parking spot: `sleeping` is up from just before the
+/// worker's last look at its cores until it wakes.
+#[derive(Default)]
+struct Parker {
+    sleeping: AtomicBool,
+    thread: Mutex<Option<Thread>>,
 }
 
 /// Manager-private view of the board for
@@ -191,15 +172,6 @@ impl GlobalCache {
     }
 }
 
-/// The manager's wakeup channel, under one mutex.
-#[derive(Default)]
-struct MgrPark {
-    /// A signal arrived since the last [`ClockBoard::manager_wait`].
-    pending: bool,
-    /// The manager thread is inside the condvar wait (notify only then).
-    waiting: bool,
-}
-
 /// Shared clock state for all cores plus the manager.
 pub struct ClockBoard {
     cores: Vec<CoreClock>,
@@ -208,19 +180,28 @@ pub struct ClockBoard {
     /// after core `c`'s state or local time moved or an event landed in
     /// its OutQ, swap-consumed by the manager, which then re-reads and
     /// drains only flagged cores ([`ClockBoard::recompute_global_cached`]).
-    /// Every core thread writes these words: they get lines of their own.
+    /// Every core writes these words: they get lines of their own.
     dirty: Box<[CachePadded<AtomicU64>]>,
     stop: AtomicBool,
-    mgr_park: Mutex<MgrPark>,
-    mgr_cond: Condvar,
+    /// Workers of the pool running a threaded segment, 0 when none is: then
+    /// wakers do not fence or look for sleeping owners, and the
+    /// deterministic backend pays nothing for the handshakes.
+    workers: AtomicUsize,
+    /// Workers that found nothing to run and have not been woken since
+    /// ([`ClockBoard::go_idle`]).
+    idle: CachePadded<AtomicUsize>,
+    /// One parking spot per possible worker (a pool has at most one worker
+    /// per core).
+    parkers: Box<[CachePadded<Parker>]>,
     /// Checkpoint limit: while a checkpoint is converging, no core-side
     /// clock movement (sync-release jump, idle skip) may pass this cycle,
     /// so every clock lands exactly on the safe-point. `u64::MAX` when no
     /// checkpoint is pending. Windows are clamped by the manager, not here.
     limit: AtomicU64,
-    /// Number of times any core blocked at its window.
+    /// Number of times any core blocked at its window, whether or not its
+    /// worker then slept.
     pub blocks: AtomicU64,
-    /// Number of times the manager woke a blocked core.
+    /// Number of window raises that ended a core's block.
     pub wakeups: AtomicU64,
     /// Optional telemetry hub; every hot-path instrumentation point below
     /// is guarded by this single `OnceLock` load.
@@ -239,11 +220,12 @@ impl ClockBoard {
             dirty: (0..cores.len().div_ceil(64))
                 .map(|_| CachePadded::new(AtomicU64::new(0)))
                 .collect(),
+            parkers: (0..cores.len()).map(|_| CachePadded::new(Parker::default())).collect(),
             cores,
             global: CachePadded::new(AtomicU64::new(global)),
             stop: AtomicBool::new(false),
-            mgr_park: Mutex::new(MgrPark::default()),
-            mgr_cond: Condvar::new(),
+            workers: AtomicUsize::new(0),
+            idle: CachePadded::new(AtomicUsize::new(0)),
             limit: AtomicU64::new(u64::MAX),
             blocks: AtomicU64::new(0),
             wakeups: AtomicU64::new(0),
@@ -324,12 +306,10 @@ impl ClockBoard {
         self.limit.load(Ordering::Acquire)
     }
 
-    /// Lower the stop flag so a board torn down at a checkpoint can host a
-    /// fresh set of threads for the next segment.
+    /// Lower the stop flag so a board torn down at a checkpoint can host
+    /// the next segment.
     pub fn reset_stop(&self) {
         self.stop.store(false, Ordering::Release);
-        // Consume any stale manager signal from the teardown.
-        self.mgr_park.lock().pending = false;
     }
 
     /// Flag core `core` as changed for the manager. MUST follow the store
@@ -345,15 +325,15 @@ impl ClockBoard {
     }
 
     /// Has any core flagged a change the manager has not consumed yet?
-    /// A relaxed peek for the deterministic scheduler, whose tasks all run
-    /// on the asking thread; it publishes nothing (the manager's consuming
-    /// swap is the acquire).
+    /// A relaxed peek for the schedulers deciding whether a manager body is
+    /// due; it publishes nothing (the manager's consuming swap is the
+    /// acquire).
     #[inline]
     pub(crate) fn any_dirty(&self) -> bool {
         self.dirty.iter().any(|w| w.load(Ordering::Relaxed) != 0)
     }
 
-    // ---- core-thread side ----
+    // ---- core side ----
 
     /// This core's local time.
     #[inline]
@@ -407,40 +387,29 @@ impl ClockBoard {
         local < self.max_local(core).min(self.checkpoint_limit())
     }
 
-    /// Park until the window opens past `local`, the stop flag rises, or a
-    /// periodic timeout elapses (the caller re-checks and re-parks).
-    ///
-    /// Returns `false` if the simulation is stopping.
-    pub fn wait_for_window(&self, core: usize, local: u64) -> bool {
+    /// Mark a core that found its window closed as `Blocked`, so that the
+    /// raise opening it wakes its worker. Returns `false`, with the core
+    /// `Running` again, if a raise landed between the core's look at its
+    /// window and this store.
+    pub(crate) fn block(&self, core: usize) -> bool {
         let cc = &self.cores[core];
-        cc.state.store(CoreState::Blocked as u8, Ordering::Release);
-        self.mark_dirty(core);
+        // Blocked ⇄ Running is not flagged: the manager treats the two
+        // alike (both drive global time), so a view that still says
+        // Running derives the same minimum, counts and slack.
+        cc.state.store(CoreState::Blocked as u8, Ordering::SeqCst);
         self.blocks.fetch_add(1, Ordering::Relaxed);
-        self.signal_manager();
-        let obs_t0 = self.obs_wait_begin(core);
-        let running = {
-            let mut guard = cc.park.lock();
-            // Blocked → Running is not flagged: the manager treats the two
-            // alike (both drive global time), so a view that still says
-            // Blocked derives the same minimum, counts and slack.
-            loop {
-                if self.stop.load(Ordering::Acquire) {
-                    cc.state.store(CoreState::Running as u8, Ordering::Release);
-                    break false;
-                }
-                if local < cc.max_local.load(Ordering::Acquire).min(self.checkpoint_limit()) {
-                    cc.state.store(CoreState::Running as u8, Ordering::Release);
-                    break true;
-                }
-                // The timeout is a liveness backstop only; wakeups normally
-                // arrive from the manager's notify.
-                cc.wait(&mut guard, Duration::from_millis(10));
-            }
-        };
-        if let Some(t0) = obs_t0 {
-            self.obs_wait_end(core, "block", t0);
+        fence(Ordering::SeqCst);
+        if self.may_advance(core, cc.local.load(Ordering::Relaxed)) {
+            let blocked = CoreState::Blocked as u8;
+            let _ = cc.state.compare_exchange(
+                blocked,
+                CoreState::Running as u8,
+                Ordering::SeqCst,
+                Ordering::Relaxed,
+            );
+            return false;
         }
-        running
+        true
     }
 
     /// Set local time forward without cycling (idle skip for cores with no
@@ -472,21 +441,8 @@ impl ClockBoard {
     }
 
     fn park_as(&self, core: usize, state: CoreState) {
-        // A *fresh* park is news: the global minimum may rise and the
-        // manager may need to run quiescence processing (e.g. release a
-        // lock grant this core is now waiting on), so signal it — after
-        // publishing the state, so the wakeup observes it. A re-park
-        // straight after `wait_parked`'s 10 ms liveness resume is not news
-        // (the re-check changed nothing), and signalling those would keep
-        // an otherwise quiescent manager hot — every parked core re-parks
-        // forever at 100 Hz — defeating the idle backoff entirely.
-        let cc = &self.cores[core];
-        let resumed_by_timeout = cc.timeout_resume.swap(false, Ordering::AcqRel);
-        cc.state.store(state as u8, Ordering::Release);
+        self.cores[core].state.store(state as u8, Ordering::Release);
         self.mark_dirty(core);
-        if !resumed_by_timeout {
-            self.signal_manager();
-        }
     }
 
     /// Wake a parked or sync-waiting core (a message is on its way).
@@ -498,86 +454,33 @@ impl ClockBoard {
             CoreState::Parked | CoreState::SyncWait | CoreState::MemWait
         );
         if parked {
-            // An unparked core is back in business: its next park is a
-            // fresh one and must signal the manager again (see `park_as`).
-            cc.timeout_resume.store(false, Ordering::Release);
             cc.state.store(CoreState::Running as u8, Ordering::Release);
             self.mark_dirty(core);
-            cc.notify_if_waiting();
+            if self.pooled() {
+                fence(Ordering::SeqCst);
+                self.wake_worker(cc.owner.load(Ordering::Relaxed));
+            }
         }
         parked
     }
 
-    /// Flip every `Parked`/`SyncWait`/`MemWait` core back to `Running`,
-    /// marking each as a timeout resume (its next re-park stays silent,
-    /// exactly like [`ClockBoard::wait_parked`]'s 10 ms liveness backstop).
-    /// Returns how many cores were resumed.
-    ///
-    /// This is the deterministic backend's virtual timeout: where a
-    /// threaded core would periodically wake, re-check its queues and
-    /// re-tick, the single-threaded scheduler performs the same resume at
-    /// a deterministic point instead of on a wall-clock timer. No condvar
-    /// is notified — no thread is ever blocked in the deterministic mode.
+    /// Flip every `Parked`/`SyncWait`/`MemWait` core back to `Running` and
+    /// return how many there were: the quiescence rule's *virtual timeout*
+    /// ([`crate::engine::Engine::forced_round`]). A resumed core re-checks
+    /// its queues and re-ticks — a progress mechanism under barrier schemes
+    /// and for self-scheduled core work (a compensation stall).
     pub fn unpark_all_waiting(&self) -> usize {
         let mut resumed = 0;
         for (i, cc) in self.cores.iter().enumerate() {
             if matches!(self.state(i), CoreState::Parked | CoreState::SyncWait | CoreState::MemWait)
             {
-                cc.timeout_resume.store(true, Ordering::Release);
                 cc.state.store(CoreState::Running as u8, Ordering::Release);
                 self.mark_dirty(i);
                 resumed += 1;
             }
         }
+        self.wake_all();
         resumed
-    }
-
-    /// Park until unparked, stopped, or a liveness timeout. Returns
-    /// `false` if the simulation is stopping.
-    ///
-    /// The timeout flips the core back to Running so the caller re-checks
-    /// its queues *and re-ticks*: under barrier schemes a reply is only
-    /// released once every included clock reaches the quantum boundary,
-    /// and a core model may hold self-scheduled work (a compensation
-    /// stall, a deferred request) that surfaces only by cycling — so the
-    /// periodic resume is a progress mechanism, not just liveness.
-    pub fn wait_parked(&self, core: usize) -> bool {
-        let cc = &self.cores[core];
-        let span_name = match self.state(core) {
-            CoreState::SyncWait => "sync_wait",
-            CoreState::MemWait => "mem_wait",
-            _ => "park",
-        };
-        let obs_t0 = self.obs_wait_begin(core);
-        let running = {
-            let mut guard = cc.park.lock();
-            loop {
-                if self.stop.load(Ordering::Acquire) {
-                    cc.state.store(CoreState::Running as u8, Ordering::Release);
-                    break false;
-                }
-                if !matches!(
-                    self.state(core),
-                    CoreState::Parked | CoreState::SyncWait | CoreState::MemWait
-                ) {
-                    break true;
-                }
-                if cc.wait(&mut guard, Duration::from_millis(10)) {
-                    // Liveness backstop: let the caller re-check its queues.
-                    // Mark the resume so a straight re-park stays silent (see
-                    // `park_as`); any real progress on the way back signals the
-                    // manager through the event path anyway.
-                    cc.timeout_resume.store(true, Ordering::Release);
-                    cc.state.store(CoreState::Running as u8, Ordering::Release);
-                    self.mark_dirty(core);
-                    break true;
-                }
-            }
-        };
-        if let Some(t0) = obs_t0 {
-            self.obs_wait_end(core, span_name, t0);
-        }
-        running
     }
 
     /// Jump a sync-parked core's clock forward to `target` (the release
@@ -609,7 +512,7 @@ impl ClockBoard {
         (0..self.cores.len()).any(|i| self.state(i) == CoreState::MemWait)
     }
 
-    /// Mark this core's workload as finished and wake the manager.
+    /// Mark this core's workload as finished.
     pub fn finish(&self, core: usize) {
         self.cores[core].state.store(CoreState::Finished as u8, Ordering::Release);
         self.mark_dirty(core);
@@ -618,54 +521,50 @@ impl ClockBoard {
             let resumed = self.cores[core].resume_us.load(Ordering::Relaxed);
             o.trace.span(core, "run", resumed);
         }
-        self.signal_manager();
-    }
-
-    /// Wake the manager thread (new OutQ entry, block, finish).
-    #[inline]
-    pub fn signal_manager(&self) {
-        let mut park = self.mgr_park.lock();
-        park.pending = true;
-        if park.waiting {
-            self.mgr_cond.notify_one();
-        }
     }
 
     // ---- manager side ----
-
-    /// Park the manager until a core signals or `timeout` elapses.
-    /// Returns `true` if a signal was pending or arrived (as opposed to a
-    /// plain timeout) — the manager's pacing loop uses this to distinguish
-    /// "a core wants me" from "I woke on my own backstop".
-    pub fn manager_wait(&self, timeout: Duration) -> bool {
-        let mut park = self.mgr_park.lock();
-        if !park.pending {
-            park.waiting = true;
-            self.mgr_cond.wait_for(&mut park, timeout);
-            park.waiting = false;
-        }
-        std::mem::take(&mut park.pending)
-    }
 
     /// A core's run state.
     pub fn state(&self, core: usize) -> CoreState {
         CoreState::from_u8(self.cores[core].state.load(Ordering::Acquire))
     }
 
-    /// Raise a core's window. Monotone: lowering is ignored. Wakes the core
-    /// if it was blocked below the new bound.
+    /// Raise a core's window. Monotone: lowering is ignored. Wakes the
+    /// core's worker if the raise ended its block.
     pub fn raise_max_local(&self, core: usize, new_max: u64) {
-        let cc = &self.cores[core];
-        let cur = cc.max_local.load(Ordering::Relaxed);
-        if new_max <= cur {
+        self.raise(core..core + 1, new_max);
+    }
+
+    /// Raise every core's window, with one fence for the whole grant.
+    pub(crate) fn raise_all(&self, new_max: u64) {
+        self.raise(0..self.cores.len(), new_max);
+    }
+
+    /// Raise the windows of `cores`; a `Blocked` one whose window opened
+    /// goes back to `Running` and its worker is woken.
+    fn raise(&self, cores: std::ops::Range<usize>, new_max: u64) {
+        for cc in &self.cores[cores.clone()] {
+            if new_max > cc.max_local.load(Ordering::Relaxed) {
+                cc.max_local.store(new_max, Ordering::Release);
+            }
+        }
+        if !self.pooled() {
             return;
         }
-        cc.max_local.store(new_max, Ordering::Release);
-        if self.state(core) == CoreState::Blocked {
-            // Lock/notify pairs with the blocked core's re-check under the
-            // same mutex, so the wakeup cannot be lost.
-            self.wakeups.fetch_add(1, Ordering::Relaxed);
-            cc.notify_if_waiting();
+        fence(Ordering::SeqCst);
+        let (blocked, running) = (CoreState::Blocked as u8, CoreState::Running as u8);
+        for cc in &self.cores[cores] {
+            if cc.state.load(Ordering::SeqCst) == blocked
+                && cc.local.load(Ordering::Relaxed) < new_max.min(self.checkpoint_limit())
+                && cc
+                    .state
+                    .compare_exchange(blocked, running, Ordering::SeqCst, Ordering::Relaxed)
+                    .is_ok()
+            {
+                self.wakeups.fetch_add(1, Ordering::Relaxed);
+                self.wake_worker(cc.owner.load(Ordering::Relaxed));
+            }
         }
     }
 
@@ -831,13 +730,110 @@ impl ClockBoard {
             .unwrap_or(0)
     }
 
-    /// Raise the stop flag and wake every thread.
+    /// Raise the stop flag and wake every sleeping worker.
     pub fn stop_all(&self) {
         self.stop.store(true, Ordering::Release);
-        for cc in &self.cores {
-            cc.notify_if_waiting();
+        self.wake_all();
+    }
+
+    // ---- worker pool side ----
+
+    /// Start a threaded segment on `workers` workers: core `c` is stepped
+    /// by worker `owner(c)`, and from now on every raise and unpark looks
+    /// for a sleeping owner.
+    pub(crate) fn attach_pool(&self, workers: usize, owner: impl Fn(usize) -> usize) {
+        for (c, cc) in self.cores.iter().enumerate() {
+            cc.owner.store(owner(c), Ordering::Relaxed);
         }
-        self.signal_manager();
+        self.idle.store(0, Ordering::Relaxed);
+        self.workers.store(workers, Ordering::Release);
+    }
+
+    /// End a threaded segment (every worker has exited).
+    pub(crate) fn detach_pool(&self) {
+        self.workers.store(0, Ordering::Release);
+    }
+
+    #[inline]
+    fn pooled(&self) -> bool {
+        self.workers.load(Ordering::Relaxed) != 0
+    }
+
+    /// Called by worker `me` on its own thread before its first scan.
+    pub(crate) fn register_worker(&self, me: usize) {
+        let mut t = self.parkers[me].thread.lock().unwrap_or_else(PoisonError::into_inner);
+        *t = Some(std::thread::current());
+    }
+
+    /// Is every worker but the caller idle?
+    pub(crate) fn others_idle(&self) -> bool {
+        self.idle.load(Ordering::SeqCst) + 1 == self.workers.load(Ordering::Relaxed)
+    }
+
+    /// Worker `me` found nothing to run. If every other worker is idle
+    /// too it returns `true` at once (the caller runs the forced round);
+    /// else it sleeps until a raise, an unpark or the stop flag wakes it —
+    /// unless, once its mark is up, one of `cores` (its live cores) is
+    /// `Running` or the run is stopping. A waker takes the worker off the
+    /// idle count as it wakes it, so a woken worker that has not run yet is
+    /// never counted idle. Time asleep is booked to each of `cores`:
+    /// `sync_park_ns` if `SyncWait`, `mem_park_ns` if `MemWait`, else
+    /// `park_ns`.
+    pub(crate) fn go_idle(&self, me: usize, cores: &[usize]) -> bool {
+        if self.idle.fetch_add(1, Ordering::SeqCst) + 1 == self.workers.load(Ordering::Relaxed) {
+            self.idle.fetch_sub(1, Ordering::SeqCst);
+            return true;
+        }
+        let p = &self.parkers[me];
+        p.sleeping.store(true, Ordering::SeqCst);
+        fence(Ordering::SeqCst);
+        let running = CoreState::Running as u8;
+        if !self.stopping()
+            && cores.iter().all(|&c| self.cores[c].state.load(Ordering::SeqCst) != running)
+        {
+            let spans: Vec<_> = cores
+                .iter()
+                .filter_map(|&c| {
+                    let name = match self.state(c) {
+                        CoreState::SyncWait => "sync_wait",
+                        CoreState::MemWait => "mem_wait",
+                        _ => "park",
+                    };
+                    Some((c, name, self.obs_wait_begin(c)?))
+                })
+                .collect();
+            std::thread::park();
+            for (c, name, t0) in spans {
+                self.obs_wait_end(c, name, t0);
+            }
+        }
+        // Still marked: no waker took it off the count (a spurious wake-up,
+        // or work seen at the last look).
+        if p.sleeping.swap(false, Ordering::SeqCst) {
+            self.idle.fetch_sub(1, Ordering::SeqCst);
+        }
+        false
+    }
+
+    /// Wake worker `w` if it sleeps. Callers have fenced after the store
+    /// that made its work.
+    fn wake_worker(&self, w: usize) {
+        let p = &self.parkers[w];
+        if p.sleeping.load(Ordering::SeqCst) && p.sleeping.swap(false, Ordering::SeqCst) {
+            self.idle.fetch_sub(1, Ordering::SeqCst);
+            if let Some(t) = &*p.thread.lock().unwrap_or_else(PoisonError::into_inner) {
+                t.unpark();
+            }
+        }
+    }
+
+    fn wake_all(&self) {
+        if self.pooled() {
+            fence(Ordering::SeqCst);
+            for w in 0..self.parkers.len() {
+                self.wake_worker(w);
+            }
+        }
     }
 
     /// Has the stop flag been raised?
@@ -905,33 +901,100 @@ mod tests {
         assert_eq!(b.max_local(0), 12);
     }
 
-    #[test]
-    fn blocked_core_wakes_on_window_raise() {
-        let b = Arc::new(ClockBoard::new(1, 1));
-        b.advance_local(0, 1); // local == max_local
-        let b2 = b.clone();
-        let t = thread::spawn(move || b2.wait_for_window(0, 1));
-        // Wait until the core registers as blocked.
-        while b.state(0) != CoreState::Blocked {
+    /// Run `body` as pool worker `me` on its own thread once `b` has a pool.
+    fn worker(
+        b: &Arc<ClockBoard>,
+        me: usize,
+        body: impl FnOnce(&ClockBoard) + Send + 'static,
+    ) -> thread::JoinHandle<()> {
+        let b = b.clone();
+        thread::spawn(move || {
+            b.register_worker(me);
+            body(&b);
+        })
+    }
+
+    fn wait_until_asleep(b: &ClockBoard, w: usize) {
+        while !b.parkers[w].sleeping.load(Ordering::SeqCst) {
             thread::yield_now();
         }
-        b.raise_max_local(0, 2);
-        assert!(t.join().unwrap(), "core should resume, not stop");
-        assert!(b.wakeups.load(Ordering::Relaxed) >= 1);
-        assert_eq!(b.blocks.load(Ordering::Relaxed), 1);
     }
 
     #[test]
-    fn stop_unblocks_parked_core() {
+    fn a_raise_wakes_the_sleeping_owner_of_a_blocked_core() {
         let b = Arc::new(ClockBoard::new(1, 1));
+        let obs = Arc::new(Metrics::new(1, sk_obs::ObsConfig::default()));
+        b.set_obs(obs.clone());
+        b.advance_local(0, 1); // local == max_local
+                               // A second worker that never idles: worker 0 is not the last.
+        b.attach_pool(2, |_| 0);
+        let (tx, rx) = std::sync::mpsc::channel();
+        let t = worker(&b, 0, move |b| {
+            assert!(b.block(0), "the window is closed");
+            assert!(!b.go_idle(0, &[0]), "not the last idle worker");
+            tx.send(b.idle.load(Ordering::SeqCst)).unwrap();
+        });
+        wait_until_asleep(&b, 0);
+        b.raise_max_local(0, 2);
+        t.join().unwrap();
+        assert_eq!(b.state(0), CoreState::Running);
+        assert_eq!(b.blocks.load(Ordering::Relaxed), 1);
+        assert_eq!(b.wakeups.load(Ordering::Relaxed), 1);
+        assert_eq!(rx.recv().unwrap(), 0, "the waker took the worker off the idle count");
+        // Time asleep, if the raise did not beat the worker's last look, is
+        // booked to the blocked core as window park time.
+        let c = &obs.cores[0];
+        assert!(c.park_ns.count() <= 1);
+        assert_eq!(c.sync_park_ns.count() + c.mem_park_ns.count(), 0);
+    }
+
+    #[test]
+    fn block_reopens_on_a_raise_that_beat_it() {
+        let b = ClockBoard::new(1, 1);
         b.advance_local(0, 1);
-        let b2 = b.clone();
-        let t = thread::spawn(move || b2.wait_for_window(0, 1));
-        while b.state(0) != CoreState::Blocked {
-            thread::yield_now();
-        }
+        b.attach_pool(1, |_| 0);
+        // The raise lands after the core saw its window closed but before
+        // it marked itself blocked: the mark must not stick.
+        b.raise_max_local(0, 2);
+        assert!(!b.block(0));
+        assert_eq!(b.state(0), CoreState::Running);
+        assert_eq!(b.blocks.load(Ordering::Relaxed), 1);
+        assert_eq!(b.wakeups.load(Ordering::Relaxed), 0, "no raise ended a block");
+    }
+
+    #[test]
+    fn unpark_and_stop_wake_the_owning_workers() {
+        let b = Arc::new(ClockBoard::new(2, 1));
+        // Worker 2 never idles, so neither sleeper is the last.
+        b.attach_pool(3, |c| c);
+        let parked = worker(&b, 0, |b| {
+            b.sync_park(0);
+            assert!(!b.go_idle(0, &[0]));
+        });
+        let blocked = worker(&b, 1, |b| {
+            b.advance_local(1, 1);
+            assert!(b.block(1));
+            assert!(!b.go_idle(1, &[1]));
+        });
+        wait_until_asleep(&b, 0);
+        assert!(b.unpark(0));
+        parked.join().unwrap();
+        wait_until_asleep(&b, 1);
         b.stop_all();
-        assert!(!t.join().unwrap(), "stop returns false");
+        blocked.join().unwrap();
+        assert_eq!(b.state(1), CoreState::Blocked, "stopping ends no block");
+        assert_eq!(b.idle.load(Ordering::SeqCst), 0);
+        b.detach_pool();
+    }
+
+    #[test]
+    fn the_last_worker_to_go_idle_does_not_sleep() {
+        let b = ClockBoard::new(2, 1);
+        b.attach_pool(1, |_| 0);
+        b.sync_park(0);
+        assert!(b.go_idle(0, &[0]), "a lone worker is always the last");
+        assert_eq!(b.idle.load(Ordering::SeqCst), 0);
+        b.detach_pool();
     }
 
     #[test]
@@ -945,18 +1008,6 @@ mod tests {
         b.recompute_global();
         assert_eq!(b.global(), 0);
         assert_eq!(b.observed_slack(), 4);
-    }
-
-    #[test]
-    fn manager_wait_consumes_signal() {
-        let b = ClockBoard::new(1, 1);
-        b.signal_manager();
-        // Signal pending: returns immediately and reports it.
-        assert!(b.manager_wait(Duration::from_secs(10)));
-        // No signal: the short timeout path.
-        let t0 = std::time::Instant::now();
-        assert!(!b.manager_wait(Duration::from_millis(1)));
-        assert!(t0.elapsed() >= Duration::from_micros(500));
     }
 
     #[test]

@@ -3,9 +3,10 @@
 //!
 //! A [`CoreSim`] owns a CPU timing model, the consumer end of its InQ, the
 //! producer end of its OutQ, and the syscall runtime. It exposes a
-//! single-cycle [`CoreSim::step_cycle`] used by both the parallel engine
-//! (via [`CoreSim::run`], the Pthread body) and the sequential reference
-//! engine (which drives all cores round-robin in one thread).
+//! single-cycle [`CoreSim::step_cycle`], used directly by the sequential
+//! reference engine (which drives all cores round-robin in one thread),
+//! and the non-blocking quantum [`CoreSim::run_step`] both parallel
+//! schedulers step a core through.
 //!
 //! InQ handling follows the paper: "the core thread enquires its InQ in
 //! every cycle in order to see if its request has been processed ... the
@@ -215,9 +216,8 @@ impl CoreHost for HostState {
 
 /// Result of one non-blocking scheduling quantum of a core
 /// ([`CoreSim::run_step`]). Every variant except `Progressed` is a point
-/// where the threaded backend blocks; the deterministic backend instead
-/// returns control to its scheduler with the core's parked state already
-/// published on the [`ClockBoard`].
+/// where the core cannot go on by itself: the scheduler moves to other
+/// work, with any parked state already published on the [`ClockBoard`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum StepOutcome {
     /// Simulated a batch, jumped the clock, or resolved a park/recheck
@@ -678,42 +678,6 @@ impl CoreSim {
         CoreOutput { stats: self.stats, trace: self.trace }
     }
 
-    /// The Pthread body: run under the board's time discipline until the
-    /// simulation stops or this core's workload finishes.
-    ///
-    /// Takes `&mut self` so the engine can get the core back after a
-    /// checkpoint teardown (`ClockBoard::stop_all` without a `Stop`
-    /// broadcast) and either snapshot it or run another segment;
-    /// [`CoreSim::into_output`] finalizes at the true end of the run.
-    pub fn run(&mut self, board: &ClockBoard) {
-        loop {
-            match self.run_step(board) {
-                StepOutcome::Progressed => {}
-                StepOutcome::Stopped | StepOutcome::Finished => break,
-                StepOutcome::Idle | StepOutcome::SyncBlocked => {
-                    if !board.wait_parked(self.id) {
-                        break;
-                    }
-                }
-                StepOutcome::MemBlocked => {
-                    if !board.wait_parked(self.id) {
-                        break;
-                    }
-                    self.inert_streak = 0;
-                }
-                StepOutcome::AtWindow => {
-                    if !board.wait_for_window(self.id, self.local) {
-                        break;
-                    }
-                }
-            }
-        }
-        if self.cpu.finished() {
-            board.finish(self.id);
-        }
-        self.publish_obs();
-    }
-
     /// Would [`CoreSim::run_step`] answer [`StepOutcome::AtWindow`] right
     /// now? Exactly the conditions under which it gets there, and on that
     /// path it touches nothing — no queue, no board state — so a
@@ -728,22 +692,20 @@ impl CoreSim {
             && !self.sync_waiting()
     }
 
-    /// Reset the inert-cycle streak after a resume from `MemWait`. The
-    /// threaded backend does this implicitly after `wait_parked`; the
-    /// deterministic backend must do it before stepping a core it resumed
-    /// from [`StepOutcome::MemBlocked`], or the core would re-park after a
+    /// Reset the inert-cycle streak after a resume from `MemWait`. A
+    /// scheduler must do it before stepping a core it resumed from
+    /// [`StepOutcome::MemBlocked`], or the core would re-park after a
     /// single batch instead of ticking another `INERT_PARK_AFTER` cycles.
     pub fn clear_inert_streak(&mut self) {
         self.inert_streak = 0;
     }
 
-    /// One non-blocking scheduling quantum: exactly one iteration of the
-    /// [`CoreSim::run`] loop. Anywhere the threaded body would block, the
-    /// blocking state is published on the board and the matching
-    /// [`StepOutcome`] is returned instead; park/recheck races are resolved
-    /// inside (a message that arrived between the park and the re-check
-    /// unparks immediately and reports `Progressed`). Both backends drive
-    /// their cores exclusively through this function, so a CC run is
+    /// One non-blocking scheduling quantum. Anywhere the core cannot go
+    /// on, the parked state is published on the board and the matching
+    /// [`StepOutcome`] is returned; park/recheck races are resolved inside
+    /// (a message that arrived between the park and the re-check unparks
+    /// immediately and reports `Progressed`). Both backends drive their
+    /// cores exclusively through this function, so a CC run is
     /// bit-identical across them by construction.
     pub fn run_step(&mut self, board: &ClockBoard) -> StepOutcome {
         if board.stopping() || self.stop_seen {
@@ -799,7 +761,6 @@ impl CoreSim {
                     if target > self.local {
                         self.sync_jump(target);
                         board.jump_local_unclamped(self.id, target);
-                        board.signal_manager();
                     }
                     // Fall through: the next cycle applies the release.
                 }
@@ -883,7 +844,6 @@ impl CoreSim {
             }
         }
         if events > 0 {
-            board.signal_manager();
             if self.shards_touched_all {
                 for sig in &self.shard_signals {
                     sig.signal();
@@ -928,7 +888,6 @@ impl CoreSim {
                     if target > self.local {
                         self.sync_jump(target);
                         board.jump_local_unclamped(self.id, target);
-                        board.signal_manager();
                     }
                     self.inert_streak = 0;
                 }
@@ -942,8 +901,7 @@ impl CoreSim {
                     board.mem_park(self.id);
                     if self.earliest_msg_ts().is_some() {
                         board.unpark(self.id);
-                        // The streak survives a park/recheck race, exactly
-                        // as the threaded `continue` did.
+                        // The streak survives a park/recheck race.
                         return StepOutcome::Progressed;
                     }
                     return StepOutcome::MemBlocked;
@@ -968,8 +926,8 @@ impl CoreSim {
         self.drain_inq();
     }
 
-    /// Serialize all dynamic state. Call only at a safe-point with the
-    /// core thread joined and the InQs drained ([`CoreSim::drain_pending`]).
+    /// Serialize all dynamic state. Call only at a safe-point between
+    /// segments, with the InQs drained ([`CoreSim::drain_pending`]).
     /// Functional memory and the conflict tracker are engine-owned shared
     /// state and are serialized by the engine, not here.
     pub fn save_state(&self, w: &mut Writer) {

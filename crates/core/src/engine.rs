@@ -1,9 +1,16 @@
-//! The parallel simulation engine: N core Pthreads + one manager thread.
+//! The parallel simulation engine: target cores, the manager and the
+//! memory shards as tasks over one clock board.
 //!
-//! This is SlackSim's execution model (paper Fig. 1): each target core is
-//! simulated by one host thread; the simulation manager thread simulates
-//! the lower cache hierarchy and paces the run by publishing global time
-//! and per-core max local times through shared memory.
+//! This is SlackSim's execution model (paper Fig. 1) — each target core
+//! simulates its own cycles, the simulation manager simulates the lower
+//! cache hierarchy and paces the run by publishing global time and per-core
+//! max local times through shared memory — with the paper's thread per
+//! core replaced by tasks: [`Engine::run_until`] runs them on a pool of
+//! W = min(host CPUs, N) worker threads ([`crate::pool`]), `DetEngine` on
+//! one thread under a seeded interleaver ([`crate::backend`]). Both step a
+//! core through [`CoreSim::run_step`], the manager through
+//! [`Engine::manager_iter`], and end a quiet run by the same rule
+//! ([`Engine::forced_round`]).
 
 use crate::adapt::{AdaptDecision, SlackController};
 use crate::clock::{ClockBoard, CoreState, GlobalCache};
@@ -31,17 +38,10 @@ const SLACK_PROFILE_CAP: usize = 1_000_000;
 /// Initial slack-profile reservation (grows on demand up to the cap).
 const SLACK_PROFILE_RESERVE: usize = 1 << 16;
 
-/// Shortest and longest idle park of the manager's pacing loop. While
-/// events flow, a pending signal makes `manager_wait` return immediately
-/// and the timeout is irrelevant; once the manager goes an iteration with
-/// no signal and nothing drained, the park doubles per quiet iteration up
-/// to the cap, so a fully quiescent manager (all cores SyncWait/Parked)
-/// costs ~`1/IDLE_WAIT_MAX` wakeups per second instead of a fixed poll.
-const IDLE_WAIT_MIN: Duration = Duration::from_micros(100);
-const IDLE_WAIT_MAX: Duration = Duration::from_millis(5);
-/// Continuous quiescence (nothing runnable, nothing in flight) after
-/// which the manager declares the workload deadlocked.
-const DEADLOCK_AFTER: Duration = Duration::from_millis(100);
+/// Forced rounds in a row with no progress before a run is declared
+/// livelocked (a bug in the engine, not the workload — workload deadlock
+/// is the `deadlockable` rule of [`Engine::forced_round`]).
+const LIVELOCK_ROUNDS: u64 = 100_000;
 
 pub(crate) fn build_cpu(cfg: &TargetConfig) -> Box<dyn Cpu> {
     match cfg.core.model {
@@ -96,7 +96,6 @@ pub(crate) struct Wiring {
     pub board: Option<Arc<ClockBoard>>,
     pub shards: Vec<MemShard>,
     pub shard_signals: Vec<Arc<ShardSignal>>,
-    pub window_grant: Arc<AtomicU64>,
 }
 
 /// Build every core with its InQ and OutQ, then the clock board, the
@@ -143,7 +142,6 @@ pub(crate) fn wire(
 
     // ---- sharded memory managers (extension; cfg.mem_shards > 0) ----
     // `validate()` already rejected mem_shards > n_banks.
-    let window_grant = Arc::new(AtomicU64::new(0));
     let mut shards = Vec::new();
     let mut shard_signals = Vec::new();
     if let Some(board) = board.as_ref().filter(|_| cfg.mem_shards > 0) {
@@ -182,12 +180,11 @@ pub(crate) fn wire(
                 evc,
                 repp,
                 board.clone(),
-                window_grant.clone(),
                 dirty_masks[s].clone(),
             ));
         }
     }
-    Wiring { cores, out_consumers, uncore, board, shards, shard_signals, window_grant }
+    Wiring { cores, out_consumers, uncore, board, shards, shard_signals }
 }
 
 pub(crate) fn violation_report(tracker: &Option<Arc<ConflictTracker>>) -> ViolationReport {
@@ -244,8 +241,8 @@ pub(crate) fn assemble_report(
 }
 
 /// Per-segment manager-loop state, threaded through
-/// [`Engine::manager_iter`] so both backends (the manager Pthread and the
-/// deterministic scheduler) drive the identical iteration body.
+/// [`Engine::manager_iter`] so both schedulers drive the identical
+/// iteration body.
 pub(crate) struct MgrState {
     clock_cache: GlobalCache,
     drain_scratch: Vec<OutEvent>,
@@ -259,11 +256,6 @@ pub(crate) struct MgrState {
     /// Ordered scheme with sharded managers: windows also hold back to
     /// the slowest shard's processed frontier.
     ordered_scheme: bool,
-    /// Threaded backend only: when a lagging shard frontier clamps the
-    /// window, signal the shard and yield-retry instead of parking (the
-    /// lag is resolved by other host threads). Must stay `false` for the
-    /// cooperative backend, whose shard tasks cannot run mid-iteration.
-    spin_on_frontier: bool,
 }
 
 impl MgrState {
@@ -273,25 +265,31 @@ impl MgrState {
             drain_scratch: Vec::new(),
             ready_streak: 0,
             ordered_scheme,
-            spin_on_frontier: false,
         }
     }
 }
 
-/// What one manager iteration decided. Pacing (idle backoff) and the
-/// deadlock *policy* stay with the caller: the threaded backend times
-/// continuous quiescence on the wall clock, the deterministic backend
-/// counts fruitless scheduling rounds — both act on the same
-/// `deadlockable` signal.
+/// What the quiescence rule ([`Engine::forced_round`]) remembers between
+/// forced rounds.
+#[derive(Default)]
+pub(crate) struct Stall {
+    /// Consecutive rounds that found the system deadlockable.
+    deadlock_rounds: u32,
+    /// Rounds since the last progress (the livelock backstop).
+    barren_rounds: u64,
+}
+
+/// What one manager iteration decided. When to run the next one, and the
+/// deadlock *policy* ([`Engine::forced_round`]), stay with the scheduler.
 pub(crate) enum MgrVerdict {
     /// Keep iterating. `ingested` is the number of OutQ events drained
-    /// (pacing signal); `deadlockable` means nothing is runnable, nothing
+    /// (progress signal); `deadlockable` means nothing is runnable, nothing
     /// is mem-waiting and nothing is in flight — continuous repetition of
     /// this state is a workload deadlock. `granted` says the iteration
     /// raised the cores' windows. `settled` says the iteration left
     /// nothing of its own to follow up: run again before any core, shard
     /// or signal has moved, it would read the same inputs and do nothing
-    /// (the deterministic scheduler then elides that dispatch).
+    /// (both schedulers then skip that body).
     Continue { ingested: usize, deadlockable: bool, granted: bool, settled: bool },
     /// The segment is over (workload exit, stop condition, max cycles).
     Finish,
@@ -341,13 +339,6 @@ pub struct Engine {
     pub(crate) shards: Vec<MemShard>,
     pub(crate) shard_signals: Vec<Arc<ShardSignal>>,
     shard_frontiers: Vec<Arc<AtomicU64>>,
-    /// The coordinator's window grant (sharded clock domains): instead of
-    /// raising `max_local` on every core itself — an O(n_cores) loop that
-    /// serializes in the coordinator at scale — the manager publishes the
-    /// new window here and signals the shards; each shard raises its own
-    /// clock domain. Monotone; liveness-only (a late raise keeps a core
-    /// blocked a little longer but never changes simulated results).
-    window_grant: Arc<AtomicU64>,
     engine: EngineStats,
     slack_profile: Vec<(u64, u64)>,
     /// Highest window already published to every core: re-raising an
@@ -374,11 +365,13 @@ pub struct Engine {
     /// Always zero outside tests.
     window_bug_extra: u64,
     /// Cooperative cancellation flag, shared with callers via
-    /// [`Engine::cancel_token`]. Checked once per manager iteration, so
-    /// cancellation latency is bounded by the idle backoff (≤
-    /// `IDLE_WAIT_MAX` while quiescent). Sticky: the holder clears it to
-    /// run further segments on the same engine.
+    /// [`Engine::cancel_token`]. Checked before every manager body and
+    /// forced round. Sticky: the holder clears it to run further segments
+    /// on the same engine.
     cancel: Arc<AtomicBool>,
+    /// Worker threads for threaded segments; 0 = one per host CPU (see
+    /// [`Engine::set_workers`]).
+    pub(crate) workers: usize,
 }
 
 impl Engine {
@@ -414,8 +407,7 @@ impl Engine {
         text_len: usize,
         adapt: Option<SlackController>,
     ) -> Engine {
-        let Wiring { cores, out_consumers, uncore, board, shards, shard_signals, window_grant } =
-            wiring;
+        let Wiring { cores, out_consumers, uncore, board, shards, shard_signals } = wiring;
         Engine {
             cfg,
             scheme,
@@ -429,7 +421,6 @@ impl Engine {
             shard_frontiers: shards.iter().map(|s| s.frontier.clone()).collect(),
             shards,
             shard_signals,
-            window_grant,
             engine: EngineStats::default(),
             slack_profile: Vec::new(),
             last_window: 0,
@@ -442,6 +433,7 @@ impl Engine {
             adapt,
             window_bug_extra: 0,
             cancel: Arc::new(AtomicBool::new(false)),
+            workers: 0,
         }
     }
 
@@ -452,6 +444,14 @@ impl Engine {
     #[doc(hidden)]
     pub fn inject_window_bug(&mut self, extra: u64) {
         self.window_bug_extra = extra;
+    }
+
+    /// Run threaded segments on `w` worker threads (clamped to 1..=n_cores)
+    /// instead of one per host CPU, so tests can sweep the pool size on
+    /// any host. `0` restores the default. Never call outside tests.
+    #[doc(hidden)]
+    pub fn set_workers(&mut self, w: usize) {
+        self.workers = w;
     }
 
     /// Force the run-ahead batch cap on every core, overriding the
@@ -590,7 +590,6 @@ impl Engine {
     /// the deterministic scheduler whenever the interleaver picks the
     /// manager task.
     pub(crate) fn manager_iter(&mut self, until: Option<u64>, st: &mut MgrState) -> MgrVerdict {
-        let n = self.cfg.n_cores;
         let obs = self.obs.as_deref();
         let MgrState { clock_cache, drain_scratch, .. } = st;
         let ready_before = match until {
@@ -687,57 +686,27 @@ impl Engine {
         // ordering) clamps against the inter-shard frontier too: its
         // budget then bounds run-ahead past *delivered* time, keeping
         // the closed loop's error model honest under sharding.
-        let g_window =
-            if st.ordered_scheme || (self.adapt.is_some() && !self.shard_frontiers.is_empty()) {
-                let fmin_of = |fs: &[Arc<AtomicU64>]| {
-                    fs.iter().map(|f| f.load(Ordering::Acquire)).min().unwrap_or(g)
-                };
-                let mut fmin = fmin_of(&self.shard_frontiers);
-                // A frontier behind global clamps the window below what the
-                // scheme would grant. In threaded mode the stall is resolved
-                // by *other threads* (the lagging shards), so signal them and
-                // yield a bounded number of times instead of falling into the
-                // idle backoff — a grant path paced by park timeouts costs
-                // hundreds of microseconds per simulated cycle under CC. The
-                // cooperative backend must not spin: its shard tasks cannot
-                // run until this iteration returns.
-                if fmin < g && !st.spin_on_frontier {
-                    // Cooperative backend: spinning is useless (the lagging
-                    // shard's task cannot run until this iteration returns),
-                    // but its pending flag must still be raised — the
-                    // deterministic scheduler's signal-gated shard picks
-                    // would otherwise skip the very iterate that publishes
-                    // the frontier this window is clamped on.
-                    for (s, f) in self.shard_frontiers.iter().enumerate() {
-                        if f.load(Ordering::Acquire) < g {
-                            self.shard_signals[s].signal();
-                        }
-                    }
-                } else if fmin < g {
-                    // Spin time is blocked-on-other-threads time, not
-                    // serialized coordinator work: book it separately so
-                    // occupancy readers can subtract it from `busy_ns`.
-                    let t_spin = obs.map(|_| std::time::Instant::now());
-                    for _ in 0..64 {
-                        for (s, f) in self.shard_frontiers.iter().enumerate() {
-                            if f.load(Ordering::Acquire) < g {
-                                self.shard_signals[s].signal();
-                            }
-                        }
-                        std::thread::yield_now();
-                        fmin = fmin_of(&self.shard_frontiers);
-                        if fmin >= g {
-                            break;
-                        }
-                    }
-                    if let (Some(o), Some(t)) = (obs, t_spin) {
-                        o.manager.frontier_wait_ns.add(t.elapsed().as_nanos() as u64);
+        let g_window = if st.ordered_scheme
+            || (self.adapt.is_some() && !self.shard_frontiers.is_empty())
+        {
+            let fmin =
+                self.shard_frontiers.iter().map(|f| f.load(Ordering::Acquire)).min().unwrap_or(g);
+            // A frontier behind global clamps the window below what the
+            // scheme would grant. The lagging shard's pending flag must
+            // be raised: the schedulers' signal-gated shard runs would
+            // otherwise skip the very iterate that publishes the
+            // frontier this window is clamped on.
+            if fmin < g {
+                for (s, f) in self.shard_frontiers.iter().enumerate() {
+                    if f.load(Ordering::Acquire) < g {
+                        self.shard_signals[s].signal();
                     }
                 }
-                g.min(fmin)
-            } else {
-                g
-            };
+            }
+            g.min(fmin)
+        } else {
+            g
+        };
         let mut adapt_stepped = false;
         let mut w = if let Some(ctrl) = self.adapt.as_mut() {
             // Closed loop (see `crate::adapt`): feed this iteration's
@@ -787,27 +756,7 @@ impl Engine {
         w = w.saturating_add(self.window_bug_extra);
         let granted = w > self.last_window;
         if granted {
-            if self.shards.is_empty() || !st.spin_on_frontier {
-                // Single manager — or the cooperative backend, where the
-                // grant indirection would cost one scheduler hop per
-                // shard with no parallelism to win (every task shares
-                // one host thread). Raising is monotone and
-                // liveness-only, so who raises never changes simulated
-                // results; shards seeing a grant at or below an
-                // already-raised window simply no-op.
-                for c in 0..n {
-                    self.board.raise_max_local(c, w);
-                }
-            } else {
-                // Sharded clock domains: publish one monotone grant and
-                // let every shard raise its own domain, so the raise loop
-                // parallelizes with the shard count instead of serializing
-                // here. Late application is liveness-only (see `MemShard`).
-                self.window_grant.store(w, Ordering::Release);
-                for sig in &self.shard_signals {
-                    sig.signal();
-                }
-            }
+            self.board.raise_all(w);
             self.last_window = w;
         }
         self.uncore.flush_wakeups();
@@ -840,21 +789,87 @@ impl Engine {
         }
         // What this iteration left for an immediate repeat to do: the
         // controller's epoch step zeroed its slack maximum (the repeat
-        // would feed it this iteration's sample again), and a quiescent
-        // system processes one pending timestamp per iteration. Cores it
+        // would feed it this iteration's sample again), a quiescent
+        // system processes one pending timestamp per iteration, and a
+        // converging checkpoint needs a second ready sighting. Cores it
         // woke raised their change flags, which the caller sees on the
         // board.
-        let settled = !(adapt_stepped || quiescent && self.uncore.min_pending_ts().is_some());
+        let settled = !(adapt_stepped
+            || quiescent && self.uncore.min_pending_ts().is_some()
+            || st.ready_streak > 0);
         MgrVerdict::Continue { ingested, deadlockable, granted, settled }
     }
 
-    /// Run one segment: spawn the core (and shard) threads, drive the
-    /// manager loop, and tear the threads down again when the segment
-    /// ends. With `until = None` the segment runs to the natural end of
-    /// the simulation. With `until = Some(c)` the checkpoint limit caps
-    /// every clock at `c` and the segment ends at the safe-point (or
-    /// earlier, if the simulation finishes first — the outcome says
-    /// which).
+    /// One manager body on behalf of a scheduler, booked as one
+    /// `manager.iterations` and its time as `busy_ns`.
+    pub(crate) fn manager_body(&mut self, until: Option<u64>, st: &mut MgrState) -> MgrVerdict {
+        let t = self.obs.as_ref().map(|_| Instant::now());
+        let verdict = self.manager_iter(until, st);
+        if let (Some(o), Some(t)) = (&self.obs, t) {
+            o.manager.iterations.inc();
+            o.manager.busy_ns.add(t.elapsed().as_nanos() as u64);
+        }
+        verdict
+    }
+
+    /// One iteration of shard `si`, its time booked as the shard's
+    /// `busy_ns`. Returns whether it did anything.
+    pub(crate) fn shard_body(&mut self, si: usize) -> bool {
+        let t = self.obs.as_ref().map(|_| Instant::now());
+        let progressed = self.shards[si].iterate();
+        if let (Some(o), Some(t)) = (&self.obs, t) {
+            o.shards[si].busy_ns.add(t.elapsed().as_nanos() as u64);
+        }
+        progressed
+    }
+
+    /// The quiescence rule both schedulers call when nothing is runnable:
+    /// a manager body, then every shard. A round that moved nothing ends
+    /// the run if it is the second in a row to find the system deadlockable
+    /// (a workload deadlock), and otherwise fires the virtual timeout
+    /// ([`ClockBoard::unpark_all_waiting`]). Returns how the segment ends,
+    /// if it does; the scheduler resets `stall` whenever it sees progress.
+    pub(crate) fn forced_round(
+        &mut self,
+        until: Option<u64>,
+        st: &mut MgrState,
+        stall: &mut Stall,
+    ) -> Option<RunOutcome> {
+        let verdict = self.manager_body(until, st);
+        let mut shard_progress = false;
+        for si in 0..self.shards.len() {
+            shard_progress |= self.shard_body(si);
+        }
+        let (ingested, deadlockable) = match verdict {
+            MgrVerdict::Finish => return Some(RunOutcome::Finished),
+            MgrVerdict::CheckpointReady => return Some(RunOutcome::CheckpointReady),
+            MgrVerdict::Continue { ingested, deadlockable, .. } => (ingested, deadlockable),
+        };
+        if ingested > 0 || shard_progress {
+            *stall = Stall::default();
+            return None;
+        }
+        stall.barren_rounds += 1;
+        if deadlockable {
+            stall.deadlock_rounds += 1;
+            return (stall.deadlock_rounds >= 2).then_some(RunOutcome::Finished);
+        }
+        stall.deadlock_rounds = 0;
+        self.board.unpark_all_waiting();
+        assert!(
+            stall.barren_rounds < LIVELOCK_ROUNDS,
+            "scheduler livelocked: no task progressed for {} forced rounds",
+            stall.barren_rounds
+        );
+        None
+    }
+
+    /// Run one segment on the worker pool ([`crate::pool`]) and tear it
+    /// down when it ends. With `until = None` the segment runs to the
+    /// natural end of the simulation. With `until = Some(c)` the
+    /// checkpoint limit caps every clock at `c` and the segment ends at the
+    /// safe-point (or earlier, if the simulation finishes first — the
+    /// outcome says which).
     ///
     /// `until` must not lie in the past of any core's clock.
     pub fn run_until(&mut self, until: Option<u64>) -> RunOutcome {
@@ -871,122 +886,24 @@ impl Engine {
             self.board.clear_checkpoint_limit();
         }
         self.board.reset_stop();
-
-        let n = self.cfg.n_cores;
-        let ordered_scheme = self.ordered_sharded();
         let t0 = Instant::now();
-        // Time the manager has been continuously quiescent with nothing to
-        // do while unfinished cores exist: a workload deadlock (e.g. a
-        // barrier that can never be released). Global time is frozen in
-        // that state, so the max_cycles backstop alone cannot fire.
-        let mut quiet_since: Option<Instant> = None;
-        let mut outcome = RunOutcome::Finished;
-
-        let cores = std::mem::take(&mut self.cores);
-        let shards = std::mem::take(&mut self.shards);
-        let obs = self.obs.clone();
-        std::thread::scope(|s| {
-            let handles: Vec<_> = cores
-                .into_iter()
-                .map(|mut core| {
-                    let board = self.board.clone();
-                    s.spawn(move || {
-                        core.run(&board);
-                        core
-                    })
-                })
-                .collect();
-            let shard_handles: Vec<_> = shards
-                .into_iter()
-                .map(|shard| {
-                    let sig = self.shard_signals[shard.index].clone();
-                    s.spawn(move || shard.run(sig))
-                })
-                .collect();
-
-            // ---- the manager thread (paper §2.1) ----
-            // Adaptive pacing state: see IDLE_WAIT_MIN/MAX above.
-            let mut idle_wait = IDLE_WAIT_MIN;
-            let mut st = MgrState::new(n, ordered_scheme);
-            st.spin_on_frontier = true;
-            loop {
-                let signalled = self.board.manager_wait(idle_wait);
-                if self.cancel.load(Ordering::Relaxed) {
-                    outcome = RunOutcome::Cancelled;
-                    break;
-                }
-                if let Some(o) = &obs {
-                    o.manager.iterations.inc();
-                    if !signalled {
-                        o.manager.backoff_us.record(idle_wait.as_micros() as u64);
-                    }
-                }
-                let t_iter = obs.as_ref().map(|_| Instant::now());
-                let verdict = self.manager_iter(until, &mut st);
-                if let (Some(o), Some(t)) = (&obs, t_iter) {
-                    // Manager occupancy: time actually spent in iteration
-                    // bodies (excludes parked time), the serialization
-                    // signal the scaleout bench watches.
-                    o.manager.busy_ns.add(t.elapsed().as_nanos() as u64);
-                }
-                match verdict {
-                    MgrVerdict::Finish => break,
-                    MgrVerdict::CheckpointReady => {
-                        outcome = RunOutcome::CheckpointReady;
-                        break;
-                    }
-                    MgrVerdict::Continue { ingested, deadlockable, .. } => {
-                        // Pacing: a signal or drained events means the
-                        // pipeline is flowing — stay responsive. Otherwise
-                        // back off exponentially; the first signal_manager
-                        // ends the park immediately.
-                        if signalled || ingested > 0 {
-                            idle_wait = IDLE_WAIT_MIN;
-                        } else {
-                            idle_wait = (idle_wait * 2).min(IDLE_WAIT_MAX);
-                        }
-                        if deadlockable {
-                            let since = *quiet_since.get_or_insert_with(Instant::now);
-                            if since.elapsed() > DEADLOCK_AFTER {
-                                // Continuous quiescence: the workload is
-                                // deadlocked (sync-blocked with nothing in
-                                // flight).
-                                break;
-                            }
-                        } else {
-                            quiet_since = None;
-                        }
-                    }
-                }
-            }
-            // Checkpoint (and cancellation) teardown deliberately skips the
-            // `Stop` broadcast: a `Stop` in an InQ would poison `stop_seen`
-            // in restored or continued cores. The stop flag alone unblocks
-            // every parked thread.
-            if outcome == RunOutcome::Finished {
-                self.uncore.broadcast_stop();
-            }
-            self.board.stop_all();
-            for sig in &self.shard_signals {
-                sig.signal();
-            }
-
-            self.cores =
-                handles.into_iter().map(|h| h.join().expect("core thread panicked")).collect();
-            self.shards = shard_handles
-                .into_iter()
-                .map(|h| h.join().expect("shard thread panicked"))
-                .collect();
-            if outcome == RunOutcome::Finished {
-                self.final_drain();
-            }
-        });
+        let outcome = crate::pool::run(self, until);
+        // Checkpoint (and cancellation) teardown deliberately skips the
+        // `Stop` broadcast: a `Stop` in an InQ would poison `stop_seen`
+        // in restored or continued cores.
+        if outcome == RunOutcome::Finished {
+            self.uncore.broadcast_stop();
+        }
+        for sh in self.shards.iter_mut() {
+            sh.finish();
+        }
+        if outcome == RunOutcome::Finished {
+            self.final_drain();
+            self.finished = true;
+        }
         self.wall += t0.elapsed();
         if self.obs.is_some() {
             self.uncore.publish_obs();
-        }
-        if outcome == RunOutcome::Finished {
-            self.finished = true;
         }
         outcome
     }
@@ -1299,11 +1216,13 @@ impl ManagerProbe {
 
 /// Run `program` on the parallel engine under `scheme`.
 ///
-/// One host thread per target core plus a manager thread, exactly as in
-/// the paper ("simulation is composed of 9 POSIX threads that simulate an
-/// 8-core target CMP"). With `cfg.mem_shards > 0`, additional sharded
-/// memory-manager threads carry the directory/L2 work (the paper's §2.2
-/// "split the manager" suggestion; see `crate::shard`).
+/// Where the paper runs one POSIX thread per target core plus a manager
+/// thread ("simulation is composed of 9 POSIX threads that simulate an
+/// 8-core target CMP"), this runs the same tasks on W = min(host CPUs,
+/// cores) worker threads (see [`Engine::run_until`]). With
+/// `cfg.mem_shards > 0`, sharded memory managers carry the directory/L2
+/// work (the paper's §2.2 "split the manager" suggestion; see
+/// `crate::shard`).
 pub fn run_parallel(program: &Program, scheme: Scheme, cfg: &TargetConfig) -> SimReport {
     let mut engine = Engine::new(program, scheme, cfg);
     engine.run_until(None);

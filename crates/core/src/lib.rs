@@ -2,10 +2,10 @@
 //!
 //! A reproduction of *"Exploiting Simulation Slack to Improve Parallel
 //! Simulation Speed"* (Chen, Annavaram, Dubois — ICPP 2009): a parallel
-//! CMP-on-CMP microarchitecture simulator where each target core is
-//! simulated by one host thread and a simulation-manager thread models the
-//! shared L2/directory and paces the run through three shared clocks
-//! (`global ≤ local ≤ max_local`).
+//! CMP-on-CMP microarchitecture simulator where each target core simulates
+//! its own cycles and a simulation manager models the shared L2/directory
+//! and paces the run through three shared clocks
+//! (`global ≤ local ≤ max_local`) — as tasks on a pool of host threads.
 //!
 //! ## Quick start
 //!
@@ -34,13 +34,13 @@
 //! |---|---|
 //! | [`scheme`] | §3 slack schemes (CC, Q, L, S, S*, SU, adaptive) |
 //! | [`adapt`] | extension: closed-loop slack controller (`A<budget>`) |
-//! | [`clock`] | §2.1 global/local/max-local time + thread parking |
+//! | [`clock`] | §2.1 global/local/max-local time + worker wake-ups |
 //! | [`msg`], [`spsc`] | §2.2 OutQ / InQ / GQ event queues |
 //! | [`cpu`] | §2.2/§4.1 OoO (NetBurst-like) and in-order core models |
 //! | [`sync`] | §4 Table 1 lock/barrier/semaphore API |
 //! | [`uncore`] | §2 manager thread: directory, L2, event disciplines |
 //! | [`violation`] | §3.2 simulation-violation taxonomy + fast-forward |
-//! | [`engine`] | the parallel engine (N+1 Pthreads) |
+//! | [`engine`], [`pool`] | the parallel engine on W = min(host CPUs, N) workers |
 //! | [`seq`] | the single-thread cycle-by-cycle baseline |
 
 pub mod adapt;
@@ -53,6 +53,7 @@ pub mod engine;
 pub mod exec;
 pub mod interp;
 pub mod msg;
+pub mod pool;
 pub mod scheme;
 pub mod seq;
 pub mod shard;

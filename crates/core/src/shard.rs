@@ -7,7 +7,8 @@
 //! This module implements that split: the *coordination* manager keeps the
 //! clocks, windows, sync objects and thread placement, while the
 //! lower-hierarchy memory work (directory + L2 banks) is partitioned over
-//! `n` **memory-shard** threads by bank (`shard = bank mod n`). Each shard
+//! `n` **memory shards** by bank (`shard = bank mod n`), each a task the
+//! schedulers run when its signal is up. Each shard
 //! owns its banks' directory state and an interconnect channel, consumes
 //! per-core SPSC queues of memory events, and produces replies and
 //! invalidations on per-core SPSC queues of its own.
@@ -31,42 +32,31 @@ use crate::config::TargetConfig;
 use crate::msg::{GlobalEvent, InKind, InMsg, OutEvent, OutKind};
 use crate::scheme::{EventOrdering, Scheme};
 use crate::spsc::{Consumer, Producer};
-use parking_lot::{Condvar, Mutex};
 use sk_mem::l1::ReqKind;
 use sk_mem::Directory;
 use std::cmp::Reverse;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
-/// Wakeup channel for one shard manager.
+/// A shard's change flag: raised by whatever gives it work (a core's event
+/// flush, the coordinator's frontier clamp), consumed by the iteration
+/// that does it.
 #[derive(Default)]
 pub struct ShardSignal {
-    /// A signal arrived since the last `wait`/`take`. Lives outside the
-    /// mutex so the deterministic scheduler can poll it for free.
     pending: AtomicBool,
-    /// `true` while the shard thread is inside the condvar wait; signallers
-    /// notify only then (with no waiter — always, on the deterministic
-    /// backend — a notify is a futex syscall that wakes nobody).
-    waiting: Mutex<bool>,
-    cond: Condvar,
 }
 
 impl ShardSignal {
-    /// Notify the shard that events are available.
+    /// Notify the shard that it has work.
     pub fn signal(&self) {
         self.pending.store(true, Ordering::Release);
-        // The waiter re-checks `pending` under this lock before it sleeps,
-        // so either it sees the store above or we see it waiting.
-        if *self.waiting.lock() {
-            self.cond.notify_one();
-        }
     }
 
-    /// Consume the pending flag without blocking: true if a signal
-    /// arrived since the last `wait`/`take`. The deterministic backend
-    /// gates shard picks on this — an unsignalled shard has nothing to
-    /// do, so the scheduler skips its O(n_cores) queue scan.
+    /// Consume the pending flag: true if a signal arrived since the last
+    /// `take`. Both schedulers gate shard iterations on this — an
+    /// unsignalled shard has nothing to do, so they skip its O(n_cores)
+    /// queue scan. A swap, not a store: it reads the newest signal, so the
+    /// work that signal announced is visible to the iteration that follows.
     pub fn take(&self) -> bool {
         self.pending.swap(false, Ordering::Acquire)
     }
@@ -74,19 +64,6 @@ impl ShardSignal {
     /// Peek the pending flag without consuming it.
     pub fn pending(&self) -> bool {
         self.pending.load(Ordering::Acquire)
-    }
-
-    /// Park until signalled or `timeout`.
-    pub fn wait(&self, timeout: Duration) {
-        let mut waiting = self.waiting.lock();
-        if !self.pending.load(Ordering::Acquire) {
-            *waiting = true;
-            self.cond.wait_for(&mut waiting, timeout);
-            *waiting = false;
-        }
-        // A swap, not a store: it reads the newest signal, so the work that
-        // signal announced is visible to the iteration that follows.
-        self.pending.swap(false, Ordering::Acquire);
     }
 }
 
@@ -143,21 +120,6 @@ pub struct MemShard {
     /// sharded conservative schemes deterministic: no core can tick past
     /// a timestamp whose events are still in flight.
     pub frontier: Arc<AtomicU64>,
-    /// Cores in this shard's clock domain (`core % n_shards == index`).
-    /// The coordinator publishes one window grant; each shard paces its
-    /// own domain, so the O(n_cores) raise loop parallelizes with the
-    /// shard count instead of serializing in the coordinator.
-    domain: Vec<usize>,
-    /// Latest window grant from the coordinator (monotone; see
-    /// [`MemShard::iterate`]). Raising windows late never changes simulated
-    /// results — cores simply stay blocked a little longer — so the grant
-    /// path is liveness-only and needs no extra synchronization beyond the
-    /// release/acquire pair on this cell.
-    grant: Arc<AtomicU64>,
-    /// Last grant applied to the domain.
-    last_window: u64,
-    /// Did the last iteration apply a grant (raise its domain's windows)?
-    granted: bool,
     /// Events processed by this shard.
     pub events_processed: u64,
     /// Optional telemetry hub (drain-batch histogram).
@@ -166,7 +128,6 @@ pub struct MemShard {
 
 impl MemShard {
     /// Assemble a shard.
-    #[allow(clippy::too_many_arguments)]
     pub fn new(
         index: usize,
         cfg: &TargetConfig,
@@ -174,10 +135,8 @@ impl MemShard {
         from_cores: Vec<Consumer<OutEvent>>,
         to_cores: Vec<Producer<InMsg>>,
         board: Arc<ClockBoard>,
-        grant: Arc<AtomicU64>,
         dirty: Arc<Vec<AtomicU64>>,
     ) -> Self {
-        let n_shards = cfg.mem_shards.max(1);
         MemShard {
             index,
             scheme,
@@ -192,10 +151,6 @@ impl MemShard {
             scratch: Vec::new(),
             board,
             frontier: Arc::new(AtomicU64::new(0)),
-            domain: (0..cfg.n_cores).filter(|c| c % n_shards == index).collect(),
-            grant,
-            last_window: 0,
-            granted: false,
             events_processed: 0,
             obs: None,
         }
@@ -227,11 +182,6 @@ impl MemShard {
     /// Cores the last [`MemShard::iterate`] resumed from a parked state.
     pub fn woken(&self) -> &[usize] {
         &self.woken
-    }
-
-    /// Did the last [`MemShard::iterate`] raise its clock domain's windows?
-    pub fn granted(&self) -> bool {
-        self.granted
     }
 
     fn process_event(&mut self, ge: GlobalEvent) {
@@ -283,31 +233,13 @@ impl MemShard {
         }
     }
 
-    /// One iteration: apply the coordinator's window grant to this shard's
-    /// clock domain, drain queues, process per the scheme discipline.
+    /// One iteration: drain queues, process per the scheme discipline.
     /// Returns `true` if any observable work happened (events drained or
-    /// processed, windows raised, frontier advanced) —
-    /// the deterministic backend's stall detector keys off this.
+    /// processed, frontier advanced) — the schedulers' stall detection
+    /// keys off this.
     pub fn iterate(&mut self) -> bool {
         let mut progressed = false;
         self.woken.clear();
-        // Window pacing for this shard's clock domain: the coordinator
-        // publishes one monotone grant, every shard fans it out to its own
-        // cores. Late application is harmless (cores just block longer);
-        // `raise_max_local` itself ignores lowering, so replays of a stale
-        // grant are no-ops.
-        let grant = self.grant.load(Ordering::Acquire);
-        self.granted = grant > self.last_window;
-        if self.granted {
-            self.last_window = grant;
-            for &c in &self.domain {
-                self.board.raise_max_local(c, grant);
-            }
-            if let Some(obs) = &self.obs {
-                obs.shards[self.index].window_raises.add(1);
-            }
-            progressed = true;
-        }
         let g = self.board.global();
         let eager = self.scheme.ordering() == EventOrdering::Eager;
         let events0 = self.events_processed;
@@ -370,12 +302,10 @@ impl MemShard {
         // Publish the processed frontier: every event with ts <= g had
         // arrived before g was computed (cores push before advancing their
         // local clocks) and has now been processed and delivered.
+        // The coordinator's ordered-scheme window may be clamped on this
+        // very frontier: a shard that ran counts as news to the manager.
         if self.frontier.fetch_max(g, Ordering::Release) < g {
             progressed = true;
-            // The coordinator's ordered-scheme window may be clamped on
-            // this very frontier; wake it so the grant path stays
-            // signal-driven instead of timeout-paced.
-            self.board.signal_manager();
         }
         if let Some(obs) = &self.obs {
             let sh = &obs.shards[self.index];
@@ -418,22 +348,6 @@ impl MemShard {
         self.dir.bus_stats()
     }
 
-    /// The thread body for a shard manager.
-    pub fn run(mut self, signal: Arc<ShardSignal>) -> MemShard {
-        loop {
-            signal.wait(Duration::from_micros(200));
-            let t0 = self.obs.is_some().then(std::time::Instant::now);
-            self.iterate();
-            if let (Some(t0), Some(obs)) = (t0, &self.obs) {
-                obs.shards[self.index].busy_ns.add(t0.elapsed().as_nanos() as u64);
-            }
-            if self.board.stopping() {
-                self.finish();
-                return self;
-            }
-        }
-    }
-
     // ---- snapshot support ----
 
     /// Serialize shard-local dynamic state. Call only at a safe-point with
@@ -442,7 +356,6 @@ impl MemShard {
         debug_assert!(self.ordered.is_empty(), "shard heap must be drained at a safe-point");
         use sk_snap::Persist;
         w.put_u64(self.frontier.load(Ordering::Acquire));
-        w.put_u64(self.last_window);
         w.put_u64(self.events_processed);
         self.dir.save(w);
     }
@@ -452,7 +365,6 @@ impl MemShard {
     pub fn restore_state(&mut self, r: &mut sk_snap::Reader<'_>) -> Result<(), sk_snap::SnapError> {
         use sk_snap::Persist;
         self.frontier.store(r.get_u64()?, Ordering::Release);
-        self.last_window = r.get_u64()?;
         self.events_processed = r.get_u64()?;
         self.dir = Directory::load(r)?;
         Ok(())
@@ -486,14 +398,13 @@ mod tests {
     }
 
     #[test]
-    fn signal_wakes_waiter() {
-        let sig = Arc::new(ShardSignal::default());
+    fn signal_is_consumed_once() {
+        let sig = ShardSignal::default();
+        assert!(!sig.take());
         sig.signal();
-        // Pending flag consumed without blocking.
-        sig.wait(Duration::from_secs(5));
-        // No pending: times out quickly.
-        let t0 = std::time::Instant::now();
-        sig.wait(Duration::from_millis(1));
-        assert!(t0.elapsed() >= Duration::from_micros(500));
+        sig.signal();
+        assert!(sig.pending());
+        assert!(sig.take(), "a raised signal is taken");
+        assert!(!sig.pending() && !sig.take(), "and only once");
     }
 }

@@ -124,7 +124,12 @@ fn det_manager_iterations_count_bodies_that_ran() {
 }
 
 /// Under a bounded-slack scheme the interesting histograms fill up: slack
-/// observed at event-process time, park durations, manager drains.
+/// observed at event-process time, manager drains, and window blocks.
+/// Park time is booked only when a worker sleeps, which a lightly loaded
+/// host may never need, so the window side is asserted through the
+/// engine's counters: every block is counted whether or not its worker
+/// slept, and a raise that ends one counts a wake-up (the sleeping
+/// worker's booking is `clock::tests::a_raise_wakes_the_sleeping_owner_of_a_blocked_core`).
 #[test]
 fn histograms_fill_under_bounded_slack() {
     let (r, obs) = run_with_obs(&counter_workload(4, 40), Scheme::BoundedSlack(10), &cfg(4));
@@ -133,12 +138,9 @@ fn histograms_fill_under_bounded_slack() {
     assert!(slack_samples > 0, "no slack samples recorded");
     let max_slack = obs.cores.iter().filter_map(|c| c.slack.max()).max().unwrap();
     assert!(max_slack <= 10, "slack {max_slack} exceeds the S10 bound");
-    let parks: u64 = obs
-        .cores
-        .iter()
-        .map(|c| c.park_ns.count() + c.sync_park_ns.count() + c.mem_park_ns.count())
-        .sum();
-    assert!(parks > 0, "no park samples recorded");
+    assert!(r.engine.blocks > 0, "no core blocked at its S10 window");
+    assert!(r.engine.wakeups > 0, "no raise ended a block");
+    assert!(r.engine.wakeups <= r.engine.blocks, "a block ended twice");
     assert!(obs.manager.iterations.get() > 0);
     assert!(obs.manager.events_ingested.get() > 0);
     assert!(obs.manager.drain_batch.count() > 0);

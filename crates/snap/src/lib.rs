@@ -52,7 +52,9 @@ pub const MAGIC: [u8; 8] = *b"SKSNAP\x00\x01";
 /// scheduling index are derived and no longer written.
 /// v8: `TargetConfig` no longer carries a queue capacity (the SPSC queues
 /// are unbounded); the word is gone from the stream, not zeroed.
-pub const FORMAT_VERSION: u32 = 8;
+/// v9: a shard no longer carries its applied window grant (the manager
+/// raises every window itself); the word is gone from the stream.
+pub const FORMAT_VERSION: u32 = 9;
 
 const HEADER_LEN: usize = 8 + 4 + 8;
 const CHECKSUM_LEN: usize = 8;

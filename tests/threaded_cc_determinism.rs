@@ -16,8 +16,11 @@
 //!   into a jumped one (`stall_cycles` differs, timing does not).
 //!
 //! Competing busy threads make the preemptions; the reference is the det
-//! backend, which has no threads to preempt.
+//! backend, which has no threads to preempt. The runs cycle through 1, 2
+//! and 4 worker threads, so both races are also looked for with cores
+//! sharing a worker and with the manager on either side of a core.
 
+use sk_core::Engine;
 use slacksim_suite::prelude::*;
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -40,15 +43,22 @@ fn threaded_cc_matches_det_under_load(runs: usize) {
         }
         for run in 0..runs {
             // Alternate superblock dispatch: the original failure showed on
-            // either side of that comparison.
+            // either side of that comparison. Six runs cover every pairing
+            // with the worker count.
             let mut cfg = cfg;
             cfg.superblocks = run % 2 == 0;
-            let got = run_parallel(&ocean.program, Scheme::CycleByCycle, &cfg).fingerprint();
+            let workers = [1, 2, 4][run % 3];
+            let mut e = Engine::new(&ocean.program, Scheme::CycleByCycle, &cfg);
+            e.set_workers(workers);
+            e.run_until(None);
+            let got = e.into_report().fingerprint();
             if got != reference {
                 stop.store(true, Ordering::Relaxed);
                 let diff: Vec<_> =
                     reference.lines().zip(got.lines()).filter(|(a, b)| a != b).collect();
-                panic!("threaded CC run {run} of {runs} diverged from det CC: {diff:#?}");
+                panic!(
+                    "threaded CC run {run} of {runs} (W={workers}) diverged from det CC: {diff:#?}"
+                );
             }
         }
         stop.store(true, Ordering::Relaxed);

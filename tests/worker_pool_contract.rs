@@ -3,7 +3,8 @@
 //! scheduler, every bounded scheme keeps its inversion bound, a safe-point
 //! snapshot resumes bit-identically, a cancel from another thread stops a
 //! run that can then continue, and a workload deadlock ends with the
-//! deterministic scheduler's report.
+//! deterministic scheduler's report. Every cell runs on 1, 2 and 4 worker
+//! threads and on the host's default.
 
 use sk_core::{run_det, Engine, RunOutcome};
 use sk_isa::Program;
@@ -22,8 +23,25 @@ fn kernels() -> Vec<Workload> {
     vec![kernels::fft::fft(4, 6), kernels::lu::lu(4, 12), kernels::ocean::ocean(4, 8, 2)]
 }
 
-fn threaded(program: &Program, scheme: Scheme, cfg: &TargetConfig) -> SimReport {
+/// Worker counts every cell runs at: 1, 2, 4 and the host's default
+/// (`0`) where that is none of them.
+fn pools() -> Vec<usize> {
+    let host = std::thread::available_parallelism().map_or(1, |p| p.get()).min(4);
+    let mut w = vec![1, 2, 4];
+    if !w.contains(&host) {
+        w.push(0);
+    }
+    w
+}
+
+fn engine(program: &Program, scheme: Scheme, cfg: &TargetConfig, workers: usize) -> Engine {
     let mut e = Engine::new(program, scheme, cfg);
+    e.set_workers(workers);
+    e
+}
+
+fn threaded(program: &Program, scheme: Scheme, cfg: &TargetConfig, workers: usize) -> SimReport {
+    let mut e = engine(program, scheme, cfg, workers);
     assert_eq!(e.run_until(None), RunOutcome::Finished);
     e.into_report()
 }
@@ -38,8 +56,11 @@ fn threaded_cc_equals_det_cc_on_fft_lu_ocean_both_core_models_and_shard_counts()
                 let what = format!("{} {model:?} shards={shards}", w.name);
                 let printed: Vec<i64> = det.printed().iter().map(|&(_, v)| v).collect();
                 assert_eq!(printed, w.expected, "{what}: det output");
-                let thr = threaded(&w.program, Scheme::CycleByCycle, &cfg);
-                assert_eq!(det.fingerprint(), thr.fingerprint(), "{what}: threaded != det");
+                for workers in pools() {
+                    let thr = threaded(&w.program, Scheme::CycleByCycle, &cfg, workers);
+                    let what = format!("{what} W={workers}");
+                    assert_eq!(det.fingerprint(), thr.fingerprint(), "{what}: threaded != det");
+                }
             }
         }
     }
@@ -55,15 +76,18 @@ fn bounded_schemes_keep_their_inversion_bound_and_the_output() {
         Scheme::Adaptive { budget: 64 },
     ];
     for w in [kernels::fft::fft(4, 6), kernels::ocean::ocean(4, 8, 2)] {
-        for scheme in schemes {
+        for (scheme, workers) in
+            schemes.into_iter().flat_map(|s| pools().into_iter().map(move |w| (s, w)))
+        {
             let mut cfg = cfg(CoreModel::InOrder, 0);
             cfg.track_workload_violations = true;
-            let r = threaded(&w.program, scheme, &cfg);
+            let r = threaded(&w.program, scheme, &cfg, workers);
+            let what = format!("{} {scheme} W={workers}", w.name);
             let printed: Vec<i64> = r.printed().iter().map(|&(_, v)| v).collect();
-            assert_eq!(printed, w.expected, "{} {scheme}: output", w.name);
+            assert_eq!(printed, w.expected, "{what}: output");
             if let Some(bound) = scheme.slack_bound() {
                 let inv = r.violations.max_inversion_cycles;
-                assert!(inv <= bound, "{} {scheme}: inversion {inv} > bound {bound}", w.name);
+                assert!(inv <= bound, "{what}: inversion {inv} > bound {bound}");
             }
         }
     }
@@ -73,16 +97,20 @@ fn bounded_schemes_keep_their_inversion_bound_and_the_output() {
 fn cc_snapshot_at_an_odd_cycle_resumes_to_the_uninterrupted_fingerprint() {
     let w = kernels::lu::lu(4, 12);
     let cfg = cfg(CoreModel::OutOfOrder, 2);
-    let full = threaded(&w.program, Scheme::CycleByCycle, &cfg);
+    let full = threaded(&w.program, Scheme::CycleByCycle, &cfg, 0);
     let end = full.cores.iter().map(|c| c.cycles).max().unwrap_or(0);
     let at = (end / 3) | 1;
-    let mut e = Engine::new(&w.program, Scheme::CycleByCycle, &cfg);
-    assert_eq!(e.run_until(Some(at)), RunOutcome::CheckpointReady, "safe-point at {at}");
-    let bytes = e.snapshot().expect("snapshot");
-    drop(e);
-    let mut r = Engine::resume(&bytes, None).expect("resume");
-    assert_eq!(r.run_until(None), RunOutcome::Finished);
-    assert_eq!(full.fingerprint(), r.into_report().fingerprint(), "resume from {at} diverged");
+    for workers in pools() {
+        let mut e = engine(&w.program, Scheme::CycleByCycle, &cfg, workers);
+        assert_eq!(e.run_until(Some(at)), RunOutcome::CheckpointReady, "W={workers} at {at}");
+        let bytes = e.snapshot().expect("snapshot");
+        drop(e);
+        let mut r = Engine::resume(&bytes, None).expect("resume");
+        r.set_workers(workers);
+        assert_eq!(r.run_until(None), RunOutcome::Finished);
+        let got = r.into_report().fingerprint();
+        assert_eq!(full.fingerprint(), got, "W={workers}: resume from {at} diverged");
+    }
 }
 
 /// The cancel is raised by another thread once the run has simulated a
@@ -92,24 +120,27 @@ fn cc_snapshot_at_an_odd_cycle_resumes_to_the_uninterrupted_fingerprint() {
 fn cancel_from_another_thread_stops_mid_run_and_the_run_continues_identically() {
     let w = kernels::ocean::ocean(4, 8, 2);
     let cfg = cfg(CoreModel::InOrder, 0);
-    let full = threaded(&w.program, Scheme::CycleByCycle, &cfg);
-    let mut e = Engine::new(&w.program, Scheme::CycleByCycle, &cfg);
-    let obs = e.attach_new_metrics(Default::default());
-    let token = e.cancel_token();
-    let outcome = std::thread::scope(|s| {
-        s.spawn(|| {
-            while obs.cores[0].cycles.get() < 500 {
-                std::thread::yield_now();
-            }
-            token.store(true, Ordering::Relaxed);
+    let full = threaded(&w.program, Scheme::CycleByCycle, &cfg, 0);
+    for workers in pools() {
+        let mut e = engine(&w.program, Scheme::CycleByCycle, &cfg, workers);
+        let obs = e.attach_new_metrics(Default::default());
+        let token = e.cancel_token();
+        let outcome = std::thread::scope(|s| {
+            s.spawn(|| {
+                while obs.cores[0].cycles.get() < 500 {
+                    std::thread::yield_now();
+                }
+                token.store(true, Ordering::Relaxed);
+            });
+            e.run_until(None)
         });
-        e.run_until(None)
-    });
-    assert_eq!(outcome, RunOutcome::Cancelled);
-    assert!(!e.is_finished());
-    token.store(false, Ordering::Relaxed);
-    assert_eq!(e.run_until(None), RunOutcome::Finished);
-    assert_eq!(full.fingerprint(), e.into_report().fingerprint(), "cancel then continue");
+        assert_eq!(outcome, RunOutcome::Cancelled, "W={workers}");
+        assert!(!e.is_finished());
+        token.store(false, Ordering::Relaxed);
+        assert_eq!(e.run_until(None), RunOutcome::Finished);
+        let got = e.into_report().fingerprint();
+        assert_eq!(full.fingerprint(), got, "W={workers}: cancel then continue");
+    }
 }
 
 /// `n` threads meet at a barrier initialised for `n + 1`: nobody is ever
@@ -140,7 +171,9 @@ fn a_barrier_that_never_releases_ends_with_the_det_report() {
     let p = barrier_that_never_releases(4);
     let cfg = cfg(CoreModel::InOrder, 0);
     let det = run_det(&p, Scheme::CycleByCycle, &cfg, 1);
-    let thr = threaded(&p, Scheme::CycleByCycle, &cfg);
-    assert!(thr.printed().is_empty());
-    assert_eq!(det.fingerprint(), thr.fingerprint(), "deadlock report");
+    for workers in pools() {
+        let thr = threaded(&p, Scheme::CycleByCycle, &cfg, workers);
+        assert!(thr.printed().is_empty());
+        assert_eq!(det.fingerprint(), thr.fingerprint(), "W={workers}: deadlock report");
+    }
 }
