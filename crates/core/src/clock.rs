@@ -78,6 +78,10 @@ impl CoreState {
     }
 }
 
+/// Set in a running core's state byte by [`ClockBoard::unpark`] during a
+/// threaded segment: the core has mail.
+const MAIL: u8 = 0x80;
+
 struct CoreClock {
     local: CachePadded<AtomicU64>,
     max_local: CachePadded<AtomicU64>,
@@ -424,39 +428,65 @@ impl ClockBoard {
         }
     }
 
-    /// Mark this core as having no workload thread (excluded from the
-    /// global minimum until unparked).
-    pub fn park(&self, core: usize) {
-        self.park_as(core, CoreState::Parked);
+    /// Mark this running core as having no workload thread (excluded from
+    /// the global minimum until unparked). Returns `false`, parking
+    /// nothing, if the core has mail (see [`ClockBoard::unpark`]).
+    pub fn park(&self, core: usize) -> bool {
+        self.park_as(core, CoreState::Parked)
     }
 
-    /// Mark this core as blocked in a sync API call (clock suspended).
-    pub fn sync_park(&self, core: usize) {
-        self.park_as(core, CoreState::SyncWait);
+    /// [`ClockBoard::park`] for a core blocked in a sync API call (clock
+    /// suspended).
+    pub fn sync_park(&self, core: usize) -> bool {
+        self.park_as(core, CoreState::SyncWait)
     }
 
-    /// Mark this core as inert-waiting for an InQ message (clock visible).
-    pub fn mem_park(&self, core: usize) {
-        self.park_as(core, CoreState::MemWait);
+    /// [`ClockBoard::park`] for a core inert-waiting for an InQ message
+    /// (clock visible).
+    pub fn mem_park(&self, core: usize) -> bool {
+        self.park_as(core, CoreState::MemWait)
     }
 
-    fn park_as(&self, core: usize, state: CoreState) {
-        self.cores[core].state.store(state as u8, Ordering::Release);
-        self.mark_dirty(core);
+    fn park_as(&self, core: usize, state: CoreState) -> bool {
+        let cc = &self.cores[core];
+        let running = CoreState::Running as u8;
+        let parked =
+            cc.state.compare_exchange(running, state as u8, Ordering::AcqRel, Ordering::Relaxed);
+        match parked {
+            Ok(_) => self.mark_dirty(core),
+            // Mail: a message came after the caller last looked at its
+            // queues. It looks again instead.
+            Err(_) => {
+                cc.state.fetch_and(!MAIL, Ordering::Relaxed);
+            }
+        }
+        parked.is_ok()
     }
 
-    /// Wake a parked or sync-waiting core (a message is on its way).
-    /// No-op in other states; returns whether the core was resumed.
+    /// Wake a parked core (a message is on its way); returns whether it was
+    /// parked. During a threaded segment a running core is left *mail*
+    /// instead, and its next park fails: a core is never parked with a
+    /// message on its way, so no manager body on another worker can take
+    /// it for quiescent — the park-then-recheck window of thread-per-core.
     pub fn unpark(&self, core: usize) -> bool {
         let cc = &self.cores[core];
-        let parked = matches!(
-            self.state(core),
-            CoreState::Parked | CoreState::SyncWait | CoreState::MemWait
-        );
+        let pooled = self.pooled();
+        let prev =
+            cc.state.fetch_update(
+                Ordering::AcqRel,
+                Ordering::Acquire,
+                |s| match CoreState::from_u8(s & !MAIL) {
+                    CoreState::Parked | CoreState::SyncWait | CoreState::MemWait => {
+                        Some(CoreState::Running as u8)
+                    }
+                    CoreState::Running if pooled => Some(s | MAIL),
+                    _ => None,
+                },
+            );
+        let parked = prev.is_ok_and(|s| s & !MAIL != CoreState::Running as u8);
         if parked {
-            cc.state.store(CoreState::Running as u8, Ordering::Release);
             self.mark_dirty(core);
-            if self.pooled() {
+            if pooled {
                 fence(Ordering::SeqCst);
                 self.wake_worker(cc.owner.load(Ordering::Relaxed));
             }
@@ -527,7 +557,7 @@ impl ClockBoard {
 
     /// A core's run state.
     pub fn state(&self, core: usize) -> CoreState {
-        CoreState::from_u8(self.cores[core].state.load(Ordering::Acquire))
+        CoreState::from_u8(self.cores[core].state.load(Ordering::Acquire) & !MAIL)
     }
 
     /// Raise a core's window. Monotone: lowering is ignored. Wakes the
@@ -650,7 +680,7 @@ impl ClockBoard {
                 // toward an older state with a newer clock, never toward a
                 // missed update (the later store raises the flag again).
                 let cc = &self.cores[i];
-                let s = cc.state.load(Ordering::Acquire);
+                let s = cc.state.load(Ordering::Acquire) & !MAIL;
                 let l = cc.local.load(Ordering::Acquire);
                 let (s0, l0) = std::mem::replace(&mut cache.seen[i], (s, l));
                 if reduce || (s, l) == (s0, l0) {
@@ -789,7 +819,7 @@ impl ClockBoard {
         fence(Ordering::SeqCst);
         let running = CoreState::Running as u8;
         if !self.stopping()
-            && cores.iter().all(|&c| self.cores[c].state.load(Ordering::SeqCst) != running)
+            && cores.iter().all(|&c| self.cores[c].state.load(Ordering::SeqCst) & !MAIL != running)
         {
             let spans: Vec<_> = cores
                 .iter()
@@ -985,6 +1015,27 @@ mod tests {
         assert_eq!(b.state(1), CoreState::Blocked, "stopping ends no block");
         assert_eq!(b.idle.load(Ordering::SeqCst), 0);
         b.detach_pool();
+    }
+
+    /// PR 13's park-then-recheck window: a message pushed and flushed
+    /// after a core last looked at its queues, but before it parks. The
+    /// park must fail — no refresh may ever see the core parked with mail.
+    #[test]
+    fn a_core_with_mail_cannot_park() {
+        let b = ClockBoard::new(1, 10);
+        let mut cache = GlobalCache::new(1);
+        b.attach_pool(2, |_| 0);
+        assert!(!b.unpark(0), "a running core is not resumed");
+        assert_eq!(b.state(0), CoreState::Running, "mail is not a state");
+        assert!(!b.sync_park(0), "the park fails on mail");
+        b.recompute_global_cached(&mut cache);
+        assert_eq!(cache.active_count(), 1, "never seen parked");
+        assert!(b.sync_park(0), "the mail was read: the next park holds");
+        assert!(b.unpark(0));
+        b.detach_pool();
+        // Outside a threaded segment nobody leaves mail.
+        assert!(!b.unpark(0));
+        assert!(b.sync_park(0));
     }
 
     #[test]

@@ -702,10 +702,10 @@ impl CoreSim {
 
     /// One non-blocking scheduling quantum. Anywhere the core cannot go
     /// on, the parked state is published on the board and the matching
-    /// [`StepOutcome`] is returned; park/recheck races are resolved inside
-    /// (a message that arrived between the park and the re-check unparks
-    /// immediately and reports `Progressed`). Both backends drive their
-    /// cores exclusively through this function, so a CC run is
+    /// [`StepOutcome`] is returned — unless a message arrived since the
+    /// core looked ([`ClockBoard::unpark`]'s mail): then it reports
+    /// `Progressed` and looks again on its next step. Both backends drive
+    /// their cores exclusively through this function, so a CC run is
     /// bit-identical across them by construction.
     pub fn run_step(&mut self, board: &ClockBoard) -> StepOutcome {
         if board.stopping() || self.stop_seen {
@@ -737,16 +737,9 @@ impl CoreSim {
                         }
                     }
                 }
-                None => {
-                    board.park(self.id);
-                    // Re-check after publishing Parked to close the race
-                    // with a concurrent push+unpark.
-                    if self.next_msg_ts().is_some() {
-                        board.unpark(self.id);
-                        return StepOutcome::Progressed;
-                    }
-                    return StepOutcome::Idle;
-                }
+                // A failed park means a message arrived since the look above.
+                None if board.park(self.id) => return StepOutcome::Idle,
+                None => return StepOutcome::Progressed,
             }
         }
         if self.sync_waiting() {
@@ -764,14 +757,8 @@ impl CoreSim {
                     }
                     // Fall through: the next cycle applies the release.
                 }
-                None => {
-                    board.sync_park(self.id);
-                    if self.earliest_sync_reply_ts().is_some() {
-                        board.unpark(self.id);
-                        return StepOutcome::Progressed;
-                    }
-                    return StepOutcome::SyncBlocked;
-                }
+                None if board.sync_park(self.id) => return StepOutcome::SyncBlocked,
+                None => return StepOutcome::Progressed,
             }
         }
         if self.local >= limit {
@@ -895,17 +882,11 @@ impl CoreSim {
                     // A message is due: the next cycle consumes it.
                     self.inert_streak = 0;
                 }
-                None => {
-                    // Unlike a sync wait, the clock stays visible so
-                    // global time freezes with us (lockstep preserved).
-                    board.mem_park(self.id);
-                    if self.earliest_msg_ts().is_some() {
-                        board.unpark(self.id);
-                        // The streak survives a park/recheck race.
-                        return StepOutcome::Progressed;
-                    }
-                    return StepOutcome::MemBlocked;
-                }
+                // Unlike a sync wait, the clock stays visible so global time
+                // freezes with us (lockstep preserved). The streak survives
+                // a failed park.
+                None if board.mem_park(self.id) => return StepOutcome::MemBlocked,
+                None => return StepOutcome::Progressed,
             }
         }
         StepOutcome::Progressed
