@@ -20,7 +20,8 @@
 
 use crossbeam::utils::CachePadded;
 use sk_obs::Metrics;
-use std::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::Ordering::{self, AcqRel, Acquire, Relaxed};
+use std::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicU8, AtomicUsize};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::thread::Thread;
 
@@ -64,6 +65,11 @@ impl CoreState {
     #[inline]
     fn active(self) -> bool {
         matches!(self, CoreState::Running | CoreState::Blocked)
+    }
+
+    /// Is a core in this state waiting for an unpark?
+    fn parked(self) -> bool {
+        matches!(self, CoreState::Parked | CoreState::SyncWait | CoreState::MemWait)
     }
 
     fn from_u8(v: u8) -> CoreState {
@@ -279,18 +285,18 @@ impl ClockBoard {
 
     /// Telemetry at a wait exit: emit the wait span, feed the matching
     /// park-duration histogram, and restart the "run" span.
-    fn obs_wait_end(&self, core: usize, name: &'static str, t0_us: u64) {
+    fn obs_wait_end(&self, core: usize, state: CoreState, t0_us: u64) {
         let Some(o) = self.obs.get() else { return };
         let now = o.trace.now_us();
         let dur_us = now.saturating_sub(t0_us);
-        o.trace.span_at(core, name, t0_us, dur_us);
         let c = &o.cores[core];
-        let dur_ns = dur_us.saturating_mul(1_000);
-        match name {
-            "sync_wait" => c.sync_park_ns.record(dur_ns),
-            "mem_wait" => c.mem_park_ns.record(dur_ns),
-            _ => c.park_ns.record(dur_ns),
-        }
+        let (name, hist) = match state {
+            CoreState::SyncWait => ("sync_wait", &c.sync_park_ns),
+            CoreState::MemWait => ("mem_wait", &c.mem_park_ns),
+            _ => ("park", &c.park_ns),
+        };
+        o.trace.span_at(core, name, t0_us, dur_us);
+        hist.record(dur_us.saturating_mul(1_000));
         self.cores[core].resume_us.store(now, Ordering::Relaxed);
     }
 
@@ -447,20 +453,18 @@ impl ClockBoard {
         self.park_as(core, CoreState::MemWait)
     }
 
+    /// Fails on mail: a message came after the caller last looked at its
+    /// queues, and it looks again instead.
     fn park_as(&self, core: usize, state: CoreState) -> bool {
         let cc = &self.cores[core];
         let running = CoreState::Running as u8;
-        let parked =
-            cc.state.compare_exchange(running, state as u8, Ordering::AcqRel, Ordering::Relaxed);
-        match parked {
-            Ok(_) => self.mark_dirty(core),
-            // Mail: a message came after the caller last looked at its
-            // queues. It looks again instead.
-            Err(_) => {
-                cc.state.fetch_and(!MAIL, Ordering::Relaxed);
-            }
+        let parked = cc.state.compare_exchange(running, state as u8, AcqRel, Relaxed).is_ok();
+        if parked {
+            self.mark_dirty(core);
+        } else {
+            cc.state.fetch_and(!MAIL, Relaxed);
         }
-        parked.is_ok()
+        parked
     }
 
     /// Wake a parked core (a message is on its way); returns whether it was
@@ -472,18 +476,12 @@ impl ClockBoard {
         let cc = &self.cores[core];
         let pooled = self.pooled();
         let prev =
-            cc.state.fetch_update(
-                Ordering::AcqRel,
-                Ordering::Acquire,
-                |s| match CoreState::from_u8(s & !MAIL) {
-                    CoreState::Parked | CoreState::SyncWait | CoreState::MemWait => {
-                        Some(CoreState::Running as u8)
-                    }
-                    CoreState::Running if pooled => Some(s | MAIL),
-                    _ => None,
-                },
-            );
-        let parked = prev.is_ok_and(|s| s & !MAIL != CoreState::Running as u8);
+            cc.state.fetch_update(AcqRel, Acquire, |s| match CoreState::from_u8(s & !MAIL) {
+                CoreState::Running if pooled => Some(s | MAIL),
+                state if state.parked() => Some(CoreState::Running as u8),
+                _ => None,
+            });
+        let parked = prev.is_ok_and(|s| CoreState::from_u8(s & !MAIL).parked());
         if parked {
             self.mark_dirty(core);
             if pooled {
@@ -502,8 +500,7 @@ impl ClockBoard {
     pub fn unpark_all_waiting(&self) -> usize {
         let mut resumed = 0;
         for (i, cc) in self.cores.iter().enumerate() {
-            if matches!(self.state(i), CoreState::Parked | CoreState::SyncWait | CoreState::MemWait)
-            {
+            if self.state(i).parked() {
                 cc.state.store(CoreState::Running as u8, Ordering::Release);
                 self.mark_dirty(i);
                 resumed += 1;
@@ -823,18 +820,11 @@ impl ClockBoard {
         {
             let spans: Vec<_> = cores
                 .iter()
-                .filter_map(|&c| {
-                    let name = match self.state(c) {
-                        CoreState::SyncWait => "sync_wait",
-                        CoreState::MemWait => "mem_wait",
-                        _ => "park",
-                    };
-                    Some((c, name, self.obs_wait_begin(c)?))
-                })
+                .filter_map(|&c| Some((c, self.state(c), self.obs_wait_begin(c)?)))
                 .collect();
             std::thread::park();
-            for (c, name, t0) in spans {
-                self.obs_wait_end(c, name, t0);
+            for (c, state, t0) in spans {
+                self.obs_wait_end(c, state, t0);
             }
         }
         // Still marked: no waker took it off the count (a spurious wake-up,
