@@ -10,12 +10,12 @@
 //! the quiescence rule instead ([`Engine::forced_round`]), so a run ends,
 //! deadlocks or times out virtually in simulated rounds.
 
-use crate::clock::ClockBoard;
+use crate::clock::{ClockBoard, CoreState};
 use crate::core_thread::{CoreSim, StepOutcome};
 use crate::engine::{Engine, MgrState, MgrVerdict, RunOutcome, Stall};
 use crate::shard::ShardSignal;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex};
 
 /// Most fruitless scans a worker spins through before it parks while
 /// another worker is busy. Per worker the bound halves (to
@@ -44,7 +44,7 @@ impl Slot {
     /// up. Returns whether it progressed.
     fn visit(&mut self, board: &ClockBoard) -> bool {
         let id = self.core.id();
-        if self.done || board.state(id) != crate::clock::CoreState::Running {
+        if self.done || board.state(id) != CoreState::Running {
             return false;
         }
         if std::mem::take(&mut self.mem_blocked) {
@@ -90,7 +90,9 @@ struct Pool<'e> {
     cancel: Arc<AtomicBool>,
     until: Option<u64>,
     control: Mutex<Control<'e>>,
-    /// The last manager body was not settled: the next one has work.
+    /// The last manager body was not settled: the next one has work. A
+    /// hint that publishes nothing (the control lock orders the engine's
+    /// state), hence `Relaxed`.
     unsettled: AtomicBool,
     /// Bumped by a worker going idle after it made progress: tells the
     /// forced round that something moved since the last one.
@@ -139,7 +141,7 @@ pub(crate) fn run(engine: &mut Engine, until: Option<u64>) -> RunOutcome {
         pool.work(0, first);
     });
     board.detach_pool();
-    let ctl = pool.control.into_inner().unwrap_or_else(PoisonError::into_inner);
+    let ctl = pool.control.into_inner().expect("no pool worker panicked");
     let outcome = ctl.outcome;
     let mut cores: Vec<CoreSim> = slices.into_iter().flatten().map(|s| s.core).collect();
     cores.sort_by_key(|c| c.id());
@@ -247,7 +249,8 @@ impl Pool<'_> {
     /// Nothing is runnable on any worker: the quiescence rule's forced
     /// round, reset first if any worker progressed since the last one.
     fn forced_round(&self) {
-        let mut ctl = self.control.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut ctl =
+            self.control.lock().expect("no pool worker panicked holding the control lock");
         let ctl = &mut *ctl;
         if self.board.stopping() {
             return;
