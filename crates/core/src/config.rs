@@ -168,7 +168,7 @@ pub struct TargetConfig {
     pub fast_forward_compensation: bool,
     /// Record a per-cycle work trace for the virtual-host model.
     pub record_trace: bool,
-    /// Number of sharded memory-manager threads (0 = the classic single
+    /// Number of sharded memory managers (0 = the classic single
     /// manager of the paper's Figure 1). The paper's §2.2 notes the
     /// manager can be split "into several threads" if it bottlenecks;
     /// shards partition the directory by L2 bank.

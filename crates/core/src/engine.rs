@@ -586,9 +586,9 @@ impl Engine {
 
     /// One manager iteration (the body of the paper's §2.1 manager loop,
     /// minus the wait and the pacing/deadlock policy — see [`MgrVerdict`]).
-    /// Both backends call this: the manager Pthread from [`Engine::run_until`],
-    /// the deterministic scheduler whenever the interleaver picks the
-    /// manager task.
+    /// Both schedulers call this (through [`Engine::manager_body`]): the
+    /// worker pool when a change flag is up, the deterministic scheduler
+    /// when the interleaver picks the manager task.
     pub(crate) fn manager_iter(&mut self, until: Option<u64>, st: &mut MgrState) -> MgrVerdict {
         let obs = self.obs.as_deref();
         let MgrState { clock_cache, drain_scratch, .. } = st;

@@ -1,7 +1,7 @@
 //! The simulation-manager logic (paper §2.1–2.2, §3).
 //!
 //! [`Uncore`] is the manager's brain, independent of threading so the
-//! parallel engine's manager thread and the sequential reference engine
+//! parallel engine's manager task and the sequential reference engine
 //! drive the *same* code:
 //!
 //! * consolidates every core's OutQ into the global queue (GQ);
