@@ -18,7 +18,7 @@
 //! Memory ordering follows the classic Lamport queue, with `tail` and
 //! `head` counting the items ever pushed and popped: the producer publishes
 //! slot writes and block links with one `Release` store of `tail` per push
-//! or batch; the consumer acquires it, so they happen-before its reads
+//! or non-empty batch; the consumer acquires it, so they happen-before its reads
 //! (Rust Atomics and Locks, ch. 5). A block changes hands the same way: the
 //! consumer's `Release` on the exchange follows its last read of the block
 //! and pairs with the producer's `Acquire` before its first write.
@@ -176,11 +176,14 @@ impl<T> Producer<T> {
     ///
     /// The consumer observes either none or all of the batch — per-item
     /// `tail` traffic (and the matching cache-line ping-pong) collapses to
-    /// one store per batch.
+    /// one store per batch, and an empty batch stores nothing.
     pub fn push_batch(&mut self, items: &[T])
     where
         T: Copy,
     {
+        if items.is_empty() {
+            return;
+        }
         let tail = self.q.tail.count.load(Ordering::Relaxed);
         for (i, &v) in items.iter().enumerate() {
             self.write(tail + i, v);
@@ -526,6 +529,19 @@ mod tests {
         let mut out = Vec::new();
         assert_eq!(c.drain_into(&mut out, usize::MAX), items.len());
         assert_eq!(out, items);
+    }
+
+    #[test]
+    fn an_empty_batch_publishes_nothing() {
+        let (mut p, mut c) = channel();
+        p.enable_high_water();
+        p.push_batch(&[1, 2, 3]);
+        assert_eq!(c.pop(), Some(1));
+        let tail = p.q.tail.count.load(Ordering::Relaxed);
+        p.push_batch(&[]);
+        assert_eq!(p.q.tail.count.load(Ordering::Relaxed), tail);
+        assert_eq!(c.len(), 2);
+        assert_eq!(p.high_water(), 3);
     }
 
     #[test]
