@@ -654,6 +654,32 @@ impl CoreSim {
         events
     }
 
+    /// Advance in one step over up to `room` cycles the CPU model proves
+    /// only book a stall ([`Cpu::quiet_cycles`]) before the next queued
+    /// message, each leaving its stepped trace entry. Returns how many.
+    fn skip_quiet(&mut self, room: u64) -> u64 {
+        let now = self.local + 1;
+        let q = self.cpu.quiet_cycles(now, self.heap.peek().map(|Reverse(h)| h.ts));
+        if q == 0 {
+            return 0;
+        }
+        // A late arrival can only end the span sooner; a `Stop` is left to
+        // the stepped cycle, which ends the batch on it.
+        self.drain_inq();
+        let next = self.heap.peek().map_or(u64::MAX, |Reverse(h)| h.ts.saturating_sub(now));
+        let k = q.min(room).min(next);
+        if k == 0 || self.stop_seen {
+            return 0;
+        }
+        self.cpu.skip_quiet(k, &mut self.stats);
+        if let Some(trace) = &mut self.trace {
+            trace.resize(self.local as usize, 0);
+            trace.resize((self.local + k) as usize, cycle_work(0, 0, 0, 0));
+        }
+        self.local += k;
+        k
+    }
+
     /// Set local time without simulating (used to skip the dead time of a
     /// core that has not started a thread yet; it has no state to advance).
     fn jump_local(&mut self, target: u64) {
@@ -764,22 +790,26 @@ impl CoreSim {
         if self.local >= limit {
             return StepOutcome::AtWindow;
         }
-        // Run-ahead batch: simulate up to `batch_cap` cycles inside
+        // Run-ahead batch: advance up to `batch_cap` cycles inside
         // the open window, publishing the local clock once at the
-        // end. Every intervening cycle is still simulated in full —
-        // InQ messages apply at their exact timestamps and OutQ
-        // events keep exact per-cycle stamps — only the publication
-        // atomics are amortized. A batch ends early on anything the
-        // manager or the park paths must see promptly: emitted
-        // events, thread exit/idle, a sync wait, or a stop.
+        // end. InQ messages apply at their exact timestamps and OutQ
+        // events keep exact per-cycle stamps; only the publication
+        // atomics are amortized, and a provably quiet stall costs one
+        // step (on a worker, a message arriving meanwhile applies at
+        // the next stepped cycle, as on a slower host). A batch ends
+        // early on anything the manager or the park paths must see
+        // promptly: emitted events, thread exit/idle, a sync wait,
+        // or a stop.
         let budget = (limit - self.local).min(self.batch_cap);
         let c0 = self.stats.committed;
         let i0 = self.stats.issued;
         let f0 = self.stats.fetched;
         let mut batch = 0u64;
         let events = loop {
-            let events = self.step_cycle(self.local + 1);
-            batch += 1;
+            // A quiet span changes nothing the checks below read.
+            let skipped = if budget > 1 { self.skip_quiet(budget - batch) } else { 0 };
+            let events = if skipped > 0 { 0 } else { self.step_cycle(self.local + 1) };
+            batch += skipped.max(1);
             if events > 0
                 || batch >= budget
                 || self.cpu.finished()

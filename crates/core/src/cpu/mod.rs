@@ -152,6 +152,18 @@ pub trait Cpu: Send {
     /// Extra idle cycles to absorb (fast-forward compensation).
     fn add_stall(&mut self, cycles: u64);
 
+    /// Cycles from `now` on that [`Cpu::step`] would spend only booking a
+    /// stall if no InQ message applied meanwhile (`next_msg`: the earliest
+    /// queued one's timestamp). 0, the default, when it may do more.
+    fn quiet_cycles(&self, _now: u64, _next_msg: Option<u64>) -> u64 {
+        0
+    }
+
+    /// Book `k ≤ quiet_cycles(now, ..)` cycles as `k` steps from `now` would.
+    fn skip_quiet(&mut self, _k: u64, _stats: &mut CoreStats) {
+        unreachable!("a model without quiet cycles is never asked to skip one");
+    }
+
     /// Copy cache counters into `stats` (called once at end of run).
     fn flush_cache_stats(&self, stats: &mut CoreStats);
 
