@@ -123,7 +123,7 @@ pub struct CoreObs {
     pub mem_park_ns: Histogram,
     /// Outgoing event batch sizes per flush.
     pub out_batch: Histogram,
-    /// Simulated cycles stepped by this core.
+    /// Simulated cycles advanced by this core, stepped or skipped as quiet.
     pub cycles: Counter,
     /// High-water occupancy of this core's outbound SPSC ring.
     pub outq_high_water: Counter,
@@ -131,7 +131,7 @@ pub struct CoreObs {
     pub utlb_hits: Counter,
     /// µTLB misses: memory accesses that walked the radix page table.
     pub utlb_misses: Counter,
-    /// Cycles stepped per run-ahead batch before publishing the clock.
+    /// Cycles advanced per run-ahead batch before publishing the clock.
     pub run_batch: Histogram,
     /// Static superblocks the fuser formed over the text (same value on
     /// every core: the table is shared).
