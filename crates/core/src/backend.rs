@@ -26,6 +26,11 @@
 //! ([`Engine::forced_round`]): a forced manager body and shard round, then
 //! either a workload deadlock or the *virtual timeout* that resumes every
 //! waiting core ([`ClockBoard::unpark_all_waiting`]).
+//!
+//! So is the segment: both schedulers are a pick loop between
+//! `Engine::begin_segment` and `Engine::end_segment`, so a det run stops at
+//! a checkpoint safe-point or on the cancel token exactly as a threaded one
+//! does, and a snapshot taken on one scheduler resumes on the other.
 
 use crate::clock::{ClockBoard, CoreState};
 use crate::config::TargetConfig;
@@ -36,8 +41,8 @@ use crate::shard::ShardSignal;
 use crate::stats::SimReport;
 use sk_det::{Interleaver, PickHook};
 use sk_isa::Program;
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Which machinery executes a simulation.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -140,7 +145,7 @@ impl RunSet {
 
 /// The deterministic schedule-exploration backend.
 ///
-/// Wraps an [`Engine`] and drives it to completion on the calling thread.
+/// Wraps an [`Engine`] and runs its segments on the calling thread.
 /// No host threads are spawned; all cross-task interaction goes through
 /// the same SPSC queues and [`ClockBoard`](crate::clock::ClockBoard) states
 /// as the threaded backend, so the simulated outcome differs only where
@@ -244,22 +249,35 @@ impl DetEngine {
     /// busy_ns / wall is the *exact* fraction of the schedule the role
     /// consumed, the noise-free serialization measurement the scaleout
     /// bench reports), its controller decisions folded into the schedule.
-    fn manager_body(&mut self, st: &mut MgrState) -> MgrVerdict {
-        let verdict = self.engine.manager_body(None, st);
+    fn manager_body(&mut self, until: Option<u64>, st: &mut MgrState) -> MgrVerdict {
+        let verdict = self.engine.manager_body(until, st);
         self.fold_adapt_decisions();
         verdict
     }
 
     /// Run the simulation to its natural end (workload exit, stop
-    /// condition, max cycles, or workload deadlock). The deterministic
-    /// backend always runs whole segments; checkpoint safe-points and
-    /// cancellation are the threaded engine's.
-    ///
-    /// The loop is change-driven. Every scheduling decision still costs
-    /// one interleaver draw from a runnable set of exactly the size a
-    /// rebuild from the board would give, so pick counts, decision hashes
-    /// and recorded logs do not depend on any of this; what the loop
-    /// avoids is work that cannot change state:
+    /// condition, max cycles, or workload deadlock), or until the cancel
+    /// token is raised: [`DetEngine::run_until`]`(None)`.
+    pub fn run(&mut self) -> RunOutcome {
+        self.run_until(None)
+    }
+
+    /// Run one segment on this thread, exactly as [`Engine::run_until`]
+    /// runs one on the worker pool: the same checkpoint limit and
+    /// safe-point, the same cancel token (looked at before every manager
+    /// body and forced round), the same teardown. A snapshot taken at its
+    /// [`RunOutcome::CheckpointReady`] resumes on either scheduler.
+    pub fn run_until(&mut self, until: Option<u64>) -> RunOutcome {
+        let Some(t0) = self.engine.begin_segment(until) else { return RunOutcome::Finished };
+        let outcome = self.pick_loop(until);
+        self.engine.end_segment(outcome, t0)
+    }
+
+    /// The seeded pick loop of one segment. It is change-driven. Every
+    /// scheduling decision still costs one interleaver draw from a runnable
+    /// set of exactly the size a rebuild from the board would give, so pick
+    /// counts, decision hashes and recorded logs do not depend on any of
+    /// this; what the loop avoids is work that cannot change state:
     ///
     /// * the runnable set is edited when a task's step, a manager body's
     ///   wake-ups or grants, or a forced round moved something
@@ -274,26 +292,17 @@ impl DetEngine {
     ///
     /// An elided dispatch is booked as what it would have returned: a
     /// fruitless pick, one step closer to the forced round.
-    pub fn run(&mut self) -> RunOutcome {
-        if self.engine.finished {
-            return RunOutcome::Finished;
-        }
-        self.engine.board.clear_checkpoint_limit();
-        self.engine.board.reset_stop();
-
+    fn pick_loop(&mut self, until: Option<u64>) -> RunOutcome {
         let n = self.engine.cfg.n_cores;
         let board = self.engine.board.clone();
         let signals = self.engine.shard_signals.clone();
-        let t0 = Instant::now();
+        let cancel = self.engine.cancel_token();
         let obs = self.engine.metrics().cloned();
         let obs = obs.as_deref();
         let mut st = MgrState::new(n, self.engine.ordered_sharded());
         let mut set = RunSet::new(n, !signals.is_empty());
         set.refresh_all(&board);
         set.refresh_shards(&signals);
-        // Core i parked as MemWait; its inert streak must be cleared when
-        // it next steps (the threaded backend resets it after wait_parked).
-        let mut mem_blocked = vec![false; n];
         // The manager's last body settled and no shard has run since; with
         // no change flag up on the board either, its next body is a no-op.
         let mut mgr_settled = false;
@@ -304,15 +313,9 @@ impl DetEngine {
         // The quiescence rule's count of forced rounds since progress.
         let mut quiet = Stall::default();
 
-        'sim: loop {
+        loop {
             let k = self.il.pick(set.len());
             let progressed = if let Some(&pick) = set.cores.get(k) {
-                if mem_blocked[pick] {
-                    // Resumed after MemWait (reply delivered or virtual
-                    // timeout): same streak reset as the pool's.
-                    self.engine.cores[pick].clear_inert_streak();
-                    mem_blocked[pick] = false;
-                }
                 if self.engine.cores[pick].window_closed(&board) {
                     // Unsharded sets keep a core at its window edge; it
                     // answers `AtWindow` until the manager raises the
@@ -326,13 +329,10 @@ impl DetEngine {
                             set.done[pick] = true;
                             true
                         }
-                        StepOutcome::MemBlocked => {
-                            mem_blocked[pick] = true;
-                            false
-                        }
-                        StepOutcome::Idle | StepOutcome::SyncBlocked | StepOutcome::AtWindow => {
-                            false
-                        }
+                        StepOutcome::Idle
+                        | StepOutcome::SyncBlocked
+                        | StepOutcome::MemBlocked
+                        | StepOutcome::AtWindow => false,
                     };
                     // A step moves only its own core's board state.
                     set.refresh_core(&board, pick);
@@ -345,9 +345,12 @@ impl DetEngine {
                         o.manager.picks_elided.inc();
                     }
                     false
+                } else if cancel.load(Ordering::Relaxed) {
+                    return RunOutcome::Cancelled;
                 } else {
-                    match self.manager_body(&mut st) {
-                        MgrVerdict::Finish | MgrVerdict::CheckpointReady => break 'sim,
+                    match self.manager_body(until, &mut st) {
+                        MgrVerdict::Finish => return RunOutcome::Finished,
+                        MgrVerdict::CheckpointReady => return RunOutcome::CheckpointReady,
                         MgrVerdict::Continue { ingested, granted, settled, .. } => {
                             // The body moved the cores it woke and, when it
                             // raised the windows, under sharding every core
@@ -399,37 +402,19 @@ impl DetEngine {
             }
             // Nothing has moved for a full round of picks.
             stall = 0;
-            let end = self.engine.forced_round(None, &mut st, &mut quiet);
+            if cancel.load(Ordering::Relaxed) {
+                return RunOutcome::Cancelled;
+            }
+            let end = self.engine.forced_round(until, &mut st, &mut quiet);
             self.fold_adapt_decisions();
+            if let Some(outcome) = end {
+                return outcome;
+            }
             // Rare enough to resynchronise wholesale.
             mgr_settled = false;
             set.refresh_all(&board);
             set.refresh_shards(&signals);
-            if end.is_some() {
-                break 'sim;
-            }
         }
-
-        // Teardown: stop everything, let each core publish its final
-        // state, account late events.
-        self.engine.uncore.broadcast_stop();
-        board.stop_all();
-        for core in self.engine.cores.iter_mut() {
-            if core.finished() {
-                board.finish(core.id());
-            }
-            core.publish_obs();
-        }
-        for sh in self.engine.shards.iter_mut() {
-            sh.finish();
-        }
-        self.engine.final_drain();
-        self.engine.wall += t0.elapsed();
-        if self.engine.metrics().is_some() {
-            self.engine.uncore.publish_obs();
-        }
-        self.engine.finished = true;
-        RunOutcome::Finished
     }
 
     /// Finalize and assemble the run's report.
@@ -582,5 +567,30 @@ mod tests {
         let t = ExecBackend::Threads.run(&p, Scheme::CycleByCycle, &c);
         let d = ExecBackend::Deterministic { seed: 0 }.run(&p, Scheme::CycleByCycle, &c);
         assert_eq!(t.fingerprint(), d.fingerprint());
+    }
+
+    /// Every scheme class converges on a det safe-point, including the
+    /// ones whose cores mem-park and sync-wait past it, and runs on to the
+    /// right answer from there.
+    #[test]
+    fn det_segments_stop_at_the_checkpoint_under_every_scheme_class() {
+        let p = counter_program(3, 4);
+        let c = cfg(3);
+        for scheme in [
+            Scheme::CycleByCycle,
+            Scheme::BoundedSlack(10),
+            Scheme::BoundedSlack(100),
+            Scheme::Unbounded,
+            Scheme::Quantum(10),
+            Scheme::Adaptive { budget: 64 },
+        ] {
+            let mut det = DetEngine::new(&p, scheme, &c, 3);
+            for at in [101, 257] {
+                assert_eq!(det.run_until(Some(at)), RunOutcome::CheckpointReady, "{scheme}");
+                assert_eq!(det.engine.global(), at, "{scheme}");
+            }
+            assert_eq!(det.run(), RunOutcome::Finished, "{scheme}");
+            assert_eq!(det.into_report().printed(), vec![(0, 24)], "{scheme}");
+        }
     }
 }

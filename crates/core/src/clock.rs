@@ -776,9 +776,15 @@ impl ClockBoard {
         self.workers.store(workers, Ordering::Release);
     }
 
-    /// End a threaded segment (every worker has exited).
+    /// End a threaded segment (every worker has exited). A `Blocked` core
+    /// goes back to `Running`: only a pool raise ends a block, and the next
+    /// segment may run on the det scheduler, which never raises one.
     pub(crate) fn detach_pool(&self) {
         self.workers.store(0, Ordering::Release);
+        let (blocked, running) = (CoreState::Blocked as u8, CoreState::Running as u8);
+        for cc in &self.cores {
+            let _ = cc.state.compare_exchange(blocked, running, AcqRel, Relaxed);
+        }
     }
 
     #[inline]

@@ -237,8 +237,7 @@ pub enum StepOutcome {
     /// once the manager raises the window.
     AtWindow,
     /// Pipeline provably inert with no pending message: `MemWait` on the
-    /// board; the caller must clear the inert streak when it resumes the
-    /// core ([`CoreSim::clear_inert_streak`]).
+    /// board until a message or the virtual timeout resumes it.
     MemBlocked,
 }
 
@@ -718,14 +717,6 @@ impl CoreSim {
             && !self.sync_waiting()
     }
 
-    /// Reset the inert-cycle streak after a resume from `MemWait`. A
-    /// scheduler must do it before stepping a core it resumed from
-    /// [`StepOutcome::MemBlocked`], or the core would re-park after a
-    /// single batch instead of ticking another `INERT_PARK_AFTER` cycles.
-    pub fn clear_inert_streak(&mut self) {
-        self.inert_streak = 0;
-    }
-
     /// One non-blocking scheduling quantum. Anywhere the core cannot go
     /// on, the parked state is published on the board and the matching
     /// [`StepOutcome`] is returned — unless a message arrived since the
@@ -913,9 +904,13 @@ impl CoreSim {
                     self.inert_streak = 0;
                 }
                 // Unlike a sync wait, the clock stays visible so global time
-                // freezes with us (lockstep preserved). The streak survives
-                // a failed park.
-                None if board.mem_park(self.id) => return StepOutcome::MemBlocked,
+                // freezes with us (lockstep preserved). A resumed core ticks
+                // another full streak before it parks again; the streak
+                // survives a failed park.
+                None if board.mem_park(self.id) => {
+                    self.inert_streak = 0;
+                    return StepOutcome::MemBlocked;
+                }
                 None => return StepOutcome::Progressed,
             }
         }

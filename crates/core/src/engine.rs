@@ -9,8 +9,9 @@
 //! W = min(host CPUs, N) worker threads ([`crate::pool`]), `DetEngine` on
 //! one thread under a seeded interleaver ([`crate::backend`]). Both step a
 //! core through [`CoreSim::run_step`], the manager through
-//! [`Engine::manager_iter`], and end a quiet run by the same rule
-//! ([`Engine::forced_round`]).
+//! [`Engine::manager_iter`], end a quiet run by the same rule
+//! ([`Engine::forced_round`]), and open and close a segment the same way
+//! ([`Engine::begin_segment`], [`Engine::end_segment`]).
 
 use crate::adapt::{AdaptDecision, SlackController};
 use crate::clock::{ClockBoard, CoreState, GlobalCache};
@@ -297,7 +298,8 @@ pub(crate) enum MgrVerdict {
     CheckpointReady,
 }
 
-/// Why an [`Engine::run_until`] segment ended.
+/// Why a segment ended ([`Engine::run_until`] on the worker pool,
+/// [`crate::DetEngine::run_until`] on the det scheduler).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RunOutcome {
     /// The simulation is over: workload exit, stop condition reached, or
@@ -310,8 +312,8 @@ pub enum RunOutcome {
     /// was raised. The segment stopped at the next manager iteration with
     /// checkpoint-style teardown: no `Stop` broadcast, no final drain, the
     /// engine is *not* finished. The run can continue (clear the flag and
-    /// call [`Engine::run_until`] again) or be abandoned; a snapshot taken
-    /// at an earlier safe-point resumes cleanly.
+    /// run another segment, on either scheduler) or be abandoned; a
+    /// snapshot taken at an earlier safe-point resumes cleanly.
     Cancelled,
 }
 
@@ -344,8 +346,8 @@ pub struct Engine {
     /// Highest window already published to every core: re-raising an
     /// unchanged window is a no-op per core, so skip the whole loop.
     last_window: u64,
-    pub(crate) wall: Duration,
-    pub(crate) finished: bool,
+    wall: Duration,
+    finished: bool,
     /// Optional telemetry hub (see [`Engine::attach_metrics`]).
     obs: Option<Arc<Metrics>>,
     /// Next global cycle at which to sample the violation counters.
@@ -541,8 +543,8 @@ impl Engine {
     }
 
     /// The cooperative cancellation flag for this engine. Store `true`
-    /// from any thread to stop the current (or next) [`Engine::run_until`]
-    /// segment at its next manager iteration with
+    /// from any thread to stop the current (or next) segment, on either
+    /// scheduler, at its next manager iteration with
     /// [`RunOutcome::Cancelled`]. The flag is sticky — clear it (store
     /// `false`) before running further segments on the same engine.
     pub fn cancel_token(&self) -> Arc<AtomicBool> {
@@ -572,14 +574,14 @@ impl Engine {
     }
 
     /// Is every core either excluded from the driving set (finished,
-    /// parked without a thread, sync-suspended) or blocked exactly on the
-    /// checkpoint cycle? This is the safe-point condition: nothing is
-    /// simulating, and no clock that drives global time sits anywhere but
-    /// `c`.
+    /// parked without a thread, sync-suspended) or running or blocked
+    /// exactly on the checkpoint cycle? This is the safe-point condition:
+    /// no clock that drives global time sits anywhere but `c`, where it
+    /// cannot step a cycle, so all it can still do is park.
     fn checkpoint_ready(&self, c: u64) -> bool {
         (0..self.board.n_cores()).all(|i| match self.board.state(i) {
-            CoreState::Running | CoreState::MemWait => false,
-            CoreState::Blocked => self.board.local(i) == c,
+            CoreState::MemWait => false,
+            CoreState::Running | CoreState::Blocked => self.board.local(i) == c,
             CoreState::Finished | CoreState::Parked | CoreState::SyncWait => true,
         })
     }
@@ -864,17 +866,25 @@ impl Engine {
         None
     }
 
-    /// Run one segment on the worker pool ([`crate::pool`]) and tear it
-    /// down when it ends. With `until = None` the segment runs to the
-    /// natural end of the simulation. With `until = Some(c)` the
-    /// checkpoint limit caps every clock at `c` and the segment ends at the
-    /// safe-point (or earlier, if the simulation finishes first — the
-    /// outcome says which).
+    /// Run one segment on the worker pool ([`crate::pool`]). With
+    /// `until = None` the segment runs to the natural end of the
+    /// simulation. With `until = Some(c)` the checkpoint limit caps every
+    /// clock at `c` and the segment ends at the safe-point (or earlier, if
+    /// the simulation finishes first — the outcome says which).
     ///
     /// `until` must not lie in the past of any core's clock.
     pub fn run_until(&mut self, until: Option<u64>) -> RunOutcome {
+        let Some(t0) = self.begin_segment(until) else { return RunOutcome::Finished };
+        let outcome = crate::pool::run(self, until);
+        self.end_segment(outcome, t0)
+    }
+
+    /// Open a segment for either scheduler: set (or lift) the checkpoint
+    /// limit and lower the stop flag. `None` when the simulation is
+    /// already over; else the segment's start, for [`Engine::end_segment`].
+    pub(crate) fn begin_segment(&mut self, until: Option<u64>) -> Option<Instant> {
         if self.finished {
-            return RunOutcome::Finished;
+            return None;
         }
         if let Some(c) = until {
             assert!(
@@ -886,19 +896,38 @@ impl Engine {
             self.board.clear_checkpoint_limit();
         }
         self.board.reset_stop();
-        let t0 = Instant::now();
-        let outcome = crate::pool::run(self, until);
-        // Checkpoint (and cancellation) teardown deliberately skips the
-        // `Stop` broadcast: a `Stop` in an InQ would poison `stop_seen`
-        // in restored or continued cores.
+        Some(Instant::now())
+    }
+
+    /// Close a segment either scheduler ran, however it ended: stop every
+    /// core, let each publish its final state, account late events. Only
+    /// a finished run gets the `Stop` broadcast and the final drain: a
+    /// `Stop` in an InQ would poison `stop_seen` in restored or continued
+    /// cores.
+    pub(crate) fn end_segment(&mut self, outcome: RunOutcome, t0: Instant) -> RunOutcome {
+        self.board.stop_all();
         if outcome == RunOutcome::Finished {
             self.uncore.broadcast_stop();
+        }
+        for core in self.cores.iter_mut() {
+            if core.finished() {
+                self.board.finish(core.id());
+            }
+            core.publish_obs();
         }
         for sh in self.shards.iter_mut() {
             sh.finish();
         }
         if outcome == RunOutcome::Finished {
-            self.final_drain();
+            // The final drain: late events (Exit, statistics) are accounted.
+            let mut scratch: Vec<OutEvent> = Vec::new();
+            for (c, q) in self.out_consumers.iter_mut().enumerate() {
+                while q.drain_into(&mut scratch, usize::MAX) > 0 {
+                    self.uncore.ingest_batch(c, &scratch);
+                    scratch.clear();
+                }
+            }
+            self.uncore.process_ready(u64::MAX);
             self.finished = true;
         }
         self.wall += t0.elapsed();
@@ -906,22 +935,6 @@ impl Engine {
             self.uncore.publish_obs();
         }
         outcome
-    }
-
-    /// Final drain at the true end of a run, so late events (Exit,
-    /// statistics) are accounted. Shared by both backends' teardown.
-    pub(crate) fn final_drain(&mut self) {
-        let mut scratch: Vec<OutEvent> = Vec::new();
-        for (c, q) in self.out_consumers.iter_mut().enumerate() {
-            loop {
-                scratch.clear();
-                if q.drain_into(&mut scratch, usize::MAX) == 0 {
-                    break;
-                }
-                self.uncore.ingest_batch(c, &scratch);
-            }
-        }
-        self.uncore.process_ready(u64::MAX);
     }
 
     /// Serialize the complete simulated system. Call at a safe-point: a

@@ -33,8 +33,6 @@ const STEPS_PER_VISIT: u32 = 16;
 /// One core of a worker's slice.
 struct Slot {
     core: CoreSim,
-    /// Its last step was `MemBlocked`: clear the inert streak when it runs.
-    mem_blocked: bool,
     /// It stopped or finished: never stepped again this segment.
     done: bool,
 }
@@ -47,9 +45,6 @@ impl Slot {
         if self.done || board.state(id) != CoreState::Running {
             return false;
         }
-        if std::mem::take(&mut self.mem_blocked) {
-            self.core.clear_inert_streak();
-        }
         let mut progressed = false;
         for _ in 0..STEPS_PER_VISIT {
             match self.core.run_step(board) {
@@ -58,11 +53,7 @@ impl Slot {
                     self.done = true;
                     return true;
                 }
-                StepOutcome::MemBlocked => {
-                    self.mem_blocked = true;
-                    break;
-                }
-                StepOutcome::Idle | StepOutcome::SyncBlocked => break,
+                StepOutcome::Idle | StepOutcome::SyncBlocked | StepOutcome::MemBlocked => break,
                 StepOutcome::AtWindow => {
                     if board.block(id) {
                         break;
@@ -100,7 +91,8 @@ struct Pool<'e> {
 }
 
 /// Run one segment of `engine` on the pool and return how it ended. The
-/// caller tears the segment down (stop broadcast, shard drain).
+/// caller opens and closes the segment ([`Engine::begin_segment`],
+/// [`Engine::end_segment`]).
 pub(crate) fn run(engine: &mut Engine, until: Option<u64>) -> RunOutcome {
     let n = engine.cfg.n_cores;
     let workers = match engine.workers {
@@ -110,7 +102,7 @@ pub(crate) fn run(engine: &mut Engine, until: Option<u64>) -> RunOutcome {
     .clamp(1, n);
     let mut slices: Vec<Vec<Slot>> = (0..workers).map(|_| Vec::new()).collect();
     for core in std::mem::take(&mut engine.cores) {
-        slices[core.id() % workers].push(Slot { core, mem_blocked: false, done: false });
+        slices[core.id() % workers].push(Slot { core, done: false });
     }
     let board = engine.board.clone();
     board.attach_pool(workers, |c| c % workers);
@@ -199,12 +191,6 @@ impl Pool<'_> {
             if board.go_idle(me, &live) {
                 self.forced_round();
             }
-        }
-        for slot in slots.iter_mut() {
-            if slot.core.finished() {
-                board.finish(slot.core.id());
-            }
-            slot.core.publish_obs();
         }
     }
 
@@ -298,9 +284,9 @@ mod tests {
         }
     }
 
-    /// Cores blocked on one checkpoint limit under a window wider than the
-    /// next one: the next segment's first grant (capped at the new limit)
-    /// is what unblocks them.
+    /// Cores stopped on one checkpoint limit under a window wider than the
+    /// next one: the segment's end leaves them running, so they run on to
+    /// the new limit before any grant.
     #[test]
     fn cores_blocked_on_a_checkpoint_run_on_when_the_limit_moves() {
         let w = sk_kernels::fft::fft(4, 6);
