@@ -41,10 +41,8 @@ use sk_core::engine::{Engine, RunOutcome};
 use sk_core::{CoreModel, DetEngine, Scheme, SimReport, TargetConfig};
 use sk_det::Schedule;
 use sk_kernels::{Scale, Workload};
-use sk_obs::Metrics;
 use std::path::Path;
 use std::process::ExitCode;
-use std::sync::Arc;
 
 struct Opts {
     scheme: Scheme,
@@ -189,31 +187,48 @@ fn config_for(o: &Opts) -> TargetConfig {
     cfg
 }
 
-/// Attach a telemetry hub when `--metrics-out`/`--trace-out` ask for one.
-fn attach_obs(e: &mut Engine, o: &Opts) -> Option<Arc<Metrics>> {
-    (o.metrics_out.is_some() || o.trace_out.is_some())
-        .then(|| e.attach_new_metrics(sk_obs::ObsConfig::default()))
-}
-
-/// Dump the telemetry hub to the requested files after a run.
-fn write_obs(obs: &Option<Arc<Metrics>>, o: &Opts) {
-    let Some(m) = obs else { return };
-    if let Some(p) = &o.metrics_out {
-        write_json(p, &m.to_json());
-    }
-    if let Some(p) = &o.trace_out {
-        write_json(p, &m.trace_json());
-    }
-}
-
-/// Drive a parallel engine to completion, taking the requested checkpoint
-/// at its safe-point along the way.
+/// Drive a parallel engine to completion on the scheduler the options
+/// name (the seeded det scheduler under `--det-seed`, else the worker
+/// pool), taking the requested checkpoint at its safe-point along the way,
+/// and dump the telemetry hub `--metrics-out` / `--trace-out` ask for.
 fn drive(mut e: Engine, o: &Opts) -> SimReport {
+    // A snapshot taken with a hub attached restores it; a fresh one is
+    // attached only when the engine carries none.
+    let obs = (o.metrics_out.is_some() || o.trace_out.is_some()).then(|| match e.metrics() {
+        Some(m) => m.clone(),
+        None => e.attach_new_metrics(sk_obs::ObsConfig::default()),
+    });
+    let r = match o.det_seed {
+        Some(seed) => {
+            let det = DetEngine::from_engine(e, seed);
+            segments(det, o, DetEngine::run_until, DetEngine::engine_mut).into_report()
+        }
+        None => segments(e, o, Engine::run_until, |e| e).into_report(),
+    };
+    if let Some(m) = obs {
+        if let Some(p) = &o.metrics_out {
+            write_json(p, &m.to_json());
+        }
+        if let Some(p) = &o.trace_out {
+            write_json(p, &m.trace_json());
+        }
+    }
+    r
+}
+
+/// [`drive`]'s segments on a scheduler `s`: `run` runs one, `engine` is
+/// what gets snapshotted.
+fn segments<S>(
+    mut s: S,
+    o: &Opts,
+    run: impl Fn(&mut S, Option<u64>) -> RunOutcome,
+    engine: impl Fn(&mut S) -> &mut Engine,
+) -> S {
     if let Some(at) = o.checkpoint_at {
-        match e.run_until(Some(at)) {
+        match run(&mut s, Some(at)) {
             RunOutcome::CheckpointReady => {
                 let path = o.checkpoint.clone().unwrap_or_else(|| "slacksim.snap".into());
-                match e.snapshot_to_file(Path::new(&path)) {
+                match engine(&mut s).snapshot_to_file(Path::new(&path)) {
                     Ok(()) => eprintln!("checkpoint written to {path} at cycle {at}"),
                     Err(err) => eprintln!("warning: checkpoint failed: {err}"),
                 }
@@ -225,27 +240,16 @@ fn drive(mut e: Engine, o: &Opts) -> SimReport {
             RunOutcome::Cancelled => unreachable!("cancelled without a cancel token holder"),
         }
     }
-    e.run_until(None);
-    e.into_report()
+    run(&mut s, None);
+    s
 }
 
 fn run_one(w: &Workload, o: &Opts) -> (SimReport, bool) {
     let cfg = config_for(o);
     let r = if o.seq {
         sk_core::run_sequential(&w.program, &cfg)
-    } else if let Some(seed) = o.det_seed {
-        let mut det = DetEngine::new(&w.program, o.scheme, &cfg, seed);
-        let obs = attach_obs(det.engine_mut(), o);
-        det.run();
-        let r = det.into_report();
-        write_obs(&obs, o);
-        r
     } else {
-        let mut e = Engine::new(&w.program, o.scheme, &cfg);
-        let obs = attach_obs(&mut e, o);
-        let r = drive(e, o);
-        write_obs(&obs, o);
-        r
+        drive(Engine::new(&w.program, o.scheme, &cfg), o)
     };
     let printed: Vec<i64> = r.printed().into_iter().map(|(_, v)| v).collect();
     let ok = printed == w.expected;
@@ -622,11 +626,16 @@ fn main() -> ExitCode {
         eprintln!("error: --metrics-out/--trace-out require the parallel engine (drop --seq)");
         return ExitCode::FAILURE;
     }
-    let det_mode = opts.det_seed.is_some() || opts.det_schedules.is_some() || opts.replay.is_some();
-    if det_mode && (opts.seq || opts.checkpoint_at.is_some() || opts.restore.is_some()) {
+    let whole_schedules = opts.det_schedules.is_some() || opts.replay.is_some();
+    if (whole_schedules || opts.det_seed.is_some()) && opts.seq {
+        eprintln!("error: --det-seed/--det-schedules/--replay need the parallel engine");
+        return ExitCode::FAILURE;
+    }
+    // A seed names a schedule from cycle 0 to the end: a checkpoint
+    // segment picks differently, a restored run starts elsewhere.
+    if whole_schedules && (opts.checkpoint_at.is_some() || opts.restore.is_some()) {
         eprintln!(
-            "error: --det-seed/--det-schedules/--replay need the plain parallel target \
-             (no --seq/--checkpoint-at/--restore)"
+            "error: --det-schedules/--replay run whole schedules (no --checkpoint-at/--restore)"
         );
         return ExitCode::FAILURE;
     }
@@ -644,24 +653,14 @@ fn main() -> ExitCode {
                 // The simulated system comes from the snapshot; benchmark
                 // selection and target-shape options are ignored.
                 let fork = opts.scheme_set.then_some(opts.scheme);
-                let mut e = match Engine::resume_from_file(Path::new(path), fork) {
+                let e = match Engine::resume_from_file(Path::new(path), fork) {
                     Ok(e) => e,
                     Err(err) => {
                         eprintln!("error: cannot restore {path}: {err}");
                         return ExitCode::FAILURE;
                     }
                 };
-                // A snapshot taken with a hub attached restores it; only
-                // attach a fresh one when the snapshot carried none.
-                let obs = match e.metrics() {
-                    Some(m) => {
-                        let m = m.clone();
-                        (opts.metrics_out.is_some() || opts.trace_out.is_some()).then_some(m)
-                    }
-                    None => attach_obs(&mut e, &opts),
-                };
                 let r = drive(e, &opts);
-                write_obs(&obs, &opts);
                 println!(
                     "{:<16} {:<18} scheme={:<5} cycles={:<9} instr={:<9} KIPS={:<8.1}",
                     "restored",
@@ -741,12 +740,8 @@ fn main() -> ExitCode {
                 opts.model = sc.model;
                 opts.track |= sc.track_violations;
                 opts.roi_limit = sc.roi_instructions;
-                // A checkpoint marker needs the threaded engine; det
-                // modes run the snapshot-free backend.
-                if opts.checkpoint_at.is_none()
-                    && opts.det_seed.is_none()
-                    && opts.det_schedules.is_none()
-                {
+                // The schedule fuzzer runs whole schedules: no marker.
+                if opts.checkpoint_at.is_none() && opts.det_schedules.is_none() {
                     opts.checkpoint_at = sc.checkpoint_at;
                 }
                 name = sc.kernel.clone();
@@ -843,11 +838,7 @@ fn main() -> ExitCode {
             let r = if opts.seq {
                 sk_core::run_sequential(&program, &cfg)
             } else {
-                let mut e = Engine::new(&program, opts.scheme, &cfg);
-                let obs = attach_obs(&mut e, &opts);
-                let r = drive(e, &opts);
-                write_obs(&obs, &opts);
-                r
+                drive(Engine::new(&program, opts.scheme, &cfg), &opts)
             };
             for (core, v) in r.printed() {
                 println!("[core {core}] {v}");
