@@ -10,8 +10,7 @@
 //! the minimum over `REPS` forks of the same cell, which strips most
 //! host-scheduling noise without hiding real cost.
 //!
-//! The frontier claim checked here (and re-checked by CI against the
-//! committed `BENCH_FRONTIER.json`):
+//! The frontier claim each kernel's `frontier` rows record:
 //!
 //! * every adaptive cell keeps `max_inversion <= budget` (the
 //!   controller's hard soundness bound), and

@@ -36,8 +36,8 @@
 //!            [--schemes CC,S10,A16,SU] [--rounds 3] [--iters 2] [--smoke]
 //!
 //! `--smoke` is the CI preset: det backend, 64-core CC+A16, shards
-//! {0,4}, 1 round. Prints the BENCH_SCALEOUT.json body on stdout;
-//! progress on stderr.
+//! {0,4}, 1 round. Prints the grid as JSON on stdout; progress on
+//! stderr.
 
 use sk_core::{CoreModel, DetEngine, Engine, Scheme, TargetConfig};
 use sk_kernels::Workload;
