@@ -1,10 +1,8 @@
-//! Microbenchmarks of the PR-4 hot paths: the lock-free paged functional
-//! memory (with and without the per-core µTLB cursor) and instruction
-//! predecode (per-word `decode` vs the `DecodedProgram` table lookup);
-//! of superblock dispatch; of one out-of-order core's `step` on three
-//! loops that load its stages differently (`ooo_hot`); and of the
-//! deterministic scheduler's picks and the manager iteration body
-//! (`det_sched_hot`).
+//! Microbenchmarks of the per-cycle hot paths: the lock-free paged
+//! functional memory (with and without the per-core µTLB cursor) and
+//! instruction predecode (per-word `decode` vs the `DecodedProgram` table
+//! lookup); of superblock dispatch; and of one out-of-order core's `step`
+//! on three loops that load its stages differently (`ooo_hot`).
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use sk_core::cpu::{ooo::OooCpu, CoreHost, Cpu, CpuCtx, SysOutcome};
@@ -13,38 +11,8 @@ use sk_isa::{
     decode, encode, DecodedInstr, DecodedProgram, ProgramBuilder, Reg, Syscall, WORD_BYTES,
 };
 use sk_mem::FuncMemory;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::hint::black_box;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
-
-/// Replica of the pre-PR4 functional memory (mutex-guarded page map,
-/// Arc clone per access) so the per-access cost delta stays measurable
-/// after the original is gone.
-struct MutexMemory {
-    pages: Mutex<HashMap<u64, Arc<Vec<AtomicU64>>>>,
-}
-
-impl MutexMemory {
-    fn new() -> Self {
-        MutexMemory { pages: Mutex::new(HashMap::new()) }
-    }
-    fn page(&self, pno: u64) -> Arc<Vec<AtomicU64>> {
-        let mut pages = self.pages.lock().unwrap();
-        pages
-            .entry(pno)
-            .or_insert_with(|| Arc::new((0..4096).map(|_| AtomicU64::new(0)).collect()))
-            .clone()
-    }
-    fn read(&self, addr: u64) -> u64 {
-        let p = self.page(addr >> 15);
-        p[((addr >> 3) & 4095) as usize].load(Ordering::Relaxed)
-    }
-    fn write(&self, addr: u64, v: u64) {
-        let p = self.page(addr >> 15);
-        p[((addr >> 3) & 4095) as usize].store(v, Ordering::Relaxed);
-    }
-}
 
 /// Strided read/write mix over a working set spanning several pages —
 /// the access shape of the kernels' inner loops.
@@ -54,21 +22,6 @@ fn bench_mem_hot(c: &mut Criterion) {
     for i in 0..WORDS {
         mem.write(i * 8, i);
     }
-
-    c.bench_function("mem_hot/mutex_hashmap_read_write", |b| {
-        let old = MutexMemory::new();
-        for i in 0..WORDS {
-            old.write(i * 8, i);
-        }
-        let mut i = 0u64;
-        b.iter(|| {
-            i = (i + 17) % WORDS;
-            let a = i * 8;
-            let v = old.read(a);
-            old.write(a, v.wrapping_add(1));
-            black_box(v)
-        })
-    });
 
     c.bench_function("mem_hot/direct_read_write", |b| {
         let mut i = 0u64;
@@ -360,116 +313,5 @@ fn bench_ooo_hot(c: &mut Criterion) {
     group.finish();
 }
 
-/// Host nanoseconds per deterministic-scheduler pick and per manager
-/// iteration body, on 8 cores with one manager and on 64 cores over 4
-/// shards, all under CC.
-///
-/// *Picks* are whole `DetEngine` runs of `private_compute` under a pick
-/// hook that shapes the schedule, divided by the run's pick count (the
-/// rate in Kelem/s is thousands of picks per second; ns per pick = 1e6 ÷
-/// that; engine construction is inside the sample and under 1 % of it).
-/// `round_robin` cycles through the runnable set, so nearly every pick is
-/// a core stepping one cycle or the manager closing it. `futile_core`
-/// takes every core four times in a row, then the manager once: the
-/// first pick steps the core, the other three find it at its window (8
-/// cores only — a sharded set does not hold a core at its window, so the
-/// shape does not exist there). `futile_manager` takes every task once
-/// and then the last one — the manager, or on the sharded target a
-/// signalled shard when there is one — three more times, with no news in
-/// between. The printed futile share says how much of each run was
-/// elided dispatches.
-///
-/// *Bodies* are `Engine::manager_iter` through `ManagerProbe`, clocks
-/// moved by hand: `clean` with nothing moved since the last body,
-/// `one_dirty` with one core ticking ahead of a pack that stands still
-/// (global time cannot move), `all_dirty` with every core having ticked
-/// (the body that closes a lockstep cycle: minimum, horizon, one window
-/// raise per core).
-fn bench_det_sched_hot(c: &mut Criterion) {
-    use sk_core::engine::ManagerProbe;
-    use sk_core::{DetEngine, Engine, Scheme, TargetConfig};
-    use sk_kernels::micro::private_compute;
-
-    let small = (8usize, TargetConfig::small(8), "8c");
-    let mut many_cfg = TargetConfig::many_core(64);
-    many_cfg.mem_shards = 4;
-    let many = (64usize, many_cfg, "64c_4shards");
-
-    let mut group = c.benchmark_group("det_sched_hot");
-    for (n, cfg, target) in [small, many] {
-        let w = private_compute(n, if n == 8 { 1500 } else { 60 });
-        type Hook = fn(u64, usize) -> Option<usize>;
-        let shapes: [(&str, Hook); 3] = [
-            ("round_robin", |idx, n| Some(idx as usize % n)),
-            ("futile_core", |idx, n| {
-                let slot = idx as usize % (4 * (n - 1) + 1);
-                Some(slot / 4)
-            }),
-            ("futile_manager", |idx, n| Some((idx as usize % (n + 3)).min(n - 1))),
-        ];
-        for (shape, hook) in shapes {
-            if shape == "futile_core" && cfg.mem_shards > 0 {
-                continue;
-            }
-            let run = || {
-                let mut det = DetEngine::new(&w.program, Scheme::CycleByCycle, &cfg, 1);
-                det.set_pick_hook(Box::new(hook));
-                det.run();
-                det
-            };
-            let det = run();
-            let (picks, futile) = (det.picks(), det.futile_picks());
-            let r = det.into_report();
-            assert_eq!(r.printed().into_iter().map(|(_, v)| v).collect::<Vec<_>>(), w.expected);
-            println!(
-                "det_sched_hot/pick/{shape}/{target}: {picks} picks over {} cycles, {:.1} % futile",
-                r.exec_cycles,
-                100.0 * futile as f64 / picks as f64
-            );
-            group.throughput(Throughput::Elements(picks));
-            group.bench_function(format!("pick/{shape}/{target}"), |b| {
-                b.iter(|| black_box(run().picks()))
-            });
-        }
-
-        // Timestamp-ordered like CC, with a window wide enough that one
-        // core can run ahead of the pack for the whole sample.
-        let ordered = Scheme::OldestFirstBounded(1 << 40);
-        const BODIES: u64 = 20_000;
-        group.throughput(Throughput::Elements(BODIES));
-        for dirty in ["clean", "one_dirty", "all_dirty"] {
-            let mut probe = ManagerProbe::new(Engine::new(&w.program, ordered, &cfg));
-            let ticking = match dirty {
-                "clean" => 0,
-                "one_dirty" => 1,
-                _ => n,
-            };
-            let mut now = 0u64;
-            probe.body();
-            group.bench_function(format!("body/{dirty}/{target}"), |b| {
-                b.iter(|| {
-                    let mut ingested = 0;
-                    for _ in 0..BODIES {
-                        now += 1;
-                        for core in 0..ticking {
-                            probe.board().advance_local(core, now);
-                        }
-                        ingested += probe.body();
-                    }
-                    black_box(ingested)
-                })
-            });
-        }
-    }
-    group.finish();
-}
-
-criterion_group!(
-    hot_paths,
-    bench_mem_hot,
-    bench_decode_hot,
-    bench_superblock_hot,
-    bench_ooo_hot,
-    bench_det_sched_hot
-);
+criterion_group!(hot_paths, bench_mem_hot, bench_decode_hot, bench_superblock_hot, bench_ooo_hot);
 criterion_main!(hot_paths);

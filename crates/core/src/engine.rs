@@ -1193,40 +1193,6 @@ impl Engine {
     }
 }
 
-/// One manager iteration body at a time, outside any run loop: the handle
-/// the `hot_paths` bench (`det_sched_hot`) times [`Engine::manager_iter`]
-/// through, moving clocks on the board by hand between bodies. Not a way
-/// to run a simulation, and not part of the crate's API: it exists only
-/// under the `bench-probe` feature, which `sk-bench` turns on for its
-/// benches.
-#[cfg(feature = "bench-probe")]
-pub struct ManagerProbe {
-    engine: Engine,
-    st: MgrState,
-}
-
-#[cfg(feature = "bench-probe")]
-impl ManagerProbe {
-    /// Wrap a freshly built engine, cooperative-backend manager state.
-    pub fn new(engine: Engine) -> ManagerProbe {
-        let st = MgrState::new(engine.cfg.n_cores, engine.ordered_sharded());
-        ManagerProbe { engine, st }
-    }
-
-    /// The engine's clock board.
-    pub fn board(&self) -> &ClockBoard {
-        &self.engine.board
-    }
-
-    /// Run one body; returns the events it ingested.
-    pub fn body(&mut self) -> usize {
-        match self.engine.manager_iter(None, &mut self.st) {
-            MgrVerdict::Continue { ingested, .. } => ingested,
-            MgrVerdict::Finish | MgrVerdict::CheckpointReady => 0,
-        }
-    }
-}
-
 /// Run `program` on the parallel engine under `scheme`.
 ///
 /// Where the paper runs one POSIX thread per target core plus a manager
