@@ -414,22 +414,6 @@ fn print_stats(r: &SimReport) {
 
 // ---- hand-rolled JSON dump of a SimReport (no serde in this workspace) ----
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 fn json_f64(x: f64) -> String {
     if x.is_finite() {
         format!("{x}")
@@ -443,8 +427,8 @@ fn report_json(r: &SimReport, scenario: Option<&sk_scenario::Scenario>) -> Strin
         None => "null".to_string(),
         Some(sc) => format!(
             "{{\"name\":\"{}\",\"kernel\":\"{}\",\"hash\":\"{:016x}\"}}",
-            json_escape(&sc.name),
-            json_escape(&sc.kernel),
+            sk_serve::json::escape(&sc.name),
+            sk_serve::json::escape(&sc.kernel),
             sc.hash()
         ),
     };
@@ -453,7 +437,7 @@ fn report_json(r: &SimReport, scenario: Option<&sk_scenario::Scenario>) -> Strin
         "{{\"scheme\":\"{}\",\"n_cores\":{},\"exec_cycles\":{},\"wall_seconds\":{},\
          \"total_committed\":{},\"total_roi_committed\":{},\"kips\":{},\
          \"config\":{{\"superblocks\":{},\"scenario\":{}}},",
-        json_escape(&r.scheme),
+        sk_serve::json::escape(&r.scheme),
         r.n_cores,
         r.exec_cycles,
         json_f64(r.wall.as_secs_f64()),
