@@ -9,8 +9,13 @@
 //! | `fig2`   | Figure 2 — pedagogical scheme timelines |
 //! | `fig8`   | Figure 8 — speedups vs host cores (virtual host) |
 //! | `violations` | Figures 3–7 — slack-induced violation counters |
+//! | `gridfork` | Fig. 6-style error grid forked from one ROI checkpoint |
+//! | `frontier` | speed-vs-error frontier, static ladder vs adaptive |
+//! | `scaleout` | sharded clock domains at 8–64 cores |
+//! | `ablation`, `calibrate` | design ablations; the virtual host's constants |
 //!
-//! plus Criterion benches (`kips`, `schemes`, `primitives`).
+//! plus Criterion benches (`primitives`, `hot_paths`) that time single
+//! layers. Speed claims are made by the ledger in `benchmark/`, not here.
 
 use sk_core::{CoreModel, Scheme, SimReport, TargetConfig};
 use sk_kernels::{Scale, Workload};
