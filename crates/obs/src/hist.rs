@@ -6,6 +6,7 @@
 //! recording thread never contends and never takes a lock; readers see a
 //! slightly stale but internally usable view at any time.
 
+use crate::json::Json;
 use sk_snap::{Persist, Reader, SnapError, Writer};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -192,6 +193,30 @@ impl fmt::Debug for Histogram {
             .field("max", &self.max())
             .field("buckets", &self.nonzero_buckets())
             .finish()
+    }
+}
+
+/// `{"count","sum","min","max","p50","p90","p99","buckets":[[floor,n],…]}`:
+/// `min` / `max` are `null` while empty, and `buckets` lists only the
+/// non-empty buckets by their smallest member.
+impl From<&Histogram> for Json {
+    fn from(h: &Histogram) -> Json {
+        Json::obj([
+            ("count", Json::from(h.count())),
+            ("sum", h.sum().into()),
+            ("min", h.min().into()),
+            ("max", h.max().into()),
+            ("p50", h.quantile(0.5).into()),
+            ("p90", h.quantile(0.9).into()),
+            ("p99", h.quantile(0.99).into()),
+            (
+                "buckets",
+                h.nonzero_buckets()
+                    .into_iter()
+                    .map(|(floor, n)| Json::from_iter([floor, n]))
+                    .collect(),
+            ),
+        ])
     }
 }
 

@@ -3,8 +3,8 @@
 //! A metrics hub ([`Metrics`]) holding power-of-two-bucketed histograms
 //! ([`hist::Histogram`]) and monotonic counters ([`Counter`]) per core
 //! thread and for the manager, plus a Chrome-trace span recorder
-//! ([`trace::TraceSink`]) and a versioned JSON dump
-//! ([`json::metrics_json`]).
+//! ([`trace::TraceSink`]), a versioned JSON dump ([`Metrics::to_json`])
+//! and the workspace's one JSON module ([`json`]: value, writer, parser).
 //!
 //! ## Cost model
 //!
@@ -29,10 +29,10 @@ pub mod serve;
 pub mod trace;
 
 pub use hist::Histogram;
-pub use json::{metrics_json, METRICS_SCHEMA_VERSION};
 pub use serve::{ServeObs, SERVE_SCHEMA_VERSION};
 pub use trace::TraceSink;
 
+use json::Json;
 use parking_lot::Mutex;
 use sk_snap::{Persist, Reader, SnapError, Writer};
 use std::fmt;
@@ -74,6 +74,12 @@ impl Counter {
     /// Overwrite the value (restore path only).
     pub fn set(&self, v: u64) {
         self.0.store(v, Ordering::Relaxed);
+    }
+}
+
+impl From<&Counter> for Json {
+    fn from(c: &Counter) -> Json {
+        c.get().into()
     }
 }
 
@@ -403,9 +409,10 @@ impl Metrics {
         self.violation_samples.lock().clone()
     }
 
-    /// The versioned JSON metrics dump.
+    /// The versioned JSON metrics dump (schema on `impl From<&Metrics>
+    /// for Json`).
     pub fn to_json(&self) -> String {
-        metrics_json(self)
+        Json::from(self).to_string()
     }
 
     /// The Chrome-trace JSON for `ui.perfetto.dev`.
@@ -475,6 +482,162 @@ impl Persist for Metrics {
             trace: TraceSink::new(n_cores, cfg.trace_capacity),
             violation_samples: Mutex::new(samples),
         })
+    }
+}
+
+/// Current metrics-dump schema version.
+pub const METRICS_SCHEMA_VERSION: u32 = 1;
+
+/// The metrics dump, schema `sk-obs-metrics` version 1:
+///
+/// ```json
+/// {
+///   "schema": "sk-obs-metrics",
+///   "version": 1,
+///   "n_cores": 4,
+///   "cores": [
+///     {
+///       "id": 0,
+///       "counters": { "cycles": 123, "outq_high_water": 17,
+///                     "utlb_hits": 999, "utlb_misses": 3,
+///                     "sb_blocks_formed": 12, "sb_exit_branch": 40,
+///                     "sb_exit_miss": 2, "sb_exit_sync": 1,
+///                     "sb_exit_syscall": 3, "sb_exit_window": 0,
+///                     "sb_exit_fallback": 0 },
+///       "hist": { "slack": H, "park_ns": H, "sync_park_ns": H,
+///                 "mem_park_ns": H, "out_batch": H, "run_batch": H,
+///                 "sb_block_len": H }
+///     }
+///   ],
+///   "manager": {
+///     "counters": { "iterations": 9, "picks_elided": 4, "events_ingested": 456,
+///                   "adapt_raise": 4, "adapt_lower": 1, "adapt_hold": 2,
+///                   "busy_ns": 77000, "frontier_wait_ns": 0 },
+///     "inq_high_water": [3, 1, 0, 2],
+///     "hist": { "drain_batch": H, "backoff_us": H, "slack": H,
+///               "barrier_wait": H, "lock_wait": H, "shard_batch": H,
+///               "adapt_window": H }
+///   },
+///   "shards": [
+///     { "id": 0,
+///       "counters": { "iterations": 2, "events": 7, "window_raises": 0, "busy_ns": 0 },
+///       "hist": { "drain_batch": H, "heap_occupancy": H, "frontier_lag": H } }
+///   ],
+///   "violation_samples": [ { "cycle": 1000, "violations": 2 } ],
+///   "trace": { "events": 10, "dropped": 0 }
+/// }
+/// ```
+///
+/// where every histogram `H` is as `impl From<&Histogram> for Json`
+/// writes it. Cycle-valued histograms (`slack`, `barrier_wait`,
+/// `lock_wait`, `frontier_lag`) are in simulated cycles; `*_ns` / `*_us`
+/// are wall-clock; batch histograms count events. `shards` is empty in
+/// single-manager runs. The schema is additive: readers must ignore
+/// unknown fields, and any field removal or meaning change bumps
+/// `version`.
+impl From<&Metrics> for Json {
+    fn from(m: &Metrics) -> Json {
+        let cores = m.cores.iter().enumerate().map(|(i, c)| {
+            Json::obj([
+                ("id", Json::from(i)),
+                (
+                    "counters",
+                    Json::obj([
+                        ("cycles", &c.cycles),
+                        ("outq_high_water", &c.outq_high_water),
+                        ("utlb_hits", &c.utlb_hits),
+                        ("utlb_misses", &c.utlb_misses),
+                        ("sb_blocks_formed", &c.sb_blocks_formed),
+                        ("sb_exit_branch", &c.sb_exit_branch),
+                        ("sb_exit_miss", &c.sb_exit_miss),
+                        ("sb_exit_sync", &c.sb_exit_sync),
+                        ("sb_exit_syscall", &c.sb_exit_syscall),
+                        ("sb_exit_window", &c.sb_exit_window),
+                        ("sb_exit_fallback", &c.sb_exit_fallback),
+                    ]),
+                ),
+                (
+                    "hist",
+                    Json::obj([
+                        ("slack", &c.slack),
+                        ("park_ns", &c.park_ns),
+                        ("sync_park_ns", &c.sync_park_ns),
+                        ("mem_park_ns", &c.mem_park_ns),
+                        ("out_batch", &c.out_batch),
+                        ("run_batch", &c.run_batch),
+                        ("sb_block_len", &c.sb_block_len),
+                    ]),
+                ),
+            ])
+        });
+        let mg = &m.manager;
+        let manager = Json::obj([
+            (
+                "counters",
+                Json::obj([
+                    ("iterations", &mg.iterations),
+                    ("picks_elided", &mg.picks_elided),
+                    ("events_ingested", &mg.events_ingested),
+                    ("adapt_raise", &mg.adapt_raise),
+                    ("adapt_lower", &mg.adapt_lower),
+                    ("adapt_hold", &mg.adapt_hold),
+                    ("busy_ns", &mg.busy_ns),
+                    ("frontier_wait_ns", &mg.frontier_wait_ns),
+                ]),
+            ),
+            ("inq_high_water", mg.inq_high_water.iter().collect()),
+            (
+                "hist",
+                Json::obj([
+                    ("drain_batch", &mg.drain_batch),
+                    ("backoff_us", &mg.backoff_us),
+                    ("slack", &mg.slack),
+                    ("barrier_wait", &mg.barrier_wait),
+                    ("lock_wait", &mg.lock_wait),
+                    ("shard_batch", &mg.shard_batch),
+                    ("adapt_window", &mg.adapt_window),
+                ]),
+            ),
+        ]);
+        let shards = m.shards.iter().enumerate().map(|(i, s)| {
+            Json::obj([
+                ("id", Json::from(i)),
+                (
+                    "counters",
+                    Json::obj([
+                        ("iterations", &s.iterations),
+                        ("events", &s.events),
+                        ("window_raises", &s.window_raises),
+                        ("busy_ns", &s.busy_ns),
+                    ]),
+                ),
+                (
+                    "hist",
+                    Json::obj([
+                        ("drain_batch", &s.drain_batch),
+                        ("heap_occupancy", &s.heap_occupancy),
+                        ("frontier_lag", &s.frontier_lag),
+                    ]),
+                ),
+            ])
+        });
+        let samples = m
+            .violation_samples()
+            .into_iter()
+            .map(|(cycle, violations)| Json::obj([("cycle", cycle), ("violations", violations)]));
+        Json::obj([
+            ("schema", Json::from("sk-obs-metrics")),
+            ("version", Json::Int(METRICS_SCHEMA_VERSION.into())),
+            ("n_cores", m.cores.len().into()),
+            ("cores", cores.collect()),
+            ("manager", manager),
+            ("shards", shards.collect()),
+            ("violation_samples", samples.collect()),
+            (
+                "trace",
+                Json::obj([("events", m.trace.len() as u64), ("dropped", m.trace.dropped())]),
+            ),
+        ])
     }
 }
 

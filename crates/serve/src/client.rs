@@ -4,7 +4,7 @@
 //! reconnect, because the server drops idle connections at its read
 //! timeout.
 
-use crate::json::{self, Json};
+use sk_obs::json::{self, Json};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;

@@ -25,11 +25,14 @@ pub mod cache;
 pub mod client;
 pub mod http;
 pub mod job;
-pub mod json;
 pub mod loadgen;
 pub mod queue;
 pub mod server;
 pub mod worker;
+
+/// The job API's JSON is the workspace's one JSON module, re-exported so
+/// `sk_serve::json` paths (the `skbench` ledger uses them) keep working.
+pub use sk_obs::json;
 
 pub use cache::SnapCache;
 pub use client::{Client, Response};

@@ -13,7 +13,7 @@
 //! order still races, which is the point of a load test).
 
 use crate::client::Client;
-use crate::json::Json;
+use sk_obs::json::Json;
 use std::collections::HashMap;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -128,28 +128,23 @@ impl LoadgenStats {
     }
 
     pub fn to_json(&self) -> String {
-        format!(
-            "{{\"submitted\":{},\"completed\":{},\"failed\":{},\"cancelled\":{},\
-             \"queue_shed\":{},\"quota_shed\":{},\"bad_requests\":{},\
-             \"warm_jobs\":{},\"cold_jobs\":{},\
-             \"mean_warm_ms\":{:.2},\"mean_cold_ms\":{:.2},\
-             \"fingerprint_mismatches\":{},\"output_mismatches\":{},\
-             \"wall_ms\":{}}}",
-            self.submitted,
-            self.completed,
-            self.failed,
-            self.cancelled,
-            self.queue_shed,
-            self.quota_shed,
-            self.bad_requests,
-            self.warm_jobs,
-            self.cold_jobs,
-            self.mean_warm_ms(),
-            self.mean_cold_ms(),
-            self.fingerprint_mismatches,
-            self.output_mismatches,
-            self.wall.as_millis()
-        )
+        Json::obj([
+            ("submitted", Json::from(self.submitted)),
+            ("completed", self.completed.into()),
+            ("failed", self.failed.into()),
+            ("cancelled", self.cancelled.into()),
+            ("queue_shed", self.queue_shed.into()),
+            ("quota_shed", self.quota_shed.into()),
+            ("bad_requests", self.bad_requests.into()),
+            ("warm_jobs", self.warm_jobs.into()),
+            ("cold_jobs", self.cold_jobs.into()),
+            ("mean_warm_ms", self.mean_warm_ms().into()),
+            ("mean_cold_ms", self.mean_cold_ms().into()),
+            ("fingerprint_mismatches", self.fingerprint_mismatches.into()),
+            ("output_mismatches", self.output_mismatches.into()),
+            ("wall_ms", (self.wall.as_millis() as u64).into()),
+        ])
+        .to_string()
     }
 }
 
@@ -167,7 +162,7 @@ struct Tallies {
 /// scenario file is loaded — a single spec posting that scenario.
 fn effective_pool(cfg: &LoadgenConfig) -> Vec<String> {
     match &cfg.scenario {
-        Some(text) => vec![format!("{{\"scenario\":\"{}\"}}", crate::json::escape(text))],
+        Some(text) => vec![Json::obj([("scenario", text.as_str())]).to_string()],
         None => spec_pool().into_iter().map(String::from).collect(),
     }
 }
@@ -287,7 +282,7 @@ fn tally_submit(status: u16, body: &str, tallies: &Tallies, mut on_accept: impl 
         202 => {
             s.submitted += 1;
             drop(s);
-            if let Ok(doc) = crate::json::parse(body) {
+            if let Ok(doc) = sk_obs::json::parse(body) {
                 if let Some(id) = doc.get("job").and_then(Json::as_i64) {
                     on_accept(id as u64);
                 }

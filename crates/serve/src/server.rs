@@ -13,9 +13,9 @@
 use crate::cache::SnapCache;
 use crate::http::{read_request, write_response, HttpError, Request};
 use crate::job::{bench_names, Job, JobSpec, JobState};
-use crate::json::{self, escape};
 use crate::queue::{Admission, JobQueue};
 use crate::worker::run_job;
+use sk_obs::json::{self, Json};
 use sk_obs::ServeObs;
 use std::collections::{HashMap, VecDeque};
 use std::io::BufReader;
@@ -257,9 +257,18 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
     }
 }
 
+fn respond(
+    w: &mut TcpStream,
+    status: u16,
+    reason: &str,
+    headers: &[(&str, &str)],
+    body: Json,
+) -> std::io::Result<()> {
+    write_response(w, status, reason, headers, body.to_string().as_bytes())
+}
+
 fn respond_error(w: &mut TcpStream, status: u16, reason: &str, what: &str) -> std::io::Result<()> {
-    let body = format!("{{\"error\":\"{}\"}}", escape(what));
-    write_response(w, status, reason, &[], body.as_bytes())
+    respond(w, status, reason, &[], Json::obj([("error", what)]))
 }
 
 fn route(w: &mut TcpStream, req: &Request, shared: &Shared) -> std::io::Result<()> {
@@ -270,38 +279,30 @@ fn route(w: &mut TcpStream, req: &Request, shared: &Shared) -> std::io::Result<(
             write_response(w, 200, "OK", &[], job.to_json().as_bytes())
         }),
         ("GET", ["jobs", id, "metrics"]) => with_job(w, shared, id, |w, job| {
-            let mut body = format!("{{\"job\":{},\"dumps\":[", job.id);
-            for (i, (scheme, dump)) in job.metrics_dumps().iter().enumerate() {
-                if i > 0 {
-                    body.push(',');
-                }
-                // Dumps are already JSON documents; embed them verbatim.
-                body.push_str(&format!("{{\"scheme\":\"{}\",\"metrics\":{dump}}}", escape(scheme)));
-            }
-            body.push_str("]}");
-            write_response(w, 200, "OK", &[], body.as_bytes())
+            let dumps = job.metrics_dumps().into_iter().map(|(scheme, dump)| {
+                Json::obj([("scheme", Json::from(scheme)), ("metrics", dump)])
+            });
+            respond(
+                w,
+                200,
+                "OK",
+                &[],
+                Json::obj([("job", Json::from(job.id)), ("dumps", dumps.collect())]),
+            )
         }),
         ("DELETE", ["jobs", id]) => with_job(w, shared, id, |w, job| {
             job.request_cancel();
-            let body = format!("{{\"job\":{},\"state\":\"{}\"}}", job.id, job.state().name());
-            write_response(w, 202, "Accepted", &[], body.as_bytes())
+            let body =
+                Json::obj([("job", Json::from(job.id)), ("state", job.state().name().into())]);
+            respond(w, 202, "Accepted", &[], body)
         }),
         ("GET", ["metrics"]) => write_response(w, 200, "OK", &[], shared.obs.to_json().as_bytes()),
-        ("GET", ["healthz"]) => write_response(w, 200, "OK", &[], b"{\"ok\":true}"),
+        ("GET", ["healthz"]) => respond(w, 200, "OK", &[], Json::obj([("ok", true)])),
         ("GET", ["benches"]) => {
-            let names = bench_names(4);
-            let mut body = String::from("{\"benches\":[");
-            for (i, n) in names.iter().enumerate() {
-                if i > 0 {
-                    body.push(',');
-                }
-                body.push_str(&format!("\"{}\"", escape(n)));
-            }
-            body.push_str("]}");
-            write_response(w, 200, "OK", &[], body.as_bytes())
+            respond(w, 200, "OK", &[], Json::obj([("benches", Json::from_iter(bench_names(4)))]))
         }
         ("POST", ["shutdown"]) => {
-            write_response(w, 200, "OK", &[], b"{\"ok\":true}")?;
+            respond(w, 200, "OK", &[], Json::obj([("ok", true)]))?;
             // Reply first: the initiator sees the ack before accept dies.
             if let Ok(addr) = w.local_addr() {
                 begin_shutdown(shared, addr);
@@ -349,8 +350,7 @@ fn post_job(w: &mut TcpStream, req: &Request, shared: &Shared) -> std::io::Resul
         Admission::Enqueued => {
             shared.obs.jobs_submitted.inc();
             shared.obs.queue_depth.record(depth as u64);
-            let body = format!("{{\"job\":{id}}}");
-            write_response(w, 202, "Accepted", &[], body.as_bytes())
+            respond(w, 202, "Accepted", &[], Json::obj([("job", id)]))
         }
         Admission::QueueFull | Admission::QuotaExceeded => {
             shared.jobs.lock().unwrap().remove(&id);
@@ -359,8 +359,13 @@ fn post_job(w: &mut TcpStream, req: &Request, shared: &Shared) -> std::io::Resul
                 _ => (&shared.obs.quota_rejections, "tenant quota exceeded"),
             };
             counter.inc();
-            let body = format!("{{\"error\":\"{why}\"}}");
-            write_response(w, 429, "Too Many Requests", &[("Retry-After", "1")], body.as_bytes())
+            respond(
+                w,
+                429,
+                "Too Many Requests",
+                &[("Retry-After", "1")],
+                Json::obj([("error", why)]),
+            )
         }
     }
 }

@@ -21,6 +21,7 @@ use crate::cache::SnapCache;
 use crate::job::{Job, JobState, SchemeResult};
 use sk_core::engine::{Engine, RunOutcome};
 use sk_core::Scheme;
+use sk_obs::json::Json;
 use sk_obs::{ObsConfig, ServeObs};
 use sk_snap::fnv1a64;
 use std::sync::Arc;
@@ -125,7 +126,7 @@ pub fn run_job(job: &Job, cache: &SnapCache, obs: &ServeObs) -> JobState {
             kips: report.kips(),
         });
         if let Some(hub) = hub {
-            job.push_metrics_dump(&report.scheme, hub.to_json());
+            job.push_metrics_dump(&report.scheme, Json::from(&*hub));
         }
     }
 
@@ -187,7 +188,7 @@ fn finish(job: &Job, obs: &ServeObs, state: JobState) -> JobState {
 mod tests {
     use super::*;
     use crate::job::JobSpec;
-    use crate::json::parse;
+    use sk_obs::json::parse;
 
     fn job(body: &str) -> Job {
         Job::new(1, JobSpec::from_json(&parse(body).unwrap(), "t").unwrap())
@@ -229,7 +230,10 @@ mod tests {
         assert_eq!(rs.len(), 3);
         assert!(rs.iter().all(|r| r.output_ok), "{rs:?}");
         assert_eq!(j.metrics_dumps().len(), 3, "one sk-obs dump per scheme");
-        assert!(j.metrics_dumps()[0].1.starts_with("{\"schema\":\"sk-obs-metrics\""));
+        assert_eq!(
+            j.metrics_dumps()[0].1.get("schema").and_then(Json::as_str),
+            Some("sk-obs-metrics")
+        );
     }
 
     #[test]

@@ -11,9 +11,9 @@
 
 use sk_core::engine::{Engine, RunOutcome};
 use sk_core::{run_parallel, Scheme, SimReport, TargetConfig};
+use sk_obs::json;
 use sk_serve::cache::SnapCache;
 use sk_serve::job::JobSpec;
-use sk_serve::json;
 use std::sync::Arc;
 
 /// Build the shared snapshot exactly the way the server's cold path

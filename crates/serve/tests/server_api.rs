@@ -1,8 +1,8 @@
 //! End-to-end API tests against a live in-process server: real sockets,
 //! real workers, real simulations (tiny 2-core micro-kernels).
 
+use sk_obs::json::Json;
 use sk_serve::client::Client;
-use sk_serve::json::Json;
 use sk_serve::server::{Server, ServerConfig};
 use std::time::Duration;
 
@@ -225,8 +225,8 @@ fn committed_scenario_file_drives_a_bit_identical_job() {
     let text = std::fs::read_to_string(&path).expect("committed scenario file");
 
     // In-process reference: same spec admission path as the server.
-    let body = format!("{{\"scenario\":\"{}\"}}", sk_serve::json::escape(&text));
-    let spec = sk_serve::job::JobSpec::from_json(&sk_serve::json::parse(&body).unwrap(), "alice")
+    let body = format!("{{\"scenario\":\"{}\"}}", sk_obs::json::escape(&text));
+    let spec = sk_serve::job::JobSpec::from_json(&sk_obs::json::parse(&body).unwrap(), "alice")
         .expect("committed scenario admits");
     let w = spec.workload().expect("scenario workload");
     let reference = sk_core::run_parallel(&w.program, spec.schemes[0], &spec.config());
