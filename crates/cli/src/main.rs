@@ -41,6 +41,7 @@ use sk_core::engine::{Engine, RunOutcome};
 use sk_core::{CoreModel, DetEngine, Scheme, SimReport, TargetConfig};
 use sk_det::Schedule;
 use sk_kernels::{Scale, Workload};
+use sk_obs::json::Json;
 use std::path::Path;
 use std::process::ExitCode;
 
@@ -412,148 +413,124 @@ fn print_stats(r: &SimReport) {
     }
 }
 
-// ---- hand-rolled JSON dump of a SimReport (no serde in this workspace) ----
-
-fn json_f64(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x}")
-    } else {
-        "null".into()
-    }
-}
-
-fn report_json(r: &SimReport, scenario: Option<&sk_scenario::Scenario>) -> String {
-    let scenario_echo = match scenario {
-        None => "null".to_string(),
-        Some(sc) => format!(
-            "{{\"name\":\"{}\",\"kernel\":\"{}\",\"hash\":\"{:016x}\"}}",
-            sk_serve::json::escape(&sc.name),
-            sk_serve::json::escape(&sc.kernel),
-            sc.hash()
-        ),
-    };
-    let mut s = String::with_capacity(4096);
-    s.push_str(&format!(
-        "{{\"scheme\":\"{}\",\"n_cores\":{},\"exec_cycles\":{},\"wall_seconds\":{},\
-         \"total_committed\":{},\"total_roi_committed\":{},\"kips\":{},\
-         \"config\":{{\"superblocks\":{},\"scenario\":{}}},",
-        sk_serve::json::escape(&r.scheme),
-        r.n_cores,
-        r.exec_cycles,
-        json_f64(r.wall.as_secs_f64()),
-        r.total_committed(),
-        r.total_roi_committed(),
-        json_f64(r.kips()),
-        r.superblocks,
-        scenario_echo,
-    ));
+fn report_json(r: &SimReport, scenario: Option<&sk_scenario::Scenario>) -> Json {
+    let scenario_echo = scenario.map(|sc| {
+        Json::obj([
+            ("name", sc.name.as_str()),
+            ("kernel", sc.kernel.as_str()),
+            ("hash", format!("{:016x}", sc.hash()).as_str()),
+        ])
+    });
     let e = &r.engine;
-    s.push_str(&format!(
-        "\"engine\":{{\"blocks\":{},\"wakeups\":{},\"global_updates\":{},\
-         \"events_processed\":{},\"max_observed_slack\":{},\"final_quantum\":{},\
-         \"slack_profile_truncated\":{},\"adapt_epochs\":{},\"adapt_raises\":{},\
-         \"adapt_lowers\":{},\"adapt_final_window\":{}}},",
-        e.blocks,
-        e.wakeups,
-        e.global_updates,
-        e.events_processed,
-        e.max_observed_slack,
-        e.final_quantum,
-        e.slack_profile_truncated,
-        e.adapt_epochs,
-        e.adapt_raises,
-        e.adapt_lowers,
-        e.adapt_final_window
-    ));
     let d = &r.dir;
-    s.push_str(&format!(
-        "\"dir\":{{\"gets\":{},\"getm\":{},\"upgrades\":{},\"puts\":{},\
-         \"invalidations_out\":{},\"downgrades_out\":{},\"l2_hits\":{},\"l2_misses\":{},\
-         \"writebacks\":{},\"transition_inversions\":{}}},",
-        d.gets,
-        d.getm,
-        d.upgrades,
-        d.puts,
-        d.invalidations_out,
-        d.downgrades_out,
-        d.l2_hits,
-        d.l2_misses,
-        d.writebacks,
-        d.transition_inversions
-    ));
-    s.push_str(&format!(
-        "\"bus\":{{\"grants\":{},\"conflicts\":{},\"wait_cycles\":{},\"inversions\":{}}},",
-        r.bus.grants, r.bus.conflicts, r.bus.wait_cycles, r.bus.inversions
-    ));
     let y = &r.sync;
-    s.push_str(&format!(
-        "\"sync\":{{\"lock_acquisitions\":{},\"lock_waits\":{},\"barrier_episodes\":{},\
-         \"sema_waits\":{},\"implicit_inits\":{},\"unlock_mismatches\":{}}},",
-        y.lock_acquisitions,
-        y.lock_waits,
-        y.barrier_episodes,
-        y.sema_waits,
-        y.implicit_inits,
-        y.unlock_mismatches
-    ));
     let v = &r.violations;
-    s.push_str(&format!(
-        "\"violations\":{{\"store_past_load\":{},\"load_past_store\":{},\"compensations\":{},\
-         \"compensation_cycles\":{},\"max_inversion_cycles\":{}}},",
-        v.store_past_load,
-        v.load_past_store,
-        v.compensations,
-        v.compensation_cycles,
-        v.max_inversion_cycles
-    ));
-    s.push_str("\"cores\":[");
-    for (i, c) in r.cores.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        s.push_str(&format!(
-            "{{\"cycles\":{},\"committed\":{},\"roi_committed\":{},\"fetched\":{},\
-             \"issued\":{},\"branches\":{},\"mispredicts\":{},\"loads\":{},\"stores\":{},\
-             \"stall_cycles\":{},\"idle_cycles\":{},\"sys_retries\":{},\"ff_stall_cycles\":{},\
-             \"l1d\":{{\"hits\":{},\"misses\":{},\"evictions\":{}}},\
-             \"l1i\":{{\"hits\":{},\"misses\":{},\"evictions\":{}}},\"printed\":[{}]}}",
-            c.cycles,
-            c.committed,
-            c.roi_committed,
-            c.fetched,
-            c.issued,
-            c.branches,
-            c.mispredicts,
-            c.loads,
-            c.stores,
-            c.stall_cycles,
-            c.idle_cycles,
-            c.sys_retries,
-            c.ff_stall_cycles,
-            c.l1d.hits,
-            c.l1d.misses,
-            c.l1d.evictions,
-            c.l1i.hits,
-            c.l1i.misses,
-            c.l1i.evictions,
-            c.printed.iter().map(|v| v.to_string()).collect::<Vec<_>>().join(",")
-        ));
-    }
-    s.push_str("],");
-    match &r.slack_profile {
-        None => s.push_str("\"slack_profile\":null}"),
-        Some(p) => {
-            s.push_str("\"slack_profile\":[");
-            for (i, (g, sl)) in p.iter().enumerate() {
-                if i > 0 {
-                    s.push(',');
-                }
-                s.push_str(&format!("[{g},{sl}]"));
-            }
-            s.push_str("]}");
-        }
-    }
-    s
+    let cache = |c: &sk_mem::CacheStats| {
+        Json::obj([("hits", c.hits), ("misses", c.misses), ("evictions", c.evictions)])
+    };
+    let cores = r.cores.iter().map(|c| {
+        Json::obj([
+            ("cycles", Json::from(c.cycles)),
+            ("committed", c.committed.into()),
+            ("roi_committed", c.roi_committed.into()),
+            ("fetched", c.fetched.into()),
+            ("issued", c.issued.into()),
+            ("branches", c.branches.into()),
+            ("mispredicts", c.mispredicts.into()),
+            ("loads", c.loads.into()),
+            ("stores", c.stores.into()),
+            ("stall_cycles", c.stall_cycles.into()),
+            ("idle_cycles", c.idle_cycles.into()),
+            ("sys_retries", c.sys_retries.into()),
+            ("ff_stall_cycles", c.ff_stall_cycles.into()),
+            ("l1d", cache(&c.l1d)),
+            ("l1i", cache(&c.l1i)),
+            ("printed", c.printed.iter().copied().collect()),
+        ])
+    });
+    let slack_profile = r
+        .slack_profile
+        .as_ref()
+        .map(|p| p.iter().map(|&(g, sl)| Json::from_iter([g, sl])).collect::<Json>());
+    Json::obj([
+        ("scheme", Json::from(r.scheme.as_str())),
+        ("n_cores", r.n_cores.into()),
+        ("exec_cycles", r.exec_cycles.into()),
+        ("wall_seconds", r.wall.as_secs_f64().into()),
+        ("total_committed", r.total_committed().into()),
+        ("total_roi_committed", r.total_roi_committed().into()),
+        ("kips", r.kips().into()),
+        (
+            "config",
+            Json::obj([
+                ("superblocks", Json::from(r.superblocks)),
+                ("scenario", scenario_echo.into()),
+            ]),
+        ),
+        (
+            "engine",
+            Json::obj([
+                ("blocks", e.blocks),
+                ("wakeups", e.wakeups),
+                ("global_updates", e.global_updates),
+                ("events_processed", e.events_processed),
+                ("max_observed_slack", e.max_observed_slack),
+                ("final_quantum", e.final_quantum),
+                ("slack_profile_truncated", e.slack_profile_truncated),
+                ("adapt_epochs", e.adapt_epochs),
+                ("adapt_raises", e.adapt_raises),
+                ("adapt_lowers", e.adapt_lowers),
+                ("adapt_final_window", e.adapt_final_window),
+            ]),
+        ),
+        (
+            "dir",
+            Json::obj([
+                ("gets", d.gets),
+                ("getm", d.getm),
+                ("upgrades", d.upgrades),
+                ("puts", d.puts),
+                ("invalidations_out", d.invalidations_out),
+                ("downgrades_out", d.downgrades_out),
+                ("l2_hits", d.l2_hits),
+                ("l2_misses", d.l2_misses),
+                ("writebacks", d.writebacks),
+                ("transition_inversions", d.transition_inversions),
+            ]),
+        ),
+        (
+            "bus",
+            Json::obj([
+                ("grants", r.bus.grants),
+                ("conflicts", r.bus.conflicts),
+                ("wait_cycles", r.bus.wait_cycles),
+                ("inversions", r.bus.inversions),
+            ]),
+        ),
+        (
+            "sync",
+            Json::obj([
+                ("lock_acquisitions", y.lock_acquisitions),
+                ("lock_waits", y.lock_waits),
+                ("barrier_episodes", y.barrier_episodes),
+                ("sema_waits", y.sema_waits),
+                ("implicit_inits", y.implicit_inits),
+                ("unlock_mismatches", y.unlock_mismatches),
+            ]),
+        ),
+        (
+            "violations",
+            Json::obj([
+                ("store_past_load", v.store_past_load),
+                ("load_past_store", v.load_past_store),
+                ("compensations", v.compensations),
+                ("compensation_cycles", v.compensation_cycles),
+                ("max_inversion_cycles", v.max_inversion_cycles),
+            ]),
+        ),
+        ("cores", cores.collect()),
+        ("slack_profile", slack_profile.into()),
+    ])
 }
 
 /// Write `body` to `path`; JSON emission failing is a warning, not a
@@ -659,7 +636,7 @@ fn main() -> ExitCode {
                     print_stats(&r);
                 }
                 if let Some(j) = &opts.json {
-                    write_json(j, &report_json(&r, None));
+                    write_json(j, &report_json(&r, None).to_string());
                 }
                 return ExitCode::SUCCESS;
             }
@@ -762,7 +739,7 @@ fn main() -> ExitCode {
             }
             let (r, ok) = run_one(w, &opts);
             if let Some(j) = &opts.json {
-                write_json(j, &report_json(&r, scenario.as_ref()));
+                write_json(j, &report_json(&r, scenario.as_ref()).to_string());
             }
             if !ok {
                 return ExitCode::FAILURE;
@@ -788,11 +765,8 @@ fn main() -> ExitCode {
                 all_ok &= ok;
             }
             if let Some(j) = &opts.json {
-                let body = format!(
-                    "[{}]",
-                    reports.iter().map(|r| report_json(r, None)).collect::<Vec<_>>().join(",")
-                );
-                write_json(j, &body);
+                let body: Json = reports.iter().map(|r| report_json(r, None)).collect();
+                write_json(j, &body.to_string());
             }
             if !all_ok {
                 eprintln!("error: at least one benchmark produced MISMATCH output");
@@ -833,7 +807,7 @@ fn main() -> ExitCode {
                 print_stats(&r);
             }
             if let Some(j) = &opts.json {
-                write_json(j, &report_json(&r, None));
+                write_json(j, &report_json(&r, None).to_string());
             }
         }
         "fig2" => {
@@ -1141,17 +1115,14 @@ mod tests {
             ..Default::default()
         };
         r.slack_profile = Some(vec![(1, 2), (3, 4)]);
-        let j = report_json(&r, None);
-        assert!(j.starts_with('{') && j.ends_with('}'));
+        let j = report_json(&r, None).to_string();
         assert!(j.contains("\"scheme\":\"S9\\\"\\\\\""));
         assert!(j.contains("\"printed\":[1,-2]"));
         assert!(j.contains("\"slack_profile\":[[1,2],[3,4]]"));
         assert!(j.contains("\"slack_profile_truncated\":0"));
-        // Balanced braces/brackets outside strings (we only emit simple
-        // strings, so a raw count is a fair structural check).
-        let opens = j.matches('{').count() + j.matches('[').count();
-        let closes = j.matches('}').count() + j.matches(']').count();
-        assert_eq!(opens, closes);
+        let doc = sk_obs::json::parse(&j).expect("the report parses");
+        assert_eq!(doc.get("scheme").and_then(Json::as_str), Some("S9\"\\"));
+        assert_eq!(doc.get("config").and_then(|c| c.get("scenario")), Some(&Json::Null));
     }
 
     #[test]
@@ -1304,7 +1275,7 @@ mod tests {
     /// matching consumer-side review. CI runs this test.
     #[test]
     fn report_json_matches_golden_schema() {
-        let actual = report_json(&golden_report(), Some(&golden_scenario()));
+        let actual = report_json(&golden_report(), Some(&golden_scenario())).to_string();
         let expected = include_str!("golden_report.json");
         assert_eq!(
             actual,
@@ -1320,8 +1291,11 @@ mod tests {
             return;
         }
         let path = concat!(env!("CARGO_MANIFEST_DIR"), "/src/golden_report.json");
-        std::fs::write(path, report_json(&golden_report(), Some(&golden_scenario())) + "\n")
-            .unwrap();
+        std::fs::write(
+            path,
+            format!("{}\n", report_json(&golden_report(), Some(&golden_scenario()))),
+        )
+        .unwrap();
     }
 
     #[test]

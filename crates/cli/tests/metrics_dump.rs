@@ -3,7 +3,7 @@
 //! entry per core, and under a slack scheme its per-core `slack`
 //! histograms are not empty.
 
-use sk_serve::json::parse;
+use sk_obs::json::parse;
 use std::process::Command;
 
 #[test]

@@ -4,7 +4,7 @@
 //! acceptance property — one artifact, three consumers (CLI, det fuzzer,
 //! sk-serve job), one bit-identical simulation.
 
-use sk_serve::json::{parse, Json};
+use sk_obs::json::{parse, Json};
 use std::path::PathBuf;
 use std::process::Command;
 
