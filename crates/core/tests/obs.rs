@@ -5,6 +5,7 @@
 use sk_core::engine::{Engine, RunOutcome};
 use sk_core::{CoreModel, Scheme, TargetConfig};
 use sk_isa::{Program, ProgramBuilder, Reg, Syscall};
+use sk_obs::json::{parse, Json};
 use sk_obs::{Metrics, ObsConfig};
 use std::sync::Arc;
 
@@ -155,10 +156,13 @@ fn histograms_fill_under_bounded_slack() {
     assert!(batches > 0, "no run-ahead batches recorded");
     let max_batch = obs.cores.iter().filter_map(|c| c.run_batch.max()).max().unwrap();
     assert!(max_batch <= 10, "batch {max_batch} exceeds the S10 cap");
-    let json = obs.to_json();
-    assert!(json.contains("\"schema\":\"sk-obs-metrics\""));
-    assert!(json.contains("\"utlb_hits\""));
-    assert!(json.contains("\"run_batch\""));
+    let dump = parse(&obs.to_json()).expect("the metrics dump parses");
+    assert_eq!(dump.get("schema").and_then(Json::as_str), Some("sk-obs-metrics"));
+    let cores = dump.get("cores").and_then(Json::as_arr).expect("a cores array");
+    let total = |read: fn(&Json) -> Option<i64>| cores.iter().filter_map(read).sum::<i64>();
+    let hits: u64 = obs.cores.iter().map(|c| c.utlb_hits.get()).sum();
+    assert_eq!(total(|c| c.get("counters")?.get("utlb_hits")?.as_i64()), hits as i64);
+    assert_eq!(total(|c| c.get("hist")?.get("run_batch")?.get("count")?.as_i64()), batches as i64);
 }
 
 /// Counters survive the snapshot → resume path: the restored engine
