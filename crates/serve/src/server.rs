@@ -3,8 +3,14 @@
 //!
 //! Threading model: one accept thread spawns a detached handler thread
 //! per connection (keep-alive, bounded by read timeouts), and a fixed
-//! pool of simulation workers drains the priority queue. All shared
-//! state lives in one `Arc` — queue, cache, telemetry, job registry.
+//! pool of simulation workers drains the priority queue, each running
+//! one job at a time on its own thread (the det scheduler, see
+//! [`crate::worker`]). All shared state lives in one `Arc` — queue,
+//! cache, telemetry, job registry.
+//!
+//! `GET /jobs/<id>?wait_ms=N` is a long-poll: the handler blocks on the
+//! job's condvar until the job is terminal or `min(N, MAX_WAIT_MS)` ms
+//! pass, then answers with the status document as it stands.
 //!
 //! Overload behaviour is the point, not an afterthought: a full queue or
 //! an over-quota tenant gets `429` with `Retry-After`, the server stays
@@ -14,7 +20,7 @@ use crate::cache::SnapCache;
 use crate::http::{read_request, write_response, HttpError, Request};
 use crate::job::{bench_names, Job, JobSpec, JobState};
 use crate::queue::{Admission, JobQueue};
-use crate::worker::run_job;
+use crate::worker::{finish, run_job};
 use sk_obs::json::{self, Json};
 use sk_obs::ServeObs;
 use std::collections::{HashMap, VecDeque};
@@ -25,6 +31,10 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
+
+/// Longest a `GET /jobs/<id>?wait_ms=` request blocks, in ms. Below the
+/// client's 30 s socket read timeout, so a capped wait always answers.
+pub const MAX_WAIT_MS: u64 = 10_000;
 
 /// Tunables for one server instance.
 #[derive(Debug, Clone)]
@@ -211,17 +221,15 @@ fn worker_loop(shared: &Shared) {
     while let Some(id) = shared.queue.pop() {
         let Some(job) = shared.job(id) else { continue };
         // A panicking simulation must not take the worker down with it.
-        let outcome = catch_unwind(AssertUnwindSafe(|| run_job(&job, &shared.cache, &shared.obs)));
-        if outcome.is_err() {
-            let state = job.set_state(JobState::Failed("panic during simulation".into()));
-            if matches!(state, JobState::Failed(_)) {
-                shared.obs.jobs_failed.inc();
-            }
-        }
+        let state = catch_unwind(AssertUnwindSafe(|| run_job(&job, &shared.cache, &shared.obs)))
+            .unwrap_or_else(|_| JobState::Failed("panic during simulation".into()));
         // Mirror the cache's own eviction count into the dump (raise_to:
         // workers race here and the max is the truth).
         shared.obs.cache_evictions.raise_to(shared.cache.evictions());
+        // Free the tenant's slot before the terminal state wakes its
+        // client, which may submit again at once.
         shared.queue.release(&job.spec.tenant);
+        finish(&job, &shared.obs, state);
         shared.retire(id);
     }
 }
@@ -275,9 +283,18 @@ fn route(w: &mut TcpStream, req: &Request, shared: &Shared) -> std::io::Result<(
     let path: Vec<&str> = req.path.split('/').filter(|s| !s.is_empty()).collect();
     match (req.method.as_str(), path.as_slice()) {
         ("POST", ["jobs"]) => post_job(w, req, shared),
-        ("GET", ["jobs", id]) => with_job(w, shared, id, |w, job| {
-            write_response(w, 200, "OK", &[], job.to_json().as_bytes())
-        }),
+        ("GET", ["jobs", id]) => match wait_ms(&req.query) {
+            Ok(wait) => with_job(w, shared, id, |w, job| {
+                if wait > 0 {
+                    job.wait_terminal(Duration::from_millis(wait.min(MAX_WAIT_MS)));
+                }
+                write_response(w, 200, "OK", &[], job.to_json().as_bytes())
+            }),
+            Err(why) => {
+                shared.obs.bad_requests.inc();
+                respond_error(w, 400, "Bad Request", why)
+            }
+        },
         ("GET", ["jobs", id, "metrics"]) => with_job(w, shared, id, |w, job| {
             let dumps = job.metrics_dumps().into_iter().map(|(scheme, dump)| {
                 Json::obj([("scheme", Json::from(scheme)), ("metrics", dump)])
@@ -310,6 +327,14 @@ fn route(w: &mut TcpStream, req: &Request, shared: &Shared) -> std::io::Result<(
             Ok(())
         }
         _ => respond_error(w, 404, "Not Found", "no such endpoint"),
+    }
+}
+
+/// The `wait_ms` query parameter of a status request; 0 when absent.
+fn wait_ms(query: &str) -> Result<u64, &'static str> {
+    match query.split('&').find_map(|kv| kv.strip_prefix("wait_ms=")) {
+        None => Ok(0),
+        Some(v) => v.parse().map_err(|_| "wait_ms must be a non-negative integer"),
     }
 }
 
