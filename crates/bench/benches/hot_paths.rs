@@ -2,7 +2,7 @@
 //! functional memory (with and without the per-core µTLB cursor) and
 //! instruction predecode (per-word `decode` vs the `DecodedProgram` table
 //! lookup); of superblock dispatch; and of one out-of-order core's `step`
-//! on three loops that load its stages differently (`ooo_hot`).
+//! on four loops that load its stages differently (`ooo_hot`).
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use sk_core::cpu::{ooo::OooCpu, CoreHost, Cpu, CpuCtx, SysOutcome};
@@ -215,9 +215,11 @@ fn lone_core_cycle(cpu: &mut OooCpu, host: &mut LoneCoreHost, stats: &mut sk_cor
 /// Host nanoseconds per simulated core-cycle of `OooCpu::step`: each
 /// sample is `CYCLES` cycles of a loop that never exits, so the reported
 /// rate in Kelem/s is thousands of core-cycles per second (ns per cycle =
-/// 1e6 ÷ that). The three loops put the time in different stages:
+/// 1e6 ÷ that). The four loops put the time in different stages:
 /// wakeup/select/complete at full width; a ROB parked behind L1D misses
-/// (MSHRs, waiters, almost no issue); flush recovery and refetch.
+/// (MSHRs, waiters, almost no issue); flush recovery and refetch; a ROB
+/// of ready loads held back by memory order behind stores whose
+/// addresses wait on a divide.
 fn bench_ooo_hot(c: &mut Criterion) {
     const CYCLES: u64 = 50_000;
     const NODES: u64 = 1024; // one 64-byte block each: four times the L1D
@@ -267,12 +269,34 @@ fn bench_ooo_hot(c: &mut Criterion) {
         b.j(top);
         (b.build().unwrap(), None)
     };
+    let store_order = {
+        // Each iteration's store address waits twenty cycles on the
+        // unpipelined divider; the six loads behind it are independent and
+        // ready at once, but may not pass a store with an unknown address.
+        let mut b = ProgramBuilder::new();
+        let buf = b.zeros("buf", 8);
+        b.li(Reg::tmp(2), buf as i64);
+        b.li(Reg::tmp(1), 7);
+        let top = b.here("top");
+        b.div(Reg::tmp(3), Reg::tmp(1), Reg::tmp(1)); // 1
+        b.slli(Reg::tmp(3), Reg::tmp(3), 3);
+        b.add(Reg::tmp(4), Reg::tmp(2), Reg::tmp(3));
+        b.st(Reg::tmp(1), Reg::tmp(4), 0);
+        for i in 0..6 {
+            b.ld(Reg::saved(i), Reg::tmp(2), 16 + 8 * i as i32);
+        }
+        b.j(top);
+        (b.build().unwrap(), None)
+    };
 
     let mut group = c.benchmark_group("ooo_hot");
     group.throughput(Throughput::Elements(CYCLES));
-    for (name, (p, chain)) in
-        [("ilp_loop", ilp), ("pointer_chase_l1d_miss", chase), ("mispredict_loop", mispredict)]
-    {
+    for (name, (p, chain)) in [
+        ("ilp_loop", ilp),
+        ("pointer_chase_l1d_miss", chase),
+        ("mispredict_loop", mispredict),
+        ("loads_behind_unknown_store", store_order),
+    ] {
         let cfg = sk_core::TargetConfig::paper_8core();
         let mut host = LoneCoreHost {
             mem: FuncMemory::new(),

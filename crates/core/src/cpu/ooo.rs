@@ -14,8 +14,10 @@
 //! The model is event-driven on the host side: no stage walks the ROB.
 //! Entries live in a ring addressed by dispatch sequence number, a
 //! completing producer wakes its consumers through a dependence matrix,
-//! issue selects oldest-first from a ready set, and completion visits only
-//! the entries in flight in a functional unit (DESIGN.md, "OoO core").
+//! issue selects oldest-first from a ready set, a load held back by an
+//! older store's unknown address sleeps until a store resolves, and
+//! completion visits only the entries in flight in a functional unit
+//! (DESIGN.md, "OoO core").
 //! What is simulated — issue order, forwarding choice, flush recovery,
 //! every counter — is what a per-cycle scan of the ROB would produce.
 
@@ -57,6 +59,29 @@ enum Waiter {
     Load { id: RobId, seq: Seq },
     /// The post-commit store buffer.
     StoreBuf,
+}
+
+/// What `try_issue_mem` made of a ready memory instruction.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum MemIssue {
+    Issued,
+    /// No MSHR is free: it stays ready and probes the L1D again next
+    /// cycle (each probe is a counted access).
+    Retry,
+    /// A load behind an older store whose address is unknown: it parks in
+    /// `order_blocked` until a store computes its address.
+    OrderBlocked,
+}
+
+/// What the older in-flight stores decide for a load.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum StoreOrder {
+    /// The deciding store's address is unknown: the load must wait.
+    Blocked,
+    /// The deciding store writes the load's address: its data.
+    Forward(u64),
+    /// No older store decides: the store buffer or the L1D answers.
+    Clear,
 }
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -241,6 +266,9 @@ pub struct OooCpu {
     // snapshotted, rebuilt by `rebuild_schedule`.
     /// Dispatched, issuable, all producers completed: issue's candidates.
     ready: Vec<u64>,
+    /// Ready loads parked by memory order (an older store's address is
+    /// unknown): out of `ready` until a store computes its address.
+    order_blocked: Vec<u64>,
     /// In `EState::Executing`: completion's candidates.
     executing: Vec<u64>,
     /// In-flight stores: what a load's ordering check looks at.
@@ -301,6 +329,7 @@ impl OooCpu {
             fetch_q: VecDeque::with_capacity(cfg.core.fetch_queue),
             bpred: super::bpred::Bimodal::new(cfg.core.bpred_entries),
             ready: vec![0; words],
+            order_blocked: vec![0; words],
             executing: vec![0; words],
             stores: vec![0; words],
             dependents: vec![0; capacity * words],
@@ -414,8 +443,16 @@ impl OooCpu {
     }
 
     /// Recompute every derived index from the ROB entries (after restore).
+    /// A load that was parked by memory order comes back ready: its next
+    /// ordering check parks it again, exactly.
     fn rebuild_schedule(&mut self) {
-        for set in [&mut self.ready, &mut self.executing, &mut self.stores, &mut self.dependents] {
+        for set in [
+            &mut self.ready,
+            &mut self.order_blocked,
+            &mut self.executing,
+            &mut self.stores,
+            &mut self.dependents,
+        ] {
             set.fill(0);
         }
         self.next_done = u64::MAX;
@@ -487,6 +524,7 @@ impl OooCpu {
         self.tail_seq = keep + 1;
         for (w, &squashed) in self.squashed_scratch.iter().enumerate() {
             self.ready[w] &= !squashed;
+            self.order_blocked[w] &= !squashed;
             self.executing[w] &= !squashed;
             self.stores[w] &= !squashed;
         }
@@ -729,8 +767,11 @@ impl OooCpu {
     }
 
     /// Select oldest-first among the ready entries, within the issue width
-    /// and the functional-unit limits. A ready memory instruction that
-    /// cannot go (ordering, MSHRs) stays ready and is asked again.
+    /// and the functional-unit limits. A load that cannot go for want of
+    /// an MSHR stays ready and is asked again; one held back by memory
+    /// order parks until a store resolves its address. That store is
+    /// older, so a load it unblocks is still ahead of the walk and issues
+    /// in the same cycle, as if it had been asked every cycle.
     fn stage_issue(&mut self, ctx: &mut CpuCtx<'_>) {
         let now = ctx.now;
         let mut used = [0usize; N_CLASSES];
@@ -749,8 +790,14 @@ impl OooCpu {
                 continue;
             }
             if self.rob[slot].instr.is_mem() {
-                if !self.try_issue_mem(slot, found, now, ctx) {
-                    continue;
+                match self.try_issue_mem(slot, found, now, ctx) {
+                    MemIssue::Issued => {}
+                    MemIssue::Retry => continue,
+                    MemIssue::OrderBlocked => {
+                        clear_bit(&mut self.ready, slot);
+                        set_bit(&mut self.order_blocked, slot);
+                        continue;
+                    }
                 }
             } else {
                 let lat = self.cfg.fu_latency(class);
@@ -767,8 +814,14 @@ impl OooCpu {
     }
 
     /// Try to issue the ready memory instruction in `slot`, `age` entries
-    /// behind the ROB head. Returns false if it must wait (MSHRs, ordering).
-    fn try_issue_mem(&mut self, slot: usize, age: usize, now: u64, ctx: &mut CpuCtx<'_>) -> bool {
+    /// behind the ROB head.
+    fn try_issue_mem(
+        &mut self,
+        slot: usize,
+        age: usize,
+        now: u64,
+        ctx: &mut CpuCtx<'_>,
+    ) -> MemIssue {
         if !self.rob[slot].addr_known {
             // Operands are final once ready: a retry reuses the address.
             let e = &self.rob[slot];
@@ -778,45 +831,37 @@ impl OooCpu {
             e.mem_addr = m.addr;
             e.result = m.store_val;
             e.addr_known = true;
+            if e.instr.is_store() {
+                // Only a store resolving can lift an ordering block: every
+                // parked load is asked again (younger ones later this walk).
+                for (r, parked) in self.ready.iter_mut().zip(&mut self.order_blocked) {
+                    *r |= std::mem::take(parked);
+                }
+            }
         }
         if self.rob[slot].instr.is_store() {
             // Stores "execute" by recording address + value; the access
             // happens post-commit through the store buffer.
             self.begin_executing(slot, now + 1);
-            return true;
+            return MemIssue::Issued;
         }
         let addr = self.rob[slot].mem_addr;
 
-        // Loads: conservative memory ordering — all older stores must have
-        // known addresses, unless a still younger one already forwards.
-        // The youngest older store that is either decides.
-        let head_slot = self.slot_of(self.head_seq);
-        let mut forward: Option<u64> = None;
-        let mut blocked = false;
-        let mut from = 0;
-        while let Some(older) = next_set(&self.stores, head_slot, from).filter(|&a| a < age) {
-            from = older + 1;
-            let st = &self.rob[(head_slot + older) & self.slot_mask];
-            if !st.addr_known {
-                (forward, blocked) = (None, true);
-            } else if st.mem_addr == addr {
-                (forward, blocked) = (Some(st.result), false);
-            }
-        }
-        if blocked {
-            return false;
-        }
-        if forward.is_none() {
+        let forward = match self.older_stores(age, addr) {
+            StoreOrder::Blocked => return MemIssue::OrderBlocked,
+            StoreOrder::Forward(v) => Some(v),
             // The post-commit store buffer also forwards (youngest first).
-            forward = self.store_buffer.iter().rev().find(|sb| sb.addr == addr).map(|sb| sb.val);
-        }
+            StoreOrder::Clear => {
+                self.store_buffer.iter().rev().find(|sb| sb.addr == addr).map(|sb| sb.val)
+            }
+        };
 
         if let Some(v) = forward {
             let e = &mut self.rob[slot];
             e.result = v;
             e.forwarded = true;
             self.begin_executing(slot, now + 1);
-            return true;
+            return MemIssue::Issued;
         }
 
         let block = block_of(addr);
@@ -830,12 +875,33 @@ impl OooCpu {
                         ctx.host.emit(OutKind::DMem { req: ReqKind::GetS, block });
                     }
                     MshrAlloc::Secondary => {}
-                    MshrAlloc::Full => return false,
+                    MshrAlloc::Full => return MemIssue::Retry,
                 }
                 self.rob[slot].state = EState::WaitMem;
             }
         }
-        true
+        MemIssue::Issued
+    }
+
+    /// The memory-ordering check of a load `age` entries behind the head,
+    /// reading `addr`. Conservative: all older stores must have known
+    /// addresses, unless a still younger one already forwards; the
+    /// youngest older store that is either decides. Reads only: a blocked
+    /// verdict changes only when an older store computes its address.
+    fn older_stores(&self, age: usize, addr: u64) -> StoreOrder {
+        let head_slot = self.slot_of(self.head_seq);
+        let mut order = StoreOrder::Clear;
+        let mut from = 0;
+        while let Some(older) = next_set(&self.stores, head_slot, from).filter(|&a| a < age) {
+            from = older + 1;
+            let st = &self.rob[(head_slot + older) & self.slot_mask];
+            if !st.addr_known {
+                order = StoreOrder::Blocked;
+            } else if st.mem_addr == addr {
+                order = StoreOrder::Forward(st.result);
+            }
+        }
+        order
     }
 
     fn stage_dispatch(&mut self) {
@@ -1250,6 +1316,9 @@ impl Cpu for OooCpu {
         }
         self.rebuild_schedule();
         let n = r.get_count(16)?;
+        if n > self.cfg.fetch_queue {
+            return corrupt("more fetched instructions than the fetch queue holds");
+        }
         self.fetch_q.clear();
         for _ in 0..n {
             self.fetch_q.push_back(Fetched::load(r)?);
@@ -1273,6 +1342,9 @@ impl Cpu for OooCpu {
             *b = r.get_u64()?;
         }
         let n = r.get_count(16)?;
+        if n > self.cfg.store_buffer {
+            return corrupt("more store-buffer entries than the store buffer holds");
+        }
         self.store_buffer.clear();
         for _ in 0..n {
             self.store_buffer.push_back(SbEntry::load(r)?);
@@ -1471,8 +1543,9 @@ impl Persist for Fetched {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cpu::tests_support::run_to_exit;
+    use crate::cpu::tests_support::{run_to_exit, TestHost};
     use sk_isa::{FReg, ProgramBuilder, Syscall};
+    use std::collections::{BTreeMap, BTreeSet};
 
     fn ooo(cfg: &TargetConfig) -> Box<dyn Cpu> {
         let mut c = *cfg;
@@ -1889,8 +1962,10 @@ mod tests {
             let mut restored = OooCpu::new(&cfg);
             restored.restore_state(&mut Reader::new(&bytes)).expect("restore");
             assert_eq!(saved(&restored), bytes, "re-save drifted (rob_entries = {rob})");
-            // Derived state is rebuilt, not read: it must equal the live one.
-            assert_eq!(restored.ready, cpu.ready);
+            // Derived state is rebuilt, not read: it must equal the live one,
+            // except that a parked load comes back ready.
+            assert_eq!(restored.ready, ready_or_parked(&cpu));
+            assert!(restored.order_blocked.iter().all(|&w| w == 0));
             assert_eq!(restored.executing, cpu.executing);
             assert_eq!(restored.stores, cpu.stores);
             assert_eq!((restored.lsq_used, restored.syscalls_in_rob), (cpu.lsq_used, 0));
@@ -1916,6 +1991,153 @@ mod tests {
             assert_eq!(host.printed, ref_host.printed);
             assert_eq!(stats.cycles, ref_stats.cycles, "resumed run took a different time");
             assert_eq!(stats.issued, ref_stats.issued);
+        }
+    }
+
+    fn has_bit(words: &[u64], slot: usize) -> bool {
+        words[slot >> 6] >> (slot & 63) & 1 == 1
+    }
+
+    /// What a rebuilt `ready` holds: the live one plus every parked load.
+    fn ready_or_parked(cpu: &OooCpu) -> Vec<u64> {
+        cpu.ready.iter().zip(&cpu.order_blocked).map(|(r, parked)| r | parked).collect()
+    }
+
+    /// Every parked load is still held back by the ordering rule: none
+    /// slept through the store that would have let it go.
+    fn assert_parked_loads_blocked(cpu: &OooCpu) {
+        let head_slot = cpu.slot_of(cpu.head_seq);
+        let mut from = 0;
+        while let Some(age) = next_set(&cpu.order_blocked, head_slot, from) {
+            from = age + 1;
+            let slot = (head_slot + age) & cpu.slot_mask;
+            let e = &cpu.rob[slot];
+            assert!(age < cpu.rob_len(), "parked slot {slot} is outside the ROB");
+            assert!(e.instr.is_load() && e.state == EState::Dispatched && e.addr_known, "{e:?}");
+            assert!(!has_bit(&cpu.ready, slot), "slot {slot} is both parked and ready");
+            let order = cpu.older_stores(age, e.mem_addr);
+            assert_eq!(order, StoreOrder::Blocked, "load id {} missed its wakeup", e.id);
+        }
+    }
+
+    /// A loop whose store address waits on an unpipelined divide, with two
+    /// loads behind the store: one to its address (forwarded) and one to
+    /// the next word. Prints 4 + 3 + 2 + 1 + 4 × 5 = 30.
+    fn loads_behind_a_divided_store_address() -> sk_isa::Program {
+        let mut b = ProgramBuilder::new();
+        let buf = b.words("buf", &[0, 5]);
+        b.li(Reg::tmp(2), buf as i64);
+        b.li(Reg::tmp(1), 7);
+        b.li(Reg::tmp(0), 4);
+        b.li(Reg::arg(0), 0);
+        let top = b.here("top");
+        b.div(Reg::tmp(3), Reg::tmp(0), Reg::tmp(1)); // 0, twenty cycles on
+        b.add(Reg::tmp(4), Reg::tmp(2), Reg::tmp(3));
+        b.st(Reg::tmp(0), Reg::tmp(4), 0);
+        b.ld(Reg::tmp(5), Reg::tmp(2), 0);
+        b.ld(Reg::tmp(6), Reg::tmp(2), 8);
+        b.add(Reg::arg(0), Reg::arg(0), Reg::tmp(5));
+        b.add(Reg::arg(0), Reg::arg(0), Reg::tmp(6));
+        b.addi(Reg::tmp(0), Reg::tmp(0), -1);
+        b.bne(Reg::tmp(0), Reg::ZERO, top);
+        b.sys(Syscall::PrintInt);
+        b.sys(Syscall::Exit);
+        b.build().unwrap()
+    }
+
+    /// By ROB id: the cycle each store computed its address, the cycle
+    /// each load issued, and the loads that were ever parked.
+    #[derive(Debug, Default, PartialEq)]
+    struct OrderLog {
+        resolved: BTreeMap<RobId, u64>,
+        issued: BTreeMap<RobId, u64>,
+        parked: BTreeSet<RobId>,
+    }
+
+    /// Simulate cycle `now`, check that no parked load missed its wakeup,
+    /// and log what the cycle did to the memory instructions.
+    fn step_logged(
+        cpu: &mut OooCpu,
+        host: &mut TestHost,
+        stats: &mut CoreStats,
+        now: u64,
+        log: &mut OrderLog,
+    ) {
+        host.cycle(cpu, stats, now);
+        assert_parked_loads_blocked(cpu);
+        for seq in cpu.head_seq..cpu.tail_seq {
+            let slot = cpu.slot_of(seq);
+            let e = &cpu.rob[slot];
+            if e.instr.is_store() && e.addr_known {
+                log.resolved.entry(e.id).or_insert(now);
+            }
+            if e.instr.is_load() && e.state != EState::Dispatched {
+                log.issued.entry(e.id).or_insert(now);
+            }
+            if has_bit(&cpu.order_blocked, slot) {
+                log.parked.insert(e.id);
+            }
+        }
+    }
+
+    #[test]
+    fn parked_loads_issue_in_the_cycle_their_store_resolves() {
+        let p = loads_behind_a_divided_store_address();
+        for rob_entries in [3, 64, 100] {
+            for lsq_entries in [1, 32] {
+                let mut cfg = TargetConfig::small(1);
+                cfg.core = CoreConfig { rob_entries, lsq_entries, ..CoreConfig::paper_ooo() };
+                let why = format!("rob_entries = {rob_entries}, lsq_entries = {lsq_entries}");
+                let start = || {
+                    let mut cpu = OooCpu::new(&cfg);
+                    cpu.start_thread(p.entry, 0, 0);
+                    (cpu, TestHost::new(&p, &cfg), CoreStats::default(), OrderLog::default(), 0)
+                };
+
+                let (mut cpu, mut host, mut stats, mut log, mut now) = start();
+                while !cpu.finished() {
+                    now += 1;
+                    assert!(now < 10_000, "{why}: no exit");
+                    step_logged(&mut cpu, &mut host, &mut stats, now, &mut log);
+                }
+                assert_eq!(host.printed, vec![30], "{why}");
+                // A parked load goes in the cycle the youngest older store
+                // resolves (every older one resolved before it), unless a
+                // flush took it first.
+                for load in &log.parked {
+                    let Some(&at) = log.issued.get(load) else { continue };
+                    let (_, &resolved) = log.resolved.range(..load).next_back().unwrap();
+                    assert_eq!(at, resolved, "{why}: load id {load}");
+                }
+                if rob_entries >= 64 && lsq_entries > 1 {
+                    // Both loads of all four iterations, at least.
+                    assert!(log.parked.len() >= 8, "{why}: {log:?}");
+                }
+
+                // Saved while loads are parked, restored, resumed on the
+                // same host: the uninterrupted run, cycle for cycle.
+                let (mut live, mut host2, mut stats2, mut log2, mut now2) = start();
+                while live.order_blocked.iter().all(|&w| w == 0) && !live.finished() {
+                    now2 += 1;
+                    step_logged(&mut live, &mut host2, &mut stats2, now2, &mut log2);
+                }
+                if live.finished() {
+                    assert!(log.parked.is_empty(), "{why}");
+                    continue;
+                }
+                let mut restored = OooCpu::new(&cfg);
+                restored.restore_state(&mut Reader::new(&saved(&live))).expect("restore");
+                assert_eq!(restored.ready, ready_or_parked(&live), "{why}");
+                assert!(restored.order_blocked.iter().all(|&w| w == 0), "{why}");
+                while !restored.finished() {
+                    now2 += 1;
+                    assert!(now2 < 10_000, "{why}: resumed run never exits");
+                    step_logged(&mut restored, &mut host2, &mut stats2, now2, &mut log2);
+                }
+                assert_eq!(host2.printed, host.printed, "{why}");
+                assert_eq!((stats2.cycles, stats2.issued), (stats.cycles, stats.issued), "{why}");
+                assert_eq!(log2, log, "{why}");
+            }
         }
     }
 
@@ -1997,6 +2219,16 @@ mod tests {
         rejects(&|c| c.int_map[0] = c.head_seq, "rename map names a non-writer of the register");
         rejects(&|c| c.rob[youngest].id = 0, "ids not increasing");
         rejects(&|c| c.next_id = 0, "next id behind the ROB");
+        let nop = Fetched {
+            pc: cpu.pc,
+            instr: DecodedInstr::new(Instr::Nop),
+            pred_taken: false,
+            pred_target: 0,
+            bad_fetch: false,
+        };
+        rejects(&|c| c.fetch_q.resize(c.cfg.fetch_queue + 1, nop), "fetch queue overfull");
+        let sb = SbEntry { addr: 0, val: 0, state: SbState::Need };
+        rejects(&|c| c.store_buffer.resize(c.cfg.store_buffer + 1, sb), "store buffer overfull");
         // `head_seq` sits behind pc, both register files, two flags and
         // both rename maps: move it to where the entries overflow u64.
         let mut bytes = saved(&cpu);
