@@ -88,6 +88,10 @@ impl CoreState {
 /// threaded segment: the core has mail.
 const MAIL: u8 = 0x80;
 
+/// One core's clocks. `local` and `max_local` have a line each; the rest
+/// share a third. During a segment that line is written only where
+/// `state` changes anyway (block, raise, park, unpark, finish) and by
+/// telemetry.
 struct CoreClock {
     local: CachePadded<AtomicU64>,
     max_local: CachePadded<AtomicU64>,
@@ -97,6 +101,12 @@ struct CoreClock {
     /// Telemetry only: µs (trace-sink epoch) when this core last left a
     /// wait, closing the current "run" span at the next wait entry.
     resume_us: AtomicU64,
+    /// Times this core blocked at its window, whether or not its worker
+    /// then slept. Summed by [`ClockBoard::blocks`].
+    blocks: AtomicU64,
+    /// Window raises that ended a block of this core. Summed by
+    /// [`ClockBoard::wakeups`].
+    wakeups: AtomicU64,
 }
 
 fn new_core_clock(local: u64, max_local: u64) -> CoreClock {
@@ -106,6 +116,8 @@ fn new_core_clock(local: u64, max_local: u64) -> CoreClock {
         state: AtomicU8::new(CoreState::Running as u8),
         owner: AtomicUsize::new(0),
         resume_us: AtomicU64::new(0),
+        blocks: AtomicU64::new(0),
+        wakeups: AtomicU64::new(0),
     }
 }
 
@@ -182,7 +194,10 @@ impl GlobalCache {
     }
 }
 
-/// Shared clock state for all cores plus the manager.
+/// Shared clock state for all cores plus the manager. Every field written
+/// while a segment runs has a line of its own (a `CachePadded` cell, or a
+/// core's [`CoreClock`] line); the unpadded ones change only between
+/// segments or when the run stops.
 pub struct ClockBoard {
     cores: Vec<CoreClock>,
     global: CachePadded<AtomicU64>,
@@ -208,11 +223,6 @@ pub struct ClockBoard {
     /// so every clock lands exactly on the safe-point. `u64::MAX` when no
     /// checkpoint is pending. Windows are clamped by the manager, not here.
     limit: AtomicU64,
-    /// Number of times any core blocked at its window, whether or not its
-    /// worker then slept.
-    pub blocks: AtomicU64,
-    /// Number of window raises that ended a core's block.
-    pub wakeups: AtomicU64,
     /// Optional telemetry hub; every hot-path instrumentation point below
     /// is guarded by this single `OnceLock` load.
     obs: OnceLock<Arc<Metrics>>,
@@ -237,8 +247,6 @@ impl ClockBoard {
             workers: AtomicUsize::new(0),
             idle: CachePadded::new(AtomicUsize::new(0)),
             limit: AtomicU64::new(u64::MAX),
-            blocks: AtomicU64::new(0),
-            wakeups: AtomicU64::new(0),
             obs: OnceLock::new(),
         }
     }
@@ -248,7 +256,8 @@ impl ClockBoard {
     /// moves until the manager republishes windows), and the global time is
     /// the saved global. All cores start Running and re-derive their parked
     /// states dynamically (a restored core with no work re-parks on its
-    /// first iteration).
+    /// first iteration). The block and wake-up counts start at zero: the
+    /// totals before the snapshot live in the engine's statistics.
     pub fn restored(locals: &[u64], global: u64) -> Self {
         Self::with_clocks(locals.iter().map(|&l| new_core_clock(l, l)).collect(), global)
     }
@@ -407,7 +416,7 @@ impl ClockBoard {
         // alike (both drive global time), so a view that still says
         // Running derives the same minimum, counts and slack.
         cc.state.store(CoreState::Blocked as u8, Ordering::SeqCst);
-        self.blocks.fetch_add(1, Ordering::Relaxed);
+        cc.blocks.fetch_add(1, Ordering::Relaxed);
         fence(Ordering::SeqCst);
         if self.may_advance(core, cc.local.load(Ordering::Relaxed)) {
             let blocked = CoreState::Blocked as u8;
@@ -589,7 +598,7 @@ impl ClockBoard {
                     .compare_exchange(blocked, running, Ordering::SeqCst, Ordering::Relaxed)
                     .is_ok()
             {
-                self.wakeups.fetch_add(1, Ordering::Relaxed);
+                cc.wakeups.fetch_add(1, Ordering::Relaxed);
                 self.wake_worker(cc.owner.load(Ordering::Relaxed));
             }
         }
@@ -745,6 +754,17 @@ impl ClockBoard {
     #[inline]
     pub fn global(&self) -> u64 {
         self.global.load(Ordering::Acquire)
+    }
+
+    /// Times any core blocked at its window on this board, whether or not
+    /// its worker then slept.
+    pub fn blocks(&self) -> u64 {
+        self.cores.iter().map(|cc| cc.blocks.load(Ordering::Relaxed)).sum()
+    }
+
+    /// Window raises on this board that ended a core's block.
+    pub fn wakeups(&self) -> u64 {
+        self.cores.iter().map(|cc| cc.wakeups.load(Ordering::Relaxed)).sum()
     }
 
     /// Largest `local - global` over unfinished cores (observed slack).
@@ -964,8 +984,8 @@ mod tests {
         b.raise_max_local(0, 2);
         t.join().unwrap();
         assert_eq!(b.state(0), CoreState::Running);
-        assert_eq!(b.blocks.load(Ordering::Relaxed), 1);
-        assert_eq!(b.wakeups.load(Ordering::Relaxed), 1);
+        assert_eq!(b.blocks(), 1);
+        assert_eq!(b.wakeups(), 1);
         assert_eq!(rx.recv().unwrap(), 0, "the waker took the worker off the idle count");
         // Time asleep, if the raise did not beat the worker's last look, is
         // booked to the blocked core as window park time.
@@ -984,8 +1004,28 @@ mod tests {
         b.raise_max_local(0, 2);
         assert!(!b.block(0));
         assert_eq!(b.state(0), CoreState::Running);
-        assert_eq!(b.blocks.load(Ordering::Relaxed), 1);
-        assert_eq!(b.wakeups.load(Ordering::Relaxed), 0, "no raise ended a block");
+        assert_eq!(b.blocks(), 1);
+        assert_eq!(b.wakeups(), 0, "no raise ended a block");
+    }
+
+    #[test]
+    fn block_and_wake_counts_land_in_their_own_cores_line() {
+        let b = ClockBoard::new(2, 1);
+        b.advance_local(0, 1);
+        b.advance_local(1, 1);
+        b.attach_pool(2, |c| c);
+        assert!(b.block(0));
+        assert!(b.block(1));
+        b.raise_max_local(1, 2);
+        b.advance_local(1, 2);
+        assert!(b.block(1), "core 1 blocks again at its new window");
+        let per_core = |c: usize| {
+            let cc = &b.cores[c];
+            (cc.blocks.load(Ordering::Relaxed), cc.wakeups.load(Ordering::Relaxed))
+        };
+        assert_eq!(per_core(0), (1, 0));
+        assert_eq!(per_core(1), (2, 1));
+        assert_eq!((b.blocks(), b.wakeups()), (3, 1));
     }
 
     #[test]

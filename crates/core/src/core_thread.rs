@@ -23,6 +23,7 @@ use crate::msg::{InKind, InMsg, OutEvent, OutKind, SyncOp};
 use crate::spsc::{Consumer, Producer};
 use crate::stats::CoreStats;
 use crate::violation::ConflictTracker;
+use crossbeam::utils::CachePadded;
 use sk_isa::{DecodedInstr, DecodedProgram, Syscall};
 use sk_mem::{FuncMemory, PageCursor};
 use sk_snap::{Persist, Reader, SnapError, Writer};
@@ -40,13 +41,18 @@ use std::sync::Arc;
 /// accepted distortion.
 const INERT_PARK_AFTER: u32 = 24;
 
-/// Region-of-interest state shared by all cores and the manager.
+/// Region-of-interest state shared by all cores and the manager. The two
+/// fields sit on lines of their own: every core reads `active` on each
+/// committing cycle, while `committed` takes one add per published batch.
 #[derive(Debug, Default)]
 pub struct RoiState {
-    /// Set when the workload signals `RoiBegin`.
-    pub active: AtomicBool,
-    /// Committed instructions inside the ROI, summed across cores.
-    pub committed: AtomicU64,
+    /// Set when the workload signals `RoiBegin`; written once per run.
+    pub active: CachePadded<AtomicBool>,
+    /// Committed instructions inside the ROI, summed across cores. A core
+    /// adds its count at each clock publication (a `run_step` batch, or
+    /// each cycle of the sequential engine), so the manager's stop check
+    /// sees it no later than the batch that earned it.
+    pub committed: CachePadded<AtomicU64>,
 }
 
 /// Heap-ordered InQ entry: (timestamp, source ring, per-ring order). The
@@ -287,6 +293,9 @@ pub struct CoreSim {
     roi: Arc<RoiState>,
     roi_base_committed: u64,
     roi_frozen: Option<u64>,
+    /// ROI instructions committed since the last [`CoreSim::flush_roi`];
+    /// zero between batches, hence at every safe-point.
+    roi_pending: u64,
     trace: Option<Vec<u16>>,
     inert_streak: u32,
     /// Max cycles simulated per local-clock publication (run-ahead
@@ -351,6 +360,7 @@ impl CoreSim {
             roi: roi.clone(),
             roi_base_committed: 0,
             roi_frozen: None,
+            roi_pending: 0,
             trace: if cfg.record_trace { Some(Vec::new()) } else { None },
             inert_streak: 0,
             batch_cap: 1,
@@ -572,7 +582,8 @@ impl CoreSim {
 
         // ROI bookkeeping. The cycle that commits RoiBegin itself counts
         // from the post-syscall committed total, so the shared budget
-        // counter and the per-core ROI statistic agree exactly.
+        // counter and the per-core ROI statistic agree exactly. The count
+        // stays core-private until the next `flush_roi`.
         let mut roi_floor = committed0;
         if self.host.roi_begin_seen {
             self.host.roi_begin_seen = false;
@@ -589,7 +600,7 @@ impl CoreSim {
             && self.roi.active.load(Ordering::Relaxed)
             && self.roi_frozen.is_none()
         {
-            self.roi.committed.fetch_add(committed_delta, Ordering::Relaxed);
+            self.roi_pending += committed_delta;
         }
 
         // Flush emitted events with this cycle's timestamp. Memory events
@@ -651,6 +662,17 @@ impl CoreSim {
 
         self.local = now;
         events
+    }
+
+    /// Add the ROI instructions committed since the last flush to the
+    /// shared count the manager's stop condition reads. Callers flush
+    /// before they publish the clock that covers those cycles.
+    #[inline]
+    pub(crate) fn flush_roi(&mut self) {
+        if self.roi_pending > 0 {
+            self.roi.committed.fetch_add(self.roi_pending, Ordering::Relaxed);
+            self.roi_pending = 0;
+        }
     }
 
     /// Advance in one step over up to `room` cycles the CPU model proves
@@ -813,7 +835,8 @@ impl CoreSim {
         };
         // The clock publication is what tells the manager to look at this
         // core: its OutQ, and the shared ROI instruction count its stop
-        // condition reads.
+        // condition reads, flushed here once per batch.
+        self.flush_roi();
         board.advance_local_batched(self.id, self.local);
         // A batch that stopped on budget while a fused run is suspended
         // split that run at the slack-window edge: the block never
@@ -937,6 +960,7 @@ impl CoreSim {
     /// Functional memory and the conflict tracker are engine-owned shared
     /// state and are serialized by the engine, not here.
     pub fn save_state(&self, w: &mut Writer) {
+        debug_assert_eq!(self.roi_pending, 0, "ROI count not flushed at a safe-point");
         // CPU model blob, length-prefixed so a reader always consumes
         // exactly what the model wrote.
         let mut cw = Writer::new();

@@ -317,6 +317,14 @@ pub enum RunOutcome {
     Cancelled,
 }
 
+/// Blocks at the window over the whole run, across snapshots: the total a
+/// resume restored into `engine` plus what `board` counted since it was
+/// built (a restored board counts from zero). The adaptive controller's
+/// park signal, continuous like the park mark it restores.
+fn parks_cum(engine: &EngineStats, board: &ClockBoard) -> u64 {
+    engine.blocks + board.blocks()
+}
+
 /// The parallel simulation engine as a resumable object.
 ///
 /// [`run_parallel`] is `Engine::new` + `run_until(None)` + `into_report`.
@@ -723,8 +731,7 @@ impl Engine {
                     t.stats.store_past_load.load(Ordering::Relaxed)
                         + t.stats.load_past_store.load(Ordering::Relaxed)
                 });
-                let parks = self.board.blocks.load(Ordering::Relaxed);
-                let decision = ctrl.step(g, viols, parks);
+                let decision = ctrl.step(g, viols, parks_cum(&self.engine, &self.board));
                 adapt_stepped = true;
                 self.engine.adapt_epochs += 1;
                 match decision {
@@ -983,8 +990,8 @@ impl Engine {
         w.put_bool(self.roi.active.load(Ordering::Relaxed));
         w.put_u64(self.roi.committed.load(Ordering::Relaxed));
         let mut es = self.engine;
-        es.blocks += self.board.blocks.load(Ordering::Relaxed);
-        es.wakeups += self.board.wakeups.load(Ordering::Relaxed);
+        es.blocks += self.board.blocks();
+        es.wakeups += self.board.wakeups();
         es.save(&mut w);
         for core in &self.cores {
             core.save_state(&mut w);
@@ -1151,8 +1158,8 @@ impl Engine {
 
     /// Finalize the cores and assemble the run's [`SimReport`].
     pub fn into_report(mut self) -> SimReport {
-        self.engine.blocks += self.board.blocks.load(Ordering::Relaxed);
-        self.engine.wakeups += self.board.wakeups.load(Ordering::Relaxed);
+        self.engine.blocks += self.board.blocks();
+        self.engine.wakeups += self.board.wakeups();
         self.engine.events_processed = self.uncore.events_processed
             + self.shards.iter().map(|s| s.events_processed).sum::<u64>();
         self.engine.final_quantum = self.uncore.current_quantum();
@@ -1206,4 +1213,36 @@ pub fn run_parallel(program: &Program, scheme: Scheme, cfg: &TargetConfig) -> Si
     let mut engine = Engine::new(program, scheme, cfg);
     engine.run_until(None);
     engine.into_report()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The controller's park mark is restored with it, so the count it is
+    /// compared with must carry on from the saved total, not from the
+    /// restored board's zero.
+    #[test]
+    fn the_cumulative_park_count_is_continuous_across_a_restore() {
+        let k = sk_kernels::micro::lock_sweep(3, 40);
+        let mut cfg = TargetConfig::paper_8core();
+        cfg.n_cores = 3;
+        cfg.core.model = CoreModel::InOrder;
+        let scheme = Scheme::Adaptive { budget: 64 };
+        let mut e = Engine::new(&k.program, scheme, &cfg);
+        // One worker steps every core: each one blocks at its window
+        // before a manager body can raise it.
+        e.set_workers(1);
+        assert_eq!(e.run_until(Some(400)), RunOutcome::CheckpointReady);
+        let parks = parks_cum(&e.engine, &e.board);
+        assert!(parks > 0, "no core blocked before the checkpoint");
+        let bytes = e.snapshot().unwrap();
+        let mut r = Engine::resume(&bytes, None).unwrap();
+        assert_eq!(parks_cum(&r.engine, &r.board), parks);
+        r.set_workers(1);
+        assert_eq!(r.run_until(None), RunOutcome::Finished);
+        let report = r.into_report();
+        assert!(report.engine.blocks >= parks);
+        assert_eq!(report.printed(), vec![(0, k.expected[0])]);
+    }
 }

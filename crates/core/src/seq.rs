@@ -53,6 +53,7 @@ pub fn run_sequential(program: &Program, cfg: &TargetConfig) -> SimReport {
                 }
             }
             core.step_cycle(cycle);
+            core.flush_roi();
             stepped += 1;
         }
         for (c, q) in out_consumers.iter_mut().enumerate() {
