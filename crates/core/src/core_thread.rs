@@ -18,7 +18,7 @@
 
 use crate::clock::ClockBoard;
 use crate::config::TargetConfig;
-use crate::cpu::{cycle_work, CoreHost, Cpu, CpuCtx, SysOutcome};
+use crate::cpu::{cycle_work, CoreHost, Cpu, CpuCtx, CpuModel, SysOutcome};
 use crate::msg::{InKind, InMsg, OutEvent, OutKind, SyncOp};
 use crate::spsc::{Consumer, Producer};
 use crate::stats::CoreStats;
@@ -258,7 +258,7 @@ pub struct CoreOutput {
 /// One simulated core: CPU model + queues + syscall runtime.
 pub struct CoreSim {
     id: usize,
-    cpu: Box<dyn Cpu>,
+    cpu: CpuModel,
     /// InQ consumers: index 0 is the coordination manager's queue;
     /// indices 1.. are the memory shards' reply queues (sharded mode).
     inqs: Vec<Consumer<InMsg>>,
@@ -314,7 +314,7 @@ impl CoreSim {
     pub fn new(
         id: usize,
         cfg: &TargetConfig,
-        cpu: Box<dyn Cpu>,
+        cpu: CpuModel,
         inq: Consumer<InMsg>,
         outq: Producer<OutEvent>,
         mem: FuncMemory,
@@ -502,30 +502,38 @@ impl CoreSim {
         }
     }
 
-    /// Pull everything out of the InQs into the local timestamp heap.
-    /// Each queue is drained in batches: one `Release` store of its head
-    /// frees the whole chunk for the producing manager at once.
+    /// Pull everything out of the InQs into the local timestamp heap. Most
+    /// cycles find every InQ empty, which costs one look per queue; a
+    /// non-empty one is drained by [`CoreSim::drain_ring`].
+    #[inline]
     fn drain_inq(&mut self) {
+        for ring in 0..self.inqs.len() {
+            if !self.inqs[ring].is_empty() {
+                self.drain_ring(ring);
+            }
+        }
+    }
+
+    /// Drain InQ `ring` in batches until a look finds nothing new: one
+    /// `Release` store of its head frees each chunk for the producing
+    /// manager at once.
+    #[cold]
+    #[inline(never)]
+    fn drain_ring(&mut self, ring: usize) {
         let mut scratch = std::mem::take(&mut self.inq_scratch);
-        for (ring, q) in self.inqs.iter_mut().enumerate() {
-            loop {
-                scratch.clear();
-                if q.drain_into(&mut scratch, usize::MAX) == 0 {
-                    break;
+        let q = &mut self.inqs[ring];
+        loop {
+            scratch.clear();
+            if q.drain_into(&mut scratch, usize::MAX) == 0 {
+                break;
+            }
+            for &m in &scratch {
+                if matches!(m.kind, InKind::Stop) {
+                    self.stop_seen = true;
+                    continue;
                 }
-                for &m in &scratch {
-                    if matches!(m.kind, InKind::Stop) {
-                        self.stop_seen = true;
-                        continue;
-                    }
-                    self.arrival += 1;
-                    self.heap.push(Reverse(HeapMsg {
-                        ts: m.ts,
-                        ring,
-                        arrival: self.arrival,
-                        msg: m,
-                    }));
-                }
+                self.arrival += 1;
+                self.heap.push(Reverse(HeapMsg { ts: m.ts, ring, arrival: self.arrival, msg: m }));
             }
         }
         self.inq_scratch = scratch;
@@ -726,9 +734,12 @@ impl CoreSim {
     }
 
     /// Would [`CoreSim::run_step`] answer [`StepOutcome::AtWindow`] right
-    /// now? Exactly the conditions under which it gets there, and on that
-    /// path it touches nothing — no queue, no board state — so a
-    /// scheduler that asks this first may skip the call. Everything read
+    /// now without touching anything — no queue, no board state? When this
+    /// is true it would, so a scheduler that asks this first may skip the
+    /// call. The converse does not hold: a core with no thread started yet,
+    /// or one sync-waiting with its reply queued, reaches `AtWindow` only
+    /// after draining its InQ (and perhaps jumping its clock), and this
+    /// answers false for it, so such a pick is stepped. Everything read
     /// here other than the window and the stop flag is changed only by
     /// this core's own steps.
     pub fn window_closed(&self, board: &ClockBoard) -> bool {

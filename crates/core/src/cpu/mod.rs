@@ -13,12 +13,17 @@
 //! (timestamped, so violation tracking sees them), OutQ event emission, and
 //! the syscall protocol. Incoming InQ messages are applied by the core
 //! thread through the `Cpu` trait's reply methods.
+//!
+//! The core thread holds its model as a [`CpuModel`], which forwards every
+//! `Cpu` method with a `match`, so the per-cycle calls are static.
 
 pub mod bpred;
 pub mod inorder;
 pub mod ooo;
 
 use crate::stats::CoreStats;
+use inorder::InOrderCpu;
+use ooo::OooCpu;
 use sk_mem::{BlockAddr, LineState};
 use sk_snap::{Reader, SnapError, Writer};
 
@@ -205,6 +210,95 @@ pub trait Cpu: Send {
     /// here is a window split, not a natural exit)?
     fn sb_mid_run(&self) -> bool {
         false
+    }
+}
+
+/// The model one simulated core runs, as a closed set: the core thread
+/// calls it through this enum rather than a `Box<dyn Cpu>`, so `step` and
+/// the per-cycle getters are direct calls the compiler can inline. The
+/// in-order core sits inline, next to the fields the batch loop reads, on
+/// purpose (hence the lint allowance); the out-of-order core, a third
+/// larger, stays boxed.
+#[allow(clippy::large_enum_variant)]
+pub enum CpuModel {
+    /// [`InOrderCpu`].
+    InOrder(InOrderCpu),
+    /// [`OooCpu`].
+    Ooo(Box<OooCpu>),
+}
+
+/// `$body` with `$c` bound to the model inside `$model`, whichever it is.
+macro_rules! each_model {
+    ($model:expr, $c:ident => $body:expr) => {
+        match $model {
+            CpuModel::InOrder($c) => $body,
+            CpuModel::Ooo($c) => $body,
+        }
+    };
+}
+
+/// Every method forwards, the defaulted ones too: a missed forward would
+/// fall back to the trait default without any simulated outcome showing it
+/// (quiet skips and superblocks are invisible by design).
+impl Cpu for CpuModel {
+    #[inline]
+    fn step(&mut self, ctx: &mut CpuCtx<'_>) {
+        each_model!(self, c => c.step(ctx))
+    }
+    fn start_thread(&mut self, entry: u64, arg: u64, tid: u32) {
+        each_model!(self, c => c.start_thread(entry, arg, tid))
+    }
+    #[inline]
+    fn running(&self) -> bool {
+        each_model!(self, c => c.running())
+    }
+    #[inline]
+    fn finished(&self) -> bool {
+        each_model!(self, c => c.finished())
+    }
+    fn mem_reply(&mut self, block: BlockAddr, granted: LineState, ts: u64) {
+        each_model!(self, c => c.mem_reply(block, granted, ts))
+    }
+    fn imem_reply(&mut self, block: BlockAddr, ts: u64) {
+        each_model!(self, c => c.imem_reply(block, ts))
+    }
+    fn invalidate(&mut self, block: BlockAddr, downgrade: bool) {
+        each_model!(self, c => c.invalidate(block, downgrade))
+    }
+    fn add_stall(&mut self, cycles: u64) {
+        each_model!(self, c => c.add_stall(cycles))
+    }
+    #[inline]
+    fn quiet_cycles(&self, now: u64, next_msg: Option<u64>) -> u64 {
+        each_model!(self, c => c.quiet_cycles(now, next_msg))
+    }
+    fn skip_quiet(&mut self, k: u64, stats: &mut CoreStats) {
+        each_model!(self, c => c.skip_quiet(k, stats))
+    }
+    fn flush_cache_stats(&self, stats: &mut CoreStats) {
+        each_model!(self, c => c.flush_cache_stats(stats))
+    }
+    fn quiesced(&self) -> bool {
+        each_model!(self, c => c.quiesced())
+    }
+    fn save_state(&self, w: &mut Writer) {
+        each_model!(self, c => c.save_state(w))
+    }
+    fn restore_state(&mut self, r: &mut Reader<'_>) -> Result<(), SnapError> {
+        each_model!(self, c => c.restore_state(r))
+    }
+    fn debug_state(&self) -> String {
+        each_model!(self, c => c.debug_state())
+    }
+    fn attach_superblocks(&mut self, table: std::sync::Arc<sk_isa::SuperblockTable>) {
+        each_model!(self, c => c.attach_superblocks(table))
+    }
+    fn sb_events(&mut self) -> Option<&mut SbEvents> {
+        each_model!(self, c => c.sb_events())
+    }
+    #[inline]
+    fn sb_mid_run(&self) -> bool {
+        each_model!(self, c => c.sb_mid_run())
     }
 }
 

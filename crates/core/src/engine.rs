@@ -17,7 +17,7 @@ use crate::adapt::{AdaptDecision, SlackController};
 use crate::clock::{ClockBoard, CoreState, GlobalCache};
 use crate::config::{CoreModel, StopCondition, TargetConfig};
 use crate::core_thread::{CoreOutput, CoreSim, RoiState};
-use crate::cpu::{inorder::InOrderCpu, ooo::OooCpu, Cpu};
+use crate::cpu::{inorder::InOrderCpu, ooo::OooCpu, Cpu, CpuModel};
 use crate::msg::OutEvent;
 use crate::scheme::Scheme;
 use crate::shard::{MemShard, ShardSignal};
@@ -44,10 +44,10 @@ const SLACK_PROFILE_RESERVE: usize = 1 << 16;
 /// is the `deadlockable` rule of [`Engine::forced_round`]).
 const LIVELOCK_ROUNDS: u64 = 100_000;
 
-pub(crate) fn build_cpu(cfg: &TargetConfig) -> Box<dyn Cpu> {
+pub(crate) fn build_cpu(cfg: &TargetConfig) -> CpuModel {
     match cfg.core.model {
-        CoreModel::OutOfOrder => Box::new(OooCpu::new(cfg)),
-        CoreModel::InOrder => Box::new(InOrderCpu::new(cfg)),
+        CoreModel::OutOfOrder => CpuModel::Ooo(Box::new(OooCpu::new(cfg))),
+        CoreModel::InOrder => CpuModel::InOrder(InOrderCpu::new(cfg)),
     }
 }
 

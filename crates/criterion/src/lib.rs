@@ -7,8 +7,9 @@
 //! and max wall-clock time per iteration (plus throughput when set) on
 //! stdout. No statistical analysis, plots, or baselines.
 //!
-//! Passing `--test` (as `cargo test --benches` does) runs each benchmark
-//! body exactly once as a smoke test.
+//! As with criterion, a run without `--bench` (which only `cargo bench`
+//! passes), or with `--test`, runs each benchmark body exactly once as a
+//! smoke test: `cargo test --benches` exercises every benchmark quickly.
 
 use std::time::{Duration, Instant};
 
@@ -137,8 +138,20 @@ pub struct Criterion {
 
 impl Default for Criterion {
     fn default() -> Self {
-        Criterion { sample_size: 20, smoke_test: std::env::args().any(|a| a == "--test") }
+        let smoke_test = smoke_mode(std::env::args());
+        Criterion { sample_size: 20, smoke_test }
     }
+}
+
+/// Smoke mode unless `cargo bench` asked for measurements (`--bench`),
+/// or whenever `--test` is given.
+fn smoke_mode(args: impl Iterator<Item = String>) -> bool {
+    let (mut bench, mut test) = (false, false);
+    for a in args {
+        bench |= a == "--bench";
+        test |= a == "--test";
+    }
+    test || !bench
 }
 
 impl Criterion {
@@ -234,6 +247,14 @@ mod tests {
         });
         g.finish();
         assert_eq!(runs, 5);
+    }
+
+    #[test]
+    fn smoke_mode_unless_asked_to_bench() {
+        let args = |a: &[&str]| a.iter().map(|s| s.to_string()).collect::<Vec<_>>().into_iter();
+        assert!(smoke_mode(args(&["hot_paths"])), "cargo test --benches");
+        assert!(!smoke_mode(args(&["hot_paths", "--bench"])), "cargo bench");
+        assert!(smoke_mode(args(&["hot_paths", "--bench", "--test"])));
     }
 
     #[test]

@@ -66,28 +66,28 @@ pub enum Scale {
     Full,
 }
 
+/// Every kernel of [`extended_suite`] and then [`irregular_suite`], by the
+/// name its [`Workload`] carries, in suite order.
+pub const SUITE_KERNELS: [&str; 10] = [
+    "Barnes",
+    "FFT",
+    "LU",
+    "Water-Nsquared",
+    "Radix",
+    "Ocean",
+    "pipeline",
+    "mailbox_actors",
+    "work_steal",
+    "treiber_stack",
+];
+
+/// Where [`irregular_suite`]'s kernels start in [`SUITE_KERNELS`].
+const IRREGULAR: usize = 6;
+
 /// The four benchmarks of the paper's Table 2, at a given scale, all
 /// configured for `n_threads` workload threads.
 pub fn paper_suite(n_threads: usize, scale: Scale) -> Vec<Workload> {
-    let (fft_log2, lu_n, nb_bodies, nb_steps, w_mol, w_steps) = match scale {
-        Scale::Test => (6, 12, 24, 1, 16, 1),
-        Scale::Bench => (10, 48, 96, 2, 64, 2),
-        Scale::Full => (12, 96, 160, 3, 96, 3),
-    };
-    // Many-core scale-out (64/128/256 threads): kernels that partition
-    // elements across threads need at least one element per thread, so
-    // the problem grows with the thread count past the scale's floor.
-    // At the historical core counts (<= 8, and <= 32 for every Bench
-    // size) the floors win and the inputs are unchanged.
-    let nb_bodies = nb_bodies.max(n_threads);
-    let w_mol = w_mol.max(n_threads);
-    let fft_log2 = fft_log2.max(usize::BITS - n_threads.next_power_of_two().leading_zeros() - 1);
-    vec![
-        barnes::barnes(n_threads, nb_bodies, nb_steps),
-        fft::fft(n_threads, fft_log2),
-        lu::lu(n_threads, lu_n),
-        water::water(n_threads, w_mol, w_steps),
-    ]
+    SUITE_KERNELS[..4].iter().map(|k| build_kernel(k, n_threads, scale)).collect()
 }
 
 /// The paper's §4.1 states "we choose six parallel benchmarks" although
@@ -95,18 +95,7 @@ pub fn paper_suite(n_threads: usize, scale: Scale) -> Vec<Workload> {
 /// companions — Radix (all-to-all scatter) and Ocean (nearest-neighbour
 /// stencil) — to complete the six with sharing patterns the four lack.
 pub fn extended_suite(n_threads: usize, scale: Scale) -> Vec<Workload> {
-    let (radix_n, ocean_m, ocean_sweeps) = match scale {
-        Scale::Test => (64, 8, 2),
-        Scale::Bench => (1024, 30, 4),
-        Scale::Full => (4096, 62, 6),
-    };
-    // Same many-core floor as `paper_suite`: one element/row per thread.
-    let radix_n = radix_n.max(n_threads);
-    let ocean_m = ocean_m.max(n_threads);
-    let mut v = paper_suite(n_threads, scale);
-    v.push(radix::radix(n_threads, radix_n));
-    v.push(ocean::ocean(n_threads, ocean_m, ocean_sweeps));
-    v
+    SUITE_KERNELS[..IRREGULAR].iter().map(|k| build_kernel(k, n_threads, scale)).collect()
 }
 
 /// Message-passing and irregular-workload kernels. Unlike the SPLASH
@@ -116,17 +105,56 @@ pub fn extended_suite(n_threads: usize, scale: Scale) -> Vec<Workload> {
 /// values, so workload-state corruption under bounded slack stays
 /// observable against [`Workload::expected`].
 pub fn irregular_suite(n_threads: usize, scale: Scale) -> Vec<Workload> {
-    let (items, rounds, tasks, pushes) = match scale {
-        Scale::Test => (8, 2, 24, 4),
-        Scale::Bench => (64, 8, 256, 32),
-        Scale::Full => (256, 16, 1024, 96),
-    };
-    vec![
-        pipeline::pipeline(n_threads.max(2), items),
-        actors::mailbox_actors(n_threads.max(2), rounds),
-        worksteal::work_steal(n_threads, (tasks as i64).max(2 * n_threads as i64)),
-        treiber::treiber_stack(n_threads, pushes),
-    ]
+    SUITE_KERNELS[IRREGULAR..].iter().map(|k| build_kernel(k, n_threads, scale)).collect()
+}
+
+/// The kernel of [`extended_suite`] named `name` (ASCII case-insensitive),
+/// or of [`irregular_suite`] when `n_threads >= 2` (they need a peer:
+/// producer and consumer, actor partners, a steal victim), built alone
+/// with the inputs its suite gives it. `None` for any other name.
+pub fn suite_kernel(name: &str, n_threads: usize, scale: Scale) -> Option<Workload> {
+    let i = suite_kernel_index(name, n_threads)?;
+    Some(build_kernel(SUITE_KERNELS[i], n_threads, scale))
+}
+
+/// Would [`suite_kernel`] build a kernel for `name` at `n_threads`? Checks
+/// the name without building a program.
+pub fn is_suite_kernel(name: &str, n_threads: usize) -> bool {
+    suite_kernel_index(name, n_threads).is_some()
+}
+
+fn suite_kernel_index(name: &str, n_threads: usize) -> Option<usize> {
+    SUITE_KERNELS
+        .iter()
+        .position(|k| k.eq_ignore_ascii_case(name))
+        .filter(|&i| i < IRREGULAR || n_threads >= 2)
+}
+
+/// One kernel of [`SUITE_KERNELS`] under its scale-derived inputs.
+fn build_kernel(name: &str, n: usize, scale: Scale) -> Workload {
+    // Inputs are listed per scale: [Test, Bench, Full].
+    let at = |v: [usize; 3]| v[scale as usize];
+    // Many-core scale-out (64/128/256 threads): kernels that partition
+    // elements across threads need at least one element per thread, so
+    // the problem grows with the thread count past the scale's floor.
+    // At the historical core counts (<= 8, and <= 32 for every Bench
+    // size) the floors win and the inputs are unchanged.
+    match name {
+        "Barnes" => barnes::barnes(n, at([24, 96, 160]).max(n), at([1, 2, 3])),
+        "FFT" => {
+            let log2_floor = usize::BITS - n.next_power_of_two().leading_zeros() - 1;
+            fft::fft(n, (at([6, 10, 12]) as u32).max(log2_floor))
+        }
+        "LU" => lu::lu(n, at([12, 48, 96])),
+        "Water-Nsquared" => water::water(n, at([16, 64, 96]).max(n), at([1, 2, 3])),
+        "Radix" => radix::radix(n, at([64, 1024, 4096]).max(n)),
+        "Ocean" => ocean::ocean(n, at([8, 30, 62]).max(n), at([2, 4, 6])),
+        "pipeline" => pipeline::pipeline(n.max(2), at([8, 64, 256]) as i64),
+        "mailbox_actors" => actors::mailbox_actors(n.max(2), at([2, 8, 16]) as i64),
+        "work_steal" => worksteal::work_steal(n, at([24, 256, 1024]).max(2 * n) as i64),
+        "treiber_stack" => treiber::treiber_stack(n, at([4, 32, 96]) as i64),
+        other => unreachable!("{other} is not in SUITE_KERNELS"),
+    }
 }
 
 #[cfg(test)]
@@ -143,6 +171,42 @@ mod tests {
             w.program.validate().expect("kernel programs validate");
             assert!(!w.expected.is_empty(), "{} has a checksum", w.name);
         }
+    }
+
+    /// A kernel built by name is the one its suite builds: same name, same
+    /// program image, same expected output, at every core count and scale.
+    /// Served jobs build their kernel by name, so their snapshot keys and
+    /// fingerprints rest on this.
+    #[test]
+    fn suite_kernel_builds_what_the_suite_builds() {
+        for scale in [Scale::Test, Scale::Bench, Scale::Full] {
+            for cores in [1, 2, 4] {
+                let suite: Vec<Workload> = extended_suite(cores, scale)
+                    .into_iter()
+                    .chain(irregular_suite(cores, scale))
+                    .collect();
+                let names: Vec<&str> = suite.iter().map(|w| w.name.as_str()).collect();
+                assert_eq!(names, SUITE_KERNELS);
+                for (i, w) in suite.iter().enumerate() {
+                    let by_name = suite_kernel(&w.name.to_ascii_uppercase(), cores, scale);
+                    assert_eq!(is_suite_kernel(&w.name, cores), by_name.is_some());
+                    if i >= IRREGULAR && cores < 2 {
+                        assert!(by_name.is_none(), "{} offered at one core", w.name);
+                        continue;
+                    }
+                    let k = by_name.unwrap_or_else(|| panic!("{} not found", w.name));
+                    let what = format!("{} at {cores} cores, {scale:?}", w.name);
+                    assert_eq!(k.name, w.name, "{what}");
+                    assert_eq!(k.input, w.input, "{what}");
+                    assert_eq!(k.n_threads, w.n_threads, "{what}");
+                    assert_eq!(k.expected, w.expected, "{what}");
+                    assert_eq!(k.program.entry, w.program.entry, "{what}");
+                    assert!(k.program.image().eq(w.program.image()), "{what}");
+                }
+            }
+        }
+        assert!(suite_kernel("no_such_kernel", 4, Scale::Test).is_none());
+        assert!(!is_suite_kernel("pingpong", 4), "microbenchmarks are not suite kernels");
     }
 
     #[test]

@@ -71,6 +71,9 @@ pub struct Cache<S> {
     cfg: CacheConfig,
     sets: Vec<Vec<Line<S>>>,
     set_mask: u64,
+    /// `log2` of the set count: the tag is the block address shifted by
+    /// it. Derived from the geometry, never serialized.
+    set_bits: u32,
     tick: u64,
     /// Counters, updated by [`Cache::lookup`] and [`Cache::fill`].
     pub stats: CacheStats,
@@ -84,7 +87,22 @@ impl<S: Copy> Cache<S> {
         let sets = (0..num_sets)
             .map(|_| (0..cfg.assoc).map(|_| Line { tag: 0, state: None, lru: 0 }).collect())
             .collect();
-        Cache { cfg, sets, set_mask: (num_sets - 1) as u64, tick: 0, stats: CacheStats::default() }
+        Cache::around(cfg, sets, 0, CacheStats::default())
+    }
+
+    /// A cache over `sets` (`num_sets` of them, a power of two), with the
+    /// mask and shift derived from their count.
+    fn around(cfg: CacheConfig, sets: Vec<Vec<Line<S>>>, tick: u64, stats: CacheStats) -> Self {
+        let num_sets = sets.len();
+        debug_assert!(num_sets.is_power_of_two());
+        Cache {
+            cfg,
+            sets,
+            set_mask: (num_sets - 1) as u64,
+            set_bits: num_sets.trailing_zeros(),
+            tick,
+            stats,
+        }
     }
 
     /// The configured geometry.
@@ -99,7 +117,7 @@ impl<S: Copy> Cache<S> {
 
     #[inline]
     fn tag_of(&self, block: BlockAddr) -> u64 {
-        block >> self.set_mask.count_ones()
+        block >> self.set_bits
     }
 
     /// Look up a block, updating LRU and hit/miss counters. Returns the
@@ -272,7 +290,7 @@ impl<S: Persist + Copy> Persist for Cache<S> {
             }
             sets.push(set);
         }
-        Ok(Cache { cfg, sets, set_mask: (num_sets - 1) as u64, tick, stats })
+        Ok(Cache::around(cfg, sets, tick, stats))
     }
 }
 
@@ -363,6 +381,57 @@ mod tests {
         }
         for b in 0..8u64 {
             assert_eq!(c.peek(b), Some(b as u8));
+        }
+    }
+
+    /// The tag/set split round-trips for every geometry the simulator can
+    /// build: a filled block comes back whole from `peek` and `resident`,
+    /// and a fill into a full set displaces exactly the least recently
+    /// filled block, reported under its own address.
+    #[test]
+    fn tag_set_split_round_trips() {
+        use std::collections::VecDeque;
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        for set_bits in 0..=10u32 {
+            let nsets = 1u64 << set_bits;
+            for assoc in [1usize, 2, 4, 8] {
+                let size_bytes = nsets * assoc as u64 * BLOCK_BYTES;
+                let cfg = CacheConfig { size_bytes, assoc, block_bytes: BLOCK_BYTES };
+                let mut c = Cache::<u32>::new(cfg);
+                assert_eq!(c.config().num_sets() as u64, nsets);
+                // Per set, the resident blocks oldest first (fills only, so
+                // fill order is LRU order).
+                let mut model: Vec<VecDeque<(BlockAddr, u32)>> =
+                    (0..nsets).map(|_| VecDeque::new()).collect();
+                for i in 0..(3 * nsets as u32 * assoc as u32) {
+                    // Tags up to 40 bits, so a wrong shift loses high bits.
+                    let block = next() >> 24;
+                    let set = (block & (nsets - 1)) as usize;
+                    if model[set].iter().any(|&(b, _)| b == block) {
+                        continue;
+                    }
+                    let evicted = c.fill(block, i);
+                    let expect =
+                        if model[set].len() == assoc { model[set].pop_front() } else { None };
+                    assert_eq!(evicted, expect, "{nsets} sets x {assoc} ways, block {block:#x}");
+                    model[set].push_back((block, i));
+                    assert_eq!(c.peek(block), Some(i));
+                }
+                let mut want: Vec<_> = model.iter().flatten().copied().collect();
+                let mut got: Vec<_> = c.resident().collect();
+                want.sort_unstable();
+                got.sort_unstable();
+                assert_eq!(got, want, "{nsets} sets x {assoc} ways");
+                for &(block, state) in &want {
+                    assert_eq!(c.peek(block), Some(state));
+                }
+            }
         }
     }
 

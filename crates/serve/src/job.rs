@@ -10,7 +10,7 @@
 
 use sk_core::{CoreModel, Scheme, TargetConfig};
 use sk_isa::Program;
-use sk_kernels::{extended_suite, irregular_suite, micro, Scale, Workload};
+use sk_kernels::{is_suite_kernel, micro, suite_kernel, Scale, Workload, SUITE_KERNELS};
 use sk_obs::json::Json;
 use sk_scenario::Scenario;
 use sk_snap::hash::SnapshotKey;
@@ -19,6 +19,10 @@ use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
+
+/// The microbenchmarks a job may name besides the suite kernels.
+const MICRO_BENCHES: [&str; 5] =
+    ["pingpong", "lock_sweep", "private_compute", "racy_increment", "false_sharing"];
 
 /// Caps enforced on untrusted request parameters.
 pub const MAX_CORES: usize = 16;
@@ -175,9 +179,11 @@ impl JobSpec {
             model,
             scenario: None,
         };
-        // Fail unknown benchmarks and invalid configs here, at admission.
-        spec.workload()
-            .ok_or_else(|| bad(format!("unknown benchmark {:?} (see GET /benches)", spec.bench)))?;
+        // Fail unknown benchmarks and invalid configs here, at admission,
+        // without building the program.
+        if !spec.knows_bench() {
+            return Err(bad(format!("unknown benchmark {:?} (see GET /benches)", spec.bench)));
+        }
         spec.config().validate().map_err(|e| bad(format!("config rejected: {e}")))?;
         Ok(spec)
     }
@@ -206,24 +212,24 @@ impl JobSpec {
         }
     }
 
-    /// Materialise the workload. `None` if the benchmark name is unknown.
+    /// Does `bench` name a workload [`JobSpec::workload`] builds at this
+    /// core count?
+    fn knows_bench(&self) -> bool {
+        is_suite_kernel(&self.bench, self.cores)
+            || MICRO_BENCHES.iter().any(|m| m.eq_ignore_ascii_case(&self.bench))
+    }
+
+    /// Materialise the workload, building only the kernel it names. `None`
+    /// if the benchmark name is unknown.
     pub fn workload(&self) -> Option<Workload> {
         // Scenario jobs carry their own kernel + parameters.
         if let Some(sc) = &self.scenario {
             return sc.workload().ok();
         }
-        // Suite kernels first (Barnes/FFT/LU/Water + Radix/Ocean), then
-        // the irregular family, then the microbenchmarks — all under
-        // fixed, scale-derived inputs.
-        // The irregular kernels need at least two cores (producer/consumer,
-        // actor peers, steal victims) — never offer them to a 1-core job.
-        let irregular =
-            if self.cores >= 2 { irregular_suite(self.cores, self.scale) } else { Vec::new() };
-        if let Some(w) = extended_suite(self.cores, self.scale)
-            .into_iter()
-            .chain(irregular)
-            .find(|w| w.name.eq_ignore_ascii_case(&self.bench))
-        {
+        // Suite kernels first (Barnes/FFT/LU/Water + Radix/Ocean, then the
+        // irregular family, which needs two cores), then the
+        // microbenchmarks — all under fixed, scale-derived inputs.
+        if let Some(w) = suite_kernel(&self.bench, self.cores, self.scale) {
             return Some(w);
         }
         let iters = match self.scale {
@@ -282,15 +288,8 @@ impl JobSpec {
 }
 
 /// Benchmarks the server accepts, for `GET /benches`.
-pub fn bench_names(cores: usize) -> Vec<String> {
-    let mut names: Vec<String> =
-        extended_suite(cores.max(2), Scale::Test).into_iter().map(|w| w.name).collect();
-    names.extend(irregular_suite(cores.max(2), Scale::Test).into_iter().map(|w| w.name));
-    names.extend(
-        ["pingpong", "lock_sweep", "private_compute", "racy_increment", "false_sharing"]
-            .map(String::from),
-    );
-    names
+pub fn bench_names() -> Vec<String> {
+    SUITE_KERNELS.iter().chain(&MICRO_BENCHES).map(|&n| n.to_string()).collect()
 }
 
 /// Lifecycle of a job.
@@ -593,9 +592,31 @@ mod tests {
         for name in ["pipeline", "mailbox_actors", "work_steal", "treiber_stack"] {
             let s = spec(&format!("{{\"bench\":\"{name}\",\"cores\":2}}")).unwrap();
             assert!(s.workload().is_some(), "{name} should resolve");
-            assert!(bench_names(4).iter().any(|n| n == name), "{name} listed in /benches");
+            assert!(bench_names().iter().any(|n| n == name), "{name} listed in /benches");
             // But never on a single core — these kernels need peers.
             assert!(spec(&format!("{{\"bench\":\"{name}\",\"cores\":1}}")).is_err());
+        }
+    }
+
+    /// Admission checks the name without building a program; whatever it
+    /// admits must then build, and what it refuses must not.
+    #[test]
+    fn admission_agrees_with_workload() {
+        for cores in [1, 2, 4] {
+            for name in bench_names().iter().map(String::as_str).chain(["fft", "nope"]) {
+                let s = JobSpec {
+                    bench: name.to_string(),
+                    cores,
+                    scale: Scale::Test,
+                    schemes: vec![Scheme::CycleByCycle],
+                    tenant: "t".into(),
+                    priority: 0,
+                    metrics: false,
+                    model: CoreModel::InOrder,
+                    scenario: None,
+                };
+                assert_eq!(s.knows_bench(), s.workload().is_some(), "{name} at {cores} cores");
+            }
         }
     }
 

@@ -316,7 +316,7 @@ fn route(w: &mut TcpStream, req: &Request, shared: &Shared) -> std::io::Result<(
         ("GET", ["metrics"]) => write_response(w, 200, "OK", &[], shared.obs.to_json().as_bytes()),
         ("GET", ["healthz"]) => respond(w, 200, "OK", &[], Json::obj([("ok", true)])),
         ("GET", ["benches"]) => {
-            respond(w, 200, "OK", &[], Json::obj([("benches", Json::from_iter(bench_names(4)))]))
+            respond(w, 200, "OK", &[], Json::obj([("benches", Json::from_iter(bench_names()))]))
         }
         ("POST", ["shutdown"]) => {
             respond(w, 200, "OK", &[], Json::obj([("ok", true)]))?;

@@ -154,17 +154,22 @@ fn tenant_quota_shedding_is_per_tenant() {
     let mut c = Client::new(server.addr());
     let body = r#"{"bench":"pingpong","cores":2,"schemes":["CC"]}"#;
 
-    let first = submit(&mut c, body, "alice");
+    // Alice's first job runs long enough to be in flight at her second
+    // request (a tiny one can finish before the request lands).
+    let first =
+        submit(&mut c, r#"{"bench":"FFT","cores":16,"scale":"bench","schemes":["CC"]}"#, "alice");
     let second = c.post_job(body, "alice").unwrap();
     assert_eq!(second.status, 429, "alice is at quota");
     assert!(second.body.contains("quota"), "{}", second.body);
     // Bob is unaffected by alice's quota.
     let bob = submit(&mut c, body, "bob");
 
-    for id in [first, bob] {
-        let (doc, _) = finish(&mut c, id);
-        assert_eq!(doc.get("state").unwrap().as_str(), Some("done"));
-    }
+    // Free the only worker for bob's job; a cancelled job is terminal.
+    assert_eq!(c.cancel_job(first).unwrap().status, 202);
+    let (doc, _) = finish(&mut c, first);
+    assert_eq!(doc.get("state").unwrap().as_str(), Some("cancelled"));
+    let (doc, _) = finish(&mut c, bob);
+    assert_eq!(doc.get("state").unwrap().as_str(), Some("done"));
     // Terminal jobs release the quota slot.
     let again = c.post_job(body, "alice").unwrap();
     assert_eq!(again.status, 202, "{}", again.body);
