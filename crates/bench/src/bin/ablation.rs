@@ -4,10 +4,9 @@
 //!    slack grows through and past the critical latency (where does the
 //!    accuracy cliff sit?).
 //! 2. **Quantum sweep** — the same for the quantum scheme.
-//! 3. **Adaptive quantum** — traffic-adaptive quantum vs. fixed quanta.
-//! 4. **Core model** — OoO vs. in-order target cores: simulation cost
+//! 3. **Core model** — OoO vs. in-order target cores: simulation cost
 //!    and workload cycles.
-//! 5. **Event ordering** — eager (S9) vs. oldest-first (S9*) processing.
+//! 4. **Event ordering** — eager (S9) vs. oldest-first (S9*) processing.
 //!
 //! ```text
 //! cargo run --release -p sk-bench --bin ablation [--scale test|bench]
@@ -58,28 +57,8 @@ fn main() {
     }
     print_table(&["scheme", "cycles", "error", "window blocks"], &rows);
 
-    // 3. adaptive quantum
-    println!("\n3. Adaptive quantum (A min-max) vs fixed:");
-    let mut rows = Vec::new();
-    for scheme in [
-        Scheme::Quantum(10),
-        Scheme::Quantum(100),
-        Scheme::AdaptiveQuantum { min: 10, max: 100 },
-        Scheme::AdaptiveQuantum { min: 10, max: 1000 },
-    ] {
-        let r = run_par(w, scheme, &cfg);
-        rows.push(vec![
-            scheme.short_name(),
-            format!("{}", r.exec_cycles),
-            format!("{:.3}%", 100.0 * r.exec_time_error(&base)),
-            format!("{}", r.engine.blocks),
-            format!("{}", r.engine.final_quantum),
-        ]);
-    }
-    print_table(&["scheme", "cycles", "error", "window blocks", "final q"], &rows);
-
-    // 4. core model
-    println!("\n4. Target core model (sequential engine):");
+    // 3. core model
+    println!("\n3. Target core model (sequential engine):");
     let mut rows = Vec::new();
     for model in [CoreModel::InOrder, CoreModel::OutOfOrder] {
         let cfg2 = bench_config(model);
@@ -93,8 +72,8 @@ fn main() {
     }
     print_table(&["core model", "workload cycles", "avg IPC", "KIPS"], &rows);
 
-    // 5. event ordering
-    println!("\n5. Event ordering at slack 9 (eager S9 vs oldest-first S9*):");
+    // 4. event ordering
+    println!("\n4. Event ordering at slack 9 (eager S9 vs oldest-first S9*):");
     let mut rows = Vec::new();
     for scheme in [Scheme::BoundedSlack(9), Scheme::OldestFirstBounded(9)] {
         let r = run_par(w, scheme, &cfg);
@@ -109,8 +88,8 @@ fn main() {
     println!("\nS9* processes oldest-first and is conservative (error ~ 0); S9 is");
     println!("eager and may reorder — the paper's accuracy/efficiency trade-off.");
 
-    // 6. sharded memory managers (the paper's §2.2 "split the manager")
-    println!("\n6. Sharded memory managers (SU, this host):");
+    // 5. sharded memory managers (the paper's §2.2 "split the manager")
+    println!("\n5. Sharded memory managers (SU, this host):");
     let mut rows = Vec::new();
     for shards in [0usize, 2, 4] {
         let mut cfg2 = cfg;
@@ -128,10 +107,10 @@ fn main() {
     println!("timestamps, which shrinks the eager schemes' host-induced error —");
     println!("the effect the paper anticipated when suggesting the split.");
 
-    // 6b. the same split on the virtual host: the manager's event load is
+    // 5b. the same split on the virtual host: the manager's event load is
     // what caps speedups at 8 host cores; dividing it across shards lifts
     // the ceiling.
-    println!("\n6b. Manager sharding on the virtual host (8 host cores):");
+    println!("\n5b. Manager sharding on the virtual host (8 host cores):");
     let mut cfg_t = cfg;
     cfg_t.record_trace = true;
     let r = sk_core::run_sequential(&w.program, &cfg_t);
@@ -158,9 +137,9 @@ fn main() {
     }
     print_table(&["virtual host", "Q10 speedup@8", "SU speedup@8"], &rows);
 
-    // 7. target-core scaling (the paper fixes 8 targets; how does the
+    // 6. target-core scaling (the paper fixes 8 targets; how does the
     // simulated workload scale with target cores?)
-    println!("\n7. Target-core scaling (Barnes, sequential CC):");
+    println!("\n6. Target-core scaling (Barnes, sequential CC):");
     let mut rows = Vec::new();
     for cores in [1usize, 2, 4, 8, 16] {
         let cfg2 = {

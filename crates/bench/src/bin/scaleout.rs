@@ -1,7 +1,7 @@
 //! Scale-out bench: sharded clock domains at many-core configs.
 //!
 //! Grid: backend × cores × manager shards {0 (single manager), 2, 4, 8}
-//! × schemes {CC, S10, A16, SU}. The two backends answer two different
+//! × schemes {CC, S10, S10*, SU}. The two backends answer two different
 //! questions:
 //!
 //! * `det` (cooperative, one host thread) — every role runs as a task on
@@ -33,9 +33,10 @@
 //!
 //! Usage:
 //!   scaleout [--backends det,threads] [--cores 8,64] [--shards 0,2,4,8]
-//!            [--schemes CC,S10,A16,SU] [--rounds 3] [--iters 2] [--smoke]
+//!            [--schemes CC,S10,S10*,SU] [--rounds 3] [--iters 2] [--smoke]
 //!
-//! `--smoke` is the CI preset: det backend, 64-core CC+A16, shards
+//! `--schemes` takes any scheme name `slacksim --scheme` takes.
+//! `--smoke` is the CI preset: det backend, 64-core CC+S10*, shards
 //! {0,4}, 1 round. Prints the grid as JSON on stdout; progress on
 //! stderr.
 
@@ -102,14 +103,17 @@ fn parse_list<T: std::str::FromStr>(s: &str) -> Vec<T> {
     s.split(',').filter_map(|x| x.trim().parse().ok()).collect()
 }
 
-fn parse_scheme(s: &str) -> Scheme {
-    match s {
-        "CC" => Scheme::CycleByCycle,
-        "SU" => Scheme::Unbounded,
-        s if s.starts_with('A') => Scheme::Adaptive { budget: s[1..].parse().expect("A<b>") },
-        s if s.starts_with('S') => Scheme::BoundedSlack(s[1..].parse().expect("S<n>")),
-        other => panic!("unknown scheme {other}"),
-    }
+/// Parse a `--schemes` list, exiting with the parser's message on a bad
+/// name.
+fn parse_schemes(s: &str) -> Vec<Scheme> {
+    s.split(',')
+        .map(|name| {
+            name.parse().unwrap_or_else(|e| {
+                eprintln!("scaleout: --schemes: {e}");
+                std::process::exit(2)
+            })
+        })
+        .collect()
 }
 
 fn main() {
@@ -117,7 +121,7 @@ fn main() {
     let mut backends: Vec<String> = vec!["det".into(), "threads".into()];
     let mut cores: Vec<usize> = vec![8, 64];
     let mut shards: Vec<usize> = vec![0, 2, 4, 8];
-    let mut schemes: Vec<String> = vec!["CC".into(), "S10".into(), "A16".into(), "SU".into()];
+    let mut schemes = parse_schemes("CC,S10,S10*,SU");
     let mut rounds = 3usize;
     let mut iters = 2i64;
     let mut i = 0;
@@ -136,7 +140,7 @@ fn main() {
                 i += 2;
             }
             "--schemes" => {
-                schemes = raw[i + 1].split(',').map(|s| s.trim().to_string()).collect();
+                schemes = parse_schemes(&raw[i + 1]);
                 i += 2;
             }
             "--rounds" => {
@@ -151,7 +155,7 @@ fn main() {
                 backends = vec!["det".into()];
                 cores = vec![64];
                 shards = vec![0, 4];
-                schemes = vec!["CC".into(), "A16".into()];
+                schemes = parse_schemes("CC,S10*");
                 rounds = 1;
                 iters = 1;
                 i += 1;
@@ -183,8 +187,8 @@ fn main() {
                 sk_kernels::actors::mailbox_actors(n, 2),
             ];
             for w in &workloads {
-                for name in &schemes {
-                    let scheme = parse_scheme(name);
+                for &scheme in &schemes {
+                    let name = scheme.to_string();
                     // best[k] = min-wall cell for shard config k so far.
                     let mut best: Vec<Option<Cell>> = shards.iter().map(|_| None).collect();
                     for round in 0..rounds {

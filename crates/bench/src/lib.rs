@@ -10,7 +10,6 @@
 //! | `fig8`   | Figure 8 — speedups vs host cores (virtual host) |
 //! | `violations` | Figures 3–7 — slack-induced violation counters |
 //! | `gridfork` | Fig. 6-style error grid forked from one ROI checkpoint |
-//! | `frontier` | speed-vs-error frontier, static ladder vs adaptive |
 //! | `scaleout` | sharded clock domains at 8–64 cores |
 //! | `ablation`, `calibrate` | design ablations; the virtual host's constants |
 //!

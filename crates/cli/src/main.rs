@@ -13,7 +13,7 @@
 //! Common options:
 //!
 //! ```text
-//!   --scheme  CC|Q<n>|L<n>|S<n>|S<n>*|SU|A<b>|A<min>-<max>   (default S9)
+//!   --scheme  CC|Q<n>|L<n>|S<n>|S<n>*|SU   (default S9)
 //!   --cores   <n>        target cores / workload threads (default 8)
 //!   --shards  <n>        sharded memory managers (default 0 = single)
 //!   --scale   test|bench|full                            (default bench)
@@ -475,12 +475,7 @@ fn report_json(r: &SimReport, scenario: Option<&sk_scenario::Scenario>) -> Json 
                 ("global_updates", e.global_updates),
                 ("events_processed", e.events_processed),
                 ("max_observed_slack", e.max_observed_slack),
-                ("final_quantum", e.final_quantum),
                 ("slack_profile_truncated", e.slack_profile_truncated),
-                ("adapt_epochs", e.adapt_epochs),
-                ("adapt_raises", e.adapt_raises),
-                ("adapt_lowers", e.adapt_lowers),
-                ("adapt_final_window", e.adapt_final_window),
             ]),
         ),
         (
@@ -826,7 +821,7 @@ fn main() -> ExitCode {
             for w in benches(&opts) {
                 println!("  {:<18} {}", w.name, w.input);
             }
-            println!("schemes: CC  Q<n>  L<n>  S<n>  S<n>*  SU  A<b>  A<min>-<max>");
+            println!("schemes: CC  Q<n>  L<n>  S<n>  S<n>*  SU");
         }
         _ => {
             println!("{}", HELP);
@@ -1000,7 +995,7 @@ LOADGEN OPTIONS:
   --json <file>        write the stats JSON to a file
 
 OPTIONS:
-  --scheme CC|Q<n>|L<n>|S<n>|S<n>*|SU|A<b>|A<min>-<max>  slack scheme (default S9)
+  --scheme CC|Q<n>|L<n>|S<n>|S<n>*|SU  slack scheme (default S9)
   --cores <n>          target cores (default 8)
   --shards <n>         sharded memory-manager threads (default 0 = single)
   --scale test|bench|full
@@ -1158,12 +1153,9 @@ mod tests {
     fn degenerate_scheme_is_a_parse_error_with_the_typed_detail() {
         let err = parse_opts(&args(&["--scheme", "Q0"])).err().unwrap();
         assert!(err.contains("degenerate scheme parameter 'Q0'"), "got: {err}");
-        let err = parse_opts(&args(&["--scheme", "A10-5"])).err().unwrap();
-        assert!(err.contains("degenerate"), "got: {err}");
         assert!(parse_opts(&args(&["--scheme", "S0"])).is_err());
         assert!(parse_opts(&args(&["--scheme", "L0"])).is_err());
         assert!(parse_opts(&args(&["--scheme", "S0*"])).is_err());
-        assert!(parse_opts(&args(&["--scheme", "A0-10"])).is_err());
     }
 
     #[test]
@@ -1171,7 +1163,6 @@ mod tests {
         assert_eq!(slug("S9*"), "s9star");
         assert_eq!(slug("Water-Nsquared"), "water-nsquared");
         assert_eq!(slug("racy_increment"), "racy-increment");
-        assert_eq!(slug("A10-1000"), "a10-1000");
     }
 
     #[test]
@@ -1224,12 +1215,7 @@ mod tests {
         r.engine.global_updates = 500;
         r.engine.events_processed = 321;
         r.engine.max_observed_slack = 10;
-        r.engine.final_quantum = 10;
         r.engine.slack_profile_truncated = 0;
-        r.engine.adapt_epochs = 6;
-        r.engine.adapt_raises = 4;
-        r.engine.adapt_lowers = 1;
-        r.engine.adapt_final_window = 32;
         r.dir.gets = 30;
         r.dir.getm = 12;
         r.dir.upgrades = 3;

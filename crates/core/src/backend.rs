@@ -14,7 +14,7 @@
 //! * different seeds ⇒ different *legal* interleavings of the same run,
 //!   turning the violation tracker and the conformance suite into a
 //!   schedule-fuzzing oracle (see `--det-schedules` in the CLI);
-//! * the conservative schemes (CC, Q, L, adaptive) are schedule-
+//! * the conservative schemes (CC, Q, L) are schedule-
 //!   independent by construction, so any seed must reproduce the threaded
 //!   run byte for byte — asserted by `tests/conformance.rs`.
 //!
@@ -153,9 +153,6 @@ impl RunSet {
 pub struct DetEngine {
     engine: Engine,
     il: Interleaver,
-    /// Adaptive-controller decisions already folded into the interleaver
-    /// (see [`DetEngine::fold_adapt_decisions`]).
-    adapt_seen: u64,
     /// Picks whose dispatch was elided (see [`DetEngine::futile_picks`]).
     futile_picks: u64,
 }
@@ -169,26 +166,7 @@ impl DetEngine {
     /// Adopt an existing engine (e.g. one restored from a snapshot).
     /// Sharded memory managers run as additional cooperative tasks.
     pub fn from_engine(engine: Engine, seed: u64) -> DetEngine {
-        // A resumed adaptive engine arrives with decisions already made;
-        // only decisions taken under *this* interleaver belong in its
-        // schedule stream.
-        let adapt_seen = engine.adapt_decisions().map_or(0, |(n, _)| n);
-        DetEngine { engine, il: Interleaver::from_seed(seed), adapt_seen, futile_picks: 0 }
-    }
-
-    /// Draw every new closed-loop controller decision through the
-    /// interleaver ([`sk_det::Interleaver::note_decision`]): the granted
-    /// window enters the decision hash and the recorded schedule, so same
-    /// seed ⇒ bit-identical adaptive run *including the window
-    /// trajectory*, and a replayed schedule that diverges from the
-    /// recorded trajectory is detectable by hash.
-    fn fold_adapt_decisions(&mut self) {
-        if let Some((n, w)) = self.engine.adapt_decisions() {
-            while self.adapt_seen < n {
-                self.adapt_seen += 1;
-                self.il.note_decision(w);
-            }
-        }
+        DetEngine { engine, il: Interleaver::from_seed(seed), futile_picks: 0 }
     }
 
     /// The schedule seed.
@@ -242,17 +220,6 @@ impl DetEngine {
     /// The wrapped engine (e.g. for `inject_window_bug` in tests).
     pub fn engine_mut(&mut self) -> &mut Engine {
         &mut self.engine
-    }
-
-    /// One manager body for a manager pick, booked like the pool's (one
-    /// `manager.iterations`, its time as `busy_ns` — on one host thread,
-    /// busy_ns / wall is the *exact* fraction of the schedule the role
-    /// consumed, the noise-free serialization measurement the scaleout
-    /// bench reports), its controller decisions folded into the schedule.
-    fn manager_body(&mut self, until: Option<u64>, st: &mut MgrState) -> MgrVerdict {
-        let verdict = self.engine.manager_body(until, st);
-        self.fold_adapt_decisions();
-        verdict
     }
 
     /// Run the simulation to its natural end (workload exit, stop
@@ -348,7 +315,7 @@ impl DetEngine {
                 } else if cancel.load(Ordering::Relaxed) {
                     return RunOutcome::Cancelled;
                 } else {
-                    match self.manager_body(until, &mut st) {
+                    match self.engine.manager_body(until, &mut st) {
                         MgrVerdict::Finish => return RunOutcome::Finished,
                         MgrVerdict::CheckpointReady => return RunOutcome::CheckpointReady,
                         MgrVerdict::Continue { ingested, granted, settled, .. } => {
@@ -406,7 +373,6 @@ impl DetEngine {
                 return RunOutcome::Cancelled;
             }
             let end = self.engine.forced_round(until, &mut st, &mut quiet);
-            self.fold_adapt_decisions();
             if let Some(outcome) = end {
                 return outcome;
             }
@@ -582,7 +548,7 @@ mod tests {
             Scheme::BoundedSlack(100),
             Scheme::Unbounded,
             Scheme::Quantum(10),
-            Scheme::Adaptive { budget: 64 },
+            Scheme::OldestFirstBounded(10),
         ] {
             let mut det = DetEngine::new(&p, scheme, &c, 3);
             for at in [101, 257] {

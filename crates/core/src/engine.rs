@@ -13,7 +13,6 @@
 //! ([`Engine::forced_round`]), and open and close a segment the same way
 //! ([`Engine::begin_segment`], [`Engine::end_segment`]).
 
-use crate::adapt::{AdaptDecision, SlackController};
 use crate::clock::{ClockBoard, CoreState, GlobalCache};
 use crate::config::{CoreModel, StopCondition, TargetConfig};
 use crate::core_thread::{CoreOutput, CoreSim, RoiState};
@@ -317,14 +316,6 @@ pub enum RunOutcome {
     Cancelled,
 }
 
-/// Blocks at the window over the whole run, across snapshots: the total a
-/// resume restored into `engine` plus what `board` counted since it was
-/// built (a restored board counts from zero). The adaptive controller's
-/// park signal, continuous like the park mark it restores.
-fn parks_cum(engine: &EngineStats, board: &ClockBoard) -> u64 {
-    engine.blocks + board.blocks()
-}
-
 /// The parallel simulation engine as a resumable object.
 ///
 /// [`run_parallel`] is `Engine::new` + `run_until(None)` + `into_report`.
@@ -366,10 +357,6 @@ pub struct Engine {
     /// Shared superblock table (None with `cfg.superblocks` off). Derived
     /// from the text and rebuilt on resume, never serialized.
     sbt: Option<Arc<SuperblockTable>>,
-    /// Closed-loop slack controller (`Scheme::Adaptive` only). Stepped
-    /// once per control epoch inside [`Engine::manager_iter`]; its window
-    /// replaces the uncore's static one when present.
-    adapt: Option<SlackController>,
     /// Fault injection for the conformance suite: added to every published
     /// window, letting cores illegally outrun the scheme's slack bound.
     /// Always zero outside tests.
@@ -389,21 +376,11 @@ impl Engine {
     /// any host threads.
     pub fn new(program: &Program, scheme: Scheme, cfg: &TargetConfig) -> Engine {
         let shared = Shared::from_program(program, cfg);
-        let adapt = match scheme {
-            Scheme::Adaptive { budget } => Some(SlackController::new(budget)),
-            _ => None,
-        };
-        let initial_window = match (&adapt, scheme) {
-            (Some(c), _) => c.window(),
-            (None, Scheme::AdaptiveQuantum { min, .. }) => min,
-            (None, s) => s.window(0),
-        };
         let mut wiring = wire(cfg, scheme, &shared, || {
-            Some(Arc::new(ClockBoard::new(cfg.n_cores, initial_window)))
+            Some(Arc::new(ClockBoard::new(cfg.n_cores, scheme.window(0))))
         });
         wiring.cores[0].start_main(program.entry);
-        let mut engine =
-            Engine::from_parts(*cfg, scheme, shared, wiring, program.text_len(), adapt);
+        let mut engine = Engine::from_parts(*cfg, scheme, shared, wiring, program.text_len());
         engine.slack_profile = Vec::with_capacity(SLACK_PROFILE_RESERVE.min(SLACK_PROFILE_CAP));
         engine
     }
@@ -415,7 +392,6 @@ impl Engine {
         shared: Shared,
         wiring: Wiring,
         text_len: usize,
-        adapt: Option<SlackController>,
     ) -> Engine {
         let Wiring { cores, out_consumers, uncore, board, shards, shard_signals } = wiring;
         Engine {
@@ -440,7 +416,6 @@ impl Engine {
             next_violation_sample: 0,
             text_len,
             sbt: shared.sbt,
-            adapt,
             window_bug_extra: 0,
             cancel: Arc::new(AtomicBool::new(false)),
             workers: 0,
@@ -557,20 +532,6 @@ impl Engine {
     /// `false`) before running further segments on the same engine.
     pub fn cancel_token(&self) -> Arc<AtomicBool> {
         self.cancel.clone()
-    }
-
-    /// `(decisions made, current effective window)` of the closed-loop
-    /// controller — `Some` only under [`Scheme::Adaptive`]. The
-    /// deterministic backend folds every decision into its interleaver
-    /// hash through this, making the trajectory part of the schedule.
-    pub fn adapt_decisions(&self) -> Option<(u64, u64)> {
-        self.adapt.as_ref().map(|c| (c.epochs(), c.window()))
-    }
-
-    /// The controller's recorded `(global cycle, window)` decision
-    /// trajectory — `Some` only under [`Scheme::Adaptive`].
-    pub fn adapt_trajectory(&self) -> Option<&[(u64, u64)]> {
-        self.adapt.as_ref().map(|c| c.trajectory())
     }
 
     /// Has the workload's region of interest begun (the manager has
@@ -692,13 +653,8 @@ impl Engine {
         // global + slack, breaking the discipline. With sharded
         // managers and an ordered scheme, windows additionally hold
         // back to the slowest shard's processed frontier so no core
-        // outruns an undelivered reply. The adaptive controller (eager
-        // ordering) clamps against the inter-shard frontier too: its
-        // budget then bounds run-ahead past *delivered* time, keeping
-        // the closed loop's error model honest under sharding.
-        let g_window = if st.ordered_scheme
-            || (self.adapt.is_some() && !self.shard_frontiers.is_empty())
-        {
+        // outruns an undelivered reply.
+        let g_window = if st.ordered_scheme {
             let fmin =
                 self.shard_frontiers.iter().map(|f| f.load(Ordering::Acquire)).min().unwrap_or(g);
             // A frontier behind global clamps the window below what the
@@ -717,42 +673,7 @@ impl Engine {
         } else {
             g
         };
-        let mut adapt_stepped = false;
-        let mut w = if let Some(ctrl) = self.adapt.as_mut() {
-            // Closed loop (see `crate::adapt`): feed this iteration's
-            // slack sample, then once per control epoch decide from the
-            // cumulative violation and park counters. The published
-            // window is `global + window ≤ global + budget`, and the
-            // board only ever extends a bound already published, so the
-            // scheme's `slack_bound()` holds along any trajectory.
-            ctrl.observe_slack(slack_now);
-            if ctrl.due(g) {
-                let viols = self.tracker.as_ref().map_or(0, |t| {
-                    t.stats.store_past_load.load(Ordering::Relaxed)
-                        + t.stats.load_past_store.load(Ordering::Relaxed)
-                });
-                let decision = ctrl.step(g, viols, parks_cum(&self.engine, &self.board));
-                adapt_stepped = true;
-                self.engine.adapt_epochs += 1;
-                match decision {
-                    AdaptDecision::Raise => self.engine.adapt_raises += 1,
-                    AdaptDecision::Lower => self.engine.adapt_lowers += 1,
-                    AdaptDecision::Hold => {}
-                }
-                if let Some(o) = obs {
-                    match decision {
-                        AdaptDecision::Raise => o.manager.adapt_raise.inc(),
-                        AdaptDecision::Lower => o.manager.adapt_lower.inc(),
-                        AdaptDecision::Hold => o.manager.adapt_hold.inc(),
-                    }
-                    o.manager.adapt_window.record(ctrl.window());
-                }
-            }
-            self.engine.adapt_final_window = ctrl.window();
-            g_window.saturating_add(ctrl.window())
-        } else {
-            self.uncore.window(g_window)
-        };
+        let mut w = self.scheme.window(g_window);
         if let Some(c) = until {
             // The core-side limit would clamp anyway; capping the
             // published window spares pointless wake-and-recheck
@@ -796,16 +717,12 @@ impl Engine {
         if self.board.stopping() {
             return MgrVerdict::Finish;
         }
-        // What this iteration left for an immediate repeat to do: the
-        // controller's epoch step zeroed its slack maximum (the repeat
-        // would feed it this iteration's sample again), a quiescent
-        // system processes one pending timestamp per iteration, and a
-        // converging checkpoint needs a second ready sighting. Cores it
-        // woke raised their change flags, which the caller sees on the
+        // What this iteration left for an immediate repeat to do: a
+        // quiescent system processes one pending timestamp per iteration,
+        // and a converging checkpoint needs a second ready sighting. Cores
+        // it woke raised their change flags, which the caller sees on the
         // board.
-        let settled = !(adapt_stepped
-            || quiescent && self.uncore.min_pending_ts().is_some()
-            || st.ready_streak > 0);
+        let settled = !(quiescent && self.uncore.min_pending_ts().is_some() || st.ready_streak > 0);
         MgrVerdict::Continue { ingested, deadlockable, granted, settled }
     }
 
@@ -1002,15 +919,6 @@ impl Engine {
         for sh in &self.shards {
             sh.save_state(&mut w);
         }
-        // v5: adaptive-controller state, so a resumed run continues the
-        // control loop mid-epoch bit-exactly instead of re-ramping.
-        match &self.adapt {
-            None => w.put_bool(false),
-            Some(c) => {
-                w.put_bool(true);
-                c.save(&mut w);
-            }
-        }
         match &self.obs {
             None => w.put_bool(false),
             Some(o) => {
@@ -1116,18 +1024,6 @@ impl Engine {
         for sh in wiring.shards.iter_mut() {
             sh.restore_state(&mut r)?;
         }
-        let saved_adapt = if r.get_bool()? { Some(SlackController::load(&mut r)?) } else { None };
-        // Same budget ⇒ the loop continues mid-epoch exactly where it
-        // stopped; a fork onto a different budget (or onto Adaptive from
-        // a static snapshot) starts a fresh controller, like any other
-        // scheme change.
-        let adapt = match scheme {
-            Scheme::Adaptive { budget } => match saved_adapt {
-                Some(c) if c.budget() == budget => Some(c),
-                _ => Some(SlackController::new(budget)),
-            },
-            _ => None,
-        };
         let obs = if r.get_bool()? {
             let m = Metrics::load(&mut r)?;
             if m.n_cores() != cfg.n_cores {
@@ -1146,7 +1042,7 @@ impl Engine {
         // queued under the snapshot's ordered discipline.
         wiring.uncore.adopt_queued_for_scheme();
 
-        let mut engine = Engine::from_parts(cfg, scheme, shared, wiring, text_len, adapt);
+        let mut engine = Engine::from_parts(cfg, scheme, shared, wiring, text_len);
         engine.engine = engine_stats;
         // Re-wire the restored hub through every layer (restore_state
         // rebuilt the uncore's sync table without its obs handle).
@@ -1162,7 +1058,6 @@ impl Engine {
         self.engine.wakeups += self.board.wakeups();
         self.engine.events_processed = self.uncore.events_processed
             + self.shards.iter().map(|s| s.events_processed).sum::<u64>();
-        self.engine.final_quantum = self.uncore.current_quantum();
 
         let outputs: Vec<CoreOutput> = self.cores.into_iter().map(|c| c.into_output()).collect();
         let violations = violation_report(&self.tracker);
@@ -1213,36 +1108,4 @@ pub fn run_parallel(program: &Program, scheme: Scheme, cfg: &TargetConfig) -> Si
     let mut engine = Engine::new(program, scheme, cfg);
     engine.run_until(None);
     engine.into_report()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// The controller's park mark is restored with it, so the count it is
-    /// compared with must carry on from the saved total, not from the
-    /// restored board's zero.
-    #[test]
-    fn the_cumulative_park_count_is_continuous_across_a_restore() {
-        let k = sk_kernels::micro::lock_sweep(3, 40);
-        let mut cfg = TargetConfig::paper_8core();
-        cfg.n_cores = 3;
-        cfg.core.model = CoreModel::InOrder;
-        let scheme = Scheme::Adaptive { budget: 64 };
-        let mut e = Engine::new(&k.program, scheme, &cfg);
-        // One worker steps every core: each one blocks at its window
-        // before a manager body can raise it.
-        e.set_workers(1);
-        assert_eq!(e.run_until(Some(400)), RunOutcome::CheckpointReady);
-        let parks = parks_cum(&e.engine, &e.board);
-        assert!(parks > 0, "no core blocked before the checkpoint");
-        let bytes = e.snapshot().unwrap();
-        let mut r = Engine::resume(&bytes, None).unwrap();
-        assert_eq!(parks_cum(&r.engine, &r.board), parks);
-        r.set_workers(1);
-        assert_eq!(r.run_until(None), RunOutcome::Finished);
-        let report = r.into_report();
-        assert!(report.engine.blocks >= parks);
-        assert_eq!(report.printed(), vec![(0, k.expected[0])]);
-    }
 }

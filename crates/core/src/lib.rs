@@ -32,8 +32,7 @@
 //!
 //! | module | paper concept |
 //! |---|---|
-//! | [`scheme`] | §3 slack schemes (CC, Q, L, S, S*, SU, adaptive) |
-//! | [`adapt`] | extension: closed-loop slack controller (`A<budget>`) |
+//! | [`scheme`] | §3 slack schemes (CC, Q, L, S, S*, SU) |
 //! | [`clock`] | §2.1 global/local/max-local time + worker wake-ups |
 //! | [`msg`], [`spsc`] | §2.2 OutQ / InQ / GQ event queues |
 //! | [`cpu`] | §2.2/§4.1 OoO (NetBurst-like) and in-order core models |
@@ -43,7 +42,6 @@
 //! | [`engine`], [`pool`] | the parallel engine on W = min(host CPUs, N) workers |
 //! | [`seq`] | the single-thread cycle-by-cycle baseline |
 
-pub mod adapt;
 pub mod backend;
 pub mod clock;
 pub mod config;
@@ -63,7 +61,6 @@ pub mod sync;
 pub mod uncore;
 pub mod violation;
 
-pub use adapt::{AdaptDecision, SlackController};
 pub use backend::{run_det, DetEngine, ExecBackend};
 pub use config::{ConfigError, CoreConfig, CoreModel, StopCondition, TargetConfig};
 pub use engine::{run_parallel, Engine, RunOutcome};

@@ -15,8 +15,6 @@
 //! | S*s* | `g + s` (sliding window) | eagerly, arrival order |
 //! | S*s*\* | `g + s` | ts ≤ g, ordered (oldest-first) |
 //! | SU | unbounded | eagerly, arrival order |
-//! | A*min*-*max* | adaptive quantum | at the barrier, ordered |
-//! | A*b* | closed-loop slack ≤ *b* | eagerly, arrival order |
 //!
 //! The invariant `global ≤ local ≤ max_local` (paper §2.1) holds for every
 //! scheme; `window()` is monotone in `g`, which makes max-local updates
@@ -42,24 +40,6 @@ pub enum Scheme {
     OldestFirstBounded(u64),
     /// Unbounded slack: no synchronization at all.
     Unbounded,
-    /// Extension (after Falcón et al. \[8\]): quantum-based with the quantum
-    /// adapted to coherence traffic between `min` and `max`.
-    AdaptiveQuantum {
-        /// Smallest quantum (used under heavy sharing traffic).
-        min: u64,
-        /// Largest quantum (used when cores do not interact).
-        max: u64,
-    },
-    /// Extension: closed-loop bounded slack. A per-epoch controller in the
-    /// manager (see `crate::adapt`) retunes the effective sliding window
-    /// from live telemetry (violation pressure, slack saturation, park
-    /// causes), hard-clamped to `budget` so [`Scheme::slack_bound`] stays a
-    /// sound oracle: no inversion can ever exceed the budget.
-    Adaptive {
-        /// Largest effective slack window the controller may grant — the
-        /// user's inversion/error budget in cycles.
-        budget: u64,
-    },
 }
 
 /// How the manager consumes the global queue.
@@ -70,38 +50,26 @@ pub enum EventOrdering {
     /// Process in (ts, core, seq) order, only events with `ts ≤ global`.
     TimestampOrdered,
     /// Like `TimestampOrdered`, but only when all cores sit at the
-    /// quantum barrier (quantum / adaptive quantum).
+    /// quantum barrier.
     AtBarrier,
 }
 
 impl Scheme {
     /// The max local time allowed when the global time is `g`.
     ///
-    /// Monotone in `g` for every scheme.
+    /// Monotone in `g` for every scheme. The parameters may come from
+    /// outside the program (a scheme string, a snapshot), so the sliding
+    /// windows saturate at `u64::MAX` instead of wrapping below `g`.
     pub fn window(&self, g: u64) -> u64 {
         debug_assert!(self.is_valid(), "degenerate scheme parameter: {self:?}");
         match *self {
             Scheme::CycleByCycle => g + 1,
             Scheme::Quantum(q) => (g / q.max(1) + 1) * q.max(1),
-            Scheme::Lookahead(l) => g + l,
-            Scheme::BoundedSlack(s) => g + s,
-            Scheme::OldestFirstBounded(s) => g + s,
-            Scheme::Unbounded => u64::MAX,
-            Scheme::AdaptiveQuantum { .. } => {
-                unreachable!("adaptive quantum windows come from Scheme::adaptive_window")
+            Scheme::Lookahead(n) | Scheme::BoundedSlack(n) | Scheme::OldestFirstBounded(n) => {
+                g.saturating_add(n)
             }
-            // The loosest sound window. The live engine tightens it per
-            // epoch through the slack controller; generic callers (the
-            // sequential engine, host-level models) may use the full
-            // budget without breaking the slack bound.
-            Scheme::Adaptive { budget } => g.saturating_add(budget),
+            Scheme::Unbounded => u64::MAX,
         }
-    }
-
-    /// Window for the adaptive-quantum scheme given the quantum currently
-    /// chosen by the manager's controller.
-    pub fn adaptive_window(g: u64, quantum: u64) -> u64 {
-        (g / quantum + 1) * quantum
     }
 
     /// The event-ordering discipline of this scheme.
@@ -110,15 +78,13 @@ impl Scheme {
             Scheme::CycleByCycle | Scheme::Lookahead(_) | Scheme::OldestFirstBounded(_) => {
                 EventOrdering::TimestampOrdered
             }
-            Scheme::Quantum(_) | Scheme::AdaptiveQuantum { .. } => EventOrdering::AtBarrier,
-            Scheme::BoundedSlack(_) | Scheme::Unbounded | Scheme::Adaptive { .. } => {
-                EventOrdering::Eager
-            }
+            Scheme::Quantum(_) => EventOrdering::AtBarrier,
+            Scheme::BoundedSlack(_) | Scheme::Unbounded => EventOrdering::Eager,
         }
     }
 
     /// A scheme is valid when its parameter allows progress (no zero
-    /// quanta/slacks, adaptive bounds ordered).
+    /// quanta/slacks).
     pub fn is_valid(&self) -> bool {
         match *self {
             Scheme::CycleByCycle | Scheme::Unbounded => true,
@@ -126,8 +92,6 @@ impl Scheme {
             | Scheme::Lookahead(n)
             | Scheme::BoundedSlack(n)
             | Scheme::OldestFirstBounded(n) => n >= 1,
-            Scheme::AdaptiveQuantum { min, max } => min >= 1 && min <= max,
-            Scheme::Adaptive { budget } => budget >= 1,
         }
     }
 
@@ -149,11 +113,6 @@ impl Scheme {
         const MAX_BATCH: u64 = 64;
         match *self {
             Scheme::BoundedSlack(s) => s.clamp(1, MAX_BATCH),
-            // The controller may tighten the window below the budget at
-            // any epoch; the core-side clamp (`max_local − local`) already
-            // caps every batch to the open window, so the budget is the
-            // right static ceiling here.
-            Scheme::Adaptive { budget } => budget.clamp(1, MAX_BATCH),
             Scheme::Unbounded => MAX_BATCH,
             _ => 1,
         }
@@ -171,11 +130,6 @@ impl Scheme {
             Scheme::Quantum(q) => Some(q),
             Scheme::Lookahead(l) => Some(l),
             Scheme::BoundedSlack(s) | Scheme::OldestFirstBounded(s) => Some(s),
-            Scheme::AdaptiveQuantum { max, .. } => Some(max),
-            // The controller's window is hard-clamped to the budget, so
-            // the budget bounds every inversion regardless of how the
-            // closed loop retunes (see `crate::adapt`).
-            Scheme::Adaptive { budget } => Some(budget),
             Scheme::Unbounded => None,
         }
     }
@@ -189,7 +143,6 @@ impl Scheme {
                 | Scheme::Quantum(_)
                 | Scheme::Lookahead(_)
                 | Scheme::OldestFirstBounded(_)
-                | Scheme::AdaptiveQuantum { .. }
         )
     }
 
@@ -203,8 +156,6 @@ impl Scheme {
             Scheme::BoundedSlack(s) => format!("S{s}"),
             Scheme::OldestFirstBounded(s) => format!("S{s}*"),
             Scheme::Unbounded => "SU".into(),
-            Scheme::AdaptiveQuantum { min, max } => format!("A{min}-{max}"),
-            Scheme::Adaptive { budget } => format!("A{budget}"),
         }
     }
 
@@ -245,15 +196,6 @@ impl Persist for Scheme {
                 w.put_u64(s);
             }
             Scheme::Unbounded => w.put_u8(5),
-            Scheme::AdaptiveQuantum { min, max } => {
-                w.put_u8(6);
-                w.put_u64(min);
-                w.put_u64(max);
-            }
-            Scheme::Adaptive { budget } => {
-                w.put_u8(7);
-                w.put_u64(budget);
-            }
         }
     }
     fn load(r: &mut Reader<'_>) -> Result<Self, SnapError> {
@@ -264,8 +206,6 @@ impl Persist for Scheme {
             3 => Scheme::BoundedSlack(r.get_u64()?),
             4 => Scheme::OldestFirstBounded(r.get_u64()?),
             5 => Scheme::Unbounded,
-            6 => Scheme::AdaptiveQuantum { min: r.get_u64()?, max: r.get_u64()? },
-            7 => Scheme::Adaptive { budget: r.get_u64()? },
             t => return Err(SnapError::Corrupt(format!("scheme tag {t}"))),
         };
         if !scheme.is_valid() {
@@ -284,8 +224,7 @@ impl fmt::Display for Scheme {
 /// Why a scheme string failed to parse. Degenerate-but-well-formed
 /// parameters ([`SchemeParseError::Degenerate`]) are rejected here, at
 /// parse time, so a `Scheme` in the running system is valid by
-/// construction — `Q0` or `S0` would freeze every window and `A10-5` has
-/// an empty adaptation range.
+/// construction — `Q0` or `S0` would freeze every window.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum SchemeParseError {
     /// The leading letter is not one of the Figure-8 scheme forms.
@@ -293,8 +232,7 @@ pub enum SchemeParseError {
     /// The numeric parameter is missing or not a number.
     BadParameter(String),
     /// Well-formed, but the parameter admits no progress (zero
-    /// quantum/lookahead/slack/budget, or an adaptive range with
-    /// `min > max` or `min = 0`). The payload is the parsed-but-rejected
+    /// quantum/lookahead/slack). The payload is the parsed-but-rejected
     /// scheme.
     Degenerate(Scheme),
 }
@@ -316,8 +254,7 @@ impl std::error::Error for SchemeParseError {}
 impl FromStr for Scheme {
     type Err = SchemeParseError;
 
-    /// Parse the Figure-8 notation: `CC`, `Q10`, `L10`, `S9`, `S9*`, `SU`,
-    /// `A10-1000` (adaptive quantum), `A100` (closed-loop slack budget).
+    /// Parse the Figure-8 notation: `CC`, `Q10`, `L10`, `S9`, `S9*`, `SU`.
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         let s = s.trim();
         match s {
@@ -342,12 +279,6 @@ impl FromStr for Scheme {
                     Scheme::BoundedSlack(parse_n(rest)?)
                 }
             }
-            "A" | "a" => match rest.split_once('-') {
-                // `Amin-max`: the traffic-driven adaptive quantum.
-                Some((lo, hi)) => Scheme::AdaptiveQuantum { min: parse_n(lo)?, max: parse_n(hi)? },
-                // `Ab`: the closed-loop slack controller with budget `b`.
-                None => Scheme::Adaptive { budget: parse_n(rest)? },
-            },
             _ => return Err(SchemeParseError::UnknownScheme(s.to_string())),
         };
         if !scheme.is_valid() {
@@ -385,14 +316,16 @@ mod tests {
         assert_eq!(Scheme::Lookahead(10).slack_bound(), Some(10));
         assert_eq!(Scheme::BoundedSlack(9).slack_bound(), Some(9));
         assert_eq!(Scheme::OldestFirstBounded(9).slack_bound(), Some(9));
-        assert_eq!(Scheme::AdaptiveQuantum { min: 10, max: 1000 }.slack_bound(), Some(1000));
-        assert_eq!(Scheme::Adaptive { budget: 64 }.slack_bound(), Some(64));
         assert_eq!(Scheme::Unbounded.slack_bound(), None);
     }
 
     #[test]
     fn windows_are_monotone() {
-        for scheme in Scheme::paper_suite(10) {
+        // Parameters near `u64::MAX` arrive from scheme strings and
+        // snapshots; their windows must saturate, not wrap.
+        let huge = ["S18446744073709551615", "S18446744073709551615*", "L18446744073709551610"]
+            .map(|s| s.parse::<Scheme>().unwrap());
+        for scheme in Scheme::paper_suite(10).into_iter().chain(huge) {
             let mut prev = 0;
             for g in 0..200 {
                 let w = scheme.window(g);
@@ -411,26 +344,6 @@ mod tests {
         assert_eq!(Scheme::BoundedSlack(9).ordering(), EventOrdering::Eager);
         assert_eq!(Scheme::OldestFirstBounded(9).ordering(), EventOrdering::TimestampOrdered);
         assert_eq!(Scheme::Unbounded.ordering(), EventOrdering::Eager);
-        assert_eq!(Scheme::Adaptive { budget: 16 }.ordering(), EventOrdering::Eager);
-    }
-
-    #[test]
-    fn adaptive_budget_semantics() {
-        let a = Scheme::Adaptive { budget: 16 };
-        // The scheme-level window is the loosest sound one; the engine's
-        // controller only ever tightens below it.
-        assert_eq!(a.window(0), 16);
-        assert_eq!(a.window(100), 116);
-        assert!(!a.is_conservative());
-        assert_eq!(a.batch_cap(), 16);
-        assert_eq!(Scheme::Adaptive { budget: 1000 }.batch_cap(), 64);
-        assert_eq!(a.short_name(), "A16");
-        // Persist round trip through the tagged encoding.
-        let mut w = sk_snap::Writer::new();
-        a.save(&mut w);
-        let bytes = w.into_bytes();
-        let mut r = sk_snap::Reader::new(&bytes);
-        assert_eq!(Scheme::load(&mut r).unwrap(), a);
     }
 
     #[test]
@@ -447,17 +360,12 @@ mod tests {
         for s in Scheme::paper_suite(10) {
             assert_eq!(s.short_name().parse::<Scheme>().unwrap(), s);
         }
-        let a = Scheme::AdaptiveQuantum { min: 10, max: 1000 };
-        assert_eq!(a.short_name().parse::<Scheme>().unwrap(), a);
-        let b = Scheme::Adaptive { budget: 100 };
-        assert_eq!(b.short_name().parse::<Scheme>().unwrap(), b);
         assert!("X5".parse::<Scheme>().is_err());
         assert!("Sx".parse::<Scheme>().is_err());
         // Degenerate parameters are rejected, not deadlocked on.
         assert!("Q0".parse::<Scheme>().is_err());
         assert!("S0".parse::<Scheme>().is_err());
         assert!("L0".parse::<Scheme>().is_err());
-        assert!("A10-5".parse::<Scheme>().is_err());
     }
 
     #[test]
@@ -467,31 +375,16 @@ mod tests {
         assert_eq!("".parse::<Scheme>(), Err(UnknownScheme("".into())));
         assert_eq!("Sx".parse::<Scheme>(), Err(BadParameter("Sx".into())));
         assert_eq!("Q".parse::<Scheme>(), Err(BadParameter("Q".into())));
-        // A bare `A<n>` is the closed-loop budget form, not a missing range.
-        assert_eq!("A100".parse::<Scheme>(), Ok(Scheme::Adaptive { budget: 100 }));
-        assert_eq!("A".parse::<Scheme>(), Err(BadParameter("A".into())));
-        assert_eq!("Aten".parse::<Scheme>(), Err(BadParameter("Aten".into())));
-        assert_eq!("Aten-5".parse::<Scheme>(), Err(BadParameter("Aten-5".into())));
+        // `A…` names no scheme: rejected, not mis-parsed as another one.
+        for a in ["A16", "A10-100", "A0"] {
+            assert_eq!(a.parse::<Scheme>(), Err(UnknownScheme(a.into())));
+        }
         // Every zero-window parameterization comes back as Degenerate with
         // the offending scheme attached — callers can report precisely.
         assert_eq!("Q0".parse::<Scheme>(), Err(Degenerate(Scheme::Quantum(0))));
         assert_eq!("S0".parse::<Scheme>(), Err(Degenerate(Scheme::BoundedSlack(0))));
         assert_eq!("S0*".parse::<Scheme>(), Err(Degenerate(Scheme::OldestFirstBounded(0))));
         assert_eq!("L0".parse::<Scheme>(), Err(Degenerate(Scheme::Lookahead(0))));
-        assert_eq!(
-            "A0-100".parse::<Scheme>(),
-            Err(Degenerate(Scheme::AdaptiveQuantum { min: 0, max: 100 }))
-        );
-        assert_eq!(
-            "A10-5".parse::<Scheme>(),
-            Err(Degenerate(Scheme::AdaptiveQuantum { min: 10, max: 5 }))
-        );
-        // A zero budget would freeze every window: typed rejection.
-        assert_eq!("A0".parse::<Scheme>(), Err(Degenerate(Scheme::Adaptive { budget: 0 })));
-        assert_eq!(
-            Degenerate(Scheme::Adaptive { budget: 0 }).to_string(),
-            "degenerate scheme parameter 'A0': window admits no progress"
-        );
         // A multi-byte first character must not panic the parser.
         assert_eq!("é10".parse::<Scheme>(), Err(UnknownScheme("é10".into())));
         // Errors render as readable one-liners for the CLI.

@@ -131,21 +131,9 @@ pub struct EngineStats {
     pub events_processed: u64,
     /// Largest observed `local - global` over the run.
     pub max_observed_slack: u64,
-    /// Quantum chosen by the adaptive controller at the end (adaptive
-    /// quantum scheme only).
-    pub final_quantum: u64,
     /// Slack-profile samples dropped after the recording cap filled
     /// (`record_trace` runs only; 0 means the profile is complete).
     pub slack_profile_truncated: u64,
-    /// Control epochs decided by the closed-loop slack controller
-    /// (`Scheme::Adaptive` only).
-    pub adapt_epochs: u64,
-    /// Window-raise decisions by the controller.
-    pub adapt_raises: u64,
-    /// Window-lower decisions by the controller.
-    pub adapt_lowers: u64,
-    /// Effective slack window the controller last granted.
-    pub adapt_final_window: u64,
 }
 
 impl Persist for EngineStats {
@@ -155,12 +143,7 @@ impl Persist for EngineStats {
         w.put_u64(self.global_updates);
         w.put_u64(self.events_processed);
         w.put_u64(self.max_observed_slack);
-        w.put_u64(self.final_quantum);
         w.put_u64(self.slack_profile_truncated);
-        w.put_u64(self.adapt_epochs);
-        w.put_u64(self.adapt_raises);
-        w.put_u64(self.adapt_lowers);
-        w.put_u64(self.adapt_final_window);
     }
     fn load(r: &mut Reader<'_>) -> Result<Self, SnapError> {
         Ok(EngineStats {
@@ -169,12 +152,7 @@ impl Persist for EngineStats {
             global_updates: r.get_u64()?,
             events_processed: r.get_u64()?,
             max_observed_slack: r.get_u64()?,
-            final_quantum: r.get_u64()?,
             slack_profile_truncated: r.get_u64()?,
-            adapt_epochs: r.get_u64()?,
-            adapt_raises: r.get_u64()?,
-            adapt_lowers: r.get_u64()?,
-            adapt_final_window: r.get_u64()?,
         })
     }
 }

@@ -10,9 +10,7 @@
 //! * replies through the per-core InQs;
 //! * applies the active scheme's event-ordering discipline: eager
 //!   (arrival order), timestamp-ordered with a `ts ≤ global` horizon, or
-//!   at-barrier (quantum multiples);
-//! * computes each core's window (max local time), including the adaptive
-//!   quantum controller extension.
+//!   at-barrier (quantum multiples).
 
 use crate::clock::ClockBoard;
 use crate::config::TargetConfig;
@@ -41,16 +39,6 @@ impl PartialOrd for OrderedEv {
     }
 }
 
-/// Adaptive-quantum controller state (extension, after Falcón et al. [8]).
-#[derive(Clone, Copy, Debug)]
-struct Adaptive {
-    min: u64,
-    max: u64,
-    quantum: u64,
-    next_boundary: u64,
-    traffic_mark: u64,
-}
-
 /// The simulation manager state machine.
 pub struct Uncore {
     scheme: Scheme,
@@ -74,7 +62,6 @@ pub struct Uncore {
     exited: Vec<bool>,
     sync_latency: u64,
     spawn_latency: u64,
-    adaptive: Option<Adaptive>,
     /// OutQ events consumed.
     pub events_processed: u64,
     /// Global time at which the region of interest began, if it has.
@@ -103,12 +90,6 @@ impl Uncore {
         assert_eq!(inqs.len(), n);
         let mut started = vec![false; n];
         started[0] = true; // the initial workload thread runs on core 0
-        let adaptive = match scheme {
-            Scheme::AdaptiveQuantum { min, max } => {
-                Some(Adaptive { min, max, quantum: min, next_boundary: min, traffic_mark: 0 })
-            }
-            _ => None,
-        };
         Uncore {
             scheme,
             dir: Directory::new(n, cfg.mem),
@@ -123,7 +104,6 @@ impl Uncore {
             exited: vec![false; n],
             sync_latency: cfg.mem.critical_latency(),
             spawn_latency: cfg.mem.critical_latency(),
-            adaptive,
             events_processed: 0,
             roi_start: None,
             obs: None,
@@ -227,12 +207,8 @@ impl Uncore {
             EventOrdering::Eager => None,
             EventOrdering::TimestampOrdered => Some(g),
             EventOrdering::AtBarrier => {
-                let q = match self.adaptive {
-                    Some(a) => a.quantum,
-                    None => match self.scheme {
-                        Scheme::Quantum(q) => q,
-                        _ => unreachable!("AtBarrier implies a quantum"),
-                    },
+                let Scheme::Quantum(q) = self.scheme else {
+                    unreachable!("AtBarrier implies a quantum")
                 };
                 // The last completed barrier; events inside the current
                 // quantum wait ("requests are not globally visible until
@@ -243,7 +219,7 @@ impl Uncore {
     }
 
     /// Process queued events up to the horizon for global time `g`, in
-    /// (ts, core, seq) order. Also steps the adaptive-quantum controller.
+    /// (ts, core, seq) order.
     pub fn process_ready(&mut self, g: u64) {
         if let Some(h) = self.horizon(g) {
             while let Some(&Reverse(OrderedEv(ge))) = self.ordered.peek() {
@@ -252,21 +228,6 @@ impl Uncore {
                 }
                 self.ordered.pop();
                 self.process_event(ge);
-            }
-        }
-        if let Some(mut a) = self.adaptive {
-            if g >= a.next_boundary {
-                // Re-tune the quantum by coherence traffic in the last one:
-                // sharing-heavy phases need fine-grain sync; idle phases
-                // can run long quanta.
-                let traffic = self.dir.stats.invalidations_out + self.dir.stats.downgrades_out;
-                // saturating: an ROI begin may have reset the counters.
-                let delta = traffic.saturating_sub(a.traffic_mark);
-                a.traffic_mark = traffic;
-                a.quantum =
-                    if delta > 0 { (a.quantum / 2).max(a.min) } else { (a.quantum * 2).min(a.max) };
-                a.next_boundary = g.saturating_add(a.quantum);
-                self.adaptive = Some(a);
             }
         }
     }
@@ -283,24 +244,6 @@ impl Uncore {
             }
             self.ordered.pop();
             self.process_event(ge);
-        }
-    }
-
-    /// The max-local window each core may run to when the global time is
-    /// `g`.
-    pub fn window(&self, g: u64) -> u64 {
-        match self.adaptive {
-            Some(a) => a.next_boundary.max(g + 1),
-            None => self.scheme.window(g),
-        }
-    }
-
-    /// Current adaptive quantum (for stats; the static quantum otherwise).
-    pub fn current_quantum(&self) -> u64 {
-        match (self.adaptive, self.scheme) {
-            (Some(a), _) => a.quantum,
-            (None, Scheme::Quantum(q)) => q,
-            _ => 0,
         }
     }
 
@@ -458,17 +401,6 @@ impl Uncore {
         gq.save(w);
         self.sync.save(w);
         self.dir.save(w);
-        match self.adaptive {
-            None => w.put_bool(false),
-            Some(a) => {
-                w.put_bool(true);
-                w.put_u64(a.min);
-                w.put_u64(a.max);
-                w.put_u64(a.quantum);
-                w.put_u64(a.next_boundary);
-                w.put_u64(a.traffic_mark);
-            }
-        }
         w.put_u64(self.events_processed);
         self.roi_start.save(w);
     }
@@ -499,25 +431,6 @@ impl Uncore {
         }
         self.sync = SyncTable::load(r)?;
         self.dir = Directory::load(r)?;
-        let saved_adaptive = if r.get_bool()? {
-            Some(Adaptive {
-                min: r.get_u64()?,
-                max: r.get_u64()?,
-                quantum: r.get_u64()?,
-                next_boundary: r.get_u64()?,
-                traffic_mark: r.get_u64()?,
-            })
-        } else {
-            None
-        };
-        // The controller state transfers only onto the same adaptive
-        // scheme; a fork onto a different scheme keeps its fresh
-        // controller (or none).
-        if let (Some(cur), Some(saved)) = (self.adaptive, saved_adaptive) {
-            if cur.min == saved.min && cur.max == saved.max {
-                self.adaptive = Some(saved);
-            }
-        }
         self.events_processed = r.get_u64()?;
         self.roi_start = Option::<u64>::load(r)?;
         Ok(())

@@ -18,7 +18,7 @@
 //!   across every seed, and equal to CC when the parameter is at the
 //!   critical latency), but micro-counters such as stall/idle cycles
 //!   legitimately vary with the schedule.
-//! * **Any bounded window `w`** (Q*w*, L*w*, S*w*, S*w**, A*min*-*max*)
+//! * **Any bounded window `w`** (Q*w*, L*w*, S*w*, S*w**)
 //!   caps the damage on racy workloads: no recorded access-order
 //!   inversion may exceed `w` simulated cycles. SU is the unbounded
 //!   control — its inversions routinely blow far past any window.
@@ -52,8 +52,6 @@ fn scheme_matrix() -> Vec<Scheme> {
         Scheme::BoundedSlack(10),
         Scheme::OldestFirstBounded(10),
         Scheme::Unbounded,
-        Scheme::AdaptiveQuantum { min: 10, max: 1000 },
-        Scheme::Adaptive { budget: 16 },
     ]
 }
 
@@ -66,8 +64,6 @@ fn bounded_schemes() -> Vec<(Scheme, u64)> {
         (Scheme::Lookahead(10), 10),
         (Scheme::BoundedSlack(10), 10),
         (Scheme::OldestFirstBounded(10), 10),
-        (Scheme::AdaptiveQuantum { min: 10, max: 1000 }, 1000),
-        (Scheme::Adaptive { budget: 16 }, 16),
     ]
 }
 
@@ -265,73 +261,6 @@ fn injected_window_bug_is_caught_within_the_seed_budget() {
 }
 
 // ---------------------------------------------------------------------
-// Closed-loop adaptive controller (`Scheme::Adaptive`) determinism.
-// ---------------------------------------------------------------------
-
-const ADAPTIVE: Scheme = Scheme::Adaptive { budget: 16 };
-
-/// One deterministic adaptive run: report, pick count, decision hash
-/// (which covers every controller decision via `note_decision`), and the
-/// window trajectory.
-fn adaptive_run(w: &Workload, n: usize, seed: u64) -> (SimReport, u64, u64, Vec<(u64, u64)>) {
-    let mut det = DetEngine::new(&w.program, ADAPTIVE, &tracking_cfg(n), seed);
-    det.run();
-    let picks = det.picks();
-    let hash = det.decision_hash();
-    let traj = det.engine_mut().adapt_trajectory().expect("adaptive engine").to_vec();
-    (det.into_report(), picks, hash, traj)
-}
-
-/// det≡det for the adaptive scheme: same seed ⇒ bit-identical run,
-/// including the decision hash (task order *and* controller decisions)
-/// and the exact window trajectory — across the full seed budget.
-#[test]
-fn adaptive_det_is_bit_identical_per_seed() {
-    let w = micro::racy_increment(3, 30);
-    for seed in SEEDS {
-        let (ra, pa, ha, ta) = adaptive_run(&w, 3, seed);
-        let (rb, pb, hb, tb) = adaptive_run(&w, 3, seed);
-        assert_eq!(pa, pb, "seed {seed}: pick counts diverged");
-        assert_eq!(ha, hb, "seed {seed}: adaptive schedules diverged");
-        assert_eq!(ta, tb, "seed {seed}: window trajectories diverged");
-        assert_eq!(ra.fingerprint(), rb.fingerprint(), "seed {seed}: reports diverged");
-        assert!(!ta.is_empty(), "seed {seed}: the controller never decided");
-        assert!(
-            ta.iter().all(|&(_, win)| (1..=16).contains(&win)),
-            "seed {seed}: a granted window escaped [1, budget]"
-        );
-        assert!(
-            ra.violations.max_inversion_cycles <= 16,
-            "seed {seed}: inversion {} exceeds the declared budget",
-            ra.violations.max_inversion_cycles
-        );
-    }
-}
-
-/// A recorded adaptive schedule replays bit-exactly under a different
-/// seed: the log drives the picks, the controller re-derives the same
-/// decisions, and the decision hash proves the trajectory matched.
-#[test]
-fn adaptive_recorded_schedule_replays_trajectory_exactly() {
-    let w = micro::racy_increment(3, 30);
-    let c = tracking_cfg(3);
-    let mut a = DetEngine::new(&w.program, ADAPTIVE, &c, SEEDS[5]);
-    a.record_schedule();
-    a.run();
-    let log = a.recorded_schedule().unwrap().to_vec();
-    let hash = a.decision_hash();
-    let traj = a.engine_mut().adapt_trajectory().unwrap().to_vec();
-    let fp = a.into_report().fingerprint();
-
-    let mut b = DetEngine::new(&w.program, ADAPTIVE, &c, 424242);
-    b.replay(log);
-    b.run();
-    assert_eq!(b.decision_hash(), hash, "replay took a different schedule or trajectory");
-    assert_eq!(b.engine_mut().adapt_trajectory().unwrap(), &traj[..]);
-    assert_eq!(b.into_report().fingerprint(), fp);
-}
-
-// ---------------------------------------------------------------------
 // Sharded clock domains (cfg.mem_shards > 0): the conformance ladder
 // must survive partitioning the manager.
 // ---------------------------------------------------------------------
@@ -408,14 +337,14 @@ fn many_core_cc_sharded_is_bit_identical_to_single_manager() {
 }
 
 /// 64-core functional coverage of the non-CC scheme classes across shard
-/// counts: bounded, adaptive and unbounded schemes all complete with the
-/// right output under shards ∈ {0, 4, 8}.
+/// counts: bounded and unbounded schemes both complete with the right
+/// output under shards ∈ {0, 4, 8}.
 #[test]
 fn many_core_schemes_complete_across_shard_counts() {
     let w = micro::lock_sweep(64, 1);
     let mut base = TargetConfig::many_core(64);
     base.max_cycles = 20_000_000;
-    for scheme in [Scheme::BoundedSlack(10), Scheme::Adaptive { budget: 16 }, Scheme::Unbounded] {
+    for scheme in [Scheme::BoundedSlack(10), Scheme::Unbounded] {
         for shards in [0usize, 4, 8] {
             let mut c = base;
             c.mem_shards = shards;
@@ -459,32 +388,6 @@ fn corpus_note(r: &SimReport) -> String {
     )
 }
 
-/// FNV-1a digest over the controller's (global, window) decision pairs —
-/// a compact fingerprint of the whole window trajectory.
-fn traj_digest(traj: &[(u64, u64)]) -> u64 {
-    let mut h = sk_snap::hash::Fnv64::new();
-    for &(g, win) in traj {
-        h.write_u64(g);
-        h.write_u64(win);
-    }
-    h.value()
-}
-
-/// Adaptive corpus notes additionally pin the controller's epoch count,
-/// final window, and the exact trajectory digest: a committed seed must
-/// replay to the identical control sequence, not just equal violations.
-fn adaptive_corpus_note(r: &SimReport, traj: &[(u64, u64)]) -> String {
-    format!(
-        "violations={} max_inversion={} epochs={} final_window={} traj=0x{:016x} \
-         corpus=adaptive-v1",
-        r.violations.total(),
-        r.violations.max_inversion_cycles,
-        r.engine.adapt_epochs,
-        r.engine.adapt_final_window,
-        traj_digest(traj)
-    )
-}
-
 /// Every schedule file committed under `tests/schedules/` replays to the
 /// exact violation counts recorded in its note — the determinism
 /// contract that makes a dumped seed a usable bug report.
@@ -507,15 +410,10 @@ fn seed_corpus_replays_bit_exactly() {
         let w = corpus_kernel(&sched.kernel, sched.n_cores);
         let mut det = DetEngine::new(&w.program, scheme, &tracking_cfg(sched.n_cores), sched.seed);
         det.run();
-        let traj = det.engine_mut().adapt_trajectory().map(|t| t.to_vec());
         let r = det.into_report();
         assert_eq!(printed_values(&r), w.expected, "{}: wrong output", path.display());
-        let got = match &traj {
-            Some(t) if sched.note.contains("corpus=adaptive-v1") => adaptive_corpus_note(&r, t),
-            _ => corpus_note(&r),
-        };
         assert_eq!(
-            got,
+            corpus_note(&r),
             sched.note,
             "{}: replay does not reproduce the recorded run",
             path.display()
@@ -533,28 +431,24 @@ fn seed_corpus_replays_bit_exactly() {
 fn regen_seed_corpus() {
     let dir = schedules_dir();
     std::fs::create_dir_all(&dir).unwrap();
-    // One violating seed per racy scheme on the racy kernel, a
-    // conservative control that must stay clean, and adaptive seeds that
-    // pin the controller's exact window trajectory.
+    // One violating seed per racy scheme on the racy kernel, and a
+    // conservative control that must stay clean.
     // `None` seeds are resolved below: scan the seed budget for the first
     // schedule that actually records a violation, so the committed corpus
     // holds *violating* seeds for the irregular kernels (their values are
     // sync-pinned; only timestamp inversions show the slack).
-    let picks: [(&str, Scheme, Option<u64>, usize); 10] = [
+    let picks: [(&str, Scheme, Option<u64>, usize); 7] = [
         ("racy_increment", Scheme::BoundedSlack(10), Some(SEEDS[1]), 3),
         ("racy_increment", Scheme::Unbounded, Some(SEEDS[0]), 3),
         ("false_sharing", Scheme::BoundedSlack(10), Some(SEEDS[2]), 3),
         ("lock_sweep", Scheme::CycleByCycle, Some(SEEDS[3]), 3),
-        ("racy_increment", ADAPTIVE, Some(SEEDS[5]), 3),
-        ("lock_sweep", ADAPTIVE, Some(SEEDS[2]), 3),
         // Irregular family: SU/S100 seeds genuinely invert (the sync path
         // pins values, so only wide windows let timestamps skew past a
-        // conflicting access); the S10/A16 picks are clean controls whose
-        // zero-violation notes are themselves replay assertions.
+        // conflicting access); the S10 pick is a clean control whose
+        // zero-violation note is itself a replay assertion.
         ("pipeline", Scheme::BoundedSlack(10), None, 4),
         ("mailbox_actors", Scheme::Unbounded, None, 4),
         ("work_steal", Scheme::BoundedSlack(100), None, 4),
-        ("treiber_stack", ADAPTIVE, None, 4),
     ];
     for (kernel, scheme, seed, n) in picks {
         let w = corpus_kernel(kernel, n);
@@ -569,14 +463,10 @@ fn regen_seed_corpus() {
             .unwrap_or(SEEDS[0]);
         let mut det = DetEngine::new(&w.program, scheme, &tracking_cfg(n), seed);
         det.run();
-        let traj = det.engine_mut().adapt_trajectory().map(|t| t.to_vec());
         let r = det.into_report();
         assert_eq!(printed_values(&r), w.expected);
         let mut sched = Schedule::new(seed, &scheme.short_name(), kernel, n);
-        sched.note = match &traj {
-            Some(t) => adaptive_corpus_note(&r, t),
-            None => corpus_note(&r),
-        };
+        sched.note = corpus_note(&r);
         let name = format!(
             "{}-{}-{}.txt",
             kernel,

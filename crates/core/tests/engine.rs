@@ -153,16 +153,6 @@ fn all_schemes_execute_workload_correctly() {
 }
 
 #[test]
-fn adaptive_quantum_scheme_runs() {
-    let n = 4;
-    let p = counter_workload(n, 5);
-    let cfg = small_cfg(n, CoreModel::InOrder);
-    let r = run_parallel(&p, Scheme::AdaptiveQuantum { min: 10, max: 1000 }, &cfg);
-    assert_eq!(r.printed(), vec![(0, expected_total(n, 5))]);
-    assert!(r.engine.final_quantum >= 10);
-}
-
-#[test]
 fn conservative_schemes_match_cc_exec_time() {
     // Q10, L10 and S9* are conservative: with quantum/lookahead at the
     // critical latency they must report the same execution time as CC.

@@ -141,29 +141,6 @@ impl Interleaver {
         }
         c
     }
-
-    /// Fold a non-pick decision (e.g. an adaptive-controller window) into
-    /// the schedule stream: hashed under a marker arity no real pick can
-    /// have (`u64::MAX`), appended to a recording log, and *consumed but
-    /// ignored* during replay so the pick positions stay aligned. A
-    /// replayed run re-derives the decision itself and notes the live
-    /// value — equal `decision_hash` therefore proves the controller
-    /// trajectory matched, not just the task ordering.
-    pub fn note_decision(&mut self, word: u64) {
-        let idx = self.picks;
-        self.picks += 1;
-        if let Some((log, pos)) = self.replay.as_mut() {
-            if *pos < log.len() {
-                *pos += 1;
-            }
-        }
-        for w in [idx, u64::MAX, word] {
-            self.decision_hash.write_u64(w);
-        }
-        if let Some(log) = self.log.as_mut() {
-            log.push(word as u32);
-        }
-    }
 }
 
 impl std::fmt::Debug for Interleaver {
@@ -257,35 +234,6 @@ mod tests {
         let mut b = Interleaver::from_seed(7);
         b.replay(vec![5]);
         assert_eq!(b.pick(3), 2); // 5 % 3
-    }
-
-    #[test]
-    fn noted_decisions_hash_and_keep_replay_aligned() {
-        let mut a = Interleaver::from_seed(11);
-        a.record();
-        let p0 = a.pick(4);
-        a.note_decision(16);
-        let p1 = a.pick(4);
-        let log = a.recorded().unwrap().to_vec();
-        assert_eq!(log.len(), 3, "notes are logged alongside picks");
-
-        // Replay with the same re-derived decision: picks line up and the
-        // hash matches.
-        let mut b = Interleaver::from_seed(999);
-        b.replay(log.clone());
-        assert_eq!(b.pick(4), p0);
-        b.note_decision(16);
-        assert_eq!(b.pick(4), p1);
-        assert_eq!(b.decision_hash(), a.decision_hash());
-
-        // A diverging decision value changes the hash even though the
-        // pick sequence is identical.
-        let mut c = Interleaver::from_seed(999);
-        c.replay(log);
-        assert_eq!(c.pick(4), p0);
-        c.note_decision(8);
-        assert_eq!(c.pick(4), p1);
-        assert_ne!(c.decision_hash(), a.decision_hash());
     }
 
     #[test]

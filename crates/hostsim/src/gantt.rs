@@ -47,11 +47,6 @@ fn required_global(scheme: Scheme, c: u64) -> u64 {
         Scheme::Lookahead(l) => c.saturating_sub(l),
         Scheme::BoundedSlack(s) | Scheme::OldestFirstBounded(s) => c.saturating_sub(s),
         Scheme::Unbounded => 0,
-        Scheme::AdaptiveQuantum { min, .. } => ((c - 1) / min) * min,
-        // The analytic model has no controller; use the loosest grant
-        // (window = budget), which is also its steady state on a
-        // violation-free trace.
-        Scheme::Adaptive { budget } => c.saturating_sub(budget),
     }
 }
 

@@ -232,16 +232,6 @@ pub struct ManagerObs {
     pub events_ingested: Counter,
     /// High-water occupancy per inbound (uncore -> core) ring.
     pub inq_high_water: Vec<Counter>,
-    /// Window-raise decisions by the closed-loop slack controller
-    /// (`Scheme::Adaptive` only; all four stay zero otherwise).
-    pub adapt_raise: Counter,
-    /// Window-lower decisions by the controller.
-    pub adapt_lower: Counter,
-    /// Hold decisions by the controller.
-    pub adapt_hold: Counter,
-    /// Effective slack window granted after each controller decision —
-    /// the window trajectory as a histogram.
-    pub adapt_window: Histogram,
     /// Wall-clock nanoseconds the coordinator spent inside manager
     /// iterations (drains, window computation, sync resolution). Divided
     /// by run wall time this is the **manager occupancy** — the scaleout
@@ -275,10 +265,6 @@ impl Persist for ManagerObs {
         self.iterations.save(w);
         self.events_ingested.save(w);
         self.inq_high_water.save(w);
-        self.adapt_raise.save(w);
-        self.adapt_lower.save(w);
-        self.adapt_hold.save(w);
-        self.adapt_window.save(w);
         self.busy_ns.save(w);
         self.frontier_wait_ns.save(w);
     }
@@ -294,10 +280,6 @@ impl Persist for ManagerObs {
             picks_elided: Counter::new(),
             events_ingested: Counter::load(r)?,
             inq_high_water: Vec::<Counter>::load(r)?,
-            adapt_raise: Counter::load(r)?,
-            adapt_lower: Counter::load(r)?,
-            adapt_hold: Counter::load(r)?,
-            adapt_window: Histogram::load(r)?,
             busy_ns: Counter::load(r)?,
             frontier_wait_ns: Counter::load(r)?,
         })
@@ -486,14 +468,15 @@ impl Persist for Metrics {
 }
 
 /// Current metrics-dump schema version.
-pub const METRICS_SCHEMA_VERSION: u32 = 1;
+pub const METRICS_SCHEMA_VERSION: u32 = 2;
 
-/// The metrics dump, schema `sk-obs-metrics` version 1:
+/// The metrics dump, schema `sk-obs-metrics` version 2 (version 1 also
+/// carried the manager's `adapt_*` controller counters and histogram):
 ///
 /// ```json
 /// {
 ///   "schema": "sk-obs-metrics",
-///   "version": 1,
+///   "version": 2,
 ///   "n_cores": 4,
 ///   "cores": [
 ///     {
@@ -511,12 +494,10 @@ pub const METRICS_SCHEMA_VERSION: u32 = 1;
 ///   ],
 ///   "manager": {
 ///     "counters": { "iterations": 9, "picks_elided": 4, "events_ingested": 456,
-///                   "adapt_raise": 4, "adapt_lower": 1, "adapt_hold": 2,
 ///                   "busy_ns": 77000, "frontier_wait_ns": 0 },
 ///     "inq_high_water": [3, 1, 0, 2],
 ///     "hist": { "drain_batch": H, "backoff_us": H, "slack": H,
-///               "barrier_wait": H, "lock_wait": H, "shard_batch": H,
-///               "adapt_window": H }
+///               "barrier_wait": H, "lock_wait": H, "shard_batch": H }
 ///   },
 ///   "shards": [
 ///     { "id": 0,
@@ -578,9 +559,6 @@ impl From<&Metrics> for Json {
                     ("iterations", &mg.iterations),
                     ("picks_elided", &mg.picks_elided),
                     ("events_ingested", &mg.events_ingested),
-                    ("adapt_raise", &mg.adapt_raise),
-                    ("adapt_lower", &mg.adapt_lower),
-                    ("adapt_hold", &mg.adapt_hold),
                     ("busy_ns", &mg.busy_ns),
                     ("frontier_wait_ns", &mg.frontier_wait_ns),
                 ]),
@@ -595,7 +573,6 @@ impl From<&Metrics> for Json {
                     ("barrier_wait", &mg.barrier_wait),
                     ("lock_wait", &mg.lock_wait),
                     ("shard_batch", &mg.shard_batch),
-                    ("adapt_window", &mg.adapt_window),
                 ]),
             ),
         ]);

@@ -29,7 +29,6 @@ fn golden_hub() -> Metrics {
     m.manager.busy_ns.add(77_000);
     m.manager.inq_high_water[1].raise_to(3);
     m.manager.drain_batch.record_n(2, 5);
-    m.manager.adapt_window.record(32);
     m.shards[0].events.add(7);
     m.shards[0].iterations.add(2);
     m.shards[0].frontier_lag.record(12);

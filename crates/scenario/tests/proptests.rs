@@ -20,8 +20,6 @@ fn arb_scheme() -> BoxedStrategy<Scheme> {
         (1u64..500).prop_map(Scheme::BoundedSlack),
         (1u64..500).prop_map(Scheme::OldestFirstBounded),
         Just(Scheme::Unbounded),
-        (1u64..50, 0u64..500).prop_map(|(min, d)| Scheme::AdaptiveQuantum { min, max: min + d }),
-        (1u64..500).prop_map(|budget| Scheme::Adaptive { budget }),
     ]
     .boxed()
 }

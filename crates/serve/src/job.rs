@@ -520,6 +520,7 @@ mod tests {
         assert!(spec(r#"{"bench":"FFT","cores":999}"#).is_err());
         assert!(spec(r#"{"bench":"FFT","schemes":[]}"#).is_err());
         assert!(spec(r#"{"bench":"FFT","schemes":["XYZ"]}"#).is_err(), "scheme parse error");
+        assert!(spec(r#"{"bench":"FFT","schemes":["A16"]}"#).is_err(), "no adaptive scheme");
         assert!(spec(r#"{"bench":"FFT","priority":99}"#).is_err());
         assert!(spec(r#"{"bench":"FFT","scale":"galactic"}"#).is_err());
         assert!(JobSpec::from_json(&parse(r#"{"bench":"FFT"}"#).unwrap(), "").is_err());

@@ -75,7 +75,6 @@ fn concurrent_forks_match_cold_references() {
         "S9*".parse::<Scheme>().unwrap(),
         "SU".parse::<Scheme>().unwrap(),
         "L200".parse::<Scheme>().unwrap(),
-        "A16".parse::<Scheme>().unwrap(),
     ];
 
     // Sequential references, one per scheme.
@@ -116,32 +115,4 @@ fn concurrent_forks_match_cold_references() {
         "CC forked from the warmup snapshot must equal a from-scratch CC run"
     );
     assert_eq!(cc_reference.printed(), scratch.printed());
-}
-
-/// A cached warm-start snapshot forks onto the closed-loop adaptive
-/// scheme like any other: the fork starts a fresh controller (the CC
-/// snapshot carries none), the control loop runs from the fork point,
-/// and the workload output stays correct. (Budget enforcement under the
-/// violation oracle is covered by sk-core's conformance suite.)
-#[test]
-fn cached_snapshot_forks_onto_adaptive() {
-    let spec =
-        JobSpec::from_json(&json::parse(r#"{"bench":"lock_sweep","cores":2}"#).unwrap(), "t")
-            .unwrap();
-    let (snapshot, cfg, expected) = probe_snapshot(&spec);
-    let w = spec.workload().unwrap();
-    let cache = SnapCache::new(4);
-    let key = spec.snapshot_key(&w.program, &cfg);
-    cache.insert(key, snapshot);
-    let bytes: Arc<Vec<u8>> = cache.get(&key).expect("just inserted");
-
-    let scheme: Scheme = "A16".parse().unwrap();
-    let e = Engine::resume(&bytes, Some(scheme)).expect("fork onto adaptive");
-    assert_eq!(e.adapt_decisions(), Some((0, 8)), "fork must start a fresh controller");
-    let mut det = DetEngine::from_engine(e, DET_SEED);
-    assert_eq!(det.run_until(None), RunOutcome::Finished);
-    let r = det.into_report();
-    let printed: Vec<i64> = r.printed().into_iter().map(|(_, v)| v).collect();
-    assert_eq!(printed, expected, "adaptive fork produced wrong workload output");
-    assert!(r.engine.adapt_epochs > 0, "the controller never ran after the fork");
 }

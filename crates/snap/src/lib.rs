@@ -37,10 +37,10 @@ pub const MAGIC: [u8; 8] = *b"SKSNAP\x00\x01";
 /// v4: `TargetConfig` carries the superblock-dispatch flag and per-core
 /// telemetry gains the superblock counters (the superblock table itself
 /// is derived and rebuilt on resume, never serialized).
-/// v5: engine snapshots carry the closed-loop slack-controller state
-/// (`Scheme::Adaptive`), engine stats gain the controller decision
-/// counters, and manager telemetry gains the decision counters plus the
-/// window-trajectory histogram.
+/// v5: engine snapshots carry the closed-loop slack-controller state (the
+/// `A<b>` scheme), engine stats gain the controller decision counters, and
+/// manager telemetry gains the decision counters plus the window-trajectory
+/// histogram.
 /// v6: sharded clock domains — engine snapshots carry per-shard state
 /// (frontier, applied grant, directory shard), directory sharer sets
 /// widen to 256-core bitmaps, the interconnect serializes one occupancy
@@ -54,7 +54,12 @@ pub const MAGIC: [u8; 8] = *b"SKSNAP\x00\x01";
 /// are unbounded); the word is gone from the stream, not zeroed.
 /// v9: a shard no longer carries its applied window grant (the manager
 /// raises every window itself); the word is gone from the stream.
-pub const FORMAT_VERSION: u32 = 9;
+/// v10: the adaptive schemes are gone: scheme tags 6 and 7 are corrupt,
+/// the manager and engine no longer carry controller state (each lost
+/// its presence flag), and engine stats lose the final quantum and the
+/// four controller counters; the words are gone from the stream, not
+/// zeroed.
+pub const FORMAT_VERSION: u32 = 10;
 
 const HEADER_LEN: usize = 8 + 4 + 8;
 const CHECKSUM_LEN: usize = 8;

@@ -19,30 +19,30 @@ fn main() {
     );
     println!(
         "{:<16} {:>10} {:>10} {:>10} {:>10}",
-        "managers", "CC cycles", "CC error", "A16 error", "SU error"
+        "managers", "CC cycles", "CC error", "S16 error", "SU error"
     );
     for shards in [0usize, 2, 4] {
         cfg.mem_shards = shards;
         let cc = run_parallel(&w.program, Scheme::CycleByCycle, &cfg);
-        let ad = run_parallel(&w.program, Scheme::Adaptive { budget: 16 }, &cfg);
+        let s16 = run_parallel(&w.program, Scheme::BoundedSlack(16), &cfg);
         let su = run_parallel(&w.program, Scheme::Unbounded, &cfg);
         assert_eq!(cc.printed(), base.printed());
-        assert_eq!(ad.printed(), base.printed());
+        assert_eq!(s16.printed(), base.printed());
         assert_eq!(su.printed(), base.printed());
         println!(
             "{:<16} {:>10} {:>9.2}% {:>9.2}% {:>9.1}%",
             if shards == 0 { "1 (classic)".into() } else { format!("1 + {shards} shards") },
             cc.exec_cycles,
             100.0 * cc.exec_time_error(&base),
-            100.0 * ad.exec_time_error(&base),
+            100.0 * s16.exec_time_error(&base),
             100.0 * su.exec_time_error(&base),
         );
     }
     println!("\nConservative schemes stay deterministic under sharding (the frontier");
     println!("backpressure guarantees it; the tiny CC difference is the per-shard");
     println!("interconnect channel). Unbounded slack's host-induced error shrinks");
-    println!("as manager throughput grows, and the closed-loop A16 controller");
-    println!("holds its error near the conservative column at every shard count.");
+    println!("as manager throughput grows, while S16 bounds how far any core may");
+    println!("run ahead of global time at every shard count.");
 
     // Many-core scale-out: the same invariant at 64 cores on a
     // `many_core` target — sharded CC reproduces the single-manager run

@@ -9,9 +9,8 @@
 //! host-speed-critical and get rewritten for speed; the stream must not
 //! move when they do. The reference is a golden file captured at PR 13's
 //! commit (the always-dispatch scheduler): per run the pick count, the
-//! decision hash, the execution time, a digest of the whole report, the
-//! largest observed slack and the adaptive controller's epoch count and
-//! final window.
+//! decision hash, the execution time, a digest of the whole report and
+//! the largest observed slack.
 //!
 //! An *intended* schedule change regenerates the file with
 //! `SK_REGEN_GOLDEN=1 cargo test --test det_schedule_identity` and says so
@@ -29,7 +28,7 @@ const SEEDS: [u64; 3] = [0, 1, 7];
 const ROI_LIMIT: u64 = 3_000;
 
 fn schemes() -> Vec<Scheme> {
-    ["CC", "S10", "S10*", "S100", "SU", "Q100", "A16"]
+    ["CC", "S10", "S10*", "S100", "SU", "Q100"]
         .iter()
         .map(|s| s.parse().expect("scheme name"))
         .collect()
@@ -48,12 +47,10 @@ fn schedule_line(label: &str, mut det: DetEngine) -> (String, SimReport) {
     let (picks, hash) = (det.picks(), det.decision_hash());
     let r = det.into_report();
     let line = format!(
-        "{label} picks={picks} hash={hash:016x} cycles={} fp={:016x} slack={} adapt={}/{}\n",
+        "{label} picks={picks} hash={hash:016x} cycles={} fp={:016x} slack={}\n",
         r.exec_cycles,
         fnv1a64(&r.fingerprint()),
         r.engine.max_observed_slack,
-        r.engine.adapt_epochs,
-        r.engine.adapt_final_window,
     );
     (line, r)
 }
@@ -87,7 +84,7 @@ fn run_all(jobs: &[(String, &Workload, Scheme, TargetConfig, u64)]) -> String {
 fn schedule_stream_matches_the_pinned_scheduler() {
     // 8 cores, one manager: the paper kernels, the irregular kernels and
     // the two micro kernels under every ordering discipline (eager S/SU,
-    // timestamp-ordered CC/S*, at-barrier Q, closed-loop A).
+    // timestamp-ordered CC/S*, at-barrier Q).
     let n = 8;
     let mut suite = sk_kernels::extended_suite(n, Scale::Test);
     suite.extend(sk_kernels::irregular_suite(n, Scale::Test));

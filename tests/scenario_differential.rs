@@ -65,7 +65,6 @@ fn bounded_schemes_respect_slack_bound_and_preserve_values() {
         Scheme::OldestFirstBounded(10),
         Scheme::Quantum(10),
         Scheme::Lookahead(10),
-        Scheme::Adaptive { budget: 16 },
     ];
     for w in suite() {
         let c = cfg(w.n_threads);

@@ -169,7 +169,6 @@ fn bounded_schemes_keep_their_inversion_bound_and_the_output() {
         Scheme::BoundedSlack(100),
         Scheme::Unbounded,
         Scheme::Quantum(10),
-        Scheme::Adaptive { budget: 64 },
     ];
     for w in [kernels::fft::fft(4, 6), kernels::ocean::ocean(4, 8, 2)] {
         for (scheme, workers) in
