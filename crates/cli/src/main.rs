@@ -981,7 +981,7 @@ SERVER OPTIONS (serve):
   --workers <n>        simulation worker threads (default 2)
   --queue <n>          job-queue capacity before 429 shedding (default 32)
   --quota <n>          per-tenant in-flight job quota (default 8)
-  --cache <n>          warm-start snapshot cache entries (default 32)
+  --cache <n>          result memo entries, one per (spec, scheme) (default 1024)
 
 LOADGEN OPTIONS:
   --addr <host:port>   server to drive (required)

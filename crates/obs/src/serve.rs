@@ -7,7 +7,7 @@
 //!
 //! The dump ([`ServeObs::to_json`], schema `sk-serve-metrics` version 1)
 //! is separate from the per-job `sk-obs-metrics` dump: server counters
-//! describe the fleet (queueing, shedding, cache economics), per-job
+//! describe the fleet (queueing, shedding, result-memo economics), per-job
 //! hubs describe one simulation. Both are additive schemas — readers
 //! must ignore unknown fields.
 
@@ -34,17 +34,18 @@ pub struct ServeObs {
     pub quota_rejections: Counter,
     /// Malformed requests rejected with 400.
     pub bad_requests: Counter,
-    /// Warm starts: a cached ROI snapshot served the job's warmup.
+    /// Jobs whose every scheme was served from the result memo.
     pub cache_hits: Counter,
-    /// Cold starts: warmup simulated, snapshot inserted if possible.
+    /// Jobs that ran at least one scheme (a memo miss, or `"metrics"`).
     pub cache_misses: Counter,
-    /// Cache entries evicted by the LRU bound.
+    /// Memo entries evicted by its LRU bound: the memo's own count,
+    /// mirrored here.
     pub cache_evictions: Counter,
     /// Queue depth sampled at every enqueue.
     pub queue_depth: Histogram,
-    /// Wall time of cold jobs (warmup simulated), milliseconds.
+    /// Wall time of jobs booked in `cache_misses`, milliseconds.
     pub cold_wall_ms: Histogram,
-    /// Wall time of warm jobs (forked from cache), milliseconds.
+    /// Wall time of jobs booked in `cache_hits`, milliseconds.
     pub warm_wall_ms: Histogram,
 }
 

@@ -38,7 +38,7 @@
 //! kernel name and its parameters), [`Scenario::emit`] is a canonical
 //! re-serialization with `parse(emit(s)) == s`, and [`Scenario::hash`]
 //! over the canonical form gives servers a content address (sk-serve
-//! folds it into the snapshot warm-start cache key).
+//! folds it into its result memo's key).
 
 use sk_core::{CoreModel, Scheme, StopCondition, TargetConfig};
 use sk_kernels::{

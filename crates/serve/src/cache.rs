@@ -1,83 +1,81 @@
-//! Content-addressed warm-start snapshot cache.
+//! Served-result memo: a bounded LRU map from (snapshot key, scheme) to
+//! the finished [`SchemeResult`].
 //!
-//! Keyed on [`SnapshotKey`] — FNV-1a digests of the program image and
-//! the target config (each folded with the sk-snap `FORMAT_VERSION`, so
-//! a container format bump self-invalidates every entry). Values are
-//! `Arc<Vec<u8>>` snapshot containers taken at a CC safe-point *before*
-//! any scheme-dependent divergence, which is what makes one entry
-//! servable to every scheme in a grid: `Engine::resume(bytes, scheme)`
-//! forks it.
+//! A served run is a pure function of its spec: every run is on the det
+//! scheduler with the fixed `worker::DET_SEED`, and [`SnapshotKey`]
+//! digests the program image and the target config (plus a scenario's
+//! content hash, see `JobSpec::snapshot_key`). So a repeat (key, scheme)
+//! need not run at all: the memo hands back what the first run computed,
+//! bit for bit. An entry is stored in the form a hit serves it —
+//! `cache_hit: true`, `wall_ms: 0`, because nothing ran for that job —
+//! and every other field is the computed run's.
 //!
-//! Bounded LRU. Eviction scans for the oldest stamp — O(entries), fine
-//! for the tens-of-entries caches a job server wants (distinct
-//! (program, config) pairs, not jobs).
+//! Eviction scans for the oldest stamp: O(entries), a few microseconds
+//! at the default bound, paid once per computed scheme.
 
+use crate::job::SchemeResult;
+use sk_core::Scheme;
 use sk_snap::SnapshotKey;
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::{Mutex, MutexGuard};
 
-#[derive(Debug)]
-struct Entry {
-    bytes: Arc<Vec<u8>>,
-    /// Logical LRU clock stamp of the last hit or insert.
-    stamp: u64,
-}
+/// What a result is memoized under.
+pub type ResultKey = (SnapshotKey, Scheme);
 
 #[derive(Debug, Default)]
 struct Inner {
-    map: HashMap<SnapshotKey, Entry>,
+    /// Each entry with the logical clock stamp of its last hit or insert.
+    map: HashMap<ResultKey, (SchemeResult, u64)>,
     clock: u64,
     evictions: u64,
 }
 
-/// Thread-safe snapshot cache.
+/// Thread-safe result memo.
 #[derive(Debug)]
-pub struct SnapCache {
+pub struct ResultCache {
     inner: Mutex<Inner>,
     max_entries: usize,
 }
 
-impl SnapCache {
+impl ResultCache {
     pub fn new(max_entries: usize) -> Self {
-        SnapCache { inner: Mutex::new(Inner::default()), max_entries: max_entries.max(1) }
+        ResultCache { inner: Mutex::new(Inner::default()), max_entries: max_entries.max(1) }
     }
 
-    /// Look up a snapshot, refreshing its LRU stamp on hit.
-    pub fn get(&self, key: &SnapshotKey) -> Option<Arc<Vec<u8>>> {
-        let mut g = self.inner.lock().unwrap();
+    fn lock(&self) -> MutexGuard<'_, Inner> {
+        // Every update leaves the map whole; a poisoned lock is a bug.
+        self.inner.lock().expect("no thread panics holding the result memo")
+    }
+
+    /// The memoized result, refreshing its LRU stamp on hit.
+    pub fn get(&self, key: &ResultKey) -> Option<SchemeResult> {
+        let mut g = self.lock();
         g.clock += 1;
         let clock = g.clock;
-        g.map.get_mut(key).map(|e| {
-            e.stamp = clock;
-            e.bytes.clone()
+        g.map.get_mut(key).map(|(r, stamp)| {
+            *stamp = clock;
+            r.clone()
         })
     }
 
-    /// Insert (or refresh) a snapshot, evicting the least-recently-used
-    /// entry if the cache is full. Returns the entry actually stored —
-    /// first-writer-wins when two cold runs of the same key race, so
-    /// concurrent forkers share one buffer.
-    pub fn insert(&self, key: SnapshotKey, bytes: Vec<u8>) -> Arc<Vec<u8>> {
-        let mut g = self.inner.lock().unwrap();
+    /// Memoize a finished run (or refresh its entry), evicting the
+    /// least-recently-used entry if the memo is full.
+    pub fn insert(&self, key: ResultKey, computed: &SchemeResult) {
+        let served = SchemeResult { cache_hit: true, wall_ms: 0, ..computed.clone() };
+        let mut g = self.lock();
         g.clock += 1;
         let clock = g.clock;
-        if let Some(e) = g.map.get_mut(&key) {
-            e.stamp = clock;
-            return e.bytes.clone();
-        }
-        if g.map.len() >= self.max_entries {
-            if let Some(oldest) = g.map.iter().min_by_key(|(_, e)| e.stamp).map(|(k, _)| *k) {
+        if g.map.len() >= self.max_entries && !g.map.contains_key(&key) {
+            if let Some(oldest) = g.map.iter().min_by_key(|(_, (_, s))| *s).map(|(k, _)| *k) {
                 g.map.remove(&oldest);
                 g.evictions += 1;
             }
         }
-        let bytes = Arc::new(bytes);
-        g.map.insert(key, Entry { bytes: bytes.clone(), stamp: clock });
-        bytes
+        g.map.insert(key, (served, clock));
     }
 
     pub fn len(&self) -> usize {
-        self.inner.lock().unwrap().map.len()
+        self.lock().map.len()
     }
 
     pub fn is_empty(&self) -> bool {
@@ -86,7 +84,7 @@ impl SnapCache {
 
     /// Total LRU evictions since construction.
     pub fn evictions(&self) -> u64 {
-        self.inner.lock().unwrap().evictions
+        self.lock().evictions
     }
 }
 
@@ -94,18 +92,31 @@ impl SnapCache {
 mod tests {
     use super::*;
 
-    fn key(n: u8) -> SnapshotKey {
-        SnapshotKey::new(&[n], &[0])
+    fn key(n: u8) -> ResultKey {
+        (SnapshotKey::new(&[n], &[0]), Scheme::CycleByCycle)
+    }
+
+    fn result(exec_cycles: u64) -> SchemeResult {
+        SchemeResult {
+            scheme: "CC".into(),
+            exec_cycles,
+            fingerprint: format!("{exec_cycles:016x}"),
+            output_ok: true,
+            cache_hit: false,
+            deterministic: true,
+            wall_ms: 7,
+            kips: 1.5,
+        }
     }
 
     #[test]
     fn hit_refreshes_lru_and_eviction_takes_the_coldest() {
-        let c = SnapCache::new(2);
-        c.insert(key(1), vec![1]);
-        c.insert(key(2), vec![2]);
+        let c = ResultCache::new(2);
+        c.insert(key(1), &result(1));
+        c.insert(key(2), &result(2));
         // Touch 1 so 2 becomes the LRU victim.
         assert!(c.get(&key(1)).is_some());
-        c.insert(key(3), vec![3]);
+        c.insert(key(3), &result(3));
         assert_eq!(c.evictions(), 1);
         assert!(c.get(&key(2)).is_none(), "LRU entry evicted");
         assert!(c.get(&key(1)).is_some());
@@ -114,19 +125,36 @@ mod tests {
     }
 
     #[test]
-    fn racing_inserts_share_the_first_buffer() {
-        let c = SnapCache::new(4);
-        let a = c.insert(key(7), vec![1, 2, 3]);
-        let b = c.insert(key(7), vec![9, 9, 9]);
-        assert!(Arc::ptr_eq(&a, &b), "second writer adopts the cached buffer");
-        assert_eq!(*b, vec![1, 2, 3]);
-        assert_eq!(c.len(), 1);
+    fn the_bound_holds_and_a_refresh_evicts_nothing() {
+        let c = ResultCache::new(3);
+        for n in 0..10 {
+            c.insert(key(n), &result(n.into()));
+            assert!(c.len() <= 3);
+        }
+        assert_eq!(c.evictions(), 7);
+        // Re-inserting a present key replaces it in place.
+        c.insert(key(9), &result(99));
+        assert_eq!((c.len(), c.evictions()), (3, 7));
+        assert_eq!(c.get(&key(9)).unwrap().exec_cycles, 99);
     }
 
     #[test]
-    fn miss_is_none() {
-        let c = SnapCache::new(4);
-        assert!(c.get(&key(42)).is_none());
-        assert!(c.is_empty());
+    fn a_hit_serves_the_computed_result_with_nothing_run() {
+        let c = ResultCache::new(4);
+        let computed = result(42);
+        c.insert(key(7), &computed);
+        let hit = c.get(&key(7)).unwrap();
+        assert!(hit.cache_hit);
+        assert_eq!(hit.wall_ms, 0);
+        assert_eq!(SchemeResult { cache_hit: false, wall_ms: 7, ..hit }, computed);
+    }
+
+    #[test]
+    fn the_scheme_is_part_of_the_key() {
+        let c = ResultCache::new(4);
+        c.insert(key(1), &result(1));
+        assert!(c.get(&(key(1).0, Scheme::BoundedSlack(10))).is_none());
+        assert!(c.get(&key(2)).is_none());
+        assert_eq!(c.len(), 1);
     }
 }

@@ -54,12 +54,14 @@ pub struct JobSpec {
     pub schemes: Vec<Scheme>,
     pub tenant: String,
     pub priority: i32,
-    /// Attach an sk-obs hub to every scheme run and keep the dumps.
+    /// Attach an sk-obs hub to every scheme run and keep the dumps. Such
+    /// a job runs every scheme: telemetry belongs to a run, and the
+    /// result memo holds none.
     pub metrics: bool,
     pub model: CoreModel,
     /// Jobs posted as a declarative `.skn` scenario carry the parsed
     /// artifact: it supplies the workload + config, and its content hash
-    /// joins the warm-start cache key.
+    /// joins the result memo's key.
     pub scenario: Option<Scenario>,
 }
 
@@ -263,9 +265,10 @@ impl JobSpec {
         cfg
     }
 
-    /// Content address of this job's warm-start snapshot: FNV digests of
-    /// the program image and the serialised config. Scheme is deliberately
-    /// excluded — the cached CC safe-point forks onto any scheme.
+    /// Content address of what this job simulates: FNV digests of the
+    /// program image and the serialised config. Scheme is excluded — the
+    /// CC ROI snapshot forks onto any scheme — and the result memo pairs
+    /// the key with each scheme itself.
     pub fn snapshot_key(&self, program: &Program, cfg: &TargetConfig) -> SnapshotKey {
         let mut pw = Writer::new();
         pw.put_u64(program.entry);
@@ -278,7 +281,7 @@ impl JobSpec {
         cfg.save(&mut cw);
         // A scenario's content hash joins the key: two scenario files that
         // compile to the same program/config but differ in declared intent
-        // (e.g. name, future fields) still share warmth only when the
+        // (e.g. name, future fields) still share results only when the
         // canonical form agrees.
         if let Some(sc) = &self.scenario {
             cw.put_u64(sc.hash());
@@ -318,17 +321,20 @@ impl JobState {
     }
 }
 
-/// Outcome of one scheme in the job's grid.
-#[derive(Debug, Clone)]
+/// Outcome of one scheme in the job's grid. A memo hit (`cache_hit`)
+/// carries the stored result of the run that computed it: the same
+/// `exec_cycles`, `fingerprint`, `output_ok`, `deterministic` and `kips`,
+/// with `wall_ms` 0 because nothing ran for this job.
+#[derive(Debug, Clone, PartialEq)]
 pub struct SchemeResult {
     pub scheme: String,
     pub exec_cycles: u64,
     /// FNV-1a digest (hex) of the full report fingerprint — compact and
-    /// still bit-exact for cold/warm comparison.
+    /// still bit-exact for comparing runs.
     pub fingerprint: String,
     /// Printed output matched the workload's expected values.
     pub output_ok: bool,
-    /// This run forked from a cached snapshot.
+    /// Served from the result memo, not run.
     pub cache_hit: bool,
     /// Zero-slack: equals CC's fingerprint (`slack_bound() == Some(0)`).
     /// Every scheme repeats bit for bit; this flag marks the runs whose

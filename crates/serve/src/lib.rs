@@ -1,5 +1,5 @@
-//! `sk-serve`: a multi-tenant simulation job server with a
-//! content-addressed snapshot warm-start cache.
+//! `sk-serve`: a multi-tenant simulation job server with a memo of
+//! served results.
 //!
 //! A long-running process accepts simulation requests — kernel, target
 //! config, scheme grid — over a minimal hand-rolled HTTP/1.1 API
@@ -12,14 +12,12 @@
 //! `Engine::cancel_token`; `GET /jobs/<id>?wait_ms=` long-polls for the
 //! terminal status.
 //!
-//! The headline is the warm-start cache ([`cache`]): ROI snapshots
-//! content-addressed by FNV digests of (program image, target config)
-//! via [`sk_snap::SnapshotKey`]. The first job for a key simulates the
-//! warmup once under CC and snapshots the first safe-point inside ROI;
-//! every later job — *and the cold job itself* — forks that snapshot
-//! onto its schemes with `Engine::resume`, so repeat traffic skips
-//! warmup entirely and warm results are bit-identical to cold ones by
-//! construction, under every scheme.
+//! Because a run is a function of its spec, the server memoizes it
+//! ([`cache`]): an LRU map from (program image and config digest
+//! [`sk_snap::SnapshotKey`], scheme) to the finished result. A repeat
+//! scheme is a lookup. The schemes that miss share one CC warmup probe
+//! per job, which snapshots the first safe-point inside ROI and forks
+//! it onto each of them with `Engine::resume`.
 //!
 //! Everything is std-only on `std::net`, in keeping with the
 //! workspace's vendored-shim dependency policy.
@@ -37,7 +35,6 @@ pub mod worker;
 /// `sk_serve::json` paths (the `skbench` ledger uses them) keep working.
 pub use sk_obs::json;
 
-pub use cache::SnapCache;
 pub use client::{Client, Response};
 pub use job::{Job, JobSpec, JobState, SchemeResult, SpecError};
 pub use loadgen::{LoadgenConfig, LoadgenStats};

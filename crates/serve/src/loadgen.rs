@@ -4,10 +4,11 @@
 //! the server from several client threads, submit-then-wait per thread,
 //! plus an optional fire-and-forget burst to provoke overload shedding.
 //! Because the pool is much smaller than the job count, most traffic
-//! repeats a spec the server has already seen — that is the warm-start
-//! cache's diet, and the per-(spec, scheme) fingerprint cross-check is
-//! the proof that warm forks are bit-identical to cold runs — under every
-//! scheme, since jobs run on the det scheduler.
+//! repeats a spec the server has already seen, which the result memo
+//! serves without running. The per-(spec, scheme) fingerprint cross-check
+//! still compares recomputations: the pool holds a `"metrics": true` twin
+//! of one spec, and such jobs always run, so every one is a fresh det run
+//! held to the first observation of its (spec, scheme).
 //!
 //! Deterministic: spec and tenant choice come from a seeded LCG, so two
 //! runs of the same config issue the same request stream (completion
@@ -39,8 +40,8 @@ pub struct LoadgenConfig {
     pub deadline: Duration,
     /// A `.skn` scenario file's text. When set, the scenario replaces the
     /// spec pool entirely: every job posts `{"scenario": ...}`, so repeat
-    /// traffic hammers one warm-start key and the fingerprint cross-check
-    /// proves scenario-driven warm forks are bit-identical to cold runs.
+    /// traffic hammers one memo key and the fingerprint cross-check holds
+    /// every served result of the scenario to the first.
     pub scenario: Option<String>,
 }
 
@@ -66,9 +67,7 @@ impl Default for LoadgenConfig {
 }
 
 /// The request pool. Small by design: `jobs >> pool size` is what makes
-/// repeat traffic (and therefore warm starts) dominate. The first two
-/// entries share one snapshot key — scheme is not part of the cache key —
-/// so they warm each other.
+/// repeat traffic (and therefore memo hits) dominate.
 pub fn spec_pool() -> Vec<&'static str> {
     vec![
         r#"{"bench":"pingpong","cores":2,"schemes":["CC"]}"#,
@@ -82,6 +81,13 @@ pub fn spec_pool() -> Vec<&'static str> {
     ]
 }
 
+/// A `"metrics": true` twin of `spec_pool()[TWIN_OF]`, checked against
+/// that entry's reference slot: metrics jobs always run, so each one is a
+/// recomputation, not a memo hit.
+const METRICS_TWIN: &str =
+    r#"{"bench":"lock_sweep","cores":2,"schemes":["CC","Q100"],"metrics":true}"#;
+const TWIN_OF: usize = 2;
+
 /// Everything the run observed.
 #[derive(Debug, Default)]
 pub struct LoadgenStats {
@@ -94,16 +100,16 @@ pub struct LoadgenStats {
     /// 429 with "tenant quota exceeded".
     pub quota_shed: u64,
     pub bad_requests: u64,
-    /// Jobs whose every scheme forked from the cache.
+    /// Jobs whose every scheme was served from the result memo.
     pub warm_jobs: u64,
     pub cold_jobs: u64,
     /// Client-observed wall (submit → terminal), summed per class.
     pub warm_wall_ms: u64,
     pub cold_wall_ms: u64,
-    /// Scheme runs whose fingerprint diverged from the first observation
-    /// of the same (spec, scheme). Every scheme is checked: a job is a
-    /// det run of its spec. MUST be zero: warm forks are
-    /// bit-identical to cold runs.
+    /// Scheme results whose fingerprint diverged from the first
+    /// observation of the same (spec, scheme). Every scheme is checked: a
+    /// job is a det run of its spec. MUST be zero: a recomputation and a
+    /// memo hit both equal the first run.
     pub fingerprint_mismatches: u64,
     /// Scheme runs whose printed output missed the workload's expected
     /// values. MUST be zero.
@@ -153,18 +159,24 @@ impl LoadgenStats {
 #[derive(Default)]
 struct Tallies {
     stats: Mutex<LoadgenStats>,
-    /// First fingerprint seen per (spec index, scheme) — the reference
-    /// every later run (warm or cold) must reproduce.
+    /// First fingerprint seen per (reference slot, scheme) — the
+    /// reference every later result, hit or recomputed, must reproduce.
     reference: Mutex<HashMap<(usize, String), String>>,
     issued: AtomicU64,
 }
 
-/// The effective request pool: the static spec pool, or — when a
-/// scenario file is loaded — a single spec posting that scenario.
-fn effective_pool(cfg: &LoadgenConfig) -> Vec<String> {
+/// The effective request pool as (body, reference slot): the static spec
+/// pool and its metrics twin, or — when a scenario file is loaded — a
+/// single spec posting that scenario.
+fn effective_pool(cfg: &LoadgenConfig) -> Vec<(String, usize)> {
     match &cfg.scenario {
-        Some(text) => vec![Json::obj([("scenario", text.as_str())]).to_string()],
-        None => spec_pool().into_iter().map(String::from).collect(),
+        Some(text) => vec![(Json::obj([("scenario", text.as_str())]).to_string(), 0)],
+        None => {
+            let mut pool: Vec<_> =
+                spec_pool().into_iter().enumerate().map(|(i, b)| (b.to_string(), i)).collect();
+            pool.push((METRICS_TWIN.to_string(), TWIN_OF));
+            pool
+        }
     }
 }
 
@@ -176,7 +188,7 @@ fn lcg(state: &mut u64) -> u64 {
 /// Run the generator against a live server. Blocks until done.
 pub fn run(addr: SocketAddr, cfg: &LoadgenConfig) -> LoadgenStats {
     let start = Instant::now();
-    let pool: Vec<String> = effective_pool(cfg);
+    let pool = effective_pool(cfg);
     let tallies = Arc::new(Tallies::default());
 
     if cfg.burst > 0 {
@@ -195,9 +207,9 @@ pub fn run(addr: SocketAddr, cfg: &LoadgenConfig) -> LoadgenStats {
                     if tallies.issued.fetch_add(1, Ordering::Relaxed) >= cfg.jobs {
                         return;
                     }
-                    let spec_idx = (lcg(&mut rng) % pool.len() as u64) as usize;
+                    let (body, slot) = &pool[(lcg(&mut rng) % pool.len() as u64) as usize];
                     let tenant = &cfg.tenants[(lcg(&mut rng) % cfg.tenants.len() as u64) as usize];
-                    run_one(&mut client, &pool[spec_idx], spec_idx, tenant, &cfg, &tallies);
+                    run_one(&mut client, body, *slot, tenant, &cfg, &tallies);
                 }
             })
         })
@@ -219,17 +231,17 @@ fn burst_phase(addr: SocketAddr, cfg: &LoadgenConfig, tallies: &Tallies) {
     let mut rng = cfg.seed ^ 0xb02a;
     let mut accepted = Vec::new();
     for _ in 0..cfg.burst {
-        let spec_idx = (lcg(&mut rng) % pool.len() as u64) as usize;
+        let (body, slot) = &pool[(lcg(&mut rng) % pool.len() as u64) as usize];
         let tenant_idx = (lcg(&mut rng) % cfg.tenants.len() as u64) as usize;
-        if let Ok(resp) = client.post_job(&pool[spec_idx], &cfg.tenants[tenant_idx]) {
-            tally_submit(resp.status, &resp.body, tallies, |id| accepted.push((id, spec_idx)));
+        if let Ok(resp) = client.post_job(body, &cfg.tenants[tenant_idx]) {
+            tally_submit(resp.status, &resp.body, tallies, |id| accepted.push((id, *slot)));
         }
     }
-    for (id, spec_idx) in accepted {
+    for (id, slot) in accepted {
         if let Ok(doc) = client.wait_job(id, cfg.deadline) {
             // Burst jobs were awaited long after submission, so their
             // client wall is meaningless — verify, don't time.
-            tally_terminal(&doc, spec_idx, None, tallies);
+            tally_terminal(&doc, slot, None, tallies);
         }
     }
 }
@@ -238,7 +250,7 @@ fn burst_phase(addr: SocketAddr, cfg: &LoadgenConfig, tallies: &Tallies) {
 fn run_one(
     client: &mut Client,
     spec: &str,
-    spec_idx: usize,
+    slot: usize,
     tenant: &str,
     cfg: &LoadgenConfig,
     tallies: &Tallies,
@@ -256,7 +268,7 @@ fn run_one(
                     let submit = Instant::now();
                     if let Ok(doc) = client.wait_job(id, cfg.deadline) {
                         let wall = submit.elapsed().as_millis() as u64;
-                        tally_terminal(&doc, spec_idx, Some(wall), tallies);
+                        tally_terminal(&doc, slot, Some(wall), tallies);
                     }
                 }
                 return;
@@ -298,7 +310,7 @@ fn tally_submit(status: u16, body: &str, tallies: &Tallies, mut on_accept: impl 
 /// Digest a terminal status document into the tallies. `wall_ms` is the
 /// client-observed submit→terminal latency; `None` skips warm/cold
 /// timing (burst jobs) but still verifies fingerprints.
-fn tally_terminal(doc: &Json, spec_idx: usize, wall_ms: Option<u64>, tallies: &Tallies) {
+fn tally_terminal(doc: &Json, slot: usize, wall_ms: Option<u64>, tallies: &Tallies) {
     let state = doc.get("state").and_then(Json::as_str).unwrap_or("");
     let mut s = tallies.stats.lock().unwrap();
     match state {
@@ -334,12 +346,24 @@ fn tally_terminal(doc: &Json, spec_idx: usize, wall_ms: Option<u64>, tallies: &T
             continue;
         };
         let mut refmap = tallies.reference.lock().unwrap();
-        match refmap.get(&(spec_idx, scheme.to_string())) {
+        match refmap.get(&(slot, scheme.to_string())) {
             None => {
-                refmap.insert((spec_idx, scheme.to_string()), fp.to_string());
+                refmap.insert((slot, scheme.to_string()), fp.to_string());
             }
             Some(reference) if reference != fp => s.fingerprint_mismatches += 1,
             Some(_) => {}
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn the_metrics_twin_differs_from_its_slot_only_in_metrics() {
+        assert_eq!(METRICS_TWIN.replace(r#","metrics":true"#, ""), spec_pool()[TWIN_OF]);
+        let pool = effective_pool(&LoadgenConfig::default());
+        assert_eq!(pool.last(), Some(&(METRICS_TWIN.to_string(), TWIN_OF)));
     }
 }

@@ -6,7 +6,7 @@
 //! pool of simulation workers drains the priority queue, each running
 //! one job at a time on its own thread (the det scheduler, see
 //! [`crate::worker`]). All shared state lives in one `Arc` — queue,
-//! cache, telemetry, job registry.
+//! result memo, telemetry, job registry.
 //!
 //! `GET /jobs/<id>?wait_ms=N` is a long-poll: the handler blocks on the
 //! job's condvar until the job is terminal or `min(N, MAX_WAIT_MS)` ms
@@ -16,7 +16,7 @@
 //! an over-quota tenant gets `429` with `Retry-After`, the server stays
 //! live, and every shed is counted in the `sk-serve-metrics` dump.
 
-use crate::cache::SnapCache;
+use crate::cache::ResultCache;
 use crate::http::{read_request, write_response, HttpError, Request};
 use crate::job::{bench_names, Job, JobSpec, JobState};
 use crate::queue::{Admission, JobQueue};
@@ -47,7 +47,7 @@ pub struct ServerConfig {
     pub queue_capacity: usize,
     /// Max in-flight (queued + running) jobs per tenant.
     pub tenant_quota: usize,
-    /// Warm-start cache entries (distinct program/config pairs).
+    /// Result memo entries, one per (program/config key, scheme) result.
     pub cache_entries: usize,
     /// Terminal jobs retained for status queries before eviction.
     pub retain_jobs: usize,
@@ -62,7 +62,7 @@ impl Default for ServerConfig {
             workers: 2,
             queue_capacity: 32,
             tenant_quota: 8,
-            cache_entries: 32,
+            cache_entries: 1024,
             retain_jobs: 4096,
             read_timeout: Duration::from_secs(5),
         }
@@ -72,7 +72,7 @@ impl Default for ServerConfig {
 /// State shared by every connection handler and worker.
 struct Shared {
     queue: JobQueue,
-    cache: SnapCache,
+    cache: ResultCache,
     obs: ServeObs,
     jobs: Mutex<HashMap<u64, Arc<Job>>>,
     /// Terminal job ids in completion order, for bounded retention.
@@ -116,7 +116,7 @@ impl Server {
         let addr = listener.local_addr()?;
         let shared = Arc::new(Shared {
             queue: JobQueue::new(cfg.queue_capacity, cfg.tenant_quota),
-            cache: SnapCache::new(cfg.cache_entries),
+            cache: ResultCache::new(cfg.cache_entries),
             obs: ServeObs::new(),
             jobs: Mutex::new(HashMap::new()),
             done: Mutex::new(VecDeque::new()),
@@ -223,7 +223,7 @@ fn worker_loop(shared: &Shared) {
         // A panicking simulation must not take the worker down with it.
         let state = catch_unwind(AssertUnwindSafe(|| run_job(&job, &shared.cache, &shared.obs)))
             .unwrap_or_else(|_| JobState::Failed("panic during simulation".into()));
-        // Mirror the cache's own eviction count into the dump (raise_to:
+        // The memo owns the eviction count; the dump mirrors it (raise_to:
         // workers race here and the max is the truth).
         shared.obs.cache_evictions.raise_to(shared.cache.evictions());
         // Free the tenant's slot before the terminal state wakes its

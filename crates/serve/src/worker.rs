@@ -1,17 +1,15 @@
-//! Job execution: the warm-start cache protocol and the per-scheme run
-//! loop, every run on the deterministic scheduler.
+//! Job execution: the result memo and the per-scheme run loop, every
+//! run on the deterministic scheduler.
 //!
-//! The cache protocol is the heart of the server. On a cold key, a CC
-//! probe engine runs the warmup on [`DetEngine`] with the fixed
-//! [`DET_SEED`] and snapshots the first probed safe-point after ROI
-//! entry; the snapshot goes into the cache and — crucially — the cold
-//! job *itself* then forks every scheme from that snapshot instead of
-//! continuing the probe engine. Warm jobs fork from the cached bytes
-//! directly. Cold and warm runs therefore execute the exact same code
-//! path (`Engine::resume` from identical bytes, run by a `DetEngine` on
-//! the same seed), so warm results equal cold results bit for bit under
-//! every scheme, slack schemes included: the det scheduler makes a run a
-//! function of (snapshot, scheme).
+//! A served run is a function of (program image, config, scenario,
+//! scheme): it runs on [`DetEngine`] with the fixed [`DET_SEED`]. So a
+//! job first looks each scheme up in the [`ResultCache`], and only the
+//! schemes that miss run. For those, a CC probe engine runs the warmup
+//! once per job, on the same seed, and snapshots the first probed
+//! safe-point after ROI entry; every missed scheme forks that snapshot
+//! (`Engine::resume`) and its finished result goes into the memo. A job
+//! with `"metrics": true` runs every scheme, since telemetry belongs to
+//! a run, and still refreshes the memo.
 //!
 //! A job runs on the thread that took it from the queue: the server gets
 //! its parallelism across jobs (`ServerConfig::workers`), not inside one
@@ -20,44 +18,33 @@
 //! Cancellation: the job's sticky flag is checked between schemes, and
 //! while an engine is in flight its cancel token is armed on the job so
 //! `DELETE /jobs/<id>` lands mid-simulation at the scheduler's next
-//! manager pick.
+//! manager pick. A cancelled, failed or panicked scheme memoizes nothing.
 //!
 //! [`run_job`] computes a job's terminal state; `finish` books it in
 //! the server counters and only then publishes it, waking any client
 //! blocked on `GET /jobs/<id>?wait_ms=`.
 
-use crate::cache::SnapCache;
+use crate::cache::ResultCache;
 use crate::job::{Job, JobState, SchemeResult};
 use sk_core::engine::{Engine, RunOutcome};
 use sk_core::{DetEngine, Scheme};
 use sk_obs::json::Json;
 use sk_obs::{ObsConfig, ServeObs};
 use sk_snap::fnv1a64;
-use std::sync::Arc;
 use std::time::Instant;
 
 /// First CC-probe checkpoint target, cycles.
 const WARMUP_PROBE_START: u64 = 1 << 10;
-/// Probe ceiling: past this the job runs uncached (ROI never began).
+/// Probe ceiling: past this the job runs from scratch (ROI never began).
 const WARMUP_PROBE_CAP: u64 = 1 << 24;
 /// Det-scheduler seed of every served run, warmup probe and scheme forks
 /// alike. One fixed seed makes a job's results a function of its spec.
 pub const DET_SEED: u64 = 0;
 
-/// How the job obtained (or failed to obtain) its warm-start snapshot.
-enum WarmStart {
-    /// Fork every scheme from these snapshot bytes.
-    Fork { bytes: Arc<Vec<u8>>, cache_hit: bool },
-    /// No usable safe-point — run every scheme from scratch.
-    Scratch,
-    /// Cancelled during the warmup probe.
-    Cancelled,
-}
-
 /// Run one admitted job to its terminal state and return it, unpublished:
 /// the caller hands it to `finish`. Faults are folded into
 /// `JobState::Failed` (panics are the worker loop's `catch_unwind`).
-pub fn run_job(job: &Job, cache: &SnapCache, obs: &ServeObs) -> JobState {
+pub fn run_job(job: &Job, cache: &ResultCache, obs: &ServeObs) -> JobState {
     if job.cancel_requested() {
         return JobState::Cancelled;
     }
@@ -74,37 +61,32 @@ pub fn run_job(job: &Job, cache: &SnapCache, obs: &ServeObs) -> JobState {
     let key = job.spec.snapshot_key(&workload.program, &cfg);
 
     let start = Instant::now();
-    let warm = match cache.get(&key) {
-        Some(bytes) => {
-            obs.cache_hits.inc();
-            WarmStart::Fork { bytes, cache_hit: true }
-        }
-        None => {
-            obs.cache_misses.inc();
-            match probe_warmup(job, &workload.program, &cfg) {
-                Some(snapshot) => {
-                    let before = cache.evictions();
-                    let bytes = cache.insert(key, snapshot);
-                    obs.cache_evictions.add(cache.evictions() - before);
-                    WarmStart::Fork { bytes, cache_hit: false }
-                }
-                None if job.cancel_requested() => WarmStart::Cancelled,
-                None => WarmStart::Scratch,
-            }
-        }
-    };
+    let memo: Vec<Option<SchemeResult>> = job
+        .spec
+        .schemes
+        .iter()
+        .map(|&scheme| if job.spec.metrics { None } else { cache.get(&(key, scheme)) })
+        .collect();
+    let cache_hit = memo.iter().all(Option::is_some);
+    if cache_hit {
+        obs.cache_hits.inc();
+    } else {
+        obs.cache_misses.inc();
+    }
 
-    let (bytes, cache_hit) = match warm {
-        WarmStart::Fork { bytes, cache_hit } => (Some(bytes), cache_hit),
-        WarmStart::Scratch => (None, false),
-        WarmStart::Cancelled => return JobState::Cancelled,
-    };
-
-    for scheme in &job.spec.schemes {
+    // The ROI snapshot, probed at the first miss: `Some(None)` once the
+    // probe found no usable safe-point, so every miss runs from scratch.
+    let mut probed: Option<Option<Vec<u8>>> = None;
+    for (scheme, hit) in job.spec.schemes.iter().zip(memo) {
+        if let Some(result) = hit {
+            job.push_result(result);
+            continue;
+        }
+        let snapshot = probed.get_or_insert_with(|| probe_warmup(job, &workload.program, &cfg));
         if job.cancel_requested() {
             return JobState::Cancelled;
         }
-        let mut engine = match &bytes {
+        let mut engine = match snapshot {
             Some(b) => match Engine::resume(b, Some(*scheme)) {
                 Ok(e) => e,
                 Err(e) => return JobState::Failed(format!("resume failed: {e}")),
@@ -128,16 +110,18 @@ pub fn run_job(job: &Job, cache: &SnapCache, obs: &ServeObs) -> JobState {
 
         let report = det.into_report();
         let printed: Vec<i64> = report.printed().into_iter().map(|(_, v)| v).collect();
-        job.push_result(SchemeResult {
+        let result = SchemeResult {
             scheme: report.scheme.clone(),
             exec_cycles: report.exec_cycles,
             fingerprint: format!("{:016x}", fnv1a64(report.fingerprint().as_bytes())),
             output_ok: printed == workload.expected,
-            cache_hit,
+            cache_hit: false,
             deterministic: scheme.slack_bound() == Some(0),
             wall_ms,
             kips: report.kips(),
-        });
+        };
+        cache.insert((key, *scheme), &result);
+        job.push_result(result);
         if let Some(hub) = hub {
             job.push_metrics_dump(&report.scheme, Json::from(&*hub));
         }
@@ -155,7 +139,7 @@ pub fn run_job(job: &Job, cache: &SnapCache, obs: &ServeObs) -> JobState {
 /// CC warmup probe on the det scheduler: run to doubling safe-point
 /// targets until ROI has begun, then snapshot. `None` on cancellation, on
 /// a workload that finishes before (or never reaches) ROI, or if the
-/// safe-point refuses to snapshot — all of which mean "run uncached".
+/// safe-point refuses to snapshot — all of which mean "run from scratch".
 fn probe_warmup(
     job: &Job,
     program: &sk_isa::Program,
@@ -210,53 +194,59 @@ mod tests {
     }
 
     /// What the server's worker loop does with a job (minus the queue).
-    fn serve(job: &Job, cache: &SnapCache, obs: &ServeObs) -> JobState {
+    fn serve(job: &Job, cache: &ResultCache, obs: &ServeObs) -> JobState {
         finish(job, obs, run_job(job, cache, obs))
     }
 
-    /// Cold on an empty cache, then warm from the snapshot it left.
-    fn cold_then_warm(body: &str) -> (Vec<SchemeResult>, Vec<SchemeResult>, ServeObs) {
-        let cache = SnapCache::new(4);
+    /// Computed on an empty memo, then served from the entries it left.
+    fn computed_then_hit(body: &str) -> (Vec<SchemeResult>, Vec<SchemeResult>, ServeObs) {
+        let cache = ResultCache::new(4);
         let obs = ServeObs::new();
         let cold = job(body);
         assert_eq!(serve(&cold, &cache, &obs), JobState::Done);
-        assert_eq!(cache.len(), 1, "cold run populated the cache");
+        assert_eq!(cache.len(), cold.spec.schemes.len(), "one memo entry per scheme");
         let warm = job(body);
         assert_eq!(serve(&warm, &cache, &obs), JobState::Done);
         (cold.results(), warm.results(), obs)
     }
 
+    /// A hit is the computed result, with nothing run.
+    fn assert_hit_of(hit: &SchemeResult, computed: &SchemeResult) {
+        assert!(hit.cache_hit && !computed.cache_hit);
+        assert_eq!(hit.wall_ms, 0, "nothing ran for a hit");
+        assert_eq!(
+            &SchemeResult { cache_hit: false, wall_ms: computed.wall_ms, ..hit.clone() },
+            computed
+        );
+    }
+
     #[test]
-    fn cold_then_warm_same_fingerprint() {
+    fn a_repeat_job_is_served_from_the_memo() {
         let (cold_r, warm_r, obs) =
-            cold_then_warm(r#"{"bench":"lock_sweep","cores":2,"schemes":["CC"]}"#);
+            computed_then_hit(r#"{"bench":"lock_sweep","cores":2,"schemes":["CC"]}"#);
         assert_eq!(cold_r.len(), 1);
-        assert!(!cold_r[0].cache_hit);
-        assert!(cold_r[0].output_ok, "cold run output");
-        assert!(warm_r[0].cache_hit);
-        assert!(warm_r[0].output_ok, "warm run output");
-        assert_eq!(warm_r[0].fingerprint, cold_r[0].fingerprint, "warm == cold, bit-exact");
+        assert!(cold_r[0].output_ok, "computed run output");
+        assert_hit_of(&warm_r[0], &cold_r[0]);
         assert_eq!(obs.cache_hits.get(), 1);
         assert_eq!(obs.cache_misses.get(), 1);
         assert_eq!(obs.jobs_completed.get(), 2);
     }
 
     #[test]
-    fn slack_scheme_warm_is_bit_identical_to_cold() {
-        let (cold_r, warm_r, _) = cold_then_warm(r#"{"bench":"FFT","cores":4,"schemes":["S10"]}"#);
-        assert!(!cold_r[0].cache_hit && warm_r[0].cache_hit);
-        assert!(cold_r[0].output_ok && warm_r[0].output_ok);
+    fn a_slack_scheme_hit_equals_its_computed_run() {
+        let (cold_r, warm_r, _) =
+            computed_then_hit(r#"{"bench":"FFT","cores":4,"schemes":["S10"]}"#);
+        assert!(cold_r[0].output_ok);
         assert!(!cold_r[0].deterministic, "S10 is not zero-slack");
-        assert_eq!(warm_r[0].fingerprint, cold_r[0].fingerprint, "warm S10 == cold S10");
-        assert_eq!(warm_r[0].exec_cycles, cold_r[0].exec_cycles);
+        assert_hit_of(&warm_r[0], &cold_r[0]);
     }
 
     #[test]
-    fn slack_schemes_repeat_on_a_fresh_cache() {
+    fn slack_schemes_repeat_on_a_fresh_memo() {
         let body = r#"{"bench":"racy_increment","cores":4,"schemes":["S10","SU"]}"#;
         let run = || {
             let j = job(body);
-            assert_eq!(serve(&j, &SnapCache::new(4), &ServeObs::new()), JobState::Done);
+            assert_eq!(serve(&j, &ResultCache::new(4), &ServeObs::new()), JobState::Done);
             j.results().into_iter().map(|r| (r.scheme, r.fingerprint)).collect::<Vec<_>>()
         };
         let first = run();
@@ -265,31 +255,60 @@ mod tests {
     }
 
     #[test]
-    fn scheme_grid_forks_one_snapshot() {
-        let cache = SnapCache::new(4);
+    fn only_the_missed_schemes_run() {
+        let cache = ResultCache::new(8);
         let obs = ServeObs::new();
+        let one = job(r#"{"bench":"pingpong","cores":2,"schemes":["Q100"]}"#);
+        assert_eq!(serve(&one, &cache, &obs), JobState::Done);
+        let grid = job(r#"{"bench":"pingpong","cores":2,"schemes":["CC","Q100"]}"#);
+        assert_eq!(serve(&grid, &cache, &obs), JobState::Done);
+        let rs = grid.results();
+        assert_eq!(rs.iter().map(|r| r.cache_hit).collect::<Vec<_>>(), [false, true]);
+        assert_hit_of(&rs[1], &one.results()[0]);
+        assert_eq!(cache.len(), 2);
+        assert_eq!((obs.cache_hits.get(), obs.cache_misses.get()), (0, 2), "a partial hit misses");
+    }
+
+    #[test]
+    fn a_metrics_job_runs_every_scheme_and_refreshes_the_memo() {
+        let cache = ResultCache::new(4);
+        let obs = ServeObs::new();
+        let plain = job(r#"{"bench":"pingpong","cores":2,"schemes":["CC","Q100","S9*"]}"#);
+        assert_eq!(serve(&plain, &cache, &obs), JobState::Done);
         let j =
             job(r#"{"bench":"pingpong","cores":2,"schemes":["CC","Q100","S9*"],"metrics":true}"#);
         assert_eq!(serve(&j, &cache, &obs), JobState::Done);
         let rs = j.results();
         assert_eq!(rs.len(), 3);
-        assert!(rs.iter().all(|r| r.output_ok), "{rs:?}");
+        assert!(rs.iter().all(|r| r.output_ok && !r.cache_hit), "{rs:?}");
+        let runs = |rs: Vec<SchemeResult>| -> Vec<_> {
+            rs.into_iter().map(|r| (r.scheme, r.exec_cycles, r.fingerprint)).collect()
+        };
+        assert_eq!(runs(rs), runs(plain.results()), "a recomputation equals the first run");
         assert_eq!(j.metrics_dumps().len(), 3, "one sk-obs dump per scheme");
         assert_eq!(
             j.metrics_dumps()[0].1.get("schema").and_then(Json::as_str),
             Some("sk-obs-metrics")
         );
+        assert_eq!((obs.cache_hits.get(), obs.cache_misses.get()), (0, 2));
+        assert_eq!(cache.len(), 3);
     }
 
     #[test]
-    fn pre_cancelled_job_never_runs() {
-        let cache = SnapCache::new(4);
+    fn pre_cancelled_job_never_runs_and_memoizes_nothing() {
+        let cache = ResultCache::new(4);
         let obs = ServeObs::new();
-        let j = job(r#"{"bench":"pingpong","cores":2}"#);
+        let body = r#"{"bench":"pingpong","cores":2}"#;
+        let j = job(body);
         j.request_cancel();
         assert_eq!(serve(&j, &cache, &obs), JobState::Cancelled);
         assert!(j.results().is_empty());
         assert_eq!(obs.jobs_cancelled.get(), 1);
         assert!(cache.is_empty());
+        assert_eq!(obs.cache_misses.get() + obs.cache_hits.get(), 0, "returned before any lookup");
+
+        let next = job(body);
+        assert_eq!(serve(&next, &cache, &obs), JobState::Done);
+        assert!(!next.results()[0].cache_hit, "the next post is computed");
     }
 }

@@ -1,26 +1,24 @@
-//! Satellite: concurrent forks of one cached snapshot are bit-exact.
+//! Concurrent `Engine::resume` from shared snapshot bytes is bit-exact.
 //!
-//! N threads share a single cached CC safe-point snapshot (one
-//! `Arc<Vec<u8>>` straight out of `SnapCache`) and fork it onto
-//! different schemes at the same time, each on the det scheduler as the
-//! server runs them. Every concurrent fork must produce a fingerprint
-//! identical to a sequential reference of the same (snapshot, scheme) —
-//! slack schemes included — and the CC fork must additionally match a
-//! from-scratch CC run on the worker pool, closing the loop to an
-//! uncached simulation. This is the property that lets the server hand
-//! one cache entry to many workers with no locking around the engine
-//! itself.
+//! N threads share one CC safe-point snapshot (one `Arc<Vec<u8>>`, probed
+//! the way the server's worker probes it) and fork it onto different
+//! schemes at the same time, each on the det scheduler as the server runs
+//! them. Every concurrent fork must produce a fingerprint identical to a
+//! sequential reference of the same (snapshot, scheme) — slack schemes
+//! included — and the CC fork must additionally match a from-scratch CC
+//! run on the worker pool, closing the loop to an unforked simulation.
+//! Gridfork-style forking, one warmup forked onto many schemes from one
+//! buffer with no locking around the engine itself, relies on this.
 
 use sk_core::engine::{Engine, RunOutcome};
 use sk_core::{run_parallel, DetEngine, Scheme, SimReport, TargetConfig};
 use sk_obs::json;
-use sk_serve::cache::SnapCache;
 use sk_serve::job::JobSpec;
 use sk_serve::worker::DET_SEED;
 use std::sync::Arc;
 
-/// Build the shared snapshot exactly the way the server's cold path
-/// does: det CC probe to doubling safe-point targets until ROI has begun.
+/// Build the shared snapshot exactly the way the server's worker does:
+/// det CC probe to doubling safe-point targets until ROI has begun.
 fn probe_snapshot(spec: &JobSpec) -> (Vec<u8>, TargetConfig, Vec<i64>) {
     let w = spec.workload().expect("known bench");
     let cfg = spec.config();
@@ -55,12 +53,8 @@ fn concurrent_forks_match_cold_references() {
     let (snapshot, cfg, expected) = probe_snapshot(&spec);
     let w = spec.workload().unwrap();
 
-    // The snapshot goes through the real cache, and every thread holds
-    // the same Arc'd buffer — as in the server.
-    let cache = SnapCache::new(4);
-    let key = spec.snapshot_key(&w.program, &cfg);
-    cache.insert(key, snapshot);
-    let bytes: Arc<Vec<u8>> = cache.get(&key).expect("just inserted");
+    // Every thread holds the same Arc'd buffer.
+    let bytes = Arc::new(snapshot);
 
     // Several concurrent CC forks interleaved with slack schemes. On the
     // det scheduler every one repeats its sequential reference bit for
@@ -107,7 +101,7 @@ fn concurrent_forks_match_cold_references() {
         }
     }
 
-    // Close the loop: the CC fork equals an uncached from-scratch CC run.
+    // Close the loop: the CC fork equals a from-scratch CC run.
     let scratch = run_parallel(&w.program, Scheme::CycleByCycle, &cfg);
     assert_eq!(
         cc_reference.fingerprint(),

@@ -45,28 +45,45 @@ fn finish(c: &mut Client, id: u64) -> (Json, Vec<(String, String, bool, bool)>) 
     (doc, results)
 }
 
+/// The server's hit/miss ledger from `GET /metrics`: (hits, misses).
+fn hits_misses(c: &mut Client) -> (i64, i64) {
+    let doc = c.get("/metrics").unwrap().json().unwrap();
+    let counters = doc.get("counters").unwrap();
+    let n = |k: &str| counters.get(k).unwrap().as_i64().unwrap();
+    (n("cache_hits"), n("cache_misses"))
+}
+
 #[test]
-fn cold_then_warm_hits_the_cache_with_identical_fingerprints() {
+fn a_metrics_job_recomputes_and_a_plain_repeat_hits_the_memo() {
     let server = small_server(2, 16, 8);
     let mut c = Client::new(server.addr());
-    let body = r#"{"bench":"lock_sweep","cores":2,"schemes":["CC","Q100"],"metrics":true}"#;
+    let plain = r#"{"bench":"lock_sweep","cores":2,"schemes":["CC","Q100"]}"#;
+    let metrics = r#"{"bench":"lock_sweep","cores":2,"schemes":["CC","Q100"],"metrics":true}"#;
 
-    let cold_id = submit(&mut c, body, "alice");
+    let cold_id = submit(&mut c, metrics, "alice");
     let (cold_doc, cold) = finish(&mut c, cold_id);
     assert_eq!(cold_doc.get("state").unwrap().as_str(), Some("done"));
     assert_eq!(cold.len(), 2);
     assert!(cold.iter().all(|(_, _, hit, ok)| !hit && *ok), "{cold:?}");
 
-    // Different tenant, same spec: the cache is content-addressed, not
-    // tenant-scoped.
-    let warm_id = submit(&mut c, body, "bob");
+    // Telemetry belongs to a run: a second metrics job runs again.
+    let again_id = submit(&mut c, metrics, "alice");
+    let (_, again) = finish(&mut c, again_id);
+    assert!(again.iter().all(|(_, _, hit, ok)| !hit && *ok), "{again:?}");
+
+    // Different tenant, plain spec: the memo is content-addressed, not
+    // tenant-scoped, and the metrics runs filled it.
+    let warm_id = submit(&mut c, plain, "bob");
     let (_, warm) = finish(&mut c, warm_id);
     assert!(warm.iter().all(|(_, _, hit, ok)| *hit && *ok), "{warm:?}");
-    // Jobs run on the det scheduler, so every scheme is bit-identical
-    // warm and cold, the slack scheme (Q100) as much as CC.
-    for ((cs, cf, _, _), (ws, wf, _, _)) in cold.iter().zip(&warm) {
-        assert_eq!(cs, ws);
-        assert_eq!(cf, wf, "warm {cs} fork diverged from the cold run");
+    // Jobs run on the det scheduler, so every scheme's recomputation and
+    // memo hit equal the first run, the slack scheme (Q100) as much as CC.
+    for run in [&again, &warm] {
+        assert_eq!(run.len(), cold.len());
+        for ((cs, cf, _, _), (s, f, _, _)) in cold.iter().zip(run) {
+            assert_eq!(cs, s);
+            assert_eq!(cf, f, "{cs} diverged from the first run");
+        }
     }
 
     // Per-job sk-obs dumps stream through the API.
@@ -75,14 +92,28 @@ fn cold_then_warm_hits_the_cache_with_identical_fingerprints() {
     assert!(m.body.contains("\"schema\":\"sk-obs-metrics\""), "{}", m.body);
 
     // Server telemetry shows the hit/miss ledger.
-    let metrics = c.get("/metrics").unwrap();
-    assert_eq!(metrics.status, 200);
-    let doc = metrics.json().unwrap();
-    let counters = doc.get("counters").unwrap();
-    assert_eq!(counters.get("cache_misses").unwrap().as_i64(), Some(1));
-    assert_eq!(counters.get("cache_hits").unwrap().as_i64(), Some(1));
-    assert_eq!(counters.get("jobs_completed").unwrap().as_i64(), Some(2));
+    assert_eq!(hits_misses(&mut c), (1, 2));
+    let doc = c.get("/metrics").unwrap().json().unwrap();
+    assert_eq!(doc.get("counters").unwrap().get("jobs_completed").unwrap().as_i64(), Some(3));
 
+    server.shutdown();
+}
+
+#[test]
+fn the_dump_mirrors_the_memos_evictions() {
+    let server = Server::start(ServerConfig { workers: 1, cache_entries: 1, ..Default::default() })
+        .expect("bind server");
+    let mut c = Client::new(server.addr());
+    // A one-entry memo: each computed result evicts the one before.
+    for scheme in ["CC", "Q100", "CC"] {
+        let body = format!(r#"{{"bench":"pingpong","cores":2,"schemes":["{scheme}"]}}"#);
+        let id = submit(&mut c, &body, "alice");
+        let (_, results) = finish(&mut c, id);
+        assert!(!results[0].2, "{scheme} was evicted before it was asked for again");
+    }
+    let doc = c.get("/metrics").unwrap().json().unwrap();
+    assert_eq!(doc.get("counters").unwrap().get("cache_evictions").unwrap().as_i64(), Some(2));
+    assert_eq!(hits_misses(&mut c), (0, 3));
     server.shutdown();
 }
 
@@ -228,27 +259,50 @@ fn wait_ms_returns_the_terminal_document_without_client_polling() {
     server.shutdown();
 }
 
-#[test]
-fn delete_lands_mid_run() {
-    let server = small_server(1, 4, 4);
-    let mut c = Client::new(server.addr());
-    // Long enough that the DELETE below always finds it simulating.
-    let id =
-        submit(&mut c, r#"{"bench":"FFT","cores":16,"scale":"bench","schemes":["CC"]}"#, "alice");
-    let running = std::time::Instant::now();
-    while c.get(&format!("/jobs/{id}")).unwrap().json().unwrap().get("state").unwrap().as_str()
-        != Some("running")
-    {
-        assert!(running.elapsed() < DEADLINE, "job never started");
+/// Call `probe` every millisecond until `done` holds of its value, and
+/// return that value.
+fn poll<T>(mut probe: impl FnMut() -> T, done: impl Fn(&T) -> bool) -> T {
+    let start = std::time::Instant::now();
+    loop {
+        let value = probe();
+        if done(&value) {
+            return value;
+        }
+        assert!(start.elapsed() < DEADLINE, "the condition never held");
         std::thread::sleep(Duration::from_millis(1));
     }
-    assert_eq!(c.cancel_job(id).unwrap().status, 202);
+}
 
+#[test]
+fn delete_lands_mid_run_and_memoizes_nothing() {
+    let server = small_server(1, 4, 4);
+    let mut c = Client::new(server.addr());
+    // SU finishes first; CC in lockstep on 16 cores then runs long
+    // enough that the DELETE below always finds it simulating.
+    let body = r#"{"bench":"FFT","cores":16,"scale":"bench","schemes":["SU","CC"]}"#;
+    let id = submit(&mut c, body, "alice");
+    let status = |c: &mut Client| c.get(&format!("/jobs/{id}")).unwrap().json().unwrap();
+    poll(|| status(&mut c), |doc| doc.get("results").and_then(Json::as_arr).unwrap().len() == 1);
+    assert_eq!(c.cancel_job(id).unwrap().status, 202);
     let (doc, results) = finish(&mut c, id);
     assert_eq!(doc.get("state").unwrap().as_str(), Some("cancelled"));
-    assert!(results.is_empty(), "the only scheme was stopped mid-run: {results:?}");
+    assert_eq!(results.len(), 1, "CC was stopped mid-run: {results:?}");
+    assert!(results[0].3, "SU ran to the end");
+
+    // SU's finished run is memoized and CC's cancelled one is not, so
+    // the same spec again is a miss: a job is a hit only when every
+    // scheme comes from the memo. The lookup is booked before anything
+    // simulates.
+    let again = submit(&mut c, body, "alice");
+    let booked = poll(|| hits_misses(&mut c), |(hits, misses)| hits + misses == 2);
+    assert_eq!(booked, (0, 2), "the cancelled CC run left a memo entry");
+    assert_eq!(c.cancel_job(again).unwrap().status, 202);
+    let (doc, results) = finish(&mut c, again);
+    assert_eq!(doc.get("state").unwrap().as_str(), Some("cancelled"));
+    assert!(results.iter().all(|(s, _, hit, _)| s == "SU" && *hit), "{results:?}");
+
     let metrics = c.get("/metrics").unwrap().json().unwrap();
-    assert_eq!(metrics.get("counters").unwrap().get("jobs_cancelled").unwrap().as_i64(), Some(1));
+    assert_eq!(metrics.get("counters").unwrap().get("jobs_cancelled").unwrap().as_i64(), Some(2));
     server.shutdown();
 }
 
@@ -295,12 +349,12 @@ fn committed_scenario_file_drives_a_bit_identical_job() {
     assert!(*ok && !*hit, "{cold:?}");
     assert_eq!(fp, &reference_fp, "server scenario run diverged from the in-process run");
 
-    // Repeat posting of the same file warm-starts from the cache and
-    // still reproduces the reference bit-for-bit (CC is deterministic).
+    // Repeat posting of the same file is served from the memo, and the
+    // memo holds exactly the in-process result.
     let warm_id = submit(&mut c, &body, "bob");
     let (_, warm) = finish(&mut c, warm_id);
-    assert!(warm[0].2, "repeat scenario job missed the warm-start cache");
-    assert_eq!(warm[0].1, reference_fp, "warm scenario fork diverged");
+    assert!(warm[0].2, "repeat scenario job missed the result memo");
+    assert_eq!(warm[0].1, reference_fp, "memoized scenario result diverged");
 
     server.shutdown();
 }

@@ -85,15 +85,15 @@ impl Fnv64 {
     }
 }
 
-/// A content-addressed snapshot-cache key: independent digests of the
-/// program image and the target configuration.
+/// A content address of a (program, config) pair: independent digests of
+/// the program image and the target configuration.
 ///
 /// Both digests fold in the snapshot [`crate::FORMAT_VERSION`] before the
 /// payload, so a container-format bump changes every key and any cache
 /// keyed this way self-invalidates instead of serving snapshots the new
-/// code cannot open. The scheme is deliberately *not* part of the key:
-/// warm-start caches store a scheme-neutral safe-point that later runs
-/// fork onto their own scheme.
+/// code cannot open. The scheme is deliberately *not* part of the key: a
+/// safe-point snapshot is scheme-neutral and forks onto any scheme, and
+/// a cache of per-scheme results pairs the key with the scheme itself.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct SnapshotKey {
     /// Digest of the program bytes (text/data image + entry point).

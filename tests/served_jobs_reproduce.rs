@@ -1,42 +1,93 @@
-//! A served job reproduces: the job server's warm-start contract in
-//! tier-1. One in-process server runs one S10 job twice, cold (CC probe,
-//! snapshot, fork) and warm (fork from the cached snapshot). Jobs run on
-//! the det scheduler on one fixed seed, so the slack scheme's
-//! fingerprint is bit-identical across the two, not only its output.
+//! A served job reproduces: the job server's result memo in tier-1. A
+//! served run is a function of its spec (det scheduler, one fixed seed),
+//! so a memo hit must equal a recomputation. On one server, FFT on four
+//! cores under S10 is computed, then served from the memo; a two-scheme
+//! grid hits S10 and computes S100; a `"metrics": true` job recomputes
+//! both. A fresh server computes the grid in the other order. Every
+//! scheme's fingerprint and simulated cycles agree across all of them.
 
 use sk_serve::json::Json;
 use sk_serve::{Client, Server, ServerConfig};
+use std::collections::HashMap;
 use std::time::Duration;
 
-/// `(cache_hit, output_ok, fingerprint)` of the job's only scheme.
-fn run(client: &mut Client, body: &str) -> (bool, bool, String) {
+/// One scheme's entry in a status document.
+#[derive(Debug)]
+struct Served {
+    scheme: String,
+    cache_hit: bool,
+    wall_ms: i64,
+    output_ok: bool,
+    fingerprint: String,
+    exec_cycles: i64,
+}
+
+fn run(client: &mut Client, body: &str) -> Vec<Served> {
     let posted = client.post_job(body, "tier1").expect("post");
     assert_eq!(posted.status, 202, "{}", posted.body);
     let id = posted.json().unwrap().get("job").and_then(Json::as_i64).unwrap() as u64;
     let doc = client.wait_job(id, Duration::from_secs(60)).expect("job ends");
     assert_eq!(doc.get("state").and_then(Json::as_str), Some("done"), "{doc}");
     let results = doc.get("results").and_then(Json::as_arr).expect("results");
-    assert_eq!(results.len(), 1);
-    let r = &results[0];
-    (
-        r.get("cache_hit").and_then(Json::as_bool).unwrap(),
-        r.get("output_ok").and_then(Json::as_bool).unwrap(),
-        r.get("fingerprint").and_then(Json::as_str).unwrap().to_string(),
-    )
+    results
+        .iter()
+        .map(|r| Served {
+            scheme: r.get("scheme").and_then(Json::as_str).unwrap().to_string(),
+            cache_hit: r.get("cache_hit").and_then(Json::as_bool).unwrap(),
+            wall_ms: r.get("wall_ms").and_then(Json::as_i64).unwrap(),
+            output_ok: r.get("output_ok").and_then(Json::as_bool).unwrap(),
+            fingerprint: r.get("fingerprint").and_then(Json::as_str).unwrap().to_string(),
+            exec_cycles: r.get("exec_cycles").and_then(Json::as_i64).unwrap(),
+        })
+        .collect()
+}
+
+/// Which entries of `job` were memo hits, in scheme order.
+fn hits(job: &[Served]) -> Vec<(&str, bool)> {
+    job.iter().map(|r| (r.scheme.as_str(), r.cache_hit)).collect()
+}
+
+fn server() -> Server {
+    Server::start(ServerConfig { workers: 1, ..ServerConfig::default() })
+        .expect("bind a loopback port")
 }
 
 #[test]
 fn a_served_s10_job_is_bit_identical_cold_and_warm() {
-    let server = Server::start(ServerConfig { workers: 1, ..ServerConfig::default() })
-        .expect("bind a loopback port");
-    let mut client = Client::new(server.addr());
-    let body = r#"{"bench":"FFT","cores":4,"schemes":["S10"]}"#;
+    let one = r#"{"bench":"FFT","cores":4,"schemes":["S10"]}"#;
+    let grid = r#"{"bench":"FFT","cores":4,"schemes":["S10","S100"]}"#;
+    let metrics = r#"{"bench":"FFT","cores":4,"schemes":["S10","S100"],"metrics":true}"#;
 
-    let (cold_hit, cold_ok, cold_fp) = run(&mut client, body);
-    let (warm_hit, warm_ok, warm_fp) = run(&mut client, body);
-    server.shutdown();
+    let a = server();
+    let mut client = Client::new(a.addr());
+    let computed = run(&mut client, one);
+    let hit = run(&mut client, one);
+    let mixed = run(&mut client, grid);
+    let recomputed = run(&mut client, metrics);
+    a.shutdown();
 
-    assert!(!cold_hit && warm_hit, "cold probes, warm forks the cached snapshot");
-    assert!(cold_ok && warm_ok, "both runs print the kernel's expected output");
-    assert_eq!(warm_fp, cold_fp, "warm S10 fork diverged from the cold run");
+    let b = server();
+    let fresh =
+        run(&mut Client::new(b.addr()), r#"{"bench":"FFT","cores":4,"schemes":["S100","S10"]}"#);
+    b.shutdown();
+
+    assert_eq!(hits(&computed), [("S10", false)]);
+    assert_eq!(hits(&hit), [("S10", true)]);
+    assert_eq!(hit[0].wall_ms, 0, "nothing ran for a memo hit");
+    assert_eq!(hits(&mixed), [("S10", true), ("S100", false)]);
+    assert_eq!(hits(&recomputed), [("S10", false), ("S100", false)], "metrics jobs always run");
+    assert_eq!(hits(&fresh), [("S100", false), ("S10", false)]);
+
+    let mut first: HashMap<&str, &Served> = HashMap::new();
+    for r in [&computed, &hit, &mixed, &recomputed, &fresh].into_iter().flatten() {
+        assert!(r.output_ok, "{r:?} printed the wrong output");
+        let f = first.entry(&r.scheme).or_insert(r);
+        assert_eq!(
+            (&r.fingerprint, r.exec_cycles),
+            (&f.fingerprint, f.exec_cycles),
+            "{} served {r:?} after {f:?}",
+            r.scheme
+        );
+    }
+    assert_eq!(first.len(), 2);
 }
