@@ -37,13 +37,14 @@
 //!
 //! `--schemes` takes any scheme name `slacksim --scheme` takes.
 //! `--smoke` is the CI preset: det backend, 64-core CC+S10*, shards
-//! {0,4}, 1 round. Prints the grid as JSON on stdout; progress on
-//! stderr.
+//! {0,4}, 1 round. Prints the grid as one JSON document
+//! (`sk-bench-scaleout-v2`, written by `sk_obs::json`) on stdout;
+//! progress on stderr.
 
 use sk_core::{CoreModel, DetEngine, Engine, Scheme, TargetConfig};
 use sk_kernels::Workload;
+use sk_obs::json::Json;
 use std::collections::HashMap;
-use std::fmt::Write as _;
 use std::time::Instant;
 
 struct Cell {
@@ -97,6 +98,12 @@ fn run_once(w: &Workload, scheme: Scheme, cfg: &TargetConfig, det_seed: Option<u
         events_mgr: obs.manager.events_ingested.get(),
         events_shards,
     }
+}
+
+/// `x` rounded to `places` decimals, the precision the grid reports.
+fn round(x: f64, places: i32) -> Json {
+    let k = 10f64.powi(places);
+    Json::from((x * k).round() / k)
 }
 
 fn parse_list<T: std::str::FromStr>(s: &str) -> Vec<T> {
@@ -169,7 +176,7 @@ fn main() {
     // (asserted per cell below) and across backends (asserted here).
     let mut cc_fp: HashMap<(String, usize), String> = HashMap::new();
 
-    let mut entries = String::new();
+    let mut grid: Vec<Json> = Vec::new();
     for backend in &backends {
         let det_seed = match backend.as_str() {
             "det" => Some(0u64),
@@ -251,35 +258,29 @@ fn main() {
                             cell.shard_busy_ms.iter().cloned().fold(0.0f64, f64::max)
                                 / 1e3
                                 / cell.wall_s;
-                        let shard_busy: Vec<String> =
-                            cell.shard_busy_ms.iter().map(|b| format!("{b:.2}")).collect();
-                        if !entries.is_empty() {
-                            entries.push_str(",\n");
-                        }
-                        write!(
-                            entries,
-                            "    {{\"backend\": {backend:?}, \"kernel\": {:?}, \"n_cores\": \
-                             {n}, \"scheme\": {name:?}, \"shards\": {s}, \"wall_min_s\": \
-                             {:.4}, \"wall_vs_unsharded\": {:.4}, \"exec_cycles\": {}, \
-                             \"committed\": {}, \"mgr_busy_ms\": {:.2}, \"mgr_wait_ms\": \
-                             {:.2}, \"mgr_occupancy\": {mgr_occ:.4}, \
-                             \"max_shard_occupancy\": {max_shard_occ:.4}, \"shard_busy_ms\": \
-                             [{}], \"mgr_iters\": {}, \"shard_iters\": {}, \"events_mgr\": {}, \
-                             \"events_shards\": {}}}",
-                            w.name,
-                            cell.wall_s,
-                            cell.wall_s / wall0,
-                            cell.exec_cycles,
-                            cell.committed,
-                            cell.mgr_busy_ms,
-                            cell.mgr_wait_ms,
-                            shard_busy.join(", "),
-                            cell.mgr_iters,
-                            cell.shard_iters,
-                            cell.events_mgr,
-                            cell.events_shards,
-                        )
-                        .unwrap();
+                        grid.push(Json::obj([
+                            ("backend", Json::from(backend.as_str())),
+                            ("kernel", w.name.as_str().into()),
+                            ("n_cores", n.into()),
+                            ("scheme", name.as_str().into()),
+                            ("shards", s.into()),
+                            ("wall_min_s", round(cell.wall_s, 4)),
+                            ("wall_vs_unsharded", round(cell.wall_s / wall0, 4)),
+                            ("exec_cycles", cell.exec_cycles.into()),
+                            ("committed", cell.committed.into()),
+                            ("mgr_busy_ms", round(cell.mgr_busy_ms, 2)),
+                            ("mgr_wait_ms", round(cell.mgr_wait_ms, 2)),
+                            ("mgr_occupancy", round(mgr_occ, 4)),
+                            ("max_shard_occupancy", round(max_shard_occ, 4)),
+                            (
+                                "shard_busy_ms",
+                                cell.shard_busy_ms.iter().map(|&b| round(b, 2)).collect(),
+                            ),
+                            ("mgr_iters", cell.mgr_iters.into()),
+                            ("shard_iters", cell.shard_iters.into()),
+                            ("events_mgr", cell.events_mgr.into()),
+                            ("events_shards", cell.events_shards.into()),
+                        ]));
                         eprintln!(
                             "{backend:<7} {:<16} n={n:<3} {name:<4} shards={s}  wall {:.4}s \
                              (x{:.3})  mgr_occ {mgr_occ:.3}  max_shard_occ {max_shard_occ:.3}  \
@@ -296,32 +297,30 @@ fn main() {
         }
     }
 
-    println!("{{");
-    println!(
-        "  \"description\": \"Sharded clock domains scale-out: backend x cores x manager \
-         shards (0 = single manager) x schemes, interleaved min-of-{rounds} walls. The det \
-         backend runs every role cooperatively on one host thread, so busy_ns/wall is the \
-         exact schedule fraction each role consumed and walls measure algorithmic dispatch \
-         cost free of context-switch noise — the >25% wall-inflation gate applies to det \
-         cells of slack-rich kernels (private_compute, the paper's target regime). \
-         lock_sweep is an adversarial fine-grained stress whose tiny windows make the \
-         per-cycle cooperative scheduler hop the dominant term; it is reported, not \
-         wall-gated — its gated invariant is the occupancy drop. The threads backend is \
-         where serialization actually parallelizes; on a 1-CPU \
-         host its sharded walls pay real context switches per handoff and are reported, not \
-         gated. mgr_occupancy = (busy_ns - frontier_wait_ns)/wall: the coordinator stops \
-         handling memory events and window fan-out as shards take over, so its occupancy \
-         must drop as shards rise. Output equality across shard counts, bit-identical CC \
-         fingerprints across shard counts and across backends are asserted by the harness \
-         itself.\","
+    let description = format!(
+        "Sharded clock domains scale-out: backend x cores x manager shards (0 = single \
+         manager) x schemes, interleaved min-of-{rounds} walls. The det backend runs every \
+         role cooperatively on one host thread, so busy_ns/wall is the exact schedule \
+         fraction each role consumed and walls measure algorithmic dispatch cost free of \
+         context-switch noise — the >25% wall-inflation gate applies to det cells of \
+         slack-rich kernels (private_compute, the paper's target regime). lock_sweep is an \
+         adversarial fine-grained stress whose tiny windows make the per-cycle cooperative \
+         scheduler hop the dominant term; it is reported, not wall-gated — its gated \
+         invariant is the occupancy drop. The threads backend is where serialization \
+         actually parallelizes; on a 1-CPU host its sharded walls pay real context switches \
+         per handoff and are reported, not gated. mgr_occupancy = (busy_ns - \
+         frontier_wait_ns)/wall: the coordinator stops handling memory events and window \
+         fan-out as shards take over, so its occupancy must drop as shards rise. Output \
+         equality across shard counts, bit-identical CC fingerprints across shard counts and \
+         across backends are asserted by the harness itself."
     );
-    println!("  \"schema\": \"sk-bench-scaleout-v2\",");
-    println!("  \"backends\": [{}],", {
-        let q: Vec<String> = backends.iter().map(|b| format!("{b:?}")).collect();
-        q.join(", ")
-    });
-    println!("  \"rounds\": {rounds},");
-    println!("  \"host_threads\": {host_threads},");
-    println!("  \"grid\": [\n{entries}\n  ]");
-    println!("}}");
+    let doc = Json::obj([
+        ("description", Json::from(description)),
+        ("schema", "sk-bench-scaleout-v2".into()),
+        ("backends", backends.iter().map(String::as_str).collect()),
+        ("rounds", rounds.into()),
+        ("host_threads", host_threads.into()),
+        ("grid", Json::Arr(grid)),
+    ]);
+    println!("{doc}");
 }

@@ -44,30 +44,6 @@ use sk_isa::Program;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-/// Which machinery executes a simulation.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ExecBackend {
-    /// The paper's execution model on a pool of min(host CPUs, cores)
-    /// worker threads ([`crate::pool`]; the default).
-    Threads,
-    /// All cores and the manager as cooperative tasks on one thread,
-    /// interleaved by a seeded PRNG ([`DetEngine`]).
-    Deterministic {
-        /// Schedule seed: same seed ⇒ bit-identical run.
-        seed: u64,
-    },
-}
-
-impl ExecBackend {
-    /// Run `program` under `scheme` on this backend.
-    pub fn run(self, program: &Program, scheme: Scheme, cfg: &TargetConfig) -> SimReport {
-        match self {
-            ExecBackend::Threads => crate::engine::run_parallel(program, scheme, cfg),
-            ExecBackend::Deterministic { seed } => run_det(program, scheme, cfg, seed),
-        }
-    }
-}
-
 /// Consecutive fruitless scheduler picks (no core progressed, manager
 /// ingested nothing) before the scheduler runs the forced round
 /// ([`Engine::forced_round`]). Scaled by task count at runtime; the
@@ -325,7 +301,7 @@ impl DetEngine {
                             if granted && set.sharded {
                                 set.refresh_all(&board);
                             } else {
-                                for &c in self.engine.uncore.woken() {
+                                for &c in self.engine.uncore.stage.woken() {
                                     set.refresh_core(&board, c);
                                 }
                             }
@@ -349,7 +325,7 @@ impl DetEngine {
                 // Its frontier, the replies it delivered and the cores it
                 // woke are all news to the manager.
                 mgr_settled = false;
-                for &c in self.engine.shards[si].woken() {
+                for &c in self.engine.shards[si].stage.woken() {
                     set.refresh_core(&board, c);
                 }
                 progressed
@@ -524,15 +500,6 @@ mod tests {
         b.run();
         assert_eq!(b.decision_hash(), hash);
         assert_eq!(b.into_report().fingerprint(), fp);
-    }
-
-    #[test]
-    fn backend_enum_dispatches() {
-        let p = counter_program(2, 2);
-        let c = cfg(2);
-        let t = ExecBackend::Threads.run(&p, Scheme::CycleByCycle, &c);
-        let d = ExecBackend::Deterministic { seed: 0 }.run(&p, Scheme::CycleByCycle, &c);
-        assert_eq!(t.fingerprint(), d.fingerprint());
     }
 
     /// Every scheme class converges on a det safe-point, including the

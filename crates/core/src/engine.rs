@@ -32,11 +32,10 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Most samples the manager records into the slack profile (the rest are
-/// counted in `EngineStats::slack_profile_truncated`).
+/// Most samples the manager records into the slack profile of a
+/// `record_trace` run (the rest are counted in
+/// `EngineStats::slack_profile_truncated`).
 const SLACK_PROFILE_CAP: usize = 1_000_000;
-/// Initial slack-profile reservation (grows on demand up to the cap).
-const SLACK_PROFILE_RESERVE: usize = 1 << 16;
 
 /// Forced rounds in a row with no progress before a run is declared
 /// livelocked (a bug in the engine, not the workload — workload deadlock
@@ -341,7 +340,11 @@ pub struct Engine {
     pub(crate) shard_signals: Vec<Arc<ShardSignal>>,
     shard_frontiers: Vec<Arc<AtomicU64>>,
     engine: EngineStats,
-    slack_profile: Vec<(u64, u64)>,
+    /// (global time, observed slack) samples; `Some` with `record_trace`.
+    slack_profile: Option<Vec<(u64, u64)>>,
+    /// Global time of the last manager sample (obs slack histogram,
+    /// violation samples, slack profile): one sample per global time.
+    last_sample_g: Option<u64>,
     /// Highest window already published to every core: re-raising an
     /// unchanged window is a no-op per core, so skip the whole loop.
     last_window: u64,
@@ -380,9 +383,7 @@ impl Engine {
             Some(Arc::new(ClockBoard::new(cfg.n_cores, scheme.window(0))))
         });
         wiring.cores[0].start_main(program.entry);
-        let mut engine = Engine::from_parts(*cfg, scheme, shared, wiring, program.text_len());
-        engine.slack_profile = Vec::with_capacity(SLACK_PROFILE_RESERVE.min(SLACK_PROFILE_CAP));
-        engine
+        Engine::from_parts(*cfg, scheme, shared, wiring, program.text_len())
     }
 
     /// The engine around freshly wired parts; nothing has run on them.
@@ -408,7 +409,8 @@ impl Engine {
             shards,
             shard_signals,
             engine: EngineStats::default(),
-            slack_profile: Vec::new(),
+            slack_profile: cfg.record_trace.then(Vec::new),
+            last_sample_g: None,
             last_window: 0,
             wall: Duration::ZERO,
             finished: false,
@@ -580,7 +582,8 @@ impl Engine {
         self.engine.global_updates += 1;
         let slack_now = clock_cache.observed_slack(g);
         self.engine.max_observed_slack = self.engine.max_observed_slack.max(slack_now);
-        if self.slack_profile.last().map(|&(pg, _)| pg) != Some(g) {
+        if self.last_sample_g != Some(g) {
+            self.last_sample_g = Some(g);
             if let Some(o) = obs {
                 o.manager.slack.record(slack_now);
                 if o.cfg.violation_sample_interval > 0 && g >= self.next_violation_sample {
@@ -592,10 +595,12 @@ impl Engine {
                     self.next_violation_sample = g + o.cfg.violation_sample_interval;
                 }
             }
-            if self.slack_profile.len() < SLACK_PROFILE_CAP {
-                self.slack_profile.push((g, slack_now));
-            } else {
-                self.engine.slack_profile_truncated += 1;
+            if let Some(p) = &mut self.slack_profile {
+                if p.len() < SLACK_PROFILE_CAP {
+                    p.push((g, slack_now));
+                } else {
+                    self.engine.slack_profile_truncated += 1;
+                }
             }
         }
         // Quiescence is observed *before* the drain. A core pushes its
@@ -689,7 +694,7 @@ impl Engine {
             self.board.raise_all(w);
             self.last_window = w;
         }
-        self.uncore.flush_wakeups();
+        self.uncore.stage.flush_wakeups();
 
         if all_done {
             return MgrVerdict::Finish;
@@ -1070,26 +1075,11 @@ impl Engine {
             violations,
             self.wall,
         );
-        report.slack_profile = Some(self.slack_profile);
+        report.slack_profile = self.slack_profile;
         // Merge sharded directory/interconnect statistics.
         for sh in &self.shards {
-            let d = sh.dir_stats();
-            let r = &mut report.dir;
-            r.gets += d.gets;
-            r.getm += d.getm;
-            r.upgrades += d.upgrades;
-            r.puts += d.puts;
-            r.invalidations_out += d.invalidations_out;
-            r.downgrades_out += d.downgrades_out;
-            r.l2_hits += d.l2_hits;
-            r.l2_misses += d.l2_misses;
-            r.writebacks += d.writebacks;
-            r.transition_inversions += d.transition_inversions;
-            let b = sh.bus_stats();
-            report.bus.grants += b.grants;
-            report.bus.conflicts += b.conflicts;
-            report.bus.wait_cycles += b.wait_cycles;
-            report.bus.inversions += b.inversions;
+            report.dir += sh.dir.stats;
+            report.bus += sh.dir.bus_stats();
         }
         report
     }

@@ -50,6 +50,7 @@ pub mod cpu;
 pub mod engine;
 pub mod exec;
 pub mod interp;
+mod memstage;
 pub mod msg;
 pub mod pool;
 pub mod scheme;
@@ -61,7 +62,7 @@ pub mod sync;
 pub mod uncore;
 pub mod violation;
 
-pub use backend::{run_det, DetEngine, ExecBackend};
+pub use backend::{run_det, DetEngine};
 pub use config::{ConfigError, CoreConfig, CoreModel, StopCondition, TargetConfig};
 pub use engine::{run_parallel, Engine, RunOutcome};
 pub use interp::{interpret, interpret_with, InterpResult, InterpStop};

@@ -226,7 +226,7 @@ impl Pool<'_> {
             MgrVerdict::CheckpointReady => self.end(&mut ctl, RunOutcome::CheckpointReady),
             MgrVerdict::Continue { ingested, granted, settled, .. } => {
                 self.unsettled.store(!settled, Ordering::Relaxed);
-                moved |= ingested > 0 || granted || !ctl.engine.uncore.woken().is_empty();
+                moved |= ingested > 0 || granted || !ctl.engine.uncore.stage.woken().is_empty();
             }
         }
         moved

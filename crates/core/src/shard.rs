@@ -13,28 +13,28 @@
 //! per-core SPSC queues of memory events, and produces replies and
 //! invalidations on per-core SPSC queues of its own.
 //!
-//! Ordering: within a shard, timestamp-ordered schemes process events in
-//! `(ts, core, seq)` order behind the global-time horizon, exactly like
-//! the single manager, and the coordinator holds ordered-scheme windows
-//! back to the slowest shard's published **frontier** so no core ever
-//! ticks past an undelivered reply. The result (asserted by tests): the
-//! sharded engine is fully *deterministic* for every conservative scheme
-//! at any shard count, and differs in timing from the single manager only
-//! through the interconnect model — one occupancy channel per bank group
-//! instead of one shared channel (sub-1% on the paper kernels, exactly
-//! zero when the shared channel was uncontended). Eager schemes skip the
-//! frontier (the paper's semantics have no such coupling) and simply gain
-//! manager throughput — which measurably shrinks their host-induced
-//! timing error.
+//! Ordering: each shard runs the single manager's memory-event stage
+//! (`crate::memstage`: the same event queue, horizon rule, reply port and
+//! directory service), so within a shard ordered schemes process events
+//! in `(ts, core, seq)` order behind the global-time horizon, and the
+//! coordinator holds ordered-scheme windows back to the slowest shard's
+//! published **frontier** so no core ever ticks past an undelivered
+//! reply. The result (asserted by tests): the sharded engine is fully
+//! *deterministic* for every conservative scheme at any shard count, and
+//! differs in timing from the single manager only through the
+//! interconnect model — one occupancy channel per bank group instead of
+//! one shared channel (sub-1% on the paper kernels, exactly zero when the
+//! shared channel was uncontended). Eager schemes skip the frontier (the
+//! paper's semantics have no such coupling) and simply gain manager
+//! throughput — which measurably shrinks their host-induced timing error.
 
 use crate::clock::ClockBoard;
 use crate::config::TargetConfig;
-use crate::msg::{GlobalEvent, InKind, InMsg, OutEvent, OutKind};
-use crate::scheme::{EventOrdering, Scheme};
+use crate::memstage::MemStage;
+use crate::msg::{GlobalEvent, InMsg, OutEvent, OutKind};
+use crate::scheme::Scheme;
 use crate::spsc::{Consumer, Producer};
-use sk_mem::l1::ReqKind;
 use sk_mem::Directory;
-use std::cmp::Reverse;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -67,27 +67,14 @@ impl ShardSignal {
     }
 }
 
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-struct OrderedEv(GlobalEvent);
-
-impl Ord for OrderedEv {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0.key().cmp(&other.0.key())
-    }
-}
-impl PartialOrd for OrderedEv {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
 /// One memory-shard manager: a directory shard plus its queue endpoints.
 pub struct MemShard {
     /// Shard index (owns banks where `bank % n_shards == index`).
     pub index: usize,
-    scheme: Scheme,
-    dir: Directory,
-    ordered: std::collections::BinaryHeap<Reverse<OrderedEv>>,
+    /// This shard's banks of the directory + L2 + interconnect model.
+    pub(crate) dir: Directory,
+    /// The event queue and the reply queues, one per core.
+    pub(crate) stage: MemStage,
     /// Event queues, one per core (this shard is the consumer).
     pub from_cores: Vec<Consumer<OutEvent>>,
     /// Dirty-core bitmask (word `c >> 6`, bit `c & 63`): core `c` sets
@@ -100,17 +87,6 @@ pub struct MemShard {
     /// the swap see every bit the frontier publication is about to
     /// vouch for.
     dirty: Arc<Vec<AtomicU64>>,
-    /// Reply queues, one per core (this shard is the producer).
-    to_cores: Vec<Producer<InMsg>>,
-    /// Cores that received a reply since the last wakeup flush: a flag
-    /// per core (one entry per core however many replies it got) and the
-    /// flagged cores as a list, so the flush walks receivers only.
-    wake_pending: Vec<bool>,
-    wake_list: Vec<usize>,
-    /// Cores the last iteration's flush actually resumed (they were
-    /// parked on the board): what the deterministic scheduler must put
-    /// back in its runnable set.
-    woken: Vec<usize>,
     /// Reusable queue-drain buffer.
     scratch: Vec<OutEvent>,
     board: Arc<ClockBoard>,
@@ -139,15 +115,10 @@ impl MemShard {
     ) -> Self {
         MemShard {
             index,
-            scheme,
             dir: Directory::new(cfg.n_cores, cfg.mem),
-            ordered: Default::default(),
+            stage: MemStage::new(scheme, to_cores, Some(board.clone())),
             from_cores,
             dirty,
-            to_cores,
-            wake_pending: vec![false; cfg.n_cores],
-            wake_list: Vec::new(),
-            woken: Vec::new(),
             scratch: Vec::new(),
             board,
             frontier: Arc::new(AtomicU64::new(0)),
@@ -162,66 +133,13 @@ impl MemShard {
         self.obs = Some(obs);
     }
 
-    fn push_to_core(&mut self, core: usize, msg: InMsg) {
-        self.to_cores[core].push(msg);
-        // Deferred to `flush_wakeups`: one unpark per core per iteration.
-        if !std::mem::replace(&mut self.wake_pending[core], true) {
-            self.wake_list.push(core);
-        }
-    }
-
-    fn flush_wakeups(&mut self) {
-        for core in self.wake_list.drain(..) {
-            self.wake_pending[core] = false;
-            if self.board.unpark(core) {
-                self.woken.push(core);
-            }
-        }
-    }
-
-    /// Cores the last [`MemShard::iterate`] resumed from a parked state.
-    pub fn woken(&self) -> &[usize] {
-        &self.woken
-    }
-
     fn process_event(&mut self, ge: GlobalEvent) {
         self.events_processed += 1;
         let core = ge.core;
         let ts = ge.ev.ts;
         match ge.ev.kind {
-            OutKind::DMem { req, block } => {
-                let out = self.dir.handle(core, req, block, ts);
-                for inv in &out.invalidations {
-                    self.push_to_core(
-                        inv.core,
-                        InMsg {
-                            ts: inv.ts,
-                            kind: InKind::Invalidate { block: inv.block, downgrade: inv.downgrade },
-                        },
-                    );
-                }
-                if let Some(granted) = out.granted {
-                    self.push_to_core(
-                        core,
-                        InMsg { ts: out.done_ts, kind: InKind::DMemReply { block, granted } },
-                    );
-                }
-            }
-            OutKind::IMem { block } => {
-                let out = self.dir.handle(core, ReqKind::GetS, block, ts);
-                for inv in &out.invalidations {
-                    self.push_to_core(
-                        inv.core,
-                        InMsg {
-                            ts: inv.ts,
-                            kind: InKind::Invalidate { block: inv.block, downgrade: inv.downgrade },
-                        },
-                    );
-                }
-                self.push_to_core(
-                    core,
-                    InMsg { ts: out.done_ts, kind: InKind::IMemReply { block } },
-                );
+            OutKind::DMem { .. } | OutKind::IMem { .. } => {
+                self.stage.serve_mem(&mut self.dir, core, ts, ge.ev.kind)
             }
             // Mirror of the coordinator's ROI reset: the core broadcasts the
             // marker into every shard stream, so pre-ROI warm-up traffic
@@ -239,9 +157,7 @@ impl MemShard {
     /// keys off this.
     pub fn iterate(&mut self) -> bool {
         let mut progressed = false;
-        self.woken.clear();
         let g = self.board.global();
-        let eager = self.scheme.ordering() == EventOrdering::Eager;
         let events0 = self.events_processed;
         let mut drained = 0u64;
         let mut scratch = std::mem::take(&mut self.scratch);
@@ -266,39 +182,17 @@ impl MemShard {
                         obs.manager.shard_batch.record(scratch.len() as u64);
                         obs.shards[self.index].drain_batch.record(scratch.len() as u64);
                     }
-                    if eager {
-                        for &ev in &scratch {
-                            self.process_event(GlobalEvent { core: c, ev });
-                        }
-                    } else {
-                        self.ordered.extend(
-                            scratch
-                                .iter()
-                                .map(|&ev| Reverse(OrderedEv(GlobalEvent { core: c, ev }))),
-                        );
+                    for &ev in self.stage.ingest(c, &scratch) {
+                        self.process_event(GlobalEvent { core: c, ev });
                     }
                 }
             }
         }
         self.scratch = scratch;
-        let horizon = match self.scheme.ordering() {
-            EventOrdering::Eager => None,
-            EventOrdering::TimestampOrdered => Some(g),
-            EventOrdering::AtBarrier => match self.scheme {
-                Scheme::Quantum(q) => Some((g / q) * q),
-                _ => Some(g),
-            },
-        };
-        if let Some(h) = horizon {
-            while let Some(&Reverse(OrderedEv(ge))) = self.ordered.peek() {
-                if ge.ev.ts > h {
-                    break;
-                }
-                self.ordered.pop();
-                self.process_event(ge);
-            }
+        if let Some(h) = self.stage.horizon(g) {
+            self.process_upto(h);
         }
-        self.flush_wakeups();
+        self.stage.flush_wakeups();
         // Publish the processed frontier: every event with ts <= g had
         // arrived before g was computed (cores push before advancing their
         // local clocks) and has now been processed and delivered.
@@ -311,7 +205,7 @@ impl MemShard {
             let sh = &obs.shards[self.index];
             sh.iterations.add(1);
             sh.events.add(self.events_processed - events0);
-            sh.heap_occupancy.record(self.ordered.len() as u64);
+            sh.heap_occupancy.record(self.stage.queued() as u64);
             sh.frontier_lag.record(g.saturating_sub(self.frontier.load(Ordering::Relaxed)));
         }
         progressed || drained > 0 || self.events_processed > events0
@@ -326,26 +220,19 @@ impl MemShard {
                 if self.from_cores[c].drain_into(&mut scratch, usize::MAX) == 0 {
                     break;
                 }
-                self.ordered.extend(
-                    scratch.iter().map(|&ev| Reverse(OrderedEv(GlobalEvent { core: c, ev }))),
-                );
+                self.stage.enqueue(scratch.iter().map(|&ev| GlobalEvent { core: c, ev }));
             }
         }
         self.scratch = scratch;
-        while let Some(Reverse(OrderedEv(ge))) = self.ordered.pop() {
+        self.process_upto(u64::MAX);
+        self.stage.flush_wakeups();
+    }
+
+    /// Process every queued event stamped at or before `h`.
+    fn process_upto(&mut self, h: u64) {
+        while let Some(ge) = self.stage.pop_upto(h) {
             self.process_event(ge);
         }
-        self.flush_wakeups();
-    }
-
-    /// This shard's directory statistics.
-    pub fn dir_stats(&self) -> sk_mem::directory::DirStats {
-        self.dir.stats
-    }
-
-    /// This shard's interconnect statistics.
-    pub fn bus_stats(&self) -> sk_mem::bus::BusStats {
-        self.dir.bus_stats()
     }
 
     // ---- snapshot support ----
@@ -353,7 +240,7 @@ impl MemShard {
     /// Serialize shard-local dynamic state. Call only at a safe-point with
     /// the shard quiescent: [`MemShard::finish`] run (ordered heap empty).
     pub fn save_state(&self, w: &mut sk_snap::Writer) {
-        debug_assert!(self.ordered.is_empty(), "shard heap must be drained at a safe-point");
+        debug_assert!(self.stage.queued() == 0, "shard heap must be drained at a safe-point");
         use sk_snap::Persist;
         w.put_u64(self.frontier.load(Ordering::Acquire));
         w.put_u64(self.events_processed);
@@ -380,13 +267,6 @@ pub fn shard_of(block: sk_mem::BlockAddr, n_banks: usize, n_shards: usize) -> us
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    impl MemShard {
-        /// The cores' reply queues, shard side.
-        pub(crate) fn producers(&mut self) -> impl Iterator<Item = &mut Producer<InMsg>> {
-            self.to_cores.iter_mut()
-        }
-    }
 
     #[test]
     fn shard_routing_is_bank_interleaved() {

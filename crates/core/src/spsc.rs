@@ -422,9 +422,9 @@ mod tests {
         for core in e.cores.iter_mut() {
             core.producers().for_each(|p| one(p, arm, &mut seen));
         }
-        e.uncore.producers().for_each(|p| one(p, arm, &mut seen));
+        e.uncore.stage.producers().iter_mut().for_each(|p| one(p, arm, &mut seen));
         for shard in e.shards.iter_mut() {
-            shard.producers().for_each(|p| one(p, arm, &mut seen));
+            shard.stage.producers().iter_mut().for_each(|p| one(p, arm, &mut seen));
         }
         seen
     }

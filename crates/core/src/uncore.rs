@@ -11,33 +11,26 @@
 //! * applies the active scheme's event-ordering discipline: eager
 //!   (arrival order), timestamp-ordered with a `ts ≤ global` horizon, or
 //!   at-barrier (quantum multiples).
+//!
+//! The memory half of that work — the GQ and its horizon rule, the InQ
+//! producers with their deferred wake-ups, and `DMem`/`IMem` service
+//! against the directory — is the memory-event stage (`crate::memstage`),
+//! which every memory shard ([`crate::shard`]) runs too: sharding splits
+//! the directory, never the discipline. `Uncore` owns one stage and adds
+//! what only the coordinator does: the sync table, thread spawn and exit,
+//! CAS, the ROI markers, the quiescent `process_all_upto` and the GQ
+//! snapshot.
 
 use crate::clock::ClockBoard;
 use crate::config::TargetConfig;
+use crate::memstage::MemStage;
 use crate::msg::{GlobalEvent, InKind, InMsg, OutEvent, OutKind, SyncOp};
 use crate::scheme::{EventOrdering, Scheme};
 use crate::spsc::Producer;
 use crate::sync::SyncTable;
-use sk_mem::l1::ReqKind;
 use sk_mem::Directory;
 use sk_snap::{Persist, Reader, SnapError, Writer};
-use std::cmp::Reverse;
 use std::sync::Arc;
-
-/// Heap wrapper ordering [`GlobalEvent`]s by (ts, core, seq).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-struct OrderedEv(GlobalEvent);
-
-impl Ord for OrderedEv {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0.key().cmp(&other.0.key())
-    }
-}
-impl PartialOrd for OrderedEv {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
 
 /// The simulation manager state machine.
 pub struct Uncore {
@@ -46,18 +39,8 @@ pub struct Uncore {
     pub dir: Directory,
     /// Table 1 sync objects.
     pub sync: SyncTable,
-    ordered: std::collections::BinaryHeap<Reverse<OrderedEv>>,
-    inqs: Vec<Producer<InMsg>>,
-    /// Cores that received an InQ message since the last wakeup flush: a
-    /// flag per core and the flagged cores as a list, so the flush walks
-    /// receivers only.
-    wake_pending: Vec<bool>,
-    wake_list: Vec<usize>,
-    /// Cores the last [`Uncore::flush_wakeups`] actually resumed (they
-    /// were parked on the board): what the deterministic scheduler must
-    /// put back in its runnable set.
-    woken: Vec<usize>,
-    board: Option<Arc<ClockBoard>>,
+    /// The GQ and the InQs.
+    pub(crate) stage: MemStage,
     started: Vec<bool>,
     exited: Vec<bool>,
     sync_latency: u64,
@@ -94,12 +77,7 @@ impl Uncore {
             scheme,
             dir: Directory::new(n, cfg.mem),
             sync: SyncTable::new(),
-            ordered: std::collections::BinaryHeap::new(),
-            inqs,
-            wake_pending: vec![false; n],
-            wake_list: Vec::new(),
-            woken: Vec::new(),
-            board,
+            stage: MemStage::new(scheme, inqs, board),
             started,
             exited: vec![false; n],
             sync_latency: cfg.mem.critical_latency(),
@@ -116,7 +94,7 @@ impl Uncore {
     /// Call again after [`Uncore::restore_state`] (restore replaces the
     /// sync table, dropping its hub reference).
     pub fn set_obs(&mut self, obs: Arc<sk_obs::Metrics>) {
-        for p in &mut self.inqs {
+        for p in self.stage.producers() {
             p.enable_high_water();
         }
         self.sync.set_obs(obs.clone());
@@ -126,9 +104,9 @@ impl Uncore {
     /// Publish producer-side queue telemetry (InQ high-water marks) into
     /// the hub. Call when the manager is quiescent: end of a segment, or
     /// at a snapshot safe-point.
-    pub fn publish_obs(&self) {
+    pub fn publish_obs(&mut self) {
         if let Some(obs) = &self.obs {
-            for (i, p) in self.inqs.iter().enumerate() {
+            for (i, p) in self.stage.producers().iter().enumerate() {
                 obs.manager.inq_high_water[i].raise_to(p.high_water() as u64);
             }
         }
@@ -144,91 +122,26 @@ impl Uncore {
         self.started.iter().zip(&self.exited).all(|(&s, &e)| !s || e)
     }
 
-    fn push_to_core(&mut self, core: usize, msg: InMsg) {
-        self.inqs[core].push(msg);
-        // Wakeups are deferred to `flush_wakeups` so a burst of messages
-        // to one core costs a single unpark (state load + possible
-        // lock/notify) instead of one per message.
-        if !std::mem::replace(&mut self.wake_pending[core], true) {
-            self.wake_list.push(core);
-        }
-    }
-
-    /// Unpark every core that received an InQ message since the last
-    /// flush. The engine calls this once per manager iteration, after all
-    /// processing and before it can sleep — a parked core's own
-    /// post-park re-check covers the window in between.
-    pub fn flush_wakeups(&mut self) {
-        self.woken.clear();
-        for core in self.wake_list.drain(..) {
-            self.wake_pending[core] = false;
-            // Sequential engine: no board, no threads to wake.
-            if self.board.as_ref().is_some_and(|b| b.unpark(core)) {
-                self.woken.push(core);
-            }
-        }
-    }
-
-    /// Cores the last [`Uncore::flush_wakeups`] resumed from a parked
-    /// state.
-    pub fn woken(&self) -> &[usize] {
-        &self.woken
-    }
-
     /// Accept one OutQ event from `core`. Eager schemes process it
     /// immediately (arrival order); ordered schemes queue it.
     pub fn ingest(&mut self, core: usize, ev: OutEvent) {
-        match self.scheme.ordering() {
-            EventOrdering::Eager => self.process_event(GlobalEvent { core, ev }),
-            _ => self.ordered.push(Reverse(OrderedEv(GlobalEvent { core, ev }))),
-        }
+        self.ingest_batch(core, std::slice::from_ref(&ev));
     }
 
     /// Accept one queue's worth of OutQ events from `core` (the slice is a
     /// FIFO drain, so arrival order is preserved). Equivalent to calling
     /// [`Uncore::ingest`] per event; ordered schemes bulk-extend the GQ.
     pub fn ingest_batch(&mut self, core: usize, evs: &[OutEvent]) {
-        match self.scheme.ordering() {
-            EventOrdering::Eager => {
-                for &ev in evs {
-                    self.process_event(GlobalEvent { core, ev });
-                }
-            }
-            _ => self
-                .ordered
-                .extend(evs.iter().map(|&ev| Reverse(OrderedEv(GlobalEvent { core, ev })))),
-        }
-    }
-
-    /// The event-processing horizon for global time `g`: events stamped at
-    /// or before it may take effect. `None` means "everything" (eager).
-    pub fn horizon(&self, g: u64) -> Option<u64> {
-        match self.scheme.ordering() {
-            EventOrdering::Eager => None,
-            EventOrdering::TimestampOrdered => Some(g),
-            EventOrdering::AtBarrier => {
-                let Scheme::Quantum(q) = self.scheme else {
-                    unreachable!("AtBarrier implies a quantum")
-                };
-                // The last completed barrier; events inside the current
-                // quantum wait ("requests are not globally visible until
-                // the end of each quantum").
-                Some((g / q) * q)
-            }
+        for &ev in self.stage.ingest(core, evs) {
+            self.process_event(GlobalEvent { core, ev });
         }
     }
 
     /// Process queued events up to the horizon for global time `g`, in
     /// (ts, core, seq) order.
     pub fn process_ready(&mut self, g: u64) {
-        if let Some(h) = self.horizon(g) {
-            while let Some(&Reverse(OrderedEv(ge))) = self.ordered.peek() {
-                if ge.ev.ts > h {
-                    break;
-                }
-                self.ordered.pop();
-                self.process_event(ge);
-            }
+        if let Some(h) = self.stage.horizon(g) {
+            self.process_all_upto(h);
         }
     }
 
@@ -238,11 +151,7 @@ impl Uncore {
     /// events inside the current quantum must still complete so the
     /// blocked cores can be released.
     pub fn process_all_upto(&mut self, g: u64) {
-        while let Some(&Reverse(OrderedEv(ge))) = self.ordered.peek() {
-            if ge.ev.ts > g {
-                break;
-            }
-            self.ordered.pop();
+        while let Some(ge) = self.stage.pop_upto(g) {
             self.process_event(ge);
         }
     }
@@ -252,46 +161,15 @@ impl Uncore {
         let core = ge.core;
         let ts = ge.ev.ts;
         match ge.ev.kind {
-            OutKind::DMem { req, block } => {
-                let out = self.dir.handle(core, req, block, ts);
-                for inv in &out.invalidations {
-                    self.push_to_core(
-                        inv.core,
-                        InMsg {
-                            ts: inv.ts,
-                            kind: InKind::Invalidate { block: inv.block, downgrade: inv.downgrade },
-                        },
-                    );
-                }
-                if let Some(granted) = out.granted {
-                    self.push_to_core(
-                        core,
-                        InMsg { ts: out.done_ts, kind: InKind::DMemReply { block, granted } },
-                    );
-                }
-            }
-            OutKind::IMem { block } => {
-                let out = self.dir.handle(core, ReqKind::GetS, block, ts);
-                for inv in &out.invalidations {
-                    self.push_to_core(
-                        inv.core,
-                        InMsg {
-                            ts: inv.ts,
-                            kind: InKind::Invalidate { block: inv.block, downgrade: inv.downgrade },
-                        },
-                    );
-                }
-                self.push_to_core(
-                    core,
-                    InMsg { ts: out.done_ts, kind: InKind::IMemReply { block } },
-                );
+            OutKind::DMem { .. } | OutKind::IMem { .. } => {
+                self.stage.serve_mem(&mut self.dir, core, ts, ge.ev.kind)
             }
             OutKind::Sync(SyncOp::Spawn { entry, arg }) => {
                 let target = self.started.iter().position(|&s| !s);
                 let value = match target {
                     Some(t) => {
                         self.started[t] = true;
-                        self.push_to_core(
+                        self.stage.push(
                             t,
                             InMsg {
                                 ts: ts + self.spawn_latency,
@@ -302,7 +180,7 @@ impl Uncore {
                     }
                     None => -1,
                 };
-                self.push_to_core(
+                self.stage.push(
                     core,
                     InMsg { ts: ts + self.sync_latency, kind: InKind::SyncReply { value } },
                 );
@@ -316,7 +194,7 @@ impl Uncore {
                     Ok(prev) => prev,
                     Err(prev) => prev,
                 };
-                self.push_to_core(
+                self.stage.push(
                     core,
                     InMsg {
                         ts: ts + self.sync_latency,
@@ -327,7 +205,7 @@ impl Uncore {
             OutKind::Sync(op) => {
                 let out = self.sync.apply(core, op, ts);
                 if let Some(v) = out.reply {
-                    self.push_to_core(
+                    self.stage.push(
                         core,
                         InMsg { ts: ts + self.sync_latency, kind: InKind::SyncReply { value: v } },
                     );
@@ -340,7 +218,7 @@ impl Uncore {
                     // carry a far-ahead frame — that drag is the honest
                     // cost of slack-distorted hand-offs.
                     let base = req_ts.max(ts);
-                    self.push_to_core(
+                    self.stage.push(
                         c,
                         InMsg {
                             ts: base + self.sync_latency,
@@ -366,15 +244,15 @@ impl Uncore {
 
     /// Broadcast `Stop` to every core (end of simulation).
     pub fn broadcast_stop(&mut self) {
-        for core in 0..self.inqs.len() {
-            self.push_to_core(core, InMsg { ts: 0, kind: InKind::Stop });
+        for core in 0..self.started.len() {
+            self.stage.push(core, InMsg { ts: 0, kind: InKind::Stop });
         }
-        self.flush_wakeups();
+        self.stage.flush_wakeups();
     }
 
     /// Events still waiting in the GQ (diagnostics).
     pub fn pending_events(&self) -> usize {
-        self.ordered.len()
+        self.stage.queued()
     }
 
     /// Timestamp of the earliest queued event, if any. Used to advance the
@@ -382,7 +260,7 @@ impl Uncore {
     /// call (classic PDES: when all are idle, virtual time jumps to the
     /// next event).
     pub fn min_pending_ts(&self) -> Option<u64> {
-        self.ordered.peek().map(|Reverse(OrderedEv(ge))| ge.ev.ts)
+        self.stage.min_ts()
     }
 
     // ---- snapshot support ----
@@ -395,10 +273,7 @@ impl Uncore {
         self.started.save(w);
         self.exited.save(w);
         // The GQ in deterministic (ts, core, seq) order.
-        let mut gq: Vec<GlobalEvent> =
-            self.ordered.iter().map(|Reverse(OrderedEv(g))| *g).collect();
-        gq.sort_by_key(|g| g.key());
-        gq.save(w);
+        self.stage.queued_sorted().save(w);
         self.sync.save(w);
         self.dir.save(w);
         w.put_u64(self.events_processed);
@@ -409,7 +284,7 @@ impl Uncore {
     /// built manager (same core count; the scheme may differ when forking
     /// a snapshot, see [`Uncore::adopt_queued_for_scheme`]).
     pub fn restore_state(&mut self, r: &mut Reader<'_>) -> Result<(), SnapError> {
-        let n = self.inqs.len();
+        let n = self.started.len();
         let started = Vec::<bool>::load(r)?;
         let exited = Vec::<bool>::load(r)?;
         if started.len() != n || exited.len() != n {
@@ -422,13 +297,10 @@ impl Uncore {
         self.started = started;
         self.exited = exited;
         let gq = Vec::<GlobalEvent>::load(r)?;
-        self.ordered.clear();
-        for ge in gq {
-            if ge.core >= n {
-                return Err(SnapError::Corrupt(format!("queued event for core {}", ge.core)));
-            }
-            self.ordered.push(Reverse(OrderedEv(ge)));
+        if let Some(ge) = gq.iter().find(|ge| ge.core >= n) {
+            return Err(SnapError::Corrupt(format!("queued event for core {}", ge.core)));
         }
+        self.stage.enqueue(gq);
         self.sync = SyncTable::load(r)?;
         self.dir = Directory::load(r)?;
         self.events_processed = r.get_u64()?;
@@ -442,17 +314,7 @@ impl Uncore {
     /// stranded. Under eager semantics they were due on arrival anyway.
     pub fn adopt_queued_for_scheme(&mut self) {
         if self.scheme.ordering() == EventOrdering::Eager {
-            while let Some(Reverse(OrderedEv(ge))) = self.ordered.pop() {
-                self.process_event(ge);
-            }
+            self.process_all_upto(u64::MAX);
         }
-    }
-}
-
-#[cfg(test)]
-impl Uncore {
-    /// The cores' InQs, manager side.
-    pub(crate) fn producers(&mut self) -> impl Iterator<Item = &mut Producer<InMsg>> {
-        self.inqs.iter_mut()
     }
 }

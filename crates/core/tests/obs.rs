@@ -165,6 +165,30 @@ fn histograms_fill_under_bounded_slack() {
     assert_eq!(total(|c| c.get("hist")?.get("run_batch")?.get("count")?.as_i64()), batches as i64);
 }
 
+/// The slack profile is recorded only by `record_trace` runs, and the
+/// manager's one sample per global time (the `manager.slack` histogram)
+/// does not depend on it.
+#[test]
+fn slack_profile_is_recorded_only_with_record_trace() {
+    let program = counter_workload(4, 20);
+    let run = |record_trace: bool| {
+        let mut c = cfg(4);
+        c.record_trace = record_trace;
+        let mut det = sk_core::DetEngine::new(&program, Scheme::BoundedSlack(10), &c, 1);
+        let obs = det.engine_mut().attach_new_metrics(ObsConfig::default());
+        det.run();
+        (det.into_report(), obs)
+    };
+    let (plain, plain_obs) = run(false);
+    let (traced, traced_obs) = run(true);
+    assert_eq!(plain.slack_profile, None, "an untraced run recorded a slack profile");
+    assert!(traced.slack_profile.as_ref().is_some_and(|p| !p.is_empty()));
+    assert_eq!(plain.exec_cycles, traced.exec_cycles);
+    let samples = plain_obs.manager.slack.count();
+    assert!(samples > 0);
+    assert_eq!(samples, traced_obs.manager.slack.count());
+}
+
 /// Counters survive the snapshot → resume path: the restored engine
 /// carries the hub, its pre-snapshot counts, and keeps recording.
 #[test]

@@ -29,6 +29,16 @@ pub struct BusStats {
     pub inversions: u64,
 }
 
+/// Field-wise sum (channels or shards into one total).
+impl std::ops::AddAssign for BusStats {
+    fn add_assign(&mut self, o: BusStats) {
+        self.grants += o.grants;
+        self.conflicts += o.conflicts;
+        self.wait_cycles += o.wait_cycles;
+        self.inversions += o.inversions;
+    }
+}
+
 /// The shared interconnect between cores and the L2/directory.
 #[derive(Clone, Debug)]
 pub struct BusModel {

@@ -164,6 +164,22 @@ pub struct DirStats {
     pub transition_inversions: u64,
 }
 
+/// Field-wise sum (directory shards into one total).
+impl std::ops::AddAssign for DirStats {
+    fn add_assign(&mut self, o: DirStats) {
+        self.gets += o.gets;
+        self.getm += o.getm;
+        self.upgrades += o.upgrades;
+        self.puts += o.puts;
+        self.invalidations_out += o.invalidations_out;
+        self.downgrades_out += o.downgrades_out;
+        self.l2_hits += o.l2_hits;
+        self.l2_misses += o.l2_misses;
+        self.writebacks += o.writebacks;
+        self.transition_inversions += o.transition_inversions;
+    }
+}
+
 /// The directory + L2 model. Single-owner (the manager thread).
 pub struct Directory {
     cfg: MemConfig,
@@ -203,10 +219,7 @@ impl Directory {
     pub fn bus_stats(&self) -> crate::bus::BusStats {
         let mut total = crate::bus::BusStats::default();
         for b in &self.buses {
-            total.grants += b.stats.grants;
-            total.conflicts += b.stats.conflicts;
-            total.wait_cycles += b.stats.wait_cycles;
-            total.inversions += b.stats.inversions;
+            total += b.stats;
         }
         total
     }
