@@ -35,7 +35,7 @@ use std::sync::Arc;
 /// Consecutive inert cycles before a core mem-parks. A core's inert
 /// streak can never exceed its scheme's slack (its window is at most
 /// `global + slack` and global tracks the slowest core), so with a
-/// threshold of 24 the conservative schemes (CC, Q10, L10, S9, S9*) never
+/// threshold of 24 the conservative schemes (CC, Q10, S10*, S9, S9*) never
 /// trigger this path and stay exactly deterministic; only large-slack
 /// schemes (S100, SU) use it, where the induced reordering is part of the
 /// accepted distortion.

@@ -11,9 +11,8 @@
 //! |---|---|---|
 //! | CC  | `g + 1` | ts ≤ g, (ts, core, seq) order |
 //! | Q*q* | next multiple of `q` above `g` | at the barrier, ordered |
-//! | L*l* | `g + l` | ts ≤ g, ordered (conservative lookahead) |
 //! | S*s* | `g + s` (sliding window) | eagerly, arrival order |
-//! | S*s*\* | `g + s` | ts ≤ g, ordered (oldest-first) |
+//! | S*s*\* | `g + s` | ts ≤ g, ordered (oldest-first; `L`*s* parses as this) |
 //! | SU | unbounded | eagerly, arrival order |
 //!
 //! The invariant `global ≤ local ≤ max_local` (paper §2.1) holds for every
@@ -31,8 +30,6 @@ pub enum Scheme {
     CycleByCycle,
     /// Barrier synchronization every `quantum` cycles (WWT-style).
     Quantum(u64),
-    /// Conservative lookahead of `l` cycles.
-    Lookahead(u64),
     /// Bounded slack: sliding window of `s` cycles, eager processing.
     BoundedSlack(u64),
     /// Bounded slack with oldest-first (timestamp-ordered) processing —
@@ -65,9 +62,7 @@ impl Scheme {
         match *self {
             Scheme::CycleByCycle => g + 1,
             Scheme::Quantum(q) => (g / q.max(1) + 1) * q.max(1),
-            Scheme::Lookahead(n) | Scheme::BoundedSlack(n) | Scheme::OldestFirstBounded(n) => {
-                g.saturating_add(n)
-            }
+            Scheme::BoundedSlack(n) | Scheme::OldestFirstBounded(n) => g.saturating_add(n),
             Scheme::Unbounded => u64::MAX,
         }
     }
@@ -75,9 +70,7 @@ impl Scheme {
     /// The event-ordering discipline of this scheme.
     pub fn ordering(&self) -> EventOrdering {
         match self {
-            Scheme::CycleByCycle | Scheme::Lookahead(_) | Scheme::OldestFirstBounded(_) => {
-                EventOrdering::TimestampOrdered
-            }
+            Scheme::CycleByCycle | Scheme::OldestFirstBounded(_) => EventOrdering::TimestampOrdered,
             Scheme::Quantum(_) => EventOrdering::AtBarrier,
             Scheme::BoundedSlack(_) | Scheme::Unbounded => EventOrdering::Eager,
         }
@@ -88,10 +81,7 @@ impl Scheme {
     pub fn is_valid(&self) -> bool {
         match *self {
             Scheme::CycleByCycle | Scheme::Unbounded => true,
-            Scheme::Quantum(n)
-            | Scheme::Lookahead(n)
-            | Scheme::BoundedSlack(n)
-            | Scheme::OldestFirstBounded(n) => n >= 1,
+            Scheme::Quantum(n) | Scheme::BoundedSlack(n) | Scheme::OldestFirstBounded(n) => n >= 1,
         }
     }
 
@@ -128,7 +118,6 @@ impl Scheme {
         match *self {
             Scheme::CycleByCycle => Some(0),
             Scheme::Quantum(q) => Some(q),
-            Scheme::Lookahead(l) => Some(l),
             Scheme::BoundedSlack(s) | Scheme::OldestFirstBounded(s) => Some(s),
             Scheme::Unbounded => None,
         }
@@ -137,22 +126,15 @@ impl Scheme {
     /// Conservative schemes never produce timing violations when their
     /// parameter stays at or below the target's critical latency (§3.2).
     pub fn is_conservative(&self) -> bool {
-        matches!(
-            self,
-            Scheme::CycleByCycle
-                | Scheme::Quantum(_)
-                | Scheme::Lookahead(_)
-                | Scheme::OldestFirstBounded(_)
-        )
+        matches!(self, Scheme::CycleByCycle | Scheme::Quantum(_) | Scheme::OldestFirstBounded(_))
     }
 
-    /// Short name as used in the paper's Figure 8 (CC, Q10, L10, S9, S9*,
-    /// S100, SU).
+    /// Short name as used in the paper's Figure 8 (CC, Q10, S9, S9*, S100,
+    /// SU; the paper's L10 is S10*).
     pub fn short_name(&self) -> String {
         match *self {
             Scheme::CycleByCycle => "CC".into(),
             Scheme::Quantum(q) => format!("Q{q}"),
-            Scheme::Lookahead(l) => format!("L{l}"),
             Scheme::BoundedSlack(s) => format!("S{s}"),
             Scheme::OldestFirstBounded(s) => format!("S{s}*"),
             Scheme::Unbounded => "SU".into(),
@@ -160,13 +142,13 @@ impl Scheme {
     }
 
     /// The paper's evaluated scheme set for a target whose critical latency
-    /// is `crit` (10 in the paper): CC, Q*crit*, L*crit*, S*crit-1*,
-    /// S*crit-1*\*, S100, SU.
+    /// is `crit` (10 in the paper): CC, Q*crit*, S*crit*\* (the paper's
+    /// L*crit*), S*crit-1*, S*crit-1*\*, S100, SU.
     pub fn paper_suite(crit: u64) -> Vec<Scheme> {
         vec![
             Scheme::CycleByCycle,
             Scheme::Quantum(crit),
-            Scheme::Lookahead(crit),
+            Scheme::OldestFirstBounded(crit),
             Scheme::BoundedSlack(crit - 1),
             Scheme::OldestFirstBounded(crit - 1),
             Scheme::BoundedSlack(100),
@@ -183,10 +165,6 @@ impl Persist for Scheme {
                 w.put_u8(1);
                 w.put_u64(q);
             }
-            Scheme::Lookahead(l) => {
-                w.put_u8(2);
-                w.put_u64(l);
-            }
             Scheme::BoundedSlack(s) => {
                 w.put_u8(3);
                 w.put_u64(s);
@@ -202,9 +180,10 @@ impl Persist for Scheme {
         let scheme = match r.get_u8()? {
             0 => Scheme::CycleByCycle,
             1 => Scheme::Quantum(r.get_u64()?),
-            2 => Scheme::Lookahead(r.get_u64()?),
+            // Tag 2 was the lookahead scheme `L<n>`, one behaviour with
+            // `S<n>*`; older snapshots resume as that.
+            2 | 4 => Scheme::OldestFirstBounded(r.get_u64()?),
             3 => Scheme::BoundedSlack(r.get_u64()?),
-            4 => Scheme::OldestFirstBounded(r.get_u64()?),
             5 => Scheme::Unbounded,
             t => return Err(SnapError::Corrupt(format!("scheme tag {t}"))),
         };
@@ -254,7 +233,8 @@ impl std::error::Error for SchemeParseError {}
 impl FromStr for Scheme {
     type Err = SchemeParseError;
 
-    /// Parse the Figure-8 notation: `CC`, `Q10`, `L10`, `S9`, `S9*`, `SU`.
+    /// Parse the Figure-8 notation: `CC`, `Q10`, `S9`, `S9*`, `SU`, and
+    /// `L10` as an alias of `S10*`.
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         let s = s.trim();
         match s {
@@ -271,7 +251,7 @@ impl FromStr for Scheme {
         };
         let scheme = match head {
             "Q" | "q" => Scheme::Quantum(parse_n(rest)?),
-            "L" | "l" => Scheme::Lookahead(parse_n(rest)?),
+            "L" | "l" => Scheme::OldestFirstBounded(parse_n(rest)?),
             "S" | "s" => {
                 if let Some(core) = rest.strip_suffix('*') {
                     Scheme::OldestFirstBounded(parse_n(core)?)
@@ -313,7 +293,6 @@ mod tests {
     fn slack_bounds_cap_inversions_per_scheme() {
         assert_eq!(Scheme::CycleByCycle.slack_bound(), Some(0));
         assert_eq!(Scheme::Quantum(100).slack_bound(), Some(100));
-        assert_eq!(Scheme::Lookahead(10).slack_bound(), Some(10));
         assert_eq!(Scheme::BoundedSlack(9).slack_bound(), Some(9));
         assert_eq!(Scheme::OldestFirstBounded(9).slack_bound(), Some(9));
         assert_eq!(Scheme::Unbounded.slack_bound(), None);
@@ -340,7 +319,6 @@ mod tests {
     fn ordering_classification() {
         assert_eq!(Scheme::CycleByCycle.ordering(), EventOrdering::TimestampOrdered);
         assert_eq!(Scheme::Quantum(10).ordering(), EventOrdering::AtBarrier);
-        assert_eq!(Scheme::Lookahead(10).ordering(), EventOrdering::TimestampOrdered);
         assert_eq!(Scheme::BoundedSlack(9).ordering(), EventOrdering::Eager);
         assert_eq!(Scheme::OldestFirstBounded(9).ordering(), EventOrdering::TimestampOrdered);
         assert_eq!(Scheme::Unbounded.ordering(), EventOrdering::Eager);
@@ -366,6 +344,8 @@ mod tests {
         assert!("Q0".parse::<Scheme>().is_err());
         assert!("S0".parse::<Scheme>().is_err());
         assert!("L0".parse::<Scheme>().is_err());
+        // `L<n>` is an alias of `S<n>*`.
+        assert_eq!("L10".parse::<Scheme>(), Ok(Scheme::OldestFirstBounded(10)));
     }
 
     #[test]
@@ -384,7 +364,7 @@ mod tests {
         assert_eq!("Q0".parse::<Scheme>(), Err(Degenerate(Scheme::Quantum(0))));
         assert_eq!("S0".parse::<Scheme>(), Err(Degenerate(Scheme::BoundedSlack(0))));
         assert_eq!("S0*".parse::<Scheme>(), Err(Degenerate(Scheme::OldestFirstBounded(0))));
-        assert_eq!("L0".parse::<Scheme>(), Err(Degenerate(Scheme::Lookahead(0))));
+        assert_eq!("L0".parse::<Scheme>(), Err(Degenerate(Scheme::OldestFirstBounded(0))));
         // A multi-byte first character must not panic the parser.
         assert_eq!("é10".parse::<Scheme>(), Err(UnknownScheme("é10".into())));
         // Errors render as readable one-liners for the CLI.
@@ -398,6 +378,6 @@ mod tests {
     #[test]
     fn paper_suite_matches_figure_8() {
         let names: Vec<String> = Scheme::paper_suite(10).iter().map(|s| s.short_name()).collect();
-        assert_eq!(names, vec!["CC", "Q10", "L10", "S9", "S9*", "S100", "SU"]);
+        assert_eq!(names, vec!["CC", "Q10", "S10*", "S9", "S9*", "S100", "SU"]);
     }
 }

@@ -48,7 +48,6 @@ fn scheme_matrix() -> Vec<Scheme> {
     vec![
         Scheme::CycleByCycle,
         Scheme::Quantum(100),
-        Scheme::Lookahead(10),
         Scheme::BoundedSlack(10),
         Scheme::OldestFirstBounded(10),
         Scheme::Unbounded,
@@ -61,7 +60,6 @@ fn bounded_schemes() -> Vec<(Scheme, u64)> {
     vec![
         (Scheme::Quantum(10), 10),
         (Scheme::Quantum(100), 100),
-        (Scheme::Lookahead(10), 10),
         (Scheme::BoundedSlack(10), 10),
         (Scheme::OldestFirstBounded(10), 10),
     ]
@@ -174,8 +172,7 @@ fn ordered_schemes_exec_time_is_seed_independent() {
     for w in [micro::lock_sweep(3, 8), micro::racy_increment(3, 30)] {
         let c = cfg(3);
         let cc = run_det(&w.program, Scheme::CycleByCycle, &c, 0).exec_cycles;
-        for scheme in [Scheme::CycleByCycle, Scheme::Lookahead(10), Scheme::OldestFirstBounded(10)]
-        {
+        for scheme in [Scheme::CycleByCycle, Scheme::OldestFirstBounded(10)] {
             for seed in SEEDS {
                 let r = run_det(&w.program, scheme, &c, seed);
                 assert_eq!(

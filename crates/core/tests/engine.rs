@@ -154,16 +154,18 @@ fn all_schemes_execute_workload_correctly() {
 
 #[test]
 fn conservative_schemes_match_cc_exec_time() {
-    // Q10, L10 and S9* are conservative: with quantum/lookahead at the
-    // critical latency they must report the same execution time as CC.
+    // Q10, S10* and S9* are conservative: with the quantum or window at
+    // the critical latency they must report the same execution time as CC.
     let n = 4;
     let p = counter_workload(n, 5);
     let cfg = small_cfg(n, CoreModel::InOrder);
     let base = run_sequential(&p, &cfg);
     let crit = cfg.critical_latency();
-    for scheme in
-        [Scheme::Quantum(crit), Scheme::Lookahead(crit), Scheme::OldestFirstBounded(crit - 1)]
-    {
+    for scheme in [
+        Scheme::Quantum(crit),
+        Scheme::OldestFirstBounded(crit),
+        Scheme::OldestFirstBounded(crit - 1),
+    ] {
         let r = run_parallel(&p, scheme, &cfg);
         assert_eq!(r.printed(), base.printed(), "{scheme}");
         // Event processing granularity differs, so allow sub-percent skew,

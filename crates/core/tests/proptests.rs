@@ -166,7 +166,6 @@ fn arb_scheme() -> impl Strategy<Value = Scheme> {
     prop_oneof![
         Just(Scheme::CycleByCycle),
         (1u64..200).prop_map(Scheme::Quantum),
-        (1u64..200).prop_map(Scheme::Lookahead),
         (1u64..200).prop_map(Scheme::BoundedSlack),
         (1u64..200).prop_map(Scheme::OldestFirstBounded),
         Just(Scheme::Unbounded),

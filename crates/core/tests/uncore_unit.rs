@@ -53,7 +53,7 @@ fn ordered_scheme_processes_in_timestamp_core_order() {
     // Two same-ts events from different cores plus an older one: the
     // reply timestamps must reflect (ts, core) processing order through
     // the shared-bus occupancy.
-    let (mut u, mut rings) = mk(Scheme::Lookahead(10), 3);
+    let (mut u, mut rings) = mk(Scheme::OldestFirstBounded(10), 3);
     u.ingest(2, ev(10, 0, OutKind::DMem { req: ReqKind::GetS, block: 0 }));
     u.ingest(1, ev(10, 0, OutKind::DMem { req: ReqKind::GetS, block: 8 }));
     u.ingest(0, ev(9, 0, OutKind::DMem { req: ReqKind::GetS, block: 16 }));

@@ -44,7 +44,6 @@ fn required_global(scheme: Scheme, c: u64) -> u64 {
     match scheme {
         Scheme::CycleByCycle => c - 1,
         Scheme::Quantum(q) => ((c - 1) / q) * q,
-        Scheme::Lookahead(l) => c.saturating_sub(l),
         Scheme::BoundedSlack(s) | Scheme::OldestFirstBounded(s) => c.saturating_sub(s),
         Scheme::Unbounded => 0,
     }
@@ -167,7 +166,7 @@ mod tests {
             Scheme::CycleByCycle,
             Scheme::Quantum(3),
             Scheme::BoundedSlack(2),
-            Scheme::Lookahead(4),
+            Scheme::OldestFirstBounded(4),
         ] {
             for c in 1..40u64 {
                 let g = required_global(scheme, c);

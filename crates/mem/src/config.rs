@@ -8,7 +8,7 @@ use sk_snap::{Persist, Reader, SnapError, Writer};
 /// [`MemConfig::paper_8core`] reproduces §4.1 of the paper: 16 KB I/D L1s,
 /// a 256 KB shared L2 in 8 NUCA banks, directory MESI, and a 10-cycle
 /// unloaded L2 hit — the paper's *critical latency*, from which the Q10 /
-/// S9 / L10 scheme parameters derive.
+/// S9 / S10* scheme parameters derive.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct MemConfig {
     /// L1 instruction cache geometry (per core).

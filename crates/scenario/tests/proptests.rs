@@ -16,7 +16,6 @@ fn arb_scheme() -> BoxedStrategy<Scheme> {
     prop_oneof![
         Just(Scheme::CycleByCycle),
         (1u64..500).prop_map(Scheme::Quantum),
-        (1u64..500).prop_map(Scheme::Lookahead),
         (1u64..500).prop_map(Scheme::BoundedSlack),
         (1u64..500).prop_map(Scheme::OldestFirstBounded),
         Just(Scheme::Unbounded),

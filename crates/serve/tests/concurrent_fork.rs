@@ -68,7 +68,7 @@ fn concurrent_forks_match_cold_references() {
         "Q50".parse::<Scheme>().unwrap(),
         "S9*".parse::<Scheme>().unwrap(),
         "SU".parse::<Scheme>().unwrap(),
-        "L200".parse::<Scheme>().unwrap(),
+        "S200*".parse::<Scheme>().unwrap(),
     ];
 
     // Sequential references, one per scheme.

@@ -30,7 +30,7 @@ fn main() {
             if printed == w.expected { "OK" } else { "MISMATCH" },
         );
     }
-    println!("\nConservative schemes (CC, Q10, L10, S9*) track the baseline exactly;");
+    println!("\nConservative schemes (CC, Q10, S10*, S9*) track the baseline exactly;");
     println!("bounded slack drifts a little; unbounded slack drifts the most —");
     println!("while every scheme still computes the correct FFT (paper S3.2.3).");
 }

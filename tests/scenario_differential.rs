@@ -64,7 +64,6 @@ fn bounded_schemes_respect_slack_bound_and_preserve_values() {
         Scheme::BoundedSlack(10),
         Scheme::OldestFirstBounded(10),
         Scheme::Quantum(10),
-        Scheme::Lookahead(10),
     ];
     for w in suite() {
         let c = cfg(w.n_threads);

@@ -5,7 +5,7 @@
 //! what a bad one does not.
 
 use sk_core::snap::{self, Persist, SnapError, Writer};
-use sk_core::{Engine, RunOutcome};
+use sk_core::{DetEngine, Engine, RunOutcome};
 use slacksim_suite::prelude::*;
 
 /// Envelope header: magic, version word, payload length.
@@ -89,4 +89,25 @@ fn corrupted_and_truncated_snapshots_fail_cleanly() {
     // restore fine after all that.
     assert!(Engine::resume(&bytes, None).is_ok());
     assert!(Engine::resume(&with_scheme_tag(&bytes, &cfg, 0), None).is_ok());
+}
+
+/// Tag 2 was the lookahead scheme `L<n>`, one behaviour with `S<n>*`: a
+/// snapshot that carries it resumes as `S<n>*` and finishes as one does.
+#[test]
+fn scheme_tag_2_resumes_as_oldest_first_bounded() {
+    let w = kernels::micro::lock_sweep(2, 3);
+    let cfg = small_cfg(2);
+    let mut e = Engine::new(&w.program, Scheme::OldestFirstBounded(10), &cfg);
+    assert_eq!(e.run_until(Some(50)), RunOutcome::CheckpointReady);
+    let bytes = e.snapshot().expect("snapshot");
+    let old = Engine::resume(&with_scheme_tag(&bytes, &cfg, 2), None).expect("tag 2 resumes");
+    assert_eq!(old.scheme(), Scheme::OldestFirstBounded(10));
+    let new = Engine::resume(&bytes, None).expect("pristine snapshot");
+    // On one det schedule the two must finish bit-identically.
+    let finish = |e: Engine| {
+        let mut det = DetEngine::from_engine(e, 0);
+        det.run();
+        det.into_report().fingerprint()
+    };
+    assert_eq!(finish(old), finish(new));
 }
