@@ -7,16 +7,15 @@
 //! 3. **Core model** — OoO vs. in-order target cores: simulation cost
 //!    and workload cycles.
 //! 4. **Event ordering** — eager (S9) vs. oldest-first (S9*) processing.
-//!
-//! ```text
-//! cargo run --release -p sk-bench --bin ablation [--scale test|bench]
-//! ```
+//! 5. **Manager sharding** — on this host and on the virtual host.
+//! 6. **Target-core scaling** — the simulated workload at 1–16 cores.
 
-use sk_bench::{bench_config, print_table, run_par, run_seq, scale_from_args};
+use crate::{bench_config, print_table, run_par, run_seq};
 use sk_core::{CoreModel, Scheme};
+use sk_kernels::Scale;
 
-fn main() {
-    let scale = scale_from_args();
+/// Print the six ablation tables on Barnes at `scale` (OoO cores).
+pub fn ablation(scale: Scale) {
     let cfg = bench_config(CoreModel::OutOfOrder);
     let w = &sk_kernels::paper_suite(8, scale)[0]; // Barnes
     let base = run_seq(w, &cfg);
@@ -148,9 +147,9 @@ fn main() {
             c
         };
         let (nb, steps) = match scale {
-            sk_kernels::Scale::Test => (24, 1),
-            sk_kernels::Scale::Bench => (96, 2),
-            sk_kernels::Scale::Full => (160, 3),
+            Scale::Test => (24, 1),
+            Scale::Bench => (96, 2),
+            Scale::Full => (160, 3),
         };
         let wl = sk_kernels::barnes::barnes(cores, nb.max(cores), steps);
         let r = run_seq(&wl, &cfg2);

@@ -7,18 +7,14 @@
 //! trace, and `sk-hostsim`'s deterministic virtual host replays those
 //! traces under every scheme's window discipline. The baseline is the
 //! H = 1 cycle-by-cycle replay, mirroring the paper's.
-//!
-//! ```text
-//! cargo run --release -p sk-bench --bin fig8 [--scale ...] [--model ...]
-//! ```
 
-use sk_bench::{bench_config, harmonic_mean, model_from_args, print_table, scale_from_args};
-use sk_core::Scheme;
+use crate::{bench_config, harmonic_mean, print_table, run_seq};
+use sk_core::{CoreModel, Scheme};
 use sk_hostsim::{CostModel, VirtualHost};
+use sk_kernels::Scale;
 
-fn main() {
-    let scale = scale_from_args();
-    let model = model_from_args();
+/// Print Figure 8's per-benchmark speedup tables and their harmonic means.
+pub fn fig8(scale: Scale, model: CoreModel) {
     let mut cfg = bench_config(model);
     cfg.record_trace = true;
 
@@ -29,9 +25,7 @@ fn main() {
     println!("Figure 8: simulation speedup vs host cores (virtual host replay)\n");
     let mut all: Vec<Vec<f64>> = vec![vec![]; schemes.len() * hosts.len()];
     for w in sk_kernels::extended_suite(8, scale) {
-        let r = sk_core::run_sequential(&w.program, &cfg);
-        let printed: Vec<i64> = r.printed().into_iter().map(|(_, v)| v).collect();
-        assert_eq!(printed, w.expected, "{} corrupted", w.name);
+        let r = run_seq(&w, &cfg);
         let traces = r.traces.expect("trace recording enabled");
         let ev_rate = r.engine.events_processed as f64 / r.exec_cycles.max(1) as f64;
         let base =
@@ -65,5 +59,5 @@ fn main() {
     print_table(&["scheme", "2 cores", "4 cores", "8 cores"], &rows);
     println!("\nPaper shape: CC poor and flat (~2-2.6 at 8 cores); all slack schemes");
     println!(">= 3.3 even on 2 host cores; S9 ~20% above Q10 at 8 cores; S9* ~ S9;");
-    println!("S100 above S9; SU best. See EXPERIMENTS.md for the L10 deviation note.");
+    println!("S100 above S9; SU best. See EXPERIMENTS.md for the S10* (L10) deviation note.");
 }

@@ -7,37 +7,27 @@
 //! the grid cheaper by ~`(n_schemes - 1) × warmup` and guarantees every
 //! scheme starts from the identical architectural state.
 //!
-//! ```text
-//! cargo run --release -p sk-bench --bin gridfork [--scale ...] [--model ...] [--verify]
-//! ```
-//!
-//! `--verify` additionally runs every cell from scratch and prints
+//! `verify` additionally runs every cell from scratch and prints
 //! `forked/scratch` error pairs. Conservative forks are exact: the CC
 //! column is asserted bit-identical to the from-scratch run. Eager forks
 //! (S100, SU) are approximate by construction — their slack-dependent
 //! timing differs run to run with or without a checkpoint.
 //!
-//! `--metrics-out <file>` attaches one sk-obs hub to every forked engine
+//! A `metrics_out` path attaches one sk-obs hub to every forked engine
 //! and dumps the aggregated telemetry (slack/park histograms across the
-//! whole grid) as sk-obs-metrics JSON.
+//! whole grid) there as sk-obs-metrics JSON.
 
-use sk_bench::{
-    bench_config, check, model_from_args, print_table, run_par, run_seq, scale_from_args,
-};
+use crate::{bench_config, check, print_table, run_par, run_seq};
 use sk_core::engine::{Engine, RunOutcome};
-use sk_core::Scheme;
+use sk_core::{CoreModel, Scheme};
+use sk_kernels::Scale;
+use std::path::Path;
 use std::sync::Arc;
 
-fn main() {
-    let scale = scale_from_args();
-    let model = model_from_args();
+/// Print the forked error grid of the extended suite at `scale`.
+pub fn gridfork(scale: Scale, model: CoreModel, verify: bool, metrics_out: Option<&Path>) {
     let cfg = bench_config(model);
-    let verify = std::env::args().any(|a| a == "--verify");
-    let args: Vec<String> = std::env::args().collect();
-    let metrics_out =
-        args.iter().position(|a| a == "--metrics-out").and_then(|i| args.get(i + 1)).cloned();
     let obs = metrics_out
-        .as_ref()
         .map(|_| Arc::new(sk_obs::Metrics::new(cfg.n_cores, sk_obs::ObsConfig::default())));
     let schemes = Scheme::paper_suite(cfg.critical_latency());
 
@@ -94,16 +84,16 @@ fn main() {
     let hdr: Vec<&str> = headers.iter().map(String::as_str).collect();
     print_table(&hdr, &rows);
     println!("\nAll cells share one CC warmup to the ROI safe-point per benchmark.");
-    println!("Conservative forks (CC, Q, L, S*) replay the post-ROI region to sub-");
+    println!("Conservative forks (CC, Q, S*) replay the post-ROI region to sub-");
     println!("percent (CC bit-exactly);");
     println!("eager forks (S, SU) are approximate — that approximation error IS the");
     println!("grid's measurement, now isolated from warmup noise.");
     if verify {
         println!("Cells are forked/scratch percent-error pairs (CC asserted identical).");
     }
-    if let (Some(path), Some(o)) = (&metrics_out, &obs) {
+    if let (Some(path), Some(o)) = (metrics_out, &obs) {
         if let Err(e) = std::fs::write(path, o.to_json()) {
-            eprintln!("warning: cannot write {path}: {e}");
+            eprintln!("warning: cannot write {}: {e}", path.display());
         }
     }
 }

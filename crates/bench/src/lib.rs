@@ -1,55 +1,44 @@
 //! # sk-bench — the experiment harness
 //!
-//! One binary per table/figure of the paper (see DESIGN.md §5):
+//! One function per table/figure of the paper (see DESIGN.md §8), run
+//! by `slacksim reproduce <name>`:
 //!
-//! | binary | regenerates |
+//! | function | regenerates |
 //! |---|---|
-//! | `table2` | Table 2 — benchmarks and baseline KIPS |
-//! | `table3` | Table 3 — relative exec-time errors of S9/S100/SU |
-//! | `fig2`   | Figure 2 — pedagogical scheme timelines |
-//! | `fig8`   | Figure 8 — speedups vs host cores (virtual host) |
-//! | `violations` | Figures 3–7 — slack-induced violation counters |
-//! | `gridfork` | Fig. 6-style error grid forked from one ROI checkpoint |
-//! | `scaleout` | sharded clock domains at 8–64 cores |
-//! | `ablation`, `calibrate` | design ablations; the virtual host's constants |
+//! | [`fig2`] | Figure 2 — pedagogical scheme timelines |
+//! | [`table2`] | Table 2 — benchmarks and baseline KIPS |
+//! | [`table3`] | Table 3 — relative exec-time errors of S9/S100/SU |
+//! | [`violations`] | Figures 3–7 — slack-induced violation counters |
+//! | [`fig8`] | Figure 8 — speedups vs host cores (virtual host) |
+//! | [`gridfork`] | Fig. 6-style error grid forked from one ROI checkpoint |
+//! | [`ablation`] | design ablations |
+//! | [`scaleout`] | sharded clock domains at 8–64 cores |
 //!
-//! plus Criterion benches (`primitives`, `hot_paths`) that time single
-//! layers. Speed claims are made by the ledger in `benchmark/`, not here.
+//! Each prints its table on stdout and panics when a run computes a
+//! wrong result. Criterion benches (`primitives`, `hot_paths`) time
+//! single layers. Speed claims are made by the ledger in `benchmark/`,
+//! not here.
+
+mod ablation;
+mod fig2;
+mod fig8;
+mod gridfork;
+mod scaleout;
+mod table2;
+mod table3;
+mod violations;
+
+pub use ablation::ablation;
+pub use fig2::fig2;
+pub use fig8::fig8;
+pub use gridfork::gridfork;
+pub use scaleout::scaleout;
+pub use table2::table2;
+pub use table3::table3;
+pub use violations::violations;
 
 use sk_core::{CoreModel, Scheme, SimReport, TargetConfig};
-use sk_kernels::{Scale, Workload};
-
-/// Parse the common `--scale {test|bench|full}` argument (default bench).
-pub fn scale_from_args() -> Scale {
-    let mut scale = Scale::Bench;
-    let args: Vec<String> = std::env::args().collect();
-    for i in 0..args.len() {
-        if args[i] == "--scale" {
-            scale = match args.get(i + 1).map(String::as_str) {
-                Some("test") => Scale::Test,
-                Some("bench") | None => Scale::Bench,
-                Some("full") => Scale::Full,
-                Some(other) => panic!("unknown scale '{other}'"),
-            };
-        }
-    }
-    scale
-}
-
-/// Parse `--model {inorder|ooo}` (default ooo, the paper's target core).
-pub fn model_from_args() -> CoreModel {
-    let args: Vec<String> = std::env::args().collect();
-    for i in 0..args.len() {
-        if args[i] == "--model" {
-            return match args.get(i + 1).map(String::as_str) {
-                Some("inorder") => CoreModel::InOrder,
-                Some("ooo") | None => CoreModel::OutOfOrder,
-                Some(other) => panic!("unknown model '{other}'"),
-            };
-        }
-    }
-    CoreModel::OutOfOrder
-}
+use sk_kernels::Workload;
 
 /// The paper's 8-core target configuration with the chosen core model.
 pub fn bench_config(model: CoreModel) -> TargetConfig {

@@ -31,15 +31,9 @@
 //! across backends (the conformance suite pins the same property; here
 //! it guards the benched binaries themselves).
 //!
-//! Usage:
-//!   scaleout [--backends det,threads] [--cores 8,64] [--shards 0,2,4,8]
-//!            [--schemes CC,S10,S10*,SU] [--rounds 3] [--iters 2] [--smoke]
-//!
-//! `--schemes` takes any scheme name `slacksim --scheme` takes.
-//! `--smoke` is the CI preset: det backend, 64-core CC+S10*, shards
-//! {0,4}, 1 round. Prints the grid as one JSON document
-//! (`sk-bench-scaleout-v2`, written by `sk_obs::json`) on stdout;
-//! progress on stderr.
+//! `FULL` is the default grid and `SMOKE` the CI preset. Prints the grid
+//! as one JSON document (`sk-bench-scaleout-v2`, written by
+//! `sk_obs::json`) on stdout; progress on stderr.
 
 use sk_core::{CoreModel, DetEngine, Engine, Scheme, TargetConfig};
 use sk_kernels::Workload;
@@ -106,70 +100,43 @@ fn round(x: f64, places: i32) -> Json {
     Json::from((x * k).round() / k)
 }
 
-fn parse_list<T: std::str::FromStr>(s: &str) -> Vec<T> {
-    s.split(',').filter_map(|x| x.trim().parse().ok()).collect()
+/// A grid preset: what the harness runs, and how often.
+struct Grid {
+    backends: &'static [&'static str],
+    cores: &'static [usize],
+    shards: &'static [usize],
+    schemes: &'static [Scheme],
+    rounds: usize,
+    iters: i64,
 }
 
-/// Parse a `--schemes` list, exiting with the parser's message on a bad
-/// name.
-fn parse_schemes(s: &str) -> Vec<Scheme> {
-    s.split(',')
-        .map(|name| {
-            name.parse().unwrap_or_else(|e| {
-                eprintln!("scaleout: --schemes: {e}");
-                std::process::exit(2)
-            })
-        })
-        .collect()
-}
+const FULL: Grid = Grid {
+    backends: &["det", "threads"],
+    cores: &[8, 64],
+    shards: &[0, 2, 4, 8],
+    schemes: &[
+        Scheme::CycleByCycle,
+        Scheme::BoundedSlack(10),
+        Scheme::OldestFirstBounded(10),
+        Scheme::Unbounded,
+    ],
+    rounds: 3,
+    iters: 2,
+};
 
-fn main() {
-    let raw: Vec<String> = std::env::args().skip(1).collect();
-    let mut backends: Vec<String> = vec!["det".into(), "threads".into()];
-    let mut cores: Vec<usize> = vec![8, 64];
-    let mut shards: Vec<usize> = vec![0, 2, 4, 8];
-    let mut schemes = parse_schemes("CC,S10,S10*,SU");
-    let mut rounds = 3usize;
-    let mut iters = 2i64;
-    let mut i = 0;
-    while i < raw.len() {
-        match raw[i].as_str() {
-            "--backends" => {
-                backends = raw[i + 1].split(',').map(|s| s.trim().to_string()).collect();
-                i += 2;
-            }
-            "--cores" => {
-                cores = parse_list(&raw[i + 1]);
-                i += 2;
-            }
-            "--shards" => {
-                shards = parse_list(&raw[i + 1]);
-                i += 2;
-            }
-            "--schemes" => {
-                schemes = parse_schemes(&raw[i + 1]);
-                i += 2;
-            }
-            "--rounds" => {
-                rounds = raw[i + 1].parse().expect("--rounds N");
-                i += 2;
-            }
-            "--iters" => {
-                iters = raw[i + 1].parse().expect("--iters N");
-                i += 2;
-            }
-            "--smoke" => {
-                backends = vec!["det".into()];
-                cores = vec![64];
-                shards = vec![0, 4];
-                schemes = parse_schemes("CC,S10*");
-                rounds = 1;
-                iters = 1;
-                i += 1;
-            }
-            other => panic!("unknown argument {other}"),
-        }
-    }
+const SMOKE: Grid = Grid {
+    backends: &["det"],
+    cores: &[64],
+    shards: &[0, 4],
+    schemes: &[Scheme::CycleByCycle, Scheme::OldestFirstBounded(10)],
+    rounds: 1,
+    iters: 1,
+};
+
+/// Run the full grid, or the CI smoke with `smoke`, and print its JSON
+/// document.
+pub fn scaleout(smoke: bool) {
+    let Grid { backends, cores, shards, schemes, rounds, iters } = if smoke { SMOKE } else { FULL };
     let host_threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
 
     // CC fingerprint per (kernel, cores): must agree across shard counts
@@ -177,13 +144,9 @@ fn main() {
     let mut cc_fp: HashMap<(String, usize), String> = HashMap::new();
 
     let mut grid: Vec<Json> = Vec::new();
-    for backend in &backends {
-        let det_seed = match backend.as_str() {
-            "det" => Some(0u64),
-            "threads" => None,
-            other => panic!("unknown backend {other} (want det or threads)"),
-        };
-        for &n in &cores {
+    for &backend in backends {
+        let det_seed = (backend == "det").then_some(0u64);
+        for &n in cores {
             let workloads = [
                 sk_kernels::micro::lock_sweep(n, iters),
                 sk_kernels::micro::private_compute(n, 200),
@@ -194,7 +157,7 @@ fn main() {
                 sk_kernels::actors::mailbox_actors(n, 2),
             ];
             for w in &workloads {
-                for &scheme in &schemes {
+                for &scheme in schemes {
                     let name = scheme.to_string();
                     // best[k] = min-wall cell for shard config k so far.
                     let mut best: Vec<Option<Cell>> = shards.iter().map(|_| None).collect();
@@ -234,19 +197,14 @@ fn main() {
                         }
                     }
                     if scheme == Scheme::CycleByCycle {
-                        match cc_fp.entry((w.name.to_string(), n)) {
-                            std::collections::hash_map::Entry::Vacant(e) => {
-                                e.insert(best[0].fingerprint.clone());
-                            }
-                            std::collections::hash_map::Entry::Occupied(e) => {
-                                assert_eq!(
-                                    e.get(),
-                                    &best[0].fingerprint,
-                                    "{}: CC fingerprint diverged across backends at n={n}",
-                                    w.name
-                                );
-                            }
-                        }
+                        let first = cc_fp
+                            .entry((w.name.to_string(), n))
+                            .or_insert_with(|| best[0].fingerprint.clone());
+                        assert_eq!(
+                            first, &best[0].fingerprint,
+                            "{}: CC fingerprint diverged across backends at n={n}",
+                            w.name
+                        );
                     }
                     let wall0 = best[0].wall_s;
                     for (k, cell) in best.iter().enumerate() {
@@ -259,7 +217,7 @@ fn main() {
                                 / 1e3
                                 / cell.wall_s;
                         grid.push(Json::obj([
-                            ("backend", Json::from(backend.as_str())),
+                            ("backend", Json::from(backend)),
                             ("kernel", w.name.as_str().into()),
                             ("n_cores", n.into()),
                             ("scheme", name.as_str().into()),
@@ -317,7 +275,7 @@ fn main() {
     let doc = Json::obj([
         ("description", Json::from(description)),
         ("schema", "sk-bench-scaleout-v2".into()),
-        ("backends", backends.iter().map(String::as_str).collect()),
+        ("backends", backends.iter().copied().collect()),
         ("rounds", rounds.into()),
         ("host_threads", host_threads.into()),
         ("grid", Json::Arr(grid)),

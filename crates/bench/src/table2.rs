@@ -1,15 +1,12 @@
 //! Table 2 — "Benchmarks": input sets and the KIPS of the single-host-core
 //! cycle-by-cycle baseline simulation of the 8-core target.
-//!
-//! ```text
-//! cargo run --release -p sk-bench --bin table2 [--scale test|bench|full] [--model inorder|ooo]
-//! ```
 
-use sk_bench::{bench_config, model_from_args, print_table, run_seq, scale_from_args};
+use crate::{bench_config, print_table, run_seq};
+use sk_core::CoreModel;
+use sk_kernels::Scale;
 
-fn main() {
-    let scale = scale_from_args();
-    let model = model_from_args();
+/// Print Table 2 for the extended suite at `scale` on `model` cores.
+pub fn table2(scale: Scale, model: CoreModel) {
     let cfg = bench_config(model);
     println!("Table 2: benchmarks and baseline simulation throughput");
     println!("(sequential cycle-by-cycle simulation of the 8-core target, {model:?} cores)\n");

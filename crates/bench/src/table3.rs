@@ -4,29 +4,18 @@
 //! relative to the deterministic cycle-by-cycle baseline (the parallel CC
 //! engine is asserted cycle-exact against it elsewhere).
 //!
-//! ```text
-//! cargo run --release -p sk-bench --bin table3 [--scale ...] [--model ...] [--reps N]
-//! ```
-//!
 //! Note (EXPERIMENTS.md): eager-scheme errors are host-dependent; the paper
 //! ran on 8 host cores where simulation threads progress in near-lockstep,
 //! so its S100/SU errors are smaller than what a 1-CPU host produces.
 
-use sk_bench::{bench_config, model_from_args, print_table, run_par, run_seq, scale_from_args};
-use sk_core::Scheme;
+use crate::{bench_config, print_table, run_par, run_seq};
+use sk_core::{CoreModel, Scheme};
+use sk_kernels::Scale;
+use std::num::NonZeroUsize;
 
-fn main() {
-    let scale = scale_from_args();
-    let model = model_from_args();
+/// Print Table 3; each cell is the worst error over `reps` parallel runs.
+pub fn table3(scale: Scale, model: CoreModel, reps: NonZeroUsize) {
     let cfg = bench_config(model);
-    let args: Vec<String> = std::env::args().collect();
-    let reps: usize = args
-        .iter()
-        .position(|a| a == "--reps")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1);
-
     println!("Table 3: relative execution-time error vs cycle-by-cycle\n");
     let schemes = [Scheme::BoundedSlack(9), Scheme::BoundedSlack(100), Scheme::Unbounded];
     let mut rows = Vec::new();
@@ -35,7 +24,7 @@ fn main() {
         let mut row = vec![w.name.clone(), format!("{}", base.exec_cycles)];
         for scheme in schemes {
             let mut worst: f64 = 0.0;
-            for _ in 0..reps {
+            for _ in 0..reps.get() {
                 let r = run_par(&w, scheme, &cfg);
                 worst = worst.max(r.exec_time_error(&base));
             }

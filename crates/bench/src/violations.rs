@@ -12,17 +12,14 @@
 //!   inversions;
 //! * the effect of fast-forwarding compensation (§3.2.3), which SlackSim
 //!   proposed but did not implement.
-//!
-//! ```text
-//! cargo run --release -p sk-bench --bin violations [--model inorder|ooo]
-//! ```
 
-use sk_bench::{bench_config, model_from_args, print_table};
-use sk_core::{run_parallel, Scheme};
+use crate::{bench_config, print_table};
+use sk_core::{run_parallel, CoreModel, Scheme};
 use sk_kernels::micro;
 
-fn main() {
-    let model = model_from_args();
+/// Print the violation counters of a racy and a locked kernel per scheme,
+/// then the racy kernel under SU with and without fast-forwarding.
+pub fn violations(model: CoreModel) {
     let mut cfg = bench_config(model);
     cfg.n_cores = 8;
     cfg.mem.track_violations = true;

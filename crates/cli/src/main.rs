@@ -4,7 +4,7 @@
 //! slacksim run   --bench fft --scheme S9 [options]   run one benchmark
 //! slacksim suite [options]                           run the whole suite
 //! slacksim asm   <file.s> --scheme CC [options]      assemble + run a file
-//! slacksim fig2                                      print the scheme timelines
+//! slacksim reproduce [name ...] [options]            regenerate the paper's tables
 //! slacksim list                                      list benchmarks/schemes
 //! slacksim serve [server options]                    run the simulation job server
 //! slacksim loadgen --addr <host:port> [options]      drive a running job server
@@ -13,7 +13,7 @@
 //! Common options:
 //!
 //! ```text
-//!   --scheme  CC|Q<n>|L<n>|S<n>|S<n>*|SU   (default S9)
+//!   --scheme  CC|Q<n>|S<n>|S<n>*|SU   (default S9; L<n> is an alias of S<n>*)
 //!   --cores   <n>        target cores / workload threads (default 8)
 //!   --shards  <n>        sharded memory managers (default 0 = single)
 //!   --scale   test|bench|full                            (default bench)
@@ -42,6 +42,7 @@ use sk_core::{CoreModel, DetEngine, Scheme, SimReport, TargetConfig};
 use sk_det::Schedule;
 use sk_kernels::{Scale, Workload};
 use sk_obs::json::Json;
+use std::num::NonZeroUsize;
 use std::path::Path;
 use std::process::ExitCode;
 
@@ -144,21 +145,8 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
             "--json" => o.json = Some(take(&mut i)?.clone()),
             "--metrics-out" => o.metrics_out = Some(take(&mut i)?.clone()),
             "--trace-out" => o.trace_out = Some(take(&mut i)?.clone()),
-            "--scale" => {
-                o.scale = match take(&mut i)?.as_str() {
-                    "test" => Scale::Test,
-                    "bench" => Scale::Bench,
-                    "full" => Scale::Full,
-                    other => return Err(format!("unknown scale '{other}'")),
-                }
-            }
-            "--model" => {
-                o.model = match take(&mut i)?.as_str() {
-                    "inorder" => CoreModel::InOrder,
-                    "ooo" => CoreModel::OutOfOrder,
-                    other => return Err(format!("unknown model '{other}'")),
-                }
-            }
+            "--scale" => o.scale = parse_scale(take(&mut i)?)?,
+            "--model" => o.model = parse_model(take(&mut i)?)?,
             "--seq" => o.seq = true,
             "--no-superblocks" => o.no_superblocks = true,
             "--track-violations" => o.track = true,
@@ -171,6 +159,23 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
         i += 1;
     }
     Ok(o)
+}
+
+fn parse_scale(s: &str) -> Result<Scale, String> {
+    match s {
+        "test" => Ok(Scale::Test),
+        "bench" => Ok(Scale::Bench),
+        "full" => Ok(Scale::Full),
+        other => Err(format!("unknown scale '{other}'")),
+    }
+}
+
+fn parse_model(s: &str) -> Result<CoreModel, String> {
+    match s {
+        "inorder" => Ok(CoreModel::InOrder),
+        "ooo" => Ok(CoreModel::OutOfOrder),
+        other => Err(format!("unknown model '{other}'")),
+    }
 }
 
 fn config_for(o: &Opts) -> TargetConfig {
@@ -561,6 +566,7 @@ fn main() -> ExitCode {
     match cmd {
         "serve" => return cmd_serve(rest),
         "loadgen" => return cmd_loadgen(rest),
+        "reproduce" => return cmd_reproduce(rest),
         _ => {}
     }
     let opts = match parse_opts(rest) {
@@ -805,23 +811,12 @@ fn main() -> ExitCode {
                 write_json(j, &report_json(&r, None).to_string());
             }
         }
-        "fig2" => {
-            let costs = sk_hostsim::gantt::paper_example(6);
-            for scheme in [
-                Scheme::CycleByCycle,
-                Scheme::Quantum(3),
-                Scheme::BoundedSlack(2),
-                Scheme::Unbounded,
-            ] {
-                println!("{}", sk_hostsim::gantt::render(&costs, scheme));
-            }
-        }
         "list" => {
             println!("benchmarks:");
             for w in benches(&opts) {
                 println!("  {:<18} {}", w.name, w.input);
             }
-            println!("schemes: CC  Q<n>  L<n>  S<n>  S<n>*  SU");
+            println!("schemes: CC  Q<n>  S<n>  S<n>*  SU  (L<n> is an alias of S<n>*)");
         }
         _ => {
             println!("{}", HELP);
@@ -879,6 +874,100 @@ fn cmd_serve(args: &[String]) -> ExitCode {
     println!("sk-serve listening on {}", server.addr());
     server.wait();
     println!("sk-serve stopped");
+    ExitCode::SUCCESS
+}
+
+/// `slacksim reproduce`'s options, each read by the harnesses that list
+/// it in [`HARNESSES`].
+struct Repro {
+    scale: Scale,
+    model: CoreModel,
+    reps: NonZeroUsize,
+    verify: bool,
+    metrics_out: Option<String>,
+    smoke: bool,
+}
+
+/// The paper's tables and figures in `reproduce`'s default order: name,
+/// the options the harness reads, and how to run it.
+type Harness = (&'static str, &'static [&'static str], fn(&Repro));
+const HARNESSES: [Harness; 8] = [
+    ("fig2", &[], |_| sk_bench::fig2()),
+    ("table2", &["--scale", "--model"], |o| sk_bench::table2(o.scale, o.model)),
+    ("table3", &["--scale", "--model", "--reps"], |o| sk_bench::table3(o.scale, o.model, o.reps)),
+    ("violations", &["--model"], |o| sk_bench::violations(o.model)),
+    ("fig8", &["--scale", "--model"], |o| sk_bench::fig8(o.scale, o.model)),
+    ("gridfork", &["--scale", "--model", "--verify", "--metrics-out"], |o| {
+        sk_bench::gridfork(o.scale, o.model, o.verify, o.metrics_out.as_deref().map(Path::new))
+    }),
+    ("ablation", &["--scale"], |o| sk_bench::ablation(o.scale)),
+    ("scaleout", &["--smoke"], |o| sk_bench::scaleout(o.smoke)),
+];
+
+/// `slacksim reproduce`: run the named harnesses (all of them when none is
+/// named), rejecting an option that none of them reads.
+fn cmd_reproduce(args: &[String]) -> ExitCode {
+    let mut o = Repro {
+        scale: Scale::Bench,
+        model: CoreModel::OutOfOrder,
+        reps: NonZeroUsize::MIN,
+        verify: false,
+        metrics_out: None,
+        smoke: false,
+    };
+    let mut run: Vec<&Harness> = Vec::new();
+    let mut given: Vec<&str> = Vec::new();
+    let mut i = 0;
+    while i < args.len() {
+        let take = |i: &mut usize| -> Result<&String, String> {
+            *i += 1;
+            args.get(*i).ok_or_else(|| format!("missing value after {}", args[*i - 1]))
+        };
+        let arg = args[i].as_str();
+        let parsed: Result<(), String> = (|| {
+            match arg {
+                "--scale" => o.scale = parse_scale(take(&mut i)?)?,
+                "--model" => o.model = parse_model(take(&mut i)?)?,
+                "--reps" => o.reps = take(&mut i)?.parse().map_err(|e| format!("--reps: {e}"))?,
+                "--verify" => o.verify = true,
+                "--metrics-out" => o.metrics_out = Some(take(&mut i)?.clone()),
+                "--smoke" => o.smoke = true,
+                other if other.starts_with("--") => {
+                    return Err(format!("unknown reproduce option '{other}'"))
+                }
+                name => match HARNESSES.iter().find(|h| h.0 == name) {
+                    Some(h) => run.push(h),
+                    None => {
+                        let all: Vec<&str> = HARNESSES.iter().map(|h| h.0).collect();
+                        return Err(format!("unknown harness '{name}' (want {})", all.join(", ")));
+                    }
+                },
+            }
+            Ok(())
+        })();
+        if let Err(e) = parsed {
+            eprintln!("error: {e}");
+            return ExitCode::FAILURE;
+        }
+        if arg.starts_with("--") {
+            given.push(arg);
+        }
+        i += 1;
+    }
+    if run.is_empty() {
+        run = HARNESSES.iter().collect();
+    }
+    if let Some(flag) = given.iter().find(|f| !run.iter().any(|h| h.1.contains(f))) {
+        let names: Vec<&str> = run.iter().map(|h| h.0).collect();
+        eprintln!("error: {flag} is read by none of: {}", names.join(", "));
+        return ExitCode::FAILURE;
+    }
+    for (k, h) in run.iter().enumerate() {
+        if k > 0 {
+            println!();
+        }
+        (h.2)(&o);
+    }
     ExitCode::SUCCESS
 }
 
@@ -971,10 +1060,18 @@ USAGE:
   slacksim run   --bench <name> [options]   run one benchmark
   slacksim suite [options]                  run all benchmarks
   slacksim asm   <file.s> [options]         assemble and run a program
-  slacksim fig2                             pedagogical scheme timelines
+  slacksim reproduce [name ...] [options]  regenerate the paper's tables/figures
   slacksim list                             list benchmarks and schemes
   slacksim serve   [server options]         run the simulation job server
   slacksim loadgen --addr <host:port>       drive a running job server
+
+REPRODUCE (names fig2 table2 table3 violations fig8 gridfork ablation
+scaleout, run in that order; no name runs all eight):
+  --scale, --model     as below, for the harnesses that take them
+  --reps <n>           table3: worst error over n parallel runs (default 1)
+  --verify             gridfork: also run every cell from scratch
+  --metrics-out <file> gridfork: dump the grid's sk-obs telemetry
+  --smoke              scaleout: the CI preset (det, 64 cores, CC and S10*)
 
 SERVER OPTIONS (serve):
   --addr <host:port>   bind address (default 127.0.0.1:0 = free port)
@@ -995,7 +1092,8 @@ LOADGEN OPTIONS:
   --json <file>        write the stats JSON to a file
 
 OPTIONS:
-  --scheme CC|Q<n>|L<n>|S<n>|S<n>*|SU  slack scheme (default S9)
+  --scheme CC|Q<n>|S<n>|S<n>*|SU  slack scheme (default S9; L<n> is an alias
+                       of S<n>*)
   --cores <n>          target cores (default 8)
   --shards <n>         sharded memory-manager threads (default 0 = single)
   --scale test|bench|full
