@@ -217,14 +217,14 @@ const KERNELS: &[KernelSpec] = &[
         min_cores: 1,
         build: |c, p| {
             let floor = usize::BITS - c.next_power_of_two().leading_zeros() - 1;
-            fft::fft(c, (p[0] as u32).max(floor).min(20))
+            fft::fft(c, (p[0] as u32).max(floor).clamp(2, 20))
         },
     },
     KernelSpec {
         name: "LU",
         params: &[("n", 12)],
         min_cores: 1,
-        build: |c, p| lu::lu(c, p[0] as usize),
+        build: |c, p| lu::lu(c, (p[0] as usize).max(4)),
     },
     KernelSpec {
         name: "Water-Nsquared",
@@ -653,6 +653,19 @@ rounds = 3
         let w = sc.workload().unwrap();
         assert!(w.input.contains("11 items"), "input was {}", w.input);
         assert_eq!(w.n_threads, 4);
+    }
+
+    #[test]
+    fn every_registered_kernel_builds_with_every_parameter_at_one() {
+        for name in kernel_names() {
+            let (params, min_cores) = kernel_params(name).unwrap();
+            let mut text = format!("[target]\ncores = {min_cores}\n[kernel]\nname = \"{name}\"\n");
+            for (key, _) in params {
+                text.push_str(&format!("{key} = 1\n"));
+            }
+            let w = Scenario::parse(&text).unwrap().workload().unwrap();
+            w.program.validate().expect("kernel program validates");
+        }
     }
 
     #[test]
