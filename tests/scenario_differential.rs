@@ -60,11 +60,7 @@ fn cc_det_equals_cc_threaded_for_every_seed() {
 /// the sync path and inversions are capped by the slack window.
 #[test]
 fn bounded_schemes_respect_slack_bound_and_preserve_values() {
-    let schemes = [
-        Scheme::BoundedSlack(10),
-        Scheme::OldestFirstBounded(10),
-        Scheme::Quantum(10),
-    ];
+    let schemes = [Scheme::BoundedSlack(10), Scheme::OldestFirstBounded(10), Scheme::Quantum(10)];
     for w in suite() {
         let c = cfg(w.n_threads);
         for scheme in schemes {

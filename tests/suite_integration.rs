@@ -69,9 +69,11 @@ fn conservative_schemes_are_accurate_on_kernels() {
     let crit = cfg.critical_latency();
     for w in paper_suite(8, Scale::Test) {
         let base = run_sequential(&w.program, &cfg);
-        for scheme in
-            [Scheme::Quantum(crit), Scheme::OldestFirstBounded(crit), Scheme::OldestFirstBounded(crit - 1)]
-        {
+        for scheme in [
+            Scheme::Quantum(crit),
+            Scheme::OldestFirstBounded(crit),
+            Scheme::OldestFirstBounded(crit - 1),
+        ] {
             let r = run_parallel(&w.program, scheme, &cfg);
             let err = r.exec_time_error(&base);
             assert!(err < 0.02, "{} under {scheme}: err {err}", w.name);
