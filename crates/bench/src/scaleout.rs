@@ -29,7 +29,7 @@
 //! shard counts for every cell, and CC cells must reproduce the full
 //! single-manager fingerprint bit-for-bit — across shard counts AND
 //! across backends (the conformance suite pins the same property; here
-//! it guards the benched binaries themselves).
+//! it guards the benched runs themselves).
 //!
 //! `FULL` is the default grid and `SMOKE` the CI preset. Prints the grid
 //! as one JSON document (`sk-bench-scaleout-v2`, written by
