@@ -2,10 +2,12 @@
 
 use slacksim_suite::prelude::SimReport;
 
-/// FNV-1a over a string: the digest golden lines carry of a report
-/// fingerprint.
-pub fn fnv1a64(s: &str) -> u64 {
-    s.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3))
+/// FNV-1a: the digest golden lines carry of a report fingerprint or a
+/// snapshot.
+pub fn fnv1a64(s: impl AsRef<[u8]>) -> u64 {
+    s.as_ref()
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3))
 }
 
 /// The values a run printed, in order, without the printing core.

@@ -49,7 +49,7 @@ fn schedule_line(label: &str, mut det: DetEngine) -> (String, SimReport) {
     let line = format!(
         "{label} picks={picks} hash={hash:016x} cycles={} fp={:016x} slack={}\n",
         r.exec_cycles,
-        fnv1a64(&r.fingerprint()),
+        fnv1a64(r.fingerprint()),
         r.engine.max_observed_slack,
     );
     (line, r)

@@ -42,7 +42,7 @@ fn ooo_cfg(n: usize) -> TargetConfig {
 /// pipeline counters of every core spelled out so a divergence names the
 /// counter that moved (cache counters are covered by the digest).
 fn golden_line(label: &str, r: &SimReport) -> String {
-    let mut s = format!("{label} cycles={} fp={:016x}", r.exec_cycles, fnv1a64(&r.fingerprint()));
+    let mut s = format!("{label} cycles={} fp={:016x}", r.exec_cycles, fnv1a64(r.fingerprint()));
     for c in &r.cores {
         let _ = write!(
             s,

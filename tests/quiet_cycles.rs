@@ -59,7 +59,7 @@ fn golden_line(label: &str, w: &Workload, mut det: DetEngine) -> (String, SimRep
     let line = format!(
         "{label} picks={picks} cycles={} fp={:016x} traces={}\n",
         r.exec_cycles,
-        fnv1a64(&r.fingerprint()),
+        fnv1a64(r.fingerprint()),
         traces(&r)
     );
     (line, r)
