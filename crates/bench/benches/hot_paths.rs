@@ -5,7 +5,7 @@
 //! on four loops that load its stages differently (`ooo_hot`).
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use sk_core::cpu::{ooo::OooCpu, CoreHost, Cpu, CpuCtx, SysOutcome};
+use sk_core::cpu::{CoreHost, CpuCtx, CpuModel, SysOutcome};
 use sk_core::msg::OutKind;
 use sk_isa::{
     decode, encode, DecodedInstr, DecodedProgram, ProgramBuilder, Reg, Syscall, WORD_BYTES,
@@ -190,7 +190,7 @@ impl CoreHost for LoneCoreHost {
 }
 
 /// Deliver due replies, then simulate one cycle.
-fn lone_core_cycle(cpu: &mut OooCpu, host: &mut LoneCoreHost, stats: &mut sk_core::CoreStats) {
+fn lone_core_cycle(cpu: &mut CpuModel, host: &mut LoneCoreHost, stats: &mut sk_core::CoreStats) {
     host.now += 1;
     while host.replies.front().is_some_and(|&(ts, _)| ts <= host.now) {
         let (ts, kind) = host.replies.pop_front().unwrap();
@@ -212,10 +212,10 @@ fn lone_core_cycle(cpu: &mut OooCpu, host: &mut LoneCoreHost, stats: &mut sk_cor
     cpu.step(&mut CpuCtx { now: host.now, host, stats });
 }
 
-/// Host nanoseconds per simulated core-cycle of `OooCpu::step`: each
-/// sample is `CYCLES` cycles of a loop that never exits, so the reported
-/// rate in Kelem/s is thousands of core-cycles per second (ns per cycle =
-/// 1e6 ÷ that). The four loops put the time in different stages:
+/// Host nanoseconds per simulated core-cycle of an out-of-order
+/// `CpuModel::step`: each sample is `CYCLES` cycles of a loop that never
+/// exits, so the reported rate in Kelem/s is thousands of core-cycles per
+/// second (ns per cycle = 1e6 ÷ that). The four loops put the time in different stages:
 /// wakeup/select/complete at full width; a ROB parked behind L1D misses
 /// (MSHRs, waiters, almost no issue); flush recovery and refetch; a ROB
 /// of ready loads held back by memory order behind stores whose
@@ -312,7 +312,7 @@ fn bench_ooo_hot(c: &mut Criterion) {
                 host.mem.write(chain + i * 64, chain + (i + 387) % NODES * 64);
             }
         }
-        let mut cpu = OooCpu::new(&cfg);
+        let mut cpu = CpuModel::new(&cfg);
         cpu.start_thread(p.entry, 0, 0);
         let mut stats = sk_core::CoreStats::default();
         group.bench_function(format!("{name}/{CYCLES}_cycles"), |b| {

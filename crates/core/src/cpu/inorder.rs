@@ -6,17 +6,17 @@
 //! blocking L1 misses, no speculation. It shares the L1/MSHR-free request
 //! protocol with the OoO model and is used for ablations and fast tests.
 //! A stall that only counts (busy unit, compensation, queued miss reply) is
-//! advanced in one step by the core thread's batch ([`Cpu::quiet_cycles`]).
+//! advanced in one step by the core thread's batch
+//! ([`CpuModel::quiet_cycles`](super::CpuModel::quiet_cycles)).
 
-use super::{Cpu, CpuCtx, SbEvents, SysOutcome};
-use crate::config::{CoreConfig, TargetConfig};
+use super::{CoreShell, CpuCtx, SbEvents, SysOutcome};
+use crate::config::TargetConfig;
 use crate::exec::{self, Operands};
 use crate::msg::OutKind;
-use crate::stats::CoreStats;
 use sk_isa::superblock::{SuperblockTable, Uop};
-use sk_isa::{decode, layout, DecodedInstr, FuClass, Instr, Reg, WORD_BYTES};
+use sk_isa::{decode, DecodedInstr, FuClass, Instr, Reg, WORD_BYTES};
 use sk_mem::l1::ReqKind;
-use sk_mem::{block_of, BlockAddr, L1Cache, L1Outcome, LineState};
+use sk_mem::{block_of, BlockAddr, L1Outcome};
 use sk_snap::{Persist, Reader, SnapError, Writer};
 use std::sync::Arc;
 
@@ -43,24 +43,11 @@ enum Phase {
 
 /// The in-order core model.
 pub struct InOrderCpu {
-    cfg: CoreConfig,
-    l1_hit_lat: u64,
-    pc: u64,
-    regs: [u64; 32],
-    fregs: [f64; 32],
-    running: bool,
-    finished: bool,
-    l1i: L1Cache,
-    l1d: L1Cache,
+    pub(super) sh: CoreShell,
     phase: Phase,
     busy_until: u64,
-    extra_stall: u64,
-    pending_evictions: Vec<(ReqKind, BlockAddr)>,
-    /// Blocks invalidated while their fill was outstanding; the fill is
-    /// immediately undone to keep directory bookkeeping authoritative.
-    inv_while_pending: Vec<BlockAddr>,
     /// Static superblock table (engine-attached; shared across cores).
-    sbt: Option<Arc<SuperblockTable>>,
+    pub(super) sbt: Option<Arc<SuperblockTable>>,
     /// Cursor into the fused run currently being dispatched. Derived
     /// cache over (sbt, pc): never persisted — a restored core re-enters
     /// its run through `SuperblockTable::lookup` at the saved pc, which
@@ -79,22 +66,11 @@ pub struct InOrderCpu {
 
 impl InOrderCpu {
     /// Build an idle core (no thread started).
-    pub fn new(cfg: &TargetConfig) -> Self {
+    pub(super) fn new(cfg: &TargetConfig) -> Self {
         InOrderCpu {
-            cfg: cfg.core,
-            l1_hit_lat: cfg.mem.l1_hit_lat,
-            pc: 0,
-            regs: [0; 32],
-            fregs: [0.0; 32],
-            running: false,
-            finished: false,
-            l1i: L1Cache::new(cfg.mem.l1i),
-            l1d: L1Cache::new(cfg.mem.l1d),
+            sh: CoreShell::new(cfg),
             phase: Phase::Ready,
             busy_until: 0,
-            extra_stall: 0,
-            pending_evictions: Vec::new(),
-            inv_while_pending: Vec::new(),
             sbt: None,
             run_idx: 0,
             run_rem: 0,
@@ -111,6 +87,13 @@ impl InOrderCpu {
         self.sb_truncated = false;
     }
 
+    /// Forget the run cursor, a derived cache never snapshotted: a started
+    /// or restored core re-enters its run via lookup at its pc.
+    pub(super) fn reset_run(&mut self) {
+        self.cancel_run();
+        self.sb_dyn_len = 0;
+    }
+
     /// Count a run exit of `kind` closing a chain of `sb_dyn_len` uops.
     #[inline]
     fn sb_exit(&mut self, kind: fn(&mut SbEvents) -> &mut u64) {
@@ -119,47 +102,20 @@ impl InOrderCpu {
         self.sb_dyn_len = 0;
     }
 
-    #[inline]
-    fn reg(&self, r: Reg) -> u64 {
-        self.regs[r.index()]
-    }
-
-    #[inline]
-    fn set_reg(&mut self, r: Reg, v: u64) {
-        if r.index() != 0 {
-            self.regs[r.index()] = v;
-        }
-    }
-
     fn operands(&self, i: &DecodedInstr) -> Operands {
         let [s1, s2] = i.int_srcs;
         let [f1, f2] = i.fp_srcs;
         Operands {
-            rs1: s1.map_or(0, |r| self.reg(r)),
-            rs2: s2.map_or(0, |r| self.reg(r)),
-            fs1: f1.map_or(0.0, |f| self.fregs[f.index()]),
-            fs2: f2.map_or(0.0, |f| self.fregs[f.index()]),
-            pc: self.pc,
+            rs1: s1.map_or(0, |r| self.sh.reg(r)),
+            rs2: s2.map_or(0, |r| self.sh.reg(r)),
+            fs1: f1.map_or(0.0, |f| self.sh.fregs[f.index()]),
+            fs2: f2.map_or(0.0, |f| self.sh.fregs[f.index()]),
+            pc: self.sh.pc,
         }
     }
 
-    fn note_eviction(&mut self, ev: Option<sk_mem::l1::Eviction>) {
-        if let Some(e) = ev {
-            self.pending_evictions.push((e.kind, e.block));
-        }
-    }
-
-    fn fill_tracked(&mut self, block: BlockAddr, granted: LineState) {
-        let ev = self.l1d.fill(block, granted);
-        self.note_eviction(ev);
-        if let Some(pos) = self.inv_while_pending.iter().position(|&b| b == block) {
-            self.inv_while_pending.swap_remove(pos);
-            self.l1d.apply_invalidate(block);
-        }
-    }
-
-    /// Execute one fetched instruction; returns true if an instruction
-    /// retired this cycle (i.e. we are not now waiting on memory/syscall).
+    /// Execute one fetched instruction: it retires this cycle, or leaves
+    /// the core waiting on memory or a syscall.
     fn execute_one(&mut self, i: DecodedInstr, ctx: &mut CpuCtx<'_>) {
         let now = ctx.now;
         let ops = self.operands(&i);
@@ -168,23 +124,21 @@ impl InOrderCpu {
 
         if let Instr::Syscall { code } = i.instr {
             let args = [
-                self.reg(Reg::arg(0)),
-                self.reg(Reg::arg(1)),
-                self.reg(Reg::arg(2)),
-                self.reg(Reg::arg(3)),
+                self.sh.reg(Reg::arg(0)),
+                self.sh.reg(Reg::arg(1)),
+                self.sh.reg(Reg::arg(2)),
+                self.sh.reg(Reg::arg(3)),
             ];
             match ctx.host.sys_start(code, args, now) {
                 SysOutcome::Done(ret) => {
                     if let Some(v) = ret {
-                        self.set_reg(Reg::arg(0), v);
+                        self.sh.set_reg(Reg::arg(0), v);
                     }
-                    self.pc += WORD_BYTES;
-                    self.busy_until = now + 1;
-                    ctx.stats.committed += 1;
+                    self.retire(now + 1, ctx);
                 }
                 SysOutcome::Pending => self.phase = Phase::SysPending,
                 SysOutcome::Exit => {
-                    self.finished = true;
+                    self.sh.finished = true;
                     ctx.stats.committed += 1;
                 }
             }
@@ -192,53 +146,14 @@ impl InOrderCpu {
         }
 
         if let Some(mem) = fx.mem {
-            let block = block_of(mem.addr);
             if mem.is_store {
-                match self.l1d.write(block) {
-                    L1Outcome::Hit => {
-                        ctx.host.store(mem.addr, mem.store_val, now);
-                        self.pc += WORD_BYTES;
-                        self.busy_until = now + self.l1_hit_lat;
-                        ctx.stats.committed += 1;
-                        ctx.stats.stores += 1;
-                    }
-                    outcome => {
-                        let req = if outcome == L1Outcome::MissUpgrade {
-                            ReqKind::Upgrade
-                        } else {
-                            ReqKind::GetM
-                        };
-                        ctx.host.emit(OutKind::DMem { req, block });
-                        self.phase = Phase::WaitStore {
-                            block,
-                            addr: mem.addr,
-                            val: mem.store_val,
-                            ready: None,
-                        };
-                    }
-                }
+                self.store(mem.addr, mem.store_val, ctx);
             } else {
                 let dst = match i.instr {
                     Instr::Fld { fd, .. } => LoadDst::Fp(fd.0),
                     _ => LoadDst::Int(i.int_dst.map_or(0, |r| r.0)),
                 };
-                match self.l1d.read(block) {
-                    L1Outcome::Hit => {
-                        let v = ctx.host.load(mem.addr, now);
-                        match dst {
-                            LoadDst::Int(r) => self.set_reg(Reg::new(r), v),
-                            LoadDst::Fp(f) => self.fregs[f as usize] = f64::from_bits(v),
-                        }
-                        self.pc += WORD_BYTES;
-                        self.busy_until = now + self.l1_hit_lat;
-                        ctx.stats.committed += 1;
-                        ctx.stats.loads += 1;
-                    }
-                    _ => {
-                        ctx.host.emit(OutKind::DMem { req: ReqKind::GetS, block });
-                        self.phase = Phase::WaitLoad { block, addr: mem.addr, dst, ready: None };
-                    }
-                }
+                self.load(mem.addr, dst, ctx);
             }
             return;
         }
@@ -246,18 +161,18 @@ impl InOrderCpu {
         if let Some(br) = fx.branch {
             if let Some(v) = fx.int_result {
                 if let Some(rd) = i.int_dst {
-                    self.set_reg(rd, v);
+                    self.sh.set_reg(rd, v);
                 }
             }
             if i.is_cond_branch() {
                 ctx.stats.branches += 1;
             }
             if br.taken {
-                self.pc = br.target;
+                self.sh.pc = br.target;
                 // Taken control transfers cost one fetch bubble in-order.
                 self.busy_until = now + 2;
             } else {
-                self.pc += WORD_BYTES;
+                self.sh.pc += WORD_BYTES;
                 self.busy_until = now + 1;
             }
             ctx.stats.committed += 1;
@@ -266,47 +181,49 @@ impl InOrderCpu {
 
         if let Some(v) = fx.int_result {
             if let Some(rd) = i.int_dst {
-                self.set_reg(rd, v);
+                self.sh.set_reg(rd, v);
             }
         }
         if let Some(v) = fx.fp_result {
             if let Some(fd) = i.fp_dst {
-                self.fregs[fd.index()] = v;
+                self.sh.fregs[fd.index()] = v;
             }
         }
-        self.pc += WORD_BYTES;
-        self.busy_until = now + self.cfg.fu_latency(i.fu);
+        self.retire_alu(now, i.fu, ctx);
+    }
+
+    /// Retire the instruction at `pc` this cycle, holding the pipeline
+    /// until `busy_until`.
+    #[inline]
+    fn retire(&mut self, busy_until: u64, ctx: &mut CpuCtx<'_>) {
+        self.sh.pc += WORD_BYTES;
+        self.busy_until = busy_until;
         ctx.stats.committed += 1;
     }
 
+    /// Retire a non-memory, non-control instruction this cycle.
     #[inline]
-    fn set_idx(&mut self, r: u8, v: u64) {
-        if r != 0 {
-            self.regs[r as usize] = v;
+    fn retire_alu(&mut self, now: u64, fu: FuClass, ctx: &mut CpuCtx<'_>) {
+        self.retire(now + self.sh.cfg.fu_latency(fu), ctx);
+    }
+
+    fn write_load(&mut self, dst: LoadDst, v: u64) {
+        match dst {
+            LoadDst::Int(r) => self.sh.set_idx(r, v),
+            LoadDst::Fp(f) => self.sh.fregs[f as usize] = f64::from_bits(v),
         }
     }
 
-    /// Retire a non-memory, non-control uop this cycle.
-    #[inline]
-    fn retire_alu(&mut self, now: u64, fu: FuClass, ctx: &mut CpuCtx<'_>) {
-        self.pc += WORD_BYTES;
-        self.busy_until = now + self.cfg.fu_latency(fu);
-        ctx.stats.committed += 1;
-    }
-
-    fn uop_load(&mut self, addr: u64, dst: LoadDst, ctx: &mut CpuCtx<'_>) {
+    /// A load on either dispatch route: an L1D hit retires it, a miss
+    /// requests the block and waits.
+    fn load(&mut self, addr: u64, dst: LoadDst, ctx: &mut CpuCtx<'_>) {
         let now = ctx.now;
         let block = block_of(addr);
-        match self.l1d.read(block) {
+        match self.sh.l1d.read(block) {
             L1Outcome::Hit => {
                 let v = ctx.host.load(addr, now);
-                match dst {
-                    LoadDst::Int(r) => self.set_idx(r, v),
-                    LoadDst::Fp(f) => self.fregs[f as usize] = f64::from_bits(v),
-                }
-                self.pc += WORD_BYTES;
-                self.busy_until = now + self.l1_hit_lat;
-                ctx.stats.committed += 1;
+                self.write_load(dst, v);
+                self.retire(now + self.sh.l1_hit_lat, ctx);
                 ctx.stats.loads += 1;
             }
             _ => {
@@ -316,15 +233,15 @@ impl InOrderCpu {
         }
     }
 
-    fn uop_store(&mut self, addr: u64, val: u64, ctx: &mut CpuCtx<'_>) {
+    /// A store on either dispatch route: a writable L1D line retires it,
+    /// anything else requests write permission and waits.
+    fn store(&mut self, addr: u64, val: u64, ctx: &mut CpuCtx<'_>) {
         let now = ctx.now;
         let block = block_of(addr);
-        match self.l1d.write(block) {
+        match self.sh.l1d.write(block) {
             L1Outcome::Hit => {
                 ctx.host.store(addr, val, now);
-                self.pc += WORD_BYTES;
-                self.busy_until = now + self.l1_hit_lat;
-                ctx.stats.committed += 1;
+                self.retire(now + self.sh.l1_hit_lat, ctx);
                 ctx.stats.stores += 1;
             }
             outcome => {
@@ -350,118 +267,106 @@ impl InOrderCpu {
         ctx.stats.issued += 1;
         match u {
             Uop::AluRR { op, rd, rs1, rs2 } => {
-                let v = op.eval(self.regs[rs1 as usize], self.regs[rs2 as usize]);
-                self.set_idx(rd, v);
+                let v = op.eval(self.sh.regs[rs1 as usize], self.sh.regs[rs2 as usize]);
+                self.sh.set_idx(rd, v);
                 self.retire_alu(now, op.fu(), ctx);
             }
             Uop::AluRI { op, rd, rs1, imm } => {
-                let v = op.eval(self.regs[rs1 as usize], imm);
-                self.set_idx(rd, v);
+                let v = op.eval(self.sh.regs[rs1 as usize], imm);
+                self.sh.set_idx(rd, v);
                 self.retire_alu(now, FuClass::IntAlu, ctx);
             }
             Uop::Li { rd, imm } => {
-                self.set_idx(rd, imm as i64 as u64);
+                self.sh.set_idx(rd, imm as i64 as u64);
                 self.retire_alu(now, FuClass::IntAlu, ctx);
             }
             Uop::Ld { rd, rs1, imm } => {
-                let addr = self.regs[rs1 as usize].wrapping_add(imm as i64 as u64) & !7;
-                self.uop_load(addr, LoadDst::Int(rd), ctx);
+                let addr = self.sh.regs[rs1 as usize].wrapping_add(imm as i64 as u64) & !7;
+                self.load(addr, LoadDst::Int(rd), ctx);
             }
             Uop::Fld { fd, rs1, imm } => {
-                let addr = self.regs[rs1 as usize].wrapping_add(imm as i64 as u64) & !7;
-                self.uop_load(addr, LoadDst::Fp(fd), ctx);
+                let addr = self.sh.regs[rs1 as usize].wrapping_add(imm as i64 as u64) & !7;
+                self.load(addr, LoadDst::Fp(fd), ctx);
             }
             Uop::St { rs2, rs1, imm } => {
-                let addr = self.regs[rs1 as usize].wrapping_add(imm as i64 as u64) & !7;
-                let val = self.regs[rs2 as usize];
-                self.uop_store(addr, val, ctx);
+                let addr = self.sh.regs[rs1 as usize].wrapping_add(imm as i64 as u64) & !7;
+                let val = self.sh.regs[rs2 as usize];
+                self.store(addr, val, ctx);
             }
             Uop::Fst { fs, rs1, imm } => {
-                let addr = self.regs[rs1 as usize].wrapping_add(imm as i64 as u64) & !7;
-                let val = self.fregs[fs as usize].to_bits();
-                self.uop_store(addr, val, ctx);
+                let addr = self.sh.regs[rs1 as usize].wrapping_add(imm as i64 as u64) & !7;
+                let val = self.sh.fregs[fs as usize].to_bits();
+                self.store(addr, val, ctx);
             }
             Uop::Br { cond, rs1, rs2, target } => {
                 ctx.stats.branches += 1;
-                if cond.taken(self.regs[rs1 as usize], self.regs[rs2 as usize]) {
-                    self.pc = target;
+                if cond.taken(self.sh.regs[rs1 as usize], self.sh.regs[rs2 as usize]) {
+                    self.sh.pc = target;
                     self.busy_until = now + 2;
                 } else {
-                    self.pc += WORD_BYTES;
+                    self.sh.pc += WORD_BYTES;
                     self.busy_until = now + 1;
                 }
                 ctx.stats.committed += 1;
             }
             Uop::J { target } => {
-                self.pc = target;
+                self.sh.pc = target;
                 self.busy_until = now + 2;
                 ctx.stats.committed += 1;
             }
             Uop::Jal { rd, target } => {
-                self.set_idx(rd, self.pc.wrapping_add(WORD_BYTES));
-                self.pc = target;
+                self.sh.set_idx(rd, self.sh.pc.wrapping_add(WORD_BYTES));
+                self.sh.pc = target;
                 self.busy_until = now + 2;
                 ctx.stats.committed += 1;
             }
             Uop::Jalr { rd, rs1, imm } => {
                 // Target reads rs1 before the link write (rd may alias).
-                let target = self.regs[rs1 as usize].wrapping_add(imm as i64 as u64) & !7;
-                self.set_idx(rd, self.pc.wrapping_add(WORD_BYTES));
-                self.pc = target;
+                let target = self.sh.regs[rs1 as usize].wrapping_add(imm as i64 as u64) & !7;
+                self.sh.set_idx(rd, self.sh.pc.wrapping_add(WORD_BYTES));
+                self.sh.pc = target;
                 self.busy_until = now + 2;
                 ctx.stats.committed += 1;
             }
             Uop::FpBin { op, fd, fs1, fs2 } => {
-                self.fregs[fd as usize] =
-                    op.eval(self.fregs[fs1 as usize], self.fregs[fs2 as usize]);
+                self.sh.fregs[fd as usize] =
+                    op.eval(self.sh.fregs[fs1 as usize], self.sh.fregs[fs2 as usize]);
                 self.retire_alu(now, op.fu(), ctx);
             }
             Uop::FpUn { op, fd, fs1 } => {
-                self.fregs[fd as usize] = op.eval(self.fregs[fs1 as usize]);
+                self.sh.fregs[fd as usize] = op.eval(self.sh.fregs[fs1 as usize]);
                 self.retire_alu(now, op.fu(), ctx);
             }
             Uop::FpCmp { op, rd, fs1, fs2 } => {
-                let v = op.eval(self.fregs[fs1 as usize], self.fregs[fs2 as usize]);
-                self.set_idx(rd, v);
+                let v = op.eval(self.sh.fregs[fs1 as usize], self.sh.fregs[fs2 as usize]);
+                self.sh.set_idx(rd, v);
                 self.retire_alu(now, FuClass::FpAdd, ctx);
             }
             Uop::Fcvtlf { fd, rs1 } => {
-                self.fregs[fd as usize] = self.regs[rs1 as usize] as i64 as f64;
+                self.sh.fregs[fd as usize] = self.sh.regs[rs1 as usize] as i64 as f64;
                 self.retire_alu(now, FuClass::FpAdd, ctx);
             }
             Uop::Fcvtfl { rd, fs1 } => {
-                self.set_idx(rd, self.fregs[fs1 as usize] as i64 as u64);
+                self.sh.set_idx(rd, self.sh.fregs[fs1 as usize] as i64 as u64);
                 self.retire_alu(now, FuClass::FpAdd, ctx);
             }
             Uop::Fmvxf { rd, fs1 } => {
-                self.set_idx(rd, self.fregs[fs1 as usize].to_bits());
+                self.sh.set_idx(rd, self.sh.fregs[fs1 as usize].to_bits());
                 self.retire_alu(now, FuClass::FpAdd, ctx);
             }
             Uop::Fmvfx { fd, rs1 } => {
-                self.fregs[fd as usize] = f64::from_bits(self.regs[rs1 as usize]);
+                self.sh.fregs[fd as usize] = f64::from_bits(self.sh.regs[rs1 as usize]);
                 self.retire_alu(now, FuClass::FpAdd, ctx);
             }
             Uop::Nop => self.retire_alu(now, FuClass::Nop, ctx),
             Uop::Other => unreachable!("refused uops have run length 0"),
         }
     }
-}
 
-impl Cpu for InOrderCpu {
-    fn step(&mut self, ctx: &mut CpuCtx<'_>) {
+    /// The cycle after the shell's prologue (`CoreShell::begin_cycle`):
+    /// wait out a busy unit or a fill, or retire one instruction.
+    pub(super) fn step(&mut self, ctx: &mut CpuCtx<'_>) {
         let now = ctx.now;
-        for (kind, block) in self.pending_evictions.drain(..) {
-            ctx.host.emit(OutKind::DMem { req: kind, block });
-        }
-        if !self.running || self.finished {
-            ctx.stats.idle_cycles += 1;
-            return;
-        }
-        if self.extra_stall > 0 {
-            self.extra_stall -= 1;
-            ctx.stats.ff_stall_cycles += 1;
-            return;
-        }
         if now < self.busy_until {
             ctx.stats.stall_cycles += 1;
             return;
@@ -470,18 +375,16 @@ impl Cpu for InOrderCpu {
             Phase::SysPending => match ctx.host.sys_poll(now) {
                 SysOutcome::Done(ret) => {
                     if let Some(v) = ret {
-                        self.set_reg(Reg::arg(0), v);
+                        self.sh.set_reg(Reg::arg(0), v);
                     }
-                    self.pc += WORD_BYTES;
-                    self.busy_until = now + 1;
+                    self.retire(now + 1, ctx);
                     self.phase = Phase::Ready;
-                    ctx.stats.committed += 1;
                 }
                 SysOutcome::Pending => {
                     ctx.stats.stall_cycles += 1;
                 }
                 SysOutcome::Exit => {
-                    self.finished = true;
+                    self.sh.finished = true;
                     ctx.stats.committed += 1;
                 }
             },
@@ -492,14 +395,9 @@ impl Cpu for InOrderCpu {
             Phase::WaitLoad { addr, dst, ready, .. } => match ready {
                 Some(ts) if ts <= now => {
                     let v = ctx.host.load(addr, now);
-                    match dst {
-                        LoadDst::Int(r) => self.set_reg(Reg::new(r), v),
-                        LoadDst::Fp(f) => self.fregs[f as usize] = f64::from_bits(v),
-                    }
-                    self.pc += WORD_BYTES;
+                    self.write_load(dst, v);
+                    self.retire(now + 1, ctx);
                     self.phase = Phase::Ready;
-                    self.busy_until = now + 1;
-                    ctx.stats.committed += 1;
                     ctx.stats.loads += 1;
                 }
                 _ => ctx.stats.stall_cycles += 1,
@@ -507,17 +405,15 @@ impl Cpu for InOrderCpu {
             Phase::WaitStore { addr, val, ready, .. } => match ready {
                 Some(ts) if ts <= now => {
                     ctx.host.store(addr, val, now);
-                    self.pc += WORD_BYTES;
+                    self.retire(now + 1, ctx);
                     self.phase = Phase::Ready;
-                    self.busy_until = now + 1;
-                    ctx.stats.committed += 1;
                     ctx.stats.stores += 1;
                 }
                 _ => ctx.stats.stall_cycles += 1,
             },
             Phase::Ready => {
-                let block = block_of(self.pc);
-                match self.l1i.read(block) {
+                let block = block_of(self.sh.pc);
+                match self.sh.l1i.read(block) {
                     L1Outcome::Hit => {
                         ctx.stats.fetched += 1;
                         // Superblock fast path: resume a suspended run, or
@@ -529,7 +425,7 @@ impl Cpu for InOrderCpu {
                         // per-instruction route below.
                         if self.run_rem == 0 {
                             if let Some(t) = &self.sbt {
-                                if let Some((idx, len)) = t.lookup(self.pc) {
+                                if let Some((idx, len)) = t.lookup(self.sh.pc) {
                                     if len > 0 {
                                         self.run_idx = idx;
                                         self.run_rem = len;
@@ -570,8 +466,8 @@ impl Cpu for InOrderCpu {
                         }
                         // Predecode fast path; PCs outside the table fall
                         // back to reading and decoding the word.
-                        let di = ctx.host.decoded(self.pc).or_else(|| {
-                            decode(ctx.host.fetch_word(self.pc)).ok().map(DecodedInstr::new)
+                        let di = ctx.host.decoded(self.sh.pc).or_else(|| {
+                            decode(ctx.host.fetch_word(self.sh.pc)).ok().map(DecodedInstr::new)
                         });
                         match di {
                             Some(i) => {
@@ -590,7 +486,7 @@ impl Cpu for InOrderCpu {
                             None => {
                                 // Fetching garbage means the workload ran off
                                 // its text segment: treat as thread exit.
-                                self.finished = true;
+                                self.sh.finished = true;
                                 if std::mem::take(&mut self.sb_truncated) {
                                     self.sb_exit(|e| &mut e.exit_fallback);
                                 }
@@ -610,29 +506,8 @@ impl Cpu for InOrderCpu {
         }
     }
 
-    fn start_thread(&mut self, entry: u64, arg: u64, tid: u32) {
-        self.pc = entry;
-        self.regs = [0; 32];
-        self.fregs = [0.0; 32];
-        self.set_reg(Reg::arg(0), arg);
-        self.set_reg(Reg::TP, tid as u64);
-        self.set_reg(Reg::SP, layout::stack_top(tid as usize));
-        self.set_reg(Reg::GP, layout::DATA_BASE);
-        self.running = true;
-        self.cancel_run();
-        self.sb_dyn_len = 0;
-    }
-
-    fn running(&self) -> bool {
-        self.running
-    }
-
-    fn finished(&self) -> bool {
-        self.finished
-    }
-
-    fn mem_reply(&mut self, block: BlockAddr, granted: LineState, ts: u64) {
-        self.fill_tracked(block, granted);
+    /// The data fill of `block` arrived, effective at `ts`.
+    pub(super) fn wake_on_fill(&mut self, block: BlockAddr, ts: u64) {
         match &mut self.phase {
             Phase::WaitLoad { block: b, ready, .. } if *b == block => *ready = Some(ts),
             Phase::WaitStore { block: b, ready, .. } if *b == block => *ready = Some(ts),
@@ -640,8 +515,8 @@ impl Cpu for InOrderCpu {
         }
     }
 
-    fn imem_reply(&mut self, block: BlockAddr, ts: u64) {
-        self.l1i.fill(block, LineState::Shared);
+    /// The instruction fill of `block` arrived, effective at `ts`.
+    pub(super) fn wake_on_ifill(&mut self, block: BlockAddr, ts: u64) {
         if let Phase::WaitIFetch { block: b, ready } = &mut self.phase {
             if *b == block {
                 *ready = Some(ts);
@@ -649,32 +524,21 @@ impl Cpu for InOrderCpu {
         }
     }
 
-    fn invalidate(&mut self, block: BlockAddr, downgrade: bool) {
-        if downgrade {
-            self.l1d.apply_downgrade(block);
-            return;
-        }
-        let waiting = matches!(
+    /// Is a data fill of `block` still on its way?
+    pub(super) fn fill_pending(&self, block: BlockAddr) -> bool {
+        matches!(
             self.phase,
             Phase::WaitLoad { block: b, ready: None, .. } | Phase::WaitStore { block: b, ready: None, .. } if b == block
-        );
-        if waiting {
-            self.inv_while_pending.push(block);
-        }
-        self.l1d.apply_invalidate(block);
-        self.l1i.apply_invalidate(block);
+        )
     }
 
-    fn add_stall(&mut self, cycles: u64) {
-        self.extra_stall += cycles;
-    }
-
-    fn quiet_cycles(&self, now: u64, next_msg: Option<u64>) -> u64 {
-        if !self.running || self.finished || !self.pending_evictions.is_empty() {
+    pub(super) fn quiet_cycles(&self, now: u64, next_msg: Option<u64>) -> u64 {
+        let sh = &self.sh;
+        if !sh.running || sh.finished || !sh.pending_evictions.is_empty() {
             return 0;
         }
-        if self.extra_stall > 0 {
-            return self.extra_stall;
+        if sh.extra_stall > 0 {
+            return sh.extra_stall;
         }
         if now < self.busy_until {
             return self.busy_until - now;
@@ -691,91 +555,24 @@ impl Cpu for InOrderCpu {
         }
     }
 
-    fn skip_quiet(&mut self, k: u64, stats: &mut CoreStats) {
-        if self.extra_stall > 0 {
-            self.extra_stall -= k;
-            stats.ff_stall_cycles += k;
-        } else {
-            stats.stall_cycles += k;
-        }
-    }
-
-    fn flush_cache_stats(&self, stats: &mut CoreStats) {
-        stats.l1d = self.l1d.stats();
-        stats.l1i = self.l1i.stats();
-    }
-
-    fn quiesced(&self) -> bool {
-        matches!(self.phase, Phase::Ready) && self.pending_evictions.is_empty()
-    }
-
-    fn save_state(&self, w: &mut Writer) {
-        w.put_u64(self.pc);
-        for &r in &self.regs {
-            w.put_u64(r);
-        }
-        for &f in &self.fregs {
-            w.put_f64(f);
-        }
-        w.put_bool(self.running);
-        w.put_bool(self.finished);
-        self.l1i.save(w);
-        self.l1d.save(w);
+    /// The model's part of the snapshot, between the L1s and the stall.
+    pub(super) fn save_pipeline(&self, w: &mut Writer) {
         self.phase.save(w);
         w.put_u64(self.busy_until);
-        w.put_u64(self.extra_stall);
-        w.put_usize(self.pending_evictions.len());
-        for &(kind, block) in &self.pending_evictions {
-            kind.save(w);
-            w.put_u64(block);
-        }
-        w.put_usize(self.inv_while_pending.len());
-        for &b in &self.inv_while_pending {
-            w.put_u64(b);
-        }
     }
 
-    fn restore_state(&mut self, r: &mut Reader<'_>) -> Result<(), SnapError> {
-        self.pc = r.get_u64()?;
-        for reg in self.regs.iter_mut() {
-            *reg = r.get_u64()?;
-        }
-        for f in self.fregs.iter_mut() {
-            *f = r.get_f64()?;
-        }
-        self.running = r.get_bool()?;
-        self.finished = r.get_bool()?;
-        self.l1i = L1Cache::load(r)?;
-        self.l1d = L1Cache::load(r)?;
+    pub(super) fn restore_pipeline(&mut self, r: &mut Reader<'_>) -> Result<(), SnapError> {
         self.phase = Phase::load(r)?;
         self.busy_until = r.get_u64()?;
-        self.extra_stall = r.get_u64()?;
-        let n = r.get_count(9)?;
-        self.pending_evictions.clear();
-        for _ in 0..n {
-            self.pending_evictions.push((ReqKind::load(r)?, r.get_u64()?));
-        }
-        let n = r.get_count(8)?;
-        self.inv_while_pending.clear();
-        for _ in 0..n {
-            self.inv_while_pending.push(r.get_u64()?);
-        }
-        // The run cursor is a derived cache, not snapshotted: a restored
-        // core re-enters its run via lookup at the restored pc.
-        self.cancel_run();
-        self.sb_dyn_len = 0;
+        self.reset_run();
         Ok(())
     }
 
-    fn attach_superblocks(&mut self, table: Arc<SuperblockTable>) {
-        self.sbt = Some(table);
-    }
-
-    fn sb_events(&mut self) -> Option<&mut SbEvents> {
+    pub(super) fn sb_events(&mut self) -> Option<&mut SbEvents> {
         self.sbt.as_ref().map(|_| &mut self.sb_events)
     }
 
-    fn sb_mid_run(&self) -> bool {
+    pub(super) fn sb_mid_run(&self) -> bool {
         self.run_rem > 0
     }
 }
@@ -854,6 +651,8 @@ impl Persist for Phase {
 mod tests {
     use super::*;
     use crate::cpu::tests_support::{run_to_exit, TestHost};
+    use crate::cpu::CpuModel;
+    use crate::stats::CoreStats;
     use sk_isa::{FReg, Program, ProgramBuilder, Syscall};
     use std::cmp::Reverse;
 
@@ -866,7 +665,7 @@ mod tests {
         b.sys(Syscall::PrintInt);
         b.sys(Syscall::Exit);
         let p = b.build().unwrap();
-        let (host, stats) = run_to_exit(|cfg| Box::new(InOrderCpu::new(cfg)), &p, 10_000);
+        let (host, stats) = run_to_exit(&TargetConfig::small(1), &p, 10_000);
         assert_eq!(host.printed, vec![42]);
         assert_eq!(stats.committed, 5);
     }
@@ -882,7 +681,7 @@ mod tests {
         b.sys(Syscall::PrintInt);
         b.sys(Syscall::Exit);
         let p = b.build().unwrap();
-        let (host, stats) = run_to_exit(|cfg| Box::new(InOrderCpu::new(cfg)), &p, 10_000);
+        let (host, stats) = run_to_exit(&TargetConfig::small(1), &p, 10_000);
         assert_eq!(host.printed, vec![1234]);
         assert_eq!(stats.loads, 1);
         assert_eq!(stats.stores, 1);
@@ -900,7 +699,7 @@ mod tests {
         b.sys(Syscall::PrintInt);
         b.sys(Syscall::Exit);
         let p = b.build().unwrap();
-        let (host, stats) = run_to_exit(|cfg| Box::new(InOrderCpu::new(cfg)), &p, 10_000);
+        let (host, stats) = run_to_exit(&TargetConfig::small(1), &p, 10_000);
         assert_eq!(host.printed, vec![55]);
         assert_eq!(stats.branches, 10);
     }
@@ -919,7 +718,7 @@ mod tests {
         b.sys(Syscall::PrintInt);
         b.sys(Syscall::Exit);
         let p = b.build().unwrap();
-        let (host, _) = run_to_exit(|cfg| Box::new(InOrderCpu::new(cfg)), &p, 10_000);
+        let (host, _) = run_to_exit(&TargetConfig::small(1), &p, 10_000);
         assert_eq!(host.printed, vec![4]);
     }
 
@@ -933,7 +732,7 @@ mod tests {
         b.ld(Reg::tmp(1), Reg::tmp(2), 0);
         b.sys(Syscall::Exit);
         let p = b.build().unwrap();
-        let (_, stats) = run_to_exit(|cfg| Box::new(InOrderCpu::new(cfg)), &p, 10_000);
+        let (_, stats) = run_to_exit(&TargetConfig::small(1), &p, 10_000);
         assert_eq!(stats.l1d.misses, 1);
         assert_eq!(stats.l1d.hits, 1);
     }
@@ -943,11 +742,11 @@ mod tests {
         let mut b = ProgramBuilder::new();
         b.nop(); // falls through past the end of text
         let p = b.build().unwrap();
-        let (_, stats) = run_to_exit(|cfg| Box::new(InOrderCpu::new(cfg)), &p, 10_000);
+        let (_, stats) = run_to_exit(&TargetConfig::small(1), &p, 10_000);
         assert!(stats.committed >= 1);
     }
 
-    fn state(cpu: &InOrderCpu) -> Vec<u8> {
+    fn state(cpu: &CpuModel) -> Vec<u8> {
         let mut w = Writer::new();
         cpu.save_state(&mut w);
         w.into_bytes()
@@ -961,7 +760,7 @@ mod tests {
     /// stats and the cycles the spans covered.
     fn quiet_spans_are_exact(p: &Program, stall: Option<(u64, u64)>) -> (CoreStats, u64) {
         let cfg = TargetConfig::small(1);
-        let mut cpu = InOrderCpu::new(&cfg);
+        let mut cpu = CpuModel::new(&cfg);
         let mut host = TestHost::new(p, &cfg);
         cpu.start_thread(p.entry, 0, 0);
         let mut stats = CoreStats::default();
@@ -982,7 +781,7 @@ mod tests {
                 continue;
             }
             let before = state(&cpu);
-            let mut booked = InOrderCpu::new(&cfg);
+            let mut booked = CpuModel::new(&cfg);
             booked.restore_state(&mut Reader::new(&before)).expect("restore");
             let mut want = stats.clone();
             booked.skip_quiet(k, &mut want);

@@ -1,6 +1,8 @@
 //! Core timing models.
 //!
-//! Two interchangeable models implement [`Cpu`]:
+//! A simulated core is one `CoreShell` — static core parameters, thread
+//! state, the two L1s with their coherence bookkeeping, the compensation
+//! stall — embedded in one of two pipelines:
 //!
 //! * [`ooo::OooCpu`] — the paper's 4-way out-of-order, 64-in-flight,
 //!   NetBurst-like core (§2.2, §4.1), with bimodal branch prediction, a
@@ -11,21 +13,25 @@
 //! A model interacts with the world only through [`CoreHost`], implemented
 //! by the core thread (`crate::core_thread`): functional memory accesses
 //! (timestamped, so violation tracking sees them), OutQ event emission, and
-//! the syscall protocol. Incoming InQ messages are applied by the core
-//! thread through the `Cpu` trait's reply methods.
-//!
-//! The core thread holds its model as a [`CpuModel`], which forwards every
-//! `Cpu` method with a `match`, so the per-cycle calls are static.
+//! the syscall protocol. The core thread holds its model as a [`CpuModel`],
+//! a closed enum whose inherent methods are the only interface: it applies
+//! incoming InQ messages through its reply methods, and every per-cycle
+//! call is static.
 
 pub mod bpred;
 pub mod inorder;
 pub mod ooo;
 
+use crate::config::{CoreConfig, CoreModel, TargetConfig};
+use crate::msg::OutKind;
 use crate::stats::CoreStats;
 use inorder::InOrderCpu;
 use ooo::OooCpu;
-use sk_mem::{BlockAddr, LineState};
-use sk_snap::{Reader, SnapError, Writer};
+use sk_isa::{layout, Reg, SuperblockTable};
+use sk_mem::l1::ReqKind;
+use sk_mem::{BlockAddr, L1Cache, LineState};
+use sk_snap::{Persist, Reader, SnapError, Writer};
+use std::sync::Arc;
 
 /// Disposition of a syscall, as decided by the host.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -55,14 +61,14 @@ pub trait CoreHost {
         None
     }
     /// Emit an OutQ event (the host stamps timestamp and sequence).
-    fn emit(&mut self, kind: crate::msg::OutKind);
+    fn emit(&mut self, kind: OutKind);
     /// A syscall reached the commit point. `args` are `a0..a3`.
     fn sys_start(&mut self, code: u16, args: [u64; 4], now: u64) -> SysOutcome;
     /// Poll a pending syscall.
     fn sys_poll(&mut self, now: u64) -> SysOutcome;
 }
 
-/// Superblock dispatch telemetry, accumulated by a [`Cpu`] model and
+/// Superblock dispatch telemetry, accumulated by the in-order model and
 /// drained into `sk-obs` by the core thread once per batch. Purely
 /// observational: none of these counts feed back into timing or into
 /// [`CoreStats`] (which must stay bit-identical with superblocks off).
@@ -120,7 +126,7 @@ impl SbEvents {
     }
 }
 
-/// Per-cycle context handed to [`Cpu::step`].
+/// Per-cycle context handed to [`CpuModel::step`].
 pub struct CpuCtx<'a> {
     /// The cycle being simulated (local time + 1).
     pub now: u64,
@@ -130,95 +136,116 @@ pub struct CpuCtx<'a> {
     pub stats: &'a mut CoreStats,
 }
 
-/// A core timing model.
-pub trait Cpu: Send {
-    /// Simulate one cycle.
-    fn step(&mut self, ctx: &mut CpuCtx<'_>);
+/// What every core carries whichever pipeline it runs: the static core
+/// parameters, the architectural thread state, the two L1s with the
+/// coherence bookkeeping around them, and the compensation stall. Both
+/// models embed one; [`CpuModel`] saves and restores it.
+struct CoreShell {
+    cfg: CoreConfig,
+    l1_hit_lat: u64,
+    pc: u64,
+    regs: [u64; 32],
+    fregs: [f64; 32],
+    running: bool,
+    finished: bool,
+    l1i: L1Cache,
+    l1d: L1Cache,
+    /// Fast-forward compensation cycles still to burn.
+    extra_stall: u64,
+    /// L1D victims whose write-back / eviction notice goes out next cycle.
+    pending_evictions: Vec<(ReqKind, BlockAddr)>,
+    /// Blocks invalidated while their fill was outstanding; the fill is
+    /// immediately undone to keep directory bookkeeping authoritative.
+    inv_while_pending: Vec<BlockAddr>,
+}
 
-    /// Begin executing a workload thread.
-    fn start_thread(&mut self, entry: u64, arg: u64, tid: u32);
-
-    /// Has a thread been started on this core?
-    fn running(&self) -> bool;
-
-    /// Did the workload thread exit?
-    fn finished(&self) -> bool;
-
-    /// A data-cache miss reply: install `block` as `granted` effective at
-    /// simulated time `ts` (already clamped to ≥ local by the caller).
-    fn mem_reply(&mut self, block: BlockAddr, granted: LineState, ts: u64);
-
-    /// An instruction-cache miss reply.
-    fn imem_reply(&mut self, block: BlockAddr, ts: u64);
-
-    /// An incoming invalidation (`downgrade` = keep a Shared copy).
-    fn invalidate(&mut self, block: BlockAddr, downgrade: bool);
-
-    /// Extra idle cycles to absorb (fast-forward compensation).
-    fn add_stall(&mut self, cycles: u64);
-
-    /// Cycles from `now` on that [`Cpu::step`] would spend only booking a
-    /// stall if no InQ message applied meanwhile (`next_msg`: the earliest
-    /// queued one's timestamp). 0, the default, when it may do more.
-    fn quiet_cycles(&self, _now: u64, _next_msg: Option<u64>) -> u64 {
-        0
+impl CoreShell {
+    fn new(cfg: &TargetConfig) -> Self {
+        CoreShell {
+            cfg: cfg.core,
+            l1_hit_lat: cfg.mem.l1_hit_lat,
+            pc: 0,
+            regs: [0; 32],
+            fregs: [0.0; 32],
+            running: false,
+            finished: false,
+            l1i: L1Cache::new(cfg.mem.l1i),
+            l1d: L1Cache::new(cfg.mem.l1d),
+            extra_stall: 0,
+            pending_evictions: Vec::new(),
+            inv_while_pending: Vec::new(),
+        }
     }
 
-    /// Book `k ≤ quiet_cycles(now, ..)` cycles as `k` steps from `now` would.
-    fn skip_quiet(&mut self, _k: u64, _stats: &mut CoreStats) {
-        unreachable!("a model without quiet cycles is never asked to skip one");
+    #[inline]
+    fn reg(&self, r: Reg) -> u64 {
+        self.regs[r.index()]
     }
 
-    /// Copy cache counters into `stats` (called once at end of run).
-    fn flush_cache_stats(&self, stats: &mut CoreStats);
-
-    /// Is the pipeline completely drained (used by tests)?
-    fn quiesced(&self) -> bool;
-
-    /// Serialize all dynamic state (registers, pipeline, caches, MSHRs) to
-    /// `w`. Static configuration is *not* written: a restored CPU is first
-    /// constructed from the snapshot's [`crate::TargetConfig`], then
-    /// [`Cpu::restore_state`] overwrites its dynamic state. The pipeline
-    /// need not be drained — in-flight ROB entries, MSHRs and store buffers
-    /// round-trip exactly.
-    fn save_state(&self, w: &mut Writer);
-
-    /// Restore dynamic state previously written by [`Cpu::save_state`] on
-    /// a CPU constructed with the same configuration. Returns an error
-    /// (never panics) on corrupt input.
-    fn restore_state(&mut self, r: &mut Reader<'_>) -> Result<(), SnapError>;
-
-    /// One-line diagnostic of the pipeline state (for stall debugging).
-    fn debug_state(&self) -> String {
-        String::new()
+    /// Write integer register `r` (writes to `zero` are dropped).
+    #[inline]
+    fn set_reg(&mut self, r: Reg, v: u64) {
+        self.set_idx(r.0, v);
     }
 
-    /// Hand the model a superblock table for its fused fast path. Models
-    /// without one ignore it: the out-of-order core fetches, predicts and
-    /// dispatches every instruction individually.
-    fn attach_superblocks(&mut self, table: std::sync::Arc<sk_isa::SuperblockTable>) {
-        let _ = table;
+    #[inline]
+    fn set_idx(&mut self, r: u8, v: u64) {
+        if r != 0 {
+            self.regs[r as usize] = v;
+        }
     }
 
-    /// Superblock telemetry accumulated since the last drain, if this
-    /// model dispatches through superblocks.
-    fn sb_events(&mut self) -> Option<&mut SbEvents> {
-        None
+    /// The work every cycle starts with, in either pipeline: send last
+    /// cycle's evictions, then book the cycle as idle (no thread) or as a
+    /// compensation stall. True when the pipeline runs this cycle.
+    #[inline]
+    fn begin_cycle(&mut self, ctx: &mut CpuCtx<'_>) -> bool {
+        for (kind, block) in self.pending_evictions.drain(..) {
+            ctx.host.emit(OutKind::DMem { req: kind, block });
+        }
+        if !self.running || self.finished {
+            ctx.stats.idle_cycles += 1;
+            return false;
+        }
+        if self.extra_stall > 0 {
+            self.extra_stall -= 1;
+            ctx.stats.ff_stall_cycles += 1;
+            return false;
+        }
+        true
     }
 
-    /// Is a fused run currently suspended mid-block (so a batch boundary
-    /// here is a window split, not a natural exit)?
-    fn sb_mid_run(&self) -> bool {
-        false
+    /// Install a data fill, queue the victim's notice, and undo the fill at
+    /// once if the block was invalidated while it was outstanding.
+    fn fill_tracked(&mut self, block: BlockAddr, granted: LineState) {
+        if let Some(e) = self.l1d.fill(block, granted) {
+            self.pending_evictions.push((e.kind, e.block));
+        }
+        if let Some(pos) = self.inv_while_pending.iter().position(|&b| b == block) {
+            self.inv_while_pending.swap_remove(pos);
+            self.l1d.apply_invalidate(block);
+        }
+    }
+
+    /// Drop `block` from both L1s; `fill_pending` (the pipeline's answer)
+    /// remembers it for the fill still on its way.
+    fn invalidate(&mut self, block: BlockAddr, fill_pending: bool) {
+        if fill_pending {
+            self.inv_while_pending.push(block);
+        }
+        self.l1d.apply_invalidate(block);
+        self.l1i.apply_invalidate(block);
     }
 }
 
 /// The model one simulated core runs, as a closed set: the core thread
-/// calls it through this enum rather than a `Box<dyn Cpu>`, so `step` and
-/// the per-cycle getters are direct calls the compiler can inline. The
-/// in-order core sits inline, next to the fields the batch loop reads, on
-/// purpose (hence the lint allowance); the out-of-order core, a third
-/// larger, stays boxed.
+/// calls it through this enum, so `step` and the per-cycle getters are
+/// direct calls the compiler can inline. What both models share is one
+/// `CoreShell` each embeds and the methods below handle; what only one
+/// model has is answered here for the other, so a new method is a compile
+/// error until every model answers it. The in-order core sits inline,
+/// next to the fields the batch loop reads, on purpose (hence the lint
+/// allowance); the out-of-order core, several times larger, stays boxed.
 #[allow(clippy::large_enum_variant)]
 pub enum CpuModel {
     /// [`InOrderCpu`].
@@ -237,68 +264,229 @@ macro_rules! each_model {
     };
 }
 
-/// Every method forwards, the defaulted ones too: a missed forward would
-/// fall back to the trait default without any simulated outcome showing it
-/// (quiet skips and superblocks are invisible by design).
-impl Cpu for CpuModel {
+impl CpuModel {
+    /// An idle core (no thread started) of the model `cfg.core` names.
+    pub fn new(cfg: &TargetConfig) -> Self {
+        match cfg.core.model {
+            CoreModel::OutOfOrder => CpuModel::Ooo(Box::new(OooCpu::new(cfg))),
+            CoreModel::InOrder => CpuModel::InOrder(InOrderCpu::new(cfg)),
+        }
+    }
+
     #[inline]
-    fn step(&mut self, ctx: &mut CpuCtx<'_>) {
-        each_model!(self, c => c.step(ctx))
+    fn shell(&self) -> &CoreShell {
+        each_model!(self, c => &c.sh)
     }
-    fn start_thread(&mut self, entry: u64, arg: u64, tid: u32) {
-        each_model!(self, c => c.start_thread(entry, arg, tid))
-    }
+
     #[inline]
-    fn running(&self) -> bool {
-        each_model!(self, c => c.running())
+    fn shell_mut(&mut self) -> &mut CoreShell {
+        each_model!(self, c => &mut c.sh)
     }
+
+    /// Simulate one cycle.
     #[inline]
-    fn finished(&self) -> bool {
-        each_model!(self, c => c.finished())
+    pub fn step(&mut self, ctx: &mut CpuCtx<'_>) {
+        each_model!(self, c => {
+            if c.sh.begin_cycle(ctx) {
+                c.step(ctx)
+            }
+        })
     }
-    fn mem_reply(&mut self, block: BlockAddr, granted: LineState, ts: u64) {
-        each_model!(self, c => c.mem_reply(block, granted, ts))
+
+    /// Begin executing a workload thread.
+    pub fn start_thread(&mut self, entry: u64, arg: u64, tid: u32) {
+        let sh = self.shell_mut();
+        sh.pc = entry;
+        sh.regs = [0; 32];
+        sh.fregs = [0.0; 32];
+        sh.set_reg(Reg::arg(0), arg);
+        sh.set_reg(Reg::TP, tid as u64);
+        sh.set_reg(Reg::SP, layout::stack_top(tid as usize));
+        sh.set_reg(Reg::GP, layout::DATA_BASE);
+        sh.running = true;
+        if let CpuModel::InOrder(c) = self {
+            c.reset_run();
+        }
     }
-    fn imem_reply(&mut self, block: BlockAddr, ts: u64) {
-        each_model!(self, c => c.imem_reply(block, ts))
-    }
-    fn invalidate(&mut self, block: BlockAddr, downgrade: bool) {
-        each_model!(self, c => c.invalidate(block, downgrade))
-    }
-    fn add_stall(&mut self, cycles: u64) {
-        each_model!(self, c => c.add_stall(cycles))
-    }
+
+    /// Has a thread been started on this core?
     #[inline]
-    fn quiet_cycles(&self, now: u64, next_msg: Option<u64>) -> u64 {
-        each_model!(self, c => c.quiet_cycles(now, next_msg))
+    pub fn running(&self) -> bool {
+        self.shell().running
     }
-    fn skip_quiet(&mut self, k: u64, stats: &mut CoreStats) {
-        each_model!(self, c => c.skip_quiet(k, stats))
-    }
-    fn flush_cache_stats(&self, stats: &mut CoreStats) {
-        each_model!(self, c => c.flush_cache_stats(stats))
-    }
-    fn quiesced(&self) -> bool {
-        each_model!(self, c => c.quiesced())
-    }
-    fn save_state(&self, w: &mut Writer) {
-        each_model!(self, c => c.save_state(w))
-    }
-    fn restore_state(&mut self, r: &mut Reader<'_>) -> Result<(), SnapError> {
-        each_model!(self, c => c.restore_state(r))
-    }
-    fn debug_state(&self) -> String {
-        each_model!(self, c => c.debug_state())
-    }
-    fn attach_superblocks(&mut self, table: std::sync::Arc<sk_isa::SuperblockTable>) {
-        each_model!(self, c => c.attach_superblocks(table))
-    }
-    fn sb_events(&mut self) -> Option<&mut SbEvents> {
-        each_model!(self, c => c.sb_events())
-    }
+
+    /// Did the workload thread exit?
     #[inline]
-    fn sb_mid_run(&self) -> bool {
-        each_model!(self, c => c.sb_mid_run())
+    pub fn finished(&self) -> bool {
+        self.shell().finished
+    }
+
+    /// A data-cache miss reply: install `block` as `granted` effective at
+    /// simulated time `ts` (already clamped to ≥ local by the caller).
+    pub fn mem_reply(&mut self, block: BlockAddr, granted: LineState, ts: u64) {
+        each_model!(self, c => {
+            c.sh.fill_tracked(block, granted);
+            c.wake_on_fill(block, ts)
+        })
+    }
+
+    /// An instruction-cache miss reply.
+    pub fn imem_reply(&mut self, block: BlockAddr, ts: u64) {
+        each_model!(self, c => {
+            c.sh.l1i.fill(block, LineState::Shared);
+            c.wake_on_ifill(block, ts)
+        })
+    }
+
+    /// An incoming invalidation (`downgrade` = keep a Shared copy).
+    pub fn invalidate(&mut self, block: BlockAddr, downgrade: bool) {
+        each_model!(self, c => {
+            if downgrade {
+                c.sh.l1d.apply_downgrade(block);
+            } else {
+                let fill_pending = c.fill_pending(block);
+                c.sh.invalidate(block, fill_pending);
+            }
+        })
+    }
+
+    /// Extra idle cycles to absorb (fast-forward compensation).
+    pub fn add_stall(&mut self, cycles: u64) {
+        self.shell_mut().extra_stall += cycles;
+    }
+
+    /// Cycles from `now` on that [`CpuModel::step`] would spend only
+    /// booking a stall if no InQ message applied meanwhile (`next_msg`: the
+    /// earliest queued one's timestamp). 0 when it may do more; always 0
+    /// for the out-of-order core, whose stages run every cycle.
+    #[inline]
+    pub fn quiet_cycles(&self, now: u64, next_msg: Option<u64>) -> u64 {
+        match self {
+            CpuModel::InOrder(c) => c.quiet_cycles(now, next_msg),
+            CpuModel::Ooo(_) => 0,
+        }
+    }
+
+    /// Book `k ≤ quiet_cycles(now, ..)` cycles as `k` steps from `now` would.
+    pub fn skip_quiet(&mut self, k: u64, stats: &mut CoreStats) {
+        let sh = self.shell_mut();
+        if sh.extra_stall > 0 {
+            sh.extra_stall -= k;
+            stats.ff_stall_cycles += k;
+        } else {
+            stats.stall_cycles += k;
+        }
+    }
+
+    /// Copy cache counters into `stats` (called once at end of run).
+    pub fn flush_cache_stats(&self, stats: &mut CoreStats) {
+        let sh = self.shell();
+        stats.l1d = sh.l1d.stats();
+        stats.l1i = sh.l1i.stats();
+    }
+
+    /// Serialize all dynamic state (registers, pipeline, caches, MSHRs) to
+    /// `w`. Static configuration is *not* written: a restored CPU is first
+    /// constructed from the snapshot's [`TargetConfig`], then
+    /// [`CpuModel::restore_state`] overwrites its dynamic state. The
+    /// pipeline need not be drained — in-flight ROB entries, MSHRs and
+    /// store buffers round-trip exactly. The shell's fields frame the
+    /// model's own: thread state, the out-of-order window, the L1s, the
+    /// pipeline, then the stall and the coherence bookkeeping.
+    pub fn save_state(&self, w: &mut Writer) {
+        let sh = self.shell();
+        w.put_u64(sh.pc);
+        for &r in &sh.regs {
+            w.put_u64(r);
+        }
+        for &f in &sh.fregs {
+            w.put_f64(f);
+        }
+        w.put_bool(sh.running);
+        w.put_bool(sh.finished);
+        if let CpuModel::Ooo(c) = self {
+            c.save_window(w);
+        }
+        sh.l1i.save(w);
+        sh.l1d.save(w);
+        each_model!(self, c => c.save_pipeline(w));
+        w.put_u64(sh.extra_stall);
+        w.put_usize(sh.pending_evictions.len());
+        for &(kind, block) in &sh.pending_evictions {
+            kind.save(w);
+            w.put_u64(block);
+        }
+        sh.inv_while_pending.save(w);
+    }
+
+    /// Restore dynamic state previously written by [`CpuModel::save_state`]
+    /// on a CPU constructed with the same configuration. Returns an error
+    /// (never panics) on corrupt input.
+    pub fn restore_state(&mut self, r: &mut Reader<'_>) -> Result<(), SnapError> {
+        let sh = self.shell_mut();
+        sh.pc = r.get_u64()?;
+        for reg in sh.regs.iter_mut() {
+            *reg = r.get_u64()?;
+        }
+        for f in sh.fregs.iter_mut() {
+            *f = r.get_f64()?;
+        }
+        sh.running = r.get_bool()?;
+        sh.finished = r.get_bool()?;
+        if let CpuModel::Ooo(c) = self {
+            c.restore_window(r)?;
+        }
+        let sh = self.shell_mut();
+        sh.l1i = L1Cache::load(r)?;
+        sh.l1d = L1Cache::load(r)?;
+        each_model!(&mut *self, c => c.restore_pipeline(r))?;
+        let sh = self.shell_mut();
+        sh.extra_stall = r.get_u64()?;
+        let n = r.get_count(9)?;
+        sh.pending_evictions.clear();
+        for _ in 0..n {
+            sh.pending_evictions.push((ReqKind::load(r)?, r.get_u64()?));
+        }
+        sh.inv_while_pending = Vec::load(r)?;
+        Ok(())
+    }
+
+    /// One-line diagnostic of the pipeline state (for stall debugging);
+    /// empty for the in-order core, whose state is one phase.
+    pub fn debug_state(&self) -> String {
+        match self {
+            CpuModel::InOrder(_) => String::new(),
+            CpuModel::Ooo(c) => c.debug_state(),
+        }
+    }
+
+    /// Hand the model a superblock table for its fused fast path. The
+    /// out-of-order core ignores it: it fetches, predicts and dispatches
+    /// every instruction individually.
+    pub fn attach_superblocks(&mut self, table: Arc<SuperblockTable>) {
+        if let CpuModel::InOrder(c) = self {
+            c.sbt = Some(table);
+        }
+    }
+
+    /// Superblock telemetry accumulated since the last drain, if this
+    /// model dispatches through superblocks.
+    #[inline]
+    pub fn sb_events(&mut self) -> Option<&mut SbEvents> {
+        match self {
+            CpuModel::InOrder(c) => c.sb_events(),
+            CpuModel::Ooo(_) => None,
+        }
+    }
+
+    /// Is a fused run currently suspended mid-block (so a batch boundary
+    /// here is a window split, not a natural exit)?
+    #[inline]
+    pub fn sb_mid_run(&self) -> bool {
+        match self {
+            CpuModel::InOrder(c) => c.sb_mid_run(),
+            CpuModel::Ooo(_) => false,
+        }
     }
 }
 
@@ -318,10 +506,7 @@ pub(crate) mod tests_support {
     //! unit tests; full-system behaviour is tested through the engine.
 
     use super::*;
-    use crate::config::TargetConfig;
-    use crate::msg::OutKind;
     use sk_isa::{Program, Syscall};
-    use sk_mem::l1::ReqKind;
     use sk_mem::FuncMemory;
     use std::cmp::Reverse;
     use std::collections::BinaryHeap;
@@ -448,7 +633,7 @@ pub(crate) mod tests_support {
         }
 
         /// Deliver the replies due by `now`, then simulate cycle `now`.
-        pub fn cycle(&mut self, cpu: &mut dyn Cpu, stats: &mut CoreStats, now: u64) {
+        pub fn cycle(&mut self, cpu: &mut CpuModel, stats: &mut CoreStats, now: u64) {
             self.now = now;
             while let Some(&Reverse((ts, _, rb))) = self.queued.peek() {
                 if ts > now {
@@ -465,20 +650,20 @@ pub(crate) mod tests_support {
         }
     }
 
-    /// Run `program` on a freshly constructed CPU until the thread exits
-    /// (panics after `max_cycles`). Returns the host and core stats.
+    /// Run `program` on a freshly constructed CPU of `cfg.core.model` until
+    /// the thread exits (panics after `max_cycles`). Returns the host and
+    /// core stats.
     pub fn run_to_exit(
-        ctor: impl Fn(&TargetConfig) -> Box<dyn Cpu>,
+        cfg: &TargetConfig,
         program: &Program,
         max_cycles: u64,
     ) -> (TestHost, CoreStats) {
-        let cfg = TargetConfig::small(1);
-        let mut cpu = ctor(&cfg);
-        let mut host = TestHost::new(program, &cfg);
+        let mut cpu = CpuModel::new(cfg);
+        let mut host = TestHost::new(program, cfg);
         cpu.start_thread(program.entry, 0, 0);
         let mut stats = CoreStats::default();
         for now in 1..=max_cycles {
-            host.cycle(cpu.as_mut(), &mut stats, now);
+            host.cycle(&mut cpu, &mut stats, now);
             if cpu.finished() {
                 cpu.flush_cache_stats(&mut stats);
                 return (host, stats);

@@ -21,15 +21,14 @@
 //! What is simulated — issue order, forwarding choice, flush recovery,
 //! every counter — is what a per-cycle scan of the ROB would produce.
 
-use super::{Cpu, CpuCtx, SysOutcome};
-use crate::config::{CoreConfig, TargetConfig};
+use super::{CoreShell, CpuCtx, SysOutcome};
+use crate::config::TargetConfig;
 use crate::exec::{self, Operands};
 use crate::msg::OutKind;
-use crate::stats::CoreStats;
-use sk_isa::{decode, encode, layout, DecodedInstr, FuClass, Instr, Reg, WORD_BYTES};
+use sk_isa::{decode, encode, DecodedInstr, FuClass, Instr, Reg, WORD_BYTES};
 use sk_mem::l1::ReqKind;
 use sk_mem::mshr::MshrAlloc;
-use sk_mem::{block_of, BlockAddr, L1Cache, L1Outcome, LineState, MshrFile};
+use sk_mem::{block_of, BlockAddr, L1Outcome, MshrFile};
 use sk_snap::{Persist, Reader, SnapError, Writer};
 use std::collections::VecDeque;
 
@@ -241,14 +240,7 @@ fn next_set(words: &[u64], head_slot: usize, from_age: usize) -> Option<usize> {
 
 /// The out-of-order core.
 pub struct OooCpu {
-    cfg: CoreConfig,
-    l1_hit_lat: u64,
-
-    pc: u64,
-    regs: [u64; 32],
-    fregs: [f64; 32],
-    running: bool,
-    finished: bool,
+    pub(super) sh: CoreShell,
 
     int_map: [Seq; 32],
     fp_map: [Seq; 32],
@@ -282,8 +274,6 @@ pub struct OooCpu {
     lsq_used: usize,
     syscalls_in_rob: usize,
 
-    l1i: L1Cache,
-    l1d: L1Cache,
     mshr: MshrFile<Waiter>,
     ifetch: Option<(BlockAddr, Option<u64>)>,
     fetch_stall_until: u64,
@@ -301,24 +291,15 @@ pub struct OooCpu {
 
     store_buffer: VecDeque<SbEntry>,
     sys_state: SysState,
-    extra_stall: u64,
-    pending_evictions: Vec<(ReqKind, BlockAddr)>,
-    inv_while_pending: Vec<BlockAddr>,
 }
 
 impl OooCpu {
     /// Build an idle core.
-    pub fn new(cfg: &TargetConfig) -> Self {
+    pub(super) fn new(cfg: &TargetConfig) -> Self {
         let capacity = cfg.core.rob_entries.next_power_of_two().max(64);
         let words = capacity / 64;
         OooCpu {
-            cfg: cfg.core,
-            l1_hit_lat: cfg.mem.l1_hit_lat,
-            pc: 0,
-            regs: [0; 32],
-            fregs: [0.0; 32],
-            running: false,
-            finished: false,
+            sh: CoreShell::new(cfg),
             int_map: [NO_SRC; 32],
             fp_map: [NO_SRC; 32],
             rob: vec![RobEntry::empty(); capacity],
@@ -337,8 +318,6 @@ impl OooCpu {
             next_done: u64::MAX,
             lsq_used: 0,
             syscalls_in_rob: 0,
-            l1i: L1Cache::new(cfg.mem.l1i),
-            l1d: L1Cache::new(cfg.mem.l1d),
             mshr: MshrFile::new(cfg.mem.mshrs),
             ifetch: None,
             fetch_stall_until: 0,
@@ -349,9 +328,6 @@ impl OooCpu {
             fu_busy_until: [0; N_CLASSES],
             store_buffer: VecDeque::with_capacity(cfg.core.store_buffer),
             sys_state: SysState::Idle,
-            extra_stall: 0,
-            pending_evictions: Vec::new(),
-            inv_while_pending: Vec::new(),
         }
     }
 
@@ -385,11 +361,11 @@ impl OooCpu {
         let [s1, s2] = e.instr.int_srcs;
         let [f1, f2] = e.instr.fp_srcs;
         let fp = |src, f: sk_isa::FReg| {
-            f64::from_bits(self.src_bits(src, self.fregs[f.index()].to_bits()))
+            f64::from_bits(self.src_bits(src, self.sh.fregs[f.index()].to_bits()))
         };
         Operands {
-            rs1: s1.map_or(0, |r| self.src_bits(e.src[0], self.regs[r.index()])),
-            rs2: s2.map_or(0, |r| self.src_bits(e.src[1], self.regs[r.index()])),
+            rs1: s1.map_or(0, |r| self.src_bits(e.src[0], self.sh.regs[r.index()])),
+            rs2: s2.map_or(0, |r| self.src_bits(e.src[1], self.sh.regs[r.index()])),
             fs1: f1.map_or(0.0, |f| fp(e.src[2], f)),
             fs2: f2.map_or(0.0, |f| fp(e.src[3], f)),
             pc: e.pc,
@@ -474,21 +450,6 @@ impl OooCpu {
         }
     }
 
-    fn note_eviction(&mut self, ev: Option<sk_mem::l1::Eviction>) {
-        if let Some(e) = ev {
-            self.pending_evictions.push((e.kind, e.block));
-        }
-    }
-
-    fn fill_tracked(&mut self, block: BlockAddr, granted: LineState) {
-        let ev = self.l1d.fill(block, granted);
-        self.note_eviction(ev);
-        if let Some(pos) = self.inv_while_pending.iter().position(|&b| b == block) {
-            self.inv_while_pending.swap_remove(pos);
-            self.l1d.apply_invalidate(block);
-        }
-    }
-
     fn ras_push(&mut self, link: u64) {
         self.ras[self.ras_top] = link;
         self.ras_top = (self.ras_top + 1) % RAS_DEPTH;
@@ -550,8 +511,8 @@ impl OooCpu {
             }
         }
         self.fetch_q.clear();
-        self.pc = new_pc;
-        self.fetch_stall_until = now + self.cfg.mispredict_penalty;
+        self.sh.pc = new_pc;
+        self.fetch_stall_until = now + self.sh.cfg.mispredict_penalty;
         self.wait_jalr = false;
         self.ifetch = None;
     }
@@ -619,13 +580,13 @@ impl OooCpu {
     fn stage_commit(&mut self, ctx: &mut CpuCtx<'_>) -> u64 {
         let now = ctx.now;
         let mut committed = 0;
-        while committed < self.cfg.commit_width as u64 && self.head_seq < self.tail_seq {
+        while committed < self.sh.cfg.commit_width as u64 && self.head_seq < self.tail_seq {
             let slot = self.slot_of(self.head_seq);
             let head = &self.rob[slot];
 
             if head.bad_fetch {
                 // Architecturally reached a non-instruction: thread is done.
-                self.finished = true;
+                self.sh.finished = true;
                 break;
             }
 
@@ -642,10 +603,10 @@ impl OooCpu {
                             _ => unreachable!(),
                         };
                         let args = [
-                            self.regs[Reg::arg(0).index()],
-                            self.regs[Reg::arg(1).index()],
-                            self.regs[Reg::arg(2).index()],
-                            self.regs[Reg::arg(3).index()],
+                            self.sh.regs[Reg::arg(0).index()],
+                            self.sh.regs[Reg::arg(1).index()],
+                            self.sh.regs[Reg::arg(2).index()],
+                            self.sh.regs[Reg::arg(3).index()],
                         ];
                         ctx.host.sys_start(code, args, now)
                     }
@@ -654,7 +615,7 @@ impl OooCpu {
                 match outcome {
                     SysOutcome::Done(ret) => {
                         if let Some(v) = ret {
-                            self.regs[Reg::arg(0).index()] = v;
+                            self.sh.regs[Reg::arg(0).index()] = v;
                         }
                         self.sys_state = SysState::Idle;
                         self.head_seq += 1;
@@ -667,7 +628,7 @@ impl OooCpu {
                         ctx.stats.sys_retries += 1;
                     }
                     SysOutcome::Exit => {
-                        self.finished = true;
+                        self.sh.finished = true;
                         ctx.stats.committed += 1;
                     }
                 }
@@ -679,7 +640,7 @@ impl OooCpu {
             }
 
             if head.instr.is_store() {
-                if self.store_buffer.len() >= self.cfg.store_buffer {
+                if self.store_buffer.len() >= self.sh.cfg.store_buffer {
                     break;
                 }
                 self.store_buffer.push_back(SbEntry {
@@ -702,14 +663,14 @@ impl OooCpu {
             self.lsq_used -= head.instr.is_mem() as usize;
             if let Some(rd) = head.instr.int_dst {
                 if rd.index() != 0 {
-                    self.regs[rd.index()] = head.result;
+                    self.sh.regs[rd.index()] = head.result;
                     if self.int_map[rd.index()] == self.head_seq {
                         self.int_map[rd.index()] = NO_SRC;
                     }
                 }
             }
             if let Some(fd) = head.instr.fp_dst {
-                self.fregs[fd.index()] = f64::from_bits(head.result);
+                self.sh.fregs[fd.index()] = f64::from_bits(head.result);
                 if self.fp_map[fd.index()] == self.head_seq {
                     self.fp_map[fd.index()] = NO_SRC;
                 }
@@ -726,7 +687,7 @@ impl OooCpu {
         let Some(head) = self.store_buffer.front().copied() else { return };
         let block = block_of(head.addr);
         match head.state {
-            SbState::Need => match self.l1d.write(block) {
+            SbState::Need => match self.sh.l1d.write(block) {
                 L1Outcome::Hit => {
                     ctx.host.store(head.addr, head.val, now);
                     self.store_buffer.pop_front();
@@ -758,7 +719,7 @@ impl OooCpu {
                 // where this core held M. Without this, two cores writing
                 // the same block can livelock, each fill annihilated by the
                 // other's invalidation before its store drains.
-                let _ = self.l1d.write(block); // touch LRU/state if present
+                let _ = self.sh.l1d.write(block); // touch LRU/state if present
                 ctx.host.store(head.addr, head.val, now);
                 self.store_buffer.pop_front();
             }
@@ -775,7 +736,7 @@ impl OooCpu {
     fn stage_issue(&mut self, ctx: &mut CpuCtx<'_>) {
         let now = ctx.now;
         let mut used = [0usize; N_CLASSES];
-        let mut budget = self.cfg.issue_width;
+        let mut budget = self.sh.cfg.issue_width;
         let head_slot = self.slot_of(self.head_seq);
         let mut age = 0;
         while budget > 0 {
@@ -784,8 +745,8 @@ impl OooCpu {
             let slot = (head_slot + found) & self.slot_mask;
             let class = self.rob[slot].instr.fu;
             let ci = class_idx(class);
-            if used[ci] >= self.cfg.fu_count(class)
-                || (!self.cfg.fu_pipelined(class) && self.fu_busy_until[ci] > now)
+            if used[ci] >= self.sh.cfg.fu_count(class)
+                || (!self.sh.cfg.fu_pipelined(class) && self.fu_busy_until[ci] > now)
             {
                 continue;
             }
@@ -800,9 +761,9 @@ impl OooCpu {
                     }
                 }
             } else {
-                let lat = self.cfg.fu_latency(class);
+                let lat = self.sh.cfg.fu_latency(class);
                 self.begin_executing(slot, now + lat);
-                if !self.cfg.fu_pipelined(class) {
+                if !self.sh.cfg.fu_pipelined(class) {
                     self.fu_busy_until[ci] = now + lat;
                 }
             }
@@ -865,8 +826,8 @@ impl OooCpu {
         }
 
         let block = block_of(addr);
-        match self.l1d.read(block) {
-            L1Outcome::Hit => self.begin_executing(slot, now + self.l1_hit_lat),
+        match self.sh.l1d.read(block) {
+            L1Outcome::Hit => self.begin_executing(slot, now + self.sh.l1_hit_lat),
             _ => {
                 let waiter =
                     Waiter::Load { id: self.rob[slot].id, seq: self.head_seq + age as u64 };
@@ -905,11 +866,11 @@ impl OooCpu {
     }
 
     fn stage_dispatch(&mut self) {
-        let mut budget = self.cfg.issue_width;
+        let mut budget = self.sh.cfg.issue_width;
         // Serialize on syscalls: nothing dispatches past one.
-        while budget > 0 && self.rob_len() < self.cfg.rob_entries && self.syscalls_in_rob == 0 {
+        while budget > 0 && self.rob_len() < self.sh.cfg.rob_entries && self.syscalls_in_rob == 0 {
             let Some(f) = self.fetch_q.front().copied() else { break };
-            if f.instr.is_mem() && self.lsq_used >= self.cfg.lsq_entries {
+            if f.instr.is_mem() && self.lsq_used >= self.sh.cfg.lsq_entries {
                 break;
             }
             self.fetch_q.pop_front();
@@ -978,10 +939,10 @@ impl OooCpu {
         if self.wait_jalr || now < self.fetch_stall_until || self.ifetch.is_some() {
             return;
         }
-        let mut budget = self.cfg.fetch_width;
-        while budget > 0 && self.fetch_q.len() < self.cfg.fetch_queue {
-            let block = block_of(self.pc);
-            match self.l1i.read(block) {
+        let mut budget = self.sh.cfg.fetch_width;
+        while budget > 0 && self.fetch_q.len() < self.sh.cfg.fetch_queue {
+            let block = block_of(self.sh.pc);
+            match self.sh.l1i.read(block) {
                 L1Outcome::Hit => {}
                 _ => {
                     ctx.host.emit(OutKind::IMem { block });
@@ -994,8 +955,8 @@ impl OooCpu {
             // segment still yields a bad fetch exactly as before.
             let di = ctx
                 .host
-                .decoded(self.pc)
-                .or_else(|| decode(ctx.host.fetch_word(self.pc)).ok().map(DecodedInstr::new));
+                .decoded(self.sh.pc)
+                .or_else(|| decode(ctx.host.fetch_word(self.sh.pc)).ok().map(DecodedInstr::new));
             let (instr, bad) = match di {
                 Some(d) => (d, false),
                 None => (DecodedInstr::new(Instr::Nop), true),
@@ -1009,16 +970,16 @@ impl OooCpu {
             match instr.instr {
                 Instr::J { off } => {
                     pred_taken = true;
-                    pred_target = exec::rel_target(self.pc, off);
+                    pred_target = exec::rel_target(self.sh.pc, off);
                     redirect = Some(pred_target);
                 }
                 Instr::Jal { rd, off } => {
                     if rd == Reg::RA {
                         // A call: remember the return address.
-                        self.ras_push(self.pc + WORD_BYTES);
+                        self.ras_push(self.sh.pc + WORD_BYTES);
                     }
                     pred_taken = true;
-                    pred_target = exec::rel_target(self.pc, off);
+                    pred_target = exec::rel_target(self.sh.pc, off);
                     redirect = Some(pred_target);
                 }
                 Instr::Jalr { rd, rs1, .. } if rd == Reg::ZERO && rs1 == Reg::RA => {
@@ -1041,7 +1002,7 @@ impl OooCpu {
                     if rd == Reg::RA {
                         // Indirect call: push the link even though the
                         // target itself stalls fetch.
-                        self.ras_push(self.pc + WORD_BYTES);
+                        self.ras_push(self.sh.pc + WORD_BYTES);
                     }
                     // Target unknown until execute: stall fetch.
                     self.wait_jalr = true;
@@ -1049,8 +1010,8 @@ impl OooCpu {
                 }
                 _ if instr.is_cond_branch() => {
                     let off = instr.rel_target.expect("conditional branches are direct");
-                    let target = exec::rel_target(self.pc, off);
-                    if self.bpred.predict(self.pc) {
+                    let target = exec::rel_target(self.sh.pc, off);
+                    if self.bpred.predict(self.sh.pc) {
                         pred_taken = true;
                         pred_target = target;
                         redirect = Some(target);
@@ -1062,7 +1023,7 @@ impl OooCpu {
             }
 
             self.fetch_q.push_back(Fetched {
-                pc: self.pc,
+                pc: self.sh.pc,
                 instr,
                 pred_taken,
                 pred_target,
@@ -1071,39 +1032,27 @@ impl OooCpu {
             budget -= 1;
             match redirect {
                 Some(t) => {
-                    self.pc = t;
+                    self.sh.pc = t;
                     // A taken control transfer ends the fetch group.
                     break;
                 }
-                None => self.pc += WORD_BYTES,
+                None => self.sh.pc += WORD_BYTES,
             }
             if stop_fetch {
                 break;
             }
         }
     }
-}
 
-impl Cpu for OooCpu {
-    fn step(&mut self, ctx: &mut CpuCtx<'_>) {
-        for (kind, block) in self.pending_evictions.drain(..) {
-            ctx.host.emit(OutKind::DMem { req: kind, block });
-        }
-        if !self.running || self.finished {
-            ctx.stats.idle_cycles += 1;
-            return;
-        }
-        if self.extra_stall > 0 {
-            self.extra_stall -= 1;
-            ctx.stats.ff_stall_cycles += 1;
-            return;
-        }
+    /// The cycle after the shell's prologue (`CoreShell::begin_cycle`):
+    /// every stage, oldest machinery first.
+    pub(super) fn step(&mut self, ctx: &mut CpuCtx<'_>) {
         self.stage_complete(ctx);
         let committed = self.stage_commit(ctx);
-        if committed == 0 && !self.finished {
+        if committed == 0 && !self.sh.finished {
             ctx.stats.stall_cycles += 1;
         }
-        if self.finished {
+        if self.sh.finished {
             return;
         }
         self.stage_store_buffer(ctx);
@@ -1112,27 +1061,9 @@ impl Cpu for OooCpu {
         self.stage_fetch(ctx);
     }
 
-    fn start_thread(&mut self, entry: u64, arg: u64, tid: u32) {
-        self.pc = entry;
-        self.regs = [0; 32];
-        self.fregs = [0.0; 32];
-        self.regs[Reg::arg(0).index()] = arg;
-        self.regs[Reg::TP.index()] = tid as u64;
-        self.regs[Reg::SP.index()] = layout::stack_top(tid as usize);
-        self.regs[Reg::GP.index()] = layout::DATA_BASE;
-        self.running = true;
-    }
-
-    fn running(&self) -> bool {
-        self.running
-    }
-
-    fn finished(&self) -> bool {
-        self.finished
-    }
-
-    fn mem_reply(&mut self, block: BlockAddr, granted: LineState, ts: u64) {
-        self.fill_tracked(block, granted);
+    /// The data fill of `block` arrived, effective at `ts`: wake its
+    /// waiters.
+    pub(super) fn wake_on_fill(&mut self, block: BlockAddr, ts: u64) {
         for w in self.mshr.complete(block) {
             match w {
                 Waiter::Load { id, seq } => {
@@ -1156,8 +1087,8 @@ impl Cpu for OooCpu {
         }
     }
 
-    fn imem_reply(&mut self, block: BlockAddr, ts: u64) {
-        self.l1i.fill(block, LineState::Shared);
+    /// The instruction fill of `block` arrived, effective at `ts`.
+    pub(super) fn wake_on_ifill(&mut self, block: BlockAddr, ts: u64) {
         if let Some((b, _)) = self.ifetch {
             if b == block {
                 // Fetch resumes once the fill's timestamp has passed.
@@ -1167,44 +1098,14 @@ impl Cpu for OooCpu {
         }
     }
 
-    fn invalidate(&mut self, block: BlockAddr, downgrade: bool) {
-        if downgrade {
-            self.l1d.apply_downgrade(block);
-            return;
-        }
-        if self.mshr.contains(block) {
-            self.inv_while_pending.push(block);
-        }
-        self.l1d.apply_invalidate(block);
-        self.l1i.apply_invalidate(block);
+    /// Is a data fill of `block` still on its way?
+    pub(super) fn fill_pending(&self, block: BlockAddr) -> bool {
+        self.mshr.contains(block)
     }
 
-    fn add_stall(&mut self, cycles: u64) {
-        self.extra_stall += cycles;
-    }
-
-    fn flush_cache_stats(&self, stats: &mut CoreStats) {
-        stats.l1d = self.l1d.stats();
-        stats.l1i = self.l1i.stats();
-    }
-
-    fn quiesced(&self) -> bool {
-        self.head_seq == self.tail_seq
-            && self.store_buffer.is_empty()
-            && self.fetch_q.is_empty()
-            && self.mshr.is_empty()
-    }
-
-    fn save_state(&self, w: &mut Writer) {
-        w.put_u64(self.pc);
-        for &r in &self.regs {
-            w.put_u64(r);
-        }
-        for &f in &self.fregs {
-            w.put_f64(f);
-        }
-        w.put_bool(self.running);
-        w.put_bool(self.finished);
+    /// The instruction window's part of the snapshot, between the thread
+    /// state and the L1s: rename maps, ROB, fetch queue, predictor.
+    pub(super) fn save_window(&self, w: &mut Writer) {
         for &m in self.int_map.iter().chain(&self.fp_map) {
             w.put_u64(m);
         }
@@ -1219,8 +1120,10 @@ impl Cpu for OooCpu {
             f.save(w);
         }
         self.bpred.save(w);
-        self.l1i.save(w);
-        self.l1d.save(w);
+    }
+
+    /// The rest of the pipeline's part, between the L1s and the stall.
+    pub(super) fn save_pipeline(&self, w: &mut Writer) {
         self.mshr.save(w);
         self.ifetch.save(w);
         w.put_u64(self.fetch_stall_until);
@@ -1237,26 +1140,9 @@ impl Cpu for OooCpu {
             sb.save(w);
         }
         self.sys_state.save(w);
-        w.put_u64(self.extra_stall);
-        w.put_usize(self.pending_evictions.len());
-        for &(kind, block) in &self.pending_evictions {
-            kind.save(w);
-            w.put_u64(block);
-        }
-        self.inv_while_pending.save(w);
     }
 
-    fn restore_state(&mut self, r: &mut Reader<'_>) -> Result<(), SnapError> {
-        let corrupt = |what: &str| Err(SnapError::Corrupt(what.into()));
-        self.pc = r.get_u64()?;
-        for reg in self.regs.iter_mut() {
-            *reg = r.get_u64()?;
-        }
-        for f in self.fregs.iter_mut() {
-            *f = r.get_f64()?;
-        }
-        self.running = r.get_bool()?;
-        self.finished = r.get_bool()?;
+    pub(super) fn restore_window(&mut self, r: &mut Reader<'_>) -> Result<(), SnapError> {
         for m in self.int_map.iter_mut().chain(self.fp_map.iter_mut()) {
             *m = r.get_u64()?;
         }
@@ -1265,7 +1151,7 @@ impl Cpu for OooCpu {
         // every derived index is recomputed, not read.
         self.head_seq = r.get_u64()?;
         let n = r.get_count(16)?;
-        if n > self.cfg.rob_entries {
+        if n > self.sh.cfg.rob_entries {
             return corrupt("more ROB entries than the configured ROB holds");
         }
         let Some(tail_seq) = self.head_seq.checked_add(n as u64).filter(|&t| t < NO_SRC) else {
@@ -1316,7 +1202,7 @@ impl Cpu for OooCpu {
         }
         self.rebuild_schedule();
         let n = r.get_count(16)?;
-        if n > self.cfg.fetch_queue {
+        if n > self.sh.cfg.fetch_queue {
             return corrupt("more fetched instructions than the fetch queue holds");
         }
         self.fetch_q.clear();
@@ -1324,8 +1210,10 @@ impl Cpu for OooCpu {
             self.fetch_q.push_back(Fetched::load(r)?);
         }
         self.bpred = super::bpred::Bimodal::load(r)?;
-        self.l1i = L1Cache::load(r)?;
-        self.l1d = L1Cache::load(r)?;
+        Ok(())
+    }
+
+    pub(super) fn restore_pipeline(&mut self, r: &mut Reader<'_>) -> Result<(), SnapError> {
         self.mshr = MshrFile::load(r)?;
         self.ifetch = Option::load(r)?;
         self.fetch_stall_until = r.get_u64()?;
@@ -1342,7 +1230,7 @@ impl Cpu for OooCpu {
             *b = r.get_u64()?;
         }
         let n = r.get_count(16)?;
-        if n > self.cfg.store_buffer {
+        if n > self.sh.cfg.store_buffer {
             return corrupt("more store-buffer entries than the store buffer holds");
         }
         self.store_buffer.clear();
@@ -1350,21 +1238,14 @@ impl Cpu for OooCpu {
             self.store_buffer.push_back(SbEntry::load(r)?);
         }
         self.sys_state = SysState::load(r)?;
-        self.extra_stall = r.get_u64()?;
-        let n = r.get_count(9)?;
-        self.pending_evictions.clear();
-        for _ in 0..n {
-            self.pending_evictions.push((ReqKind::load(r)?, r.get_u64()?));
-        }
-        self.inv_while_pending = Vec::load(r)?;
         Ok(())
     }
 
-    fn debug_state(&self) -> String {
+    pub(super) fn debug_state(&self) -> String {
         let head = self.live_slot(self.head_seq).map(|slot| &self.rob[slot]);
         format!(
             "pc={:#x} rob[{}] head={:?} sb={:?} mshr=[{}] ifetch={:?} wait_jalr={} sys={:?} fq={}",
-            self.pc,
+            self.sh.pc,
             self.rob_len(),
             head.map(|e| (e.id, e.instr.instr, e.state)),
             self.store_buffer
@@ -1378,6 +1259,10 @@ impl Cpu for OooCpu {
             self.fetch_q.len(),
         )
     }
+}
+
+fn corrupt<T>(what: &str) -> Result<T, SnapError> {
+    Err(SnapError::Corrupt(what.into()))
 }
 
 // Instructions round-trip through the ISA's canonical 64-bit encoding, so
@@ -1543,14 +1428,32 @@ impl Persist for Fetched {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::CoreConfig;
     use crate::cpu::tests_support::{run_to_exit, TestHost};
+    use crate::cpu::CpuModel;
+    use crate::stats::CoreStats;
     use sk_isa::{FReg, ProgramBuilder, Syscall};
+    use sk_mem::LineState;
     use std::collections::{BTreeMap, BTreeSet};
 
-    fn ooo(cfg: &TargetConfig) -> Box<dyn Cpu> {
-        let mut c = *cfg;
-        c.core = crate::config::CoreConfig::paper_ooo();
-        Box::new(OooCpu::new(&c))
+    /// The paper's core on the one-core test target.
+    fn ooo() -> TargetConfig {
+        ooo_cfg(64)
+    }
+
+    /// The out-of-order pipeline inside `cpu`.
+    fn pipe(cpu: &CpuModel) -> &OooCpu {
+        match cpu {
+            CpuModel::Ooo(c) => c,
+            CpuModel::InOrder(_) => unreachable!("built from an out-of-order config"),
+        }
+    }
+
+    fn pipe_mut(cpu: &mut CpuModel) -> &mut OooCpu {
+        match cpu {
+            CpuModel::Ooo(c) => c,
+            CpuModel::InOrder(_) => unreachable!("built from an out-of-order config"),
+        }
     }
 
     #[test]
@@ -1562,7 +1465,7 @@ mod tests {
         b.sys(Syscall::PrintInt);
         b.sys(Syscall::Exit);
         let p = b.build().unwrap();
-        let (host, stats) = run_to_exit(ooo, &p, 10_000);
+        let (host, stats) = run_to_exit(&ooo(), &p, 10_000);
         assert_eq!(host.printed, vec![42]);
         assert_eq!(stats.committed, 5);
     }
@@ -1578,7 +1481,7 @@ mod tests {
         b.sys(Syscall::PrintInt);
         b.sys(Syscall::Exit);
         let p = b.build().unwrap();
-        let (host, _) = run_to_exit(ooo, &p, 10_000);
+        let (host, _) = run_to_exit(&ooo(), &p, 10_000);
         assert_eq!(host.printed, vec![21]);
     }
 
@@ -1594,7 +1497,7 @@ mod tests {
         b.sys(Syscall::PrintInt);
         b.sys(Syscall::Exit);
         let p = b.build().unwrap();
-        let (host, stats) = run_to_exit(ooo, &p, 50_000);
+        let (host, stats) = run_to_exit(&ooo(), &p, 50_000);
         assert_eq!(host.printed, vec![5050]);
         assert_eq!(stats.branches, 100);
         // The predictor learns the loop after a couple of iterations.
@@ -1619,7 +1522,7 @@ mod tests {
         b.sys(Syscall::PrintInt);
         b.sys(Syscall::Exit);
         let p = b.build().unwrap();
-        let (host, stats) = run_to_exit(ooo, &p, 50_000);
+        let (host, stats) = run_to_exit(&ooo(), &p, 50_000);
         assert_eq!(host.printed, vec![25]);
         assert!(stats.fetched > stats.committed, "speculation fetches extra work");
     }
@@ -1635,7 +1538,7 @@ mod tests {
         b.sys(Syscall::PrintInt);
         b.sys(Syscall::Exit);
         let p = b.build().unwrap();
-        let (host, _) = run_to_exit(ooo, &p, 10_000);
+        let (host, _) = run_to_exit(&ooo(), &p, 10_000);
         assert_eq!(host.printed, vec![777]);
     }
 
@@ -1656,7 +1559,7 @@ mod tests {
         b.sys(Syscall::PrintInt);
         b.sys(Syscall::Exit);
         let p = b.build().unwrap();
-        let (host, stats) = run_to_exit(ooo, &p, 50_000);
+        let (host, stats) = run_to_exit(&ooo(), &p, 50_000);
         assert_eq!(host.printed, vec![(0..8).map(|i| i * i).sum::<i64>()]);
         assert_eq!(stats.stores, 8);
         assert_eq!(stats.loads, 8);
@@ -1677,7 +1580,7 @@ mod tests {
         b.sys(Syscall::PrintInt);
         b.sys(Syscall::Exit);
         let p = b.build().unwrap();
-        let (host, _) = run_to_exit(ooo, &p, 10_000);
+        let (host, _) = run_to_exit(&ooo(), &p, 10_000);
         assert_eq!(host.printed, vec![5]);
     }
 
@@ -1696,7 +1599,7 @@ mod tests {
         b.sys(Syscall::PrintInt);
         b.sys(Syscall::Exit);
         let p = b.build().unwrap();
-        let (host, _) = run_to_exit(ooo, &p, 10_000);
+        let (host, _) = run_to_exit(&ooo(), &p, 10_000);
         assert_eq!(host.printed, vec![42]);
     }
 
@@ -1719,12 +1622,8 @@ mod tests {
 
     #[test]
     fn ooo_is_faster_than_inorder_on_ilp() {
-        let (_, ooo_stats) = run_to_exit(ooo, &ilp_loop(200), 100_000);
-        let (_, io_stats) = run_to_exit(
-            |cfg| Box::new(crate::cpu::inorder::InOrderCpu::new(cfg)) as Box<dyn Cpu>,
-            &ilp_loop(200),
-            100_000,
-        );
+        let (_, ooo_stats) = run_to_exit(&ooo(), &ilp_loop(200), 100_000);
+        let (_, io_stats) = run_to_exit(&TargetConfig::small(1), &ilp_loop(200), 100_000);
         assert!(
             ooo_stats.cycles * 2 < io_stats.cycles,
             "OoO {} cycles vs in-order {} cycles",
@@ -1735,7 +1634,7 @@ mod tests {
 
     #[test]
     fn ilp_ipc_exceeds_one() {
-        let (_, stats) = run_to_exit(ooo, &ilp_loop(200), 100_000);
+        let (_, stats) = run_to_exit(&ooo(), &ilp_loop(200), 100_000);
         assert!(stats.ipc() > 1.2, "ipc = {}", stats.ipc());
     }
 
@@ -1760,7 +1659,7 @@ mod tests {
         b.sys(Syscall::PrintInt);
         b.sys(Syscall::Exit);
         let p = b.build().unwrap();
-        let (host, stats) = run_to_exit(ooo, &p, 50_000);
+        let (host, stats) = run_to_exit(&ooo(), &p, 50_000);
         assert_eq!(host.printed, vec![100]);
         // 100 iterations x 4 instructions + overhead: with predicted
         // returns this takes ~2-4 cycles/iteration; a stalling return
@@ -1786,8 +1685,8 @@ mod tests {
             b.sys(Syscall::Exit);
             b.build().unwrap()
         };
-        let (_, div_stats) = run_to_exit(ooo, &mk(true), 10_000);
-        let (_, mul_stats) = run_to_exit(ooo, &mk(false), 10_000);
+        let (_, div_stats) = run_to_exit(&ooo(), &mk(true), 10_000);
+        let (_, mul_stats) = run_to_exit(&ooo(), &mk(false), 10_000);
         // 6 divides at 20 cycles unpipelined >= 120 cycles; 6 pipelined
         // multiplies complete in a small fraction of that.
         assert!(
@@ -1815,7 +1714,7 @@ mod tests {
         b.sys(Syscall::PrintInt);
         b.sys(Syscall::Exit);
         let p = b.build().unwrap();
-        let (host, _) = run_to_exit(ooo, &p, 10_000);
+        let (host, _) = run_to_exit(&ooo(), &p, 10_000);
         assert_eq!(host.printed, vec![22]);
     }
 
@@ -1840,7 +1739,7 @@ mod tests {
         b.sys(Syscall::PrintInt);
         b.sys(Syscall::Exit);
         let p = b.build().unwrap();
-        let (host, _) = run_to_exit(ooo, &p, 50_000);
+        let (host, _) = run_to_exit(&ooo(), &p, 50_000);
         let expected: i64 = (0..16).map(|i| 100 + i).sum();
         assert_eq!(host.printed, vec![expected]);
     }
@@ -1910,7 +1809,7 @@ mod tests {
 
     fn ooo_cfg(rob_entries: usize) -> TargetConfig {
         let mut cfg = TargetConfig::small(1);
-        cfg.core = crate::config::CoreConfig { rob_entries, ..CoreConfig::paper_ooo() };
+        cfg.core = CoreConfig { rob_entries, ..CoreConfig::paper_ooo() };
         cfg
     }
 
@@ -1919,21 +1818,22 @@ mod tests {
     fn run_until_busy(
         p: &sk_isa::Program,
         cfg: &TargetConfig,
-    ) -> (OooCpu, crate::cpu::tests_support::TestHost, CoreStats, u64) {
-        let mut cpu = OooCpu::new(cfg);
-        let mut host = crate::cpu::tests_support::TestHost::new(p, cfg);
+    ) -> (CpuModel, TestHost, CoreStats, u64) {
+        let mut cpu = CpuModel::new(cfg);
+        let mut host = TestHost::new(p, cfg);
         let mut stats = CoreStats::default();
         cpu.start_thread(p.entry, 0, 0);
         for now in 1..5_000 {
             host.cycle(&mut cpu, &mut stats, now);
-            if cpu.rob_len() > 8 && !cpu.store_buffer.is_empty() && cpu.mshr.outstanding() > 1 {
+            let c = pipe(&cpu);
+            if c.rob_len() > 8 && !c.store_buffer.is_empty() && c.mshr.outstanding() > 1 {
                 return (cpu, host, stats, now);
             }
         }
         panic!("the pipeline never got busy");
     }
 
-    fn saved(cpu: &OooCpu) -> Vec<u8> {
+    fn saved(cpu: &CpuModel) -> Vec<u8> {
         let mut w = Writer::new();
         cpu.save_state(&mut w);
         w.into_bytes()
@@ -1942,11 +1842,7 @@ mod tests {
     #[test]
     fn window_sizes_off_the_64_slot_word_compute_the_same_values() {
         for rob in [1, 3, 64, 100] {
-            let (host, stats) = run_to_exit(
-                |_| Box::new(OooCpu::new(&ooo_cfg(rob))) as Box<dyn Cpu>,
-                &miss_and_store_loop(40),
-                100_000,
-            );
+            let (host, stats) = run_to_exit(&ooo_cfg(rob), &miss_and_store_loop(40), 100_000);
             assert_eq!(host.printed, vec![(1..=40).sum::<i64>()], "rob_entries = {rob}");
             assert_eq!(stats.committed, 4 + 40 * 9 + 2, "rob_entries = {rob}");
         }
@@ -1957,14 +1853,15 @@ mod tests {
         let p = miss_and_store_loop(40);
         for rob in [64, 100] {
             let cfg = ooo_cfg(rob);
-            let (cpu, mut host, mut stats, at) = run_until_busy(&p, &cfg);
-            let bytes = saved(&cpu);
-            let mut restored = OooCpu::new(&cfg);
-            restored.restore_state(&mut Reader::new(&bytes)).expect("restore");
-            assert_eq!(saved(&restored), bytes, "re-save drifted (rob_entries = {rob})");
+            let (live, mut host, mut stats, at) = run_until_busy(&p, &cfg);
+            let bytes = saved(&live);
+            let mut resumed = CpuModel::new(&cfg);
+            resumed.restore_state(&mut Reader::new(&bytes)).expect("restore");
+            assert_eq!(saved(&resumed), bytes, "re-save drifted (rob_entries = {rob})");
             // Derived state is rebuilt, not read: it must equal the live one,
             // except that a parked load comes back ready.
-            assert_eq!(restored.ready, ready_or_parked(&cpu));
+            let (cpu, restored) = (pipe(&live), pipe(&resumed));
+            assert_eq!(restored.ready, ready_or_parked(cpu));
             assert!(restored.order_blocked.iter().all(|&w| w == 0));
             assert_eq!(restored.executing, cpu.executing);
             assert_eq!(restored.stores, cpu.stores);
@@ -1981,13 +1878,12 @@ mod tests {
             }
             // The restored core takes over from the original's host.
             for now in at + 1..100_000 {
-                host.cycle(&mut restored, &mut stats, now);
-                if restored.finished() {
+                host.cycle(&mut resumed, &mut stats, now);
+                if resumed.finished() {
                     break;
                 }
             }
-            let (ref_host, ref_stats) =
-                run_to_exit(|_| Box::new(OooCpu::new(&cfg)) as Box<dyn Cpu>, &p, 100_000);
+            let (ref_host, ref_stats) = run_to_exit(&cfg, &p, 100_000);
             assert_eq!(host.printed, ref_host.printed);
             assert_eq!(stats.cycles, ref_stats.cycles, "resumed run took a different time");
             assert_eq!(stats.issued, ref_stats.issued);
@@ -2057,13 +1953,14 @@ mod tests {
     /// Simulate cycle `now`, check that no parked load missed its wakeup,
     /// and log what the cycle did to the memory instructions.
     fn step_logged(
-        cpu: &mut OooCpu,
+        model: &mut CpuModel,
         host: &mut TestHost,
         stats: &mut CoreStats,
         now: u64,
         log: &mut OrderLog,
     ) {
-        host.cycle(cpu, stats, now);
+        host.cycle(model, stats, now);
+        let cpu = pipe(model);
         assert_parked_loads_blocked(cpu);
         for seq in cpu.head_seq..cpu.tail_seq {
             let slot = cpu.slot_of(seq);
@@ -2089,7 +1986,7 @@ mod tests {
                 cfg.core = CoreConfig { rob_entries, lsq_entries, ..CoreConfig::paper_ooo() };
                 let why = format!("rob_entries = {rob_entries}, lsq_entries = {lsq_entries}");
                 let start = || {
-                    let mut cpu = OooCpu::new(&cfg);
+                    let mut cpu = CpuModel::new(&cfg);
                     cpu.start_thread(p.entry, 0, 0);
                     (cpu, TestHost::new(&p, &cfg), CoreStats::default(), OrderLog::default(), 0)
                 };
@@ -2117,7 +2014,7 @@ mod tests {
                 // Saved while loads are parked, restored, resumed on the
                 // same host: the uninterrupted run, cycle for cycle.
                 let (mut live, mut host2, mut stats2, mut log2, mut now2) = start();
-                while live.order_blocked.iter().all(|&w| w == 0) && !live.finished() {
+                while pipe(&live).order_blocked.iter().all(|&w| w == 0) && !live.finished() {
                     now2 += 1;
                     step_logged(&mut live, &mut host2, &mut stats2, now2, &mut log2);
                 }
@@ -2125,10 +2022,10 @@ mod tests {
                     assert!(log.parked.is_empty(), "{why}");
                     continue;
                 }
-                let mut restored = OooCpu::new(&cfg);
+                let mut restored = CpuModel::new(&cfg);
                 restored.restore_state(&mut Reader::new(&saved(&live))).expect("restore");
-                assert_eq!(restored.ready, ready_or_parked(&live), "{why}");
-                assert!(restored.order_blocked.iter().all(|&w| w == 0), "{why}");
+                assert_eq!(pipe(&restored).ready, ready_or_parked(pipe(&live)), "{why}");
+                assert!(pipe(&restored).order_blocked.iter().all(|&w| w == 0), "{why}");
                 while !restored.finished() {
                     now2 += 1;
                     assert!(now2 < 10_000, "{why}: resumed run never exits");
@@ -2170,14 +2067,14 @@ mod tests {
         let bytes = saved(&cpu);
         // Registers, rename maps and the whole ROB, byte by byte; the
         // caches, MSHRs and queues behind them at a stride.
-        let rob_end = 8 + 2 * 32 * 8 + 2 + 2 * 32 * 8 + 16 + cpu.rob_len() * 102;
+        let rob_end = 8 + 2 * 32 * 8 + 2 + 2 * 32 * 8 + 16 + pipe(&cpu).rob_len() * 102;
         let positions = (0..rob_end).chain((rob_end..bytes.len()).step_by(7));
         let (mut accepted, mut rejected) = (0, 0);
         for pos in positions {
             for flip in [0x01, 0x10, 0x80, 0xFF] {
                 let mut bad = bytes.clone();
                 bad[pos] ^= flip;
-                let mut c = OooCpu::new(&cfg);
+                let mut c = CpuModel::new(&cfg);
                 if c.restore_state(&mut Reader::new(&bad)).is_err() {
                     rejected += 1;
                     continue;
@@ -2186,7 +2083,8 @@ mod tests {
                 let mut stats = CoreStats::default();
                 for now in 1..=48 {
                     if now == 24 {
-                        let blocks: Vec<BlockAddr> = c.mshr.iter().map(|(b, _)| *b).collect();
+                        let blocks: Vec<BlockAddr> =
+                            pipe(&c).mshr.iter().map(|(b, _)| *b).collect();
                         for block in blocks {
                             c.mem_reply(block, LineState::Exclusive, now);
                         }
@@ -2195,7 +2093,7 @@ mod tests {
                 }
             }
             for cut in [pos, pos + 1] {
-                let mut c = OooCpu::new(&cfg);
+                let mut c = CpuModel::new(&cfg);
                 assert!(c.restore_state(&mut Reader::new(&bytes[..cut])).is_err(), "cut {cut}");
             }
         }
@@ -2205,12 +2103,13 @@ mod tests {
     #[test]
     fn restore_rejects_references_outside_the_rob() {
         let cfg = ooo_cfg(64);
-        let (cpu, ..) = run_until_busy(&miss_and_store_loop(40), &cfg);
+        let (live, ..) = run_until_busy(&miss_and_store_loop(40), &cfg);
+        let cpu = pipe(&live);
         let rejects = |damage: &dyn Fn(&mut OooCpu), why: &str| {
-            let mut bad = OooCpu::new(&cfg);
-            bad.restore_state(&mut Reader::new(&saved(&cpu))).unwrap();
-            damage(&mut bad);
-            let err = OooCpu::new(&cfg).restore_state(&mut Reader::new(&saved(&bad)));
+            let mut bad = CpuModel::new(&cfg);
+            bad.restore_state(&mut Reader::new(&saved(&live))).unwrap();
+            damage(pipe_mut(&mut bad));
+            let err = CpuModel::new(&cfg).restore_state(&mut Reader::new(&saved(&bad)));
             assert!(matches!(err, Err(SnapError::Corrupt(_))), "{why}: {err:?}");
         };
         let youngest = cpu.slot_of(cpu.tail_seq - 1);
@@ -2220,26 +2119,26 @@ mod tests {
         rejects(&|c| c.rob[youngest].id = 0, "ids not increasing");
         rejects(&|c| c.next_id = 0, "next id behind the ROB");
         let nop = Fetched {
-            pc: cpu.pc,
+            pc: cpu.sh.pc,
             instr: DecodedInstr::new(Instr::Nop),
             pred_taken: false,
             pred_target: 0,
             bad_fetch: false,
         };
-        rejects(&|c| c.fetch_q.resize(c.cfg.fetch_queue + 1, nop), "fetch queue overfull");
+        rejects(&|c| c.fetch_q.resize(c.sh.cfg.fetch_queue + 1, nop), "fetch queue overfull");
         let sb = SbEntry { addr: 0, val: 0, state: SbState::Need };
-        rejects(&|c| c.store_buffer.resize(c.cfg.store_buffer + 1, sb), "store buffer overfull");
+        rejects(&|c| c.store_buffer.resize(c.sh.cfg.store_buffer + 1, sb), "store buffer overfull");
         // `head_seq` sits behind pc, both register files, two flags and
         // both rename maps: move it to where the entries overflow u64.
-        let mut bytes = saved(&cpu);
+        let mut bytes = saved(&live);
         let head_at = 8 + 2 * 32 * 8 + 2 + 2 * 32 * 8;
         assert_eq!(bytes[head_at..head_at + 8], cpu.head_seq.to_le_bytes());
         bytes[head_at..head_at + 8].copy_from_slice(&(u64::MAX - 3).to_le_bytes());
-        let wrapped = OooCpu::new(&cfg).restore_state(&mut Reader::new(&bytes));
+        let wrapped = CpuModel::new(&cfg).restore_state(&mut Reader::new(&bytes));
         assert!(matches!(wrapped, Err(SnapError::Corrupt(_))), "{wrapped:?}");
         // More entries than the configured ROB: a 64-entry image into an
         // 8-entry core.
-        let small = OooCpu::new(&ooo_cfg(8)).restore_state(&mut Reader::new(&saved(&cpu)));
+        let small = CpuModel::new(&ooo_cfg(8)).restore_state(&mut Reader::new(&saved(&live)));
         assert!(matches!(small, Err(SnapError::Corrupt(_))), "{small:?}");
     }
 
@@ -2248,6 +2147,6 @@ mod tests {
         let mut b = ProgramBuilder::new();
         b.nop();
         let p = b.build().unwrap();
-        let (_, _) = run_to_exit(ooo, &p, 10_000);
+        let (_, _) = run_to_exit(&ooo(), &p, 10_000);
     }
 }

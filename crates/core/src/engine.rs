@@ -14,9 +14,9 @@
 //! ([`Engine::begin_segment`], [`Engine::end_segment`]).
 
 use crate::clock::{ClockBoard, CoreState, GlobalCache};
-use crate::config::{CoreModel, StopCondition, TargetConfig};
+use crate::config::{StopCondition, TargetConfig};
 use crate::core_thread::{CoreOutput, CoreSim, RoiState};
-use crate::cpu::{inorder::InOrderCpu, ooo::OooCpu, Cpu, CpuModel};
+use crate::cpu::CpuModel;
 use crate::msg::OutEvent;
 use crate::scheme::Scheme;
 use crate::shard::{MemShard, ShardSignal};
@@ -41,13 +41,6 @@ const SLACK_PROFILE_CAP: usize = 1_000_000;
 /// livelocked (a bug in the engine, not the workload — workload deadlock
 /// is the `deadlockable` rule of [`Engine::forced_round`]).
 const LIVELOCK_ROUNDS: u64 = 100_000;
-
-pub(crate) fn build_cpu(cfg: &TargetConfig) -> CpuModel {
-    match cfg.core.model {
-        CoreModel::OutOfOrder => CpuModel::Ooo(Box::new(OooCpu::new(cfg))),
-        CoreModel::InOrder => CpuModel::InOrder(InOrderCpu::new(cfg)),
-    }
-}
 
 /// What every core of one simulation shares: built from the program on a
 /// cold start, read back from a snapshot on resume.
@@ -116,7 +109,7 @@ pub(crate) fn wire(
     for id in 0..n {
         let (in_p, in_c) = spsc::channel();
         let (out_p, out_c) = spsc::channel();
-        let mut cpu = build_cpu(cfg);
+        let mut cpu = CpuModel::new(cfg);
         if let Some(t) = &shared.sbt {
             cpu.attach_superblocks(t.clone());
         }
@@ -515,7 +508,7 @@ impl Engine {
         self.board.global()
     }
 
-    /// One pipeline diagnostic line per core ([`crate::cpu::Cpu::debug_state`]):
+    /// One pipeline diagnostic line per core ([`crate::cpu::CpuModel::debug_state`]):
     /// what is in flight at a safe-point, for stall debugging and for tests
     /// that must know a checkpoint caught the pipeline busy.
     pub fn core_debug_states(&self) -> Vec<String> {

@@ -68,6 +68,6 @@ pub use engine::{run_parallel, Engine, RunOutcome};
 pub use interp::{interpret, interpret_with, InterpResult, InterpStop};
 pub use scheme::{Scheme, SchemeParseError};
 pub use seq::run_sequential;
-/// The snapshot codec [`cpu::Cpu::save_state`] / `restore_state` speak.
+/// The snapshot codec [`cpu::CpuModel::save_state`] / `restore_state` speak.
 pub use sk_snap as snap;
 pub use stats::{CoreStats, EngineStats, SimReport, ViolationReport};

@@ -488,17 +488,26 @@ fn fast_forward_reduces_violations_on_racy_code() {
     b.entry(main);
     let p = b.build().unwrap();
 
-    let mut cfg = small_cfg(4, CoreModel::InOrder);
-    cfg.track_workload_violations = true;
-    // Without compensation, SU on racy code usually shows violations;
-    // with compensation, stalls are injected whenever anything was
-    // compensated.
-    let plain = run_parallel(&p, Scheme::Unbounded, &cfg);
-    cfg.fast_forward_compensation = true;
-    let ff = run_parallel(&p, Scheme::Unbounded, &cfg);
-    assert_eq!(ff.violations.compensations > 0, ff.violations.compensation_cycles > 0);
-    // Functional completion in both modes.
-    assert!(plain.exec_cycles > 0 && ff.exec_cycles > 0);
+    for model in [CoreModel::InOrder, CoreModel::OutOfOrder] {
+        let mut cfg = small_cfg(4, model);
+        cfg.track_workload_violations = true;
+        // Without compensation, SU on racy code usually shows violations;
+        // with compensation, stalls are injected whenever anything was
+        // compensated.
+        let plain = run_parallel(&p, Scheme::Unbounded, &cfg);
+        cfg.fast_forward_compensation = true;
+        let ff = run_parallel(&p, Scheme::Unbounded, &cfg);
+        assert_eq!(ff.violations.compensations > 0, ff.violations.compensation_cycles > 0);
+        // Functional completion in both modes.
+        assert!(plain.exec_cycles > 0 && ff.exec_cycles > 0);
+        // On one det schedule the core burns what the tracker asked for,
+        // booked as compensation stalls (a request still pending when its
+        // core exits is never burnt).
+        let det = sk_core::run_det(&p, Scheme::Unbounded, &cfg, 0);
+        let burnt: u64 = det.cores.iter().map(|c| c.ff_stall_cycles).sum();
+        let asked = det.violations.compensation_cycles;
+        assert!(burnt > 0 && burnt <= asked, "{model:?}: burnt {burnt} of {asked}");
+    }
 }
 
 #[test]

@@ -53,6 +53,16 @@ fn det_backend_is_bit_identical_on_vs_off_for_every_scheme() {
             assert_eq!(printed, w.expected, "det {} under {scheme}: wrong output", w.name);
         }
     }
+    // The fused path is the one that ran: its exits reach the metrics hub,
+    // window splits (a batch that ends mid-run under S10) among them.
+    let w = kernels::fft::fft(n, 6);
+    let mut det =
+        sk_core::DetEngine::new(&w.program, Scheme::BoundedSlack(10), &cfg_with(n, true), 7);
+    let m = det.engine_mut().attach_new_metrics(Default::default());
+    det.run();
+    let branch: u64 = m.cores.iter().map(|c| c.sb_exit_branch.get()).sum();
+    let window: u64 = m.cores.iter().map(|c| c.sb_exit_window.get()).sum();
+    assert!(branch > 0 && window > 0, "superblock exits: {branch} branch, {window} window");
 }
 
 #[test]
