@@ -114,8 +114,10 @@ pub enum ConfigError {
     CoreCountOutOfRange { n_cores: usize },
     /// More memory shards than L2 banks to partition across them.
     ShardsExceedBanks { mem_shards: usize, n_banks: usize },
-    /// A core pipeline width or the ROB is zero.
+    /// A core pipeline width, the ROB, the LSQ or the fetch queue is zero.
     ZeroCoreResource,
+    /// The branch-predictor table size is not a power of two.
+    BpredNotPowerOfTwo { bpred_entries: usize },
     /// Zero MSHRs or a zero-entry store buffer.
     ZeroMemResource,
 }
@@ -129,7 +131,12 @@ impl std::fmt::Display for ConfigError {
             ConfigError::ShardsExceedBanks { mem_shards, n_banks } => {
                 write!(f, "mem_shards {mem_shards} exceeds the {n_banks} L2 banks")
             }
-            ConfigError::ZeroCoreResource => write!(f, "core widths/ROB must be nonzero"),
+            ConfigError::ZeroCoreResource => {
+                write!(f, "core widths, ROB, LSQ and fetch queue must be nonzero")
+            }
+            ConfigError::BpredNotPowerOfTwo { bpred_entries } => {
+                write!(f, "bpred_entries {bpred_entries} not a power of two")
+            }
             ConfigError::ZeroMemResource => write!(f, "MSHRs and store buffer must be nonzero"),
         }
     }
@@ -238,8 +245,13 @@ impl TargetConfig {
                 n_banks: self.mem.n_banks,
             });
         }
-        if self.core.rob_entries == 0 || self.core.fetch_width == 0 || self.core.issue_width == 0 {
+        let c = &self.core;
+        let sizes = [c.fetch_width, c.issue_width, c.commit_width, c.rob_entries];
+        if sizes.contains(&0) || c.lsq_entries == 0 || c.fetch_queue == 0 {
             return Err(ConfigError::ZeroCoreResource);
+        }
+        if !c.bpred_entries.is_power_of_two() {
+            return Err(ConfigError::BpredNotPowerOfTwo { bpred_entries: c.bpred_entries });
         }
         if self.mem.mshrs == 0 || self.core.store_buffer == 0 {
             return Err(ConfigError::ZeroMemResource);
@@ -279,7 +291,7 @@ impl Persist for CoreConfig {
         w.put_u64(self.spin_interval);
     }
     fn load(r: &mut Reader<'_>) -> Result<Self, SnapError> {
-        let cfg = CoreConfig {
+        Ok(CoreConfig {
             model: CoreModel::load(r)?,
             fetch_width: r.get_usize()?,
             issue_width: r.get_usize()?,
@@ -291,16 +303,7 @@ impl Persist for CoreConfig {
             bpred_entries: r.get_usize()?,
             mispredict_penalty: r.get_u64()?,
             spin_interval: r.get_u64()?,
-        };
-        // The predictor constructor asserts this; turn it into a clean
-        // load error instead of a panic on a corrupt snapshot.
-        if !cfg.bpred_entries.is_power_of_two() {
-            return Err(SnapError::Corrupt(format!(
-                "bpred_entries {} not a power of two",
-                cfg.bpred_entries
-            )));
-        }
-        Ok(cfg)
+        })
     }
 }
 
@@ -388,9 +391,19 @@ mod tests {
         let mut t = TargetConfig::small(2);
         t.mem_shards = t.mem.n_banks + 1;
         assert!(matches!(t.validate(), Err(ConfigError::ShardsExceedBanks { .. })));
+        for zero in [
+            |c: &mut CoreConfig| c.rob_entries = 0,
+            |c: &mut CoreConfig| c.commit_width = 0,
+            |c: &mut CoreConfig| c.lsq_entries = 0,
+            |c: &mut CoreConfig| c.fetch_queue = 0,
+        ] {
+            let mut t = TargetConfig::small(2);
+            zero(&mut t.core);
+            assert_eq!(t.validate(), Err(ConfigError::ZeroCoreResource), "{:?}", t.core);
+        }
         let mut t = TargetConfig::small(2);
-        t.core.rob_entries = 0;
-        assert_eq!(t.validate(), Err(ConfigError::ZeroCoreResource));
+        t.core.bpred_entries = 1000;
+        assert_eq!(t.validate(), Err(ConfigError::BpredNotPowerOfTwo { bpred_entries: 1000 }));
         let mut t = TargetConfig::small(2);
         t.core.store_buffer = 0;
         assert_eq!(t.validate(), Err(ConfigError::ZeroMemResource));

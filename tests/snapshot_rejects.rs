@@ -30,6 +30,18 @@ fn with_scheme_tag(bytes: &[u8], cfg: &TargetConfig, tag: u8) -> Vec<u8> {
     snap::seal(&payload)
 }
 
+/// `bytes` resealed with its `TargetConfig` replaced by `cfg`'s encoding,
+/// which differs from the original in fixed-width fields only: a
+/// well-framed snapshot of a configuration validation refuses.
+fn with_config(bytes: &[u8], cfg: &TargetConfig) -> Vec<u8> {
+    let mut payload = snap::open(bytes).expect("pristine snapshot").to_vec();
+    let mut w = Writer::new();
+    cfg.save(&mut w);
+    let encoded = w.into_bytes();
+    payload[..encoded.len()].copy_from_slice(&encoded);
+    snap::seal(&payload)
+}
+
 #[test]
 fn corrupted_and_truncated_snapshots_fail_cleanly() {
     let w = kernels::micro::lock_sweep(2, 3);
@@ -81,6 +93,14 @@ fn corrupted_and_truncated_snapshots_fail_cleanly() {
             other => panic!("scheme tag {tag} must be rejected as corrupt, got {other:?}"),
         }
     }
+    // A core that could never commit: validation refuses its config.
+    let mut stuck = cfg;
+    stuck.core.commit_width = 0;
+    match Engine::resume(&with_config(&bytes, &stuck), None).map(|_| ()) {
+        Err(SnapError::Corrupt(_)) => {}
+        other => panic!("commit_width 0 must be rejected as corrupt, got {other:?}"),
+    }
+    assert!(Engine::resume(&with_config(&bytes, &cfg), None).is_ok());
     // Garbage and empty inputs.
     assert!(Engine::resume(&[], None).is_err());
     assert!(Engine::resume(b"not a snapshot at all", None).is_err());
