@@ -360,29 +360,16 @@ impl ClockBoard {
         self.cores[core].local.load(Ordering::Relaxed)
     }
 
-    /// Publish a new local time (must be exactly old + 1).
+    /// Publish a new local time: `new_local` may be any number of cycles
+    /// past the last published value (run-ahead batching amortizes the
+    /// publication, never the simulation — the core still simulated every
+    /// intervening cycle). The advance must stay monotone and inside the
+    /// window.
     #[inline]
     pub fn advance_local(&self, core: usize, new_local: u64) {
-        debug_assert_eq!(new_local, self.local(core) + 1);
-        debug_assert!(
-            new_local <= self.max_local(core),
-            "core {core} would pass its window: {new_local} > {}",
-            self.max_local(core)
-        );
-        self.cores[core].local.store(new_local, Ordering::Release);
-        self.mark_dirty(core);
-    }
-
-    /// Publish a batched local-time advance: `new_local` may be any
-    /// number of cycles past the last published value (run-ahead
-    /// batching amortizes the publication, never the simulation — the
-    /// core still simulated every intervening cycle). The advance must
-    /// stay monotone and inside the window.
-    #[inline]
-    pub fn advance_local_batched(&self, core: usize, new_local: u64) {
         debug_assert!(
             new_local > self.local(core),
-            "core {core} batched advance not monotone: {new_local} <= {}",
+            "core {core} advance not monotone: {new_local} <= {}",
             self.local(core)
         );
         debug_assert!(

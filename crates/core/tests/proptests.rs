@@ -100,7 +100,7 @@ fn check_batched_clock_ops(ops: Vec<(u8, usize, u64)>) -> Result<(), TestCaseErr
                     let l = board.local(core);
                     let target = (l + amount).min(board.max_local(core));
                     if target > l {
-                        board.advance_local_batched(core, target);
+                        board.advance_local(core, target);
                     }
                 }
             }
@@ -228,7 +228,7 @@ proptest! {
     }
 
     /// The batched publication path under adversarial interleavings:
-    /// random mixes of `advance_local_batched`, window raises,
+    /// random mixes of `advance_local`, window raises,
     /// park/resume transitions and global recomputations through BOTH
     /// reduction paths. Clocks (global, locals, windows) are monotone,
     /// no local ever passes its window, and the memoized
@@ -270,7 +270,7 @@ proptest! {
                         let l = board.local(core);
                         let target = (l + amount).min(board.max_local(core));
                         if target > l {
-                            board.advance_local_batched(core, target);
+                            board.advance_local(core, target);
                         }
                     }
                 }
