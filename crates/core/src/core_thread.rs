@@ -723,7 +723,6 @@ impl CoreSim {
                 trace.resize(self.local as usize, 0);
             }
         }
-        self.stats.sys_retries = self.host.retries;
         self.stats.printed = std::mem::take(&mut self.host.printed);
         let end = self.roi_frozen.unwrap_or(self.stats.committed);
         if self.roi.active.load(Ordering::Relaxed) {

@@ -32,6 +32,16 @@ fn check_golden(file: &str, actual: &str) {
 
 const DET_SEED: u64 = 7;
 
+/// The SPLASH-2 kernels: every thread waits at a barrier, so every OoO
+/// core polls a pending syscall at least once and reports the count.
+const BARRIER_KERNELS: [&str; 6] = ["Barnes", "FFT", "LU", "Water-Nsquared", "Radix", "Ocean"];
+
+fn assert_counts_sys_retries(label: &str, r: &SimReport) {
+    for (i, c) in r.cores.iter().enumerate() {
+        assert!(c.sys_retries > 0, "{label}: core {i} reports no syscall retries");
+    }
+}
+
 fn ooo_cfg(n: usize) -> TargetConfig {
     let mut cfg = TargetConfig::small(n);
     cfg.core.model = CoreModel::OutOfOrder;
@@ -74,6 +84,10 @@ fn suite_fingerprints_match_the_pinned_model() {
         let cfg = ooo_cfg(w.n_threads);
         let seq = run_sequential(&w.program, &cfg);
         assert_eq!(printed(&seq), w.expected, "{} sequential: wrong output", w.name);
+        let barrier = BARRIER_KERNELS.contains(&w.name.as_str());
+        if barrier {
+            assert_counts_sys_retries(&format!("{}/seq", w.name), &seq);
+        }
         actual += &golden_line(&format!("{}/seq", w.name), &seq);
         for scheme in [Scheme::CycleByCycle, Scheme::BoundedSlack(10), Scheme::Unbounded] {
             let r = sk_core::run_det(&w.program, scheme, &cfg, DET_SEED);
@@ -81,7 +95,11 @@ fn suite_fingerprints_match_the_pinned_model() {
             if scheme == Scheme::CycleByCycle {
                 assert_eq!(r.exec_cycles, seq.exec_cycles, "{}: det CC vs sequential", w.name);
             }
-            actual += &golden_line(&format!("{}/det-{}", w.name, scheme.short_name()), &r);
+            let label = format!("{}/det-{}", w.name, scheme.short_name());
+            if barrier {
+                assert_counts_sys_retries(&label, &r);
+            }
+            actual += &golden_line(&label, &r);
         }
     }
     check_golden("ooo_suite.txt", &actual);
