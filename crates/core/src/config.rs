@@ -40,10 +40,6 @@ pub struct CoreConfig {
     pub bpred_entries: usize,
     /// Pipeline refill penalty after a branch misprediction, cycles.
     pub mispredict_penalty: u64,
-    /// Reserved: spin interval of the legacy retry-based lock emulation
-    /// (contended sync ops are now queued at the manager and grant in
-    /// event time, so nothing spins).
-    pub spin_interval: u64,
 }
 
 impl CoreConfig {
@@ -60,7 +56,6 @@ impl CoreConfig {
             store_buffer: 8,
             bpred_entries: 2048,
             mispredict_penalty: 5,
-            spin_interval: 10,
         }
     }
 
@@ -288,7 +283,6 @@ impl Persist for CoreConfig {
         w.put_usize(self.store_buffer);
         w.put_usize(self.bpred_entries);
         w.put_u64(self.mispredict_penalty);
-        w.put_u64(self.spin_interval);
     }
     fn load(r: &mut Reader<'_>) -> Result<Self, SnapError> {
         Ok(CoreConfig {
@@ -302,7 +296,6 @@ impl Persist for CoreConfig {
             store_buffer: r.get_usize()?,
             bpred_entries: r.get_usize()?,
             mispredict_penalty: r.get_u64()?,
-            spin_interval: r.get_u64()?,
         })
     }
 }

@@ -105,7 +105,6 @@ struct HostState {
     roi_begin_seen: bool,
     roi_end_seen: bool,
     stall_request: u64,
-    retries: u64,
 }
 
 impl HostState {
@@ -351,7 +350,6 @@ impl CoreSim {
                 roi_begin_seen: false,
                 roi_end_seen: false,
                 stall_request: 0,
-                retries: 0,
             },
             stats: CoreStats::default(),
             seq: 0,
@@ -1010,7 +1008,6 @@ impl CoreSim {
             w.put_i64(v);
         }
         w.put_u64(self.host.stall_request);
-        w.put_u64(self.host.retries);
 
         self.stats.save(w);
         w.put_u64(self.roi_base_committed);
@@ -1063,7 +1060,6 @@ impl CoreSim {
             self.host.printed.push(r.get_i64()?);
         }
         self.host.stall_request = r.get_u64()?;
-        self.host.retries = r.get_u64()?;
 
         self.stats = CoreStats::load(r)?;
         self.roi_base_committed = r.get_u64()?;

@@ -180,9 +180,7 @@ impl Persist for Scheme {
         let scheme = match r.get_u8()? {
             0 => Scheme::CycleByCycle,
             1 => Scheme::Quantum(r.get_u64()?),
-            // Tag 2 was the lookahead scheme `L<n>`, one behaviour with
-            // `S<n>*`; older snapshots resume as that.
-            2 | 4 => Scheme::OldestFirstBounded(r.get_u64()?),
+            4 => Scheme::OldestFirstBounded(r.get_u64()?),
             3 => Scheme::BoundedSlack(r.get_u64()?),
             5 => Scheme::Unbounded,
             t => return Err(SnapError::Corrupt(format!("scheme tag {t}"))),

@@ -59,7 +59,10 @@ pub const MAGIC: [u8; 8] = *b"SKSNAP\x00\x01";
 /// its presence flag), and engine stats lose the final quantum and the
 /// four controller counters; the words are gone from the stream, not
 /// zeroed.
-pub const FORMAT_VERSION: u32 = 10;
+/// v11: `CoreConfig` loses the spin interval nothing read and each core
+/// its syscall retry word nothing wrote (the count lives in its
+/// statistics); scheme tag 2, written only by v10 and older, is corrupt.
+pub const FORMAT_VERSION: u32 = 11;
 
 const HEADER_LEN: usize = 8 + 4 + 8;
 const CHECKSUM_LEN: usize = 8;

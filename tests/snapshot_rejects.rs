@@ -5,7 +5,7 @@
 //! what a bad one does not.
 
 use sk_core::snap::{self, Persist, SnapError, Writer};
-use sk_core::{DetEngine, Engine, RunOutcome};
+use sk_core::{Engine, RunOutcome};
 use slacksim_suite::prelude::*;
 
 /// Envelope header: magic, version word, payload length.
@@ -78,16 +78,18 @@ fn corrupted_and_truncated_snapshots_fail_cleanly() {
         Err(SnapError::BadVersion { .. }) => {}
         other => panic!("wrong-version snapshot must be rejected, got {other:?}"),
     }
-    // The previous format, whose stream still carried the controller
-    // words, is refused by its version before any payload is read.
-    let mut v9 = bytes.clone();
-    v9[8..12].copy_from_slice(&9u32.to_le_bytes());
-    match Engine::resume(&v9, None).map(|_| ()) {
-        Err(SnapError::BadVersion { found: 9, expected }) if expected == snap::FORMAT_VERSION => {}
-        other => panic!("a v9 snapshot must be rejected by version, got {other:?}"),
+    // The previous format, whose stream still carried the spin interval
+    // and the per-core retry words, is refused by its version before any
+    // payload is read.
+    let mut v10 = bytes.clone();
+    v10[8..12].copy_from_slice(&10u32.to_le_bytes());
+    match Engine::resume(&v10, None).map(|_| ()) {
+        Err(SnapError::BadVersion { found: 10, expected }) if expected == snap::FORMAT_VERSION => {}
+        other => panic!("a v10 snapshot must be rejected by version, got {other:?}"),
     }
-    // Scheme tags 6 and 7 named schemes this format no longer has.
-    for tag in [6u8, 7] {
+    // Scheme tags 2, 6 and 7 named schemes this format no longer has (2
+    // was the lookahead scheme `L<n>`, written only by v10 and older).
+    for tag in [2u8, 6, 7] {
         match Engine::resume(&with_scheme_tag(&bytes, &cfg, tag), None).map(|_| ()) {
             Err(SnapError::Corrupt(m)) if m == format!("scheme tag {tag}") => {}
             other => panic!("scheme tag {tag} must be rejected as corrupt, got {other:?}"),
@@ -109,25 +111,4 @@ fn corrupted_and_truncated_snapshots_fail_cleanly() {
     // restore fine after all that.
     assert!(Engine::resume(&bytes, None).is_ok());
     assert!(Engine::resume(&with_scheme_tag(&bytes, &cfg, 0), None).is_ok());
-}
-
-/// Tag 2 was the lookahead scheme `L<n>`, one behaviour with `S<n>*`: a
-/// snapshot that carries it resumes as `S<n>*` and finishes as one does.
-#[test]
-fn scheme_tag_2_resumes_as_oldest_first_bounded() {
-    let w = kernels::micro::lock_sweep(2, 3);
-    let cfg = small_cfg(2);
-    let mut e = Engine::new(&w.program, Scheme::OldestFirstBounded(10), &cfg);
-    assert_eq!(e.run_until(Some(50)), RunOutcome::CheckpointReady);
-    let bytes = e.snapshot().expect("snapshot");
-    let old = Engine::resume(&with_scheme_tag(&bytes, &cfg, 2), None).expect("tag 2 resumes");
-    assert_eq!(old.scheme(), Scheme::OldestFirstBounded(10));
-    let new = Engine::resume(&bytes, None).expect("pristine snapshot");
-    // On one det schedule the two must finish bit-identically.
-    let finish = |e: Engine| {
-        let mut det = DetEngine::from_engine(e, 0);
-        det.run();
-        det.into_report().fingerprint()
-    };
-    assert_eq!(finish(old), finish(new));
 }
