@@ -592,53 +592,13 @@ impl ClockBoard {
     }
 
     /// Recompute and publish the global time: the minimum local time over
-    /// unfinished cores. Returns `(global, all_finished)`.
-    pub fn recompute_global(&self) -> (u64, bool) {
-        let mut min = u64::MAX;
-        let mut all_finished = true;
-        for (i, cc) in self.cores.iter().enumerate() {
-            match self.state(i) {
-                // Finished cores are done; parked cores have no thread and
-                // must not hold the global time back. Both count as "done"
-                // for termination (a parked core with a Start in flight is
-                // flipped to Running by `unpark` before the message lands).
-                CoreState::Finished | CoreState::Parked => continue,
-                // Sync-waiting cores have suspended clocks: excluded from
-                // the minimum, but they are NOT done.
-                CoreState::SyncWait => {
-                    all_finished = false;
-                    continue;
-                }
-                // Mem-waiting cores stay in the minimum: their frozen
-                // clock freezes global time, preserving lockstep.
-                _ => {}
-            }
-            all_finished = false;
-            min = min.min(cc.local.load(Ordering::Acquire));
-        }
-        let prev = self.global.load(Ordering::Relaxed);
-        if all_finished {
-            return (prev, true);
-        }
-        if min == u64::MAX {
-            // No core is actively driving time (all sync-parked): the
-            // global clock holds until someone resumes.
-            return (prev, false);
-        }
-        // Global time never decreases (isochrones never cross, §3.2).
-        let g = min.max(prev);
-        if g != prev {
-            // Write-avoiding: an unchanged global is not re-stored, so the
-            // cache line holding it stays Shared in every core's cache
-            // instead of bouncing to Modified each manager iteration.
-            self.global.store(g, Ordering::Release);
-        }
-        (g, false)
-    }
-
-    /// Like [`ClockBoard::recompute_global`], but change-driven: consume
-    /// the change flags, re-read only the flagged cores into the
-    /// manager-private [`GlobalCache`], and redo the reduction only when
+    /// the cores that hold it back (running, blocked, mem-waiting), never
+    /// below its last value. Returns `(global, all_finished)`; finished
+    /// and parked cores count as done, a sync-waiting one does not.
+    ///
+    /// Change-driven: consume the change flags, re-read only the flagged
+    /// cores into the manager-private [`GlobalCache`], and redo the
+    /// reduction only when
     /// one of them left the minimum, changed class (timed, suspended,
     /// done) or went backwards. An iteration in which nothing moved costs
     /// one load per flag word; one in which `k` cores ticked costs `k`
@@ -724,8 +684,13 @@ impl ClockBoard {
         let result = if all_finished {
             (prev, true)
         } else if cache.min == u64::MAX {
+            // Every unfinished core is sync-waiting: global time holds
+            // until one resumes.
             (prev, false)
         } else {
+            // Global time never decreases (isochrones never cross, §3.2),
+            // and an unchanged value is not re-stored, so its line stays
+            // shared in every core's cache.
             let g = cache.min.max(prev);
             if g != prev {
                 self.global.store(g, Ordering::Release);
@@ -882,13 +847,27 @@ mod tests {
     use std::sync::Arc;
     use std::thread;
 
+    /// What [`ClockBoard::recompute_global_cached`] must answer, by brute
+    /// force over the board: the least local time of a timed core, never
+    /// below `prev` (the global time published before the call), and
+    /// whether every core is finished or parked.
+    fn full_scan(b: &ClockBoard, prev: u64) -> (u64, bool) {
+        let n = b.cores.len();
+        if (0..n).all(|i| matches!(b.state(i), CoreState::Finished | CoreState::Parked)) {
+            return (prev, true);
+        }
+        let min = (0..n).filter(|&i| b.state(i).timed()).map(|i| b.local(i)).min();
+        (min.map_or(prev, |m| m.max(prev)), false)
+    }
+
     #[test]
     fn invariant_global_le_local_le_max() {
         let b = ClockBoard::new(2, 5);
+        let mut cache = GlobalCache::new(2);
         b.advance_local(0, 1);
         b.advance_local(1, 1);
         b.advance_local(1, 2);
-        let (g, done) = b.recompute_global();
+        let (g, done) = b.recompute_global_cached(&mut cache);
         assert_eq!(g, 1);
         assert!(!done);
         assert!(g <= b.local(0) && b.local(0) <= b.max_local(0));
@@ -898,30 +877,32 @@ mod tests {
     #[test]
     fn global_ignores_finished_cores() {
         let b = ClockBoard::new(2, 100);
+        let mut cache = GlobalCache::new(2);
         b.advance_local(0, 1);
         b.finish(0);
         for c in 1..=7 {
             b.advance_local(1, c);
         }
-        let (g, done) = b.recompute_global();
+        let (g, done) = b.recompute_global_cached(&mut cache);
         assert_eq!(g, 7);
         assert!(!done);
         b.finish(1);
-        let (_, done) = b.recompute_global();
+        let (_, done) = b.recompute_global_cached(&mut cache);
         assert!(done);
     }
 
     #[test]
     fn global_is_monotone() {
         let b = ClockBoard::new(1, 100);
+        let mut cache = GlobalCache::new(1);
         for c in 1..=5 {
             b.advance_local(0, c);
         }
-        b.recompute_global();
+        b.recompute_global_cached(&mut cache);
         assert_eq!(b.global(), 5);
         // A finished core can no longer lower the minimum.
         b.finish(0);
-        let (g, _) = b.recompute_global();
+        let (g, _) = b.recompute_global_cached(&mut cache);
         assert_eq!(g, 5);
     }
 
@@ -1079,13 +1060,13 @@ mod tests {
         }
         b.advance_local(1, 1);
         // core 2 stays at 0
-        b.recompute_global();
+        b.recompute_global_cached(&mut GlobalCache::new(3));
         assert_eq!(b.global(), 0);
         assert_eq!(b.observed_slack(), 4);
     }
 
     #[test]
-    fn cached_recompute_matches_plain() {
+    fn cached_recompute_follows_ticks_and_finishes() {
         let b = ClockBoard::new(3, 100);
         let mut cache = GlobalCache::new(3);
         assert_eq!(b.recompute_global_cached(&mut cache), (0, false));
@@ -1159,8 +1140,9 @@ mod tests {
         let b = ClockBoard::new(3, 100);
         let mut cache = GlobalCache::new(3);
         let check = |cache: &mut GlobalCache| {
+            let prev = b.global();
             let cached = b.recompute_global_cached(cache);
-            assert_eq!(cached, b.recompute_global());
+            assert_eq!(cached, full_scan(&b, prev));
             assert_eq!(cache.observed_slack(cached.0), b.observed_slack());
             assert_eq!(cache.active_count(), b.active_count());
         };
@@ -1176,7 +1158,7 @@ mod tests {
         check(&mut cache);
         assert_eq!(b.unpark_all_waiting(), 3);
         check(&mut cache);
-        b.jump_local_unclamped(1, 9);
+        b.jump_local(1, 9);
         b.finish(2);
         check(&mut cache);
         b.finish(0);
@@ -1186,15 +1168,16 @@ mod tests {
 
     #[test]
     fn unchanged_global_is_not_restored() {
-        // recompute_global with no movement must still report the same
-        // global (the skip-store path returns the previous value).
+        // A reduction with no movement must still report the same global
+        // (the skip-store path returns the previous value).
         let b = ClockBoard::new(2, 100);
         for c in 1..=3 {
             b.advance_local(0, c);
             b.advance_local(1, c);
         }
-        assert_eq!(b.recompute_global(), (3, false));
-        assert_eq!(b.recompute_global(), (3, false));
+        for _ in 0..2 {
+            assert_eq!(b.recompute_global_cached(&mut GlobalCache::new(2)), (3, false));
+        }
         assert_eq!(b.global(), 3);
     }
 }

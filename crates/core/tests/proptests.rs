@@ -78,10 +78,25 @@ fn read_field(r: &mut Reader, like: &Field) -> Result<Field, SnapError> {
     })
 }
 
+/// What [`ClockBoard::recompute_global_cached`] must answer, by brute
+/// force over the board's public state: the least local time of a core
+/// that holds global time back (running, blocked, mem-waiting), never
+/// below `prev` (the global time published before the call), and whether
+/// every core is finished or parked.
+fn full_scan(board: &ClockBoard, n: usize, prev: u64) -> (u64, bool) {
+    use CoreState::*;
+    if (0..n).all(|c| matches!(board.state(c), Finished | Parked)) {
+        return (prev, true);
+    }
+    let timed = |c: &usize| matches!(board.state(*c), Running | Blocked | MemWait);
+    let min = (0..n).filter(timed).map(|c| board.local(c)).min();
+    (min.map_or(prev, |m| m.max(prev)), false)
+}
+
 /// Shared body of the batched-clock properties (default and deep
 /// variants): drives one random op sequence against a [`ClockBoard`] and
-/// checks monotonicity, window containment and memoized-reduction
-/// agreement after every op.
+/// checks monotonicity, window containment and agreement of the
+/// memoized reduction with a brute-force one after every op.
 fn check_batched_clock_ops(ops: Vec<(u8, usize, u64)>) -> Result<(), TestCaseError> {
     const N: usize = 4;
     const W0: u64 = 10;
@@ -106,7 +121,7 @@ fn check_batched_clock_ops(ops: Vec<(u8, usize, u64)>) -> Result<(), TestCaseErr
             }
             1 => {
                 // Manager raises this core's window off fresh global.
-                let (g, _) = board.recompute_global();
+                let (g, _) = board.recompute_global_cached(&mut cache);
                 board.raise_max_local(core, g + amount);
             }
             2 => {
@@ -129,7 +144,7 @@ fn check_batched_clock_ops(ops: Vec<(u8, usize, u64)>) -> Result<(), TestCaseErr
                 }
             }
             _ => {
-                board.recompute_global();
+                board.recompute_global_cached(&mut cache);
             }
         }
         // Monotonicity and window containment after every op.
@@ -145,19 +160,17 @@ fn check_batched_clock_ops(ops: Vec<(u8, usize, u64)>) -> Result<(), TestCaseErr
             prev_local[c] = l;
             prev_max[c] = m;
         }
-        // The memoized reduction and the full reduction agree. Order
-        // matters for the proof: the cached call runs first, so a
-        // stale cache would surface as a mismatch here rather than
-        // being masked by the uncached call refreshing `global`.
+        // The memoized reduction agrees with a brute-force scan from
+        // the global time published before it.
         let cached = board.recompute_global_cached(&mut cache);
-        let plain = board.recompute_global();
-        prop_assert_eq!(cached, plain, "memoized reduction diverged");
+        let scan = full_scan(&board, N, g);
+        prop_assert_eq!(cached, scan, "memoized reduction diverged");
         // So do everything else the manager derives from its view.
         prop_assert_eq!(cache.observed_slack(cached.0), board.observed_slack());
         prop_assert_eq!(cache.active_count(), board.active_count());
         // And a second cached call with nothing moved must hit the
         // cache and still agree.
-        prop_assert_eq!(board.recompute_global_cached(&mut cache), plain);
+        prop_assert_eq!(board.recompute_global_cached(&mut cache), scan);
     }
     Ok(())
 }
@@ -196,6 +209,7 @@ proptest! {
         ops in proptest::collection::vec((0u8..3, 0usize..4, 1u64..50), 1..300)
     ) {
         let board = ClockBoard::new(4, 10);
+        let mut cache = GlobalCache::new(4);
         for (op, core, amount) in ops {
             match op {
                 0 => {
@@ -210,12 +224,12 @@ proptest! {
                     }
                 }
                 1 => {
-                    let (g, _) = board.recompute_global();
+                    let (g, _) = board.recompute_global_cached(&mut cache);
                     // raise this core's window per a CC-ish rule
                     board.raise_max_local(core, g + amount);
                 }
                 _ => {
-                    board.recompute_global();
+                    board.recompute_global_cached(&mut cache);
                 }
             }
             let g = board.global();
@@ -259,6 +273,7 @@ proptest! {
     ) {
         use std::sync::atomic::{AtomicU64, Ordering};
         let board = ClockBoard::new(n_cores, bound);
+        let mut cache = GlobalCache::new(n_cores);
         let frontiers: Vec<AtomicU64> = (0..n_shards).map(|_| AtomicU64::new(0)).collect();
         let mut last_window = bound;
         for (op, idx, amount) in ops {
@@ -279,12 +294,12 @@ proptest! {
                     // the global time it processed through (fetch_max, so
                     // replays of a stale global are monotone no-ops).
                     let s = idx % n_shards;
-                    let (g, _) = board.recompute_global();
+                    let (g, _) = board.recompute_global_cached(&mut cache);
                     frontiers[s].fetch_max(g, Ordering::Release);
                 }
                 _ => {
                     // A manager iteration: the ordered-scheme window rule.
-                    let (g, _) = board.recompute_global();
+                    let (g, _) = board.recompute_global_cached(&mut cache);
                     let fmin =
                         frontiers.iter().map(|f| f.load(Ordering::Acquire)).min().unwrap();
                     let w = g.min(fmin) + bound;
@@ -319,16 +334,17 @@ proptest! {
     #[test]
     fn parking_excludes_from_global(advances in 1u64..100) {
         let board = ClockBoard::new(2, u64::MAX);
+        let mut cache = GlobalCache::new(2);
         board.park(1);
         for i in 1..=advances {
             board.advance_local(0, i);
         }
-        let (g, done) = board.recompute_global();
+        let (g, done) = board.recompute_global_cached(&mut cache);
         prop_assert_eq!(g, advances, "parked core held global back");
         prop_assert!(!done || advances == 0);
         board.unpark(1);
         prop_assert_eq!(board.state(1), CoreState::Running);
-        let (g2, _) = board.recompute_global();
+        let (g2, _) = board.recompute_global_cached(&mut cache);
         // Global is monotone even though core 1 is behind.
         prop_assert_eq!(g2, g);
     }
