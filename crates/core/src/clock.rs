@@ -418,14 +418,20 @@ impl ClockBoard {
         true
     }
 
-    /// Set local time forward without cycling (idle skip for cores with no
-    /// workload thread). Clamped to the window; monotone.
+    /// Set local time forward without cycling: the idle skip of a core
+    /// with no workload thread, the inert skip to its next message, and a
+    /// sync-parked core's jump to its release timestamp (waiting inside a
+    /// sync call consumes no simulated work, so the clock teleports).
+    /// Monotone. Clamped only to a pending checkpoint limit, which no
+    /// clock may pass; the callers clamp their targets to whatever window
+    /// applies (a sync jump none: the manager raises windows after the
+    /// global minimum catches up).
     pub fn jump_local(&self, core: usize, target: u64) {
         let cc = &self.cores[core];
         let cur = cc.local.load(Ordering::Relaxed);
-        let bounded = target.min(cc.max_local.load(Ordering::Acquire)).min(self.checkpoint_limit());
-        if bounded > cur {
-            cc.local.store(bounded, Ordering::Release);
+        let target = target.min(self.checkpoint_limit());
+        if target > cur {
+            cc.local.store(target, Ordering::Release);
             self.mark_dirty(core);
         }
     }
@@ -504,23 +510,6 @@ impl ClockBoard {
         }
         self.wake_all();
         resumed
-    }
-
-    /// Jump a sync-parked core's clock forward to `target` (the release
-    /// timestamp): waiting inside a sync call consumes no simulated work,
-    /// so the clock teleports. Unlike [`ClockBoard::jump_local`] this is
-    /// not clamped to the window — the manager raises windows after the
-    /// global minimum catches up.
-    pub fn jump_local_unclamped(&self, core: usize, target: u64) {
-        let cc = &self.cores[core];
-        let cur = cc.local.load(Ordering::Relaxed);
-        // Even an unclamped jump respects a pending checkpoint limit: no
-        // clock may pass the safe-point cycle.
-        let target = target.min(self.checkpoint_limit());
-        if target > cur {
-            cc.local.store(target, Ordering::Release);
-            self.mark_dirty(core);
-        }
     }
 
     /// Number of cores currently Running or Blocked (driving global time).

@@ -800,7 +800,7 @@ impl CoreSim {
                     let target = r.saturating_sub(1).min(board.checkpoint_limit());
                     if target > self.local {
                         self.sync_jump(target);
-                        board.jump_local_unclamped(self.id, target);
+                        board.jump_local(self.id, target);
                     }
                     // Fall through: the next cycle applies the release.
                 }
@@ -926,7 +926,7 @@ impl CoreSim {
                     let target = (ts - 1).min(limit);
                     if target > self.local {
                         self.sync_jump(target);
-                        board.jump_local_unclamped(self.id, target);
+                        board.jump_local(self.id, target);
                     }
                     self.inert_streak = 0;
                 }

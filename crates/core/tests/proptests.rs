@@ -135,12 +135,12 @@ fn check_batched_clock_ops(ops: Vec<(u8, usize, u64)>) -> Result<(), TestCaseErr
                 }
             }
             3 => {
-                // Core resumes: the engine jumps a resumed clock
-                // forward so it cannot drag the (already published)
+                // Core resumes: its clock jumps forward, inside its
+                // window, so it cannot drag the (already published)
                 // global minimum backwards.
                 if board.state(core) != CoreState::Running {
                     board.unpark(core);
-                    board.jump_local(core, board.global());
+                    board.jump_local(core, board.global().min(board.max_local(core)));
                 }
             }
             _ => {
