@@ -493,13 +493,6 @@ impl CoreSim {
         self.heap.peek().map(|Reverse(h)| h.ts)
     }
 
-    /// Fast-forward the suspended clock to `target` (release ts - 1).
-    pub fn sync_jump(&mut self, target: u64) {
-        if target > self.local {
-            self.local = target;
-        }
-    }
-
     /// Pull everything out of the InQs into the local timestamp heap. Most
     /// cycles find every InQ empty, which costs one look per queue; a
     /// non-empty one is drained by [`CoreSim::drain_ring`].
@@ -707,11 +700,14 @@ impl CoreSim {
         k
     }
 
-    /// Set local time without simulating (used to skip the dead time of a
-    /// core that has not started a thread yet; it has no state to advance).
-    fn jump_local(&mut self, target: u64) {
-        debug_assert!(!self.cpu.running());
-        self.local = self.local.max(target);
+    /// Move this core's clock and its board entry forward to `target`
+    /// without simulating the cycles in between: the dead time before a
+    /// thread starts, a sync wait, or an inert stretch before a message.
+    fn jump_to(&mut self, board: &ClockBoard, target: u64) {
+        if target > self.local {
+            self.local = target;
+            board.jump_local(self.id, target);
+        }
     }
 
     fn finalize(mut self) -> CoreOutput {
@@ -777,11 +773,7 @@ impl CoreSim {
             match self.next_msg_ts() {
                 Some(ts) => {
                     if ts > self.local + 1 {
-                        let target = (ts - 1).min(limit);
-                        if target > self.local {
-                            self.jump_local(target);
-                            board.jump_local(self.id, target);
-                        }
+                        self.jump_to(board, (ts - 1).min(limit));
                     }
                 }
                 // A failed park means a message arrived since the look above.
@@ -797,11 +789,7 @@ impl CoreSim {
             // cycles as fast as the host allows.
             match self.earliest_sync_reply_ts() {
                 Some(r) => {
-                    let target = r.saturating_sub(1).min(board.checkpoint_limit());
-                    if target > self.local {
-                        self.sync_jump(target);
-                        board.jump_local(self.id, target);
-                    }
+                    self.jump_to(board, r.saturating_sub(1).min(board.checkpoint_limit()));
                     // Fall through: the next cycle applies the release.
                 }
                 None if board.sync_park(self.id) => return StepOutcome::SyncBlocked,
@@ -923,11 +911,7 @@ impl CoreSim {
                     // so the outcome is identical either way, but the
                     // clock must not escape the slack discipline (the
                     // laggard's window is its own local + slack).
-                    let target = (ts - 1).min(limit);
-                    if target > self.local {
-                        self.sync_jump(target);
-                        board.jump_local(self.id, target);
-                    }
+                    self.jump_to(board, (ts - 1).min(limit));
                     self.inert_streak = 0;
                 }
                 Some(_) => {
