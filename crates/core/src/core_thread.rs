@@ -487,12 +487,6 @@ impl CoreSim {
             .min()
     }
 
-    /// Timestamp of the earliest queued InQ message of any kind.
-    pub fn earliest_msg_ts(&mut self) -> Option<u64> {
-        self.drain_inq();
-        self.heap.peek().map(|Reverse(h)| h.ts)
-    }
-
     /// Pull everything out of the InQs into the local timestamp heap. Most
     /// cycles find every InQ empty, which costs one look per queue; a
     /// non-empty one is drained by [`CoreSim::drain_ring`].
@@ -905,7 +899,7 @@ impl CoreSim {
             self.inert_streak = 0;
         }
         if self.inert_streak >= INERT_PARK_AFTER {
-            match self.earliest_msg_ts() {
+            match self.next_msg_ts() {
                 Some(ts) if ts > self.local + 1 => {
                     // Clamp to the window: the skipped cycles are inert
                     // so the outcome is identical either way, but the
