@@ -16,8 +16,11 @@
 use crate::config::{StopCondition, TargetConfig};
 use crate::core_thread::CoreOutput;
 use crate::engine::{assemble_report, violation_report, wire, Shared, Wiring};
+use crate::msg::OutEvent;
 use crate::scheme::Scheme;
+use crate::spsc::Consumer;
 use crate::stats::{EngineStats, SimReport};
+use crate::uncore::Uncore;
 use sk_isa::Program;
 use std::sync::atomic::Ordering;
 use std::time::Instant;
@@ -31,6 +34,7 @@ pub fn run_sequential(program: &Program, cfg: &TargetConfig) -> SimReport {
     let Shared { tracker, roi, .. } = shared;
 
     let t0 = Instant::now();
+    let mut scratch = Vec::new();
     let mut cycle: u64 = 0;
     loop {
         cycle += 1;
@@ -56,11 +60,7 @@ pub fn run_sequential(program: &Program, cfg: &TargetConfig) -> SimReport {
             core.flush_roi();
             stepped += 1;
         }
-        for (c, q) in out_consumers.iter_mut().enumerate() {
-            while let Some(ev) = q.pop() {
-                uncore.ingest(c, ev);
-            }
-        }
+        drain_all(&mut out_consumers, &mut uncore, &mut scratch);
         if stepped == 0 {
             // All clocks suspended: jump virtual time to the next event.
             if let Some(t) = uncore.min_pending_ts() {
@@ -83,11 +83,7 @@ pub fn run_sequential(program: &Program, cfg: &TargetConfig) -> SimReport {
     }
 
     // Drain any trailing events (exit notices).
-    for (c, q) in out_consumers.iter_mut().enumerate() {
-        while let Some(ev) = q.pop() {
-            uncore.ingest(c, ev);
-        }
-    }
+    drain_all(&mut out_consumers, &mut uncore, &mut scratch);
     uncore.process_ready(u64::MAX);
 
     let engine = EngineStats {
@@ -98,4 +94,15 @@ pub fn run_sequential(program: &Program, cfg: &TargetConfig) -> SimReport {
     let outputs: Vec<CoreOutput> = cores.into_iter().map(|c| c.into_output()).collect();
     let violations = violation_report(&tracker);
     assemble_report(Scheme::CycleByCycle, cfg, outputs, &uncore, engine, violations, t0.elapsed())
+}
+
+/// Hand every core's queued OutQ events to the manager, one batch per
+/// core in core order, as the parallel engine's drain does.
+fn drain_all(queues: &mut [Consumer<OutEvent>], uncore: &mut Uncore, scratch: &mut Vec<OutEvent>) {
+    for (c, q) in queues.iter_mut().enumerate() {
+        scratch.clear();
+        if q.drain_into(scratch, usize::MAX) > 0 {
+            uncore.ingest_batch(c, scratch);
+        }
+    }
 }

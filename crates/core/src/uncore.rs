@@ -122,15 +122,9 @@ impl Uncore {
         self.started.iter().zip(&self.exited).all(|(&s, &e)| !s || e)
     }
 
-    /// Accept one OutQ event from `core`. Eager schemes process it
-    /// immediately (arrival order); ordered schemes queue it.
-    pub fn ingest(&mut self, core: usize, ev: OutEvent) {
-        self.ingest_batch(core, std::slice::from_ref(&ev));
-    }
-
     /// Accept one queue's worth of OutQ events from `core` (the slice is a
-    /// FIFO drain, so arrival order is preserved). Equivalent to calling
-    /// [`Uncore::ingest`] per event; ordered schemes bulk-extend the GQ.
+    /// FIFO drain, so arrival order is preserved). Eager schemes process
+    /// them at once, in arrival order; ordered schemes queue them.
     pub fn ingest_batch(&mut self, core: usize, evs: &[OutEvent]) {
         for &ev in self.stage.ingest(core, evs) {
             self.process_event(GlobalEvent { core, ev });

@@ -27,16 +27,14 @@ fn ev(ts: u64, seq: u64, kind: OutKind) -> OutEvent {
 
 fn drain(c: &mut Consumer<InMsg>) -> Vec<InMsg> {
     let mut v = vec![];
-    while let Some(m) = c.pop() {
-        v.push(m);
-    }
+    c.drain_into(&mut v, usize::MAX);
     v
 }
 
 #[test]
 fn ordered_scheme_withholds_future_events() {
     let (mut u, mut rings) = mk(Scheme::CycleByCycle, 2);
-    u.ingest(0, ev(50, 0, OutKind::DMem { req: ReqKind::GetS, block: 8 }));
+    u.ingest_batch(0, &[ev(50, 0, OutKind::DMem { req: ReqKind::GetS, block: 8 })]);
     u.process_ready(49);
     assert_eq!(u.pending_events(), 1, "ts 50 must wait for horizon 50");
     assert!(drain(&mut rings[0]).is_empty());
@@ -54,9 +52,9 @@ fn ordered_scheme_processes_in_timestamp_core_order() {
     // reply timestamps must reflect (ts, core) processing order through
     // the shared-bus occupancy.
     let (mut u, mut rings) = mk(Scheme::OldestFirstBounded(10), 3);
-    u.ingest(2, ev(10, 0, OutKind::DMem { req: ReqKind::GetS, block: 0 }));
-    u.ingest(1, ev(10, 0, OutKind::DMem { req: ReqKind::GetS, block: 8 }));
-    u.ingest(0, ev(9, 0, OutKind::DMem { req: ReqKind::GetS, block: 16 }));
+    u.ingest_batch(2, &[ev(10, 0, OutKind::DMem { req: ReqKind::GetS, block: 0 })]);
+    u.ingest_batch(1, &[ev(10, 0, OutKind::DMem { req: ReqKind::GetS, block: 8 })]);
+    u.ingest_batch(0, &[ev(9, 0, OutKind::DMem { req: ReqKind::GetS, block: 16 })]);
     u.process_ready(10);
     let t0 = drain(&mut rings[0])[0].ts;
     let t1 = drain(&mut rings[1])[0].ts;
@@ -67,7 +65,7 @@ fn ordered_scheme_processes_in_timestamp_core_order() {
 #[test]
 fn eager_scheme_processes_immediately() {
     let (mut u, mut rings) = mk(Scheme::Unbounded, 1);
-    u.ingest(0, ev(1_000_000, 0, OutKind::DMem { req: ReqKind::GetM, block: 4 }));
+    u.ingest_batch(0, &[ev(1_000_000, 0, OutKind::DMem { req: ReqKind::GetM, block: 4 })]);
     // no process_ready call needed
     let msgs = drain(&mut rings[0]);
     assert_eq!(msgs.len(), 1);
@@ -75,7 +73,7 @@ fn eager_scheme_processes_immediately() {
     // A burst the core does not drain in between (its InQ has no bound):
     // every reply is delivered, in request order.
     for i in 0..100u64 {
-        u.ingest(0, ev(i + 1, i + 1, OutKind::IMem { block: i * 64 }));
+        u.ingest_batch(0, &[ev(i + 1, i + 1, OutKind::IMem { block: i * 64 })]);
     }
     let blocks: Vec<u64> = drain(&mut rings[0])
         .iter()
@@ -90,7 +88,7 @@ fn eager_scheme_processes_immediately() {
 #[test]
 fn quantum_scheme_holds_events_until_the_barrier() {
     let (mut u, mut rings) = mk(Scheme::Quantum(10), 1);
-    u.ingest(0, ev(3, 0, OutKind::IMem { block: 2 }));
+    u.ingest_batch(0, &[ev(3, 0, OutKind::IMem { block: 2 })]);
     u.process_ready(7); // mid-quantum: horizon is 0
     assert_eq!(u.pending_events(), 1);
     assert!(drain(&mut rings[0]).is_empty());
@@ -102,9 +100,9 @@ fn quantum_scheme_holds_events_until_the_barrier() {
 fn spawn_places_threads_and_reports_exhaustion() {
     let (mut u, mut rings) = mk(Scheme::CycleByCycle, 3);
     assert_eq!(u.n_started(), 1); // core 0 runs the initial thread
-    u.ingest(0, ev(1, 0, OutKind::Sync(SyncOp::Spawn { entry: 0x1000, arg: 7 })));
-    u.ingest(0, ev(2, 1, OutKind::Sync(SyncOp::Spawn { entry: 0x1000, arg: 8 })));
-    u.ingest(0, ev(3, 2, OutKind::Sync(SyncOp::Spawn { entry: 0x1000, arg: 9 })));
+    u.ingest_batch(0, &[ev(1, 0, OutKind::Sync(SyncOp::Spawn { entry: 0x1000, arg: 7 }))]);
+    u.ingest_batch(0, &[ev(2, 1, OutKind::Sync(SyncOp::Spawn { entry: 0x1000, arg: 8 }))]);
+    u.ingest_batch(0, &[ev(3, 2, OutKind::Sync(SyncOp::Spawn { entry: 0x1000, arg: 9 }))]);
     u.process_ready(3);
     assert_eq!(u.n_started(), 3);
     // Replies to the spawner: tids 1, 2, then -1 (no core free).
@@ -133,7 +131,7 @@ fn spawn_places_threads_and_reports_exhaustion() {
 fn exit_events_mark_workloads_done() {
     let (mut u, _rings) = mk(Scheme::CycleByCycle, 2);
     assert!(!u.all_workloads_done());
-    u.ingest(0, ev(5, 0, OutKind::Exit { code: 0 }));
+    u.ingest_batch(0, &[ev(5, 0, OutKind::Exit { code: 0 })]);
     u.process_ready(5);
     assert!(u.all_workloads_done(), "only core 0 ever started");
 }
@@ -141,10 +139,10 @@ fn exit_events_mark_workloads_done() {
 #[test]
 fn roi_begin_resets_uncore_statistics() {
     let (mut u, mut rings) = mk(Scheme::CycleByCycle, 1);
-    u.ingest(0, ev(1, 0, OutKind::DMem { req: ReqKind::GetS, block: 1 }));
+    u.ingest_batch(0, &[ev(1, 0, OutKind::DMem { req: ReqKind::GetS, block: 1 })]);
     u.process_ready(1);
     assert_eq!(u.dir.stats.gets, 1);
-    u.ingest(0, ev(2, 1, OutKind::RoiBegin));
+    u.ingest_batch(0, &[ev(2, 1, OutKind::RoiBegin)]);
     u.process_ready(2);
     assert_eq!(u.dir.stats.gets, 0, "ROI begin resets directory stats");
     assert_eq!(u.roi_start, Some(2));
@@ -155,8 +153,8 @@ fn roi_begin_resets_uncore_statistics() {
 fn min_pending_reports_earliest_timestamp() {
     let (mut u, _rings) = mk(Scheme::CycleByCycle, 1);
     assert_eq!(u.min_pending_ts(), None);
-    u.ingest(0, ev(42, 0, OutKind::IMem { block: 1 }));
-    u.ingest(0, ev(17, 1, OutKind::IMem { block: 2 }));
+    u.ingest_batch(0, &[ev(42, 0, OutKind::IMem { block: 1 })]);
+    u.ingest_batch(0, &[ev(17, 1, OutKind::IMem { block: 2 })]);
     assert_eq!(u.min_pending_ts(), Some(17));
     u.process_all_upto(41);
     assert_eq!(u.min_pending_ts(), Some(42));
