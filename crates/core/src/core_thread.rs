@@ -509,7 +509,7 @@ impl CoreSim {
         let q = &mut self.inqs[ring];
         loop {
             scratch.clear();
-            if q.drain_into(&mut scratch, usize::MAX) == 0 {
+            if q.drain_into(&mut scratch) == 0 {
                 break;
             }
             for &m in &scratch {

@@ -610,7 +610,7 @@ impl Engine {
             let q = &mut self.out_consumers[c];
             loop {
                 drain_scratch.clear();
-                if q.drain_into(drain_scratch, usize::MAX) == 0 {
+                if q.drain_into(drain_scratch) == 0 {
                     break;
                 }
                 ingested += drain_scratch.len();
@@ -844,7 +844,7 @@ impl Engine {
             // The final drain: late events (Exit, statistics) are accounted.
             let mut scratch: Vec<OutEvent> = Vec::new();
             for (c, q) in self.out_consumers.iter_mut().enumerate() {
-                while q.drain_into(&mut scratch, usize::MAX) > 0 {
+                while q.drain_into(&mut scratch) > 0 {
                     self.uncore.ingest_batch(c, &scratch);
                     scratch.clear();
                 }

@@ -101,7 +101,7 @@ pub fn run_sequential(program: &Program, cfg: &TargetConfig) -> SimReport {
 fn drain_all(queues: &mut [Consumer<OutEvent>], uncore: &mut Uncore, scratch: &mut Vec<OutEvent>) {
     for (c, q) in queues.iter_mut().enumerate() {
         scratch.clear();
-        if q.drain_into(scratch, usize::MAX) > 0 {
+        if q.drain_into(scratch) > 0 {
             uncore.ingest_batch(c, scratch);
         }
     }

@@ -174,7 +174,7 @@ impl MemShard {
                 m &= m - 1;
                 loop {
                     scratch.clear();
-                    if self.from_cores[c].drain_into(&mut scratch, usize::MAX) == 0 {
+                    if self.from_cores[c].drain_into(&mut scratch) == 0 {
                         break;
                     }
                     drained += scratch.len() as u64;
@@ -217,7 +217,7 @@ impl MemShard {
         for c in 0..self.from_cores.len() {
             loop {
                 scratch.clear();
-                if self.from_cores[c].drain_into(&mut scratch, usize::MAX) == 0 {
+                if self.from_cores[c].drain_into(&mut scratch) == 0 {
                     break;
                 }
                 self.stage.enqueue(scratch.iter().map(|&ev| GlobalEvent { core: c, ev }));

@@ -274,26 +274,13 @@ impl<T> Consumer<T> {
         }
     }
 
-    /// Remove and return the oldest element.
-    pub fn pop(&mut self) -> Option<T> {
-        if !self.nonempty() {
-            return None;
-        }
-        let head = self.q.head.count.load(Ordering::Relaxed);
-        let value = self.read(head);
-        self.q.head.count.store(head + 1, Ordering::Release);
-        Some(value)
-    }
-
-    /// Move up to `max` of the oldest elements into `out` (appending, in
-    /// FIFO order), advancing `head` once with a **single** `Release`
+    /// Move every element visible to this consumer into `out` (appending,
+    /// in FIFO order), advancing `head` once with a **single** `Release`
     /// store. Returns the number moved; 0 means the queue was empty.
-    pub fn drain_into(&mut self, out: &mut Vec<T>, max: usize) -> usize {
+    pub fn drain_into(&mut self, out: &mut Vec<T>) -> usize {
         let head = self.q.head.count.load(Ordering::Relaxed);
-        if self.cached_tail - head < max {
-            self.cached_tail = self.q.tail.count.load(Ordering::Acquire);
-        }
-        let n = (self.cached_tail - head).min(max);
+        self.cached_tail = self.q.tail.count.load(Ordering::Acquire);
+        let n = self.cached_tail - head;
         if n == 0 {
             return 0;
         }
@@ -474,6 +461,13 @@ mod tests {
         assert!(deepest_seen > 3 * BLOCK, "no queue spans several blocks any more");
     }
 
+    /// Everything the consumer can see, in order.
+    fn drain<T>(c: &mut Consumer<T>) -> Vec<T> {
+        let mut out = Vec::new();
+        c.drain_into(&mut out);
+        out
+    }
+
     #[test]
     fn fifo_order_across_blocks() {
         let (mut p, mut c) = channel();
@@ -481,22 +475,8 @@ mod tests {
         for i in 0..n {
             p.push(i);
         }
-        assert_eq!(c.len(), n);
-        for i in 0..n {
-            assert_eq!(c.peek(), Some(&i));
-            assert_eq!(c.pop(), Some(i));
-        }
-        assert_eq!(c.pop(), None);
-        assert!(c.is_empty());
-    }
-
-    #[test]
-    fn peek_does_not_consume() {
-        let (mut p, mut c) = channel();
-        p.push(7);
-        assert_eq!(c.peek(), Some(&7));
-        assert_eq!(c.peek(), Some(&7));
-        assert_eq!(c.pop(), Some(7));
+        assert_eq!(drain(&mut c), (0..n).collect::<Vec<_>>());
+        assert!(drain(&mut c).is_empty());
         assert!(c.is_empty());
     }
 
@@ -509,9 +489,7 @@ mod tests {
             for i in 0..3 {
                 p.push(round * 10 + i);
             }
-            for i in 0..3 {
-                assert_eq!(c.pop(), Some(round * 10 + i));
-            }
+            assert_eq!(drain(&mut c), [round * 10, round * 10 + 1, round * 10 + 2]);
         }
         assert_eq!(p.blocks(), 2);
     }
@@ -521,14 +499,10 @@ mod tests {
         let (mut p, mut c) = channel();
         let items: Vec<usize> = (0..2 * BLOCK + 3).collect();
         p.push_batch(&items[..3]);
-        assert_eq!(c.len(), 3);
+        assert_eq!(drain(&mut c), items[..3]);
         p.push_batch(&items[3..]);
-        assert_eq!(c.len(), items.len());
         p.push_batch(&[]);
-        assert_eq!(c.len(), items.len());
-        let mut out = Vec::new();
-        assert_eq!(c.drain_into(&mut out, usize::MAX), items.len());
-        assert_eq!(out, items);
+        assert_eq!(drain(&mut c), items[3..]);
     }
 
     #[test]
@@ -536,24 +510,25 @@ mod tests {
         let (mut p, mut c) = channel();
         p.enable_high_water();
         p.push_batch(&[1, 2, 3]);
-        assert_eq!(c.pop(), Some(1));
         let tail = p.q.tail.count.load(Ordering::Relaxed);
         p.push_batch(&[]);
         assert_eq!(p.q.tail.count.load(Ordering::Relaxed), tail);
-        assert_eq!(c.len(), 2);
+        assert_eq!(drain(&mut c), [1, 2, 3]);
+        p.push_batch(&[]);
+        assert!(c.is_empty());
         assert_eq!(p.high_water(), 3);
     }
 
     #[test]
-    fn drain_into_respects_max_and_appends() {
+    fn drain_into_appends() {
         let (mut p, mut c) = channel();
-        p.push_batch(&[10, 11, 12, 13, 14]);
+        p.push_batch(&[10, 11, 12]);
         let mut out = vec![99];
-        assert_eq!(c.drain_into(&mut out, 2), 2);
-        assert_eq!(out, vec![99, 10, 11]);
-        assert_eq!(c.drain_into(&mut out, usize::MAX), 3);
-        assert_eq!(out, vec![99, 10, 11, 12, 13, 14]);
-        assert_eq!(c.drain_into(&mut out, usize::MAX), 0);
+        assert_eq!(c.drain_into(&mut out), 3);
+        p.push(13);
+        assert_eq!(c.drain_into(&mut out), 1);
+        assert_eq!(out, vec![99, 10, 11, 12, 13]);
+        assert_eq!(c.drain_into(&mut out), 0);
     }
 
     #[test]
@@ -561,37 +536,28 @@ mod tests {
         let (mut p, mut c) = channel();
         p.push(0);
         p.push_batch(&[1, 2]);
-        assert_eq!(c.pop(), Some(0));
-        let mut out = Vec::new();
-        assert_eq!(c.drain_into(&mut out, 1), 1);
-        assert_eq!(out, vec![1]);
         p.push(3);
-        assert_eq!(c.peek(), Some(&2));
-        out.clear();
-        assert_eq!(c.drain_into(&mut out, usize::MAX), 2);
-        assert_eq!(out, vec![2, 3]);
+        assert_eq!(drain(&mut c), [0, 1, 2, 3]);
+        p.push_batch(&[4]);
+        p.push(5);
+        assert_eq!(drain(&mut c), [4, 5]);
     }
 
     #[test]
-    fn peek_survives_the_hand_back_of_the_block_before_it() {
-        // Popping the last slot of the first block hands that block back;
-        // the producer takes it at once and fills it. The item peeked at
-        // the head of the second block must not move or change under that.
+    fn a_handed_back_block_is_refilled_behind_the_head() {
+        // Draining past the last slot of the first block hands that block
+        // back; the producer takes it at the next block boundary and fills
+        // it while the consumer's head still sits in the second block.
         let (mut p, mut c) = channel();
         for i in 0..BLOCK + 1 {
             p.push(i);
         }
-        for i in 0..BLOCK {
-            assert_eq!(c.pop(), Some(i));
-        }
-        let seen = c.peek().map(|v| v as *const usize);
+        assert_eq!(drain(&mut c), (0..BLOCK + 1).collect::<Vec<_>>());
         for i in 0..2 * BLOCK {
             p.push(1000 + i);
         }
         assert_eq!(p.blocks(), 3, "the handed-back block was not reused");
-        assert_eq!(c.peek().map(|v| v as *const usize), seen);
-        assert_eq!(c.pop(), Some(BLOCK));
-        assert_eq!(c.pop(), Some(1000));
+        assert_eq!(drain(&mut c), (1000..1000 + 2 * BLOCK).collect::<Vec<_>>());
     }
 
     #[test]
@@ -613,12 +579,12 @@ mod tests {
     fn high_water_is_the_occupancy_not_the_traffic() {
         // Many blocks' worth of traffic at depth one, then a burst that
         // starts mid-block and ends two blocks on: the cached head lags by
-        // everything popped since it was last loaded, which must not count.
+        // everything drained since it was last loaded, which must not count.
         let (mut p, mut c) = channel();
         p.enable_high_water();
         for i in 0..10 * BLOCK + BLOCK / 2 {
             p.push(i);
-            assert_eq!(c.pop(), Some(i));
+            assert_eq!(drain(&mut c), [i]);
         }
         assert_eq!(p.high_water(), 1);
         for i in 0..2 * BLOCK {
@@ -628,11 +594,9 @@ mod tests {
 
         let (mut p, mut c) = channel();
         p.enable_high_water();
-        let mut out = Vec::new();
         for i in 0..10 * BLOCK + BLOCK / 2 {
             p.push_batch(&[i]);
-            out.clear();
-            assert_eq!(c.drain_into(&mut out, usize::MAX), 1);
+            assert_eq!(drain(&mut c), [i]);
         }
         assert_eq!(p.high_water(), 1);
         p.push_batch(&[0; 2 * BLOCK]);
@@ -650,20 +614,22 @@ mod tests {
                 DROPS.fetch_add(1, Ordering::Relaxed);
             }
         }
-        // Items over three blocks, some already popped, one block already
-        // handed back and lying on the spare stack.
+        // Items over two blocks, some already drained, one block handed
+        // back and lying on the spare stack.
         let (mut p, mut c) = channel();
-        let pushed = 3 * BLOCK + 7;
-        for _ in 0..pushed {
+        let drained = 2 * BLOCK + 5;
+        for _ in 0..drained {
             p.push(D);
         }
-        let popped = BLOCK + 3;
-        for _ in 0..popped {
-            drop(c.pop().expect("queued"));
+        assert_eq!(drain(&mut c).len(), drained);
+        assert_eq!(DROPS.load(Ordering::Relaxed), drained);
+        let pushed = drained + BLOCK + 3;
+        for _ in drained..pushed {
+            p.push(D);
         }
-        assert_eq!(DROPS.load(Ordering::Relaxed), popped);
         let owned = p.blocks();
-        assert_eq!(owned, 4);
+        assert_eq!(owned, 3);
+        assert!(!p.q.spare.load(Ordering::Relaxed).is_null(), "no block on the spare stack");
         let freed = FREED.with(Cell::get);
         drop(c);
         drop(p);
@@ -681,24 +647,27 @@ mod tests {
             }
         });
         let mut expected = 0;
+        let mut out = Vec::new();
         while expected < n {
-            if let Some(v) = c.pop() {
+            out.clear();
+            if c.drain_into(&mut out) == 0 {
+                thread::yield_now();
+            }
+            for &v in &out {
                 assert_eq!(v, expected);
                 expected += 1;
-            } else {
-                thread::yield_now();
             }
         }
         producer.join().unwrap();
     }
 
     /// A million items in random bursts of up to ten blocks, mixing `push`
-    /// and `push_batch`, against a consumer that mixes `pop`, `peek` and
-    /// `drain_into` and now and then sleeps so the queue runs deep. FIFO
-    /// order end to end; the blocks the queue ends up owning stay within
-    /// what its deepest occupancy needed, i.e. the hand-back works. (The
-    /// mark is taken when a burst is published, the blocks when it is
-    /// written, and the consumer pops in between: hence one burst of slack.)
+    /// and `push_batch`, against a consumer that drains and now and then
+    /// sleeps so the queue runs deep. FIFO order end to end; the blocks
+    /// the queue ends up owning stay within what its deepest occupancy
+    /// needed, i.e. the hand-back works. (The mark is taken when a burst
+    /// is published, the blocks when it is written, and the consumer
+    /// drains in between: hence one burst of slack.)
     #[test]
     fn cross_thread_burst_stress() {
         const N: u64 = 1 << 20;
@@ -745,17 +714,8 @@ mod tests {
             if polls.is_multiple_of(4096) {
                 thread::sleep(std::time::Duration::from_micros(200));
             }
-            if polls.is_multiple_of(3) {
-                if let Some(&v) = c.peek() {
-                    assert_eq!(v, expected);
-                    assert_eq!(c.pop(), Some(v));
-                    expected += 1;
-                    consumed.store(expected as usize, Ordering::Relaxed);
-                }
-                continue;
-            }
             out.clear();
-            if c.drain_into(&mut out, 1 + (polls % 97) as usize) == 0 {
+            if c.drain_into(&mut out) == 0 {
                 thread::yield_now();
             }
             for &v in &out {

@@ -27,7 +27,7 @@ fn ev(ts: u64, seq: u64, kind: OutKind) -> OutEvent {
 
 fn drain(c: &mut Consumer<InMsg>) -> Vec<InMsg> {
     let mut v = vec![];
-    c.drain_into(&mut v, usize::MAX);
+    c.drain_into(&mut v);
     v
 }
 
