@@ -1,13 +1,13 @@
-//! Unbounded single-producer / single-consumer queue with consumer-side peek.
+//! Unbounded single-producer / single-consumer queue.
 //!
 //! The paper's communication structure is strictly SPSC: each core thread's
 //! OutQ has the core as producer and the manager as consumer; each InQ has
 //! the manager as producer and the core as consumer (§2.2). A dedicated
 //! lock-free queue keeps the per-cycle InQ poll ("the core thread enquires
-//! its InQ in every cycle") down to one atomic load, and `peek` lets the
-//! consumer inspect a timestamped entry without committing to pop it — the
-//! core leaves future-stamped replies queued until its local time reaches
-//! them.
+//! its InQ in every cycle") down to one atomic load. A consumer takes what
+//! it sees whole ([`Consumer::drain_into`]): the core moves its InQ into a
+//! timestamp heap and applies each entry when its local time reaches it,
+//! the manager hands each OutQ drain to its event stage.
 //!
 //! A push never fails. Storage is a chain of fixed-size blocks: the
 //! producer links the next block when it fills one, the consumer hands each
@@ -206,41 +206,16 @@ impl<T> Producer<T> {
 }
 
 impl<T> Consumer<T> {
-    #[inline]
-    fn nonempty(&mut self) -> bool {
-        let q = &*self.q;
-        let head = q.head.count.load(Ordering::Relaxed);
-        if head == self.cached_tail {
-            self.cached_tail = q.tail.count.load(Ordering::Acquire);
-            if head == self.cached_tail {
-                return false;
-            }
-        }
-        true
-    }
-
-    /// Look at the oldest element without removing it.
-    pub fn peek(&mut self) -> Option<&T> {
-        if !self.nonempty() {
-            return None;
-        }
-        let q = &*self.q;
-        let head = q.head.count.load(Ordering::Relaxed);
-        let block = q.head.block.load(Ordering::Relaxed);
-        // SAFETY: the slot was published by the producer's Release store,
-        // observed by the Acquire load in `nonempty`, and its block stays
-        // with the consumer until `head` moves past it.
-        Some(unsafe { (*(*block).slots[head % BLOCK].get()).assume_init_ref() })
-    }
-
     /// Move the item `head` names out, handing its block back if that
     /// emptied it. The caller publishes a head beyond it.
     #[inline]
     fn read(&mut self, head: usize) -> T {
         let q = &*self.q;
         let block = q.head.block.load(Ordering::Relaxed);
-        // SAFETY: as in `peek`; ownership moves out and the caller advances
-        // `head`, so the slot is never read again.
+        // SAFETY: the slot was published by the producer's Release store of
+        // `tail`, which the caller acquired, and its block stays with the
+        // consumer until `head` moves past it. Ownership moves out and the
+        // caller advances `head`, so the slot is never read again.
         let value = unsafe { (*(*block).slots[head % BLOCK].get()).assume_init_read() };
         if (head + 1).is_multiple_of(BLOCK) {
             self.hand_back(block);
@@ -292,20 +267,16 @@ impl<T> Consumer<T> {
         n
     }
 
-    /// True if no element is currently visible.
+    /// True if no element is currently visible. The tail is reloaded
+    /// only when the cached one says empty.
     pub fn is_empty(&mut self) -> bool {
-        !self.nonempty()
+        let head = self.q.head.count.load(Ordering::Relaxed);
+        if head == self.cached_tail {
+            self.cached_tail = self.q.tail.count.load(Ordering::Acquire);
+        }
+        head == self.cached_tail
     }
 
-    /// Number of elements currently visible to this consumer (refreshes
-    /// the cached tail). The producer may append concurrently, so the
-    /// count is a lower bound the moment it returns; in the deterministic
-    /// backend (no concurrency) it is exact, and its scheduler uses it to
-    /// tell a drained queue from one with undelivered work.
-    pub fn len(&mut self) -> usize {
-        self.cached_tail = self.q.tail.count.load(Ordering::Acquire);
-        self.cached_tail - self.q.head.count.load(Ordering::Relaxed)
-    }
 }
 
 impl<T> Drop for Queue<T> {
