@@ -317,10 +317,7 @@ impl Directory {
         // bank itself.
         let bank = self.cfg.bank_of(block);
         let start = self.buses[bank].acquire(ts);
-        let base_lat = 2 * self.cfg.hop_lat
-            + self.cfg.l2_bank_lat
-            + self.cfg.nuca_step * self.cfg.ring_distance(core, bank);
-        let mut done = start + base_lat;
+        let mut done = start + self.cfg.l2_hit_latency(core, block);
         let mut invalidations = Vec::new();
         // Time at which the directory has looked the block up and can emit
         // coherence messages to third parties.
