@@ -58,8 +58,8 @@ const STALL_FACTOR: usize = 4;
 ///   state is a parked one — and, with sharded managers, unless it sits at
 ///   its window edge (it cannot progress until the coordinator raises the
 ///   window, and at 64+ cores those wasted picks dominate a CC schedule;
-///   unsharded sets keep window-edge cores, as they always have, so
-///   recorded schedule logs replay);
+///   unsharded sets keep window-edge cores, as they always have, so the
+///   pinned schedule stream holds);
 /// * the manager, always;
 /// * shard `s` while its signal is pending.
 ///
@@ -172,22 +172,6 @@ impl DetEngine {
         self.il.decision_hash()
     }
 
-    /// Record the exact pick log for later [`DetEngine::replay`].
-    pub fn record_schedule(&mut self) {
-        self.il.record();
-    }
-
-    /// The recorded pick log, if recording was enabled.
-    pub fn recorded_schedule(&self) -> Option<&[u32]> {
-        self.il.recorded()
-    }
-
-    /// Replay a previously recorded pick log (takes priority over the
-    /// seed's RNG while entries remain).
-    pub fn replay(&mut self, log: Vec<u32>) {
-        self.il.replay(log);
-    }
-
     /// Install a test-only pick override (see [`sk_det::PickHook`]).
     pub fn set_pick_hook(&mut self, hook: PickHook) {
         self.il.set_pick_hook(hook);
@@ -219,7 +203,7 @@ impl DetEngine {
     /// The seeded pick loop of one segment. It is change-driven. Every
     /// scheduling decision still costs one interleaver draw from a runnable
     /// set of exactly the size a rebuild from the board would give, so pick
-    /// counts, decision hashes and recorded logs do not depend on any of
+    /// counts and decision hashes do not depend on any of
     /// this; what the loop avoids is work that cannot change state:
     ///
     /// * the runnable set is edited when a task's step, a manager body's
@@ -481,25 +465,6 @@ mod tests {
             let det = run_det(&p, Scheme::CycleByCycle, &c, seed);
             assert_eq!(det.fingerprint(), threaded.fingerprint(), "seed {seed}");
         }
-    }
-
-    #[test]
-    fn recorded_schedule_replays_identically() {
-        let p = counter_program(3, 4);
-        let c = cfg(3);
-        let mut a = DetEngine::new(&p, Scheme::Unbounded, &c, 5);
-        a.record_schedule();
-        a.run();
-        let log = a.recorded_schedule().unwrap().to_vec();
-        let hash = a.decision_hash();
-        let fp = a.into_report().fingerprint();
-
-        // Replay under a different seed: the log drives every pick.
-        let mut b = DetEngine::new(&p, Scheme::Unbounded, &c, 999);
-        b.replay(log);
-        b.run();
-        assert_eq!(b.decision_hash(), hash);
-        assert_eq!(b.into_report().fingerprint(), fp);
     }
 
     /// Every scheme class converges on a det safe-point, including the

@@ -48,8 +48,6 @@ pub struct Interleaver {
     rng: SplitMix64,
     picks: u64,
     decision_hash: Fnv64,
-    log: Option<Vec<u32>>,
-    replay: Option<(Vec<u32>, usize)>,
     hook: Option<PickHook>,
 }
 
@@ -62,8 +60,6 @@ impl Interleaver {
             rng: SplitMix64::new(seed ^ 0x6a09_e667_f3bc_c908),
             picks: 0,
             decision_hash: Fnv64::new(),
-            log: None,
-            replay: None,
             hook: None,
         }
     }
@@ -86,28 +82,8 @@ impl Interleaver {
         self.decision_hash.value()
     }
 
-    /// Start recording the exact pick log (for dumping a replayable
-    /// schedule). Off by default; O(1)-per-pick hashing is always on.
-    pub fn record(&mut self) {
-        self.log = Some(Vec::new());
-    }
-
-    /// The recorded pick log, if `record()` was called.
-    pub fn recorded(&self) -> Option<&[u32]> {
-        self.log.as_deref()
-    }
-
-    /// Replay a previously recorded pick log. While entries remain they
-    /// take priority over the RNG; a replayed pick that is out of range
-    /// for the current runnable count (the run diverged, e.g. after a
-    /// code change) falls back to `pick % n` so replay degrades to a
-    /// biased-but-legal schedule instead of panicking mid-run.
-    pub fn replay(&mut self, log: Vec<u32>) {
-        self.replay = Some((log, 0));
-    }
-
-    /// Install a test-only override consulted before replay and RNG.
-    /// Returning `None` defers to the normal path.
+    /// Install a test-only override consulted before the RNG. Returning
+    /// `None` defers to the RNG.
     pub fn set_pick_hook(&mut self, hook: PickHook) {
         self.hook = Some(hook);
     }
@@ -116,18 +92,7 @@ impl Interleaver {
     pub fn pick(&mut self, n: usize) -> usize {
         assert!(n > 0, "pick() from an empty runnable set");
         let idx = self.picks;
-        let mut choice = None;
-        if let Some(h) = self.hook.as_mut() {
-            choice = h(idx, n);
-        }
-        if choice.is_none() {
-            if let Some((log, pos)) = self.replay.as_mut() {
-                if *pos < log.len() {
-                    choice = Some(log[*pos] as usize % n);
-                    *pos += 1;
-                }
-            }
-        }
+        let choice = self.hook.as_mut().and_then(|h| h(idx, n));
         let c = match choice {
             Some(c) => c.min(n - 1),
             None => self.rng.next_below(n),
@@ -135,9 +100,6 @@ impl Interleaver {
         self.picks += 1;
         for word in [idx, n as u64, c as u64] {
             self.decision_hash.write_u64(word);
-        }
-        if let Some(log) = self.log.as_mut() {
-            log.push(c as u32);
         }
         c
     }
@@ -149,8 +111,6 @@ impl std::fmt::Debug for Interleaver {
             .field("seed", &self.seed)
             .field("picks", &self.picks)
             .field("decision_hash", &self.decision_hash.value())
-            .field("recording", &self.log.is_some())
-            .field("replaying", &self.replay.is_some())
             .field("hooked", &self.hook.is_some())
             .finish()
     }
@@ -199,41 +159,6 @@ mod tests {
         let same = (0..64).filter(|_| a.pick(16) == b.pick(16)).count();
         assert!(same < 64, "seeds 1 and 2 produced identical schedules");
         assert_ne!(a.decision_hash(), b.decision_hash());
-    }
-
-    #[test]
-    fn record_then_replay_reproduces() {
-        let mut a = Interleaver::from_seed(99);
-        a.record();
-        let ns = [5usize, 3, 8, 1, 6, 6, 2];
-        let picks: Vec<usize> = ns.iter().map(|&n| a.pick(n)).collect();
-        let log = a.recorded().unwrap().to_vec();
-
-        // Replay under a different seed: the log must win.
-        let mut b = Interleaver::from_seed(7);
-        b.replay(log);
-        let replayed: Vec<usize> = ns.iter().map(|&n| b.pick(n)).collect();
-        assert_eq!(picks, replayed);
-        assert_eq!(a.decision_hash(), b.decision_hash());
-    }
-
-    #[test]
-    fn replay_exhaustion_falls_back_to_rng() {
-        let mut b = Interleaver::from_seed(7);
-        b.replay(vec![1, 1]);
-        assert_eq!(b.pick(4), 1);
-        assert_eq!(b.pick(4), 1);
-        // Log exhausted: still legal picks, now RNG-driven.
-        for _ in 0..32 {
-            assert!(b.pick(4) < 4);
-        }
-    }
-
-    #[test]
-    fn replay_out_of_range_is_clamped_modulo() {
-        let mut b = Interleaver::from_seed(7);
-        b.replay(vec![5]);
-        assert_eq!(b.pick(3), 2); // 5 % 3
     }
 
     #[test]

@@ -20,7 +20,8 @@
 //!   `(seed, decision index, n_runnable)` to a choice. Legality of the
 //!   resulting interleaving is entirely the scheduler's responsibility.
 //! * Recording is O(1) per decision (a running hash plus a count), so a
-//!   full run can be fingerprinted cheaply; exact pick logs are opt-in.
+//!   full run can be fingerprinted cheaply; a run is replayed from its
+//!   seed.
 
 mod interleave;
 mod schedule;

@@ -1,7 +1,7 @@
 //! The deterministic backend's schedule stream, pinned.
 //!
 //! `DetEngine::run` draws one interleaver pick per scheduling decision, and
-//! everything downstream — the pick log a regression seed replays, the
+//! everything downstream — the run a regression seed file replays, the
 //! decision hash two runs are compared by, the simulated outcome of every
 //! racy scheme — is a function of that exact sequence: the size of the
 //! runnable set at each pick, who was in it, and where the forced-manager
@@ -111,17 +111,14 @@ fn schedule_stream_matches_the_pinned_scheduler() {
     }
     let mut actual = run_all(&jobs);
 
-    // A recorded pick log replayed under another seed: the log, not the
-    // PRNG, drives every pick, and lands on the same hash.
+    // A run replayed from its seed, as the CLI's `--replay` does from a
+    // seed file: a fresh engine on the same seed takes the same schedule.
     let w = &suite[1];
     let cfg = TargetConfig::small(n);
     let mut rec = DetEngine::new(&w.program, Scheme::Unbounded, &cfg, 5);
-    rec.record_schedule();
     rec.run();
-    let log = rec.recorded_schedule().expect("recording was on").to_vec();
     let rec_hash = rec.decision_hash();
-    let mut rep = DetEngine::new(&w.program, Scheme::Unbounded, &cfg, 999);
-    rep.replay(log);
+    let rep = DetEngine::new(&w.program, Scheme::Unbounded, &cfg, rec.seed());
     let line = golden_line(&format!("{}/replay-of-5", w.name), w, rep);
     assert!(line.contains(&format!("hash={rec_hash:016x}")), "replay diverged: {line}");
     actual += &line;
