@@ -449,23 +449,6 @@ pub fn open(bytes: &[u8]) -> Result<&[u8], SnapError> {
     Ok(&bytes[HEADER_LEN..body_end])
 }
 
-/// Seal a payload and write it to `path` atomically enough for our use:
-/// write to a `.tmp` sibling, then rename over the target.
-pub fn save_file(path: &std::path::Path, payload: &[u8]) -> Result<(), SnapError> {
-    let framed = seal(payload);
-    let tmp = path.with_extension("snap.tmp");
-    std::fs::write(&tmp, &framed)?;
-    std::fs::rename(&tmp, path)?;
-    Ok(())
-}
-
-/// Read a container file and return the validated payload bytes.
-pub fn load_file(path: &std::path::Path) -> Result<Vec<u8>, SnapError> {
-    let bytes = std::fs::read(path)?;
-    let payload = open(&bytes)?;
-    Ok(payload.to_vec())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -588,15 +571,5 @@ mod tests {
         assert!(matches!(Option::<u64>::load(&mut r), Err(SnapError::Corrupt(_))));
         let mut r = Reader::new(&[2]);
         assert!(matches!(bool::load(&mut r), Err(SnapError::Corrupt(_))));
-    }
-
-    #[test]
-    fn file_round_trip() {
-        let dir = std::env::temp_dir().join("sk_snap_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("t.snap");
-        save_file(&path, b"payload").unwrap();
-        assert_eq!(load_file(&path).unwrap(), b"payload");
-        std::fs::remove_file(&path).unwrap();
     }
 }
