@@ -52,12 +52,6 @@ impl Fnv64 {
         Fnv64(FNV_OFFSET)
     }
 
-    /// A hasher seeded from a previous digest (domain separation: fold a
-    /// version or tag in first, then the payload).
-    pub fn with_state(state: u64) -> Self {
-        Fnv64(state)
-    }
-
     /// Mix in bytes, one at a time (canonical FNV-1a).
     pub fn write(&mut self, bytes: &[u8]) {
         let mut h = self.0;
@@ -161,15 +155,6 @@ mod tests {
         bytes.extend_from_slice(&7u64.to_le_bytes());
         bytes.extend_from_slice(&9u64.to_le_bytes());
         assert_ne!(h.value(), fnv1a64(&bytes));
-    }
-
-    #[test]
-    fn with_state_resumes_a_digest() {
-        let mut a = Fnv64::new();
-        a.write(b"abc");
-        let mut b = Fnv64::with_state(a.value());
-        b.write(b"def");
-        assert_eq!(b.finish(), fnv1a64(b"abcdef"));
     }
 
     #[test]
