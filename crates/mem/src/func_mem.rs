@@ -313,18 +313,6 @@ impl FuncMemory {
         )
     }
 
-    /// Read an f64 stored by bit pattern.
-    #[inline]
-    pub fn read_f64(&self, addr: u64) -> f64 {
-        f64::from_bits(self.read(addr))
-    }
-
-    /// Write an f64 by bit pattern.
-    #[inline]
-    pub fn write_f64(&self, addr: u64, value: f64) {
-        self.write(addr, value.to_bits());
-    }
-
     /// Load a program image (or any `(addr, word)` iterator).
     pub fn load<I: IntoIterator<Item = (u64, u64)>>(&self, image: I) {
         for (addr, word) in image {
@@ -411,18 +399,6 @@ impl PageCursor {
         self.page_no = pno;
         self.page = Some(PageHandle { words: p });
         p[idx].store(value, Ordering::Relaxed);
-    }
-
-    /// Read an f64 stored by bit pattern.
-    #[inline]
-    pub fn read_f64(&mut self, addr: u64) -> f64 {
-        f64::from_bits(self.read(addr))
-    }
-
-    /// Write an f64 by bit pattern.
-    #[inline]
-    pub fn write_f64(&mut self, addr: u64, value: f64) {
-        self.write(addr, value.to_bits());
     }
 
     /// The underlying memory.
@@ -530,13 +506,6 @@ mod tests {
         assert_eq!(m.read(first_over), 22);
         assert_eq!(m.read(!7u64), 33);
         assert_eq!(m.resident_pages(), 3);
-    }
-
-    #[test]
-    fn f64_round_trip() {
-        let m = FuncMemory::new();
-        m.write_f64(0x2000, -1.5e300);
-        assert_eq!(m.read_f64(0x2000), -1.5e300);
     }
 
     #[test]
