@@ -148,11 +148,6 @@ impl ProgramBuilder {
         addr
     }
 
-    /// Current size of the data segment in words.
-    pub fn data_len(&self) -> usize {
-        self.data.len()
-    }
-
     // ---- raw emission ----
 
     /// Append one resolved instruction.
