@@ -269,16 +269,6 @@ impl SyncTable {
             SyncOp::Cas { .. } => unreachable!("Cas is applied by the manager against memory"),
         }
     }
-
-    /// Is any core currently waiting at a barrier? (deadlock diagnostics)
-    pub fn barrier_waiters(&self) -> usize {
-        self.barriers.iter().map(|b| b.arrived.len()).sum()
-    }
-
-    /// Current holder of lock `id`, if held (diagnostics).
-    pub fn lock_holder(&self, id: u32) -> Option<usize> {
-        self.locks.get(id as usize).and_then(|l| l.held_by)
-    }
 }
 
 fn save_queue(q: &VecDeque<(usize, u64)>, w: &mut Writer) {
@@ -396,7 +386,7 @@ mod tests {
         let mut t = SyncTable::new();
         t.apply(0, SyncOp::InitLock { id: 0 }, 0);
         assert_eq!(t.apply(1, SyncOp::Lock { id: 0 }, 5).reply, Some(1));
-        assert_eq!(t.lock_holder(0), Some(1));
+        assert_eq!(t.locks[0].held_by, Some(1));
         assert_eq!(t.stats.lock_acquisitions, 1);
     }
 
@@ -413,7 +403,7 @@ mod tests {
         let out = t.apply(1, SyncOp::Unlock { id: 0 }, 9);
         assert_eq!(out.reply, Some(0));
         assert_eq!(out.releases, vec![(2, 1, 6)]);
-        assert_eq!(t.lock_holder(0), Some(2));
+        assert_eq!(t.locks[0].held_by, Some(2));
         assert_eq!(t.stats.lock_acquisitions, 2);
         assert_eq!(t.stats.unlock_mismatches, 0);
     }
@@ -431,7 +421,7 @@ mod tests {
         assert_eq!(out.releases, vec![(2, 1, 3)]);
         let out = t.apply(2, SyncOp::Unlock { id: 0 }, 6);
         assert!(out.releases.is_empty());
-        assert_eq!(t.lock_holder(0), None);
+        assert_eq!(t.locks[0].held_by, None);
     }
 
     #[test]
@@ -441,7 +431,7 @@ mod tests {
         t.apply(0, SyncOp::Lock { id: 3 }, 1);
         t.apply(5, SyncOp::Unlock { id: 3 }, 2);
         assert_eq!(t.stats.unlock_mismatches, 1);
-        assert_eq!(t.lock_holder(3), None);
+        assert_eq!(t.locks[3].held_by, None);
     }
 
     #[test]
@@ -456,13 +446,13 @@ mod tests {
             t.apply(2, SyncOp::BarrierArrive { id: 0 }, 11),
             SyncOutcome { reply: None, releases: vec![] }
         );
-        assert_eq!(t.barrier_waiters(), 2);
+        assert_eq!(t.barriers[0].arrived.len(), 2);
         let out = t.apply(1, SyncOp::BarrierArrive { id: 0 }, 15);
         assert_eq!(out.reply, None);
         let mut cores: Vec<usize> = out.releases.iter().map(|&(c, _, _)| c).collect();
         cores.sort_unstable();
         assert_eq!(cores, vec![0, 1, 2]);
-        assert_eq!(t.barrier_waiters(), 0);
+        assert_eq!(t.barriers[0].arrived.len(), 0);
         assert_eq!(t.stats.barrier_episodes, 1);
     }
 

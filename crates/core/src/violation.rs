@@ -142,11 +142,6 @@ impl ConflictTracker {
         }
         out
     }
-
-    /// Number of distinct words observed (diagnostics).
-    pub fn tracked_words(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().len()).sum()
-    }
 }
 
 /// Word histories are written globally sorted by address (shards are a
@@ -261,6 +256,6 @@ mod tests {
         let t = ConflictTracker::new(false);
         t.record_load(0, 0x100, 100);
         assert!(!t.record_store(1, 0x108, 1).violated);
-        assert_eq!(t.tracked_words(), 2);
+        assert_eq!(t.shards.iter().map(|s| s.lock().len()).sum::<usize>(), 2, "words tracked");
     }
 }

@@ -598,12 +598,6 @@ impl SuperblockTable {
     pub fn blocks_formed(&self) -> u64 {
         self.blocks_formed
     }
-
-    /// Run length at text index `idx`.
-    #[inline]
-    pub fn run_len_at(&self, idx: usize) -> u16 {
-        self.run_len[idx]
-    }
 }
 
 #[cfg(test)]
@@ -627,10 +621,10 @@ mod tests {
         b.bne(Reg::new(5), Reg::ZERO, top); // idx 2 (control)
         b.sys(Syscall::Exit); // idx 3 (refused)
         let t = table(b);
-        assert_eq!(t.run_len_at(0), 3, "run includes its terminating branch");
-        assert_eq!(t.run_len_at(1), 2, "interior pcs are valid entries");
-        assert_eq!(t.run_len_at(2), 1, "a control uop is a run of one");
-        assert_eq!(t.run_len_at(3), 0, "syscalls are refused");
+        assert_eq!(t.run_len[0], 3, "run includes its terminating branch");
+        assert_eq!(t.run_len[1], 2, "interior pcs are valid entries");
+        assert_eq!(t.run_len[2], 1, "a control uop is a run of one");
+        assert_eq!(t.run_len[3], 0, "syscalls are refused");
         assert_eq!(t.blocks_formed(), 1);
     }
 
@@ -642,8 +636,8 @@ mod tests {
         }
         b.sys(Syscall::Exit);
         let t = table(b);
-        assert_eq!(t.run_len_at(0), MAX_BLOCK_LEN);
-        assert_eq!(t.run_len_at(MAX_BLOCK_LEN as usize * 2 - 1), 1);
+        assert_eq!(t.run_len[0], MAX_BLOCK_LEN);
+        assert_eq!(t.run_len[MAX_BLOCK_LEN as usize * 2 - 1], 1);
         // Two chained maximal blocks (cap does not split the census; the
         // anchor rule does): only the start of text anchors here.
         assert_eq!(t.blocks_formed(), 1);
