@@ -5,7 +5,8 @@
 //! the shards on a pool of worker threads ([`crate::pool`]); host timing
 //! picks the interleaving, so two runs of a racy scheme differ.
 //! [`DetEngine`] runs the *same* cores and the *same* manager iteration
-//! body ([`Engine::manager_iter`] via [`CoreSim::run_step`]) as
+//! body ([`Engine::manager_iter`] via
+//! [`CoreSim::run_step`](crate::core_thread::CoreSim::run_step)) as
 //! cooperative tasks on one thread, with every "who steps next" decision
 //! delegated to a seedable [`Interleaver`]:
 //!

@@ -121,7 +121,8 @@ impl Default for ObsConfig {
 pub struct CoreObs {
     /// Slack at event-process time: `max_local − local`, in cycles.
     pub slack: Histogram,
-    /// Window-wait park durations (ns) in [`wait_for_window`] -> blocked.
+    /// Window-wait park durations (ns): time the core's worker slept while
+    /// the core was blocked at its window.
     pub park_ns: Histogram,
     /// Sync-wait park durations (ns): barrier/lock/semaphore stalls.
     pub sync_park_ns: Histogram,
