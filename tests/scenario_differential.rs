@@ -60,6 +60,14 @@ fn cc_det_equals_cc_threaded_for_every_seed() {
 /// the sync path and inversions are capped by the slack window.
 #[test]
 fn bounded_schemes_respect_slack_bound_and_preserve_values() {
+    // The bound of each scheme form, exactly: a loosened bound would pass
+    // every inversion check below.
+    let bounds =
+        [("CC", Some(0)), ("Q10", Some(10)), ("S10", Some(10)), ("S10*", Some(10)), ("SU", None)];
+    for (name, bound) in bounds {
+        let scheme: Scheme = name.parse().expect("scheme name");
+        assert_eq!(scheme.slack_bound(), bound, "{name}: slack bound");
+    }
     let schemes = [Scheme::BoundedSlack(10), Scheme::OldestFirstBounded(10), Scheme::Quantum(10)];
     for w in suite() {
         let c = cfg(w.n_threads);
