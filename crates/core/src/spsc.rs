@@ -276,7 +276,6 @@ impl<T> Consumer<T> {
         }
         head == self.cached_tail
     }
-
 }
 
 impl<T> Drop for Queue<T> {
