@@ -144,10 +144,13 @@ fn malformed_requests_get_400_and_are_counted() {
 
 #[test]
 fn overload_sheds_429_with_retry_after_and_stays_live() {
-    // One worker, two queue slots: a burst must shed.
+    // One worker, two queue slots: a burst must shed. A `"metrics": true`
+    // job always runs (a repeat is never answered from the result memo),
+    // so every admitted job holds the worker for a whole simulation and
+    // the queue cannot drain between two posts.
     let server = small_server(1, 2, 64);
     let mut c = Client::new(server.addr());
-    let body = r#"{"bench":"private_compute","cores":2,"schemes":["CC"]}"#;
+    let body = r#"{"bench":"private_compute","cores":2,"schemes":["CC"],"metrics":true}"#;
 
     let mut accepted = Vec::new();
     let mut shed = 0u64;
