@@ -15,9 +15,7 @@
 //!   serialization actually bites. On a multi-CPU host this is where
 //!   sharding wins wall time; on a 1-CPU host every manager timeslices
 //!   one core and each extra handoff is a context switch, so wall is
-//!   reported but not gated. Occupancy subtracts the coordinator's
-//!   `frontier_wait_ns` (bounded yield-spin waiting on lagging shard
-//!   frontiers — blocked-on-other-threads time, not serialized work).
+//!   reported but not gated.
 //!
 //! Protocol: interleaved min-of-N. Within each round every shard config
 //! of a (kernel, cores, scheme) cell runs back-to-back, so slow host
@@ -32,7 +30,7 @@
 //! it guards the benched runs themselves).
 //!
 //! `FULL` is the default grid and `SMOKE` the CI preset. Prints the grid
-//! as one JSON document (`sk-bench-scaleout-v2`, written by
+//! as one JSON document (`sk-bench-scaleout-v3`, written by
 //! `sk_obs::json`) on stdout; progress on stderr.
 
 use sk_core::{CoreModel, DetEngine, Engine, Scheme, TargetConfig};
@@ -48,7 +46,6 @@ struct Cell {
     fingerprint: String,
     printed: Vec<i64>,
     mgr_busy_ms: f64,
-    mgr_wait_ms: f64,
     mgr_iters: u64,
     shard_busy_ms: Vec<f64>,
     shard_iters: u64,
@@ -73,7 +70,6 @@ fn run_once(w: &Workload, scheme: Scheme, cfg: &TargetConfig, det_seed: Option<u
         }
     };
     let mgr_busy_ms = obs.manager.busy_ns.get() as f64 / 1e6;
-    let mgr_wait_ms = obs.manager.frontier_wait_ns.get() as f64 / 1e6;
     let shard_busy_ms: Vec<f64> = obs.shards.iter().map(|s| s.busy_ns.get() as f64 / 1e6).collect();
     let events_shards: u64 = obs.shards.iter().map(|s| s.events.get()).sum();
     let printed: Vec<i64> = r.printed().into_iter().map(|(_, v)| v).collect();
@@ -85,7 +81,6 @@ fn run_once(w: &Workload, scheme: Scheme, cfg: &TargetConfig, det_seed: Option<u
         fingerprint: r.fingerprint(),
         printed,
         mgr_busy_ms,
-        mgr_wait_ms,
         mgr_iters: obs.manager.iterations.get(),
         shard_busy_ms,
         shard_iters: obs.shards.iter().map(|s| s.iterations.get()).sum(),
@@ -209,9 +204,8 @@ pub fn scaleout(smoke: bool) {
                     let wall0 = best[0].wall_s;
                     for (k, cell) in best.iter().enumerate() {
                         let s = shards[k];
-                        // Occupancy = serialized coordinator work / wall;
-                        // frontier-wait is blocked-on-peers, not work.
-                        let mgr_occ = (cell.mgr_busy_ms - cell.mgr_wait_ms) / 1e3 / cell.wall_s;
+                        // Occupancy = serialized coordinator work / wall.
+                        let mgr_occ = cell.mgr_busy_ms / 1e3 / cell.wall_s;
                         let max_shard_occ =
                             cell.shard_busy_ms.iter().cloned().fold(0.0f64, f64::max)
                                 / 1e3
@@ -227,7 +221,6 @@ pub fn scaleout(smoke: bool) {
                             ("exec_cycles", cell.exec_cycles.into()),
                             ("committed", cell.committed.into()),
                             ("mgr_busy_ms", round(cell.mgr_busy_ms, 2)),
-                            ("mgr_wait_ms", round(cell.mgr_wait_ms, 2)),
                             ("mgr_occupancy", round(mgr_occ, 4)),
                             ("max_shard_occupancy", round(max_shard_occ, 4)),
                             (
@@ -266,15 +259,15 @@ pub fn scaleout(smoke: bool) {
          scheduler hop the dominant term; it is reported, not wall-gated — its gated \
          invariant is the occupancy drop. The threads backend is where serialization \
          actually parallelizes; on a 1-CPU host its sharded walls pay real context switches \
-         per handoff and are reported, not gated. mgr_occupancy = (busy_ns - \
-         frontier_wait_ns)/wall: the coordinator stops handling memory events and window \
+         per handoff and are reported, not gated. mgr_occupancy = \
+         busy_ns/wall: the coordinator stops handling memory events and window \
          fan-out as shards take over, so its occupancy must drop as shards rise. Output \
          equality across shard counts, bit-identical CC fingerprints across shard counts and \
          across backends are asserted by the harness itself."
     );
     let doc = Json::obj([
         ("description", Json::from(description)),
-        ("schema", "sk-bench-scaleout-v2".into()),
+        ("schema", "sk-bench-scaleout-v3".into()),
         ("backends", backends.iter().copied().collect()),
         ("rounds", rounds.into()),
         ("host_threads", host_threads.into()),

@@ -238,11 +238,9 @@ pub struct ManagerObs {
     /// by run wall time this is the **manager occupancy** — the scaleout
     /// bench's serialization signal.
     pub busy_ns: Counter,
-    /// Of `busy_ns`, nanoseconds spent in the threaded coordinator's
-    /// bounded yield-spin waiting for a lagging shard frontier. That is
-    /// time blocked on *other* threads, not serialized coordinator work,
-    /// so occupancy readers subtract it: `(busy_ns − frontier_wait_ns) /
-    /// wall` is the true serialization fraction.
+    /// Always 0: the threaded coordinator's yield-spin on a lagging shard
+    /// frontier, which this counted, went with the worker pool. Kept so
+    /// the dump format and its readers keep the field.
     pub frontier_wait_ns: Counter,
 }
 
