@@ -470,8 +470,7 @@ impl CoreSim {
     /// lock grant/denial, spawn acknowledgement, ...)? Such a core
     /// suspends its clock (see `ClockBoard::sync_park`): waiting consumes
     /// no simulated work, and the reply timestamp tells the core how far
-    /// to fast-forward. Spin-retry intervals between lock attempts are
-    /// still burned in simulated time.
+    /// to fast-forward.
     pub fn sync_waiting(&self) -> bool {
         matches!(self.host.sys_phase, SysPhase::WaitReply { .. }) && self.host.sync_reply.is_none()
     }

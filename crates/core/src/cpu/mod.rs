@@ -38,7 +38,8 @@ use std::sync::Arc;
 pub enum SysOutcome {
     /// Completed; optionally write a return value to `a0`.
     Done(Option<u64>),
-    /// In flight (sync reply pending or spin-wait); poll again next cycle.
+    /// In flight (the manager's sync reply is pending); poll again next
+    /// cycle.
     Pending,
     /// The workload thread exits.
     Exit,
@@ -79,7 +80,7 @@ pub struct SbEvents {
     /// Run cancelled because the core left the Ready phase (L1 miss,
     /// I-fetch miss, or any stall that parks the pipeline mid-run).
     pub exit_miss: u64,
-    /// Run ended at a syscall that went Pending (sync / spin-wait).
+    /// Run ended at a syscall that went Pending (awaiting a sync reply).
     pub exit_sync: u64,
     /// Run ended at a syscall that completed immediately.
     pub exit_syscall: u64,

@@ -31,7 +31,9 @@ pub struct CoreStats {
     pub stall_cycles: u64,
     /// Cycles before the thread started or after it exited.
     pub idle_cycles: u64,
-    /// Syscall retry loops (lock/semaphore spins).
+    /// Cycles a sync syscall at the head of the ROB polled pending
+    /// (awaiting the manager's reply). Counted by the out-of-order core;
+    /// the in-order core reports 0.
     pub sys_retries: u64,
     /// Extra idle cycles injected by fast-forward compensation.
     pub ff_stall_cycles: u64,

@@ -38,7 +38,8 @@ pub enum Syscall {
 
     /// Initialize lock `a0`.
     InitLock = 10,
-    /// Acquire lock `a0`; retries (spinning in simulated time) until held.
+    /// Acquire lock `a0`; blocks until the manager grants it (waiters
+    /// are granted in FIFO order).
     Lock = 11,
     /// Release lock `a0`.
     Unlock = 12,
