@@ -87,9 +87,8 @@ fn corrupted_and_truncated_snapshots_fail_cleanly() {
         Err(SnapError::BadVersion { found: 10, expected }) if expected == snap::FORMAT_VERSION => {}
         other => panic!("a v10 snapshot must be rejected by version, got {other:?}"),
     }
-    // Scheme tags 2, 6 and 7 named schemes this format no longer has (2
-    // was the lookahead scheme `L<n>`, written only by v10 and older).
-    for tag in [2u8, 6, 7] {
+    // Scheme tags 6 and 7 named schemes this format no longer has.
+    for tag in [6u8, 7] {
         match Engine::resume(&with_scheme_tag(&bytes, &cfg, tag), None).map(|_| ()) {
             Err(SnapError::Corrupt(m)) if m == format!("scheme tag {tag}") => {}
             other => panic!("scheme tag {tag} must be rejected as corrupt, got {other:?}"),
@@ -111,4 +110,22 @@ fn corrupted_and_truncated_snapshots_fail_cleanly() {
     // restore fine after all that.
     assert!(Engine::resume(&bytes, None).is_ok());
     assert!(Engine::resume(&with_scheme_tag(&bytes, &cfg, 0), None).is_ok());
+}
+
+/// Tag 2 was the lookahead scheme `L<n>`, one behaviour with `S<n>*` and
+/// written only by format 10 and older: an `S<n>*` frame carrying it is
+/// refused as corrupt, while the same frame with its own tag resumes.
+#[test]
+fn scheme_tag_2_is_rejected_as_corrupt() {
+    let w = kernels::micro::lock_sweep(2, 3);
+    let cfg = small_cfg(2);
+    let mut e = Engine::new(&w.program, Scheme::OldestFirstBounded(10), &cfg);
+    assert_eq!(e.run_until(Some(50)), RunOutcome::CheckpointReady);
+    let bytes = e.snapshot().expect("snapshot");
+    match Engine::resume(&with_scheme_tag(&bytes, &cfg, 2), None).map(|_| ()) {
+        Err(SnapError::Corrupt(m)) if m == "scheme tag 2" => {}
+        other => panic!("scheme tag 2 must be rejected as corrupt, got {other:?}"),
+    }
+    let new = Engine::resume(&bytes, None).expect("pristine snapshot");
+    assert_eq!(new.scheme(), Scheme::OldestFirstBounded(10));
 }
