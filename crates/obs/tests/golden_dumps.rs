@@ -1,10 +1,12 @@
 //! Pins the bytes of the three documents sk-obs writes: the
 //! `sk-obs-metrics` dump, the chrome trace and the `sk-serve-metrics`
-//! dump. A change to how JSON is written must leave every byte alone, or
-//! regenerate deliberately with `SK_REGEN_GOLDEN=1 cargo test -p sk-obs
-//! --test golden_dumps` and say so.
+//! dump, plus the hub's snapshot encoding. A change to how JSON or a
+//! snapshot is written must leave every byte alone, or regenerate
+//! deliberately with `SK_REGEN_GOLDEN=1 cargo test -p sk-obs --test
+//! golden_dumps` and say so.
 
-use sk_obs::{Metrics, ObsConfig, ServeObs};
+use sk_obs::{Counter, Histogram, Metrics, ObsConfig, ServeObs};
+use sk_snap::{fnv1a64, Persist, Writer};
 
 /// A two-core, one-shard hub with something in every section.
 fn golden_hub() -> Metrics {
@@ -40,6 +42,83 @@ fn golden_hub() -> Metrics {
     m
 }
 
+/// A two-core, one-shard hub in which every field the snapshot carries
+/// holds its own non-zero value (each histogram a distinct count, sum,
+/// min and max), so two swapped fields change the bytes. An engine
+/// snapshot cannot pin these: with a hub attached it carries wall time.
+fn snapshot_hub() -> Metrics {
+    let m =
+        Metrics::new_sharded(2, 1, ObsConfig { violation_sample_interval: 7, trace_capacity: 9 });
+    let mut k = 0;
+    let mut next = || {
+        k += 1;
+        k
+    };
+    let mut hist = |h: &Histogram| {
+        let v = 10 + next();
+        h.record_n(v, 2);
+        h.record(1000 * v);
+    };
+    for c in &m.cores {
+        for h in [
+            &c.slack,
+            &c.park_ns,
+            &c.sync_park_ns,
+            &c.mem_park_ns,
+            &c.out_batch,
+            &c.run_batch,
+            &c.sb_block_len,
+        ] {
+            hist(h);
+        }
+    }
+    let g = &m.manager;
+    for h in
+        [&g.drain_batch, &g.backoff_us, &g.slack, &g.barrier_wait, &g.lock_wait, &g.shard_batch]
+    {
+        hist(h);
+    }
+    for s in &m.shards {
+        for h in [&s.drain_batch, &s.heap_occupancy, &s.frontier_lag] {
+            hist(h);
+        }
+    }
+    let mut k = 100;
+    let mut count = |c: &Counter| {
+        k += 1;
+        c.add(k);
+    };
+    for c in &m.cores {
+        for n in [
+            &c.cycles,
+            &c.outq_high_water,
+            &c.utlb_hits,
+            &c.utlb_misses,
+            &c.sb_blocks_formed,
+            &c.sb_exit_branch,
+            &c.sb_exit_miss,
+            &c.sb_exit_sync,
+            &c.sb_exit_syscall,
+            &c.sb_exit_window,
+            &c.sb_exit_fallback,
+        ] {
+            count(n);
+        }
+    }
+    for n in [&g.iterations, &g.events_ingested, &g.busy_ns, &g.frontier_wait_ns] {
+        count(n);
+    }
+    g.inq_high_water.iter().for_each(&mut count);
+    for s in &m.shards {
+        for n in [&s.iterations, &s.events, &s.window_raises, &s.busy_ns] {
+            count(n);
+        }
+    }
+    m.record_violation_sample(300, 11);
+    m.record_violation_sample(400, 12);
+    m
+}
+
 fn golden_serve() -> ServeObs {
     let s = ServeObs::new();
     s.jobs_submitted.add(3);
@@ -70,6 +149,15 @@ fn metrics_dump_matches_the_golden_bytes() {
 #[test]
 fn chrome_trace_matches_the_golden_bytes() {
     check("trace.json", &golden_hub().trace_json(), include_str!("golden/trace.json"));
+}
+
+#[test]
+fn hub_snapshot_matches_the_golden_bytes() {
+    let mut w = Writer::new();
+    snapshot_hub().save(&mut w);
+    let bytes = w.into_bytes();
+    let actual = format!("len={} fnv={:016x}", bytes.len(), fnv1a64(&bytes));
+    check("metrics_snap.txt", &actual, include_str!("golden/metrics_snap.txt"));
 }
 
 #[test]
