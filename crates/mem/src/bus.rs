@@ -13,8 +13,6 @@
 //! keeping the simulation state itself consistent — grants never overlap
 //! in *simulation* order, exactly as §3.2.1 argues.
 
-use sk_snap::{Persist, Reader, SnapError, Writer};
-
 /// Occupancy statistics and distortion counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct BusStats {
@@ -97,41 +95,8 @@ impl BusModel {
     }
 }
 
-impl Persist for BusStats {
-    fn save(&self, w: &mut Writer) {
-        w.put_u64(self.grants);
-        w.put_u64(self.conflicts);
-        w.put_u64(self.wait_cycles);
-        w.put_u64(self.inversions);
-    }
-    fn load(r: &mut Reader<'_>) -> Result<Self, SnapError> {
-        Ok(BusStats {
-            grants: r.get_u64()?,
-            conflicts: r.get_u64()?,
-            wait_cycles: r.get_u64()?,
-            inversions: r.get_u64()?,
-        })
-    }
-}
-
-impl Persist for BusModel {
-    fn save(&self, w: &mut Writer) {
-        w.put_u64(self.occupancy);
-        w.put_u64(self.busy_until);
-        w.put_u64(self.last_req_ts);
-        w.put_bool(self.track);
-        self.stats.save(w);
-    }
-    fn load(r: &mut Reader<'_>) -> Result<Self, SnapError> {
-        Ok(BusModel {
-            occupancy: r.get_u64()?,
-            busy_until: r.get_u64()?,
-            last_req_ts: r.get_u64()?,
-            track: r.get_bool()?,
-            stats: BusStats::load(r)?,
-        })
-    }
-}
+sk_snap::persist_record!(BusStats { grants, conflicts, wait_cycles, inversions });
+sk_snap::persist_record!(BusModel { occupancy, busy_until, last_req_ts, track, stats });
 
 #[cfg(test)]
 mod tests {

@@ -214,7 +214,7 @@ impl<S: Copy> Cache<S> {
 impl CacheConfig {
     /// The checks [`CacheConfig::num_sets`] enforces by assertion, as a
     /// `Result` — used when decoding geometry from untrusted snapshot bytes.
-    fn validated_num_sets(&self) -> Result<usize, SnapError> {
+    pub(crate) fn validated_num_sets(&self) -> Result<usize, SnapError> {
         if self.block_bytes != BLOCK_BYTES {
             return Err(SnapError::Corrupt(format!("cache block size {}", self.block_bytes)));
         }
@@ -233,33 +233,8 @@ impl CacheConfig {
     }
 }
 
-impl Persist for CacheConfig {
-    fn save(&self, w: &mut Writer) {
-        w.put_u64(self.size_bytes);
-        w.put_usize(self.assoc);
-        w.put_u64(self.block_bytes);
-    }
-    fn load(r: &mut Reader<'_>) -> Result<Self, SnapError> {
-        let cfg = CacheConfig {
-            size_bytes: r.get_u64()?,
-            assoc: r.get_usize()?,
-            block_bytes: r.get_u64()?,
-        };
-        cfg.validated_num_sets()?;
-        Ok(cfg)
-    }
-}
-
-impl Persist for CacheStats {
-    fn save(&self, w: &mut Writer) {
-        w.put_u64(self.hits);
-        w.put_u64(self.misses);
-        w.put_u64(self.evictions);
-    }
-    fn load(r: &mut Reader<'_>) -> Result<Self, SnapError> {
-        Ok(CacheStats { hits: r.get_u64()?, misses: r.get_u64()?, evictions: r.get_u64()? })
-    }
-}
+sk_snap::persist_record!(CacheConfig { size_bytes, assoc, block_bytes });
+sk_snap::persist_record!(CacheStats { hits, misses, evictions });
 
 impl<S: Persist + Copy> Persist for Cache<S> {
     fn save(&self, w: &mut Writer) {

@@ -130,6 +130,9 @@ impl Persist for MemConfig {
         if cfg.n_banks == 0 {
             return Err(SnapError::Corrupt("n_banks 0".into()));
         }
+        for cache in [&cfg.l1i, &cfg.l1d, &cfg.l2_bank] {
+            cache.validated_num_sets()?;
+        }
         Ok(cfg)
     }
 }
