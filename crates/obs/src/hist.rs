@@ -221,6 +221,7 @@ impl From<&Histogram> for Json {
 }
 
 impl Persist for Histogram {
+    const MIN_BYTES: usize = 40;
     fn save(&self, w: &mut Writer) {
         w.put_u64(self.count());
         w.put_u64(self.sum());

@@ -90,6 +90,7 @@ impl fmt::Debug for Counter {
 }
 
 impl Persist for Counter {
+    const MIN_BYTES: usize = 8;
     fn save(&self, w: &mut Writer) {
         w.put_u64(self.get());
     }
@@ -160,50 +161,26 @@ pub struct CoreObs {
     pub sb_block_len: Histogram,
 }
 
-impl Persist for CoreObs {
-    fn save(&self, w: &mut Writer) {
-        self.slack.save(w);
-        self.park_ns.save(w);
-        self.sync_park_ns.save(w);
-        self.mem_park_ns.save(w);
-        self.out_batch.save(w);
-        self.cycles.save(w);
-        self.outq_high_water.save(w);
-        self.utlb_hits.save(w);
-        self.utlb_misses.save(w);
-        self.run_batch.save(w);
-        self.sb_blocks_formed.save(w);
-        self.sb_exit_branch.save(w);
-        self.sb_exit_miss.save(w);
-        self.sb_exit_sync.save(w);
-        self.sb_exit_syscall.save(w);
-        self.sb_exit_window.save(w);
-        self.sb_exit_fallback.save(w);
-        self.sb_block_len.save(w);
-    }
-    fn load(r: &mut Reader<'_>) -> Result<Self, SnapError> {
-        Ok(CoreObs {
-            slack: Histogram::load(r)?,
-            park_ns: Histogram::load(r)?,
-            sync_park_ns: Histogram::load(r)?,
-            mem_park_ns: Histogram::load(r)?,
-            out_batch: Histogram::load(r)?,
-            cycles: Counter::load(r)?,
-            outq_high_water: Counter::load(r)?,
-            utlb_hits: Counter::load(r)?,
-            utlb_misses: Counter::load(r)?,
-            run_batch: Histogram::load(r)?,
-            sb_blocks_formed: Counter::load(r)?,
-            sb_exit_branch: Counter::load(r)?,
-            sb_exit_miss: Counter::load(r)?,
-            sb_exit_sync: Counter::load(r)?,
-            sb_exit_syscall: Counter::load(r)?,
-            sb_exit_window: Counter::load(r)?,
-            sb_exit_fallback: Counter::load(r)?,
-            sb_block_len: Histogram::load(r)?,
-        })
-    }
-}
+sk_snap::persist_record!(CoreObs {
+    slack,
+    park_ns,
+    sync_park_ns,
+    mem_park_ns,
+    out_batch,
+    cycles,
+    outq_high_water,
+    utlb_hits,
+    utlb_misses,
+    run_batch,
+    sb_blocks_formed,
+    sb_exit_branch,
+    sb_exit_miss,
+    sb_exit_sync,
+    sb_exit_syscall,
+    sb_exit_window,
+    sb_exit_fallback,
+    sb_block_len,
+});
 
 /// Telemetry owned by the manager thread.
 #[derive(Debug, Default)]
@@ -253,37 +230,19 @@ impl ManagerObs {
     }
 }
 
-impl Persist for ManagerObs {
-    fn save(&self, w: &mut Writer) {
-        self.drain_batch.save(w);
-        self.backoff_us.save(w);
-        self.slack.save(w);
-        self.barrier_wait.save(w);
-        self.lock_wait.save(w);
-        self.shard_batch.save(w);
-        self.iterations.save(w);
-        self.events_ingested.save(w);
-        self.inq_high_water.save(w);
-        self.busy_ns.save(w);
-        self.frontier_wait_ns.save(w);
-    }
-    fn load(r: &mut Reader<'_>) -> Result<Self, SnapError> {
-        Ok(ManagerObs {
-            drain_batch: Histogram::load(r)?,
-            backoff_us: Histogram::load(r)?,
-            slack: Histogram::load(r)?,
-            barrier_wait: Histogram::load(r)?,
-            lock_wait: Histogram::load(r)?,
-            shard_batch: Histogram::load(r)?,
-            iterations: Counter::load(r)?,
-            picks_elided: Counter::new(),
-            events_ingested: Counter::load(r)?,
-            inq_high_water: Vec::<Counter>::load(r)?,
-            busy_ns: Counter::load(r)?,
-            frontier_wait_ns: Counter::load(r)?,
-        })
-    }
-}
+sk_snap::persist_record!(ManagerObs {
+    drain_batch,
+    backoff_us,
+    slack,
+    barrier_wait,
+    lock_wait,
+    shard_batch,
+    iterations,
+    events_ingested,
+    inq_high_water,
+    busy_ns,
+    frontier_wait_ns,
+} unsaved { picks_elided: Counter::new() });
 
 /// Telemetry owned by one memory-shard manager (sharded mode): the
 /// measurement behind the scaleout claim that manager work parallelizes —
@@ -308,28 +267,15 @@ pub struct ShardObs {
     pub busy_ns: Counter,
 }
 
-impl Persist for ShardObs {
-    fn save(&self, w: &mut Writer) {
-        self.drain_batch.save(w);
-        self.heap_occupancy.save(w);
-        self.frontier_lag.save(w);
-        self.iterations.save(w);
-        self.events.save(w);
-        self.window_raises.save(w);
-        self.busy_ns.save(w);
-    }
-    fn load(r: &mut Reader<'_>) -> Result<Self, SnapError> {
-        Ok(ShardObs {
-            drain_batch: Histogram::load(r)?,
-            heap_occupancy: Histogram::load(r)?,
-            frontier_lag: Histogram::load(r)?,
-            iterations: Counter::load(r)?,
-            events: Counter::load(r)?,
-            window_raises: Counter::load(r)?,
-            busy_ns: Counter::load(r)?,
-        })
-    }
-}
+sk_snap::persist_record!(ShardObs {
+    drain_batch,
+    heap_occupancy,
+    frontier_lag,
+    iterations,
+    events,
+    window_raises,
+    busy_ns,
+});
 
 /// Cap on retained violation samples (FIFO head is kept; later samples
 /// are dropped once full — a bounded run at the default interval never
@@ -416,51 +362,25 @@ impl Persist for Metrics {
     fn save(&self, w: &mut Writer) {
         w.put_u64(self.cfg.violation_sample_interval);
         w.put_usize(self.cfg.trace_capacity);
-        w.put_usize(self.cores.len());
-        for c in &self.cores {
-            c.save(w);
-        }
+        self.cores.save(w);
         self.manager.save(w);
-        let samples = self.violation_samples.lock();
-        w.put_usize(samples.len());
-        for &(cycle, violations) in samples.iter() {
-            w.put_u64(cycle);
-            w.put_u64(violations);
-        }
-        drop(samples);
-        w.put_usize(self.shards.len());
-        for s in &self.shards {
-            s.save(w);
-        }
+        self.violation_samples.lock().save(w);
+        self.shards.save(w);
     }
 
     fn load(r: &mut Reader<'_>) -> Result<Self, SnapError> {
         let cfg =
             ObsConfig { violation_sample_interval: r.get_u64()?, trace_capacity: r.get_usize()? };
-        let n_cores = r.get_count(8)?;
-        let mut cores = Vec::with_capacity(n_cores);
-        for _ in 0..n_cores {
-            cores.push(CoreObs::load(r)?);
-        }
+        let cores = Vec::<CoreObs>::load(r)?;
         let manager = ManagerObs::load(r)?;
-        let n_samples = r.get_count(16)?;
-        let mut samples = Vec::with_capacity(n_samples);
-        for _ in 0..n_samples {
-            let cycle = r.get_u64()?;
-            let violations = r.get_u64()?;
-            samples.push((cycle, violations));
-        }
-        let n_shards = r.get_count(8)?;
-        let mut shards = Vec::with_capacity(n_shards);
-        for _ in 0..n_shards {
-            shards.push(ShardObs::load(r)?);
-        }
+        let samples = Vec::load(r)?;
+        let shards = Vec::load(r)?;
         Ok(Metrics {
             cfg,
+            trace: TraceSink::new(cores.len(), cfg.trace_capacity),
             cores,
             manager,
             shards,
-            trace: TraceSink::new(n_cores, cfg.trace_capacity),
             violation_samples: Mutex::new(samples),
         })
     }
