@@ -255,69 +255,23 @@ impl TargetConfig {
     }
 }
 
-impl Persist for CoreModel {
-    fn save(&self, w: &mut Writer) {
-        w.put_u8(match self {
-            CoreModel::OutOfOrder => 0,
-            CoreModel::InOrder => 1,
-        });
-    }
-    fn load(r: &mut Reader<'_>) -> Result<Self, SnapError> {
-        match r.get_u8()? {
-            0 => Ok(CoreModel::OutOfOrder),
-            1 => Ok(CoreModel::InOrder),
-            t => Err(SnapError::Corrupt(format!("core-model tag {t}"))),
-        }
-    }
-}
-
-impl Persist for CoreConfig {
-    fn save(&self, w: &mut Writer) {
-        self.model.save(w);
-        w.put_usize(self.fetch_width);
-        w.put_usize(self.issue_width);
-        w.put_usize(self.commit_width);
-        w.put_usize(self.rob_entries);
-        w.put_usize(self.lsq_entries);
-        w.put_usize(self.fetch_queue);
-        w.put_usize(self.store_buffer);
-        w.put_usize(self.bpred_entries);
-        w.put_u64(self.mispredict_penalty);
-    }
-    fn load(r: &mut Reader<'_>) -> Result<Self, SnapError> {
-        Ok(CoreConfig {
-            model: CoreModel::load(r)?,
-            fetch_width: r.get_usize()?,
-            issue_width: r.get_usize()?,
-            commit_width: r.get_usize()?,
-            rob_entries: r.get_usize()?,
-            lsq_entries: r.get_usize()?,
-            fetch_queue: r.get_usize()?,
-            store_buffer: r.get_usize()?,
-            bpred_entries: r.get_usize()?,
-            mispredict_penalty: r.get_u64()?,
-        })
-    }
-}
-
-impl Persist for StopCondition {
-    fn save(&self, w: &mut Writer) {
-        match *self {
-            StopCondition::ProgramExit => w.put_u8(0),
-            StopCondition::RoiInstructions(n) => {
-                w.put_u8(1);
-                w.put_u64(n);
-            }
-        }
-    }
-    fn load(r: &mut Reader<'_>) -> Result<Self, SnapError> {
-        match r.get_u8()? {
-            0 => Ok(StopCondition::ProgramExit),
-            1 => Ok(StopCondition::RoiInstructions(r.get_u64()?)),
-            t => Err(SnapError::Corrupt(format!("stop-condition tag {t}"))),
-        }
-    }
-}
+sk_snap::persist_enum!(CoreModel, "core-model" { 0 => OutOfOrder, 1 => InOrder });
+sk_snap::persist_record!(CoreConfig {
+    model,
+    fetch_width,
+    issue_width,
+    commit_width,
+    rob_entries,
+    lsq_entries,
+    fetch_queue,
+    store_buffer,
+    bpred_entries,
+    mispredict_penalty,
+});
+sk_snap::persist_enum!(StopCondition, "stop-condition" {
+    0 => ProgramExit,
+    1 => RoiInstructions(n),
+});
 
 /// Loading runs [`TargetConfig::validate`], so a snapshot can never smuggle
 /// in a structurally impossible target.

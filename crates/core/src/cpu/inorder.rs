@@ -577,75 +577,14 @@ impl InOrderCpu {
     }
 }
 
-impl Persist for LoadDst {
-    fn save(&self, w: &mut Writer) {
-        match *self {
-            LoadDst::Int(r) => {
-                w.put_u8(0);
-                w.put_u8(r);
-            }
-            LoadDst::Fp(f) => {
-                w.put_u8(1);
-                w.put_u8(f);
-            }
-        }
-    }
-    fn load(r: &mut Reader<'_>) -> Result<Self, SnapError> {
-        match r.get_u8()? {
-            0 => Ok(LoadDst::Int(r.get_u8()?)),
-            1 => Ok(LoadDst::Fp(r.get_u8()?)),
-            t => Err(SnapError::Corrupt(format!("load-dst tag {t}"))),
-        }
-    }
-}
-
-impl Persist for Phase {
-    fn save(&self, w: &mut Writer) {
-        match *self {
-            Phase::Ready => w.put_u8(0),
-            Phase::WaitIFetch { block, ready } => {
-                w.put_u8(1);
-                w.put_u64(block);
-                ready.save(w);
-            }
-            Phase::WaitLoad { block, addr, dst, ready } => {
-                w.put_u8(2);
-                w.put_u64(block);
-                w.put_u64(addr);
-                dst.save(w);
-                ready.save(w);
-            }
-            Phase::WaitStore { block, addr, val, ready } => {
-                w.put_u8(3);
-                w.put_u64(block);
-                w.put_u64(addr);
-                w.put_u64(val);
-                ready.save(w);
-            }
-            Phase::SysPending => w.put_u8(4),
-        }
-    }
-    fn load(r: &mut Reader<'_>) -> Result<Self, SnapError> {
-        Ok(match r.get_u8()? {
-            0 => Phase::Ready,
-            1 => Phase::WaitIFetch { block: r.get_u64()?, ready: Option::load(r)? },
-            2 => Phase::WaitLoad {
-                block: r.get_u64()?,
-                addr: r.get_u64()?,
-                dst: LoadDst::load(r)?,
-                ready: Option::load(r)?,
-            },
-            3 => Phase::WaitStore {
-                block: r.get_u64()?,
-                addr: r.get_u64()?,
-                val: r.get_u64()?,
-                ready: Option::load(r)?,
-            },
-            4 => Phase::SysPending,
-            t => return Err(SnapError::Corrupt(format!("inorder phase tag {t}"))),
-        })
-    }
-}
+sk_snap::persist_enum!(LoadDst, "load-dst" { 0 => Int(r), 1 => Fp(f) });
+sk_snap::persist_enum!(Phase, "inorder phase" {
+    0 => Ready,
+    1 => WaitIFetch { block, ready },
+    2 => WaitLoad { block, addr, dst, ready },
+    3 => WaitStore { block, addr, val, ready },
+    4 => SysPending,
+});
 
 #[cfg(test)]
 mod tests {

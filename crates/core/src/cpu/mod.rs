@@ -397,12 +397,8 @@ impl CpuModel {
     pub fn save_state(&self, w: &mut Writer) {
         let sh = self.shell();
         w.put_u64(sh.pc);
-        for &r in &sh.regs {
-            w.put_u64(r);
-        }
-        for &f in &sh.fregs {
-            w.put_f64(f);
-        }
+        sh.regs.save(w);
+        sh.fregs.save(w);
         w.put_bool(sh.running);
         w.put_bool(sh.finished);
         if let CpuModel::Ooo(c) = self {
@@ -412,11 +408,7 @@ impl CpuModel {
         sh.l1d.save(w);
         each_model!(self, c => c.save_pipeline(w));
         w.put_u64(sh.extra_stall);
-        w.put_usize(sh.pending_evictions.len());
-        for &(kind, block) in &sh.pending_evictions {
-            kind.save(w);
-            w.put_u64(block);
-        }
+        sh.pending_evictions.save(w);
         sh.inv_while_pending.save(w);
     }
 
@@ -426,12 +418,8 @@ impl CpuModel {
     pub fn restore_state(&mut self, r: &mut Reader<'_>) -> Result<(), SnapError> {
         let sh = self.shell_mut();
         sh.pc = r.get_u64()?;
-        for reg in sh.regs.iter_mut() {
-            *reg = r.get_u64()?;
-        }
-        for f in sh.fregs.iter_mut() {
-            *f = r.get_f64()?;
-        }
+        sh.regs = Persist::load(r)?;
+        sh.fregs = Persist::load(r)?;
         sh.running = r.get_bool()?;
         sh.finished = r.get_bool()?;
         if let CpuModel::Ooo(c) = self {
@@ -443,11 +431,7 @@ impl CpuModel {
         each_model!(&mut *self, c => c.restore_pipeline(r))?;
         let sh = self.shell_mut();
         sh.extra_stall = r.get_u64()?;
-        let n = r.get_count(9)?;
-        sh.pending_evictions.clear();
-        for _ in 0..n {
-            sh.pending_evictions.push((ReqKind::load(r)?, r.get_u64()?));
-        }
+        sh.pending_evictions = Vec::load(r)?;
         sh.inv_while_pending = Vec::load(r)?;
         Ok(())
     }

@@ -5,7 +5,6 @@
 
 use sk_mem::l1::ReqKind;
 use sk_mem::BlockAddr;
-use sk_snap::{Persist, Reader, SnapError, Writer};
 
 /// Synchronization operations, routed through the manager thread so that
 /// their global ordering is governed by the active slack scheme (this is
@@ -115,183 +114,37 @@ impl GlobalEvent {
     }
 }
 
-impl Persist for SyncOp {
-    fn save(&self, w: &mut Writer) {
-        match *self {
-            SyncOp::InitLock { id } => {
-                w.put_u8(0);
-                w.put_u32(id);
-            }
-            SyncOp::Lock { id } => {
-                w.put_u8(1);
-                w.put_u32(id);
-            }
-            SyncOp::Unlock { id } => {
-                w.put_u8(2);
-                w.put_u32(id);
-            }
-            SyncOp::InitBarrier { id, count } => {
-                w.put_u8(3);
-                w.put_u32(id);
-                w.put_u32(count);
-            }
-            SyncOp::BarrierArrive { id } => {
-                w.put_u8(4);
-                w.put_u32(id);
-            }
-            SyncOp::InitSema { id, count } => {
-                w.put_u8(5);
-                w.put_u32(id);
-                w.put_i64(count);
-            }
-            SyncOp::SemaWait { id } => {
-                w.put_u8(6);
-                w.put_u32(id);
-            }
-            SyncOp::SemaSignal { id } => {
-                w.put_u8(7);
-                w.put_u32(id);
-            }
-            SyncOp::Spawn { entry, arg } => {
-                w.put_u8(8);
-                w.put_u64(entry);
-                w.put_u64(arg);
-            }
-            SyncOp::Cas { addr, expected, desired } => {
-                w.put_u8(9);
-                w.put_u64(addr);
-                w.put_u64(expected);
-                w.put_u64(desired);
-            }
-        }
-    }
-    fn load(r: &mut Reader<'_>) -> Result<Self, SnapError> {
-        Ok(match r.get_u8()? {
-            0 => SyncOp::InitLock { id: r.get_u32()? },
-            1 => SyncOp::Lock { id: r.get_u32()? },
-            2 => SyncOp::Unlock { id: r.get_u32()? },
-            3 => SyncOp::InitBarrier { id: r.get_u32()?, count: r.get_u32()? },
-            4 => SyncOp::BarrierArrive { id: r.get_u32()? },
-            5 => SyncOp::InitSema { id: r.get_u32()?, count: r.get_i64()? },
-            6 => SyncOp::SemaWait { id: r.get_u32()? },
-            7 => SyncOp::SemaSignal { id: r.get_u32()? },
-            8 => SyncOp::Spawn { entry: r.get_u64()?, arg: r.get_u64()? },
-            9 => SyncOp::Cas { addr: r.get_u64()?, expected: r.get_u64()?, desired: r.get_u64()? },
-            t => return Err(SnapError::Corrupt(format!("sync-op tag {t}"))),
-        })
-    }
-}
-
-impl Persist for OutKind {
-    fn save(&self, w: &mut Writer) {
-        match *self {
-            OutKind::DMem { req, block } => {
-                w.put_u8(0);
-                req.save(w);
-                w.put_u64(block);
-            }
-            OutKind::IMem { block } => {
-                w.put_u8(1);
-                w.put_u64(block);
-            }
-            OutKind::Sync(op) => {
-                w.put_u8(2);
-                op.save(w);
-            }
-            OutKind::Exit { code } => {
-                w.put_u8(3);
-                w.put_u64(code);
-            }
-            OutKind::RoiBegin => w.put_u8(4),
-            OutKind::RoiEnd => w.put_u8(5),
-        }
-    }
-    fn load(r: &mut Reader<'_>) -> Result<Self, SnapError> {
-        Ok(match r.get_u8()? {
-            0 => OutKind::DMem { req: ReqKind::load(r)?, block: r.get_u64()? },
-            1 => OutKind::IMem { block: r.get_u64()? },
-            2 => OutKind::Sync(SyncOp::load(r)?),
-            3 => OutKind::Exit { code: r.get_u64()? },
-            4 => OutKind::RoiBegin,
-            5 => OutKind::RoiEnd,
-            t => return Err(SnapError::Corrupt(format!("out-kind tag {t}"))),
-        })
-    }
-}
-
-impl Persist for OutEvent {
-    fn save(&self, w: &mut Writer) {
-        w.put_u64(self.ts);
-        w.put_u64(self.seq);
-        self.kind.save(w);
-    }
-    fn load(r: &mut Reader<'_>) -> Result<Self, SnapError> {
-        Ok(OutEvent { ts: r.get_u64()?, seq: r.get_u64()?, kind: OutKind::load(r)? })
-    }
-}
-
-impl Persist for InKind {
-    fn save(&self, w: &mut Writer) {
-        match *self {
-            InKind::DMemReply { block, granted } => {
-                w.put_u8(0);
-                w.put_u64(block);
-                granted.save(w);
-            }
-            InKind::IMemReply { block } => {
-                w.put_u8(1);
-                w.put_u64(block);
-            }
-            InKind::SyncReply { value } => {
-                w.put_u8(2);
-                w.put_i64(value);
-            }
-            InKind::Invalidate { block, downgrade } => {
-                w.put_u8(3);
-                w.put_u64(block);
-                w.put_bool(downgrade);
-            }
-            InKind::Start { entry, arg, tid } => {
-                w.put_u8(4);
-                w.put_u64(entry);
-                w.put_u64(arg);
-                w.put_u32(tid);
-            }
-            InKind::Stop => w.put_u8(5),
-        }
-    }
-    fn load(r: &mut Reader<'_>) -> Result<Self, SnapError> {
-        Ok(match r.get_u8()? {
-            0 => InKind::DMemReply { block: r.get_u64()?, granted: sk_mem::LineState::load(r)? },
-            1 => InKind::IMemReply { block: r.get_u64()? },
-            2 => InKind::SyncReply { value: r.get_i64()? },
-            3 => InKind::Invalidate { block: r.get_u64()?, downgrade: r.get_bool()? },
-            4 => InKind::Start { entry: r.get_u64()?, arg: r.get_u64()?, tid: r.get_u32()? },
-            5 => InKind::Stop,
-            t => return Err(SnapError::Corrupt(format!("in-kind tag {t}"))),
-        })
-    }
-}
-
-impl Persist for InMsg {
-    fn save(&self, w: &mut Writer) {
-        w.put_u64(self.ts);
-        self.kind.save(w);
-    }
-    fn load(r: &mut Reader<'_>) -> Result<Self, SnapError> {
-        Ok(InMsg { ts: r.get_u64()?, kind: InKind::load(r)? })
-    }
-}
-
-impl Persist for GlobalEvent {
-    fn save(&self, w: &mut Writer) {
-        w.put_usize(self.core);
-        self.ev.save(w);
-    }
-    fn load(r: &mut Reader<'_>) -> Result<Self, SnapError> {
-        Ok(GlobalEvent { core: r.get_usize()?, ev: OutEvent::load(r)? })
-    }
-}
+sk_snap::persist_enum!(SyncOp, "sync-op" {
+    0 => InitLock { id },
+    1 => Lock { id },
+    2 => Unlock { id },
+    3 => InitBarrier { id, count },
+    4 => BarrierArrive { id },
+    5 => InitSema { id, count },
+    6 => SemaWait { id },
+    7 => SemaSignal { id },
+    8 => Spawn { entry, arg },
+    9 => Cas { addr, expected, desired },
+});
+sk_snap::persist_enum!(OutKind, "out-kind" {
+    0 => DMem { req, block },
+    1 => IMem { block },
+    2 => Sync(op),
+    3 => Exit { code },
+    4 => RoiBegin,
+    5 => RoiEnd,
+});
+sk_snap::persist_record!(OutEvent { ts, seq, kind });
+sk_snap::persist_enum!(InKind, "in-kind" {
+    0 => DMemReply { block, granted },
+    1 => IMemReply { block },
+    2 => SyncReply { value },
+    3 => Invalidate { block, downgrade },
+    4 => Start { entry, arg, tid },
+    5 => Stop,
+});
+sk_snap::persist_record!(InMsg { ts, kind });
+sk_snap::persist_record!(GlobalEvent { core, ev });
 
 #[cfg(test)]
 mod tests {

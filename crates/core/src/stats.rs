@@ -3,7 +3,6 @@
 use sk_mem::bus::BusStats;
 use sk_mem::cache::CacheStats;
 use sk_mem::directory::DirStats;
-use sk_snap::{Persist, Reader, SnapError, Writer};
 use std::time::Duration;
 
 /// Counters for one simulated core.
@@ -65,55 +64,24 @@ impl CoreStats {
     }
 }
 
-impl Persist for CoreStats {
-    fn save(&self, w: &mut Writer) {
-        w.put_u64(self.cycles);
-        w.put_u64(self.committed);
-        w.put_u64(self.roi_committed);
-        w.put_u64(self.fetched);
-        w.put_u64(self.issued);
-        w.put_u64(self.branches);
-        w.put_u64(self.mispredicts);
-        w.put_u64(self.loads);
-        w.put_u64(self.stores);
-        w.put_u64(self.stall_cycles);
-        w.put_u64(self.idle_cycles);
-        w.put_u64(self.sys_retries);
-        w.put_u64(self.ff_stall_cycles);
-        self.l1d.save(w);
-        self.l1i.save(w);
-        w.put_usize(self.printed.len());
-        for &v in &self.printed {
-            w.put_i64(v);
-        }
-    }
-    fn load(r: &mut Reader<'_>) -> Result<Self, SnapError> {
-        let mut s = CoreStats {
-            cycles: r.get_u64()?,
-            committed: r.get_u64()?,
-            roi_committed: r.get_u64()?,
-            fetched: r.get_u64()?,
-            issued: r.get_u64()?,
-            branches: r.get_u64()?,
-            mispredicts: r.get_u64()?,
-            loads: r.get_u64()?,
-            stores: r.get_u64()?,
-            stall_cycles: r.get_u64()?,
-            idle_cycles: r.get_u64()?,
-            sys_retries: r.get_u64()?,
-            ff_stall_cycles: r.get_u64()?,
-            l1d: CacheStats::load(r)?,
-            l1i: CacheStats::load(r)?,
-            printed: Vec::new(),
-        };
-        let n = r.get_count(8)?;
-        s.printed.reserve(n);
-        for _ in 0..n {
-            s.printed.push(r.get_i64()?);
-        }
-        Ok(s)
-    }
-}
+sk_snap::persist_record!(CoreStats {
+    cycles,
+    committed,
+    roi_committed,
+    fetched,
+    issued,
+    branches,
+    mispredicts,
+    loads,
+    stores,
+    stall_cycles,
+    idle_cycles,
+    sys_retries,
+    ff_stall_cycles,
+    l1d,
+    l1i,
+    printed,
+});
 
 /// Engine-level (host) counters.
 #[derive(Clone, Copy, Debug, Default)]
@@ -138,26 +106,14 @@ pub struct EngineStats {
     pub slack_profile_truncated: u64,
 }
 
-impl Persist for EngineStats {
-    fn save(&self, w: &mut Writer) {
-        w.put_u64(self.blocks);
-        w.put_u64(self.wakeups);
-        w.put_u64(self.global_updates);
-        w.put_u64(self.events_processed);
-        w.put_u64(self.max_observed_slack);
-        w.put_u64(self.slack_profile_truncated);
-    }
-    fn load(r: &mut Reader<'_>) -> Result<Self, SnapError> {
-        Ok(EngineStats {
-            blocks: r.get_u64()?,
-            wakeups: r.get_u64()?,
-            global_updates: r.get_u64()?,
-            events_processed: r.get_u64()?,
-            max_observed_slack: r.get_u64()?,
-            slack_profile_truncated: r.get_u64()?,
-        })
-    }
-}
+sk_snap::persist_record!(EngineStats {
+    blocks,
+    wakeups,
+    global_updates,
+    events_processed,
+    max_observed_slack,
+    slack_profile_truncated,
+});
 
 /// Workload-violation counters (plain copies of the tracker's atomics).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
