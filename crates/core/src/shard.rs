@@ -250,10 +250,9 @@ impl MemShard {
     /// Restore state written by [`MemShard::save_state`] into a freshly
     /// plumbed shard (same configuration, fresh queues).
     pub fn restore_state(&mut self, r: &mut sk_snap::Reader<'_>) -> Result<(), sk_snap::SnapError> {
-        use sk_snap::Persist;
         self.frontier.store(r.get_u64()?, Ordering::Release);
         self.events_processed = r.get_u64()?;
-        self.dir = Directory::load(r)?;
+        self.dir = crate::uncore::load_directory(r, self.dir.n_cores())?;
         Ok(())
     }
 }

@@ -296,7 +296,8 @@ impl Uncore {
         }
         self.stage.enqueue(gq);
         self.sync = SyncTable::load(r)?;
-        self.dir = Directory::load(r)?;
+        self.sync.check_cores(n)?;
+        self.dir = load_directory(r, n)?;
         self.events_processed = r.get_u64()?;
         self.roi_start = Option::<u64>::load(r)?;
         Ok(())
@@ -311,4 +312,18 @@ impl Uncore {
             self.process_all_upto(u64::MAX);
         }
     }
+}
+
+/// A restored directory, the manager's or a shard's, refused unless it is
+/// for the target's `n_cores` (its load already refused an entry naming
+/// a core past its own count).
+pub(crate) fn load_directory(r: &mut Reader<'_>, n_cores: usize) -> Result<Directory, SnapError> {
+    let dir = Directory::load(r)?;
+    if dir.n_cores() != n_cores {
+        return Err(SnapError::Corrupt(format!(
+            "directory for {} cores in a {n_cores}-core target",
+            dir.n_cores()
+        )));
+    }
+    Ok(dir)
 }

@@ -1,12 +1,18 @@
 //! Direct unit tests of the manager state machine (Uncore), driven
 //! without any threads or CPUs.
 
-use sk_core::msg::{InKind, InMsg, OutEvent, OutKind, SyncOp};
+use sk_core::clock::ClockBoard;
+use sk_core::msg::{GlobalEvent, InKind, InMsg, OutEvent, OutKind, SyncOp};
+use sk_core::shard::MemShard;
+use sk_core::snap::{Persist, Reader, SnapError, Writer};
 use sk_core::spsc::{self, Consumer};
+use sk_core::sync::SyncTable;
 use sk_core::uncore::Uncore;
 use sk_core::{Scheme, TargetConfig};
 use sk_mem::l1::ReqKind;
-use sk_mem::LineState;
+use sk_mem::{Directory, LineState};
+use std::sync::atomic::AtomicU64;
+use std::sync::Arc;
 
 fn mk(scheme: Scheme, n: usize) -> (Uncore, Vec<Consumer<InMsg>>) {
     let mut cfg = TargetConfig::small(n);
@@ -158,4 +164,113 @@ fn min_pending_reports_earliest_timestamp() {
     assert_eq!(u.min_pending_ts(), Some(17));
     u.process_all_upto(41);
     assert_eq!(u.min_pending_ts(), Some(42));
+}
+
+/// A 2-core manager's `save_state` stream around `sync` and `dir`: core 0
+/// started, nothing exited, nothing queued.
+fn two_core_stream(sync: &SyncTable, dir: &Directory) -> Vec<u8> {
+    let mut w = Writer::new();
+    vec![true, false].save(&mut w);
+    vec![false, false].save(&mut w);
+    Vec::<GlobalEvent>::new().save(&mut w);
+    sync.save(&mut w);
+    dir.save(&mut w);
+    0_u64.save(&mut w);
+    None::<u64>.save(&mut w);
+    w.into_bytes()
+}
+
+fn restore_two_core(bytes: &[u8]) -> Result<(), SnapError> {
+    let (mut u, _rings) = mk(Scheme::Unbounded, 2);
+    u.restore_state(&mut Reader::new(bytes))
+}
+
+/// The sync table of an 8-core manager after `ops`, each `(core, op)`
+/// processed in order under an eager scheme.
+fn sync_after(ops: &[(usize, SyncOp)]) -> SyncTable {
+    let (mut u, _rings) = mk(Scheme::Unbounded, 8);
+    for (i, &(core, op)) in ops.iter().enumerate() {
+        u.ingest_batch(core, &[ev(i as u64 + 1, i as u64, OutKind::Sync(op))]);
+    }
+    u.sync.clone()
+}
+
+/// `dir`'s encoding with its core count overwritten by `n_cores`.
+fn dir_claiming(dir: &Directory, n_cores: usize) -> Vec<u8> {
+    let mut w = Writer::new();
+    TargetConfig::small(2).mem.save(&mut w);
+    let at = w.len();
+    let mut w = Writer::new();
+    dir.save(&mut w);
+    let mut bytes = w.into_bytes();
+    bytes[at..at + 8].copy_from_slice(&(n_cores as u64).to_le_bytes());
+    bytes
+}
+
+#[test]
+fn restored_sync_state_names_only_existing_cores() {
+    let dir = Directory::new(2, TargetConfig::small(2).mem);
+    // Cores 0 and 1 only: restores.
+    let ok = sync_after(&[(0, SyncOp::Lock { id: 0 }), (1, SyncOp::Lock { id: 0 })]);
+    restore_two_core(&two_core_stream(&ok, &dir)).expect("a 2-core table restores");
+    for (what, ops) in [
+        ("lock waiter", vec![(0, SyncOp::Lock { id: 0 }), (7, SyncOp::Lock { id: 0 })]),
+        ("lock holder", vec![(7, SyncOp::Lock { id: 0 })]),
+        ("semaphore waiter", vec![(7, SyncOp::SemaWait { id: 0 })]),
+        (
+            "barrier arrival",
+            vec![
+                (0, SyncOp::InitBarrier { id: 0, count: 8 }),
+                (7, SyncOp::BarrierArrive { id: 0 }),
+            ],
+        ),
+    ] {
+        let bytes = two_core_stream(&sync_after(&ops), &dir);
+        match restore_two_core(&bytes) {
+            Err(SnapError::Corrupt(_)) => {}
+            other => panic!("a {what} on core 7 of 2 must be corrupt, got {other:?}"),
+        }
+    }
+}
+
+#[test]
+fn restored_directories_are_for_the_target_core_count() {
+    let mem = TargetConfig::small(2).mem;
+    let sync = SyncTable::new();
+    match restore_two_core(&two_core_stream(&sync, &Directory::new(8, mem))) {
+        Err(SnapError::Corrupt(_)) => {}
+        other => panic!("an 8-core directory in a 2-core manager must be corrupt, got {other:?}"),
+    }
+    // A directory that says 2 cores but tracks core 7, as owner or sharer.
+    let mut owned = Directory::new(8, mem);
+    owned.handle(7, ReqKind::GetM, 8, 10);
+    let mut shared = Directory::new(8, mem);
+    shared.handle(0, ReqKind::GetS, 8, 10);
+    shared.handle(7, ReqKind::GetS, 8, 20);
+    for dir in [&owned, &shared] {
+        let bytes = dir_claiming(dir, 2);
+        match Directory::load(&mut Reader::new(&bytes)).map(|_| ()) {
+            Err(SnapError::Corrupt(_)) => {}
+            other => panic!("a 2-core directory naming core 7 must be corrupt, got {other:?}"),
+        }
+    }
+    // The same directories restore when they claim the cores they track.
+    assert!(Directory::load(&mut Reader::new(&dir_claiming(&shared, 8))).is_ok());
+
+    // A memory shard of a 2-core target refuses an 8-core directory too.
+    let cfg = TargetConfig::small(2);
+    let (to_cores, _rings): (Vec<_>, Vec<_>) = (0..2).map(|_| spsc::channel()).unzip();
+    let dirty = Arc::new(vec![AtomicU64::new(0)]);
+    let board = Arc::new(ClockBoard::new(2, 0));
+    let mut shard = MemShard::new(0, &cfg, Scheme::Unbounded, Vec::new(), to_cores, board, dirty);
+    let mut w = Writer::new();
+    0_u64.save(&mut w);
+    0_u64.save(&mut w);
+    Directory::new(8, cfg.mem).save(&mut w);
+    match shard.restore_state(&mut Reader::new(&w.into_bytes())) {
+        Err(SnapError::Corrupt(_)) => {}
+        other => {
+            panic!("an 8-core shard directory in a 2-core target must be corrupt, got {other:?}")
+        }
+    }
 }
