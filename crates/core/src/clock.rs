@@ -177,14 +177,14 @@ impl GlobalCache {
         &self.flagged
     }
 
-    /// Cores Running or Blocked as of the last refresh
-    /// ([`ClockBoard::active_count`] without re-reading the board).
+    /// Cores Running or Blocked (driving global time) as of the last
+    /// refresh.
     pub fn active_count(&self) -> usize {
         self.active
     }
 
-    /// Largest `local − g` over unfinished cores as of the last refresh
-    /// ([`ClockBoard::observed_slack`] without re-reading the board).
+    /// Largest `local − g` over timed cores (Running, Blocked, MemWait)
+    /// as of the last refresh: the observed slack.
     pub fn observed_slack(&self, g: u64) -> u64 {
         if self.min == u64::MAX {
             0
@@ -512,11 +512,6 @@ impl ClockBoard {
         resumed
     }
 
-    /// Number of cores currently Running or Blocked (driving global time).
-    pub fn active_count(&self) -> usize {
-        (0..self.cores.len()).filter(|&i| self.state(i).active()).count()
-    }
-
     /// Is any core suspended waiting for a memory reply? (Such a core's
     /// work is pending at a memory manager, so the simulation is not
     /// deadlocked even if nothing else is runnable.)
@@ -708,16 +703,6 @@ impl ClockBoard {
         self.cores.iter().map(|cc| cc.wakeups.load(Ordering::Relaxed)).sum()
     }
 
-    /// Largest `local - global` over unfinished cores (observed slack).
-    pub fn observed_slack(&self) -> u64 {
-        let g = self.global();
-        (0..self.cores.len())
-            .filter(|&i| self.state(i).timed())
-            .map(|i| self.local(i).saturating_sub(g))
-            .max()
-            .unwrap_or(0)
-    }
-
     /// Raise the stop flag and wake every sleeping worker.
     pub fn stop_all(&self) {
         self.stop.store(true, Ordering::Release);
@@ -847,6 +832,20 @@ mod tests {
         }
         let min = (0..n).filter(|&i| b.state(i).timed()).map(|i| b.local(i)).min();
         (min.map_or(prev, |m| m.max(prev)), false)
+    }
+
+    /// What [`GlobalCache::observed_slack`] must answer, by brute force:
+    /// the largest `local − global` over timed cores.
+    fn scan_slack(b: &ClockBoard) -> u64 {
+        let n = b.cores.len();
+        let timed = (0..n).filter(|&i| b.state(i).timed());
+        timed.map(|i| b.local(i).saturating_sub(b.global())).max().unwrap_or(0)
+    }
+
+    /// What [`GlobalCache::active_count`] must answer, by brute force: the
+    /// cores Running or Blocked.
+    fn scan_active(b: &ClockBoard) -> usize {
+        (0..b.cores.len()).filter(|&i| b.state(i).active()).count()
     }
 
     #[test]
@@ -1049,9 +1048,11 @@ mod tests {
         }
         b.advance_local(1, 1);
         // core 2 stays at 0
-        b.recompute_global_cached(&mut GlobalCache::new(3));
+        let mut cache = GlobalCache::new(3);
+        b.recompute_global_cached(&mut cache);
         assert_eq!(b.global(), 0);
-        assert_eq!(b.observed_slack(), 4);
+        assert_eq!(cache.observed_slack(b.global()), 4);
+        assert_eq!(scan_slack(&b), 4);
     }
 
     #[test]
@@ -1132,8 +1133,8 @@ mod tests {
             let prev = b.global();
             let cached = b.recompute_global_cached(cache);
             assert_eq!(cached, full_scan(&b, prev));
-            assert_eq!(cache.observed_slack(cached.0), b.observed_slack());
-            assert_eq!(cache.active_count(), b.active_count());
+            assert_eq!(cache.observed_slack(cached.0), scan_slack(&b));
+            assert_eq!(cache.active_count(), scan_active(&b));
         };
         check(&mut cache);
         for c in 1..=5 {
