@@ -144,6 +144,8 @@ impl ConflictTracker {
     }
 }
 
+sk_snap::persist_record!(WordHist { last_store_ts, last_store_core, last_load_ts, last_load_core });
+
 /// Word histories are written globally sorted by address (shards are a
 /// host-side lock-striping detail, re-derived on load). Callers must
 /// quiesce all simulation threads before saving.
@@ -161,14 +163,7 @@ impl Persist for ConflictTracker {
             words.extend(shard.iter().map(|(&addr, &h)| (addr, h)));
         }
         words.sort_unstable_by_key(|&(addr, _)| addr);
-        w.put_usize(words.len());
-        for (addr, h) in words {
-            w.put_u64(addr);
-            w.put_u64(h.last_store_ts);
-            w.put_u32(h.last_store_core);
-            w.put_u64(h.last_load_ts);
-            w.put_u32(h.last_load_core);
-        }
+        words.save(w);
     }
     fn load(r: &mut Reader<'_>) -> Result<Self, SnapError> {
         let compensate = r.get_bool()?;
@@ -178,15 +173,7 @@ impl Persist for ConflictTracker {
         t.stats.compensations.store(r.get_u64()?, Ordering::Relaxed);
         t.stats.compensation_cycles.store(r.get_u64()?, Ordering::Relaxed);
         t.stats.max_inversion.store(r.get_u64()?, Ordering::Relaxed);
-        let n = r.get_count(32)?;
-        for _ in 0..n {
-            let addr = r.get_u64()?;
-            let h = WordHist {
-                last_store_ts: r.get_u64()?,
-                last_store_core: r.get_u32()?,
-                last_load_ts: r.get_u64()?,
-                last_load_core: r.get_u32()?,
-            };
+        for (addr, h) in Vec::<(u64, WordHist)>::load(r)? {
             t.shard(addr).lock().insert(addr, h);
         }
         Ok(t)
