@@ -58,29 +58,21 @@ impl Bimodal {
 
 impl Persist for Bimodal {
     fn save(&self, w: &mut Writer) {
-        w.put_usize(self.table.len());
-        for &c in &self.table {
-            w.put_u8(c);
-        }
+        self.table.save(w);
         w.put_u64(self.lookups);
         w.put_u64(self.disagreements);
     }
     fn load(r: &mut Reader<'_>) -> Result<Self, SnapError> {
-        let entries = r.get_count(1)?;
-        if !entries.is_power_of_two() {
-            return Err(SnapError::Corrupt(format!("bpred table size {entries}")));
+        let table = Vec::<u8>::load(r)?;
+        if !table.len().is_power_of_two() {
+            return Err(SnapError::Corrupt(format!("bpred table size {}", table.len())));
         }
-        let mut table = Vec::with_capacity(entries);
-        for _ in 0..entries {
-            let c = r.get_u8()?;
-            if c > 3 {
-                return Err(SnapError::Corrupt(format!("bpred counter {c}")));
-            }
-            table.push(c);
+        if let Some(c) = table.iter().find(|&&c| c > 3) {
+            return Err(SnapError::Corrupt(format!("bpred counter {c}")));
         }
         Ok(Bimodal {
+            mask: (table.len() - 1) as u64,
             table,
-            mask: (entries - 1) as u64,
             lookups: r.get_u64()?,
             disagreements: r.get_u64()?,
         })
