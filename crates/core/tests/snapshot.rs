@@ -11,7 +11,8 @@
 use sk_core::engine::{Engine, RunOutcome};
 use sk_core::{run_parallel, CoreModel, Scheme, SimReport, TargetConfig};
 use sk_isa::{Program, ProgramBuilder, Reg, Syscall};
-use sk_snap::SnapError;
+use sk_obs::{Metrics, ObsConfig};
+use sk_snap::{Persist, SnapError, Writer};
 
 /// Lock-serialized shared counter: `n` threads each add `tid+1` to a
 /// lock-protected counter `iters` times, meet at a barrier, thread 0
@@ -494,5 +495,43 @@ fn irregular_kernels_snapshot_roundtrip_byte_identically() {
             "{}: resumed half diverged from the uninterrupted run",
             w.name
         );
+    }
+}
+
+/// A well-framed snapshot whose telemetry hub is shaped for another
+/// target (fewer reply-queue counters than cores, fewer shard blocks than
+/// shards) is corrupt: the engine indexes the hub by both, so accepting
+/// it panics on attach or at the next publish.
+#[test]
+fn a_hub_shaped_for_another_target_is_rejected() {
+    let mut cfg = small_cfg(2);
+    cfg.mem_shards = 2;
+    let mut e = Engine::new(&counter_workload(2, 50), Scheme::CycleByCycle, &cfg);
+    e.attach_new_metrics(ObsConfig::default());
+    assert_eq!(e.run_until(Some(200)), RunOutcome::CheckpointReady);
+    let bytes = e.snapshot().expect("snapshot");
+    // The hub is the payload's last section.
+    let mut w = Writer::new();
+    e.metrics().expect("hub attached").save(&mut w);
+    let hub = w.into_bytes();
+    let payload = sk_snap::open(&bytes).expect("pristine");
+    assert!(payload.ends_with(&hub), "the hub closes the payload");
+    let body = &payload[..payload.len() - hub.len()];
+    for what in ["reply-queue counters", "shard blocks"] {
+        let mut m = Metrics::new_sharded(2, 2, ObsConfig::default());
+        if what == "shard blocks" {
+            m.shards.pop();
+        } else {
+            m.manager.inq_high_water.pop();
+        }
+        let mut w = Writer::new();
+        w.put_bytes(body);
+        m.save(&mut w);
+        match Engine::resume(&sk_snap::seal(&w.into_bytes()), None) {
+            Err(SnapError::Corrupt(_)) => {}
+            other => {
+                panic!("a hub with too few {what} must be corrupt, got {:?}", other.map(|_| ()))
+            }
+        }
     }
 }
