@@ -1,10 +1,10 @@
-//! Served-result memo: a bounded LRU map from (snapshot key, scheme) to
-//! the finished [`SchemeResult`].
+//! Served-result memo: a bounded LRU map from (memo key, scheme) to the
+//! finished [`SchemeResult`].
 //!
 //! A served run is a pure function of its spec: every run is on the det
-//! scheduler with the fixed `worker::DET_SEED`, and [`SnapshotKey`]
-//! digests the program image and the target config (plus a scenario's
-//! content hash, see `JobSpec::snapshot_key`). So a repeat (key, scheme)
+//! scheduler with the fixed `worker::DET_SEED`, and [`MemoKey`] digests
+//! the program image and the target config (plus a scenario's content
+//! hash, see `JobSpec::memo_key`). So a repeat (key, scheme)
 //! need not run at all: the memo hands back what the first run computed,
 //! bit for bit. An entry is stored in the form a hit serves it —
 //! `cache_hit: true`, `wall_ms: 0`, because nothing ran for that job —
@@ -15,12 +15,33 @@
 
 use crate::job::SchemeResult;
 use sk_core::Scheme;
-use sk_snap::SnapshotKey;
+use sk_snap::fnv1a64;
 use std::collections::HashMap;
 use std::sync::{Mutex, MutexGuard};
 
+/// The content address of what a job simulates: independent digests of
+/// the program image and the target configuration. The scheme is not
+/// part of it; [`ResultKey`] pairs the key with each scheme. The memo
+/// lives only as long as its process, so nothing versions the key.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub struct MemoKey {
+    /// Digest of the program bytes (text/data image + entry point).
+    pub program: u64,
+    /// Digest of the serialized target configuration.
+    pub config: u64,
+}
+
+impl MemoKey {
+    /// Key for `program_bytes` (a canonical serialization of the program)
+    /// under `config_bytes` (a canonical serialization of the target
+    /// configuration, e.g. `TargetConfig::save` output).
+    pub fn new(program_bytes: &[u8], config_bytes: &[u8]) -> MemoKey {
+        MemoKey { program: fnv1a64(program_bytes), config: fnv1a64(config_bytes) }
+    }
+}
+
 /// What a result is memoized under.
-pub type ResultKey = (SnapshotKey, Scheme);
+pub type ResultKey = (MemoKey, Scheme);
 
 #[derive(Debug, Default)]
 struct Inner {
@@ -93,7 +114,7 @@ mod tests {
     use super::*;
 
     fn key(n: u8) -> ResultKey {
-        (SnapshotKey::new(&[n], &[0]), Scheme::CycleByCycle)
+        (MemoKey::new(&[n], &[0]), Scheme::CycleByCycle)
     }
 
     fn result(exec_cycles: u64) -> SchemeResult {
@@ -156,5 +177,17 @@ mod tests {
         assert!(c.get(&(key(1).0, Scheme::BoundedSlack(10))).is_none());
         assert!(c.get(&key(2)).is_none());
         assert_eq!(c.len(), 1);
+    }
+
+    #[test]
+    fn memo_keys_separate_program_and_config() {
+        let k = MemoKey::new(b"prog", b"cfg");
+        assert_eq!(k, MemoKey::new(b"prog", b"cfg"));
+        assert_ne!(k.program, MemoKey::new(b"prog2", b"cfg").program);
+        assert_eq!(k.config, MemoKey::new(b"prog2", b"cfg").config);
+        assert_ne!(k.config, MemoKey::new(b"prog", b"cfg2").config);
+        // Swapping the two inputs must not collide: the digests live in
+        // separate fields.
+        assert_ne!(k, MemoKey::new(b"cfg", b"prog"));
     }
 }

@@ -8,12 +8,12 @@
 //! never fail on malformed input — worker-side `Failed` is reserved for
 //! genuine simulation faults.
 
+use crate::cache::MemoKey;
 use sk_core::{CoreModel, Scheme, TargetConfig};
 use sk_isa::Program;
 use sk_kernels::{is_suite_kernel, micro, suite_kernel, Scale, Workload, SUITE_KERNELS};
 use sk_obs::json::Json;
 use sk_scenario::Scenario;
-use sk_snap::hash::SnapshotKey;
 use sk_snap::{Persist, Writer};
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -266,10 +266,9 @@ impl JobSpec {
     }
 
     /// Content address of what this job simulates: FNV digests of the
-    /// program image and the serialised config. Scheme is excluded — the
-    /// CC ROI snapshot forks onto any scheme — and the result memo pairs
-    /// the key with each scheme itself.
-    pub fn snapshot_key(&self, program: &Program, cfg: &TargetConfig) -> SnapshotKey {
+    /// program image and the serialised config. Scheme is excluded: the
+    /// result memo pairs the key with each scheme itself.
+    pub fn memo_key(&self, program: &Program, cfg: &TargetConfig) -> MemoKey {
         let mut pw = Writer::new();
         pw.put_u64(program.entry);
         pw.put_usize(program.text_len());
@@ -286,7 +285,7 @@ impl JobSpec {
         if let Some(sc) = &self.scenario {
             cw.put_u64(sc.hash());
         }
-        SnapshotKey::new(&pw.into_bytes(), &cw.into_bytes())
+        MemoKey::new(&pw.into_bytes(), &cw.into_bytes())
     }
 }
 
@@ -533,22 +532,22 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_key_separates_programs_and_configs() {
+    fn memo_key_separates_programs_and_configs() {
         let a = spec(r#"{"bench":"FFT"}"#).unwrap();
         let b = spec(r#"{"bench":"LU"}"#).unwrap();
         let (wa, wb) = (a.workload().unwrap(), b.workload().unwrap());
         let (ca, cb) = (a.config(), b.config());
-        let ka = a.snapshot_key(&wa.program, &ca);
-        assert_eq!(ka, a.snapshot_key(&wa.program, &ca), "key is deterministic");
-        assert_ne!(ka, b.snapshot_key(&wb.program, &cb), "different program, different key");
+        let ka = a.memo_key(&wa.program, &ca);
+        assert_eq!(ka, a.memo_key(&wa.program, &ca), "key is deterministic");
+        assert_ne!(ka, b.memo_key(&wb.program, &cb), "different program, different key");
 
         // Same program, different config → different key.
         let c2 = spec(r#"{"bench":"FFT","model":"ooo"}"#).unwrap().config();
-        assert_ne!(ka, a.snapshot_key(&wa.program, &c2));
+        assert_ne!(ka, a.memo_key(&wa.program, &c2));
 
         // Scheme is NOT part of the key: the spec's schemes never enter it.
         let multi = spec(r#"{"bench":"FFT","schemes":["CC","Q100"]}"#).unwrap();
-        assert_eq!(ka, multi.snapshot_key(&wa.program, &multi.config()));
+        assert_eq!(ka, multi.memo_key(&wa.program, &multi.config()));
     }
 
     const SKN: &str = "[target]\ncores = 4\n[run]\nscheme = \"S10\"\n\
@@ -582,16 +581,16 @@ mod tests {
     }
 
     #[test]
-    fn scenario_hash_joins_the_snapshot_key() {
+    fn scenario_hash_joins_the_memo_key() {
         let a = spec(&format!("{{\"scenario\":\"{}\"}}", escape(SKN))).unwrap();
         let named = format!("[scenario]\nname = \"other\"\n{SKN}");
         let b = spec(&format!("{{\"scenario\":\"{}\"}}", escape(&named))).unwrap();
         let (wa, wb) = (a.workload().unwrap(), b.workload().unwrap());
-        let ka = a.snapshot_key(&wa.program, &a.config());
-        let kb = b.snapshot_key(&wb.program, &b.config());
+        let ka = a.memo_key(&wa.program, &a.config());
+        let kb = b.memo_key(&wb.program, &b.config());
         // Same program and config, but distinct scenario content hashes.
         assert_ne!(ka, kb);
-        assert_eq!(ka, a.snapshot_key(&wa.program, &a.config()), "key is deterministic");
+        assert_eq!(ka, a.memo_key(&wa.program, &a.config()), "key is deterministic");
     }
 
     #[test]

@@ -2,10 +2,10 @@
 //!
 //! One FNV-1a-64 implementation serves every digest in the workspace: the
 //! container checksum ([`crate::seal`]/[`crate::open`]), the interleaver's
-//! decision hash in `sk-det`, and the content-addressed snapshot keys of
-//! the job server (`sk-serve`). The digest is *stable*: it is part of the
-//! on-disk container format and of persisted schedule files, so the
-//! constants here must never change.
+//! decision hash in `sk-det`, and the result-memo keys of the job server
+//! (`sk-serve`). The digest is *stable*: it is part of the on-disk
+//! container format and of persisted schedule files, so the constants
+//! here must never change.
 //!
 //! Two granularities are offered, and they are deliberately distinct:
 //!
@@ -79,48 +79,6 @@ impl Fnv64 {
     }
 }
 
-/// A content address of a (program, config) pair: independent digests of
-/// the program image and the target configuration.
-///
-/// Both digests fold in the snapshot [`crate::FORMAT_VERSION`] before the
-/// payload, so a container-format bump changes every key and any cache
-/// keyed this way self-invalidates instead of serving snapshots the new
-/// code cannot open. The scheme is deliberately *not* part of the key: a
-/// safe-point snapshot is scheme-neutral and forks onto any scheme, and
-/// a cache of per-scheme results pairs the key with the scheme itself.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct SnapshotKey {
-    /// Digest of the program bytes (text/data image + entry point).
-    pub program: u64,
-    /// Digest of the serialized target configuration.
-    pub config: u64,
-}
-
-impl SnapshotKey {
-    /// Key for `program_bytes` (a canonical serialization of the program)
-    /// under `config_bytes` (a canonical serialization of the target
-    /// configuration, e.g. `TargetConfig::save` output).
-    pub fn new(program_bytes: &[u8], config_bytes: &[u8]) -> SnapshotKey {
-        SnapshotKey {
-            program: versioned_digest(program_bytes),
-            config: versioned_digest(config_bytes),
-        }
-    }
-}
-
-impl std::fmt::Display for SnapshotKey {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{:016x}-{:016x}", self.program, self.config)
-    }
-}
-
-fn versioned_digest(bytes: &[u8]) -> u64 {
-    let mut h = Fnv64::new();
-    h.write(&crate::FORMAT_VERSION.to_le_bytes());
-    h.write(bytes);
-    h.finish()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -155,22 +113,5 @@ mod tests {
         bytes.extend_from_slice(&7u64.to_le_bytes());
         bytes.extend_from_slice(&9u64.to_le_bytes());
         assert_ne!(h.value(), fnv1a64(&bytes));
-    }
-
-    #[test]
-    fn snapshot_keys_separate_program_and_config() {
-        let k = SnapshotKey::new(b"prog", b"cfg");
-        assert_eq!(k, SnapshotKey::new(b"prog", b"cfg"));
-        assert_ne!(k.program, SnapshotKey::new(b"prog2", b"cfg").program);
-        assert_eq!(k.config, SnapshotKey::new(b"prog2", b"cfg").config);
-        assert_ne!(k.config, SnapshotKey::new(b"prog", b"cfg2").config);
-        // Swapping the two inputs must not collide: the digests live in
-        // separate fields.
-        assert_ne!(k, SnapshotKey::new(b"cfg", b"prog"));
-        // The format version is folded in, so keys are not plain FNV of
-        // the payload (a version bump invalidates cached snapshots).
-        assert_ne!(k.program, fnv1a64(b"prog"));
-        // Display renders a stable, filesystem-safe hex pair.
-        assert_eq!(k.to_string().len(), 33);
     }
 }

@@ -55,7 +55,7 @@ use std::collections::VecDeque;
 use std::fmt;
 
 pub mod hash;
-pub use hash::{fnv1a64, Fnv64, SnapshotKey};
+pub use hash::{fnv1a64, Fnv64};
 
 /// First eight bytes of every snapshot file: "SKSNAP" + two version-era
 /// padding bytes. Changing this invalidates all existing snapshots.
