@@ -1,14 +1,15 @@
 //! Concurrent `Engine::resume` from shared snapshot bytes is bit-exact.
 //!
-//! N threads share one CC safe-point snapshot (one `Arc<Vec<u8>>`, probed
-//! the way the server's worker probes it) and fork it onto different
-//! schemes at the same time, each on the det scheduler as the server runs
-//! them. Every concurrent fork must produce a fingerprint identical to a
-//! sequential reference of the same (snapshot, scheme) — slack schemes
-//! included — and the CC fork must additionally match a from-scratch CC
-//! run on the worker pool, closing the loop to an unforked simulation.
-//! Gridfork-style forking, one warmup forked onto many schemes from one
-//! buffer with no locking around the engine itself, relies on this.
+//! N threads share one CC safe-point snapshot inside ROI (one
+//! `Arc<Vec<u8>>`) and fork it onto different schemes at the same time,
+//! each on the det scheduler with the server's seed. Every concurrent
+//! fork must produce a fingerprint identical to a sequential reference of
+//! the same (snapshot, scheme) — slack schemes included — and the CC fork
+//! must additionally match a from-scratch CC run on the worker pool,
+//! closing the loop to an unforked simulation. Gridfork-style forking,
+//! one warmup forked onto many schemes from one buffer with no locking
+//! around the engine itself, relies on this. (Served jobs do not fork:
+//! each scheme runs from the start.)
 
 use sk_core::engine::{Engine, RunOutcome};
 use sk_core::{run_parallel, DetEngine, Scheme, SimReport, TargetConfig};
@@ -17,8 +18,8 @@ use sk_serve::job::JobSpec;
 use sk_serve::worker::DET_SEED;
 use std::sync::Arc;
 
-/// Build the shared snapshot exactly the way the server's worker does:
-/// det CC probe to doubling safe-point targets until ROI has begun.
+/// Build the shared snapshot: a det CC warmup to doubling safe-point
+/// targets until ROI has begun, then a snapshot there.
 fn probe_snapshot(spec: &JobSpec) -> (Vec<u8>, TargetConfig, Vec<i64>) {
     let w = spec.workload().expect("known bench");
     let cfg = spec.config();

@@ -5,9 +5,19 @@
 //! grid hits S10 and computes S100; a `"metrics": true` job recomputes
 //! both. A fresh server computes the grid in the other order. Every
 //! scheme's fingerprint and simulated cycles agree across all of them.
+//!
+//! And a served scheme is the CLI's det simulation: its fingerprint and
+//! cycles are those of `run_det` on the spec's program and config with
+//! the server's seed, the run `slacksim run --det-seed 0` makes.
 
-use sk_serve::json::Json;
-use sk_serve::{Client, Server, ServerConfig};
+// This binary uses only the shared digest, not the golden-file helpers.
+#[allow(dead_code)]
+mod common;
+
+use common::fnv1a64;
+use sk_serve::json::{self, Json};
+use sk_serve::worker::DET_SEED;
+use sk_serve::{Client, JobSpec, Server, ServerConfig};
 use std::collections::HashMap;
 use std::time::Duration;
 
@@ -90,4 +100,26 @@ fn a_served_s10_job_is_bit_identical_cold_and_warm() {
         );
     }
     assert_eq!(first.len(), 2);
+}
+
+#[test]
+fn every_served_scheme_is_the_det_run_of_its_spec() {
+    let body = r#"{"bench":"FFT","cores":4,"schemes":["S10","S100","SU"]}"#;
+    let a = server();
+    let served = run(&mut Client::new(a.addr()), body);
+    a.shutdown();
+
+    let spec = JobSpec::from_json(&json::parse(body).unwrap(), "tier1").unwrap();
+    let w = spec.workload().expect("FFT is served");
+    assert_eq!(served.len(), spec.schemes.len());
+    for (r, &scheme) in served.iter().zip(&spec.schemes) {
+        let det = sk_core::run_det(&w.program, scheme, &spec.config(), DET_SEED);
+        assert_eq!(r.scheme, det.scheme);
+        assert_eq!(
+            (r.fingerprint.as_str(), r.exec_cycles as u64),
+            (format!("{:016x}", fnv1a64(det.fingerprint())).as_str(), det.exec_cycles),
+            "{} served a run other than the det run of its spec",
+            r.scheme
+        );
+    }
 }
