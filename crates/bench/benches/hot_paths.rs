@@ -7,6 +7,7 @@
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use sk_core::cpu::{CoreHost, CpuCtx, CpuModel, SysOutcome};
 use sk_core::msg::OutKind;
+use sk_core::{CoreModel, TargetConfig};
 use sk_isa::{
     decode, encode, DecodedInstr, DecodedProgram, ProgramBuilder, Reg, Syscall, WORD_BYTES,
 };
@@ -132,26 +133,23 @@ fn superblock_loop(unroll: usize, iters: i64) -> sk_isa::Program {
     b.build().unwrap()
 }
 
-/// Per-instruction dispatch vs superblock dispatch on the interpreter —
-/// the same program through the same `interpret_with` entry point, with
-/// only the dispatch mode flipped (mirrors `mem_hot`'s replica pattern:
-/// the slow variant IS the fast path with the optimisation turned off).
+/// Per-instruction dispatch vs superblock dispatch on one in-order core
+/// of the sequential engine — the same program and config, with only
+/// `cfg.superblocks` flipped (mirrors `mem_hot`'s replica pattern: the
+/// slow variant IS the fast path with the optimisation turned off).
 fn bench_superblock_hot(c: &mut Criterion) {
     let p = superblock_loop(12, 1500);
+    let mut cfg = TargetConfig::small(1);
+    cfg.core.model = CoreModel::InOrder;
 
-    c.bench_function("superblock_hot/per_instruction", |b| {
-        b.iter(|| {
-            let r = sk_core::interpret_with(&p, 1, u64::MAX, false);
-            black_box(r.executed[0])
-        })
-    });
-
-    c.bench_function("superblock_hot/block_dispatch", |b| {
-        b.iter(|| {
-            let r = sk_core::interpret_with(&p, 1, u64::MAX, true);
-            black_box(r.executed[0])
-        })
-    });
+    for (name, superblocks) in
+        [("superblock_hot/per_instruction", false), ("superblock_hot/block_dispatch", true)]
+    {
+        cfg.superblocks = superblocks;
+        c.bench_function(name, |b| {
+            b.iter(|| black_box(sk_core::run_sequential(&p, &cfg).exec_cycles))
+        });
+    }
 }
 
 /// The least a lone out-of-order core needs from its surroundings:

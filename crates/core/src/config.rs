@@ -175,8 +175,8 @@ pub struct TargetConfig {
     /// manager can be split "into several threads" if it bottlenecks;
     /// shards partition the directory by L2 bank.
     pub mem_shards: usize,
-    /// Dispatch fused superblock runs on the fast path (in-order cores
-    /// and the architectural interpreter). Purely a host-speed knob: the
+    /// Dispatch fused superblock runs on the fast path (in-order cores).
+    /// Purely a host-speed knob: the
     /// simulated timing, stats and report fingerprint are bit-identical
     /// either way (`--no-superblocks` is the escape hatch / A-B control).
     pub superblocks: bool,

@@ -10,14 +10,18 @@
 //! * the interpreter validates the *assembly* against the ISA semantics;
 //! * the engines validate the *timing models* preserve architecture.
 //!
+//! It runs one instruction per step through the predecode table and
+//! `exec::execute`, never through the superblock uop table, so the
+//! engines' superblock dispatch is checked against it and shares none of
+//! its code.
+//!
 //! Scheduling is deterministic (thread 0 first each round), so race-free
 //! workloads produce identical output on every run.
 
 use crate::exec::{self, Operands};
 use crate::msg::SyncOp;
 use crate::sync::SyncTable;
-use sk_isa::superblock::Uop;
-use sk_isa::{layout, DecodedProgram, Instr, Program, Reg, SuperblockTable, Syscall};
+use sk_isa::{layout, DecodedProgram, Instr, Program, Reg, Syscall};
 use sk_mem::FuncMemory;
 
 /// Why the interpreter stopped.
@@ -95,147 +99,11 @@ impl Thread {
     }
 }
 
-/// Execute one superblock uop architecturally; returns the next pc.
-/// Semantics are bit-identical to `exec::execute` + the generic writeback
-/// below (the differential proptests hold both paths to that).
-#[inline(always)]
-fn exec_uop(
-    u: &Uop,
-    regs: &mut [u64; 32],
-    fregs: &mut [f64; 32],
-    pc: u64,
-    mem: &FuncMemory,
-) -> u64 {
-    match *u {
-        Uop::AluRR { op, rd, rs1, rs2 } => {
-            let v = op.eval(regs[rs1 as usize], regs[rs2 as usize]);
-            if rd != 0 {
-                regs[rd as usize] = v;
-            }
-            pc + 8
-        }
-        Uop::AluRI { op, rd, rs1, imm } => {
-            let v = op.eval(regs[rs1 as usize], imm);
-            if rd != 0 {
-                regs[rd as usize] = v;
-            }
-            pc + 8
-        }
-        Uop::Li { rd, imm } => {
-            if rd != 0 {
-                regs[rd as usize] = imm as i64 as u64;
-            }
-            pc + 8
-        }
-        Uop::Ld { rd, rs1, imm } => {
-            let addr = regs[rs1 as usize].wrapping_add(imm as i64 as u64) & !7;
-            let v = mem.read(addr);
-            if rd != 0 {
-                regs[rd as usize] = v;
-            }
-            pc + 8
-        }
-        Uop::Fld { fd, rs1, imm } => {
-            let addr = regs[rs1 as usize].wrapping_add(imm as i64 as u64) & !7;
-            fregs[fd as usize] = f64::from_bits(mem.read(addr));
-            pc + 8
-        }
-        Uop::St { rs2, rs1, imm } => {
-            let addr = regs[rs1 as usize].wrapping_add(imm as i64 as u64) & !7;
-            mem.write(addr, regs[rs2 as usize]);
-            pc + 8
-        }
-        Uop::Fst { fs, rs1, imm } => {
-            let addr = regs[rs1 as usize].wrapping_add(imm as i64 as u64) & !7;
-            mem.write(addr, fregs[fs as usize].to_bits());
-            pc + 8
-        }
-        Uop::Br { cond, rs1, rs2, target } => {
-            if cond.taken(regs[rs1 as usize], regs[rs2 as usize]) {
-                target
-            } else {
-                pc + 8
-            }
-        }
-        Uop::J { target } => target,
-        Uop::Jal { rd, target } => {
-            if rd != 0 {
-                regs[rd as usize] = pc.wrapping_add(8);
-            }
-            target
-        }
-        Uop::Jalr { rd, rs1, imm } => {
-            let target = regs[rs1 as usize].wrapping_add(imm as i64 as u64) & !7;
-            if rd != 0 {
-                regs[rd as usize] = pc.wrapping_add(8);
-            }
-            target
-        }
-        Uop::FpBin { op, fd, fs1, fs2 } => {
-            fregs[fd as usize] = op.eval(fregs[fs1 as usize], fregs[fs2 as usize]);
-            pc + 8
-        }
-        Uop::FpUn { op, fd, fs1 } => {
-            fregs[fd as usize] = op.eval(fregs[fs1 as usize]);
-            pc + 8
-        }
-        Uop::FpCmp { op, rd, fs1, fs2 } => {
-            let v = op.eval(fregs[fs1 as usize], fregs[fs2 as usize]);
-            if rd != 0 {
-                regs[rd as usize] = v;
-            }
-            pc + 8
-        }
-        Uop::Fcvtlf { fd, rs1 } => {
-            fregs[fd as usize] = regs[rs1 as usize] as i64 as f64;
-            pc + 8
-        }
-        Uop::Fcvtfl { rd, fs1 } => {
-            if rd != 0 {
-                regs[rd as usize] = fregs[fs1 as usize] as i64 as u64;
-            }
-            pc + 8
-        }
-        Uop::Fmvxf { rd, fs1 } => {
-            if rd != 0 {
-                regs[rd as usize] = fregs[fs1 as usize].to_bits();
-            }
-            pc + 8
-        }
-        Uop::Fmvfx { fd, rs1 } => {
-            fregs[fd as usize] = f64::from_bits(regs[rs1 as usize]);
-            pc + 8
-        }
-        Uop::Nop => pc + 8,
-        Uop::Other => unreachable!("refused uops have run length 0"),
-    }
-}
-
 /// Interpret `program` with up to `max_threads` workload threads, for at
-/// most `max_steps` instructions in total. Superblock dispatch is on; see
-/// [`interpret_with`] for the escape hatch.
+/// most `max_steps` instructions in total, one instruction per step.
 pub fn interpret(program: &Program, max_threads: usize, max_steps: u64) -> InterpResult {
-    interpret_with(program, max_threads, max_steps, true)
-}
-
-/// [`interpret`] with an explicit superblock-dispatch switch.
-///
-/// With `superblocks` on, straight-line runs of the (single) ready thread
-/// are executed through the fused uop table; results are bit-identical to
-/// the per-instruction path — the fast loop engages only while exactly one
-/// thread is ready (round-robin over one thread is that thread, back to
-/// back), runs contain no syscalls (so no prints, spawns, releases or
-/// `ReadCycle` clock observations can occur inside one), and `steps`,
-/// `clock` and `executed` advance by exactly the run length.
-pub fn interpret_with(
-    program: &Program,
-    max_threads: usize,
-    max_steps: u64,
-    superblocks: bool,
-) -> InterpResult {
     program.validate().expect("program failed validation");
     let text = DecodedProgram::from_program(program);
-    let sbt = superblocks.then(|| SuperblockTable::build(&text));
     let mem = FuncMemory::new();
     mem.load(program.image());
     let mut sync = SyncTable::new();
@@ -259,41 +127,6 @@ pub fn interpret_with(
             }
             any_ready = true;
             any_live = true;
-
-            // Superblock fast path. Only when exactly *one* thread is
-            // ready: round-robin over a single thread is that thread back
-            // to back, runs contain no syscalls (no prints, spawns,
-            // releases, or clock observations can happen inside one), and
-            // the accounting advances by exactly the run length — so bulk
-            // execution is step-for-step identical to the generic loop.
-            // The ready count is taken here, not per round: a syscall
-            // earlier in this round may have spawned or released threads.
-            if let Some(sbt) = &sbt {
-                if threads.iter().filter(|t| t.status == TStatus::Ready).count() == 1 {
-                    let t = &mut threads[tid];
-                    while let Some((idx, len)) = sbt.lookup(t.pc) {
-                        if len == 0 {
-                            break; // a refused uop (syscall): generic path
-                        }
-                        // `steps < max_steps` holds here (every exit path
-                        // below returns at the budget), so k >= 1.
-                        let k = (len as u64).min(max_steps - steps) as usize;
-                        let mut pc = t.pc;
-                        for u in &sbt.uops()[idx..idx + k] {
-                            pc = exec_uop(u, &mut t.regs, &mut t.fregs, pc, &mem);
-                        }
-                        t.pc = pc;
-                        steps += k as u64;
-                        clock += k as u64;
-                        executed[tid] += k as u64;
-                        if steps >= max_steps {
-                            return InterpResult { printed, executed, stop: InterpStop::StepLimit };
-                        }
-                    }
-                    // Fall through: the pc now sits at a syscall or off
-                    // the text segment; the generic step handles both.
-                }
-            }
 
             steps += 1;
             clock += 1;

@@ -65,7 +65,7 @@ pub mod violation;
 pub use backend::{run_det, DetEngine};
 pub use config::{ConfigError, CoreConfig, CoreModel, StopCondition, TargetConfig};
 pub use engine::{run_parallel, Engine, RunOutcome};
-pub use interp::{interpret, interpret_with, InterpResult, InterpStop};
+pub use interp::{interpret, InterpResult, InterpStop};
 pub use scheme::{Scheme, SchemeParseError};
 pub use seq::run_sequential;
 /// The snapshot codec [`cpu::CpuModel::save_state`] / `restore_state` speak.

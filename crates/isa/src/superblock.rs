@@ -15,11 +15,11 @@
 //! longer block — the `run_len` table makes every pc a valid entry), ends
 //! *with* its terminating control transfer, and is cut short by syscalls
 //! (which serialize through the host), by any instruction the fuser
-//! refuses ([`Uop::Other`]), and by [`MAX_BLOCK_LEN`]. Dispatchers execute
-//! a run's uops back to back on the fast path — no per-instruction table
-//! lookup, no `Option`-driven operand gathering — and fall back to the
-//! existing per-instruction model at block exits, cache misses, syscalls
-//! and PCs outside the table (bad-fetch semantics are preserved by the
+//! refuses ([`Uop::Other`]), and by [`MAX_BLOCK_LEN`]. The dispatcher
+//! (the in-order core) executes a run's uops back to back on the fast
+//! path — no per-instruction table lookup, no `Option`-driven operand
+//! gathering — and falls back to the existing per-instruction model at
+//! block exits, cache misses, syscalls and PCs outside the table (bad-fetch semantics are preserved by the
 //! fall-back, exactly as for the predecode table).
 //!
 //! The table is purely architectural and static: it never changes after
@@ -564,12 +564,6 @@ impl SuperblockTable {
     #[inline]
     pub fn is_empty(&self) -> bool {
         self.uops.is_empty()
-    }
-
-    /// The full uop table (parallel to the predecode table).
-    #[inline]
-    pub fn uops(&self) -> &[Uop] {
-        &self.uops
     }
 
     /// Uop at text index `idx` (callers obtain valid indices from
