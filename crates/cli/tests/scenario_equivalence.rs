@@ -2,7 +2,9 @@
 //! must drive the *same* run: identical report JSON modulo wall-clock
 //! noise and the scenario echo itself. This is the CLI leg of the
 //! acceptance property — one artifact, three consumers (CLI, det fuzzer,
-//! sk-serve job), one bit-identical simulation.
+//! sk-serve job), one bit-identical simulation. The serve leg is CI's
+//! serve-smoke, which posts `scenarios/mailbox_s10.skn` to a running
+//! server and compares its cycles with `slacksim run --det-seed 0`.
 
 use sk_obs::json::{parse, Json};
 use std::path::PathBuf;
