@@ -4,9 +4,8 @@
 //! the pipeline, a queued miss reply has not come due, or fast-forward
 //! compensation burns cycles. Inside a run-ahead batch such a span may be
 //! advanced in one step instead of one step per cycle, and that must be
-//! invisible: every statistic, every per-core work trace (one entry per
-//! cycle, so a skipped span must still leave one per cycle), the schedule
-//! and the output stay what the stepped core produced. The reference is a
+//! invisible: every statistic, every cycle count, the schedule and the
+//! output stay what the stepped core produced. The reference is a
 //! golden file captured with the stepped core, over the batching schemes
 //! (S10, S100, SU), a batch-cap-1 scheme (Q100) and the same with its cap
 //! forced to 64, on an FU-bound, a miss-bound and a lock-bound kernel.
@@ -39,17 +38,6 @@ fn kernels() -> Vec<Workload> {
     ]
 }
 
-/// Length and FNV-1a digest of every core's work trace.
-fn traces(r: &SimReport) -> String {
-    let traces = r.traces.as_ref().expect("trace recording was on");
-    let digest = |t: &[u16]| {
-        t.iter()
-            .flat_map(|w| w.to_le_bytes())
-            .fold(0xcbf2_9ce4_8422_2325u64, |h, b| (h ^ b as u64).wrapping_mul(0x0100_0000_01b3))
-    };
-    traces.iter().map(|t| format!("{}:{:016x}", t.len(), digest(t))).collect::<Vec<_>>().join(",")
-}
-
 /// Run `det` to the end, check the output, and spell out its timing.
 fn golden_line(label: &str, w: &Workload, mut det: DetEngine) -> (String, SimReport) {
     det.run();
@@ -57,18 +45,16 @@ fn golden_line(label: &str, w: &Workload, mut det: DetEngine) -> (String, SimRep
     let r = det.into_report();
     assert_eq!(printed(&r), w.expected, "{label}: wrong output");
     let line = format!(
-        "{label} picks={picks} cycles={} fp={:016x} traces={}\n",
+        "{label} picks={picks} cycles={} fp={:016x}\n",
         r.exec_cycles,
-        fnv1a64(r.fingerprint()),
-        traces(&r)
+        fnv1a64(r.fingerprint())
     );
     (line, r)
 }
 
 #[test]
 fn stalled_in_order_cores_match_the_pinned_stepped_core() {
-    let mut cfg = cfg();
-    cfg.record_trace = true;
+    let cfg = cfg();
     let schemes = [
         ("S10", Scheme::BoundedSlack(10), None),
         ("S100", Scheme::BoundedSlack(100), None),
@@ -106,7 +92,7 @@ fn stalled_in_order_cores_match_the_pinned_stepped_core() {
     check_golden(
         "quiet_cycles.txt",
         &actual,
-        "an in-order run's timing or work trace moved (label = kernel/scheme/seed). Regenerate \
+        "an in-order run's timing moved (label = kernel/scheme/seed). Regenerate \
          with SK_REGEN_GOLDEN=1 only for an intended timing change",
     );
 }
