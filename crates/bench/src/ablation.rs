@@ -7,7 +7,7 @@
 //! 3. **Core model** — OoO vs. in-order target cores: simulation cost
 //!    and workload cycles.
 //! 4. **Event ordering** — eager (S9) vs. oldest-first (S9*) processing.
-//! 5. **Manager sharding** — on this host and on the virtual host.
+//! 5. **Manager sharding** — error and manager events on this host.
 //! 6. **Target-core scaling** — the simulated workload at 1–16 cores.
 
 use crate::{bench_config, print_table, run_par, run_seq};
@@ -105,36 +105,6 @@ pub fn ablation(scale: Scale) {
     println!("\nMore manager throughput means replies arrive closer to their");
     println!("timestamps, which shrinks the eager schemes' host-induced error —");
     println!("the effect the paper anticipated when suggesting the split.");
-
-    // 5b. the same split on the virtual host: the manager's event load is
-    // what caps speedups at 8 host cores; dividing it across shards lifts
-    // the ceiling.
-    println!("\n5b. Manager sharding on the virtual host (8 host cores):");
-    let mut cfg_t = cfg;
-    cfg_t.record_trace = true;
-    let r = sk_core::run_sequential(&w.program, &cfg_t);
-    let traces = r.traces.expect("traces");
-    let ev_rate = r.engine.events_processed as f64 / r.exec_cycles.max(1) as f64;
-    let cost = sk_hostsim::CostModel::default();
-    let base = sk_hostsim::VirtualHost { h: 1, cost }.run_with_events(
-        &traces,
-        Scheme::CycleByCycle,
-        ev_rate,
-    );
-    let mut rows = Vec::new();
-    for m in [1usize, 2, 4] {
-        let mut row = vec![format!("{m} manager(s)")];
-        for scheme in [Scheme::Quantum(10), Scheme::Unbounded] {
-            let run = sk_hostsim::VirtualHost { h: 8, cost }.run_with_events(
-                &traces,
-                scheme,
-                ev_rate / m as f64,
-            );
-            row.push(format!("{:.2}", run.speedup_vs(&base)));
-        }
-        rows.push(row);
-    }
-    print_table(&["virtual host", "Q10 speedup@8", "SU speedup@8"], &rows);
 
     // 6. target-core scaling (the paper fixes 8 targets; how does the
     // simulated workload scale with target cores?)

@@ -9,7 +9,7 @@
 //! | [`table2`] | Table 2 — benchmarks and baseline KIPS |
 //! | [`table3`] | Table 3 — relative exec-time errors of S9/S100/SU |
 //! | [`violations`] | Figures 3–7 — slack-induced violation counters |
-//! | [`fig8`] | Figure 8 — speedups vs host cores (virtual host) |
+//! | [`fig8`] | Figure 8 — measured speedups vs pool workers, with error |
 //! | [`gridfork`] | Fig. 6-style error grid forked from one ROI checkpoint |
 //! | [`ablation`] | design ablations |
 //! | [`scaleout`] | sharded clock domains at 8–64 cores |

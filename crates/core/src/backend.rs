@@ -5,7 +5,7 @@
 //! the shards on a pool of worker threads ([`crate::pool`]); host timing
 //! picks the interleaving, so two runs of a racy scheme differ.
 //! [`DetEngine`] runs the *same* cores and the *same* manager iteration
-//! body ([`Engine::manager_iter`] via
+//! body (`Engine::manager_iter` via
 //! [`CoreSim::run_step`](crate::core_thread::CoreSim::run_step)) as
 //! cooperative tasks on one thread, with every "who steps next" decision
 //! delegated to a seedable [`Interleaver`]:
@@ -24,7 +24,7 @@
 //! picking that core until the manager's reply (or a window raise) makes
 //! it runnable again. When a fixed number of picks in a row moved nothing,
 //! the scheduler runs the quiescence rule both backends share
-//! ([`Engine::forced_round`]): a forced manager body and shard round, then
+//! (`Engine::forced_round`): a forced manager body and shard round, then
 //! either a workload deadlock or the *virtual timeout* that resumes every
 //! waiting core ([`ClockBoard::unpark_all_waiting`]).
 //!
@@ -124,7 +124,7 @@ impl RunSet {
 ///
 /// Wraps an [`Engine`] and runs its segments on the calling thread.
 /// No host threads are spawned; all cross-task interaction goes through
-/// the same SPSC queues and [`ClockBoard`](crate::clock::ClockBoard) states
+/// the same SPSC queues and [`ClockBoard`] states
 /// as the threaded backend, so the simulated outcome differs only where
 /// the *schedule* is allowed to matter (racy schemes' violation counts).
 pub struct DetEngine {

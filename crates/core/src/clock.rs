@@ -11,9 +11,9 @@
 //! versus the message-passing simulators it compares against ("our
 //! simulator uses R/W accesses to shared variables to synchronize threads",
 //! §5). The manager learns of a change from a per-core change flag
-//! ([`ClockBoard::mark_dirty`]). On the threaded backend a core whose
-//! window is closed is marked `Blocked` ([`ClockBoard::block`]) and the
-//! worker owning it may sleep ([`ClockBoard::go_idle`]); a raise or an
+//! (`ClockBoard::mark_dirty`). On the threaded backend a core whose
+//! window is closed is marked `Blocked` (`ClockBoard::block`) and the
+//! worker owning it may sleep (`ClockBoard::go_idle`); a raise or an
 //! unpark that makes one of its cores runnable wakes that worker. Both
 //! handshakes are store, full fence, load on each side, so a change made
 //! after a worker's last look is seen by that look or sees its mark.
@@ -134,7 +134,7 @@ struct Parker {
 /// `(state, local)` pair plus everything the manager derives from the
 /// pairs — the global minimum, how many clocks sit on it, the driving-core
 /// count and the furthest clock. A refresh re-reads only the cores whose
-/// change flag is up (see [`ClockBoard::mark_dirty`]); the rest of the
+/// change flag is up (see `ClockBoard::mark_dirty`); the rest of the
 /// view is private memory, never shared, so keeping it costs no coherence
 /// traffic.
 #[derive(Debug)]
@@ -196,7 +196,7 @@ impl GlobalCache {
 
 /// Shared clock state for all cores plus the manager. Every field written
 /// while a segment runs has a line of its own (a `CachePadded` cell, or a
-/// core's [`CoreClock`] line); the unpadded ones change only between
+/// core's `CoreClock` line); the unpadded ones change only between
 /// segments or when the run stops.
 pub struct ClockBoard {
     cores: Vec<CoreClock>,
@@ -496,7 +496,7 @@ impl ClockBoard {
 
     /// Flip every `Parked`/`SyncWait`/`MemWait` core back to `Running` and
     /// return how many there were: the quiescence rule's *virtual timeout*
-    /// ([`crate::engine::Engine::forced_round`]). A resumed core re-checks
+    /// (`Engine::forced_round`). A resumed core re-checks
     /// its queues and re-ticks — a progress mechanism under barrier schemes
     /// and for self-scheduled core work (a compensation stall).
     pub fn unpark_all_waiting(&self) -> usize {

@@ -168,7 +168,11 @@ pub struct TargetConfig {
     /// (paper §3.2.3; SlackSim itself did *not* compensate — off by
     /// default to match).
     pub fast_forward_compensation: bool,
-    /// Record a per-cycle work trace for the virtual-host model.
+    /// Record the manager's slack profile ([`SimReport::slack_profile`]:
+    /// sampled global time and observed slack). Such runs cannot be
+    /// snapshotted.
+    ///
+    /// [`SimReport::slack_profile`]: crate::SimReport::slack_profile
     pub record_trace: bool,
     /// Number of sharded memory managers (0 = the classic single
     /// manager of the paper's Figure 1). The paper's §2.2 notes the

@@ -18,7 +18,7 @@
 
 use crate::clock::ClockBoard;
 use crate::config::TargetConfig;
-use crate::cpu::{cycle_work, CoreHost, CpuCtx, CpuModel, SysOutcome};
+use crate::cpu::{CoreHost, CpuCtx, CpuModel, SysOutcome};
 use crate::msg::{InKind, InMsg, OutEvent, OutKind, SyncOp};
 use crate::spsc::{Consumer, Producer};
 use crate::stats::CoreStats;
@@ -250,14 +250,6 @@ pub enum StepOutcome {
     MemBlocked,
 }
 
-/// Final output of one core thread.
-pub struct CoreOutput {
-    /// Per-core counters.
-    pub stats: CoreStats,
-    /// Optional per-cycle work trace.
-    pub trace: Option<Vec<u16>>,
-}
-
 /// One simulated core: CPU model + queues + syscall runtime.
 pub struct CoreSim {
     id: usize,
@@ -299,7 +291,6 @@ pub struct CoreSim {
     /// ROI instructions committed since the last [`CoreSim::flush_roi`];
     /// zero between batches, hence at every safe-point.
     roi_pending: u64,
-    trace: Option<Vec<u16>>,
     inert_streak: u32,
     /// Max cycles simulated per local-clock publication (run-ahead
     /// batching); 1 for conservative schemes. See [`Scheme::batch_cap`].
@@ -363,7 +354,6 @@ impl CoreSim {
             roi_base_committed: 0,
             roi_frozen: None,
             roi_pending: 0,
-            trace: if cfg.record_trace { Some(Vec::new()) } else { None },
             inert_streak: 0,
             batch_cap: 1,
             obs: None,
@@ -562,9 +552,6 @@ impl CoreSim {
         self.apply_due_msgs(now);
 
         let committed0 = self.stats.committed;
-        let issued0 = self.stats.issued;
-        let fetched0 = self.stats.fetched;
-
         {
             let mut ctx = CpuCtx { now, host: &mut self.host, stats: &mut self.stats };
             self.cpu.step(&mut ctx);
@@ -643,19 +630,6 @@ impl CoreSim {
         self.outq.push_batch(&self.out_scratch);
         self.out_scratch.clear();
 
-        if let Some(trace) = &mut self.trace {
-            // Idle-skipped cycles (no workload thread) cost ~no host work.
-            if (trace.len() as u64) < now - 1 {
-                trace.resize((now - 1) as usize, 0);
-            }
-            trace.push(cycle_work(
-                self.stats.committed - committed0,
-                self.stats.issued - issued0,
-                self.stats.fetched - fetched0,
-                events as u64,
-            ));
-        }
-
         self.local = now;
         events
     }
@@ -673,7 +647,7 @@ impl CoreSim {
 
     /// Advance in one step over up to `room` cycles the CPU model proves
     /// only book a stall ([`CpuModel::quiet_cycles`]) before the next queued
-    /// message, each leaving its stepped trace entry. Returns how many.
+    /// message. Returns how many.
     fn skip_quiet(&mut self, room: u64) -> u64 {
         let now = self.local + 1;
         let q = self.cpu.quiet_cycles(now, self.heap.peek().map(|Reverse(h)| h.ts));
@@ -689,10 +663,6 @@ impl CoreSim {
             return 0;
         }
         self.cpu.skip_quiet(k, &mut self.stats);
-        if let Some(trace) = &mut self.trace {
-            trace.resize(self.local as usize, 0);
-            trace.resize((self.local + k) as usize, cycle_work(0, 0, 0, 0));
-        }
         self.local += k;
         k
     }
@@ -707,20 +677,17 @@ impl CoreSim {
         }
     }
 
-    fn finalize(mut self) -> CoreOutput {
+    /// Finalize without running (sequential engine path, and the parallel
+    /// engine once the simulation is truly over): the core's counters.
+    pub fn into_stats(mut self) -> CoreStats {
         self.stats.cycles = self.local;
-        if let Some(trace) = &mut self.trace {
-            if (trace.len() as u64) < self.local {
-                trace.resize(self.local as usize, 0);
-            }
-        }
         self.stats.printed = std::mem::take(&mut self.host.printed);
         let end = self.roi_frozen.unwrap_or(self.stats.committed);
         if self.roi.active.load(Ordering::Relaxed) {
             self.stats.roi_committed = end.saturating_sub(self.roi_base_committed);
         }
         self.cpu.flush_cache_stats(&mut self.stats);
-        CoreOutput { stats: self.stats, trace: self.trace }
+        self.stats
     }
 
     /// Would [`CoreSim::run_step`] answer [`StepOutcome::AtWindow`] right
@@ -927,12 +894,6 @@ impl CoreSim {
             }
         }
         StepOutcome::Progressed
-    }
-
-    /// Finalize without running (sequential engine path, and the parallel
-    /// engine once the simulation is truly over).
-    pub fn into_output(self) -> CoreOutput {
-        self.finalize()
     }
 
     // ---- snapshot support ----

@@ -475,15 +475,6 @@ impl CpuModel {
     }
 }
 
-/// Host-work units contributed by one simulated cycle, used by the
-/// virtual-host trace (rough proxy: how much host CPU this cycle costs).
-pub fn cycle_work(committed: u64, issued: u64, fetched: u64, events: u64) -> u16 {
-    // Base cost of ticking the pipeline + per-activity increments. The
-    // absolute scale is arbitrary; the virtual host only uses ratios.
-    let w = 2 + committed * 2 + issued + fetched + events * 6;
-    w.min(u16::MAX as u64) as u16
-}
-
 #[cfg(test)]
 pub(crate) mod tests_support {
     //! A minimal single-core harness: fixed-latency memory replies, no
@@ -655,16 +646,5 @@ pub(crate) mod tests_support {
             }
         }
         panic!("program did not exit within {max_cycles} cycles");
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn cycle_work_scales_with_activity() {
-        use super::cycle_work;
-        assert!(cycle_work(0, 0, 0, 0) > 0, "idle cycles still cost host work");
-        assert!(cycle_work(4, 4, 4, 0) > cycle_work(0, 0, 0, 0));
-        assert!(cycle_work(0, 0, 0, 2) > cycle_work(0, 0, 0, 0));
     }
 }

@@ -9,19 +9,19 @@
 //! W = min(host CPUs, N) worker threads ([`crate::pool`]), `DetEngine` on
 //! one thread under a seeded interleaver ([`crate::backend`]). Both step a
 //! core through [`CoreSim::run_step`], the manager through
-//! [`Engine::manager_iter`], end a quiet run by the same rule
-//! ([`Engine::forced_round`]), and open and close a segment the same way
-//! ([`Engine::begin_segment`], [`Engine::end_segment`]).
+//! `Engine::manager_iter`, end a quiet run by the same rule
+//! (`Engine::forced_round`), and open and close a segment the same way
+//! (`Engine::begin_segment`, `Engine::end_segment`).
 
 use crate::clock::{ClockBoard, CoreState, GlobalCache};
 use crate::config::{StopCondition, TargetConfig};
-use crate::core_thread::{CoreOutput, CoreSim, RoiState};
+use crate::core_thread::{CoreSim, RoiState};
 use crate::cpu::CpuModel;
 use crate::msg::OutEvent;
 use crate::scheme::Scheme;
 use crate::shard::{MemShard, ShardSignal};
 use crate::spsc;
-use crate::stats::{EngineStats, SimReport, ViolationReport};
+use crate::stats::{CoreStats, EngineStats, SimReport, ViolationReport};
 use crate::uncore::Uncore;
 use crate::violation::ConflictTracker;
 use sk_isa::{DecodedProgram, Program, SuperblockTable};
@@ -195,26 +195,14 @@ pub(crate) fn violation_report(tracker: &Option<Arc<ConflictTracker>>) -> Violat
 pub(crate) fn assemble_report(
     scheme: Scheme,
     cfg: &TargetConfig,
-    outputs: Vec<CoreOutput>,
+    cores: Vec<CoreStats>,
     uncore: &Uncore,
     engine: EngineStats,
     violations: ViolationReport,
     wall: Duration,
 ) -> SimReport {
-    let exec_end = outputs.iter().map(|o| o.stats.cycles).max().unwrap_or(0);
+    let exec_end = cores.iter().map(|c| c.cycles).max().unwrap_or(0);
     let roi_start = uncore.roi_start.unwrap_or(0);
-    let mut traces = Vec::new();
-    let mut cores = Vec::new();
-    let mut have_traces = false;
-    for o in outputs {
-        if let Some(t) = o.trace {
-            have_traces = true;
-            traces.push(t);
-        } else {
-            traces.push(Vec::new());
-        }
-        cores.push(o.stats);
-    }
     SimReport {
         scheme: scheme.short_name(),
         n_cores: cfg.n_cores,
@@ -227,7 +215,6 @@ pub(crate) fn assemble_report(
         engine,
         violations,
         superblocks: cfg.superblocks,
-        traces: if have_traces { Some(traces) } else { None },
         slack_profile: None,
     }
 }
@@ -427,9 +414,8 @@ impl Engine {
     }
 
     /// Run threaded segments on `w` worker threads (clamped to 1..=n_cores)
-    /// instead of one per host CPU, so tests can sweep the pool size on
-    /// any host. `0` restores the default. Never call outside tests.
-    #[doc(hidden)]
+    /// instead of one per host CPU, so tests and Fig. 8's harness can sweep
+    /// the pool size. `0` restores the default.
     pub fn set_workers(&mut self, w: usize) {
         self.workers = w;
     }
@@ -863,13 +849,13 @@ impl Engine {
     /// fresh engine (nothing run yet), after `run_until(Some(c))` returned
     /// [`RunOutcome::CheckpointReady`], or after the simulation finished.
     ///
-    /// Unsupported configurations (trace recording) return
-    /// [`SnapError::Unsupported`] — they keep state in host-side
-    /// structures this format does not carry.
+    /// Unsupported configurations (`record_trace`, which records the slack
+    /// profile) return [`SnapError::Unsupported`] — they keep state in
+    /// host-side structures this format does not carry.
     pub fn snapshot(&mut self) -> Result<Vec<u8>, SnapError> {
         if self.cfg.record_trace {
             return Err(SnapError::Unsupported(
-                "trace-recording runs cannot be snapshotted".into(),
+                "slack-profile (record_trace) runs cannot be snapshotted".into(),
             ));
         }
         // Move every in-flight message into a serializable structure:
@@ -1066,12 +1052,12 @@ impl Engine {
         self.engine.events_processed = self.uncore.events_processed
             + self.shards.iter().map(|s| s.events_processed).sum::<u64>();
 
-        let outputs: Vec<CoreOutput> = self.cores.into_iter().map(|c| c.into_output()).collect();
+        let cores: Vec<CoreStats> = self.cores.into_iter().map(|c| c.into_stats()).collect();
         let violations = violation_report(&self.tracker);
         let mut report = assemble_report(
             self.scheme,
             &self.cfg,
-            outputs,
+            cores,
             &self.uncore,
             self.engine,
             violations,

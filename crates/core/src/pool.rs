@@ -5,9 +5,9 @@
 //! quantum), then, if a change flag is up and no other worker holds the
 //! control lock, runs the signalled shards and a manager body — for CC, a
 //! parallel-for over the cores followed by the coordinator. After a run of
-//! fruitless scans a worker parks ([`ClockBoard::go_idle`]) until a raise
+//! fruitless scans a worker parks (`ClockBoard::go_idle`) until a raise
 //! or an unpark of one of its cores wakes it; the last one to go idle runs
-//! the quiescence rule instead ([`Engine::forced_round`]), so a run ends,
+//! the quiescence rule instead (`Engine::forced_round`), so a run ends,
 //! deadlocks or times out virtually in simulated rounds.
 
 use crate::clock::{ClockBoard, CoreState};

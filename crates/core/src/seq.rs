@@ -14,12 +14,11 @@
 //!   tests).
 
 use crate::config::{StopCondition, TargetConfig};
-use crate::core_thread::CoreOutput;
 use crate::engine::{assemble_report, violation_report, wire, Shared, Wiring};
 use crate::msg::OutEvent;
 use crate::scheme::Scheme;
 use crate::spsc::Consumer;
-use crate::stats::{EngineStats, SimReport};
+use crate::stats::{CoreStats, EngineStats, SimReport};
 use crate::uncore::Uncore;
 use sk_isa::Program;
 use std::sync::atomic::Ordering;
@@ -91,9 +90,9 @@ pub fn run_sequential(program: &Program, cfg: &TargetConfig) -> SimReport {
         global_updates: cycle,
         ..Default::default()
     };
-    let outputs: Vec<CoreOutput> = cores.into_iter().map(|c| c.into_output()).collect();
+    let cores: Vec<CoreStats> = cores.into_iter().map(|c| c.into_stats()).collect();
     let violations = violation_report(&tracker);
-    assemble_report(Scheme::CycleByCycle, cfg, outputs, &uncore, engine, violations, t0.elapsed())
+    assemble_report(Scheme::CycleByCycle, cfg, cores, &uncore, engine, violations, t0.elapsed())
 }
 
 /// Hand every core's queued OutQ events to the manager, one batch per

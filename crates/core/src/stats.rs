@@ -169,8 +169,6 @@ pub struct SimReport {
     /// knob; excluded from [`SimReport::fingerprint`] because the
     /// simulated timing is bit-identical either way).
     pub superblocks: bool,
-    /// Per-core, per-cycle host-work trace (only with `record_trace`).
-    pub traces: Option<Vec<Vec<u16>>>,
     /// Sampled (global time, observed slack) pairs from the manager
     /// (parallel engine with `record_trace`; one sample per manager
     /// iteration, deduplicated by global time).
@@ -224,7 +222,7 @@ impl SimReport {
     /// scheme, core count, execution time, per-core counters, memory-system
     /// counters, sync counters and violation counters. Host-dependent
     /// fields — wall time, [`EngineStats`] (block/wakeup counts depend on
-    /// host scheduling), traces and the slack profile — are excluded, so
+    /// host scheduling) and the slack profile — are excluded, so
     /// two runs that simulated the same thing byte-for-byte produce equal
     /// fingerprints even across backends.
     pub fn fingerprint(&self) -> String {

@@ -509,18 +509,3 @@ fn fast_forward_reduces_violations_on_racy_code() {
         assert!(burnt > 0 && burnt <= asked, "{model:?}: burnt {burnt} of {asked}");
     }
 }
-
-#[test]
-fn trace_recording_produces_per_core_traces() {
-    let n = 2;
-    let p = counter_workload(n, 3);
-    let mut cfg = small_cfg(n, CoreModel::InOrder);
-    cfg.record_trace = true;
-    let r = run_parallel(&p, Scheme::BoundedSlack(9), &cfg);
-    let traces = r.traces.as_ref().expect("traces recorded");
-    assert_eq!(traces.len(), n);
-    for (c, t) in traces.iter().enumerate() {
-        assert_eq!(t.len() as u64, r.cores[c].cycles, "trace length = cycles for core {c}");
-        assert!(t.iter().any(|&w| w > 0));
-    }
-}

@@ -453,7 +453,7 @@ fn unsupported_configurations_are_rejected() {
     let mut e = Engine::new(&p, Scheme::CycleByCycle, &cfg);
     match e.snapshot() {
         Err(SnapError::Unsupported(_)) => {}
-        other => panic!("trace-recording snapshot must be unsupported, got {other:?}"),
+        other => panic!("a slack-profile snapshot must be unsupported, got {other:?}"),
     }
 }
 

@@ -2,7 +2,7 @@
 //!
 //! `n` stages form a chain: stage 0 produces `items` values, stages
 //! `1..n-1` each transform and forward, and the last stage accumulates.
-//! Adjacent stages are joined by a bounded ring of [`CAP`] slots guarded
+//! Adjacent stages are joined by a bounded ring of `CAP` slots guarded
 //! by a classic semaphore pair (`items`/`spaces`), so every cross-stage
 //! word is ordered by two sema edges and the kernel is data-race-free:
 //! the final sum is bit-identical under every slack scheme. The slot

@@ -10,7 +10,6 @@
 //! | [`mem`] (`sk-mem`) | caches, MSHRs, directory MESI, NUCA L2, bus |
 //! | [`core`] (`sk-core`) | the SlackSim engine: schemes, clocks, cores, manager |
 //! | [`kernels`] (`sk-kernels`) | Barnes / FFT / LU / Water + microbenchmarks |
-//! | [`hostsim`] (`sk-hostsim`) | deterministic virtual host for Figure 8 |
 //!
 //! See README.md for a tour, DESIGN.md for the system inventory, and
 //! EXPERIMENTS.md for paper-vs-measured results.
@@ -26,7 +25,6 @@
 //! ```
 
 pub use sk_core as core;
-pub use sk_hostsim as hostsim;
 pub use sk_isa as isa;
 pub use sk_kernels as kernels;
 pub use sk_mem as mem;
@@ -36,7 +34,6 @@ pub mod prelude {
     pub use sk_core::{
         run_parallel, run_sequential, CoreModel, Scheme, SimReport, StopCondition, TargetConfig,
     };
-    pub use sk_hostsim::{CostModel, VirtualHost};
     pub use sk_isa::{ProgramBuilder, Reg, Syscall};
     pub use sk_kernels::{self as kernels, paper_suite, Scale, Workload};
 }

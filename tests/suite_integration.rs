@@ -1,5 +1,5 @@
 //! Cross-crate integration: the four paper kernels through every layer of
-//! the stack (ISA -> engine -> schemes -> kernels -> hostsim).
+//! the stack (ISA -> engine -> schemes -> kernels).
 
 use slacksim_suite::prelude::*;
 
@@ -79,27 +79,6 @@ fn conservative_schemes_are_accurate_on_kernels() {
             assert!(err < 0.02, "{} under {scheme}: err {err}", w.name);
         }
     }
-}
-
-#[test]
-fn traces_feed_the_virtual_host() {
-    let mut cfg = test_cfg(8);
-    cfg.record_trace = true;
-    let w = kernels::lu::lu(8, 12);
-    let r = run_sequential(&w.program, &cfg);
-    let traces = r.traces.expect("traces recorded");
-    assert_eq!(traces.len(), 8);
-    let ev = r.engine.events_processed as f64 / r.exec_cycles as f64;
-
-    let cost = CostModel::default();
-    let base = VirtualHost { h: 1, cost }.run_with_events(&traces, Scheme::CycleByCycle, ev);
-    let cc8 = VirtualHost { h: 8, cost }.run_with_events(&traces, Scheme::CycleByCycle, ev);
-    let su8 = VirtualHost { h: 8, cost }.run_with_events(&traces, Scheme::Unbounded, ev);
-    let s9_8 = VirtualHost { h: 8, cost }.run_with_events(&traces, Scheme::BoundedSlack(9), ev);
-    // The paper's headline relations on real traces.
-    assert!(cc8.speedup_vs(&base) > 1.0, "parallel CC beats the 1-core baseline");
-    assert!(s9_8.speedup_vs(&base) > cc8.speedup_vs(&base), "S9 beats CC");
-    assert!(su8.speedup_vs(&base) >= s9_8.speedup_vs(&base) * 0.95, "SU >= S9");
 }
 
 #[test]
