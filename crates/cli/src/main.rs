@@ -40,13 +40,15 @@
 use sk_core::engine::{Engine, RunOutcome};
 use sk_core::{CoreModel, DetEngine, Scheme, SimReport, TargetConfig};
 use sk_det::Schedule;
-use sk_kernels::{Scale, Workload};
+use sk_kernels::{Scale, Workload, KERNELS};
 use sk_obs::json::Json;
 use std::num::NonZeroUsize;
 use std::path::Path;
 use std::process::ExitCode;
 
 struct Opts {
+    /// The `run` kernel (`--bench`, any registry name).
+    bench: String,
     scheme: Scheme,
     /// Whether --scheme was given explicitly (a restore keeps the
     /// snapshot's scheme unless the user asks to fork onto another one).
@@ -85,6 +87,7 @@ struct Opts {
 
 fn parse_opts(args: &[String]) -> Result<Opts, String> {
     let mut o = Opts {
+        bench: "fft".into(),
         scheme: Scheme::BoundedSlack(9),
         scheme_set: false,
         cores: 8,
@@ -145,14 +148,14 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
             "--json" => o.json = Some(take(&mut i)?.clone()),
             "--metrics-out" => o.metrics_out = Some(take(&mut i)?.clone()),
             "--trace-out" => o.trace_out = Some(take(&mut i)?.clone()),
-            "--scale" => o.scale = parse_scale(take(&mut i)?)?,
-            "--model" => o.model = parse_model(take(&mut i)?)?,
+            "--scale" => o.scale = take(&mut i)?.parse().map_err(|e| format!("--scale: {e}"))?,
+            "--model" => o.model = take(&mut i)?.parse().map_err(|e| format!("--model: {e}"))?,
             "--seq" => o.seq = true,
             "--no-superblocks" => o.no_superblocks = true,
             "--track-violations" => o.track = true,
             "--fast-forward" => o.fast_forward = true,
             "--stats" => o.stats = true,
-            "--bench" => i += 1, // handled by the caller
+            "--bench" => o.bench = take(&mut i)?.clone(),
             other if other.starts_with("--") => return Err(format!("unknown option '{other}'")),
             _ => {}
         }
@@ -161,24 +164,8 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
     Ok(o)
 }
 
-fn parse_scale(s: &str) -> Result<Scale, String> {
-    match s {
-        "test" => Ok(Scale::Test),
-        "bench" => Ok(Scale::Bench),
-        "full" => Ok(Scale::Full),
-        other => Err(format!("unknown scale '{other}'")),
-    }
-}
-
-fn parse_model(s: &str) -> Result<CoreModel, String> {
-    match s {
-        "inorder" => Ok(CoreModel::InOrder),
-        "ooo" => Ok(CoreModel::OutOfOrder),
-        other => Err(format!("unknown model '{other}'")),
-    }
-}
-
-fn config_for(o: &Opts) -> TargetConfig {
+/// The target the options describe, or why it cannot be simulated.
+fn config_for(o: &Opts) -> Result<TargetConfig, String> {
     let mut cfg = TargetConfig::paper_8core();
     cfg.n_cores = o.cores;
     cfg.core.model = o.model;
@@ -190,7 +177,8 @@ fn config_for(o: &Opts) -> TargetConfig {
     if let Some(limit) = o.roi_limit {
         cfg.stop = sk_core::StopCondition::RoiInstructions(limit);
     }
-    cfg
+    cfg.validate().map_err(|e| format!("bad target: {e}"))?;
+    Ok(cfg)
 }
 
 /// Drive a parallel engine to completion on the scheduler the options
@@ -250,12 +238,11 @@ fn segments<S>(
     s
 }
 
-fn run_one(w: &Workload, o: &Opts) -> (SimReport, bool) {
-    let cfg = config_for(o);
+fn run_one(w: &Workload, o: &Opts, cfg: &TargetConfig) -> (SimReport, bool) {
     let r = if o.seq {
-        sk_core::run_sequential(&w.program, &cfg)
+        sk_core::run_sequential(&w.program, cfg)
     } else {
-        drive(Engine::new(&w.program, o.scheme, &cfg), o)
+        drive(Engine::new(&w.program, o.scheme, cfg), o)
     };
     let printed: Vec<i64> = r.printed().into_iter().map(|(_, v)| v).collect();
     let ok = printed == w.expected;
@@ -297,8 +284,8 @@ fn slug(s: &str) -> String {
 /// CC, the window for bounded schemes — a breach means the *engine*
 /// leaked slack it never granted). In-bound violations on racy workloads
 /// are the measurement, and only dump.
-fn fuzz_schedules(w: &Workload, o: &Opts, k: u64) -> bool {
-    let mut cfg = config_for(o);
+fn fuzz_schedules(w: &Workload, o: &Opts, cfg: &TargetConfig, k: u64) -> bool {
+    let mut cfg = *cfg;
     cfg.track_workload_violations = true;
     cfg.mem.track_violations = true;
     let mut all_ok = true;
@@ -541,20 +528,10 @@ fn write_json(path: &str, body: &str) {
     }
 }
 
-fn benches(o: &Opts) -> Vec<Workload> {
-    let mut v = sk_kernels::extended_suite(o.cores, o.scale);
-    v.push(sk_kernels::micro::pingpong(200));
-    v.push(sk_kernels::micro::lock_sweep(o.cores, 50));
-    v.push(sk_kernels::micro::private_compute(o.cores, 200));
-    // The fuzzing targets: racy by design (violations observable) and
-    // coherence-bound but race-free (violations must stay timing-only).
-    v.push(sk_kernels::micro::racy_increment(o.cores, 50));
-    v.push(sk_kernels::micro::false_sharing(o.cores, 50));
-    // Message-passing & irregular workloads: manager-ordered sync
-    // (semaphores, per-object locks, CAS) with schedule-dependent
-    // communication, still host-verifiable under every scheme.
-    v.extend(sk_kernels::irregular_suite(o.cores, o.scale));
-    v
+/// Every registry kernel that runs on the options' core count, at their
+/// scale.
+fn benches(o: &Opts) -> impl Iterator<Item = Workload> + '_ {
+    KERNELS.iter().filter(|k| o.cores >= k.min_cores).map(|k| k.at(o.cores, o.scale))
 }
 
 fn main() -> ExitCode {
@@ -642,13 +619,6 @@ fn main() -> ExitCode {
                 return ExitCode::SUCCESS;
             }
             let mut opts = opts;
-            let mut name = rest
-                .iter()
-                .position(|a| a == "--bench")
-                .and_then(|i| rest.get(i + 1))
-                .map(String::as_str)
-                .unwrap_or("fft")
-                .to_string();
             let replay_sched = match &opts.replay {
                 None => None,
                 Some(path) => match std::fs::read_to_string(path)
@@ -674,10 +644,10 @@ fn main() -> ExitCode {
                 };
                 opts.cores = sched.n_cores;
                 opts.det_seed = Some(sched.seed);
-                name = sched.kernel;
+                opts.bench = sched.kernel;
                 println!(
                     "replaying seed {:#x} ({} on {}, {} cores)",
-                    sched.seed, opts.scheme, name, opts.cores
+                    sched.seed, opts.scheme, opts.bench, opts.cores
                 );
             }
             // A scenario file, like --replay, pins the run shape: scheme,
@@ -706,39 +676,36 @@ fn main() -> ExitCode {
                 if opts.checkpoint_at.is_none() && opts.det_schedules.is_none() {
                     opts.checkpoint_at = sc.checkpoint_at;
                 }
-                name = sc.kernel.clone();
                 println!(
                     "scenario {path}: {} on {} cores, scheme {} (hash {:016x})",
-                    name,
+                    sc.kernel,
                     sc.cores,
                     sc.scheme.short_name(),
                     sc.hash()
                 );
                 scenario = Some(sc);
             }
-            let all = match &scenario {
-                // Parse already vetted the kernel and its parameters.
-                Some(sc) => vec![sc.workload().expect("parsed scenarios are valid")],
-                None => benches(&opts),
+            let Ok(cfg) = config_for(&opts).map_err(|e| eprintln!("error: {e}")) else {
+                return ExitCode::FAILURE;
             };
-            let w = if scenario.is_some() {
-                &all[0]
-            } else {
-                match all.iter().find(|w| w.name.eq_ignore_ascii_case(&name)) {
-                    Some(w) => w,
-                    None => {
-                        eprintln!("unknown benchmark '{name}'; try: slacksim list");
+            let w = match &scenario {
+                // Parse already vetted the kernel and its parameters.
+                Some(sc) => sc.workload().expect("parsed scenarios are valid"),
+                None => match sk_kernels::kernel(&opts.bench, opts.cores) {
+                    Ok(k) => k.at(opts.cores, opts.scale),
+                    Err(e) => {
+                        eprintln!("error: {e}; try: slacksim list");
                         return ExitCode::FAILURE;
                     }
-                }
+                },
             };
             if let Some(k) = opts.det_schedules {
-                if !fuzz_schedules(w, &opts, k) {
+                if !fuzz_schedules(&w, &opts, &cfg, k) {
                     return ExitCode::FAILURE;
                 }
                 return ExitCode::SUCCESS;
             }
-            let (r, ok) = run_one(w, &opts);
+            let (r, ok) = run_one(&w, &opts, &cfg);
             if let Some(j) = &opts.json {
                 write_json(j, &report_json(&r, scenario.as_ref()).to_string());
             }
@@ -747,10 +714,13 @@ fn main() -> ExitCode {
             }
         }
         "suite" => {
+            let Ok(cfg) = config_for(&opts).map_err(|e| eprintln!("error: {e}")) else {
+                return ExitCode::FAILURE;
+            };
             if let Some(k) = opts.det_schedules {
                 let mut all_ok = true;
                 for w in benches(&opts) {
-                    all_ok &= fuzz_schedules(&w, &opts, k);
+                    all_ok &= fuzz_schedules(&w, &opts, &cfg, k);
                 }
                 if !all_ok {
                     eprintln!("error: schedule fuzzing found a conformance failure");
@@ -761,7 +731,7 @@ fn main() -> ExitCode {
             let mut reports = Vec::new();
             let mut all_ok = true;
             for w in benches(&opts) {
-                let (r, ok) = run_one(&w, &opts);
+                let (r, ok) = run_one(&w, &opts, &cfg);
                 reports.push(r);
                 all_ok &= ok;
             }
@@ -793,7 +763,9 @@ fn main() -> ExitCode {
                     return ExitCode::FAILURE;
                 }
             };
-            let cfg = config_for(&opts);
+            let Ok(cfg) = config_for(&opts).map_err(|e| eprintln!("error: {e}")) else {
+                return ExitCode::FAILURE;
+            };
             let r = if opts.seq {
                 sk_core::run_sequential(&program, &cfg)
             } else {
@@ -812,9 +784,11 @@ fn main() -> ExitCode {
             }
         }
         "list" => {
-            println!("benchmarks:");
-            for w in benches(&opts) {
-                println!("  {:<18} {}", w.name, w.input);
+            println!("benchmarks (inputs at --scale, fewest cores):");
+            for k in KERNELS {
+                let inputs = k.params.iter().zip(k.inputs(opts.scale));
+                let inputs: Vec<String> = inputs.map(|((p, _), v)| format!("{p}={v}")).collect();
+                println!("  {:<18} {:<24} {}", k.name, inputs.join(" "), k.min_cores);
             }
             println!("schemes: CC  Q<n>  S<n>  S<n>*  SU  (L<n> is an alias of S<n>*)");
         }
@@ -926,8 +900,12 @@ fn cmd_reproduce(args: &[String]) -> ExitCode {
         let arg = args[i].as_str();
         let parsed: Result<(), String> = (|| {
             match arg {
-                "--scale" => o.scale = parse_scale(take(&mut i)?)?,
-                "--model" => o.model = parse_model(take(&mut i)?)?,
+                "--scale" => {
+                    o.scale = take(&mut i)?.parse().map_err(|e| format!("--scale: {e}"))?
+                }
+                "--model" => {
+                    o.model = take(&mut i)?.parse().map_err(|e| format!("--model: {e}"))?
+                }
                 "--reps" => o.reps = take(&mut i)?.parse().map_err(|e| format!("--reps: {e}"))?,
                 "--verify" => o.verify = true,
                 "--metrics-out" => o.metrics_out = Some(take(&mut i)?.clone()),
@@ -1171,9 +1149,10 @@ mod tests {
     }
 
     #[test]
-    fn bench_name_is_ignored_by_the_option_parser() {
-        let o = parse_opts(&args(&["--bench", "fft", "--scheme", "SU"])).unwrap();
-        assert_eq!(o.scheme, Scheme::Unbounded);
+    fn parses_the_bench_name() {
+        let o = parse_opts(&args(&["--bench", "LU", "--scheme", "SU"])).unwrap();
+        assert_eq!((o.bench.as_str(), o.scheme), ("LU", Scheme::Unbounded));
+        assert!(parse_opts(&args(&["--bench"])).is_err());
     }
 
     #[test]
@@ -1385,12 +1364,15 @@ mod tests {
     #[test]
     fn config_reflects_options() {
         let o = parse_opts(&args(&["--cores", "2", "--track-violations"])).unwrap();
-        let cfg = config_for(&o);
+        let cfg = config_for(&o).unwrap();
         assert_eq!(cfg.n_cores, 2);
         assert!(cfg.track_workload_violations);
         assert!(cfg.mem.track_violations);
         assert!(cfg.superblocks);
         let o = parse_opts(&args(&["--no-superblocks"])).unwrap();
-        assert!(!config_for(&o).superblocks);
+        assert!(!config_for(&o).unwrap().superblocks);
+        for bad in [&["--cores", "0"][..], &["--cores", "300"], &["--shards", "99"]] {
+            assert!(config_for(&parse_opts(&args(bad)).unwrap()).is_err(), "{bad:?}");
+        }
     }
 }

@@ -17,6 +17,29 @@ pub enum CoreModel {
     InOrder,
 }
 
+impl CoreModel {
+    /// The name `--model`, a scenario's `model` key and a job's `"model"`
+    /// field use.
+    pub fn name(self) -> &'static str {
+        match self {
+            CoreModel::OutOfOrder => "ooo",
+            CoreModel::InOrder => "inorder",
+        }
+    }
+}
+
+/// Parses [`CoreModel::name`].
+impl std::str::FromStr for CoreModel {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<CoreModel, String> {
+        [CoreModel::OutOfOrder, CoreModel::InOrder]
+            .into_iter()
+            .find(|m| m.name() == s)
+            .ok_or_else(|| format!("unknown model {s:?} (expected ooo or inorder)"))
+    }
+}
+
 /// Microarchitectural parameters of one target core.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CoreConfig {

@@ -71,6 +71,15 @@ pub fn run_sequential(program: &Program, cfg: &TargetConfig) -> SimReport {
         if uncore.all_workloads_done() && cores.iter().all(|c| c.finished() || !c.running()) {
             break;
         }
+        // Workload deadlock, the engines' rule (`Engine::forced_round`):
+        // no core stepped, the manager holds nothing, and no core has a
+        // message coming, so no later cycle can differ from this one.
+        if stepped == 0
+            && uncore.min_pending_ts().is_none()
+            && cores.iter_mut().all(|c| c.finished() || c.stopped() || c.next_msg_ts().is_none())
+        {
+            break;
+        }
         if let StopCondition::RoiInstructions(limit) = cfg.stop {
             if roi.committed.load(Ordering::Relaxed) >= limit {
                 break;

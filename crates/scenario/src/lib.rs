@@ -41,9 +41,7 @@
 //! folds it into its result memo's key).
 
 use sk_core::{CoreModel, Scheme, StopCondition, TargetConfig};
-use sk_kernels::{
-    actors, barnes, fft, lu, micro, ocean, pipeline, radix, treiber, water, worksteal, Workload,
-};
+use sk_kernels::{Kernel, KernelError, Scale, Workload};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -176,7 +174,7 @@ impl fmt::Display for ScenarioParseError {
             }
             ScenarioParseError::MissingKernel => write!(f, "scenario has no [kernel] name"),
             ScenarioParseError::UnknownKernel { kernel } => {
-                write!(f, "unknown kernel '{kernel}' (see sk_scenario::kernel_names())")
+                write!(f, "unknown kernel '{kernel}' (see sk_kernels::KERNELS)")
             }
             ScenarioParseError::BadParam { kernel, param, what } => {
                 write!(f, "kernel '{kernel}': parameter '{param}': {what}")
@@ -187,164 +185,47 @@ impl fmt::Display for ScenarioParseError {
 
 impl std::error::Error for ScenarioParseError {}
 
-// ---------------------------------------------------------------------------
-// Kernel registry
-// ---------------------------------------------------------------------------
-
-/// One registered kernel: its canonical name, accepted parameters with
-/// defaults, the smallest core count it supports, and a builder.
-struct KernelSpec {
-    name: &'static str,
-    /// `(key, default)` — the builder receives resolved values in this order.
-    params: &'static [(&'static str, i64)],
-    min_cores: usize,
-    build: fn(usize, &[i64]) -> Workload,
-}
-
-/// Registry of every kernel a scenario can name. Input floors mirror
-/// `sk_kernels::{paper_suite, extended_suite, irregular_suite}` so
-/// many-core scenarios stay well-formed without per-file tuning.
-const KERNELS: &[KernelSpec] = &[
-    KernelSpec {
-        name: "Barnes",
-        params: &[("bodies", 24), ("steps", 1)],
-        min_cores: 1,
-        build: |c, p| barnes::barnes(c, (p[0] as usize).max(c), p[1] as usize),
-    },
-    KernelSpec {
-        name: "FFT",
-        params: &[("log2", 6)],
-        min_cores: 1,
-        build: |c, p| {
-            let floor = usize::BITS - c.next_power_of_two().leading_zeros() - 1;
-            fft::fft(c, (p[0] as u32).max(floor).clamp(2, 20))
-        },
-    },
-    KernelSpec {
-        name: "LU",
-        params: &[("n", 12)],
-        min_cores: 1,
-        build: |c, p| lu::lu(c, (p[0] as usize).max(4)),
-    },
-    KernelSpec {
-        name: "Water-Nsquared",
-        params: &[("molecules", 16), ("steps", 1)],
-        min_cores: 1,
-        build: |c, p| water::water(c, (p[0] as usize).max(c), p[1] as usize),
-    },
-    KernelSpec {
-        name: "Radix",
-        params: &[("n", 64)],
-        min_cores: 1,
-        build: |c, p| radix::radix(c, (p[0] as usize).max(c)),
-    },
-    KernelSpec {
-        name: "Ocean",
-        params: &[("m", 8), ("sweeps", 2)],
-        min_cores: 1,
-        build: |c, p| ocean::ocean(c, (p[0] as usize).max(c), p[1] as usize),
-    },
-    KernelSpec {
-        name: "pingpong",
-        params: &[("rounds", 200)],
-        min_cores: 2,
-        build: |_, p| micro::pingpong(p[0]),
-    },
-    KernelSpec {
-        name: "lock_sweep",
-        params: &[("iters", 50)],
-        min_cores: 1,
-        build: |c, p| micro::lock_sweep(c, p[0]),
-    },
-    KernelSpec {
-        name: "private_compute",
-        params: &[("iters", 200)],
-        min_cores: 1,
-        build: |c, p| micro::private_compute(c, p[0]),
-    },
-    KernelSpec {
-        name: "racy_increment",
-        params: &[("iters", 50)],
-        min_cores: 1,
-        build: |c, p| micro::racy_increment(c, p[0]),
-    },
-    KernelSpec {
-        name: "false_sharing",
-        params: &[("iters", 50)],
-        min_cores: 1,
-        build: |c, p| micro::false_sharing(c, p[0]),
-    },
-    KernelSpec {
-        name: "pipeline",
-        params: &[("items", 8)],
-        min_cores: 2,
-        build: |c, p| pipeline::pipeline(c, p[0]),
-    },
-    KernelSpec {
-        name: "mailbox_actors",
-        params: &[("rounds", 2)],
-        min_cores: 2,
-        build: |c, p| actors::mailbox_actors(c, p[0]),
-    },
-    KernelSpec {
-        name: "work_steal",
-        params: &[("tasks", 24)],
-        min_cores: 1,
-        build: |c, p| worksteal::work_steal(c, p[0].max(2 * c as i64)),
-    },
-    KernelSpec {
-        name: "treiber_stack",
-        params: &[("pushes", 4)],
-        min_cores: 1,
-        build: |c, p| treiber::treiber_stack(c, p[0]),
-    },
-];
-
-/// Canonical names of every kernel a scenario can reference.
-pub fn kernel_names() -> Vec<&'static str> {
-    KERNELS.iter().map(|k| k.name).collect()
-}
-
-/// Accepted `[kernel]` parameter names and defaults for `name`
-/// (case-insensitive), with the smallest core count the kernel supports.
-pub fn kernel_params(name: &str) -> Option<(&'static [(&'static str, i64)], usize)> {
-    find_kernel(name).map(|k| (k.params, k.min_cores))
-}
-
-fn find_kernel(name: &str) -> Option<&'static KernelSpec> {
-    KERNELS.iter().find(|k| k.name.eq_ignore_ascii_case(name))
-}
-
 impl Scenario {
     /// Build the scenario's workload. Errors (typed, never panics) if the
     /// kernel is unknown, a parameter is not accepted or out of range, or
     /// the core count is below the kernel's minimum — `parse` has already
     /// run this check, so scenarios from files cannot fail here.
     pub fn workload(&self) -> Result<Workload, ScenarioParseError> {
-        let spec = find_kernel(&self.kernel)
-            .ok_or_else(|| ScenarioParseError::UnknownKernel { kernel: self.kernel.clone() })?;
+        let (kernel, inputs) = self.resolve()?;
+        Ok(kernel.build(self.cores, &inputs))
+    }
+
+    /// The registry row ([`sk_kernels::KERNELS`]) the scenario names and
+    /// its inputs: each `[kernel]` key, or else the kernel's `test` rung.
+    fn resolve(&self) -> Result<(&'static Kernel, Vec<i64>), ScenarioParseError> {
+        let kernel = sk_kernels::kernel(&self.kernel, self.cores).map_err(|e| match e {
+            KernelError::Unknown(_) => {
+                ScenarioParseError::UnknownKernel { kernel: self.kernel.clone() }
+            }
+            KernelError::TooFewCores { kernel, .. } => ScenarioParseError::BadParam {
+                kernel: kernel.to_string(),
+                param: "cores".into(),
+                what: e.to_string(),
+            },
+        })?;
         let bad = |param: &str, what: String| ScenarioParseError::BadParam {
-            kernel: spec.name.to_string(),
+            kernel: kernel.name.to_string(),
             param: param.to_string(),
             what,
         };
-        if self.cores < spec.min_cores {
-            return Err(bad("cores", format!("kernel needs at least {} cores", spec.min_cores)));
-        }
         for key in self.params.keys() {
-            if !spec.params.iter().any(|(k, _)| k == key) {
+            if !kernel.params.iter().any(|(k, _)| k == key) {
                 return Err(bad(key, "not a parameter of this kernel".into()));
             }
         }
-        let mut resolved = Vec::with_capacity(spec.params.len());
-        for (key, default) in spec.params {
-            let v = *self.params.get(*key).unwrap_or(default);
-            if !(1..=MAX_PARAM).contains(&v) {
+        let mut inputs = kernel.inputs(Scale::Test);
+        for ((key, _), v) in kernel.params.iter().zip(&mut inputs) {
+            *v = *self.params.get(*key).unwrap_or(v);
+            if !(1..=MAX_PARAM).contains(v) {
                 return Err(bad(key, format!("must be in 1..={MAX_PARAM}, got {v}")));
             }
-            resolved.push(v);
         }
-        Ok((spec.build)(self.cores, &resolved))
+        Ok((kernel, inputs))
     }
 
     /// A [`TargetConfig`] realizing the scenario's `[target]`/`[run]`
@@ -375,11 +256,7 @@ impl Scenario {
         out.push_str("[target]\n");
         out.push_str(&format!("cores = {}\n", self.cores));
         out.push_str(&format!("mem_shards = {}\n", self.mem_shards));
-        let model = match self.model {
-            CoreModel::OutOfOrder => "ooo",
-            CoreModel::InOrder => "inorder",
-        };
-        out.push_str(&format!("model = \"{model}\"\n\n"));
+        out.push_str(&format!("model = \"{}\"\n\n", self.model.name()));
         out.push_str("[run]\n");
         out.push_str(&format!("scheme = \"{}\"\n", self.scheme.short_name()));
         out.push_str(&format!("track_violations = {}\n", self.track_violations));
@@ -474,7 +351,7 @@ impl Scenario {
         }
         // Vet kernel name + params + core floor now, so a parsed scenario
         // is runnable by construction.
-        sc.workload()?;
+        sc.resolve()?;
         Ok(sc)
     }
 }
@@ -554,15 +431,7 @@ fn apply_key(
             }
             sc.mem_shards = s as usize;
         }
-        ("target", "model") => {
-            sc.model = match want_str(val)?.as_str() {
-                "ooo" => CoreModel::OutOfOrder,
-                "inorder" => CoreModel::InOrder,
-                other => {
-                    return Err(bad(format!("expected \"ooo\" or \"inorder\", got \"{other}\"")))
-                }
-            }
-        }
+        ("target", "model") => sc.model = want_str(val)?.parse().map_err(bad)?,
         ("run", "scheme") => {
             sc.scheme = want_str(val)?.parse::<Scheme>().map_err(|e| bad(e.to_string()))?;
         }
@@ -657,10 +526,10 @@ rounds = 3
 
     #[test]
     fn every_registered_kernel_builds_with_every_parameter_at_one() {
-        for name in kernel_names() {
-            let (params, min_cores) = kernel_params(name).unwrap();
-            let mut text = format!("[target]\ncores = {min_cores}\n[kernel]\nname = \"{name}\"\n");
-            for (key, _) in params {
+        for k in sk_kernels::KERNELS {
+            let mut text =
+                format!("[target]\ncores = {}\n[kernel]\nname = \"{}\"\n", k.min_cores, k.name);
+            for (key, _) in k.params {
                 text.push_str(&format!("{key} = 1\n"));
             }
             let w = Scenario::parse(&text).unwrap().workload().unwrap();
@@ -670,8 +539,8 @@ rounds = 3
 
     #[test]
     fn every_registered_kernel_builds_at_four_cores() {
-        for name in kernel_names() {
-            let sc = Scenario::parse(&format!("[kernel]\nname = \"{name}\"\n")).unwrap();
+        for k in sk_kernels::KERNELS {
+            let sc = Scenario::parse(&format!("[kernel]\nname = \"{}\"\n", k.name)).unwrap();
             let w = sc.workload().unwrap();
             w.program.validate().expect("kernel program validates");
             // racy_increment is racy by design: no host-expected values.

@@ -10,7 +10,8 @@
 
 use proptest::prelude::*;
 use sk_core::{CoreModel, Scheme};
-use sk_scenario::{kernel_names, kernel_params, Scenario};
+use sk_kernels::KERNELS;
+use sk_scenario::Scenario;
 
 fn arb_scheme() -> BoxedStrategy<Scheme> {
     prop_oneof![
@@ -24,9 +25,8 @@ fn arb_scheme() -> BoxedStrategy<Scheme> {
 }
 
 fn arb_scenario() -> BoxedStrategy<Scenario> {
-    let kernels = kernel_names();
     (
-        (0usize..kernels.len(), 2usize..=12, 0usize..=4, any::<bool>()),
+        (0usize..KERNELS.len(), 2usize..=12, 0usize..=4, any::<bool>()),
         (arb_scheme(), any::<bool>()),
         (
             (0u64..20_000, any::<bool>()),
@@ -36,8 +36,7 @@ fn arb_scenario() -> BoxedStrategy<Scenario> {
         ),
     )
         .prop_map(move |((ki, cores, shards, inorder), (scheme, track), (chk, roi, name, pval))| {
-            let kernel = kernels[ki];
-            let (params, _min_cores) = kernel_params(kernel).unwrap();
+            let kernel = &KERNELS[ki];
             let mut sc = Scenario {
                 cores,
                 mem_shards: shards,
@@ -46,7 +45,7 @@ fn arb_scenario() -> BoxedStrategy<Scenario> {
                 track_violations: track,
                 checkpoint_at: chk.1.then_some(chk.0 + 1),
                 roi_instructions: roi.1.then_some(roi.0 + 1),
-                kernel: kernel.to_string(),
+                kernel: kernel.name.to_string(),
                 ..Scenario::default()
             };
             if name.1 {
@@ -54,7 +53,7 @@ fn arb_scenario() -> BoxedStrategy<Scenario> {
             }
             // Override the kernel's first parameter half the time.
             if pval % 2 == 0 {
-                if let Some((key, _)) = params.first() {
+                if let Some((key, _)) = kernel.params.first() {
                     sc.params.insert(key.to_string(), pval);
                 }
             }

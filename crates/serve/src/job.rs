@@ -11,7 +11,7 @@
 use crate::cache::MemoKey;
 use sk_core::{CoreModel, Scheme, TargetConfig};
 use sk_isa::Program;
-use sk_kernels::{is_suite_kernel, micro, suite_kernel, Scale, Workload, SUITE_KERNELS};
+use sk_kernels::{Scale, Workload};
 use sk_obs::json::Json;
 use sk_scenario::Scenario;
 use sk_snap::{Persist, Writer};
@@ -19,10 +19,6 @@ use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
-
-/// The microbenchmarks a job may name besides the suite kernels.
-const MICRO_BENCHES: [&str; 5] =
-    ["pingpong", "lock_sweep", "private_compute", "racy_increment", "false_sharing"];
 
 /// Caps enforced on untrusted request parameters.
 pub const MAX_CORES: usize = 16;
@@ -69,14 +65,18 @@ impl JobSpec {
     /// Parse and validate a `POST /jobs` body. `tenant` comes from the
     /// `X-Tenant` header (defaulted by the caller).
     pub fn from_json(v: &Json, tenant: &str) -> Result<JobSpec, SpecError> {
-        let obj_err = || bad("request body must be a json object");
         if !matches!(v, Json::Obj(_)) {
-            return Err(obj_err());
+            return Err(bad("request body must be a json object"));
         }
+        if tenant.is_empty() || tenant.len() > 64 || !tenant.is_ascii() {
+            return Err(bad("tenant must be non-empty ascii, at most 64 bytes"));
+        }
+        let (tenant, priority, metrics) =
+            (tenant.to_string(), Self::parse_priority(v)?, Self::parse_metrics(v)?);
         // Scenario-file jobs: `{"scenario": "<.skn text>"}`. The file pins
         // the whole run shape, so the flag-style fields are rejected — a
         // request must not say the same thing twice, differently.
-        if let Some(text) = v.get("scenario") {
+        let spec = if let Some(text) = v.get("scenario") {
             let text =
                 text.as_str().ok_or_else(|| bad("\"scenario\" must be a string (.skn text)"))?;
             for key in ["bench", "cores", "scale", "schemes", "model"] {
@@ -93,101 +93,74 @@ impl JobSpec {
                     sc.cores
                 )));
             }
-            let priority = Self::parse_priority(v)?;
-            let metrics = Self::parse_metrics(v)?;
-            if tenant.is_empty() || tenant.len() > 64 || !tenant.is_ascii() {
-                return Err(bad("tenant must be non-empty ascii, at most 64 bytes"));
-            }
-            let spec = JobSpec {
+            JobSpec {
                 bench: sc.kernel.clone(),
                 cores: sc.cores,
                 scale: Scale::Test,
                 schemes: vec![sc.scheme],
-                tenant: tenant.to_string(),
+                tenant,
                 priority,
                 metrics,
                 model: sc.model,
                 scenario: Some(sc),
+            }
+        } else {
+            let bench = v
+                .get("bench")
+                .and_then(Json::as_str)
+                .ok_or_else(|| bad("missing string field \"bench\""))?
+                .to_string();
+            let cores = match v.get("cores") {
+                None => 4,
+                Some(c) => {
+                    let c = c.as_i64().ok_or_else(|| bad("\"cores\" must be an integer"))?;
+                    if !(1..=MAX_CORES as i64).contains(&c) {
+                        return Err(bad(format!("\"cores\" must be in 1..={MAX_CORES}")));
+                    }
+                    c as usize
+                }
             };
-            spec.workload().ok_or_else(|| bad("scenario workload rejected"))?;
-            spec.config().validate().map_err(|e| bad(format!("config rejected: {e}")))?;
-            return Ok(spec);
-        }
-        let bench = v
-            .get("bench")
-            .and_then(Json::as_str)
-            .ok_or_else(|| bad("missing string field \"bench\""))?
-            .to_string();
-        let cores = match v.get("cores") {
-            None => 4,
-            Some(c) => {
-                let c = c.as_i64().ok_or_else(|| bad("\"cores\" must be an integer"))?;
-                if !(1..=MAX_CORES as i64).contains(&c) {
-                    return Err(bad(format!("\"cores\" must be in 1..={MAX_CORES}")));
-                }
-                c as usize
+            // Unknown benchmarks and too few cores fail here, at
+            // admission, without building the program.
+            sk_kernels::kernel(&bench, cores)
+                .map_err(|e| bad(format!("{e} (see GET /benches)")))?;
+            let scale = match v.get("scale") {
+                None => Scale::Test,
+                Some(s) => s.as_str().unwrap_or("").parse().map_err(bad)?,
+            };
+            let model = match v.get("model") {
+                None => CoreModel::InOrder,
+                Some(m) => m.as_str().unwrap_or("").parse().map_err(bad)?,
+            };
+            let schemes = Self::parse_schemes(v)?;
+            JobSpec {
+                bench,
+                cores,
+                scale,
+                schemes,
+                tenant,
+                priority,
+                metrics,
+                model,
+                scenario: None,
             }
         };
-        let scale = match v.get("scale").map(|s| s.as_str().unwrap_or("")) {
-            None | Some("test") => Scale::Test,
-            Some("bench") => Scale::Bench,
-            Some("full") => Scale::Full,
-            Some(other) => {
-                return Err(bad(format!(
-                    "unknown scale {other:?} (expected \"test\", \"bench\" or \"full\")"
-                )))
-            }
-        };
-        let schemes = match v.get("schemes") {
-            None => vec![Scheme::CycleByCycle],
-            Some(arr) => {
-                let arr = arr.as_arr().ok_or_else(|| bad("\"schemes\" must be an array"))?;
-                if arr.is_empty() || arr.len() > MAX_SCHEMES {
-                    return Err(bad(format!("\"schemes\" must list 1..={MAX_SCHEMES} schemes")));
-                }
-                let mut out = Vec::with_capacity(arr.len());
-                for s in arr {
-                    let s = s.as_str().ok_or_else(|| bad("schemes must be strings"))?;
-                    out.push(
-                        s.parse::<Scheme>().map_err(|e| bad(format!("bad scheme {s:?}: {e}")))?,
-                    );
-                }
-                out
-            }
-        };
-        let priority = Self::parse_priority(v)?;
-        let metrics = Self::parse_metrics(v)?;
-        let model = match v.get("model").map(|m| m.as_str().unwrap_or("")) {
-            None | Some("inorder") => CoreModel::InOrder,
-            Some("ooo") => CoreModel::OutOfOrder,
-            Some(other) => {
-                return Err(bad(format!(
-                    "unknown model {other:?} (expected \"inorder\" or \"ooo\")"
-                )))
-            }
-        };
-        if tenant.is_empty() || tenant.len() > 64 || !tenant.is_ascii() {
-            return Err(bad("tenant must be non-empty ascii, at most 64 bytes"));
-        }
-
-        let spec = JobSpec {
-            bench,
-            cores,
-            scale,
-            schemes,
-            tenant: tenant.to_string(),
-            priority,
-            metrics,
-            model,
-            scenario: None,
-        };
-        // Fail unknown benchmarks and invalid configs here, at admission,
-        // without building the program.
-        if !spec.knows_bench() {
-            return Err(bad(format!("unknown benchmark {:?} (see GET /benches)", spec.bench)));
-        }
         spec.config().validate().map_err(|e| bad(format!("config rejected: {e}")))?;
         Ok(spec)
+    }
+
+    fn parse_schemes(v: &Json) -> Result<Vec<Scheme>, SpecError> {
+        let Some(arr) = v.get("schemes") else { return Ok(vec![Scheme::CycleByCycle]) };
+        let arr = arr.as_arr().ok_or_else(|| bad("\"schemes\" must be an array"))?;
+        if arr.is_empty() || arr.len() > MAX_SCHEMES {
+            return Err(bad(format!("\"schemes\" must list 1..={MAX_SCHEMES} schemes")));
+        }
+        arr.iter()
+            .map(|s| {
+                let s = s.as_str().ok_or_else(|| bad("schemes must be strings"))?;
+                s.parse::<Scheme>().map_err(|e| bad(format!("bad scheme {s:?}: {e}")))
+            })
+            .collect()
     }
 
     fn parse_priority(v: &Json) -> Result<i32, SpecError> {
@@ -214,40 +187,16 @@ impl JobSpec {
         }
     }
 
-    /// Does `bench` name a workload [`JobSpec::workload`] builds at this
-    /// core count?
-    fn knows_bench(&self) -> bool {
-        is_suite_kernel(&self.bench, self.cores)
-            || MICRO_BENCHES.iter().any(|m| m.eq_ignore_ascii_case(&self.bench))
-    }
-
-    /// Materialise the workload, building only the kernel it names. `None`
-    /// if the benchmark name is unknown.
+    /// Materialise the workload, building only the kernel it names: the
+    /// scenario's, or the registry row `bench` names at `scale`. `None` if
+    /// admission would refuse the benchmark.
     pub fn workload(&self) -> Option<Workload> {
-        // Scenario jobs carry their own kernel + parameters.
-        if let Some(sc) = &self.scenario {
-            return sc.workload().ok();
+        match &self.scenario {
+            Some(sc) => sc.workload().ok(),
+            None => sk_kernels::kernel(&self.bench, self.cores)
+                .ok()
+                .map(|k| k.at(self.cores, self.scale)),
         }
-        // Suite kernels first (Barnes/FFT/LU/Water + Radix/Ocean, then the
-        // irregular family, which needs two cores), then the
-        // microbenchmarks — all under fixed, scale-derived inputs.
-        if let Some(w) = suite_kernel(&self.bench, self.cores, self.scale) {
-            return Some(w);
-        }
-        let iters = match self.scale {
-            Scale::Test => 200,
-            Scale::Bench => 2_000,
-            Scale::Full => 20_000,
-        };
-        let w = match self.bench.to_ascii_lowercase().as_str() {
-            "pingpong" => micro::pingpong(iters),
-            "lock_sweep" => micro::lock_sweep(self.cores, iters),
-            "private_compute" => micro::private_compute(self.cores, iters),
-            "racy_increment" => micro::racy_increment(self.cores, iters),
-            "false_sharing" => micro::false_sharing(self.cores, iters),
-            _ => return None,
-        };
-        Some(w)
     }
 
     /// The target config every run of this job uses. Scheme is per-run;
@@ -287,11 +236,6 @@ impl JobSpec {
         }
         MemoKey::new(&pw.into_bytes(), &cw.into_bytes())
     }
-}
-
-/// Benchmarks the server accepts, for `GET /benches`.
-pub fn bench_names() -> Vec<String> {
-    SUITE_KERNELS.iter().chain(&MICRO_BENCHES).map(|&n| n.to_string()).collect()
 }
 
 /// Lifecycle of a job.
@@ -593,37 +537,25 @@ mod tests {
         assert_eq!(ka, a.memo_key(&wa.program, &a.config()), "key is deterministic");
     }
 
+    /// Admission checks the name and the registry's minimum core count
+    /// without building a program; whatever it admits must then build.
     #[test]
-    fn irregular_kernels_are_served() {
-        for name in ["pipeline", "mailbox_actors", "work_steal", "treiber_stack"] {
-            let s = spec(&format!("{{\"bench\":\"{name}\",\"cores\":2}}")).unwrap();
-            assert!(s.workload().is_some(), "{name} should resolve");
-            assert!(bench_names().iter().any(|n| n == name), "{name} listed in /benches");
-            // But never on a single core — these kernels need peers.
-            assert!(spec(&format!("{{\"bench\":\"{name}\",\"cores\":1}}")).is_err());
-        }
-    }
-
-    /// Admission checks the name without building a program; whatever it
-    /// admits must then build, and what it refuses must not.
-    #[test]
-    fn admission_agrees_with_workload() {
-        for cores in [1, 2, 4] {
-            for name in bench_names().iter().map(String::as_str).chain(["fft", "nope"]) {
-                let s = JobSpec {
-                    bench: name.to_string(),
-                    cores,
-                    scale: Scale::Test,
-                    schemes: vec![Scheme::CycleByCycle],
-                    tenant: "t".into(),
-                    priority: 0,
-                    metrics: false,
-                    model: CoreModel::InOrder,
-                    scenario: None,
-                };
-                assert_eq!(s.knows_bench(), s.workload().is_some(), "{name} at {cores} cores");
+    fn admission_follows_the_registry() {
+        for k in sk_kernels::KERNELS {
+            for cores in [1, 2, 4] {
+                let body = format!("{{\"bench\":\"{}\",\"cores\":{cores}}}", k.name);
+                match spec(&body) {
+                    Ok(s) => {
+                        assert!(cores >= k.min_cores, "{} admitted on {cores} cores", k.name);
+                        assert!(s.workload().is_some(), "{} at {cores} cores", k.name);
+                    }
+                    Err(e) => assert!(cores < k.min_cores, "{} at {cores} cores: {e}", k.name),
+                }
             }
         }
+        assert!(spec(r#"{"bench":"pingpong","cores":1}"#).is_err(), "pingpong needs a peer");
+        assert!(spec(r#"{"bench":"work_steal","cores":1}"#).is_ok());
+        assert!(spec(r#"{"bench":"fft"}"#).is_ok(), "names match in any case");
     }
 
     #[test]

@@ -18,7 +18,7 @@
 
 use crate::cache::ResultCache;
 use crate::http::{read_request, write_response, HttpError, Request};
-use crate::job::{bench_names, Job, JobSpec, JobState};
+use crate::job::{Job, JobSpec, JobState};
 use crate::queue::{Admission, JobQueue};
 use crate::worker::{finish, run_job};
 use sk_obs::json::{self, Json};
@@ -316,7 +316,8 @@ fn route(w: &mut TcpStream, req: &Request, shared: &Shared) -> std::io::Result<(
         ("GET", ["metrics"]) => write_response(w, 200, "OK", &[], shared.obs.to_json().as_bytes()),
         ("GET", ["healthz"]) => respond(w, 200, "OK", &[], Json::obj([("ok", true)])),
         ("GET", ["benches"]) => {
-            respond(w, 200, "OK", &[], Json::obj([("benches", Json::from_iter(bench_names()))]))
+            let names = sk_kernels::KERNELS.iter().map(|k| k.name);
+            respond(w, 200, "OK", &[], Json::obj([("benches", Json::from_iter(names))]))
         }
         ("POST", ["shutdown"]) => {
             respond(w, 200, "OK", &[], Json::obj([("ok", true)]))?;

@@ -3,7 +3,7 @@
 //! scheduler, every bounded scheme keeps its inversion bound, a safe-point
 //! snapshot resumes bit-identically, a cancel from another thread stops a
 //! run that can then continue, and a workload deadlock ends with the
-//! deterministic scheduler's report. Every cell runs on 1, 2 and 4 worker
+//! deterministic scheduler's report (on the sequential engine too). Every cell runs on 1, 2 and 4 worker
 //! threads and on the host's default. The segment contract (checkpoint,
 //! snapshot, cancel) holds on the det scheduler too, and a checkpoint is a
 //! hand-over point between the two: a run cut on one finishes on the other.
@@ -364,4 +364,18 @@ fn a_barrier_that_never_releases_ends_with_the_det_report() {
         assert!(thr.printed().is_empty());
         assert_eq!(det.fingerprint(), thr.fingerprint(), "W={workers}: deadlock report");
     }
+    // The sequential engine ends by the same rule, not at `max_cycles`.
+    // It books none of the idle cycles a spawned core waits for its first
+    // message (it does not step such a core); the rest is the det report.
+    let mut seq = run_sequential(&p, &cfg);
+    for (s, d) in seq.cores.iter_mut().zip(&det.cores) {
+        s.idle_cycles = d.idle_cycles;
+    }
+    assert_eq!(det.fingerprint(), seq.fingerprint(), "sequential deadlock report");
+    assert!(
+        seq.engine.global_updates < cfg.max_cycles / 1000,
+        "the sequential engine spun {} cycles of {}",
+        seq.engine.global_updates,
+        cfg.max_cycles
+    );
 }

@@ -19,32 +19,12 @@ mod common;
 use common::{check_golden, fnv1a64};
 use sk_serve::job::JobSpec;
 use sk_serve::json::{escape, parse};
-use slacksim_suite::kernels::{extended_suite, irregular_suite, paper_suite};
+use slacksim_suite::kernels::{extended_suite, irregular_suite, paper_suite, KERNELS};
 use slacksim_suite::prelude::*;
 
 const CORES: [usize; 5] = [1, 2, 4, 8, 64];
 const SCALES: [(Scale, &str); 3] =
     [(Scale::Test, "test"), (Scale::Bench, "bench"), (Scale::Full, "full")];
-
-/// Every kernel a job or a scenario may name, in the order `slacksim list`
-/// prints them.
-const KERNELS: [&str; 15] = [
-    "Barnes",
-    "FFT",
-    "LU",
-    "Water-Nsquared",
-    "Radix",
-    "Ocean",
-    "pingpong",
-    "lock_sweep",
-    "private_compute",
-    "racy_increment",
-    "false_sharing",
-    "pipeline",
-    "mailbox_actors",
-    "work_steal",
-    "treiber_stack",
-];
 
 fn line(route: &str, kernel: &str, cores: usize, scale: &str, w: Option<&Workload>) -> String {
     let Some(w) = w else { return format!("{route} {kernel} c{cores} {scale} refused\n") };
@@ -90,14 +70,14 @@ fn every_route_builds_the_pinned_programs() {
     }
     for (_, sname) in SCALES {
         for cores in CORES {
-            for kernel in KERNELS {
+            for kernel in KERNELS.iter().map(|k| k.name) {
                 let body = format!(r#"{{"bench":"{kernel}","cores":{cores},"scale":"{sname}"}}"#);
                 actual += &line("flags", kernel, cores, sname, served(&body).as_ref());
             }
         }
     }
     for cores in CORES {
-        for kernel in KERNELS {
+        for kernel in KERNELS.iter().map(|k| k.name) {
             let skn = format!("[target]\ncores = {cores}\n[kernel]\nname = \"{kernel}\"\n");
             let body = format!(r#"{{"scenario":"{}"}}"#, escape(&skn));
             actual += &line("scenario", kernel, cores, "-", served(&body).as_ref());
