@@ -1371,8 +1371,5 @@ mod tests {
         assert!(cfg.superblocks);
         let o = parse_opts(&args(&["--no-superblocks"])).unwrap();
         assert!(!config_for(&o).unwrap().superblocks);
-        for bad in [&["--cores", "0"][..], &["--cores", "300"], &["--shards", "99"]] {
-            assert!(config_for(&parse_opts(&args(bad)).unwrap()).is_err(), "{bad:?}");
-        }
     }
 }

@@ -85,7 +85,7 @@ impl FromStr for Scale {
 
 /// Which suite builds a kernel.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Family {
+enum Family {
     /// The paper's Table 2: [`paper_suite`].
     Paper,
     /// Radix and Ocean, which complete [`extended_suite`]'s six.
@@ -102,7 +102,7 @@ pub struct Kernel {
     /// The name its [`Workload`] carries, matched ASCII case-insensitively.
     pub name: &'static str,
     /// The suite that builds it.
-    pub family: Family,
+    family: Family,
     /// Inputs in builder order: the scenario `[kernel]` key and the value
     /// at each [`Scale`] (`[test, bench, full]`; scenarios default to test).
     pub params: &'static [(&'static str, [i64; 3])],

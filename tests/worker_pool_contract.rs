@@ -365,8 +365,9 @@ fn a_barrier_that_never_releases_ends_with_the_det_report() {
         assert_eq!(det.fingerprint(), thr.fingerprint(), "W={workers}: deadlock report");
     }
     // The sequential engine ends by the same rule, not at `max_cycles`.
-    // It books none of the idle cycles a spawned core waits for its first
-    // message (it does not step such a core); the rest is the det report.
+    // It steps a spawned core through the cycles before its first message
+    // and books them idle, where the schedulers jump; the rest is the det
+    // report.
     let mut seq = run_sequential(&p, &cfg);
     for (s, d) in seq.cores.iter_mut().zip(&det.cores) {
         s.idle_cycles = d.idle_cycles;
