@@ -42,9 +42,10 @@ pub fn run_sequential(program: &Program, cfg: &TargetConfig) -> SimReport {
             if core.finished() || core.stopped() {
                 continue;
             }
-            // Idle-skip cores with no workload thread and no pending
-            // messages (mirrors parking in the parallel engine).
-            if !core.running() && core.next_msg_ts().is_none() {
+            // Idle-skip a core with no workload thread until its first
+            // message is due, as the schedulers jump a parked core's clock
+            // (no idle cycles are booked before the spawn lands).
+            if !core.running() && core.next_msg_ts().is_none_or(|t| t > cycle) {
                 continue;
             }
             // A sync waiter's clock is suspended until its reply timestamp

@@ -93,7 +93,7 @@ fn suite_fingerprints_match_the_pinned_model() {
             let r = sk_core::run_det(&w.program, scheme, &cfg, DET_SEED);
             assert_eq!(printed(&r), w.expected, "{} det {scheme}: wrong output", w.name);
             if scheme == Scheme::CycleByCycle {
-                assert_eq!(r.exec_cycles, seq.exec_cycles, "{}: det CC vs sequential", w.name);
+                assert_eq!(r.fingerprint(), seq.fingerprint(), "{}: det CC vs sequential", w.name);
             }
             let label = format!("{}/det-{}", w.name, scheme.short_name());
             if barrier {

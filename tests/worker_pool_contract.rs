@@ -364,14 +364,9 @@ fn a_barrier_that_never_releases_ends_with_the_det_report() {
         assert!(thr.printed().is_empty());
         assert_eq!(det.fingerprint(), thr.fingerprint(), "W={workers}: deadlock report");
     }
-    // The sequential engine ends by the same rule, not at `max_cycles`.
-    // It steps a spawned core through the cycles before its first message
-    // and books them idle, where the schedulers jump; the rest is the det
-    // report.
-    let mut seq = run_sequential(&p, &cfg);
-    for (s, d) in seq.cores.iter_mut().zip(&det.cores) {
-        s.idle_cycles = d.idle_cycles;
-    }
+    // The sequential engine ends by the same rule, not at `max_cycles`,
+    // with the det report.
+    let seq = run_sequential(&p, &cfg);
     assert_eq!(det.fingerprint(), seq.fingerprint(), "sequential deadlock report");
     assert!(
         seq.engine.global_updates < cfg.max_cycles / 1000,
