@@ -29,14 +29,11 @@
 //! The deterministic backend doubles as the fuzz oracle: eight fixed
 //! seeds per scheme here, `--det-schedules` sweeps in CI. A deliberately
 //! broken window computation (`Engine::inject_window_bug`) must be
-//! caught within the same seed budget, and every seed committed to
-//! `tests/schedules/` must replay with the exact violation counts
-//! recorded when it was found.
+//! caught within the same seed budget. The committed violating seeds
+//! replay in the workspace root's `tests/seed_corpus.rs`.
 
 use sk_core::{run_det, run_parallel, DetEngine, Scheme, SimReport, TargetConfig};
-use sk_det::Schedule;
-use sk_kernels::{actors, micro, paper_suite, pipeline, treiber, worksteal, Scale, Workload};
-use std::path::PathBuf;
+use sk_kernels::{micro, paper_suite, Scale, Workload};
 
 /// Fixed seed budget per scheme — small enough for debug-mode CI, wide
 /// enough that the injected-bug test reliably trips.
@@ -348,129 +345,6 @@ fn many_core_schemes_complete_across_shard_counts() {
             let r = run_parallel(&w.program, scheme, &c);
             assert_sane(&w, &r, &format!("64-core {scheme} shards={shards}"));
         }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Committed seed corpus: regression schedules replay bit-exactly.
-// ---------------------------------------------------------------------
-
-fn schedules_dir() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/schedules")
-}
-
-/// The corpus workloads, by the kernel name recorded in the schedule
-/// file. Parameters are fixed: the note's violation counts are only
-/// reproducible against the exact same program and config.
-fn corpus_kernel(name: &str, n: usize) -> Workload {
-    match name {
-        "racy_increment" => micro::racy_increment(n, 30),
-        "false_sharing" => micro::false_sharing(n, 30),
-        "lock_sweep" => micro::lock_sweep(n, 8),
-        // Irregular family at `irregular_suite` test-scale parameters, so
-        // corpus seeds line up with the CLI's `--replay` workloads.
-        "pipeline" => pipeline::pipeline(n.max(2), 8),
-        "mailbox_actors" => actors::mailbox_actors(n.max(2), 2),
-        "work_steal" => worksteal::work_steal(n, 24i64.max(2 * n as i64)),
-        "treiber_stack" => treiber::treiber_stack(n, 4),
-        other => panic!("schedule file references unknown corpus kernel {other:?}"),
-    }
-}
-
-fn corpus_note(r: &SimReport) -> String {
-    format!(
-        "violations={} max_inversion={} corpus=conformance-v1",
-        r.violations.total(),
-        r.violations.max_inversion_cycles
-    )
-}
-
-/// Every schedule file committed under `tests/schedules/` replays to the
-/// exact violation counts recorded in its note — the determinism
-/// contract that makes a dumped seed a usable bug report.
-#[test]
-fn seed_corpus_replays_bit_exactly() {
-    let dir = schedules_dir();
-    let mut checked = 0;
-    let mut entries: Vec<_> = std::fs::read_dir(&dir)
-        .unwrap_or_else(|e| panic!("missing seed corpus {}: {e}", dir.display()))
-        .map(|e| e.unwrap().path())
-        .filter(|p| p.extension().is_some_and(|x| x == "txt"))
-        .collect();
-    entries.sort();
-    for path in entries {
-        let text = std::fs::read_to_string(&path).unwrap();
-        let sched = Schedule::parse(&text)
-            .unwrap_or_else(|e| panic!("{}: bad schedule file: {e}", path.display()));
-        let scheme: Scheme =
-            sched.scheme.parse().unwrap_or_else(|e| panic!("{}: bad scheme: {e}", path.display()));
-        let w = corpus_kernel(&sched.kernel, sched.n_cores);
-        let mut det = DetEngine::new(&w.program, scheme, &tracking_cfg(sched.n_cores), sched.seed);
-        det.run();
-        let r = det.into_report();
-        assert_eq!(printed_values(&r), w.expected, "{}: wrong output", path.display());
-        assert_eq!(
-            corpus_note(&r),
-            sched.note,
-            "{}: replay does not reproduce the recorded run",
-            path.display()
-        );
-        checked += 1;
-    }
-    assert!(checked >= 3, "seed corpus unexpectedly small ({checked} files)");
-}
-
-/// Regenerate the committed corpus (run manually after an engine change
-/// that legitimately shifts violation counts):
-/// `cargo test -p sk-core --test conformance regen_seed_corpus -- --ignored`
-#[test]
-#[ignore = "writes tests/schedules/; run explicitly to regenerate the corpus"]
-fn regen_seed_corpus() {
-    let dir = schedules_dir();
-    std::fs::create_dir_all(&dir).unwrap();
-    // One violating seed per racy scheme on the racy kernel, and a
-    // conservative control that must stay clean.
-    // `None` seeds are resolved below: scan the seed budget for the first
-    // schedule that actually records a violation, so the committed corpus
-    // holds *violating* seeds for the irregular kernels (their values are
-    // sync-pinned; only timestamp inversions show the slack).
-    let picks: [(&str, Scheme, Option<u64>, usize); 7] = [
-        ("racy_increment", Scheme::BoundedSlack(10), Some(SEEDS[1]), 3),
-        ("racy_increment", Scheme::Unbounded, Some(SEEDS[0]), 3),
-        ("false_sharing", Scheme::BoundedSlack(10), Some(SEEDS[2]), 3),
-        ("lock_sweep", Scheme::CycleByCycle, Some(SEEDS[3]), 3),
-        // Irregular family: SU/S100 seeds genuinely invert (the sync path
-        // pins values, so only wide windows let timestamps skew past a
-        // conflicting access); the S10 pick is a clean control whose
-        // zero-violation note is itself a replay assertion.
-        ("pipeline", Scheme::BoundedSlack(10), None, 4),
-        ("mailbox_actors", Scheme::Unbounded, None, 4),
-        ("work_steal", Scheme::BoundedSlack(100), None, 4),
-    ];
-    for (kernel, scheme, seed, n) in picks {
-        let w = corpus_kernel(kernel, n);
-        let seed = seed
-            .or_else(|| {
-                SEEDS.iter().copied().find(|&s| {
-                    let mut det = DetEngine::new(&w.program, scheme, &tracking_cfg(n), s);
-                    det.run();
-                    det.into_report().violations.total() > 0
-                })
-            })
-            .unwrap_or(SEEDS[0]);
-        let mut det = DetEngine::new(&w.program, scheme, &tracking_cfg(n), seed);
-        det.run();
-        let r = det.into_report();
-        assert_eq!(printed_values(&r), w.expected);
-        let mut sched = Schedule::new(seed, &scheme.short_name(), kernel, n);
-        sched.note = corpus_note(&r);
-        let name = format!(
-            "{}-{}-{}.txt",
-            kernel,
-            scheme.short_name().to_lowercase().replace('*', "star"),
-            seed
-        );
-        std::fs::write(dir.join(name), sched.format()).unwrap();
     }
 }
 

@@ -7,9 +7,9 @@
 //! exercises whatever interleavings the host OS happens to produce. This
 //! crate supplies the missing half: a seedable [`Interleaver`] that a
 //! cooperative single-threaded scheduler consults for every "which runnable
-//! task steps next?" decision, plus a [`Schedule`] seed-file format so a
-//! violating seed found by fuzzing can be committed as a replayable
-//! regression artifact.
+//! task steps next?" decision. A violating seed found by fuzzing is kept as
+//! a seeded `.skn` scenario (sk-scenario's `[run] seed`), which pins the
+//! rest of the run.
 //!
 //! Design constraints:
 //!
@@ -24,7 +24,5 @@
 //!   seed.
 
 mod interleave;
-mod schedule;
 
 pub use interleave::{Interleaver, PickHook, SplitMix64};
-pub use schedule::{Schedule, ScheduleParseError, SCHEDULE_FORMAT_VERSION};

@@ -5,7 +5,10 @@
 //! markers — in one declarative artifact, so the *same* run can be driven
 //! bit-identically through the CLI (`slacksim run --scenario`), the
 //! deterministic schedule fuzzer (`--det-schedules`) and an sk-serve job
-//! (`POST /jobs` with a `scenario` body).
+//! (`POST /jobs` with a `scenario` body). A scenario with a `[run] seed`
+//! also names one det-scheduler interleaving: it is what the fuzzer dumps
+//! for a violating seed and what `slacksim run --scenario` replays (the
+//! job server, whose jobs are det seed 0 runs, refuses it).
 //!
 //! The format is a strict, hand-rolled TOML subset (zero dependencies):
 //!
@@ -24,6 +27,7 @@
 //! track_violations = true
 //! checkpoint_at = 5000           # optional: snapshot marker, cycles
 //! roi_instructions = 100000      # optional: StopCondition::RoiInstructions
+//! seed = 3                       # optional: det-scheduler seed (a replay)
 //!
 //! [kernel]
 //! name = "pipeline"              # any registered kernel
@@ -72,6 +76,9 @@ pub struct Scenario {
     pub checkpoint_at: Option<u64>,
     /// Optional ROI instruction budget ([`StopCondition::RoiInstructions`]).
     pub roi_instructions: Option<u64>,
+    /// Optional det-scheduler seed: the scenario then names one whole
+    /// interleaving, run from cycle 0 to the end.
+    pub seed: Option<u64>,
     /// Kernel name as written in the file (looked up case-insensitively).
     pub kernel: String,
     /// Kernel inputs; keys missing here take the registry defaults.
@@ -89,6 +96,7 @@ impl Default for Scenario {
             track_violations: false,
             checkpoint_at: None,
             roi_instructions: None,
+            seed: None,
             kernel: String::new(),
             params: BTreeMap::new(),
         }
@@ -265,6 +273,9 @@ impl Scenario {
         }
         if let Some(r) = self.roi_instructions {
             out.push_str(&format!("roi_instructions = {r}\n"));
+        }
+        if let Some(seed) = self.seed {
+            out.push_str(&format!("seed = {seed}\n"));
         }
         out.push_str("\n[kernel]\n");
         out.push_str(&format!("name = \"{}\"\n", clean(&self.kernel)));
@@ -455,6 +466,13 @@ fn apply_key(
             }
             sc.roi_instructions = Some(r as u64);
         }
+        ("run", "seed") => {
+            let seed = want_int(val)?;
+            if seed < 0 {
+                return Err(bad("must be >= 0".into()));
+            }
+            sc.seed = Some(seed as u64);
+        }
         ("kernel", "name") => sc.kernel = want_str(val)?,
         ("kernel", _) => {
             sc.params.insert(key.to_string(), want_int(val)?);
@@ -587,6 +605,19 @@ rounds = 3
                 .unwrap();
         assert_eq!(sc.name, "a#b");
         assert_eq!(sc.kernel, "lock_sweep");
+    }
+
+    #[test]
+    fn a_seed_round_trips_and_only_a_seeded_form_writes_it() {
+        let text = "[run]\nscheme = \"SU\"\nseed = 3\n[kernel]\nname = \"racy_increment\"\n";
+        let sc = Scenario::parse(text).unwrap();
+        assert_eq!(sc.seed, Some(3));
+        assert!(sc.emit().contains("seed = 3\n"));
+        assert_eq!(Scenario::parse(&sc.emit()).unwrap(), sc);
+        let unseeded = Scenario { seed: None, ..sc.clone() };
+        assert!(!unseeded.emit().contains("seed"));
+        assert_ne!(unseeded.hash(), sc.hash());
+        assert!(Scenario::parse(&text.replace("seed = 3", "seed = -1")).is_err());
     }
 
     #[test]

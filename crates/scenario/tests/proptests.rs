@@ -27,7 +27,7 @@ fn arb_scheme() -> BoxedStrategy<Scheme> {
 fn arb_scenario() -> BoxedStrategy<Scenario> {
     (
         (0usize..KERNELS.len(), 2usize..=12, 0usize..=4, any::<bool>()),
-        (arb_scheme(), any::<bool>()),
+        (arb_scheme(), any::<bool>(), (0u64..1000, any::<bool>())),
         (
             (0u64..20_000, any::<bool>()),
             (0u64..100_000, any::<bool>()),
@@ -35,30 +35,33 @@ fn arb_scenario() -> BoxedStrategy<Scenario> {
             1i64..=64,
         ),
     )
-        .prop_map(move |((ki, cores, shards, inorder), (scheme, track), (chk, roi, name, pval))| {
-            let kernel = &KERNELS[ki];
-            let mut sc = Scenario {
-                cores,
-                mem_shards: shards,
-                model: if inorder { CoreModel::InOrder } else { CoreModel::OutOfOrder },
-                scheme,
-                track_violations: track,
-                checkpoint_at: chk.1.then_some(chk.0 + 1),
-                roi_instructions: roi.1.then_some(roi.0 + 1),
-                kernel: kernel.name.to_string(),
-                ..Scenario::default()
-            };
-            if name.1 {
-                sc.name = format!("prop-{}", name.0);
-            }
-            // Override the kernel's first parameter half the time.
-            if pval % 2 == 0 {
-                if let Some((key, _)) = kernel.params.first() {
-                    sc.params.insert(key.to_string(), pval);
+        .prop_map(
+            move |((ki, cores, shards, inorder), (scheme, track, seed), (chk, roi, name, pval))| {
+                let kernel = &KERNELS[ki];
+                let mut sc = Scenario {
+                    cores,
+                    mem_shards: shards,
+                    model: if inorder { CoreModel::InOrder } else { CoreModel::OutOfOrder },
+                    scheme,
+                    track_violations: track,
+                    checkpoint_at: chk.1.then_some(chk.0 + 1),
+                    roi_instructions: roi.1.then_some(roi.0 + 1),
+                    seed: seed.1.then_some(seed.0),
+                    kernel: kernel.name.to_string(),
+                    ..Scenario::default()
+                };
+                if name.1 {
+                    sc.name = format!("prop-{}", name.0);
                 }
-            }
-            sc
-        })
+                // Override the kernel's first parameter half the time.
+                if pval % 2 == 0 {
+                    if let Some((key, _)) = kernel.params.first() {
+                        sc.params.insert(key.to_string(), pval);
+                    }
+                }
+                sc
+            },
+        )
         .boxed()
 }
 

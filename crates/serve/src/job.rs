@@ -87,6 +87,13 @@ impl JobSpec {
                 }
             }
             let sc = Scenario::parse(text).map_err(|e| bad(format!("bad scenario: {e}")))?;
+            // Every served scheme is the det seed 0 run of its spec, so a
+            // scenario naming another schedule cannot be answered as asked.
+            if let Some(seed) = sc.seed {
+                return Err(bad(format!(
+                    "scenario names det seed {seed}; served jobs run seed 0 (drop [run] seed)"
+                )));
+            }
             if sc.cores > MAX_CORES {
                 return Err(bad(format!(
                     "scenario asks for {} cores; this server caps jobs at {MAX_CORES}",
@@ -522,6 +529,15 @@ mod tests {
         // though the scenario crate itself allows up to 256 cores.
         let big = SKN.replace("cores = 4", "cores = 32");
         assert!(spec(&format!("{{\"scenario\":\"{}\"}}", escape(&big))).is_err());
+    }
+
+    #[test]
+    fn a_seeded_scenario_is_refused() {
+        let seeded = SKN.replace("[kernel]", "seed = 3\n[kernel]");
+        let err = spec(&format!("{{\"scenario\":\"{}\"}}", escape(&seeded))).unwrap_err();
+        assert!(err.0.contains("seed 3"), "{err}");
+        let unseeded = SKN.replace("[kernel]", "seed = 0\n[kernel]");
+        assert!(spec(&format!("{{\"scenario\":\"{}\"}}", escape(&unseeded))).is_err());
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The deterministic backend's schedule stream, pinned.
 //!
 //! `DetEngine::run` draws one interleaver pick per scheduling decision, and
-//! everything downstream — the run a regression seed file replays, the
+//! everything downstream — the run a seeded regression scenario replays, the
 //! decision hash two runs are compared by, the simulated outcome of every
 //! racy scheme — is a function of that exact sequence: the size of the
 //! runnable set at each pick, who was in it, and where the forced-manager
@@ -111,8 +111,9 @@ fn schedule_stream_matches_the_pinned_scheduler() {
     }
     let mut actual = run_all(&jobs);
 
-    // A run replayed from its seed, as the CLI's `--replay` does from a
-    // seed file: a fresh engine on the same seed takes the same schedule.
+    // A run replayed from its seed, as `slacksim run --scenario` does from
+    // a seeded scenario: a fresh engine on the same seed takes the same
+    // schedule.
     let w = &suite[1];
     let cfg = TargetConfig::small(n);
     let mut rec = DetEngine::new(&w.program, Scheme::Unbounded, &cfg, 5);
