@@ -31,8 +31,9 @@ pub struct CoreStats {
     /// Cycles before the thread started or after it exited.
     pub idle_cycles: u64,
     /// Cycles a sync syscall at the head of the ROB polled pending
-    /// (awaiting the manager's reply). Counted by the out-of-order core;
-    /// the in-order core reports 0.
+    /// (awaiting the manager's reply). Only the out-of-order core counts
+    /// it, so it reads 0 on every in-order core: compare it within one
+    /// core model, never across models.
     pub sys_retries: u64,
     /// Extra idle cycles injected by fast-forward compensation.
     pub ff_stall_cycles: u64,
