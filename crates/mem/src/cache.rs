@@ -57,19 +57,30 @@ impl CacheStats {
     }
 }
 
-#[derive(Clone, Debug)]
+/// One way of one set. The tag array is a single set-major `Vec` of
+/// these: set `s` is `lines[s * assoc..(s + 1) * assoc]`, so a lookup
+/// reads one contiguous run of lines and no per-set allocation.
+#[derive(Clone, Copy, Debug)]
 struct Line<S> {
     tag: u64,
-    state: Option<S>,
     /// LRU ordinal: larger = more recently used.
     lru: u64,
+    state: Option<S>,
+}
+
+impl<S> Line<S> {
+    #[inline]
+    fn holds(&self, tag: u64) -> bool {
+        self.state.is_some() && self.tag == tag
+    }
 }
 
 /// A set-associative tag array holding one `S` per resident block.
 #[derive(Clone, Debug)]
 pub struct Cache<S> {
     cfg: CacheConfig,
-    sets: Vec<Vec<Line<S>>>,
+    /// Every set's ways, set-major (see [`Line`]).
+    lines: Vec<Line<S>>,
     set_mask: u64,
     /// `log2` of the set count: the tag is the block address shifted by
     /// it. Derived from the geometry, never serialized.
@@ -83,21 +94,18 @@ impl<S: Copy> Cache<S> {
     /// Build an empty cache with the given geometry.
     pub fn new(cfg: CacheConfig) -> Self {
         assert_eq!(cfg.block_bytes, BLOCK_BYTES, "block size must match the coherence unit");
-        let num_sets = cfg.num_sets();
-        let sets = (0..num_sets)
-            .map(|_| (0..cfg.assoc).map(|_| Line { tag: 0, state: None, lru: 0 }).collect())
-            .collect();
-        Cache::around(cfg, sets, 0, CacheStats::default())
+        let lines = vec![Line { tag: 0, lru: 0, state: None }; cfg.num_sets() * cfg.assoc];
+        Cache::around(cfg, lines, 0, CacheStats::default())
     }
 
-    /// A cache over `sets` (`num_sets` of them, a power of two), with the
-    /// mask and shift derived from their count.
-    fn around(cfg: CacheConfig, sets: Vec<Vec<Line<S>>>, tick: u64, stats: CacheStats) -> Self {
-        let num_sets = sets.len();
-        debug_assert!(num_sets.is_power_of_two());
+    /// A cache over `lines` (a power of two sets of `cfg.assoc` ways),
+    /// with the mask and shift derived from their count.
+    fn around(cfg: CacheConfig, lines: Vec<Line<S>>, tick: u64, stats: CacheStats) -> Self {
+        let num_sets = lines.len() / cfg.assoc;
+        debug_assert!(num_sets.is_power_of_two() && lines.len() == num_sets * cfg.assoc);
         Cache {
             cfg,
-            sets,
+            lines,
             set_mask: (num_sets - 1) as u64,
             set_bits: num_sets.trailing_zeros(),
             tick,
@@ -110,29 +118,35 @@ impl<S: Copy> Cache<S> {
         self.cfg
     }
 
+    /// The set `block` maps to and its tag there.
     #[inline]
-    fn set_of(&self, block: BlockAddr) -> usize {
-        (block & self.set_mask) as usize
+    fn place(&self, block: BlockAddr) -> (usize, u64) {
+        ((block & self.set_mask) as usize, block >> self.set_bits)
     }
 
     #[inline]
-    fn tag_of(&self, block: BlockAddr) -> u64 {
-        block >> self.set_bits
+    fn ways(&self, set: usize) -> &[Line<S>] {
+        let a = self.cfg.assoc;
+        &self.lines[set * a..set * a + a]
+    }
+
+    #[inline]
+    fn ways_mut(&mut self, set: usize) -> &mut [Line<S>] {
+        let a = self.cfg.assoc;
+        &mut self.lines[set * a..set * a + a]
     }
 
     /// Look up a block, updating LRU and hit/miss counters. Returns the
     /// line state if present.
     pub fn lookup(&mut self, block: BlockAddr) -> Option<S> {
-        let set = self.set_of(block);
-        let tag = self.tag_of(block);
+        let (set, tag) = self.place(block);
         self.tick += 1;
         let tick = self.tick;
-        for line in &mut self.sets[set] {
-            if line.state.is_some() && line.tag == tag {
-                line.lru = tick;
-                self.stats.hits += 1;
-                return line.state;
-            }
+        if let Some(line) = self.ways_mut(set).iter_mut().find(|l| l.holds(tag)) {
+            line.lru = tick;
+            let state = line.state;
+            self.stats.hits += 1;
+            return state;
         }
         self.stats.misses += 1;
         None
@@ -140,51 +154,47 @@ impl<S: Copy> Cache<S> {
 
     /// Inspect a block without touching LRU or counters.
     pub fn peek(&self, block: BlockAddr) -> Option<S> {
-        let set = self.set_of(block);
-        let tag = self.tag_of(block);
-        self.sets[set].iter().find(|l| l.state.is_some() && l.tag == tag).and_then(|l| l.state)
+        let (set, tag) = self.place(block);
+        self.ways(set).iter().find(|l| l.holds(tag)).and_then(|l| l.state)
     }
 
     /// Overwrite the state of a resident block; returns false if absent.
     pub fn set_state(&mut self, block: BlockAddr, state: S) -> bool {
-        let set = self.set_of(block);
-        let tag = self.tag_of(block);
-        for line in &mut self.sets[set] {
-            if line.state.is_some() && line.tag == tag {
+        let (set, tag) = self.place(block);
+        match self.ways_mut(set).iter_mut().find(|l| l.holds(tag)) {
+            Some(line) => {
                 line.state = Some(state);
-                return true;
+                true
             }
+            None => false,
         }
-        false
     }
 
     /// Insert a block with `state`, evicting the LRU line if the set is
     /// full. Returns the evicted `(block, state)` if a valid line was
     /// displaced.
     pub fn fill(&mut self, block: BlockAddr, state: S) -> Option<(BlockAddr, S)> {
-        let set_idx = self.set_of(block);
-        let tag = self.tag_of(block);
+        let (set_idx, tag) = self.place(block);
         let nsets = self.set_mask + 1;
         self.tick += 1;
-        let tick = self.tick;
+        let fresh = Line { tag, lru: self.tick, state: Some(state) };
 
+        let set = self.ways_mut(set_idx);
         // Refill of a resident block just updates state.
-        let set = &mut self.sets[set_idx];
-        if let Some(line) = set.iter_mut().find(|l| l.state.is_some() && l.tag == tag) {
-            line.state = Some(state);
-            line.lru = tick;
+        if let Some(line) = set.iter_mut().find(|l| l.holds(tag)) {
+            *line = fresh;
             return None;
         }
         // Prefer an invalid way.
         if let Some(line) = set.iter_mut().find(|l| l.state.is_none()) {
-            *line = Line { tag, state: Some(state), lru: tick };
+            *line = fresh;
             return None;
         }
         // Evict true-LRU.
         let victim = set.iter_mut().min_by_key(|l| l.lru).expect("associativity >= 1");
         let old_block = victim.tag * nsets + set_idx as u64;
-        let old_state = victim.state.take().expect("victim was valid");
-        *victim = Line { tag, state: Some(state), lru: tick };
+        let old_state = victim.state.expect("victim was valid");
+        *victim = fresh;
         self.stats.evictions += 1;
         Some((old_block, old_state))
     }
@@ -192,22 +202,18 @@ impl<S: Copy> Cache<S> {
     /// Remove a block (coherence invalidation); returns its state if it was
     /// resident.
     pub fn invalidate(&mut self, block: BlockAddr) -> Option<S> {
-        let set = self.set_of(block);
-        let tag = self.tag_of(block);
-        for line in &mut self.sets[set] {
-            if line.state.is_some() && line.tag == tag {
-                return line.state.take();
-            }
-        }
-        None
+        let (set, tag) = self.place(block);
+        self.ways_mut(set).iter_mut().find(|l| l.holds(tag)).and_then(|l| l.state.take())
     }
 
     /// Iterate over all resident blocks (diagnostics / invariant checks).
     pub fn resident(&self) -> impl Iterator<Item = (BlockAddr, S)> + '_ {
         let nsets = self.set_mask + 1;
-        self.sets.iter().enumerate().flat_map(move |(si, set)| {
-            set.iter().filter_map(move |l| l.state.map(|s| (l.tag * nsets + si as u64, s)))
-        })
+        let assoc = self.cfg.assoc;
+        self.lines
+            .iter()
+            .enumerate()
+            .filter_map(move |(i, l)| l.state.map(|s| (l.tag * nsets + (i / assoc) as u64, s)))
     }
 }
 
@@ -241,12 +247,10 @@ impl<S: Persist + Copy> Persist for Cache<S> {
         self.cfg.save(w);
         w.put_u64(self.tick);
         self.stats.save(w);
-        for set in &self.sets {
-            for line in set {
-                w.put_u64(line.tag);
-                line.state.save(w);
-                w.put_u64(line.lru);
-            }
+        for line in &self.lines {
+            w.put_u64(line.tag);
+            line.state.save(w);
+            w.put_u64(line.lru);
         }
     }
     fn load(r: &mut Reader<'_>) -> Result<Self, SnapError> {
@@ -254,18 +258,17 @@ impl<S: Persist + Copy> Persist for Cache<S> {
         let num_sets = cfg.validated_num_sets()?;
         let tick = r.get_u64()?;
         let stats = CacheStats::load(r)?;
-        let mut sets = Vec::with_capacity(num_sets);
-        for _ in 0..num_sets {
-            let mut set = Vec::with_capacity(cfg.assoc);
-            for _ in 0..cfg.assoc {
-                let tag = r.get_u64()?;
-                let state = Option::<S>::load(r)?;
-                let lru = r.get_u64()?;
-                set.push(Line { tag, state, lru });
-            }
-            sets.push(set);
+        let n = num_sets * cfg.assoc;
+        // A line is at least a tag, a state tag byte and an LRU stamp: a
+        // damaged geometry runs out of bytes before it allocates.
+        let mut lines = Vec::with_capacity(n.min(r.remaining() / 17));
+        for _ in 0..n {
+            let tag = r.get_u64()?;
+            let state = Option::<S>::load(r)?;
+            let lru = r.get_u64()?;
+            lines.push(Line { tag, lru, state });
         }
-        Ok(Cache::around(cfg, sets, tick, stats))
+        Ok(Cache::around(cfg, lines, tick, stats))
     }
 }
 
