@@ -1,8 +1,9 @@
 //! Microbenchmarks of the per-cycle hot paths: the lock-free paged
 //! functional memory (with and without the per-core µTLB cursor) and
 //! instruction predecode (per-word `decode` vs the `DecodedProgram` table
-//! lookup); of superblock dispatch; and of one out-of-order core's `step`
-//! on four loops that load its stages differently (`ooo_hot`).
+//! lookup); of superblock dispatch; and of an out-of-order core's `step`
+//! on four loops that load its stages differently, alone and as eight
+//! cores taking turns (`ooo_hot`).
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use sk_core::cpu::{CoreHost, CpuCtx, CpuModel, SysOutcome};
@@ -14,6 +15,7 @@ use sk_isa::{
 use sk_mem::FuncMemory;
 use std::collections::VecDeque;
 use std::hint::black_box;
+use std::sync::Arc;
 
 /// Strided read/write mix over a working set spanning several pages —
 /// the access shape of the kernels' inner loops.
@@ -153,11 +155,10 @@ fn bench_superblock_hot(c: &mut Criterion) {
 }
 
 /// The least a lone out-of-order core needs from its surroundings:
-/// functional memory, the predecode table, and every miss answered a
-/// fixed latency later (the queue stays in time order).
+/// functional memory and every miss answered a fixed latency later (the
+/// queue stays in time order).
 struct LoneCoreHost {
     mem: FuncMemory,
-    text: DecodedProgram,
     now: u64,
     latency: u64,
     replies: VecDeque<(u64, OutKind)>,
@@ -173,9 +174,6 @@ impl CoreHost for LoneCoreHost {
     fn fetch_word(&mut self, addr: u64) -> u64 {
         self.mem.read(addr)
     }
-    fn decoded(&mut self, pc: u64) -> Option<DecodedInstr> {
-        self.text.lookup(pc).copied()
-    }
     fn emit(&mut self, kind: OutKind) {
         self.replies.push_back((self.now + self.latency, kind));
     }
@@ -187,40 +185,86 @@ impl CoreHost for LoneCoreHost {
     }
 }
 
-/// Deliver due replies, then simulate one cycle.
-fn lone_core_cycle(cpu: &mut CpuModel, host: &mut LoneCoreHost, stats: &mut sk_core::CoreStats) {
-    host.now += 1;
-    while host.replies.front().is_some_and(|&(ts, _)| ts <= host.now) {
-        let (ts, kind) = host.replies.pop_front().unwrap();
-        match kind {
-            OutKind::DMem { req, block } => {
-                use sk_mem::{l1::ReqKind, LineState};
-                match req {
-                    ReqKind::GetS => cpu.mem_reply(block, LineState::Exclusive, ts),
-                    ReqKind::GetM | ReqKind::Upgrade => {
-                        cpu.mem_reply(block, LineState::Modified, ts)
-                    }
-                    ReqKind::PutS | ReqKind::PutM => {}
-                }
-            }
-            OutKind::IMem { block } => cpu.imem_reply(block, ts),
-            _ => {}
-        }
-    }
-    cpu.step(&mut CpuCtx { now: host.now, host, stats });
+/// One out-of-order core on the paper's target with its own host.
+struct LoneCore {
+    cpu: CpuModel,
+    host: LoneCoreHost,
+    stats: sk_core::CoreStats,
 }
 
-/// Host nanoseconds per simulated core-cycle of an out-of-order
-/// `CpuModel::step`: each sample is `CYCLES` cycles of a loop that never
-/// exits, so the reported rate in Kelem/s is thousands of core-cycles per
-/// second (ns per cycle = 1e6 ÷ that). The four loops put the time in different stages:
-/// wakeup/select/complete at full width; a ROB parked behind L1D misses
-/// (MSHRs, waiters, almost no issue); flush recovery and refetch; a ROB
-/// of ready loads held back by memory order behind stores whose
-/// addresses wait on a divide.
-fn bench_ooo_hot(c: &mut Criterion) {
-    const CYCLES: u64 = 50_000;
-    const NODES: u64 = 1024; // one 64-byte block each: four times the L1D
+impl LoneCore {
+    /// A core running `p` from its entry; `chain`, when given, is the
+    /// base of `NODES` one-block nodes linked into a pointer chase.
+    fn new(p: &sk_isa::Program, chain: Option<u64>) -> Self {
+        let cfg = TargetConfig::paper_8core();
+        let host = LoneCoreHost {
+            mem: FuncMemory::new(),
+            now: 0,
+            latency: cfg.mem.critical_latency(),
+            replies: VecDeque::new(),
+        };
+        host.mem.load(p.image());
+        if let Some(chain) = chain {
+            // A stride coprime to the node count visits every block.
+            for i in 0..NODES {
+                host.mem.write(chain + i * 64, chain + (i + 387) % NODES * 64);
+            }
+        }
+        let mut cpu = CpuModel::new(&cfg, Arc::new(DecodedProgram::from_program(p)));
+        cpu.start_thread(p.entry, 0, 0);
+        LoneCore { cpu, host, stats: sk_core::CoreStats::default() }
+    }
+
+    /// Deliver due replies, then simulate one cycle.
+    fn cycle(&mut self) {
+        let LoneCore { cpu, host, stats } = self;
+        host.now += 1;
+        while host.replies.front().is_some_and(|&(ts, _)| ts <= host.now) {
+            let (ts, kind) = host.replies.pop_front().unwrap();
+            match kind {
+                OutKind::DMem { req, block } => {
+                    use sk_mem::{l1::ReqKind, LineState};
+                    match req {
+                        ReqKind::GetS => cpu.mem_reply(block, LineState::Exclusive, ts),
+                        ReqKind::GetM | ReqKind::Upgrade => {
+                            cpu.mem_reply(block, LineState::Modified, ts)
+                        }
+                        ReqKind::PutS | ReqKind::PutM => {}
+                    }
+                }
+                OutKind::IMem { block } => cpu.imem_reply(block, ts),
+                _ => {}
+            }
+        }
+        cpu.step(&mut CpuCtx { now: host.now, host, stats });
+    }
+
+    /// `name: ipc …, mispredict rate …, l1d miss rate …`, if it ran.
+    fn report(&mut self, name: &str) {
+        assert!(!self.cpu.finished(), "{name} ran off its loop");
+        if self.host.now == 0 {
+            return; // filtered out
+        }
+        self.cpu.flush_cache_stats(&mut self.stats);
+        let l1d = self.stats.l1d;
+        println!(
+            "ooo_hot/{name}: ipc {:.2}, mispredict rate {:.3}, l1d miss rate {:.3}",
+            self.stats.committed as f64 / self.host.now as f64,
+            self.stats.mispredict_rate(),
+            l1d.misses as f64 / (l1d.hits + l1d.misses).max(1) as f64
+        );
+    }
+}
+
+/// One-block nodes of the pointer-chase loop: four times the L1D.
+const NODES: u64 = 1024;
+
+/// The four loops of `ooo_hot`, each with its chain base if it chases
+/// pointers. They put the time in different stages: wakeup/select/complete
+/// at full width; a ROB parked behind L1D misses (MSHRs, waiters, almost
+/// no issue); flush recovery and refetch; a ROB of ready loads held back
+/// by memory order behind stores whose addresses wait on a divide.
+fn ooo_loops() -> [(&'static str, (sk_isa::Program, Option<u64>)); 4] {
     let forever = i64::MAX / 2;
 
     let ilp = {
@@ -286,51 +330,62 @@ fn bench_ooo_hot(c: &mut Criterion) {
         b.j(top);
         (b.build().unwrap(), None)
     };
-
-    let mut group = c.benchmark_group("ooo_hot");
-    group.throughput(Throughput::Elements(CYCLES));
-    for (name, (p, chain)) in [
+    [
         ("ilp_loop", ilp),
         ("pointer_chase_l1d_miss", chase),
         ("mispredict_loop", mispredict),
         ("loads_behind_unknown_store", store_order),
-    ] {
-        let cfg = sk_core::TargetConfig::paper_8core();
-        let mut host = LoneCoreHost {
-            mem: FuncMemory::new(),
-            text: DecodedProgram::from_program(&p),
-            now: 0,
-            latency: cfg.mem.critical_latency(),
-            replies: VecDeque::new(),
-        };
-        host.mem.load(p.image());
-        if let Some(chain) = chain {
-            // A stride coprime to the node count visits every block.
-            for i in 0..NODES {
-                host.mem.write(chain + i * 64, chain + (i + 387) % NODES * 64);
-            }
-        }
-        let mut cpu = CpuModel::new(&cfg);
-        cpu.start_thread(p.entry, 0, 0);
-        let mut stats = sk_core::CoreStats::default();
+    ]
+}
+
+/// Host nanoseconds per simulated core-cycle of an out-of-order
+/// `CpuModel::step`: each sample is `CYCLES` core-cycles of loops that
+/// never exit, so the reported rate in Kelem/s is thousands of
+/// core-cycles per second (ns per cycle = 1e6 ÷ that). One case per loop
+/// of [`ooo_loops`] on a lone core, whose state stays in the host's L1;
+/// then `eight_cores_round_robin`: eight cores, two on each loop, stepped
+/// `BATCH` cycles at a time in turn, as the det scheduler steps
+/// `ooo_compute`'s eight cores under S10, so every core's state is
+/// evicted by the other seven's between its batches.
+fn bench_ooo_hot(c: &mut Criterion) {
+    const CYCLES: u64 = 50_000;
+    const BATCH: u64 = 10;
+
+    let mut group = c.benchmark_group("ooo_hot");
+    group.throughput(Throughput::Elements(CYCLES));
+    for (name, (p, chain)) in ooo_loops() {
+        let mut core = LoneCore::new(&p, chain);
         group.bench_function(format!("{name}/{CYCLES}_cycles"), |b| {
             b.iter(|| {
                 for _ in 0..CYCLES {
-                    lone_core_cycle(&mut cpu, &mut host, &mut stats);
+                    core.cycle();
                 }
-                black_box(stats.committed)
+                black_box(core.stats.committed)
             })
         });
-        assert!(!cpu.finished(), "{name} ran off its loop");
-        println!(
-            "ooo_hot/{name}: ipc {:.2}, mispredict rate {:.3}, l1d miss rate {:.3}",
-            stats.committed as f64 / host.now as f64,
-            stats.mispredict_rate(),
-            {
-                cpu.flush_cache_stats(&mut stats);
-                stats.l1d.misses as f64 / (stats.l1d.hits + stats.l1d.misses).max(1) as f64
+        core.report(name);
+    }
+
+    let loops = ooo_loops();
+    let mut cores: Vec<LoneCore> = (0..8)
+        .map(|i| &loops[i % loops.len()].1)
+        .map(|(p, chain)| LoneCore::new(p, *chain))
+        .collect();
+    let rounds = CYCLES / BATCH / cores.len() as u64;
+    group.bench_function(format!("eight_cores_round_robin/{CYCLES}_cycles"), |b| {
+        b.iter(|| {
+            for _ in 0..rounds {
+                for core in cores.iter_mut() {
+                    for _ in 0..BATCH {
+                        core.cycle();
+                    }
+                }
             }
-        );
+            black_box(cores.iter().map(|c| c.stats.committed).sum::<u64>())
+        })
+    });
+    for (i, core) in cores.iter_mut().enumerate() {
+        core.report(&format!("eight_cores_round_robin/core{i}"));
     }
     group.finish();
 }

@@ -24,7 +24,7 @@ use crate::spsc::{Consumer, Producer};
 use crate::stats::CoreStats;
 use crate::violation::ConflictTracker;
 use crossbeam::utils::CachePadded;
-use sk_isa::{DecodedInstr, DecodedProgram, Syscall};
+use sk_isa::Syscall;
 use sk_mem::{FuncMemory, PageCursor};
 use sk_snap::{Persist, Reader, SnapError, Writer};
 use std::cmp::Reverse;
@@ -99,8 +99,6 @@ struct HostState {
     /// µTLB over the shared functional memory: the common-case access is
     /// one pointer chase with zero shared-state writes.
     mem: PageCursor,
-    /// Shared predecoded text segment (fetch fast path).
-    text: Arc<DecodedProgram>,
     tracker: Option<Arc<ConflictTracker>>,
     pending_out: Vec<OutKind>,
     sys_phase: SysPhase,
@@ -150,10 +148,6 @@ impl CoreHost for HostState {
 
     fn fetch_word(&mut self, addr: u64) -> u64 {
         self.mem.read(addr)
-    }
-
-    fn decoded(&mut self, pc: u64) -> Option<DecodedInstr> {
-        self.text.lookup(pc).copied()
     }
 
     fn emit(&mut self, kind: OutKind) {
@@ -312,7 +306,6 @@ impl CoreSim {
         inq: Consumer<InMsg>,
         outq: Producer<OutEvent>,
         mem: FuncMemory,
-        text: Arc<DecodedProgram>,
         tracker: Option<Arc<ConflictTracker>>,
         roi: Arc<RoiState>,
     ) -> Self {
@@ -336,7 +329,6 @@ impl CoreSim {
                 n_cores: cfg.n_cores,
                 tid: id as u32,
                 mem: mem.cursor(),
-                text,
                 tracker,
                 pending_out: Vec::with_capacity(8),
                 sys_phase: SysPhase::Idle,

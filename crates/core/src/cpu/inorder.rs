@@ -14,7 +14,7 @@ use crate::config::TargetConfig;
 use crate::exec::{self, Operands};
 use crate::msg::OutKind;
 use sk_isa::superblock::{SuperblockTable, Uop};
-use sk_isa::{decode, DecodedInstr, FuClass, Instr, Reg, WORD_BYTES};
+use sk_isa::{decode, DecodedInstr, DecodedProgram, FuClass, Instr, Reg, WORD_BYTES};
 use sk_mem::l1::ReqKind;
 use sk_mem::{block_of, BlockAddr, L1Outcome};
 use sk_snap::{Persist, Reader, SnapError, Writer};
@@ -66,9 +66,9 @@ pub struct InOrderCpu {
 
 impl InOrderCpu {
     /// Build an idle core (no thread started).
-    pub(super) fn new(cfg: &TargetConfig) -> Self {
+    pub(super) fn new(cfg: &TargetConfig, text: Arc<DecodedProgram>) -> Self {
         InOrderCpu {
-            sh: CoreShell::new(cfg),
+            sh: CoreShell::new(cfg, text),
             phase: Phase::Ready,
             busy_until: 0,
             sbt: None,
@@ -466,7 +466,7 @@ impl InOrderCpu {
                         }
                         // Predecode fast path; PCs outside the table fall
                         // back to reading and decoding the word.
-                        let di = ctx.host.decoded(self.sh.pc).or_else(|| {
+                        let di = self.sh.text.lookup(self.sh.pc).copied().or_else(|| {
                             decode(ctx.host.fetch_word(self.sh.pc)).ok().map(DecodedInstr::new)
                         });
                         match di {
@@ -589,7 +589,7 @@ sk_snap::persist_enum!(Phase, "inorder phase" {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cpu::tests_support::{run_to_exit, TestHost};
+    use crate::cpu::tests_support::{core_for, run_to_exit, TestHost};
     use crate::cpu::CpuModel;
     use crate::stats::CoreStats;
     use sk_isa::{FReg, Program, ProgramBuilder, Syscall};
@@ -699,7 +699,7 @@ mod tests {
     /// stats and the cycles the spans covered.
     fn quiet_spans_are_exact(p: &Program, stall: Option<(u64, u64)>) -> (CoreStats, u64) {
         let cfg = TargetConfig::small(1);
-        let mut cpu = CpuModel::new(&cfg);
+        let mut cpu = core_for(&cfg, p);
         let mut host = TestHost::new(p, &cfg);
         cpu.start_thread(p.entry, 0, 0);
         let mut stats = CoreStats::default();
@@ -720,7 +720,7 @@ mod tests {
                 continue;
             }
             let before = state(&cpu);
-            let mut booked = CpuModel::new(&cfg);
+            let mut booked = core_for(&cfg, p);
             booked.restore_state(&mut Reader::new(&before)).expect("restore");
             let mut want = stats.clone();
             booked.skip_quiet(k, &mut want);

@@ -27,7 +27,7 @@ use crate::msg::OutKind;
 use crate::stats::CoreStats;
 use inorder::InOrderCpu;
 use ooo::OooCpu;
-use sk_isa::{layout, Reg, SuperblockTable};
+use sk_isa::{layout, DecodedProgram, Reg, SuperblockTable};
 use sk_mem::l1::ReqKind;
 use sk_mem::{BlockAddr, L1Cache, LineState};
 use sk_snap::{Persist, Reader, SnapError, Writer};
@@ -51,16 +51,9 @@ pub trait CoreHost {
     fn load(&mut self, addr: u64, ts: u64) -> u64;
     /// Functional store of one word at simulated time `ts`.
     fn store(&mut self, addr: u64, val: u64, ts: u64);
-    /// Read an instruction word (not violation-tracked: text is immutable).
+    /// Read an instruction word (not violation-tracked: text is
+    /// immutable). Fetch asks only for a pc outside the predecoded text.
     fn fetch_word(&mut self, addr: u64) -> u64;
-    /// Predecoded instruction at `pc`, when the host carries a predecode
-    /// table covering it. `None` sends the model down the
-    /// `fetch_word` + `decode` path, which keeps runaway-PC / bad-fetch
-    /// semantics identical for PCs outside the text segment.
-    fn decoded(&mut self, pc: u64) -> Option<sk_isa::DecodedInstr> {
-        let _ = pc;
-        None
-    }
     /// Emit an OutQ event (the host stamps timestamp and sequence).
     fn emit(&mut self, kind: OutKind);
     /// A syscall reached the commit point. `args` are `a0..a3`.
@@ -144,6 +137,9 @@ pub struct CpuCtx<'a> {
 struct CoreShell {
     cfg: CoreConfig,
     l1_hit_lat: u64,
+    /// The text predecoded once, shared by every core: fetch reads it
+    /// first and decodes a word itself only for a pc it does not cover.
+    text: Arc<DecodedProgram>,
     pc: u64,
     regs: [u64; 32],
     fregs: [f64; 32],
@@ -161,10 +157,11 @@ struct CoreShell {
 }
 
 impl CoreShell {
-    fn new(cfg: &TargetConfig) -> Self {
+    fn new(cfg: &TargetConfig, text: Arc<DecodedProgram>) -> Self {
         CoreShell {
             cfg: cfg.core,
             l1_hit_lat: cfg.mem.l1_hit_lat,
+            text,
             pc: 0,
             regs: [0; 32],
             fregs: [0.0; 32],
@@ -266,11 +263,12 @@ macro_rules! each_model {
 }
 
 impl CpuModel {
-    /// An idle core (no thread started) of the model `cfg.core` names.
-    pub fn new(cfg: &TargetConfig) -> Self {
+    /// An idle core (no thread started) of the model `cfg.core` names,
+    /// fetching from `text`, the program's predecoded text segment.
+    pub fn new(cfg: &TargetConfig, text: Arc<DecodedProgram>) -> Self {
         match cfg.core.model {
-            CoreModel::OutOfOrder => CpuModel::Ooo(Box::new(OooCpu::new(cfg))),
-            CoreModel::InOrder => CpuModel::InOrder(InOrderCpu::new(cfg)),
+            CoreModel::OutOfOrder => CpuModel::Ooo(Box::new(OooCpu::new(cfg, text))),
+            CoreModel::InOrder => CpuModel::InOrder(InOrderCpu::new(cfg, text)),
         }
     }
 
@@ -626,6 +624,11 @@ pub(crate) mod tests_support {
         }
     }
 
+    /// An idle core of `cfg.core.model` over `program`'s predecoded text.
+    pub fn core_for(cfg: &TargetConfig, program: &Program) -> CpuModel {
+        CpuModel::new(cfg, Arc::new(sk_isa::DecodedProgram::from_program(program)))
+    }
+
     /// Run `program` on a freshly constructed CPU of `cfg.core.model` until
     /// the thread exits (panics after `max_cycles`). Returns the host and
     /// core stats.
@@ -634,7 +637,16 @@ pub(crate) mod tests_support {
         program: &Program,
         max_cycles: u64,
     ) -> (TestHost, CoreStats) {
-        let mut cpu = CpuModel::new(cfg);
+        run_model_to_exit(core_for(cfg, program), cfg, program, max_cycles)
+    }
+
+    /// [`run_to_exit`] on `cpu`, an idle core built from `cfg`.
+    pub fn run_model_to_exit(
+        mut cpu: CpuModel,
+        cfg: &TargetConfig,
+        program: &Program,
+        max_cycles: u64,
+    ) -> (TestHost, CoreStats) {
         let mut host = TestHost::new(program, cfg);
         cpu.start_thread(program.entry, 0, 0);
         let mut stats = CoreStats::default();

@@ -109,7 +109,7 @@ pub(crate) fn wire(
     for id in 0..n {
         let (in_p, in_c) = spsc::channel();
         let (out_p, out_c) = spsc::channel();
-        let mut cpu = CpuModel::new(cfg);
+        let mut cpu = CpuModel::new(cfg, shared.text.clone());
         if let Some(t) = &shared.sbt {
             cpu.attach_superblocks(t.clone());
         }
@@ -120,7 +120,6 @@ pub(crate) fn wire(
             in_c,
             out_p,
             shared.mem.clone(),
-            shared.text.clone(),
             shared.tracker.clone(),
             shared.roi.clone(),
         );

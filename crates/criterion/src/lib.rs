@@ -10,6 +10,8 @@
 //! As with criterion, a run without `--bench` (which only `cargo bench`
 //! passes), or with `--test`, runs each benchmark body exactly once as a
 //! smoke test: `cargo test --benches` exercises every benchmark quickly.
+//! A free argument filters by substring: `cargo bench --bench hot_paths
+//! -- ooo_hot/eight` runs only the benchmarks whose id contains it.
 
 use std::time::{Duration, Instant};
 
@@ -134,12 +136,15 @@ impl BenchmarkGroup<'_> {
 pub struct Criterion {
     sample_size: usize,
     smoke_test: bool,
+    /// Run only the benchmarks whose id contains this.
+    filter: Option<String>,
 }
 
 impl Default for Criterion {
     fn default() -> Self {
         let smoke_test = smoke_mode(std::env::args());
-        Criterion { sample_size: 20, smoke_test }
+        let filter = std::env::args().skip(1).find(|a| !a.starts_with('-'));
+        Criterion { sample_size: 20, smoke_test, filter }
     }
 }
 
@@ -182,6 +187,9 @@ impl Criterion {
         throughput: Option<Throughput>,
         f: &mut dyn FnMut(&mut Bencher),
     ) {
+        if self.filter.as_ref().is_some_and(|want| !id.contains(want.as_str())) {
+            return;
+        }
         let mut samples = Vec::with_capacity(self.sample_size);
         let mut b = Bencher {
             samples: &mut samples,
@@ -222,7 +230,7 @@ mod tests {
 
     #[test]
     fn bench_runs_and_counts_samples() {
-        let mut c = Criterion { sample_size: 5, smoke_test: false };
+        let mut c = Criterion { sample_size: 5, smoke_test: false, filter: None };
         let mut runs = 0u32;
         c.bench_function("unit/count", |b| {
             b.iter(|| {
@@ -236,7 +244,7 @@ mod tests {
 
     #[test]
     fn group_configures_sample_size() {
-        let mut c = Criterion { sample_size: 20, smoke_test: false };
+        let mut c = Criterion { sample_size: 20, smoke_test: false, filter: None };
         let mut g = c.benchmark_group("g");
         g.sample_size(3).throughput(Throughput::Elements(100));
         let mut runs = 0u32;
@@ -247,6 +255,16 @@ mod tests {
         });
         g.finish();
         assert_eq!(runs, 5);
+    }
+
+    #[test]
+    fn a_filter_runs_only_the_ids_containing_it() {
+        let mut c = Criterion { sample_size: 1, smoke_test: false, filter: Some("eight".into()) };
+        let mut runs = vec![];
+        c.bench_function("g/lone", |b| b.iter(|| runs.push("lone")));
+        c.bench_function("g/eight_cores", |b| b.iter(|| runs.push("eight")));
+        // 2 warmup + 1 sample, of the matching id only.
+        assert_eq!(runs, ["eight"; 3]);
     }
 
     #[test]

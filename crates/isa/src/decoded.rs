@@ -167,15 +167,32 @@ impl DecodedProgram {
         self.table.get(idx)
     }
 
-    /// Predecoded instruction at program counter `pc`, or `None` when `pc`
-    /// lies outside the (decodable) text segment or is misaligned. Mirrors
+    /// Text index of program counter `pc`, or `None` when `pc` lies
+    /// outside the (decodable) text segment or is misaligned. Mirrors
     /// [`Program::text_index`].
     #[inline]
-    pub fn lookup(&self, pc: u64) -> Option<&DecodedInstr> {
+    pub fn index(&self, pc: u64) -> Option<usize> {
         if pc < TEXT_BASE || !pc.is_multiple_of(WORD_BYTES) {
             return None;
         }
-        self.table.get(((pc - TEXT_BASE) / WORD_BYTES) as usize)
+        let idx = ((pc - TEXT_BASE) / WORD_BYTES) as usize;
+        (idx < self.table.len()).then_some(idx)
+    }
+
+    /// Predecoded instruction at program counter `pc` (see [`Self::index`]).
+    #[inline]
+    pub fn lookup(&self, pc: u64) -> Option<&DecodedInstr> {
+        self.index(pc).map(|idx| &self.table[idx])
+    }
+}
+
+impl std::ops::Index<usize> for DecodedProgram {
+    type Output = DecodedInstr;
+
+    /// Predecoded instruction at text index `idx` (panics past the end).
+    #[inline]
+    fn index(&self, idx: usize) -> &DecodedInstr {
+        &self.table[idx]
     }
 }
 
@@ -232,8 +249,12 @@ mod tests {
                 Some(idx) => {
                     let d = dp.lookup(pc).expect("in-text pc must hit the table");
                     assert_eq!(d.instr, p.text[idx]);
+                    assert_eq!(dp.index(pc), Some(idx));
                 }
-                None => assert!(dp.lookup(pc).is_none(), "pc {pc:#x} should miss"),
+                None => {
+                    assert!(dp.lookup(pc).is_none(), "pc {pc:#x} should miss");
+                    assert_eq!(dp.index(pc), None);
+                }
             }
         }
     }
