@@ -123,14 +123,26 @@ pub(crate) fn run(engine: &mut Engine, until: Option<u64>) -> RunOutcome {
     };
     std::thread::scope(|s| {
         let (first, rest) = slices.split_first_mut().expect("at least one worker");
-        for (i, slice) in rest.iter_mut().enumerate() {
-            let pool = &pool;
-            std::thread::Builder::new()
-                .name(format!("sk-worker-{}", i + 1))
-                .spawn_scoped(s, move || pool.work(i + 1, slice))
-                .expect("spawn a pool worker");
-        }
+        let handles: Vec<_> = rest
+            .iter_mut()
+            .enumerate()
+            .map(|(i, slice)| {
+                let pool = &pool;
+                std::thread::Builder::new()
+                    .name(format!("sk-worker-{}", i + 1))
+                    .spawn_scoped(s, move || pool.work(i + 1, slice))
+                    .expect("spawn a pool worker")
+            })
+            .collect();
         pool.work(0, first);
+        // The scope alone returns once each worker's closure has returned,
+        // which can be before its OS thread has exited; `join` waits for
+        // the exit, so no worker outlives its segment.
+        for h in handles {
+            if let Err(panic) = h.join() {
+                std::panic::resume_unwind(panic);
+            }
+        }
     });
     board.detach_pool();
     let ctl = pool.control.into_inner().expect("no pool worker panicked");
