@@ -41,9 +41,8 @@ fn schedule(costs: &[Vec<u32>], scheme: Scheme) -> Vec<Vec<(u32, u32)>> {
     let mut out = vec![vec![(0u32, 0u32); cycles]; n];
 
     for c in 1..=cycles {
-        // The earliest global time g at which window(g) >= c.
-        // Monotone search from c-1 downwards is overkill: compute the
-        // required minimum completed cycle over all threads.
+        // Cycle c may start once every thread has completed the earliest
+        // global time g at which window(g) >= c.
         let need = required_global(scheme, c as u64) as usize;
         let gate = if need == 0 { 0 } else { (0..n).map(|j| finish[j][need]).max().unwrap() };
         for i in 0..n {
@@ -57,14 +56,10 @@ fn schedule(costs: &[Vec<u32>], scheme: Scheme) -> Vec<Vec<(u32, u32)>> {
 }
 
 /// Smallest global time whose window admits simulating cycle `c`
-/// (i.e. min g with `scheme.window(g) >= c`).
+/// (i.e. min g with `scheme.window(g) >= c`). Every scheme's window at
+/// `c - 1` reaches `c`, so the search ends by then.
 fn required_global(scheme: Scheme, c: u64) -> u64 {
-    match scheme {
-        Scheme::CycleByCycle => c - 1,
-        Scheme::Quantum(q) => ((c - 1) / q) * q,
-        Scheme::BoundedSlack(s) | Scheme::OldestFirstBounded(s) => c.saturating_sub(s),
-        Scheme::Unbounded => 0,
-    }
+    (0..c).find(|&g| scheme.window(g) >= c).unwrap_or(c)
 }
 
 /// Render the timeline: one row per thread, one column per host time unit;
