@@ -72,7 +72,7 @@ fn bench_cache(c: &mut Criterion) {
 
 fn bench_directory(c: &mut Criterion) {
     c.bench_function("directory/gets_getm_cycle", |b| {
-        let mut dir = Directory::new(8, MemConfig::paper_8core());
+        let mut dir = Directory::new(8, MemConfig::paper_8core(), false);
         let mut ts = 0u64;
         b.iter(|| {
             ts += 20;

@@ -22,7 +22,6 @@ use sk_kernels::micro;
 pub fn violations(model: CoreModel) {
     let mut cfg = bench_config(model);
     cfg.n_cores = 8;
-    cfg.mem.track_violations = true;
     cfg.track_workload_violations = true;
 
     let schemes = [

@@ -20,7 +20,8 @@
 //!   --model   inorder|ooo                                (default ooo)
 //!   --seq                use the sequential reference engine
 //!   --no-superblocks     per-instruction dispatch (host-speed A/B lever)
-//!   --track-violations   count slack-induced violations
+//!   --track-violations   count slack-induced violations and bus and
+//!                        directory timestamp inversions
 //!   --fast-forward       enable fast-forwarding compensation
 //!   --stats              print the full statistics block
 //!   --checkpoint-at <c>  snapshot at the cycle-c safe-point, then continue
@@ -180,7 +181,6 @@ fn config_for(o: &Opts, scenario: Option<&Scenario>) -> Result<TargetConfig, Str
         }
     };
     cfg.track_workload_violations |= o.track;
-    cfg.mem.track_violations |= o.track;
     cfg.superblocks = !o.no_superblocks;
     cfg.fast_forward_compensation = o.fast_forward;
     cfg.validate().map_err(|e| format!("bad target: {e}"))?;
@@ -278,7 +278,6 @@ fn run_one(w: &Workload, o: &Opts, cfg: &TargetConfig) -> (SimReport, bool) {
         r.kips(),
         if ok { "OK" } else { "MISMATCH" },
     );
-    note_truncation(&r);
     if o.stats {
         print_stats(&r);
     }
@@ -363,7 +362,6 @@ fn fuzz_schedules(sc: &Scenario, cfg: &TargetConfig, k: u64, dir: &str) -> bool 
     let scheme = sc.scheme;
     let mut cfg = *cfg;
     cfg.track_workload_violations = true;
-    cfg.mem.track_violations = true;
     let mut all_ok = true;
     let mut dumped = 0u64;
     let mut max_viol = 0u64;
@@ -430,25 +428,10 @@ fn fuzz_schedules(sc: &Scenario, cfg: &TargetConfig, k: u64, dir: &str) -> bool 
     all_ok
 }
 
-/// A truncated slack profile silently skews Fig. 5-style plots; say so in
-/// the end-of-run summary whether or not --stats was requested.
-fn note_truncation(r: &SimReport) {
-    if r.engine.slack_profile_truncated > 0 {
-        println!(
-            "  note: slack profile truncated ({} samples dropped after the cap)",
-            r.engine.slack_profile_truncated
-        );
-    }
-}
-
 fn print_stats(r: &SimReport) {
     println!(
-        "  engine: blocks={} wakeups={} events={} max_slack={} slack_profile_truncated={}",
-        r.engine.blocks,
-        r.engine.wakeups,
-        r.engine.events_processed,
-        r.engine.max_observed_slack,
-        r.engine.slack_profile_truncated
+        "  engine: blocks={} wakeups={} events={} max_slack={}",
+        r.engine.blocks, r.engine.wakeups, r.engine.events_processed, r.engine.max_observed_slack
     );
     println!(
         "  uncore: L2 hits={} misses={} inv_out={} downgrades={} writebacks={}",
@@ -514,10 +497,6 @@ fn report_json(r: &SimReport, scenario: Option<&Scenario>) -> Json {
             ("printed", c.printed.iter().copied().collect()),
         ])
     });
-    let slack_profile = r
-        .slack_profile
-        .as_ref()
-        .map(|p| p.iter().map(|&(g, sl)| Json::from_iter([g, sl])).collect::<Json>());
     Json::obj([
         ("scheme", Json::from(r.scheme.as_str())),
         ("n_cores", r.n_cores.into()),
@@ -541,7 +520,6 @@ fn report_json(r: &SimReport, scenario: Option<&Scenario>) -> Json {
                 ("global_updates", e.global_updates),
                 ("events_processed", e.events_processed),
                 ("max_observed_slack", e.max_observed_slack),
-                ("slack_profile_truncated", e.slack_profile_truncated),
             ]),
         ),
         (
@@ -590,7 +568,6 @@ fn report_json(r: &SimReport, scenario: Option<&Scenario>) -> Json {
             ]),
         ),
         ("cores", cores.collect()),
-        ("slack_profile", slack_profile.into()),
     ])
 }
 
@@ -696,7 +673,6 @@ fn main() -> ExitCode {
                     r.total_committed(),
                     r.kips(),
                 );
-                note_truncation(&r);
                 if opts.stats {
                     print_stats(&r);
                 }
@@ -829,7 +805,6 @@ fn main() -> ExitCode {
                 println!("[core {core}] {v}");
             }
             println!("cycles={} instructions={}", r.exec_cycles, r.total_committed());
-            note_truncation(&r);
             if opts.stats {
                 print_stats(&r);
             }
@@ -1132,7 +1107,8 @@ OPTIONS:
   --seq                sequential reference engine (cycle-by-cycle)
   --no-superblocks     per-instruction dispatch (superblocks are default-on;
                        simulated timing is bit-identical either way)
-  --track-violations   count slack-induced violations
+  --track-violations   count slack-induced violations and bus and
+                       directory timestamp inversions
   --fast-forward       fast-forwarding compensation (paper S3.2.3)
   --stats              detailed statistics
   --checkpoint-at <c>  snapshot at the cycle-c safe-point, then continue
@@ -1235,19 +1211,16 @@ mod tests {
 
     #[test]
     fn json_report_is_well_formed() {
-        let mut r = SimReport {
+        let r = SimReport {
             scheme: "S9\"\\".into(),
             n_cores: 1,
             exec_cycles: 7,
             cores: vec![sk_core::CoreStats { printed: vec![1, -2], ..Default::default() }],
             ..Default::default()
         };
-        r.slack_profile = Some(vec![(1, 2), (3, 4)]);
         let j = report_json(&r, None).to_string();
         assert!(j.contains("\"scheme\":\"S9\\\"\\\\\""));
         assert!(j.contains("\"printed\":[1,-2]"));
-        assert!(j.contains("\"slack_profile\":[[1,2],[3,4]]"));
-        assert!(j.contains("\"slack_profile_truncated\":0"));
         let doc = sk_obs::json::parse(&j).expect("the report parses");
         assert_eq!(doc.get("scheme").and_then(Json::as_str), Some("S9\"\\"));
         assert_eq!(doc.get("config").and_then(|c| c.get("scenario")), Some(&Json::Null));
@@ -1339,7 +1312,6 @@ mod tests {
         r.engine.global_updates = 500;
         r.engine.events_processed = 321;
         r.engine.max_observed_slack = 10;
-        r.engine.slack_profile_truncated = 0;
         r.dir.gets = 30;
         r.dir.getm = 12;
         r.dir.upgrades = 3;
@@ -1364,7 +1336,6 @@ mod tests {
         r.violations.compensation_cycles = 12;
         r.violations.max_inversion_cycles = 5;
         r.superblocks = true;
-        r.slack_profile = Some(vec![(0, 0), (10, 9), (20, 10)]);
         r
     }
 
@@ -1414,7 +1385,6 @@ mod tests {
         let cfg = config_for(&o, None).unwrap();
         assert_eq!(cfg.n_cores, 2);
         assert!(cfg.track_workload_violations);
-        assert!(cfg.mem.track_violations);
         assert!(cfg.superblocks);
         let o = parse_opts(&args(&["--no-superblocks"])).unwrap();
         assert!(!config_for(&o, None).unwrap().superblocks);

@@ -185,18 +185,14 @@ pub struct TargetConfig {
     pub stop: StopCondition,
     /// Hard safety limit on simulated cycles (deadlock backstop).
     pub max_cycles: u64,
-    /// Detect conflicting-access reorderings (paper §3.2.3, Fig. 7).
+    /// Detect conflicting-access reorderings (paper §3.2.3, Fig. 7) and
+    /// count the memory system's timestamp inversions (bus
+    /// `inversions`, directory `transition_inversions`).
     pub track_workload_violations: bool,
     /// Compensate detected Store/Load reorderings by fast-forwarding
     /// (paper §3.2.3; SlackSim itself did *not* compensate — off by
     /// default to match).
     pub fast_forward_compensation: bool,
-    /// Record the manager's slack profile ([`SimReport::slack_profile`]:
-    /// sampled global time and observed slack). Such runs cannot be
-    /// snapshotted.
-    ///
-    /// [`SimReport::slack_profile`]: crate::SimReport::slack_profile
-    pub record_trace: bool,
     /// Number of sharded memory managers (0 = the classic single
     /// manager of the paper's Figure 1). The paper's §2.2 notes the
     /// manager can be split "into several threads" if it bottlenecks;
@@ -221,7 +217,6 @@ impl TargetConfig {
             max_cycles: 2_000_000_000,
             track_workload_violations: false,
             fast_forward_compensation: false,
-            record_trace: false,
             mem_shards: 0,
             superblocks: true,
         }
@@ -237,7 +232,6 @@ impl TargetConfig {
             max_cycles: 50_000_000,
             track_workload_violations: false,
             fast_forward_compensation: false,
-            record_trace: false,
             mem_shards: 0,
             superblocks: true,
         }
@@ -311,7 +305,6 @@ impl Persist for TargetConfig {
         w.put_u64(self.max_cycles);
         w.put_bool(self.track_workload_violations);
         w.put_bool(self.fast_forward_compensation);
-        w.put_bool(self.record_trace);
         w.put_usize(self.mem_shards);
         w.put_bool(self.superblocks);
     }
@@ -324,7 +317,6 @@ impl Persist for TargetConfig {
             max_cycles: r.get_u64()?,
             track_workload_violations: r.get_bool()?,
             fast_forward_compensation: r.get_bool()?,
-            record_trace: r.get_bool()?,
             mem_shards: r.get_usize()?,
             superblocks: r.get_bool()?,
         };

@@ -26,16 +26,11 @@ use crate::uncore::Uncore;
 use crate::violation::ConflictTracker;
 use sk_isa::{DecodedProgram, Program, SuperblockTable};
 use sk_mem::FuncMemory;
-use sk_obs::{Metrics, ObsConfig};
+use sk_obs::{Metrics, ObsConfig, Sample};
 use sk_snap::{Persist, Reader, SnapError, Writer};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// Most samples the manager records into the slack profile of a
-/// `record_trace` run (the rest are counted in
-/// `EngineStats::slack_profile_truncated`).
-const SLACK_PROFILE_CAP: usize = 1_000_000;
 
 /// Forced rounds in a row with no progress before a run is declared
 /// livelocked (a bug in the engine, not the workload — workload deadlock
@@ -214,7 +209,6 @@ pub(crate) fn assemble_report(
         engine,
         violations,
         superblocks: cfg.superblocks,
-        slack_profile: None,
     }
 }
 
@@ -319,10 +313,8 @@ pub struct Engine {
     pub(crate) shard_signals: Vec<Arc<ShardSignal>>,
     shard_frontiers: Vec<Arc<AtomicU64>>,
     engine: EngineStats,
-    /// (global time, observed slack) samples; `Some` with `record_trace`.
-    slack_profile: Option<Vec<(u64, u64)>>,
-    /// Global time of the last manager sample (obs slack histogram,
-    /// violation samples, slack profile): one sample per global time.
+    /// Global time of the last manager sample (obs slack histogram and
+    /// interval samples): one sample per global time.
     last_sample_g: Option<u64>,
     /// Highest window already published to every core: re-raising an
     /// unchanged window is a no-op per core, so skip the whole loop.
@@ -331,8 +323,8 @@ pub struct Engine {
     finished: bool,
     /// Optional telemetry hub (see [`Engine::attach_metrics`]).
     obs: Option<Arc<Metrics>>,
-    /// Next global cycle at which to sample the violation counters.
-    next_violation_sample: u64,
+    /// Next global cycle at which to take an interval [`Sample`].
+    next_sample: u64,
     /// Length of the program's text segment in instructions; persisted so
     /// resume can rebuild the predecode table from functional memory.
     text_len: usize,
@@ -388,13 +380,12 @@ impl Engine {
             shards,
             shard_signals,
             engine: EngineStats::default(),
-            slack_profile: cfg.record_trace.then(Vec::new),
             last_sample_g: None,
             last_window: 0,
             wall: Duration::ZERO,
             finished: false,
             obs: None,
-            next_violation_sample: 0,
+            next_sample: 0,
             text_len,
             sbt: shared.sbt,
             window_bug_extra: 0,
@@ -459,6 +450,8 @@ impl Engine {
                 c.sb_blocks_formed.raise_to(t.blocks_formed());
             }
         }
+        // A restored hub's series goes on at its own interval.
+        self.next_sample = obs.samples().last().map_or(0, |s| s.cycle + obs.cfg.sample_interval);
         self.obs = Some(obs);
     }
 
@@ -564,20 +557,13 @@ impl Engine {
             self.last_sample_g = Some(g);
             if let Some(o) = obs {
                 o.manager.slack.record(slack_now);
-                if o.cfg.violation_sample_interval > 0 && g >= self.next_violation_sample {
-                    let v = self.tracker.as_ref().map_or(0, |t| {
+                if o.cfg.sample_interval > 0 && g >= self.next_sample {
+                    let violations = self.tracker.as_ref().map_or(0, |t| {
                         t.stats.store_past_load.load(Ordering::Relaxed)
                             + t.stats.load_past_store.load(Ordering::Relaxed)
                     });
-                    o.record_violation_sample(g, v);
-                    self.next_violation_sample = g + o.cfg.violation_sample_interval;
-                }
-            }
-            if let Some(p) = &mut self.slack_profile {
-                if p.len() < SLACK_PROFILE_CAP {
-                    p.push((g, slack_now));
-                } else {
-                    self.engine.slack_profile_truncated += 1;
+                    o.record_sample(Sample { cycle: g, violations, slack: slack_now });
+                    self.next_sample = g + o.cfg.sample_interval;
                 }
             }
         }
@@ -847,16 +833,7 @@ impl Engine {
     /// Serialize the complete simulated system. Call at a safe-point: a
     /// fresh engine (nothing run yet), after `run_until(Some(c))` returned
     /// [`RunOutcome::CheckpointReady`], or after the simulation finished.
-    ///
-    /// Unsupported configurations (`record_trace`, which records the slack
-    /// profile) return [`SnapError::Unsupported`] — they keep state in
-    /// host-side structures this format does not carry.
     pub fn snapshot(&mut self) -> Result<Vec<u8>, SnapError> {
-        if self.cfg.record_trace {
-            return Err(SnapError::Unsupported(
-                "slack-profile (record_trace) runs cannot be snapshotted".into(),
-            ));
-        }
         // Move every in-flight message into a serializable structure:
         // shards drain and process their queues (sound at a safe-point —
         // every queued event's timestamp is ≤ the checkpoint cycle, and
@@ -946,11 +923,6 @@ impl Engine {
         let cfg = TargetConfig::load(&mut r)?;
         let saved_scheme = Scheme::load(&mut r)?;
         let scheme = scheme_override.unwrap_or(saved_scheme);
-        if cfg.record_trace {
-            return Err(SnapError::Unsupported(
-                "snapshot claims a configuration that cannot be snapshotted".into(),
-            ));
-        }
         let g = r.get_u64()?;
         let locals = Vec::<u64>::load(&mut r)?;
         if locals.len() != cfg.n_cores {
@@ -1062,7 +1034,6 @@ impl Engine {
             violations,
             self.wall,
         );
-        report.slack_profile = self.slack_profile;
         // Merge sharded directory/interconnect statistics.
         for sh in &self.shards {
             report.dir += sh.dir.stats;

@@ -115,7 +115,7 @@ impl MemShard {
     ) -> Self {
         MemShard {
             index,
-            dir: Directory::new(cfg.n_cores, cfg.mem),
+            dir: Directory::new(cfg.n_cores, cfg.mem, cfg.track_workload_violations),
             stage: MemStage::new(scheme, to_cores, Some(board.clone())),
             from_cores,
             dirty,

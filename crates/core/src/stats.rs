@@ -102,9 +102,6 @@ pub struct EngineStats {
     pub events_processed: u64,
     /// Largest observed `local - global` over the run.
     pub max_observed_slack: u64,
-    /// Slack-profile samples dropped after the recording cap filled
-    /// (`record_trace` runs only; 0 means the profile is complete).
-    pub slack_profile_truncated: u64,
 }
 
 sk_snap::persist_record!(EngineStats {
@@ -113,7 +110,6 @@ sk_snap::persist_record!(EngineStats {
     global_updates,
     events_processed,
     max_observed_slack,
-    slack_profile_truncated,
 });
 
 /// Workload-violation counters (plain copies of the tracker's atomics).
@@ -170,10 +166,6 @@ pub struct SimReport {
     /// knob; excluded from [`SimReport::fingerprint`] because the
     /// simulated timing is bit-identical either way).
     pub superblocks: bool,
-    /// Sampled (global time, observed slack) pairs from the manager
-    /// (parallel engine with `record_trace`; one sample per manager
-    /// iteration, deduplicated by global time).
-    pub slack_profile: Option<Vec<(u64, u64)>>,
 }
 
 impl SimReport {

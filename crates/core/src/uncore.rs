@@ -75,7 +75,7 @@ impl Uncore {
         started[0] = true; // the initial workload thread runs on core 0
         Uncore {
             scheme,
-            dir: Directory::new(n, cfg.mem),
+            dir: Directory::new(n, cfg.mem, cfg.track_workload_violations),
             sync: SyncTable::new(),
             stage: MemStage::new(scheme, inqs, board),
             started,

@@ -72,7 +72,6 @@ fn cfg(n: usize) -> TargetConfig {
 fn tracking_cfg(n: usize) -> TargetConfig {
     let mut cfg = cfg(n);
     cfg.track_workload_violations = true;
-    cfg.mem.track_violations = true;
     cfg
 }
 

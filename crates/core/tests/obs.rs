@@ -165,28 +165,39 @@ fn histograms_fill_under_bounded_slack() {
     assert_eq!(total(|c| c.get("hist")?.get("run_batch")?.get("count")?.as_i64()), batches as i64);
 }
 
-/// The slack profile is recorded only by `record_trace` runs, and the
-/// manager's one sample per global time (the `manager.slack` histogram)
-/// does not depend on it.
+/// The hub's interval samples carry the manager's observed slack: at most
+/// one sample per `sample_interval` global cycles, none above the run's
+/// largest observed slack, and each inside the scheme's window plus the
+/// critical latency (the bounds `engine.rs` holds `max_observed_slack`
+/// to: S9 ≤ 9 + crit, CC ≤ 1 + crit).
 #[test]
-fn slack_profile_is_recorded_only_with_record_trace() {
+fn samples_carry_the_observed_slack() {
     let program = counter_workload(4, 20);
-    let run = |record_trace: bool| {
-        let mut c = cfg(4);
-        c.record_trace = record_trace;
-        let mut det = sk_core::DetEngine::new(&program, Scheme::BoundedSlack(10), &c, 1);
-        let obs = det.engine_mut().attach_new_metrics(ObsConfig::default());
+    let c = cfg(4);
+    let crit = c.critical_latency();
+    let interval = 50;
+    for (scheme, bound) in [(Scheme::BoundedSlack(9), 9 + crit), (Scheme::CycleByCycle, 1 + crit)] {
+        let mut det = sk_core::DetEngine::new(&program, scheme, &c, 1);
+        let obs = det
+            .engine_mut()
+            .attach_new_metrics(ObsConfig { sample_interval: interval, ..ObsConfig::default() });
         det.run();
-        (det.into_report(), obs)
-    };
-    let (plain, plain_obs) = run(false);
-    let (traced, traced_obs) = run(true);
-    assert_eq!(plain.slack_profile, None, "an untraced run recorded a slack profile");
-    assert!(traced.slack_profile.as_ref().is_some_and(|p| !p.is_empty()));
-    assert_eq!(plain.exec_cycles, traced.exec_cycles);
-    let samples = plain_obs.manager.slack.count();
-    assert!(samples > 0);
-    assert_eq!(samples, traced_obs.manager.slack.count());
+        let r = det.into_report();
+        let samples = obs.samples();
+        assert!(samples.len() > 2, "{scheme}: {} samples", samples.len());
+        for w in samples.windows(2) {
+            assert!(w[1].cycle >= w[0].cycle + interval, "{scheme}: samples {w:?} too close");
+        }
+        for s in &samples {
+            assert!(s.slack <= r.engine.max_observed_slack, "{scheme}: {s:?} past the max");
+            assert!(s.slack <= bound, "{scheme}: {s:?} past {bound}");
+        }
+        let dump = parse(&obs.to_json()).expect("the metrics dump parses");
+        assert_eq!(dump.get("version").and_then(Json::as_i64), Some(3));
+        let series = dump.get("samples").and_then(Json::as_arr).expect("a samples array");
+        let slacks: Vec<i64> = series.iter().filter_map(|s| s.get("slack")?.as_i64()).collect();
+        assert_eq!(slacks, samples.iter().map(|s| s.slack as i64).collect::<Vec<_>>());
+    }
 }
 
 /// Counters survive the snapshot → resume path: the restored engine
@@ -223,6 +234,12 @@ fn snapshot_carries_counters_through_restore() {
         "restored hub stopped recording"
     );
     assert!(!hub.trace.is_empty(), "restored engine recorded no trace spans");
+    // The sample series goes on at its interval across the restore.
+    let samples = hub.samples();
+    assert!(samples.iter().any(|s| s.cycle > 400), "no sample after the restore");
+    for w in samples.windows(2) {
+        assert!(w[1].cycle >= w[0].cycle + hub.cfg.sample_interval, "samples {w:?} too close");
+    }
 }
 
 /// Without a hub the snapshot encodes exactly one extra `false` byte and

@@ -445,18 +445,6 @@ fn ooo_snapshot_forks_onto_bounded_slack() {
     assert!(r.violations.max_inversion_cycles <= 10, "fork onto {scheme} broke its bound");
 }
 
-#[test]
-fn unsupported_configurations_are_rejected() {
-    let p = counter_workload(2, 3);
-    let mut cfg = small_cfg(2);
-    cfg.record_trace = true;
-    let mut e = Engine::new(&p, Scheme::CycleByCycle, &cfg);
-    match e.snapshot() {
-        Err(SnapError::Unsupported(_)) => {}
-        other => panic!("a slack-profile snapshot must be unsupported, got {other:?}"),
-    }
-}
-
 /// Mid-run snapshot → resume → re-snapshot byte-identity on the irregular
 /// kernel family. These kernels park cores inside manager-ordered waits
 /// (semaphore queues, mailbox blocks, contended deque locks, in-flight

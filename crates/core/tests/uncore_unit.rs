@@ -209,7 +209,7 @@ fn dir_claiming(dir: &Directory, n_cores: usize) -> Vec<u8> {
 
 #[test]
 fn restored_sync_state_names_only_existing_cores() {
-    let dir = Directory::new(2, TargetConfig::small(2).mem);
+    let dir = Directory::new(2, TargetConfig::small(2).mem, false);
     // Cores 0 and 1 only: restores.
     let ok = sync_after(&[(0, SyncOp::Lock { id: 0 }), (1, SyncOp::Lock { id: 0 })]);
     restore_two_core(&two_core_stream(&ok, &dir)).expect("a 2-core table restores");
@@ -237,14 +237,14 @@ fn restored_sync_state_names_only_existing_cores() {
 fn restored_directories_are_for_the_target_core_count() {
     let mem = TargetConfig::small(2).mem;
     let sync = SyncTable::new();
-    match restore_two_core(&two_core_stream(&sync, &Directory::new(8, mem))) {
+    match restore_two_core(&two_core_stream(&sync, &Directory::new(8, mem, false))) {
         Err(SnapError::Corrupt(_)) => {}
         other => panic!("an 8-core directory in a 2-core manager must be corrupt, got {other:?}"),
     }
     // A directory that says 2 cores but tracks core 7, as owner or sharer.
-    let mut owned = Directory::new(8, mem);
+    let mut owned = Directory::new(8, mem, false);
     owned.handle(7, ReqKind::GetM, 8, 10);
-    let mut shared = Directory::new(8, mem);
+    let mut shared = Directory::new(8, mem, false);
     shared.handle(0, ReqKind::GetS, 8, 10);
     shared.handle(7, ReqKind::GetS, 8, 20);
     for dir in [&owned, &shared] {
@@ -266,7 +266,7 @@ fn restored_directories_are_for_the_target_core_count() {
     let mut w = Writer::new();
     0_u64.save(&mut w);
     0_u64.save(&mut w);
-    Directory::new(8, cfg.mem).save(&mut w);
+    Directory::new(8, cfg.mem, false).save(&mut w);
     match shard.restore_state(&mut Reader::new(&w.into_bytes())) {
         Err(SnapError::Corrupt(_)) => {}
         other => {

@@ -33,8 +33,6 @@ pub struct MemConfig {
     pub mshrs: usize,
     /// L1 hit latency (load-to-use), cycles.
     pub l1_hit_lat: u64,
-    /// Track simulated-time inversions (bus + directory violations).
-    pub track_violations: bool,
 }
 
 impl MemConfig {
@@ -53,7 +51,6 @@ impl MemConfig {
             bus_occupancy: 1,
             mshrs: 8,
             l1_hit_lat: 1,
-            track_violations: false,
         }
     }
 
@@ -110,7 +107,6 @@ impl Persist for MemConfig {
         w.put_u64(self.bus_occupancy);
         w.put_usize(self.mshrs);
         w.put_u64(self.l1_hit_lat);
-        w.put_bool(self.track_violations);
     }
     fn load(r: &mut Reader<'_>) -> Result<Self, SnapError> {
         let cfg = MemConfig {
@@ -125,7 +121,6 @@ impl Persist for MemConfig {
             bus_occupancy: r.get_u64()?,
             mshrs: r.get_usize()?,
             l1_hit_lat: r.get_u64()?,
-            track_violations: r.get_bool()?,
         };
         if cfg.n_banks == 0 {
             return Err(SnapError::Corrupt("n_banks 0".into()));

@@ -178,24 +178,26 @@ pub struct Directory {
     /// banks across memory shards leaves every completion timestamp
     /// bit-identical to the single-manager run.
     buses: Vec<BusModel>,
+    /// Count timestamp inversions (`last_ts` and the buses' counters).
+    track: bool,
     last_ts: HashMap<BlockAddr, u64>,
     /// Counters.
     pub stats: DirStats,
 }
 
 impl Directory {
-    /// A directory for `n_cores` cores with the given memory config.
-    pub fn new(n_cores: usize, cfg: MemConfig) -> Self {
+    /// A directory for `n_cores` cores with the given memory config;
+    /// `track` counts timestamp inversions on its blocks and buses.
+    pub fn new(n_cores: usize, cfg: MemConfig, track: bool) -> Self {
         assert!(n_cores <= MAX_DIR_CORES, "presence bitmap covers {MAX_DIR_CORES} cores");
         let banks = (0..cfg.n_banks).map(|_| Cache::new(cfg.l2_bank)).collect();
-        let buses = (0..cfg.n_banks)
-            .map(|_| BusModel::new(cfg.bus_occupancy, cfg.track_violations))
-            .collect();
+        let buses = (0..cfg.n_banks).map(|_| BusModel::new(cfg.bus_occupancy, track)).collect();
         Directory {
             n_cores,
             entries: HashMap::new(),
             banks,
             buses,
+            track,
             last_ts: HashMap::new(),
             stats: DirStats::default(),
             cfg,
@@ -224,7 +226,7 @@ impl Directory {
     }
 
     fn note_ts(&mut self, block: BlockAddr, ts: u64) {
-        if !self.cfg.track_violations {
+        if !self.track {
             return;
         }
         let last = self.last_ts.entry(block).or_insert(0);
@@ -438,6 +440,7 @@ impl Persist for Directory {
     fn save(&self, w: &mut Writer) {
         self.cfg.save(w);
         w.put_usize(self.n_cores);
+        w.put_bool(self.track);
         // HashMaps are emitted in sorted key order for byte determinism.
         sorted(&self.entries).save(w);
         self.banks.save(w);
@@ -451,6 +454,7 @@ impl Persist for Directory {
         if n_cores == 0 || n_cores > MAX_DIR_CORES {
             return Err(SnapError::Corrupt(format!("directory n_cores {n_cores}")));
         }
+        let track = r.get_bool()?;
         let entries: HashMap<BlockAddr, DirEntry> = Vec::load(r)?.into_iter().collect();
         for (block, entry) in &entries {
             let past = match *entry {
@@ -481,7 +485,7 @@ impl Persist for Directory {
         }
         let last_ts = Vec::load(r)?.into_iter().collect();
         let stats = DirStats::load(r)?;
-        Ok(Directory { cfg, n_cores, entries, banks, buses, last_ts, stats })
+        Ok(Directory { cfg, n_cores, entries, banks, buses, track, last_ts, stats })
     }
 }
 
@@ -498,9 +502,7 @@ mod tests {
     use crate::l1::LineState;
 
     fn dir() -> Directory {
-        let mut cfg = MemConfig::paper_8core();
-        cfg.track_violations = true;
-        Directory::new(8, cfg)
+        Directory::new(8, MemConfig::paper_8core(), true)
     }
 
     #[test]

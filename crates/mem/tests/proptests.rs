@@ -92,7 +92,7 @@ proptest! {
     fn directory_state_machine_is_legal(
         reqs in proptest::collection::vec((0usize..4, 0u8..5, 0u64..8), 1..300)
     ) {
-        let mut dir = Directory::new(4, MemConfig::paper_8core());
+        let mut dir = Directory::new(4, MemConfig::paper_8core(), false);
         let mut ts = 0u64;
         for (core, kind, block) in reqs {
             ts += 7;

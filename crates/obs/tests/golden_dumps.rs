@@ -5,13 +5,12 @@
 //! deliberately with `SK_REGEN_GOLDEN=1 cargo test -p sk-obs --test
 //! golden_dumps` and say so.
 
-use sk_obs::{Counter, Histogram, Metrics, ObsConfig, ServeObs};
+use sk_obs::{Counter, Histogram, Metrics, ObsConfig, Sample, ServeObs};
 use sk_snap::{fnv1a64, Persist, Writer};
 
 /// A two-core, one-shard hub with something in every section.
 fn golden_hub() -> Metrics {
-    let m =
-        Metrics::new_sharded(2, 1, ObsConfig { violation_sample_interval: 10, trace_capacity: 8 });
+    let m = Metrics::new_sharded(2, 1, ObsConfig { sample_interval: 10, trace_capacity: 8 });
     for v in [0, 1, 3, 9, 10] {
         m.cores[0].slack.record(v);
     }
@@ -34,8 +33,8 @@ fn golden_hub() -> Metrics {
     m.shards[0].events.add(7);
     m.shards[0].iterations.add(2);
     m.shards[0].frontier_lag.record(12);
-    m.record_violation_sample(100, 1);
-    m.record_violation_sample(200, 3);
+    m.record_sample(Sample { cycle: 100, violations: 1, slack: 9 });
+    m.record_sample(Sample { cycle: 200, violations: 3, slack: 10 });
     m.trace.span_at(0, "run", 0, 10);
     m.trace.span_at(1, "park", 3, 2);
     m.trace.span_at(m.trace.manager_lane(), "drain", 5, 1);
@@ -47,8 +46,7 @@ fn golden_hub() -> Metrics {
 /// min and max), so two swapped fields change the bytes. An engine
 /// snapshot cannot pin these: with a hub attached it carries wall time.
 fn snapshot_hub() -> Metrics {
-    let m =
-        Metrics::new_sharded(2, 1, ObsConfig { violation_sample_interval: 7, trace_capacity: 9 });
+    let m = Metrics::new_sharded(2, 1, ObsConfig { sample_interval: 7, trace_capacity: 9 });
     let mut k = 0;
     let mut next = || {
         k += 1;
@@ -110,12 +108,12 @@ fn snapshot_hub() -> Metrics {
     }
     g.inq_high_water.iter().for_each(&mut count);
     for s in &m.shards {
-        for n in [&s.iterations, &s.events, &s.window_raises, &s.busy_ns] {
+        for n in [&s.iterations, &s.events, &s.busy_ns] {
             count(n);
         }
     }
-    m.record_violation_sample(300, 11);
-    m.record_violation_sample(400, 12);
+    m.record_sample(Sample { cycle: 300, violations: 11, slack: 13 });
+    m.record_sample(Sample { cycle: 400, violations: 12, slack: 14 });
     m
 }
 

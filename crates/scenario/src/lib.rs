@@ -70,7 +70,8 @@ pub struct Scenario {
     pub model: CoreModel,
     /// Slack scheme driving the run.
     pub scheme: Scheme,
-    /// Record conflicting-access reorderings (paper §3.2.3).
+    /// Record conflicting-access reorderings (paper §3.2.3) and bus and
+    /// directory timestamp inversions.
     pub track_violations: bool,
     /// Optional mid-run snapshot marker, in simulated cycles.
     pub checkpoint_at: Option<u64>,
@@ -243,7 +244,6 @@ impl Scenario {
         cfg.core.model = self.model;
         cfg.mem_shards = self.mem_shards;
         cfg.track_workload_violations = self.track_violations;
-        cfg.mem.track_violations = self.track_violations;
         if let Some(roi) = self.roi_instructions {
             cfg.stop = StopCondition::RoiInstructions(roi);
         }

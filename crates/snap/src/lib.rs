@@ -93,7 +93,11 @@ pub const MAGIC: [u8; 8] = *b"SKSNAP\x00\x01";
 /// v11: `CoreConfig` loses the spin interval nothing read and each core
 /// its syscall retry word nothing wrote (the count lives in its
 /// statistics); scheme tag 2, written only by v10 and older, is corrupt.
-pub const FORMAT_VERSION: u32 = 11;
+/// v12: `TargetConfig` loses the slack-profile switch and `MemConfig` its
+/// inversion switch (the directory carries that flag itself, after its
+/// core count); engine stats lose the slack-profile truncation count; the
+/// telemetry hub's sample series gains a slack word per sample.
+pub const FORMAT_VERSION: u32 = 12;
 
 const HEADER_LEN: usize = 8 + 4 + 8;
 const CHECKSUM_LEN: usize = 8;
@@ -114,10 +118,6 @@ pub enum SnapError {
     TrailingBytes { remaining: usize },
     /// A decoded value is structurally invalid (bad tag, impossible count).
     Corrupt(String),
-    /// The simulation state cannot be snapshotted (unsupported feature
-    /// combination), or a snapshot targets a configuration this build
-    /// cannot restore.
-    Unsupported(String),
     /// Underlying file I/O failed.
     Io(String),
 }
@@ -140,7 +140,6 @@ impl fmt::Display for SnapError {
                 write!(f, "snapshot has {remaining} trailing bytes after payload")
             }
             SnapError::Corrupt(what) => write!(f, "corrupt snapshot payload: {what}"),
-            SnapError::Unsupported(what) => write!(f, "snapshot unsupported: {what}"),
             SnapError::Io(e) => write!(f, "snapshot i/o error: {e}"),
         }
     }

@@ -1,13 +1,17 @@
 //! Watch the slack itself: sampled `local − global` spread over the run,
 //! per scheme — the sliding window of Figure 2(c) made visible on a real
-//! workload.
+//! workload. The samples are the telemetry hub's interval series (one
+//! every 1 000 global cycles by default).
 //!
 //! ```text
 //! cargo run --release --example slack_profile
 //! ```
 
+use slacksim_suite::core::Engine;
 use slacksim_suite::prelude::*;
 
+/// One glyph per time bucket: the largest sampled slack in the bucket,
+/// scaled to `cap` (which draws the darkest glyph).
 fn sparkline(profile: &[(u64, u64)], buckets: usize, cap: u64) -> String {
     if profile.is_empty() {
         return String::new();
@@ -22,19 +26,22 @@ fn sparkline(profile: &[(u64, u64)], buckets: usize, cap: u64) -> String {
     maxes
         .iter()
         .map(|&m| {
-            let idx = ((m.min(cap) as usize) * (glyphs.len() - 1)) / cap as usize;
-            glyphs[idx]
+            // Log scale: one step per doubling, so S9 shows beside S100.
+            let bits = |v: u64| (u64::BITS - v.leading_zeros()) as usize;
+            glyphs[bits(m.min(cap)) * (glyphs.len() - 1) / bits(cap)]
         })
         .collect()
 }
 
-fn main() {
-    let w = kernels::lu::lu(8, 16);
-    let mut cfg = TargetConfig::paper_8core();
-    cfg.record_trace = true;
+/// Slack that draws the darkest glyph: the widest bounded window below.
+const CAP: u64 = 100;
 
-    println!("LU ({}), observed slack over global time (darker = more slack):", w.input);
-    println!("{:<6} {:>9} {:>10}  profile (time -->)", "scheme", "cycles", "max slack");
+fn main() {
+    let w = kernels::lu::lu(8, 64);
+    let cfg = TargetConfig::paper_8core();
+
+    println!("LU ({}), sampled slack over global time (log scale, '@' = {CAP}+):", w.input);
+    println!("{:<6} {:>9} {:>8} {:>8}  profile (time -->)", "scheme", "cycles", "samples", "mean");
     for scheme in [
         Scheme::CycleByCycle,
         Scheme::Quantum(10),
@@ -42,16 +49,19 @@ fn main() {
         Scheme::BoundedSlack(100),
         Scheme::Unbounded,
     ] {
-        let r = run_parallel(&w.program, scheme, &cfg);
-        let profile = r.slack_profile.as_deref().unwrap_or(&[]);
-        // Normalize each row to its own maximum so the *shape* shows.
-        let cap = r.engine.max_observed_slack.max(1);
+        let mut e = Engine::new(&w.program, scheme, &cfg);
+        let hub = e.attach_new_metrics(Default::default());
+        e.run_until(None);
+        let r = e.into_report();
+        let profile: Vec<(u64, u64)> = hub.samples().iter().map(|s| (s.cycle, s.slack)).collect();
+        let mean = profile.iter().map(|&(_, s)| s).sum::<u64>() as f64 / profile.len() as f64;
         println!(
-            "{:<6} {:>9} {:>10}  |{}|",
+            "{:<6} {:>9} {:>8} {:>8.1}  |{}|",
             scheme.short_name(),
             r.exec_cycles,
-            r.engine.max_observed_slack,
-            sparkline(profile, 64, cap),
+            profile.len(),
+            mean,
+            sparkline(&profile, 64, CAP),
         );
     }
     println!("\nCC hugs zero; S9 stays inside its window; SU wanders as far as");

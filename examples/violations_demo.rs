@@ -13,7 +13,6 @@ fn run(w: &Workload, scheme: Scheme, ff: bool) -> SimReport {
     cfg.n_cores = w.n_threads;
     cfg.track_workload_violations = true;
     cfg.fast_forward_compensation = ff;
-    cfg.mem.track_violations = true;
     run_parallel(&w.program, scheme, &cfg)
 }
 

@@ -126,3 +126,26 @@ fn regen_seed_corpus() {
         std::fs::write(dir.join(name), format!("# {}\n{}", note(&w, &r), sc.emit())).unwrap();
     }
 }
+
+/// One switch arms every inversion counter: the `racy_increment-su-0`
+/// shape built by hand with only `track_workload_violations` set reports
+/// the bus and directory inversions of the scenario's own run, and with the
+/// switch off both read 0.
+#[test]
+fn one_switch_counts_bus_and_directory_inversions() {
+    let text = std::fs::read_to_string(schedules_dir().join("racy_increment-su-0.skn")).unwrap();
+    let (w, scenario_run) = replay(&Scenario::parse(&text).unwrap());
+    let inversions = |r: &SimReport| (r.bus.inversions, r.dir.transition_inversions);
+    let run = |track: bool| {
+        let mut cfg = TargetConfig::small(3);
+        cfg.core.model = CoreModel::InOrder;
+        cfg.track_workload_violations = track;
+        let mut det = DetEngine::new(&w.program, Scheme::Unbounded, &cfg, 0);
+        det.run();
+        inversions(&det.into_report())
+    };
+    let (bus, dir) = inversions(&scenario_run);
+    assert!(bus > 0 && dir > 0, "the SU seed inverts nothing: bus {bus}, dir {dir}");
+    assert_eq!(run(true), (bus, dir));
+    assert_eq!(run(false), (0, 0));
+}
