@@ -347,6 +347,12 @@ fn ooo_loops() -> [(&'static str, (sk_isa::Program, Option<u64>)); 4] {
 /// `BATCH` cycles at a time in turn, as the det scheduler steps
 /// `ooo_compute`'s eight cores under S10, so every core's state is
 /// evicted by the other seven's between its batches.
+///
+/// This group explains a ledger result; it does not stand in for one.
+/// Taking the compact fetch records out of the OoO core read ×1.004 on
+/// `eight_cores_round_robin` but ×0.910 `kips` on `ooo_compute` through
+/// `skbench` (EXPERIMENTS.md "The ledger"), so judge a piece of a
+/// core-model change on `skbench`.
 fn bench_ooo_hot(c: &mut Criterion) {
     const CYCLES: u64 = 50_000;
     const BATCH: u64 = 10;

@@ -15,9 +15,16 @@
 //! * different seeds ⇒ different *legal* interleavings of the same run,
 //!   turning the violation tracker and the conformance suite into a
 //!   schedule-fuzzing oracle (see `--det-schedules` in the CLI);
-//! * the conservative schemes (CC, Q, L) are schedule-
-//!   independent by construction, so any seed must reproduce the threaded
-//!   run byte for byte — asserted by `tests/conformance.rs`.
+//! * CC is schedule-independent: every seed reproduces the threaded run
+//!   byte for byte (`crates/core/tests/conformance.rs`,
+//!   `cc_det_is_bit_identical_to_cc_threaded`). Q10, the paper target's
+//!   critical latency, has one outcome over every seed on in-order
+//!   `lock_sweep` at 8 cores × 2 000 iterations
+//!   (`quantum_at_the_critical_latency_is_seed_independent_at_scale`), and
+//!   S10\* one execution time on the small inputs of
+//!   `ordered_schemes_exec_time_is_seed_independent`. Q above the critical
+//!   latency is not schedule-independent: Q100's cycle count on that
+//!   `lock_sweep` input moves with the seed.
 //!
 //! Blocking points are the same on both: `run_step` publishes the parked
 //! state on the [`ClockBoard`] and returns, and the scheduler stops

@@ -123,8 +123,13 @@ impl Scheme {
         }
     }
 
-    /// Conservative schemes never produce timing violations when their
-    /// parameter stays at or below the target's critical latency (§3.2).
+    /// CC, Q and S*n*\*: the schemes the paper calls conservative (§3.2),
+    /// violation-free, it argues, while the parameter stays at or below the
+    /// target's critical latency. The flag names the class and promises
+    /// nothing more: CC records no violation, but Q10 records workload-state
+    /// violations on `racy_increment` under some det seeds (inversions
+    /// within its 10 cycles), and Q100's outcome on 8-core `lock_sweep`
+    /// depends on the det seed.
     pub fn is_conservative(&self) -> bool {
         matches!(self, Scheme::CycleByCycle | Scheme::Quantum(_) | Scheme::OldestFirstBounded(_))
     }

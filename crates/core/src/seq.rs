@@ -8,10 +8,11 @@
 //!   cycle-by-cycle simulations ... when all threads are executed by one
 //!   single host core" (Table 2's KIPS column, and the denominator of
 //!   every speedup in Figure 8);
-//! * the **accuracy gold standard**: it is bit-deterministic, and the
-//!   parallel engine under the cycle-by-cycle scheme must match its cycle
-//!   counts exactly on data-race-free workloads (asserted by integration
-//!   tests).
+//! * the **accuracy gold standard**: it is bit-deterministic, the det
+//!   scheduler's CC run equals it on the whole fingerprint
+//!   (`tests/ooo_equivalence.rs::suite_fingerprints_match_the_pinned_model`),
+//!   and the worker pool's CC run on its cycle count
+//!   (`tests/suite_integration.rs::parallel_cc_is_cycle_exact_on_every_kernel`).
 
 use crate::config::{StopCondition, TargetConfig};
 use crate::engine::{assemble_report, violation_report, wire, Shared, Wiring};

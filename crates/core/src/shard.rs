@@ -19,14 +19,16 @@
 //! in `(ts, core, seq)` order behind the global-time horizon, and the
 //! coordinator holds ordered-scheme windows back to the slowest shard's
 //! published **frontier** so no core ever ticks past an undelivered
-//! reply. The result (asserted by tests): the sharded engine is fully
-//! *deterministic* for every conservative scheme at any shard count, and
-//! differs in timing from the single manager only through the
-//! interconnect model — one occupancy channel per bank group instead of
-//! one shared channel (sub-1% on the paper kernels, exactly zero when the
-//! shared channel was uncontended). Eager schemes skip the frontier (the
-//! paper's semantics have no such coupling) and simply gain manager
-//! throughput — which measurably shrinks their host-induced timing error.
+//! reply. Sharded CC reproduces single-manager CC bit for bit
+//! (`crates/core/tests/conformance.rs`,
+//! `many_core_cc_sharded_is_bit_identical_to_single_manager`). Sharded CC
+//! and S9\* runs repeat their cycle count
+//! (`crates/core/tests/engine.rs::sharded_memory_managers_are_cycle_exact_for_conservative_schemes`),
+//! and sharded CC stays within 1 % of the single manager on every
+//! extended-suite kernel, the residue being one interconnect channel per
+//! bank group (`tests/suite_integration.rs::sharded_engine_handles_the_full_suite`).
+//! Eager schemes skip the frontier (the paper's semantics have no such
+//! coupling).
 
 use crate::clock::ClockBoard;
 use crate::config::TargetConfig;

@@ -9,10 +9,12 @@
 //!   reproduces the threaded run *byte for byte* (whole report
 //!   fingerprint) for every seed, and never records a violation even on
 //!   data-racy workloads.
-//! * **Q** runs whole quanta between barriers, so its simulated outcome
-//!   is seed-independent on the deterministic backend (identical
-//!   fingerprints across seeds), though the threaded backend's timeout
-//!   path may take different — equally legal — barrier rounds.
+//! * **Q at the critical latency** (Q10 on the paper target) has a
+//!   seed-independent outcome on the deterministic backend (identical
+//!   fingerprints across seeds) on `lock_sweep` at 8 cores × 2 000
+//!   iterations. Above it this is not a contract: Q100 is seed-independent
+//!   on the 3-core input below, but not on that 8-core input
+//!   (EXPERIMENTS.md "Claims and where they stand").
 //! * **Ordered conservative schemes** (L, S*) drain the event queue in
 //!   timestamp order: their *exec time* is schedule-independent (equal
 //!   across every seed, and equal to CC when the parameter is at the
@@ -32,7 +34,7 @@
 //! caught within the same seed budget. The committed violating seeds
 //! replay in the workspace root's `tests/seed_corpus.rs`.
 
-use sk_core::{run_det, run_parallel, DetEngine, Scheme, SimReport, TargetConfig};
+use sk_core::{run_det, run_parallel, CoreModel, DetEngine, Scheme, SimReport, TargetConfig};
 use sk_kernels::{micro, paper_suite, Scale, Workload};
 
 /// Fixed seed budget per scheme — small enough for debug-mode CI, wide
@@ -144,9 +146,14 @@ fn cc_det_is_bit_identical_to_cc_threaded() {
     }
 }
 
-/// The quantum scheme's whole simulated outcome is seed-independent on
-/// the deterministic backend: barriers serialize the run into quanta, so
-/// the interleaving within a quantum cannot show.
+/// Q100's whole simulated outcome is the same over every det seed on
+/// `lock_sweep` at 3 cores × 8 iterations.
+///
+/// That input is too small to show Q100's seed dependence: on in-order
+/// `lock_sweep` at 8 cores × 2 000 iterations, det seeds 0–2 and 5 read
+/// 999 947 cycles and seed 3 read 999 920. The test that holds Q at a
+/// size where the property could fail is
+/// `quantum_at_the_critical_latency_is_seed_independent_at_scale`.
 #[test]
 fn quantum_det_outcome_is_seed_independent() {
     let w = micro::lock_sweep(3, 8);
@@ -155,6 +162,30 @@ fn quantum_det_outcome_is_seed_independent() {
     for seed in &SEEDS[1..] {
         let fp = run_det(&w.program, Scheme::Quantum(100), &c, *seed).fingerprint();
         assert_eq!(fp, baseline, "Q100 outcome depends on the schedule (seed {seed})");
+    }
+}
+
+/// Q at the critical latency (Q10 on the paper target) has one outcome
+/// over every det seed on in-order `lock_sweep` at 8 cores × 2 000
+/// iterations, the input where Q100's outcome depends on the seed.
+#[test]
+fn quantum_at_the_critical_latency_is_seed_independent_at_scale() {
+    let w = micro::lock_sweep(8, 2000);
+    let mut c = TargetConfig::paper_8core();
+    c.core.model = CoreModel::InOrder;
+    let q = Scheme::Quantum(c.critical_latency());
+    assert_eq!(q, Scheme::Quantum(10), "the paper target's critical latency moved");
+    let baseline = run_det(&w.program, q, &c, SEEDS[0]);
+    assert_sane(&w, &baseline, "Q10 seed 0");
+    for seed in &SEEDS[1..] {
+        let r = run_det(&w.program, q, &c, *seed);
+        assert_eq!(
+            r.fingerprint(),
+            baseline.fingerprint(),
+            "Q10 outcome depends on the schedule (seed {seed}: {} cycles, seed 0: {})",
+            r.exec_cycles,
+            baseline.exec_cycles
+        );
     }
 }
 
